@@ -57,7 +57,6 @@ from repro.storage import ObjectStore
 from repro.core import (
     AknnMethod,
     AknnRequest,
-    LegacyQueryAPIWarning,
     QueryEngine,
     QueryRequest,
     RangeRequest,
@@ -131,7 +130,6 @@ __all__ = [
     # The query surface (typed requests + QueryEngine protocol)
     "AknnMethod",
     "AknnRequest",
-    "LegacyQueryAPIWarning",
     "QueryEngine",
     "QueryRequest",
     "RangeRequest",

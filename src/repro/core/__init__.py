@@ -22,7 +22,6 @@ are exposed for experimentation and benchmarking:
 from repro.core.requests import (
     AknnMethod,
     AknnRequest,
-    LegacyQueryAPIWarning,
     QueryEngine,
     QueryRequest,
     RangeRequest,
@@ -53,7 +52,6 @@ from repro.core.reverse_nn import ReverseAKNNSearcher, ReverseKNNResult, REVERSE
 __all__ = [
     "AknnMethod",
     "AknnRequest",
-    "LegacyQueryAPIWarning",
     "QueryEngine",
     "QueryRequest",
     "RangeRequest",

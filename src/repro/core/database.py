@@ -15,8 +15,7 @@ request executed through one surface::
 sub-batches (see :mod:`repro.core.requests`); requests sharing a
 ``bucket_key()`` are answered by the corresponding shared engine (one R-tree
 traversal for an AKNN bucket, one filter matrix + verification traversal for
-a reverse bucket).  The old per-type methods (``aknn``, ``rknn``, ...)
-remain as deprecated shims delegating to ``execute``.
+a reverse bucket).
 
 The database owns the object store (point sets on disk or in memory), the
 R-tree over per-object summaries, and one searcher per query type.  A
@@ -47,9 +46,8 @@ from repro.core.requests import (
     ReverseRequest,
     SweepRequest,
     execute_plan,
-    warn_legacy,
 )
-from repro.core.results import AKNNResult, BatchResult, RangeSearchResult, RKNNResult
+from repro.core.results import AKNNResult, RangeSearchResult, RKNNResult
 from repro.core.reverse_nn import ReverseAKNNSearcher, ReverseKNNResult
 from repro.core.rknn import RKNNSearcher
 from repro.exceptions import ObjectNotFoundError, StorageError
@@ -216,11 +214,10 @@ class FuzzyDatabase:
         return execute_plan(self, list(requests), rng=rng)
 
     # Bucket hooks consumed by the planners in repro.core.requests.  A bucket
-    # of one runs the single-query searcher (bit-identical to the historical
-    # per-type methods); larger buckets run the shared batch engines.  The
-    # ``deadline`` keyword is the bucket's abort point (latest member expiry);
-    # loops over members check it between queries, the batch engines between
-    # traversal chunks.
+    # of one runs the single-query searcher; larger buckets run the shared
+    # batch engines.  The ``deadline`` keyword is the bucket's abort point
+    # (latest member expiry); loops over members check it between queries,
+    # the batch engines between traversal chunks.
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
@@ -238,15 +235,18 @@ class FuzzyDatabase:
                 )
             ]
         self.metrics.increment(MetricsCollector.BATCH_QUERIES, len(bucket))
-        batch = self._run_aknn_batch(
+        # One R-tree traversal shared by the whole bucket; neighbour sets
+        # equal the single-query path up to distance ties at the k-th rank
+        # (the batch engine breaks ties by object id, the single-query
+        # searchers by traversal order).
+        return self._executor.aknn_batch(
             [request.query for request in bucket],
             first.k,
             first.alpha,
             method=first.method.value,
             rng=rng,
             deadline=deadline,
-        )
-        return batch.results
+        ).results
 
     def _execute_range_bucket(
         self,
@@ -310,142 +310,6 @@ class FuzzyDatabase:
                 )
             )
         return results
-
-    def _run_aknn_batch(
-        self,
-        queries: Sequence[FuzzyObject],
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        workers: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-        initial_tau=None,
-        initial_exact=None,
-        deadline=None,
-    ) -> BatchResult:
-        """The vectorized batch engine (internal; full :class:`BatchResult`).
-
-        One R-tree traversal is shared by the whole batch, all bounds are
-        evaluated as ``(batch, node)`` matrices, and every probed object is
-        fetched once; see :class:`~repro.core.executor.BatchQueryExecutor`.
-        Neighbour sets are identical to the single-query path up to distance
-        ties at the k-th rank (the batch engine breaks ties by object id,
-        the single-query searchers by traversal order).  ``initial_tau`` /
-        ``initial_exact`` forward externally-bootstrapped per-query pruning
-        radii (used by the sharded fan-out and the reverse verifier).
-        """
-        return self._executor.aknn_batch(
-            list(queries), k, alpha, method=method, workers=workers, rng=rng,
-            initial_tau=initial_tau, initial_exact=initial_exact, deadline=deadline,
-        )
-
-    # ------------------------------------------------------------------
-    # Deprecated per-type shims (delegate to the request surface)
-    # ------------------------------------------------------------------
-    def aknn(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
-    ) -> AKNNResult:
-        """Deprecated: use ``execute(AknnRequest(...))``."""
-        warn_legacy("FuzzyDatabase.aknn()", "execute(AknnRequest(...))")
-        return self.execute(
-            AknnRequest(query, k=k, alpha=alpha, method=method), rng=rng
-        )
-
-    def aknn_batch(
-        self,
-        queries: Iterable[FuzzyObject],
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        workers: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-        initial_tau=None,
-        initial_exact=None,
-    ) -> BatchResult:
-        """Deprecated: use ``execute_batch([AknnRequest(...), ...])``.
-
-        Kept for the batch-level :class:`BatchResult` telemetry (aggregate
-        stats + throughput); the unified surface returns plain per-request
-        results instead.
-        """
-        warn_legacy(
-            "FuzzyDatabase.aknn_batch()", "execute_batch([AknnRequest(...), ...])"
-        )
-        return self._run_aknn_batch(
-            queries, k, alpha, method=method, workers=workers, rng=rng,
-            initial_tau=initial_tau, initial_exact=initial_exact,
-        )
-
-    def rknn(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha_range: Tuple[float, float],
-        method: str = "rss_icr",
-        aknn_method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
-    ) -> RKNNResult:
-        """Deprecated: use ``execute(SweepRequest(...))``."""
-        warn_legacy("FuzzyDatabase.rknn()", "execute(SweepRequest(...))")
-        return self.execute(
-            SweepRequest(
-                query, k=k, alpha_range=tuple(alpha_range),
-                method=method, aknn_method=aknn_method,
-            ),
-            rng=rng,
-        )
-
-    def range_search(
-        self,
-        query: FuzzyObject,
-        alpha: float,
-        radius: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> RangeSearchResult:
-        """Deprecated: use ``execute(RangeRequest(...))``."""
-        warn_legacy("FuzzyDatabase.range_search()", "execute(RangeRequest(...))")
-        return self.execute(
-            RangeRequest(query, alpha=alpha, radius=radius), rng=rng
-        )
-
-    def reverse_aknn(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "pruned",
-        rng: Optional[np.random.Generator] = None,
-    ) -> ReverseKNNResult:
-        """Deprecated: use ``execute(ReverseRequest(...))``."""
-        warn_legacy("FuzzyDatabase.reverse_aknn()", "execute(ReverseRequest(...))")
-        return self.execute(
-            ReverseRequest(query, k=k, alpha=alpha, method=method), rng=rng
-        )
-
-    def reverse_aknn_batch(
-        self,
-        queries: Iterable[FuzzyObject],
-        k: int,
-        alpha: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[ReverseKNNResult]:
-        """Deprecated: use ``execute_batch([ReverseRequest(...), ...])``."""
-        warn_legacy(
-            "FuzzyDatabase.reverse_aknn_batch()",
-            "execute_batch([ReverseRequest(...), ...])",
-        )
-        return self.execute_batch(
-            [
-                ReverseRequest(query, k=k, alpha=alpha, method=ReverseMethod.BATCH)
-                for query in queries
-            ],
-            rng=rng,
-        )
 
     def distance_join(
         self,

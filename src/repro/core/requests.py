@@ -31,18 +31,13 @@ type defined once coalesces correctly at every layer.
 
 A future query family plugs in at one place: define the request dataclass
 (with ``bucket_key``) and call :func:`register_planner` with a callable
-``(engine, requests, rng) -> results``; every engine's ``execute`` /
-``execute_batch`` and the service coalescer pick it up without edits.
-
-The old per-type methods (``db.aknn(...)``, ``service.submit(...)``, ...)
-remain as thin deprecated shims delegating to this surface; they warn with
-:class:`LegacyQueryAPIWarning` (a :class:`DeprecationWarning`), which CI
-escalates to an error for in-repo callers.
+``(engine, requests, rng, deadline=None) -> results``; every engine's
+``execute`` / ``execute_batch`` and the service coalescer pick it up without
+edits.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
@@ -62,28 +57,7 @@ import numpy as np
 
 from repro.exceptions import DeadlineExceededError, InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
-
-
-class LegacyQueryAPIWarning(DeprecationWarning):
-    """Warned by the deprecated per-type query methods.
-
-    A subclass of :class:`DeprecationWarning` so generic tooling treats it as
-    a deprecation, while exactly this category can be escalated to an error
-    without tripping over third-party deprecations.  Escalate it
-    programmatically — ``warnings.simplefilter("error",
-    LegacyQueryAPIWarning)``, as ``scripts/deprecation_smoke.py`` does in CI
-    — because ``PYTHONWARNINGS`` / ``-W`` resolve custom categories during
-    early interpreter startup, before this package is importable.
-    """
-
-
-def warn_legacy(old: str, new: str) -> None:
-    """Emit the deprecation warning for one legacy entry point."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} on the unified request surface instead",
-        LegacyQueryAPIWarning,
-        stacklevel=3,
-    )
+from repro.metrics.counters import MetricsCollector
 
 
 # ----------------------------------------------------------------------
@@ -338,39 +312,12 @@ class QueryEngine(Protocol):
 # Planner registry: request type -> bucket planner
 # ----------------------------------------------------------------------
 #: A planner answers one homogeneous bucket (equal ``bucket_key()``) against
-#: one engine and returns one result per request, in bucket order.  Planners
-#: may accept an optional ``deadline`` keyword (a
-#: :class:`~repro.service.policy.Deadline` or ``None``); three-parameter
-#: planners are adapted at registration time, so pre-deadline planners keep
-#: working unchanged.
+#: one engine and returns one result per request, in bucket order.  The
+#: calling convention is ``planner(engine, bucket, rng, deadline=...)`` where
+#: ``deadline`` is a :class:`~repro.service.policy.Deadline` or ``None``.
 Planner = Callable[..., List[Any]]
 
 _PLANNERS: Dict[Type[QueryRequest], Planner] = {}
-
-
-def _adapt_planner(planner: Planner) -> Planner:
-    """Wrap planners that do not take a ``deadline`` keyword.
-
-    The registry's calling convention is ``planner(engine, bucket, rng,
-    deadline=...)``; a legacy ``(engine, bucket, rng)`` callable is wrapped to
-    drop the deadline (its bucket simply runs unbounded).
-    """
-    import inspect
-
-    try:
-        signature = inspect.signature(planner)
-    except (TypeError, ValueError):
-        return planner
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return planner
-        if parameter.name == "deadline":
-            return planner
-
-    def _without_deadline(engine, bucket, rng, deadline=None, _planner=planner):
-        return _planner(engine, bucket, rng)
-
-    return _without_deadline
 
 
 def register_planner(request_type: Type[QueryRequest], planner: Planner) -> None:
@@ -379,7 +326,7 @@ def register_planner(request_type: Type[QueryRequest], planner: Planner) -> None
     This is the single extension point for new query families: engines never
     switch on request types themselves — they look the planner up here.
     """
-    _PLANNERS[request_type] = _adapt_planner(planner)
+    _PLANNERS[request_type] = planner
 
 
 def planner_for(request_type: Type[QueryRequest]) -> Planner:
@@ -483,8 +430,6 @@ def execute_plan(
             )
     metrics = getattr(engine, "metrics", None)
     if metrics is not None:
-        from repro.metrics.counters import MetricsCollector
-
         metrics.increment(MetricsCollector.PLAN_GROUPS, len(grouped))
         metrics.increment(MetricsCollector.PLAN_REQUESTS, len(requests))
     results: List[Any] = [None] * len(requests)
@@ -498,8 +443,6 @@ def execute_plan(
                     f"{request_type.__name__} expired before execution"
                 )
                 if metrics is not None:
-                    from repro.metrics.counters import MetricsCollector
-
                     metrics.increment(MetricsCollector.DEADLINE_EXPIRED)
             else:
                 live.append(index)
@@ -519,8 +462,6 @@ def execute_plan(
         except DeadlineExceededError as error:
             answers = [error] * len(bucket)
             if metrics is not None:
-                from repro.metrics.counters import MetricsCollector
-
                 metrics.increment(MetricsCollector.DEADLINE_EXPIRED, len(bucket))
         if len(answers) != len(bucket):
             raise InvalidQueryError(
@@ -538,8 +479,6 @@ def execute_plan(
                     f"{request_type.__name__} expired during execution"
                 )
                 if metrics is not None:
-                    from repro.metrics.counters import MetricsCollector
-
                     metrics.increment(MetricsCollector.DEADLINE_EXPIRED)
             results[index] = answer
     if on_error == "raise":
@@ -552,47 +491,22 @@ def execute_plan(
 # ----------------------------------------------------------------------
 # Built-in planners
 # ----------------------------------------------------------------------
-# Each delegates to a per-engine bucket hook; the hooks are the narrow
+# Each built-in family is answered by a per-engine bucket hook, the narrow
 # capability surface FuzzyDatabase and ShardedDatabase implement (the query
 # service implements QueryEngine by coalescing into buckets and flushing each
 # through its database's execute_batch, so it never reaches these directly).
-def _plan_aknn(
-    engine: Any,
-    bucket: Sequence[AknnRequest],
-    rng: Optional[np.random.Generator],
-    deadline: Optional[Any] = None,
-) -> List[Any]:
-    return engine._execute_aknn_bucket(bucket, rng, deadline=deadline)
+def _bucket_hook(name: str) -> Planner:
+    def plan(engine: Any, bucket, rng, deadline: Optional[Any] = None) -> List[Any]:
+        return getattr(engine, name)(bucket, rng, deadline=deadline)
+
+    return plan
 
 
-def _plan_range(
-    engine: Any,
-    bucket: Sequence[RangeRequest],
-    rng: Optional[np.random.Generator],
-    deadline: Optional[Any] = None,
-) -> List[Any]:
-    return engine._execute_range_bucket(bucket, rng, deadline=deadline)
-
-
-def _plan_sweep(
-    engine: Any,
-    bucket: Sequence[SweepRequest],
-    rng: Optional[np.random.Generator],
-    deadline: Optional[Any] = None,
-) -> List[Any]:
-    return engine._execute_sweep_bucket(bucket, rng, deadline=deadline)
-
-
-def _plan_reverse(
-    engine: Any,
-    bucket: Sequence[ReverseRequest],
-    rng: Optional[np.random.Generator],
-    deadline: Optional[Any] = None,
-) -> List[Any]:
-    return engine._execute_reverse_bucket(bucket, rng, deadline=deadline)
-
-
-register_planner(AknnRequest, _plan_aknn)
-register_planner(RangeRequest, _plan_range)
-register_planner(SweepRequest, _plan_sweep)
-register_planner(ReverseRequest, _plan_reverse)
+_PLANNERS.update(
+    {
+        AknnRequest: _bucket_hook("_execute_aknn_bucket"),
+        RangeRequest: _bucket_hook("_execute_range_bucket"),
+        SweepRequest: _bucket_hook("_execute_sweep_bucket"),
+        ReverseRequest: _bucket_hook("_execute_reverse_bucket"),
+    }
+)

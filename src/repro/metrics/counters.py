@@ -51,8 +51,10 @@ class MetricsCollector:
     LIVE_INSERTS = "live_inserts"
     LIVE_DELETES = "live_deletes"
     # Fault-tolerance accounting (service/policy.py, service/faults.py):
-    # per-shard read retries, breaker trips and the fan-out portions an open
-    # breaker shed, queries answered with partial coverage, requests that
+    # per-shard read retries, breaker trips, shards an open breaker shed
+    # (breaker_shed counts *shards*: one per shed shard per admission, and
+    # one per shedding shard when a fail-closed bucket is fast-failed —
+    # never requests), queries answered with partial coverage, requests that
     # expired mid-execution, and requests withdrawn from the coalescer queue
     # because their deadline passed before their bucket flushed.
     RETRIES = "retries"

@@ -57,16 +57,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.requests import (
-    AknnRequest,
-    QueryRequest,
-    ReverseMethod,
-    ReverseRequest,
-    execute_plan,
-    warn_legacy,
-)
-from repro.core.results import AKNNResult
-from repro.core.reverse_nn import ReverseKNNResult
+from repro.core.requests import QueryRequest, execute_plan
 from repro.exceptions import (
     DeadlineExceededError,
     InvalidQueryError,
@@ -450,61 +441,6 @@ class QueryService:
                 self._withdraw(submitted)
                 raise
         return results
-
-    # ------------------------------------------------------------------
-    # Deprecated per-type shims (delegate to the request surface)
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-    ) -> "Future[AKNNResult]":
-        """Deprecated: use ``submit_request(AknnRequest(...))``."""
-        warn_legacy("QueryService.submit()", "submit_request(AknnRequest(...))")
-        return self.submit_request(AknnRequest(query, k=k, alpha=alpha, method=method))
-
-    def submit_reverse(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-    ) -> "Future[ReverseKNNResult]":
-        """Deprecated: use ``submit_request(ReverseRequest(...))``."""
-        warn_legacy(
-            "QueryService.submit_reverse()", "submit_request(ReverseRequest(...))"
-        )
-        return self.submit_request(
-            ReverseRequest(query, k=k, alpha=alpha, method=ReverseMethod.BATCH)
-        )
-
-    def aknn(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        timeout: Optional[float] = None,
-    ) -> AKNNResult:
-        """Deprecated: use ``execute(AknnRequest(...))``."""
-        warn_legacy("QueryService.aknn()", "execute(AknnRequest(...))")
-        return self.submit_request(
-            AknnRequest(query, k=k, alpha=alpha, method=method)
-        ).result(timeout=timeout)
-
-    def reverse_aknn(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        timeout: Optional[float] = None,
-    ) -> "ReverseKNNResult":
-        """Deprecated: use ``execute(ReverseRequest(...))``."""
-        warn_legacy("QueryService.reverse_aknn()", "execute(ReverseRequest(...))")
-        return self.submit_request(
-            ReverseRequest(query, k=k, alpha=alpha, method=ReverseMethod.BATCH)
-        ).result(timeout=timeout)
 
     # ------------------------------------------------------------------
     # Live updates (forwarded to the database)

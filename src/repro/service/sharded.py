@@ -20,6 +20,14 @@ the per-shard answers are merged globally:
   collector and a store router, so every sub-query is globally correct and
   the returned qualifying ranges are identical to the single-tree path.
 
+How a query meets the shards is decided in one place — two combinators
+(``_isolated``: independent per-shard answers merge; ``_coupled``: a pass
+whose shards depend on each other reruns on the survivors) plus one bucket
+wrapper (``_answer_bucket``) carry admission through the breakers, read
+locking (calling thread only, see ``_read_locked``), retries, partial
+``Coverage`` and the fail-closed contract; each family supplies only its
+per-shard worker and its merge.
+
 Live updates (:meth:`insert` / :meth:`delete`) route through the placement
 policy to the owning shard and take that shard's write lock, so in-flight
 queries never observe a half-applied R-tree mutation; each mutation advances
@@ -46,7 +54,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Ty
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.aknn import AKNN_METHODS
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import _BOOTSTRAP_EXTRA, _exact_min_distances
 from repro.core.query import PreparedQuery
@@ -57,19 +64,15 @@ from repro.core.requests import (
     ReverseRequest,
     SweepRequest,
     execute_plan,
-    warn_legacy,
 )
 from repro.core.results import (
     AKNNResult,
-    BatchResult,
     Coverage,
     Neighbor,
     QueryStats,
     RangeSearchResult,
-    RKNNResult,
 )
 from repro.core.reverse_nn import (
-    REVERSE_METHODS,
     ReverseKNNResult,
     build_bucket_results,
     collect_memberships,
@@ -79,12 +82,11 @@ from repro.core.reverse_nn import (
 from repro.core.rknn import RKNNSearcher
 from repro.exceptions import (
     DeadlineExceededError,
-    InvalidQueryError,
     ObjectNotFoundError,
     ShardUnavailableError,
     StorageError,
 )
-from repro.fuzzy.alpha_distance import alpha_distance
+from repro.fuzzy.alpha_distance import DistanceProfileStore, alpha_distance
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.index.soa import certainly_closer_counts
 from repro.metrics.counters import MetricsCollector, SharedMetricsCollector
@@ -176,11 +178,14 @@ class ShardedDatabase:
         self._epoch = EpochCounter()
         self._pool: Optional[ThreadPoolExecutor] = None
         self.metrics = SharedMetricsCollector()
-        self._rknn = _FederatedRKNNSearcher(self, self.config)
-        # ((total size, summed tree mutations), KD-tree over every shard's
-        # representative points, aligned object ids); rebuilt lazily after
-        # any mutation — the global analogue of the executor's local index.
-        self._rep_index: Optional[Tuple[Tuple[int, int], object, np.ndarray]] = None
+        # One d_alpha profile memo shared by every sweep (keyed by query
+        # instance + object id, so it stays valid across live sets).
+        self._sweep_profiles = DistanceProfileStore(self.config.profile_cache_capacity)
+        # ((covered shard indices, total size, summed tree mutations), KD-tree
+        # over those shards' representative points, aligned object ids);
+        # rebuilt lazily after any mutation or change of the covered set —
+        # the global analogue of the executor's local index.
+        self._rep_index: Optional[Tuple[Tuple, object, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -496,21 +501,44 @@ class ShardedDatabase:
                 shard.breaker.record_success()
                 return result
 
+    def _read_locked(self, shards: Sequence[_Shard]) -> ExitStack:
+        """Hold the given shards' read locks: ``with self._read_locked(live):``.
+
+        The one place a query takes shard locks (the single-object point read
+        in :meth:`get_object` aside).  Always on the *calling* thread and in
+        ascending shard index — ``_admit_shards`` yields that order and
+        survivor sets keep it — so two queries can never hold-and-wait on
+        each other, and a callable handed to :meth:`_map_pool` never blocks
+        on a shard lock: the pool has one worker per shard, so a worker
+        parked behind a waiting writer (the lock is writer-preferring) while
+        another query's fan-out waits for the pool with its read locks held
+        would be a deadlock.  Per-shard workers therefore run lock-free
+        under the caller's locks, which also makes one fan-out — or one
+        whole coupled pass — a single snapshot of every covered shard.
+        """
+        stack = ExitStack()
+        try:
+            for shard in shards:
+                stack.enter_context(shard.lock.read())
+        except BaseException:
+            stack.close()
+            raise
+        return stack
+
     def _map_outcomes(
         self,
         shards: Sequence[_Shard],
         op: str,
         fn: Callable[[_Shard], T],
         deadline=None,
-    ) -> List[Tuple[str, object]]:
-        """Isolated fan-out: every shard finishes; failures become outcomes.
+    ) -> Tuple[List[_Shard], List[T], Dict[int, str]]:
+        """One fan-out under the caller's read locks; failures become outcomes.
 
+        Returns ``(answered shards, their values, {lost shard: reason})``.
         The wrapper catches everything so the pool map always completes every
-        shard before the caller inspects the outcomes — callers holding read
-        locks must not release them while a fan-out thread is still reading.
-        Returns ``("ok", result) | ("deadline", error) | ("fail", reason)``
-        per shard, aligned with ``shards``; a deadline outcome is re-raised
-        once the barrier has been crossed.
+        shard before the caller sees the split — the caller must not release
+        its read locks while a fan-out thread is still reading.  A deadline
+        hit on any shard is re-raised once that barrier has been crossed.
         """
 
         def guarded(shard: _Shard) -> Tuple[str, object]:
@@ -522,10 +550,18 @@ class ShardedDatabase:
                 return ("fail", error.reason)
 
         outcomes = self._map_pool(shards, guarded)
-        for kind, value in outcomes:
+        answered: List[_Shard] = []
+        values: List[T] = []
+        lost: Dict[int, str] = {}
+        for shard, (kind, value) in zip(shards, outcomes):
             if kind == "deadline":
                 raise value
-        return outcomes
+            if kind == "ok":
+                answered.append(shard)
+                values.append(value)
+            else:
+                lost[shard.index] = value
+        return answered, values, lost
 
     def _map_strict(
         self,
@@ -535,16 +571,13 @@ class ShardedDatabase:
         deadline=None,
     ) -> List[T]:
         """Coupled fan-out: all results, or a :class:`_FanoutFailure` naming
-        every shard lost in this pass (for the caller's exclusion loop)."""
-        outcomes = self._map_outcomes(shards, op, fn, deadline=deadline)
-        failures = {
-            shard.index: value
-            for shard, (kind, value) in zip(shards, outcomes)
-            if kind == "fail"
-        }
-        if failures:
-            raise _FanoutFailure(failures)
-        return [value for _, value in outcomes]
+        every shard lost in this pass (for :meth:`_coupled`'s survivor loop)."""
+        if deadline is not None:
+            deadline.check(f"{op} fan-out")
+        _, values, lost = self._map_outcomes(shards, op, fn, deadline=deadline)
+        if lost:
+            raise _FanoutFailure(lost)
+        return values
 
     @staticmethod
     def _drop_lost(
@@ -604,17 +637,17 @@ class ShardedDatabase:
         tolerates a partial answer (the bucket then runs normally and
         per-request finalization sorts the slots out).
         """
-        if not any(request.require_full for request in bucket):
+        if not all(request.require_full for request in bucket):
             return None
         shedding = {
             shard.index: "circuit breaker open"
             for shard in self._shards
             if shard.breaker.shedding()
         }
-        if shedding and all(request.require_full for request in bucket):
-            self.metrics.increment(MetricsCollector.BREAKER_SHED, len(bucket))
-            return [self._unavailable(shedding)] * len(bucket)
-        return None
+        if not shedding:
+            return None
+        self.metrics.increment(MetricsCollector.BREAKER_SHED, len(shedding))
+        return [self._unavailable(shedding)] * len(bucket)
 
     def _finalize_slot(self, request: QueryRequest, result):
         """Apply the request's partial-tolerance contract to one result slot."""
@@ -633,6 +666,96 @@ class ShardedDatabase:
         ]
 
     # ------------------------------------------------------------------
+    # How a query meets N shards: two combinators and one bucket wrapper
+    # ------------------------------------------------------------------
+    def _isolated(
+        self,
+        op: str,
+        worker: Callable[[_Shard], T],
+        merge: Callable[[List[T]], object],
+        deadline=None,
+    ):
+        """Isolated fan-out: independent per-shard answers, merged.
+
+        ``worker`` answers one shard (lock-free — see :meth:`_read_locked`)
+        and ``merge`` folds the answering shards' values into one result.
+        Shard failures are isolated: the survivors' values merge into a
+        partial result whose coverage names the shards that failed.  Raises
+        :class:`~repro.exceptions.ShardUnavailableError` only when no shard
+        answered at all.
+        """
+        if deadline is not None:
+            deadline.check(f"{op} fan-out")
+        live, failed = self._admit_shards()
+        if not live:
+            raise self._unavailable(failed)
+        with self._read_locked(live):
+            answered, values, lost = self._map_outcomes(
+                live, op, worker, deadline=deadline
+            )
+            failed.update(lost)
+            coverage = self._coverage(answered, failed)
+        if not answered:
+            raise self._unavailable(failed)
+        result = merge(values)
+        result.coverage = coverage
+        return result
+
+    def _coupled(self, run_pass: Callable[[List[_Shard]], List]) -> List:
+        """Coupled pass: shards' answers depend on each other; rerun on survivors.
+
+        ``run_pass(live)`` answers against exactly the shards in ``live``
+        through the strict maps (:meth:`_map_strict`), under their read locks
+        for the whole pass — globally bootstrapped radii, a global box set or
+        a sweep's chained sub-queries are only valid against the one snapshot
+        they were derived from.  A mid-pass shard failure cannot simply drop
+        that shard's slice (a dead shard's nominee may have set a radius that
+        over-prunes a survivor), so the whole pass reruns against the
+        survivors: the partial answer is exactly what a fresh query against
+        only those shards would return, with coverage naming the lost ones.
+        """
+        live, failed = self._admit_shards()
+        while live:
+            try:
+                with self._read_locked(live):
+                    results = run_pass(live)
+                    coverage = self._coverage(live, failed)
+            except _FanoutFailure as failure:
+                live = self._drop_lost(live, failure, failed)
+                continue
+            for result in results:
+                result.coverage = coverage
+            return results
+        raise self._unavailable(failed)
+
+    def _answer_bucket(
+        self,
+        bucket: Sequence[QueryRequest],
+        units: Sequence[Sequence[QueryRequest]],
+        answer: Callable[[Sequence[QueryRequest]], List],
+    ) -> List:
+        """The failure contract every bucket hook shares.
+
+        ``units`` splits the bucket into the request groups one execution
+        answers (the whole bucket for a shared engine, one request each for a
+        looped family) and ``answer(unit)`` runs one of them through a
+        combinator.  Sheds a fail-closed bucket while breakers are open,
+        turns total shard loss into per-slot errors, and finalizes every slot
+        against its request's partial-tolerance contract (count a partial /
+        swap in a ShardUnavailableError for ``require_full``).
+        """
+        shed = self._shed_fail_closed(bucket)
+        if shed is not None:
+            return shed
+        results: List = []
+        for unit in units:
+            try:
+                results.extend(answer(unit))
+            except ShardUnavailableError as error:
+                results.extend([error] * len(unit))
+        return self._finalize_bucket(bucket, results)
+
+    # ------------------------------------------------------------------
     # Global pruning-radius bootstrap
     # ------------------------------------------------------------------
     def _global_rep_index(
@@ -645,9 +768,10 @@ class ShardedDatabase:
         valid over the covered shards, so each shard's traversal prunes as
         tightly as an unsharded one would.  The cache key includes the shard
         set, so a degraded pass (some shards excluded) never reuses radii
-        probed from a different snapshot.  The caller must hold the given
-        shards' read locks (the batch path does); taking them here would
-        deadlock against the non-reentrant writer-preferring lock.
+        probed from a different snapshot.  Runs inside a :meth:`_coupled`
+        pass, i.e. under the given shards' read locks
+        (:meth:`_read_locked`); taking them again here would deadlock
+        against the non-reentrant writer-preferring lock.
         """
         key = (
             tuple(shard.index for shard in shards),
@@ -688,10 +812,9 @@ class ShardedDatabase:
         distances already paid for, which seed the shard executors' memos so
         bootstrap nominees are never re-evaluated.  Returns ``None`` when no
         usable radius can be computed (tiny database, scipy missing) —
-        shards then bootstrap locally.  Caller must hold every given shard's
-        read lock, and must keep holding it through the fan-out that consumes
-        the radii — they are only valid against the snapshot they were probed
-        from.
+        shards then bootstrap locally.  The radii are only valid against the
+        snapshot they were probed from, so the fan-out that consumes them
+        must run inside the same :meth:`_coupled` pass (same read section).
         """
         rep_tree, rep_oids = self._global_rep_index(shards)
         if rep_tree is None or rep_oids.shape[0] < k:
@@ -705,8 +828,7 @@ class ShardedDatabase:
         if kk == 1:
             rep_idx = rep_idx[:, None]
         nominated = rep_oids[rep_idx]
-        # Fetch each distinct nominee once, grouped per owning shard so every
-        # shard's read lock is taken a single time for the whole group.
+        # Fetch each distinct nominee once, from its owning shard's store.
         by_shard: Dict[int, List[int]] = {}
         with self._admin_lock:
             for object_id in np.unique(nominated).tolist():
@@ -774,42 +896,40 @@ class ShardedDatabase:
         return execute_plan(self, list(requests), rng=rng)
 
     # Bucket hooks consumed by the planners in repro.core.requests.  Each
-    # starts with the fail-closed shed fast path, converts total shard loss
-    # into per-slot errors, and finalizes every slot against its request's
-    # partial-tolerance contract (attach coverage / count a partial / swap in
-    # a ShardUnavailableError for ``require_full``).
+    # family keeps only its per-shard worker and its merge; how the workers
+    # meet the shards (admission, locks, retries, survivors, coverage) is
+    # _isolated / _coupled, and the per-slot failure contract _answer_bucket.
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
-        shed = self._shed_fail_closed(bucket)
-        if shed is not None:
-            return shed
         first = bucket[0]
-        try:
-            if len(bucket) == 1:
-                results = [
-                    self._aknn_single(
-                        first.query, first.k, first.alpha,
-                        method=first.method.value, rng=rng, deadline=deadline,
+        k, alpha, method = first.k, first.alpha, first.method.value
+
+        def answer(unit: Sequence[AknnRequest]) -> List:
+            queries = [request.query for request in unit]
+            if len(unit) == 1:
+                timer = Timer().start()
+                return [
+                    self._isolated(
+                        "aknn",
+                        self._aknn_worker(queries[0], k, alpha, method, rng),
+                        lambda per_shard: self._aknn_merge(
+                            per_shard, k, alpha, method, timer
+                        ),
+                        deadline=deadline,
                     )
                 ]
-            else:
-                self.metrics.increment(MetricsCollector.BATCH_QUERIES, len(bucket))
-                batch = self._run_aknn_batch(
-                    [request.query for request in bucket],
-                    first.k,
-                    first.alpha,
-                    method=first.method.value,
-                    rng=rng,
-                    deadline=deadline,
+            self.metrics.increment(MetricsCollector.BATCH_QUERIES, len(unit))
+            return self._coupled(
+                lambda live: self._aknn_batch_pass(
+                    live, queries, k, alpha, method, rng, deadline
                 )
-                results = batch.results
-        except ShardUnavailableError as error:
-            return [error] * len(bucket)
-        return self._finalize_bucket(bucket, results)
+            )
+
+        return self._answer_bucket(bucket, [bucket], answer)
 
     def _execute_range_bucket(
         self,
@@ -817,23 +937,21 @@ class ShardedDatabase:
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
-        shed = self._shed_fail_closed(bucket)
-        if shed is not None:
-            return shed
-        results: List = []
-        for request in bucket:
-            if deadline is not None:
-                deadline.check("range bucket")
-            try:
-                results.append(
-                    self._range_single(
-                        request.query, request.alpha, request.radius,
-                        rng=rng, deadline=deadline,
-                    )
+        def answer(unit: Sequence[RangeRequest]) -> List:
+            (request,) = unit
+            timer = Timer().start()
+            return [
+                self._isolated(
+                    "range",
+                    lambda shard: shard.db._range.search(
+                        request.query, request.alpha, request.radius, rng=rng
+                    ),
+                    lambda per_shard: self._range_merge(per_shard, request, timer),
+                    deadline=deadline,
                 )
-            except ShardUnavailableError as error:
-                results.append(error)
-        return self._finalize_bucket(bucket, results)
+            ]
+
+        return self._answer_bucket(bucket, [[r] for r in bucket], answer)
 
     def _execute_sweep_bucket(
         self,
@@ -841,32 +959,15 @@ class ShardedDatabase:
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
-        shed = self._shed_fail_closed(bucket)
-        if shed is not None:
-            return shed
-        live, failed = self._admit_shards()
-        results: List = []
-        for request in bucket:
-            if deadline is not None:
-                deadline.check("sweep bucket")
-            while True:
-                if not live:
-                    results.append(self._unavailable(failed))
-                    break
-                # The sweep's sub-queries must all answer against the same
-                # live set, so a mid-sweep shard loss reruns the whole sweep
-                # against the survivors (the strict adapters raise
-                # _FanoutFailure).  The long-lived searcher serves the
-                # undegraded, unbounded case; a degraded or deadline-bounded
-                # pass gets an ephemeral searcher pinned to the live set.
-                if len(live) == len(self._shards) and deadline is None:
-                    searcher = self._rknn
-                else:
-                    searcher = _FederatedRKNNSearcher(
-                        self, self.config, shards=live, deadline=deadline
-                    )
-                try:
-                    result = searcher.search(
+        def answer(unit: Sequence[SweepRequest]) -> List:
+            (request,) = unit
+            # The sweep's sub-queries must all answer against the same live
+            # set and the same snapshot: the pass holds its live set's read
+            # locks for the whole sweep, and a mid-sweep shard loss (the
+            # federated adapters are strict) reruns it against the survivors.
+            return self._coupled(
+                lambda live: [
+                    _FederatedRKNNSearcher(self, live, deadline).search(
                         request.query,
                         request.k,
                         request.alpha_range,
@@ -874,13 +975,10 @@ class ShardedDatabase:
                         aknn_method=request.aknn_method.value,
                         rng=rng,
                     )
-                except _FanoutFailure as failure:
-                    live = self._drop_lost(live, failure, failed)
-                    continue
-                result.coverage = self._coverage(live, failed)
-                results.append(result)
-                break
-        return self._finalize_bucket(bucket, results)
+                ]
+            )
+
+        return self._answer_bucket(bucket, [[r] for r in bucket], answer)
 
     def _execute_reverse_bucket(
         self,
@@ -888,27 +986,25 @@ class ShardedDatabase:
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
-        shed = self._shed_fail_closed(bucket)
-        if shed is not None:
-            return shed
         first = bucket[0]
-        try:
-            results = self._run_reverse_bucket(
-                [request.query for request in bucket],
-                first.k,
-                first.alpha,
-                method=first.method.value,
-                rng=rng,
-                deadline=deadline,
+
+        def answer(unit: Sequence[ReverseRequest]) -> List:
+            queries = [request.query for request in unit]
+            results = self._coupled(
+                lambda live: self._reverse_pass(
+                    live, queries, first.k, first.alpha, first.method.value,
+                    rng, deadline,
+                )
             )
-        except ShardUnavailableError as error:
-            return [error] * len(bucket)
-        return self._finalize_bucket(bucket, results)
+            self.metrics.increment(MetricsCollector.REVERSE_QUERIES, len(unit))
+            return results
+
+        return self._answer_bucket(bucket, [bucket], answer)
 
     # ------------------------------------------------------------------
-    # Sharded execution engines
+    # Per-family workers and merges
     # ------------------------------------------------------------------
-    def _aknn_run(
+    def _aknn_worker(
         self,
         query: FuzzyObject,
         k: int,
@@ -916,15 +1012,18 @@ class ShardedDatabase:
         method: str,
         rng: Optional[np.random.Generator],
     ) -> Callable[[_Shard], Tuple[List[Neighbor], QueryStats]]:
-        """The per-shard AKNN worker shared by the isolated and strict paths."""
+        """The per-shard AKNN worker shared by the isolated path and the sweep.
+
+        Lazily-confirmed local neighbours are probed here, inside the
+        caller's read section, so the merge always compares exact distances.
+        """
 
         def run(shard: _Shard) -> Tuple[List[Neighbor], QueryStats]:
-            with shard.lock.read():
-                if len(shard.db) == 0:
-                    return [], QueryStats()
-                result = shard.db._aknn.search(query, k, alpha, method=method, rng=rng)
-                resolved = self._resolve_exact(shard.db, result.neighbors, query, alpha)
-                return resolved, result.stats
+            if len(shard.db) == 0:
+                return [], QueryStats()
+            result = shard.db._aknn.search(query, k, alpha, method=method, rng=rng)
+            resolved = self._resolve_exact(shard.db, result.neighbors, query, alpha)
+            return resolved, result.stats
 
         return run
 
@@ -936,6 +1035,7 @@ class ShardedDatabase:
         method: str,
         timer: Timer,
     ) -> AKNNResult:
+        """Global AKNN: the k smallest exact distances across shard top-ks."""
         stats = QueryStats()
         for _, shard_stats in per_shard:
             stats.merge(shard_stats)
@@ -949,217 +1049,11 @@ class ShardedDatabase:
             neighbors=merged, k=k, alpha=alpha, method=method, stats=stats
         )
 
-    def _aknn_single(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
-        deadline=None,
-    ) -> AKNNResult:
-        """Global AKNN: per-shard top-k, merged by exact distance.
-
-        Shard failures are isolated: surviving shards' answers merge into a
-        partial result whose coverage names the shards that failed.  Raises
-        :class:`~repro.exceptions.ShardUnavailableError` only when no shard
-        answered at all.
-        """
-        self._check_aknn_args(k, method)
-        if deadline is not None:
-            deadline.check("aknn fan-out")
-        timer = Timer().start()
-        live, failed = self._admit_shards()
-        if not live:
-            raise self._unavailable(failed)
-        run = self._aknn_run(query, k, alpha, method, rng)
-        outcomes = self._map_outcomes(live, "aknn", run, deadline=deadline)
-        answered: List[_Shard] = []
-        per_shard: List[Tuple[List[Neighbor], QueryStats]] = []
-        for shard, (kind, value) in zip(live, outcomes):
-            if kind == "ok":
-                answered.append(shard)
-                per_shard.append(value)
-            else:
-                failed[shard.index] = value
-        if not answered:
-            raise self._unavailable(failed)
-        result = self._aknn_merge(per_shard, k, alpha, method, timer)
-        result.coverage = self._coverage(answered, failed)
-        return result
-
-    def _aknn_on(
-        self,
-        shards: Sequence[_Shard],
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
-        deadline=None,
-    ) -> AKNNResult:
-        """Strict AKNN over a fixed shard set (RKNN sweep building block).
-
-        Raises :class:`_FanoutFailure` on any shard loss: a sweep's
-        sub-queries must all answer against the same live set, so the sweep's
-        exclusion loop reruns the whole sweep against the survivors rather
-        than merging a silently partial sub-answer into its ranges.
-        """
-        self._check_aknn_args(k, method)
-        if deadline is not None:
-            deadline.check("aknn fan-out")
-        timer = Timer().start()
-        run = self._aknn_run(query, k, alpha, method, rng)
-        per_shard = self._map_strict(shards, "aknn", run, deadline=deadline)
-        return self._aknn_merge(per_shard, k, alpha, method, timer)
-
-    def _run_aknn_batch(
-        self,
-        queries: Iterable[FuzzyObject],
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        workers: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-        deadline=None,
-    ) -> BatchResult:
-        """Batched AKNN with shard-failure isolation.
-
-        The batch is *coupled* across shards — the globally bootstrapped
-        pruning radii fold every shard's nominees together, so a mid-pass
-        shard failure cannot simply drop that shard's slice (a dead shard's
-        nominee could have set a radius that over-prunes a survivor).
-        Instead the whole pass reruns against the surviving shards only,
-        which makes the partial answer exactly what a fresh query against
-        those shards would return.
-        """
-        self._check_aknn_args(k, method)
-        queries = list(queries)
-        live, failed = self._admit_shards()
-        while True:
-            if not live:
-                raise self._unavailable(failed)
-            try:
-                batch = self._aknn_batch_on(
-                    live, queries, k, alpha,
-                    method=method, workers=workers, rng=rng, deadline=deadline,
-                )
-                break
-            except _FanoutFailure as failure:
-                live = self._drop_lost(live, failure, failed)
-        coverage = self._coverage(live, failed)
-        batch.coverage = coverage
-        for result in batch.results:
-            result.coverage = coverage
-        return batch
-
-    def _aknn_batch_on(
-        self,
-        shards: Sequence[_Shard],
-        queries: Sequence[FuzzyObject],
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        workers: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-        deadline=None,
-    ) -> BatchResult:
-        """One batched-AKNN pass against a fixed shard set (strict)."""
-        timer = Timer().start()
-        # The whole pass runs under every covered shard's read lock: the
-        # globally bootstrapped pruning radii are only valid against the
-        # dataset they were probed from, so a delete landing between
-        # bootstrap and fan-out could otherwise prune true neighbours.
-        # Readers share the locks freely — only live updates are held off
-        # until the pass is done.  The per-shard calls below must stay
-        # lock-free (the lock is not reentrant and writer preference would
-        # deadlock nested reads).
-        with ExitStack() as stack:
-            for shard in shards:
-                stack.enter_context(shard.lock.read())
-            # One global nominate-and-probe pass replaces N per-shard
-            # bootstraps and hands every shard the tight global radius to
-            # prune against, plus the exact distances already paid for.
-            bootstrap = (
-                self._global_bootstrap(shards, queries, k, alpha, rng)
-                if queries and len(shards) > 1
-                else None
-            )
-            initial_tau, initial_exact = bootstrap if bootstrap else (None, None)
-
-            def run(shard: _Shard) -> BatchResult:
-                return shard.db._run_aknn_batch(
-                    queries, k, alpha, method=method, workers=workers, rng=rng,
-                    initial_tau=initial_tau, initial_exact=initial_exact,
-                    deadline=deadline,
-                )
-
-            shard_batches = self._map_strict(
-                shards, "aknn_batch", run, deadline=deadline
-            )
-        results: List[AKNNResult] = []
-        for qi in range(len(queries)):
-            per_shard = [batch.results[qi].neighbors for batch in shard_batches]
-            merged = self._merge_topk(per_shard, k)
-            per_query_stats = QueryStats(
-                distance_evaluations=sum(
-                    batch.results[qi].stats.distance_evaluations
-                    for batch in shard_batches
-                ),
-                aknn_calls=1,
-            )
-            results.append(
-                AKNNResult(
-                    neighbors=merged, k=k, alpha=alpha, method=method,
-                    stats=per_query_stats,
-                )
-            )
-
-        stats = QueryStats()
-        for batch in shard_batches:
-            stats.merge(batch.stats)
-        stats.aknn_calls = len(queries)
-        stats.elapsed_seconds = timer.stop()
-        stats.extra["batch_queries"] = float(len(queries))
-        stats.extra["shard_fanouts"] = float(len(shards))
-        if stats.elapsed_seconds > 0.0:
-            stats.extra["throughput_qps"] = len(queries) / stats.elapsed_seconds
-        return BatchResult(results=results, k=k, alpha=alpha, method=method, stats=stats)
-
-    def _range_single(
-        self,
-        query: FuzzyObject,
-        alpha: float,
-        radius: float,
-        rng: Optional[np.random.Generator] = None,
-        deadline=None,
+    @staticmethod
+    def _range_merge(
+        per_shard: Sequence[RangeSearchResult], request: RangeRequest, timer: Timer
     ) -> RangeSearchResult:
-        """All objects within ``radius`` at ``alpha``: union of shard answers.
-
-        Per-shard answers are independent, so failures are isolated: the
-        surviving shards' matches form a partial result whose coverage names
-        the shards that failed.
-        """
-        timer = Timer().start()
-        live, failed = self._admit_shards()
-        if not live:
-            raise self._unavailable(failed)
-
-        def run(shard: _Shard) -> RangeSearchResult:
-            with shard.lock.read():
-                return shard.db._range.search(query, alpha, radius, rng=rng)
-
-        outcomes = self._map_outcomes(live, "range", run, deadline=deadline)
-        answered: List[_Shard] = []
-        per_shard: List[RangeSearchResult] = []
-        for shard, (kind, value) in zip(live, outcomes):
-            if kind == "ok":
-                answered.append(shard)
-                per_shard.append(value)
-            else:
-                failed[shard.index] = value
-        if not answered:
-            raise self._unavailable(failed)
+        """All objects within the radius: the union of the shard answers."""
         matches = [match for result in per_shard for match in result.matches]
         matches.sort(key=lambda pair: (pair[1], pair[0]))
         stats = QueryStats()
@@ -1167,76 +1061,82 @@ class ShardedDatabase:
             stats.merge(result.stats)
         stats.range_calls = 1
         stats.elapsed_seconds = timer.stop()
-        stats.extra["shard_fanouts"] = float(len(answered))
+        stats.extra["shard_fanouts"] = float(len(per_shard))
         return RangeSearchResult(
-            matches=matches, radius=radius, alpha=alpha, stats=stats,
-            coverage=self._coverage(answered, failed),
+            matches=matches, radius=request.radius, alpha=request.alpha, stats=stats
         )
 
-    def _run_reverse_bucket(
-        self,
-        queries: Iterable[FuzzyObject],
-        k: int,
-        alpha: float,
-        method: str = "batch",
-        rng: Optional[np.random.Generator] = None,
-        deadline=None,
-    ) -> List[ReverseKNNResult]:
-        """Answer a bucket of reverse AKNN queries sharing ``(k, alpha)``.
-
-        Like the batched AKNN, the reverse pass is *coupled* across shards
-        (the filter compares every shard's rows against the global box set,
-        and verification radii fold all shards' candidates together), so a
-        mid-pass shard failure reruns the whole pass against the survivors —
-        the partial answer is exactly what a fresh query against only those
-        shards would return, with coverage naming the shards that failed.
-        """
-        if k <= 0:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        if not 0.0 < alpha <= 1.0:
-            raise InvalidQueryError(f"alpha must be in (0, 1], got {alpha}")
-        if method not in REVERSE_METHODS:
-            raise InvalidQueryError(
-                f"unknown reverse-kNN method {method!r}; "
-                f"expected one of {REVERSE_METHODS}"
-            )
-        queries = list(queries)
-        if not queries:
-            return []
-        live, failed = self._admit_shards()
-        while True:
-            if not live:
-                raise self._unavailable(failed)
-            try:
-                results = self._reverse_bucket_on(
-                    live, queries, k, alpha, method=method, rng=rng,
-                    deadline=deadline,
-                )
-                break
-            except _FanoutFailure as failure:
-                live = self._drop_lost(live, failure, failed)
-        coverage = self._coverage(live, failed)
-        for result in results:
-            result.coverage = coverage
-        return results
-
-    def _reverse_bucket_on(
+    def _aknn_batch_pass(
         self,
         shards: Sequence[_Shard],
         queries: Sequence[FuzzyObject],
         k: int,
         alpha: float,
-        method: str = "batch",
-        rng: Optional[np.random.Generator] = None,
-        deadline=None,
+        method: str,
+        rng: Optional[np.random.Generator],
+        deadline,
+    ) -> List[AKNNResult]:
+        """One batched-AKNN pass against a fixed shard set (coupled).
+
+        One global nominate-and-probe pass replaces N per-shard bootstraps
+        and hands every shard the tight global radius to prune against, plus
+        the exact distances already paid for.  The radii are only valid
+        against the dataset they were probed from — a delete landing between
+        bootstrap and fan-out could otherwise prune true neighbours — which
+        is why the pass is coupled.
+        """
+        bootstrap = (
+            self._global_bootstrap(shards, queries, k, alpha, rng)
+            if len(shards) > 1
+            else None
+        )
+        initial_tau, initial_exact = bootstrap if bootstrap else (None, None)
+        shard_batches = self._map_strict(
+            shards,
+            "aknn_batch",
+            lambda shard: shard.db._executor.aknn_batch(
+                queries, k, alpha, method=method, rng=rng,
+                initial_tau=initial_tau, initial_exact=initial_exact,
+                deadline=deadline,
+            ),
+            deadline=deadline,
+        )
+        return [
+            AKNNResult(
+                neighbors=self._merge_topk(
+                    [batch.results[qi].neighbors for batch in shard_batches], k
+                ),
+                k=k,
+                alpha=alpha,
+                method=method,
+                stats=QueryStats(
+                    distance_evaluations=sum(
+                        batch.results[qi].stats.distance_evaluations
+                        for batch in shard_batches
+                    ),
+                    aknn_calls=1,
+                ),
+            )
+            for qi in range(len(queries))
+        ]
+
+    def _reverse_pass(
+        self,
+        shards: Sequence[_Shard],
+        queries: Sequence[FuzzyObject],
+        k: int,
+        alpha: float,
+        method: str,
+        rng: Optional[np.random.Generator],
+        deadline,
     ) -> List[ReverseKNNResult]:
-        """One reverse-bucket pass against a fixed shard set (strict).
+        """One reverse-bucket pass against a fixed shard set (coupled).
 
         The sharded analogue of
         :meth:`~repro.core.reverse_nn.ReverseAKNNSearcher.search_batch`:
 
         1. every covered shard exports its ``(n_s, d)`` Equation-2 box arrays
-           from the leaf SoA views (one gather, under the shard read locks);
+           from the leaf SoA views (one gather);
         2. each shard evaluates the all-pairs disqualification test for *its*
            rows against the **global** box set in parallel — so candidate
            sets are exactly as tight as the unsharded filter — and the
@@ -1246,115 +1146,95 @@ class ShardedDatabase:
            (``d_alpha(A, Q)``, maximised over the bucket), and per-candidate
            (k+1)-NN lists merge across shards before the membership count.
 
-        Holding every covered shard's read lock for the whole pass keeps the
-        radii and the owner snapshot consistent under live updates.
+        Coupled because the filter compares every shard's rows against the
+        global box set and the verification radii fold all shards'
+        candidates together.
         """
         timer = Timer().start()
         n_queries = len(queries)
         accesses_before = sum(
             shard.db.store.statistics.object_accesses for shard in shards
         )
+        gathered = self._map_strict(
+            shards,
+            "reverse_gather",
+            lambda shard: shard.db.tree.leaf_alpha_bounds(alpha),
+            deadline=deadline,
+        )
+        parts = [g for g in gathered if g[0].shape[0] > 0]
+        if not parts:
+            return self._empty_reverse_results(n_queries, k, alpha, method, timer)
+        ids = np.concatenate([g[0] for g in parts])
+        box_lo = np.concatenate([g[1] for g in parts])
+        box_hi = np.concatenate([g[2] for g in parts])
+        # Row ranges of each shard within the concatenated global arrays.
+        spans: Dict[int, Tuple[int, int]] = {}
+        offset = 0
+        for shard, g in zip(shards, gathered):
+            rows = g[0].shape[0]
+            spans[shard.index] = (offset, offset + rows)
+            offset += rows
 
-        # The per-shard calls below run on fan-out threads while this thread
-        # holds every read lock, so they must stay lock-free (the RW lock is
-        # not reentrant and writer preference would deadlock nested reads).
-        with ExitStack() as stack:
-            for shard in shards:
-                stack.enter_context(shard.lock.read())
+        if deadline is not None:
+            deadline.check("reverse filter")
+        prepared = [PreparedQuery(q, alpha, self.config, rng) for q in queries]
+        if method == "linear":
+            masks = np.ones((n_queries, ids.shape[0]), dtype=bool)
+        else:
+            thresholds = query_filter_thresholds(prepared, box_lo, box_hi)
 
-            gathered = self._map_strict(
-                shards,
-                "reverse_gather",
-                lambda shard: shard.db.tree.leaf_alpha_bounds(alpha),
-                deadline=deadline,
-            )
-            parts = [g for g in gathered if g[0].shape[0] > 0]
-            if not parts:
-                self.metrics.increment(MetricsCollector.REVERSE_QUERIES, n_queries)
-                return [
-                    self._empty_reverse_result(k, alpha, method, timer.stop())
-                    for _ in queries
-                ]
-            ids = np.concatenate([g[0] for g in parts])
-            box_lo = np.concatenate([g[1] for g in parts])
-            box_hi = np.concatenate([g[2] for g in parts])
-            # Row ranges of each shard within the concatenated global arrays.
-            spans: Dict[int, Tuple[int, int]] = {}
-            offset = 0
-            for shard, g in zip(shards, gathered):
-                rows = g[0].shape[0]
-                spans[shard.index] = (offset, offset + rows)
-                offset += rows
-
-            if deadline is not None:
-                deadline.check("reverse filter")
-            prepared = [PreparedQuery(q, alpha, self.config, rng) for q in queries]
-            if method == "linear":
-                masks = np.ones((n_queries, ids.shape[0]), dtype=bool)
-            else:
-                thresholds = query_filter_thresholds(prepared, box_lo, box_hi)
-
-                def filter_rows(shard: _Shard) -> Optional[np.ndarray]:
-                    start, stop = spans[shard.index]
-                    if start == stop:
-                        return None
-                    return certainly_closer_counts(
-                        box_lo[start:stop],
-                        box_hi[start:stop],
-                        box_lo,
-                        box_hi,
-                        thresholds[:, start:stop],
-                        self_index=np.arange(start, stop),
-                    )
-
-                blocks = self._map_strict(
-                    shards, "reverse_filter", filter_rows, deadline=deadline
+            def filter_rows(shard: _Shard) -> Optional[np.ndarray]:
+                start, stop = spans[shard.index]
+                if start == stop:
+                    return None
+                return certainly_closer_counts(
+                    box_lo[start:stop],
+                    box_hi[start:stop],
+                    box_lo,
+                    box_hi,
+                    thresholds[:, start:stop],
+                    self_index=np.arange(start, stop),
                 )
-                counts = np.concatenate(
-                    [b for b in blocks if b is not None], axis=1
-                )
-                masks = counts < k
 
-            # Each candidate row came from a known shard span, so its object
-            # can be fetched from the owning store without the owner map.
-            # Candidate prep (union, exact distances, shared radii, seeds) is
-            # the same plan the unsharded engine runs; only the fetch and the
-            # verification fan-out differ.
-            shard_of_row = np.empty(ids.shape[0], dtype=np.int64)
-            for shard_index, (start, stop) in spans.items():
-                shard_of_row[start:stop] = shard_index
-            metrics = MetricsCollector()
-            plan = plan_bucket_verification(
-                prepared,
-                masks,
-                ids,
-                lambda row: self._shards[int(shard_of_row[row])].db.store.get(
-                    int(ids[row])
-                ),
-                alpha,
-                metrics,
+            blocks = self._map_strict(
+                shards, "reverse_filter", filter_rows, deadline=deadline
             )
-            if plan is None:
-                self.metrics.increment(MetricsCollector.REVERSE_QUERIES, n_queries)
-                elapsed = timer.stop()
-                return [
-                    self._empty_reverse_result(
-                        k, alpha, method, elapsed, candidates=0.0
-                    )
-                    for _ in queries
-                ]
-            if deadline is not None:
-                deadline.check("reverse verification")
-            shard_batches = self._map_strict(
-                shards,
-                "reverse_verify",
-                lambda shard: shard.db._run_aknn_batch(
-                    plan.cand_objs, k + 1, alpha, rng=rng,
-                    initial_tau=plan.tau, initial_exact=plan.seeds,
-                    deadline=deadline,
-                ),
+            counts = np.concatenate(
+                [b for b in blocks if b is not None], axis=1
+            )
+            masks = counts < k
+
+        # Each candidate row came from a known shard span, so its object
+        # can be fetched from the owning store without the owner map.
+        # Candidate prep (union, exact distances, shared radii, seeds) is
+        # the same plan the unsharded engine runs; only the fetch and the
+        # verification fan-out differ.
+        shard_of_row = np.empty(ids.shape[0], dtype=np.int64)
+        for shard_index, (start, stop) in spans.items():
+            shard_of_row[start:stop] = shard_index
+        metrics = MetricsCollector()
+        plan = plan_bucket_verification(
+            prepared,
+            masks,
+            ids,
+            lambda row: self._shards[int(shard_of_row[row])].db.store.get(
+                int(ids[row])
+            ),
+            alpha,
+            metrics,
+        )
+        if plan is None:
+            return self._empty_reverse_results(n_queries, k, alpha, method, timer)
+        shard_batches = self._map_strict(
+            shards,
+            "reverse_verify",
+            lambda shard: shard.db._executor.aknn_batch(
+                plan.cand_objs, k + 1, alpha, rng=rng,
+                initial_tau=plan.tau, initial_exact=plan.seeds,
                 deadline=deadline,
-            )
+            ),
+            deadline=deadline,
+        )
 
         merged = [
             self._merge_topk(
@@ -1363,7 +1243,6 @@ class ShardedDatabase:
             for j in range(len(plan.cand_ids))
         ]
         elapsed = timer.stop()
-        self.metrics.increment(MetricsCollector.REVERSE_QUERIES, n_queries)
         self.metrics.increment(MetricsCollector.REVERSE_CANDIDATES, len(plan.cand_ids))
         memberships, distance_maps = collect_memberships(
             k, plan.cand_ids, merged, plan.per_query_cols, plan.per_query_dists
@@ -1404,126 +1283,21 @@ class ShardedDatabase:
         )
 
     @staticmethod
-    def _empty_reverse_result(
-        k: int,
-        alpha: float,
-        method: str,
-        elapsed: float,
-        candidates: float = 0.0,
-    ) -> ReverseKNNResult:
-        return ReverseKNNResult(
-            object_ids=[],
-            distances={},
-            k=k,
-            alpha=alpha,
-            method=method,
-            stats=QueryStats(
-                elapsed_seconds=elapsed, extra={"candidates": candidates}
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Deprecated per-type shims (delegate to the request surface)
-    # ------------------------------------------------------------------
-    def aknn(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
-    ) -> AKNNResult:
-        """Deprecated: use ``execute(AknnRequest(...))``."""
-        warn_legacy("ShardedDatabase.aknn()", "execute(AknnRequest(...))")
-        return self.execute(
-            AknnRequest(query, k=k, alpha=alpha, method=method), rng=rng
-        )
-
-    def aknn_batch(
-        self,
-        queries: Iterable[FuzzyObject],
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        workers: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> BatchResult:
-        """Deprecated: use ``execute_batch([AknnRequest(...), ...])``.
-
-        Kept for the batch-level :class:`BatchResult` telemetry; the unified
-        surface returns plain per-request results instead.
-        """
-        warn_legacy(
-            "ShardedDatabase.aknn_batch()", "execute_batch([AknnRequest(...), ...])"
-        )
-        return self._run_aknn_batch(
-            queries, k, alpha, method=method, workers=workers, rng=rng
-        )
-
-    def rknn(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha_range: Tuple[float, float],
-        method: str = "rss_icr",
-        aknn_method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
-    ) -> RKNNResult:
-        """Deprecated: use ``execute(SweepRequest(...))``."""
-        warn_legacy("ShardedDatabase.rknn()", "execute(SweepRequest(...))")
-        return self.execute(
-            SweepRequest(
-                query, k=k, alpha_range=tuple(alpha_range),
-                method=method, aknn_method=aknn_method,
-            ),
-            rng=rng,
-        )
-
-    def range_search(
-        self,
-        query: FuzzyObject,
-        alpha: float,
-        radius: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> RangeSearchResult:
-        """Deprecated: use ``execute(RangeRequest(...))``."""
-        warn_legacy("ShardedDatabase.range_search()", "execute(RangeRequest(...))")
-        return self.execute(RangeRequest(query, alpha=alpha, radius=radius), rng=rng)
-
-    def reverse_aknn(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "batch",
-        rng: Optional[np.random.Generator] = None,
-    ) -> ReverseKNNResult:
-        """Deprecated: use ``execute(ReverseRequest(...))``."""
-        warn_legacy("ShardedDatabase.reverse_aknn()", "execute(ReverseRequest(...))")
-        return self.execute(
-            ReverseRequest(query, k=k, alpha=alpha, method=method), rng=rng
-        )
-
-    def reverse_aknn_batch(
-        self,
-        queries: Iterable[FuzzyObject],
-        k: int,
-        alpha: float,
-        method: str = "batch",
-        rng: Optional[np.random.Generator] = None,
+    def _empty_reverse_results(
+        n_queries: int, k: int, alpha: float, method: str, timer: Timer
     ) -> List[ReverseKNNResult]:
-        """Deprecated: use ``execute_batch([ReverseRequest(...), ...])``."""
-        warn_legacy(
-            "ShardedDatabase.reverse_aknn_batch()",
-            "execute_batch([ReverseRequest(...), ...])",
-        )
-        return self.execute_batch(
-            [
-                ReverseRequest(query, k=k, alpha=alpha, method=method)
-                for query in queries
-            ],
-            rng=rng,
-        )
+        elapsed = timer.stop()
+        return [
+            ReverseKNNResult(
+                object_ids=[],
+                distances={},
+                k=k,
+                alpha=alpha,
+                method=method,
+                stats=QueryStats(elapsed_seconds=elapsed, extra={"candidates": 0.0}),
+            )
+            for _ in range(n_queries)
+        ]
 
     # ------------------------------------------------------------------
     # Live updates
@@ -1634,15 +1408,6 @@ class ShardedDatabase:
     # ------------------------------------------------------------------
     # Merge helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _check_aknn_args(k: int, method: str) -> None:
-        if k <= 0:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        if method not in AKNN_METHODS:
-            raise InvalidQueryError(
-                f"unknown AKNN method {method!r}; expected one of {AKNN_METHODS}"
-            )
-
     def _resolve_exact(
         self,
         db: FuzzyDatabase,
@@ -1681,47 +1446,39 @@ class ShardedDatabase:
 # ----------------------------------------------------------------------
 # Federated building blocks for the RKNN sweep
 # ----------------------------------------------------------------------
+# All three run inside the sweep's coupled pass, i.e. under the live set's
+# read locks (ShardedDatabase._read_locked), so none of them takes a lock.
 class _FederatedStore:
-    """Routes store reads to the owning shard; aggregates statistics.
+    """Routes store reads to the owning live shard; aggregates statistics.
 
     Implements exactly the slice of the :class:`ObjectStore` interface the
     RKNN searcher consumes (``get``, ``object_ids``, ``statistics``), so the
-    sweep algorithms run unmodified over the partitioned data.  When pinned
-    to a live subset (a degraded sweep) it only sees those shards' objects —
-    a read routed to an excluded shard raises :class:`_FanoutFailure` so the
-    sweep's exclusion loop restarts rather than mixing in a dead shard.
+    sweep algorithms run unmodified over the partitioned data.  It only sees
+    the live shards' objects — a read routed to an excluded shard raises
+    :class:`_FanoutFailure` so the sweep fails closed rather than mixing in a
+    dead shard.
     """
 
-    def __init__(
-        self, sharded: ShardedDatabase, shards: Optional[Sequence[_Shard]] = None
-    ):
+    def __init__(self, sharded: ShardedDatabase, shards: Sequence[_Shard]):
         self._sharded = sharded
-        self._shards = None if shards is None else list(shards)
-
-    def _live(self) -> Sequence[_Shard]:
-        return self._sharded._shards if self._shards is None else self._shards
+        self._shards = list(shards)
 
     def get(self, object_id: int) -> FuzzyObject:
         shard = self._sharded._owner_shard(object_id)
-        if self._shards is not None and shard not in self._shards:
+        if shard not in self._shards:
             raise _FanoutFailure({shard.index: "shard excluded from live set"})
-        with shard.lock.read():
-            return shard.db.store.get(object_id)
+        return shard.db.store.get(object_id)
 
     def object_ids(self) -> List[int]:
-        if self._shards is None:
-            return self._sharded.object_ids()
-        ids: List[int] = []
-        for shard in self._shards:
-            with shard.lock.read():
-                ids.extend(shard.db.object_ids())
-        return sorted(ids)
+        return sorted(
+            object_id for shard in self._shards for object_id in shard.db.object_ids()
+        )
 
     @property
     def statistics(self) -> StoreStatistics:
         """Summed counters across the covered shard stores."""
         total = StoreStatistics()
-        for shard in self._live():
+        for shard in self._shards:
             stats = shard.db.store.statistics
             total.object_accesses += stats.object_accesses
             total.physical_reads += stats.physical_reads
@@ -1732,23 +1489,22 @@ class _FederatedStore:
         return total
 
 
-class _FanoutAKNNAdapter:
-    """AKNN-searcher facade over the sharded fan-out (for the RKNN sweep).
+class _FanoutAdapter:
+    """A searcher facade over the strict sharded fan-out (for the RKNN sweep).
 
     Always strict: a sweep's sub-queries must all answer against the same
     live set, so any shard loss surfaces as :class:`_FanoutFailure` for the
-    sweep bucket's exclusion loop instead of a silently partial merge.
+    coupled pass's survivor loop instead of a silently partial merge.
     """
 
-    def __init__(
-        self,
-        sharded: ShardedDatabase,
-        shards: Optional[Sequence[_Shard]] = None,
-        deadline=None,
-    ):
+    def __init__(self, sharded: ShardedDatabase, shards: Sequence[_Shard], deadline):
         self._sharded = sharded
-        self._shards = None if shards is None else list(shards)
+        self._shards = shards
         self._deadline = deadline
+
+
+class _FanoutAKNNAdapter(_FanoutAdapter):
+    """``AKNNSearcher.search`` answered by every live shard, merged exactly."""
 
     def search(
         self,
@@ -1758,25 +1514,18 @@ class _FanoutAKNNAdapter:
         method: str = "lb_lp_ub",
         rng: Optional[np.random.Generator] = None,
     ) -> AKNNResult:
-        shards = self._shards if self._shards is not None else self._sharded._shards
-        return self._sharded._aknn_on(
-            shards, query, k, alpha, method=method, rng=rng,
+        timer = Timer().start()
+        per_shard = self._sharded._map_strict(
+            self._shards,
+            "aknn",
+            self._sharded._aknn_worker(query, k, alpha, method, rng),
             deadline=self._deadline,
         )
+        return ShardedDatabase._aknn_merge(per_shard, k, alpha, method, timer)
 
 
-class _FanoutRangeAdapter:
-    """Range-searcher facade collecting candidates from the covered shards."""
-
-    def __init__(
-        self,
-        sharded: ShardedDatabase,
-        shards: Optional[Sequence[_Shard]] = None,
-        deadline=None,
-    ):
-        self._sharded = sharded
-        self._shards = None if shards is None else list(shards)
-        self._deadline = deadline
+class _FanoutRangeAdapter(_FanoutAdapter):
+    """``AlphaRangeSearcher.collect`` gathering candidates from the live shards."""
 
     def collect(
         self,
@@ -1784,16 +1533,13 @@ class _FanoutRangeAdapter:
         radius: float,
         use_improved_bounds: bool = True,
     ) -> Tuple[List[Tuple[int, float]], Dict[int, FuzzyObject]]:
-        shards = self._shards if self._shards is not None else self._sharded._shards
-
-        def run(shard: _Shard):
-            with shard.lock.read():
-                return shard.db._range.collect(
-                    prepared, radius, use_improved_bounds=use_improved_bounds
-                )
-
         per_shard = self._sharded._map_strict(
-            shards, "range", run, deadline=self._deadline
+            self._shards,
+            "range",
+            lambda shard: shard.db._range.collect(
+                prepared, radius, use_improved_bounds=use_improved_bounds
+            ),
+            deadline=self._deadline,
         )
         matches: List[Tuple[int, float]] = []
         objects: Dict[int, FuzzyObject] = {}
@@ -1811,22 +1557,17 @@ class _FederatedRKNNSearcher(RKNNSearcher):
     call fixing radii, the range search collecting candidates, and the store
     probes materialising distance profiles — is swapped for its globally
     correct fan-out equivalent; the sweep logic itself is inherited verbatim,
-    so qualifying ranges match the single-tree searcher exactly.  ``shards``
-    pins the searcher to a live subset (degraded operation) and ``deadline``
-    bounds every federated sub-query.
+    so qualifying ranges match the single-tree searcher exactly.  One
+    searcher serves one sweep pass: ``shards`` is the pass's live set and
+    ``deadline`` bounds every federated sub-query.
     """
 
-    def __init__(
-        self,
-        sharded: ShardedDatabase,
-        config: RuntimeConfig,
-        shards: Optional[Sequence[_Shard]] = None,
-        deadline=None,
-    ):
-        super().__init__(_FederatedStore(sharded, shards=shards), None, config)
-        self.aknn_searcher = _FanoutAKNNAdapter(
-            sharded, shards=shards, deadline=deadline
+    def __init__(self, sharded: ShardedDatabase, shards: Sequence[_Shard], deadline):
+        super().__init__(
+            _FederatedStore(sharded, shards),
+            None,
+            sharded.config,
+            profile_store=sharded._sweep_profiles,
         )
-        self.range_searcher = _FanoutRangeAdapter(
-            sharded, shards=shards, deadline=deadline
-        )
+        self.aknn_searcher = _FanoutAKNNAdapter(sharded, shards, deadline)
+        self.range_searcher = _FanoutRangeAdapter(sharded, shards, deadline)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.aknn import AKNN_METHODS, AKNNSearcher
+from repro.core.requests import AknnRequest
 from repro.exceptions import InvalidQueryError
 from tests.conftest import sorted_exact_distances
 
@@ -15,7 +16,9 @@ class TestCorrectness:
         k = 7
         truth = dense_database.linear_scan().aknn(dense_queries[0], k=k, alpha=alpha)
         expected = sorted(n.distance for n in truth.neighbors)
-        result = dense_database.aknn(dense_queries[0], k=k, alpha=alpha, method=method)
+        result = dense_database.execute(
+            AknnRequest(dense_queries[0], k=k, alpha=alpha, method=method)
+        )
         assert len(result) == k
         actual = sorted_exact_distances(dense_database, result, dense_queries[0], alpha)
         np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-9)
@@ -26,7 +29,9 @@ class TestCorrectness:
             for k in (1, 3, 12):
                 truth = dense_database.linear_scan().aknn(query, k=k, alpha=0.5)
                 expected = sorted(n.distance for n in truth.neighbors)
-                result = dense_database.aknn(query, k=k, alpha=0.5, method=method)
+                result = dense_database.execute(
+                    AknnRequest(query, k=k, alpha=0.5, method=method)
+                )
                 actual = sorted_exact_distances(dense_database, result, query, 0.5)
                 np.testing.assert_allclose(actual, expected, atol=1e-9)
 
@@ -38,12 +43,16 @@ class TestCorrectness:
         query = generate_query_object(rng, kind="cells", space_size=7.0, points_per_object=40)
         truth = cell_database.linear_scan().aknn(query, k=5, alpha=0.6)
         expected = sorted(n.distance for n in truth.neighbors)
-        result = cell_database.aknn(query, k=5, alpha=0.6, method=method)
+        result = cell_database.execute(
+            AknnRequest(query, k=5, alpha=0.6, method=method)
+        )
         actual = sorted_exact_distances(cell_database, result, query, 0.6)
         np.testing.assert_allclose(actual, expected, atol=1e-9)
 
     def test_k_larger_than_dataset(self, dense_database, dense_queries):
-        result = dense_database.aknn(dense_queries[0], k=10_000, alpha=0.5)
+        result = dense_database.execute(
+            AknnRequest(dense_queries[0], k=10_000, alpha=0.5)
+        )
         assert len(result) == len(dense_database)
 
     def test_point_query(self, dense_database):
@@ -51,7 +60,7 @@ class TestCorrectness:
 
         query = FuzzyObject.single_point([4.0, 4.0])
         truth = dense_database.linear_scan().aknn(query, k=3, alpha=0.5)
-        result = dense_database.aknn(query, k=3, alpha=0.5)
+        result = dense_database.execute(AknnRequest(query, k=3, alpha=0.5))
         expected = sorted(n.distance for n in truth.neighbors)
         actual = sorted_exact_distances(dense_database, result, query, 0.5)
         np.testing.assert_allclose(actual, expected, atol=1e-9)
@@ -60,15 +69,17 @@ class TestCorrectness:
 class TestValidation:
     def test_invalid_k(self, dense_database, dense_queries):
         with pytest.raises(InvalidQueryError):
-            dense_database.aknn(dense_queries[0], k=0, alpha=0.5)
+            dense_database.execute(AknnRequest(dense_queries[0], k=0, alpha=0.5))
 
     def test_invalid_method(self, dense_database, dense_queries):
         with pytest.raises(InvalidQueryError):
-            dense_database.aknn(dense_queries[0], k=3, alpha=0.5, method="bogus")
+            dense_database.execute(
+                AknnRequest(dense_queries[0], k=3, alpha=0.5, method="bogus")
+            )
 
     def test_invalid_alpha(self, dense_database, dense_queries):
         with pytest.raises(InvalidQueryError):
-            dense_database.aknn(dense_queries[0], k=3, alpha=0.0)
+            dense_database.execute(AknnRequest(dense_queries[0], k=3, alpha=0.0))
 
     def test_empty_database(self, tmp_path):
         from repro.core.database import FuzzyDatabase
@@ -76,21 +87,27 @@ class TestValidation:
         database = FuzzyDatabase.build([])
         from repro.fuzzy.fuzzy_object import FuzzyObject
 
-        result = database.aknn(FuzzyObject.single_point([0.0, 0.0]), k=3, alpha=0.5)
+        result = database.execute(
+            AknnRequest(FuzzyObject.single_point([0.0, 0.0]), k=3, alpha=0.5)
+        )
         assert len(result) == 0
 
 
 class TestCostBehaviour:
     def test_stats_populated(self, dense_database, dense_queries):
         dense_database.reset_statistics()
-        result = dense_database.aknn(dense_queries[0], k=5, alpha=0.5, method="basic")
+        result = dense_database.execute(
+            AknnRequest(dense_queries[0], k=5, alpha=0.5, method="basic")
+        )
         assert result.stats.object_accesses >= 5
         assert result.stats.node_accesses >= 1
         assert result.stats.elapsed_seconds > 0
         assert result.stats.aknn_calls == 1
 
     def test_basic_accesses_at_least_k(self, dense_database, dense_queries):
-        result = dense_database.aknn(dense_queries[0], k=9, alpha=0.5, method="basic")
+        result = dense_database.execute(
+            AknnRequest(dense_queries[0], k=9, alpha=0.5, method="basic")
+        )
         assert result.stats.object_accesses >= 9
 
     def test_optimised_never_probes_more_than_basic(self, dense_database, dense_queries):
@@ -100,13 +117,19 @@ class TestCostBehaviour:
         basic_total = 0
         optimised_total = 0
         for query in dense_queries:
-            basic_total += dense_database.aknn(query, k=k, alpha=alpha, method="basic").stats.object_accesses
-            optimised_total += dense_database.aknn(query, k=k, alpha=alpha, method="lb_lp_ub").stats.object_accesses
+            basic_total += dense_database.execute(
+                AknnRequest(query, k=k, alpha=alpha, method="basic")
+            ).stats.object_accesses
+            optimised_total += dense_database.execute(
+                AknnRequest(query, k=k, alpha=alpha, method="lb_lp_ub")
+            ).stats.object_accesses
         assert optimised_total <= basic_total
 
     def test_lazy_probe_defers_accesses(self, dense_database, dense_queries):
         """lb_lp may confirm some neighbours purely from bounds."""
-        result = dense_database.aknn(dense_queries[0], k=5, alpha=0.5, method="lb_lp_ub")
+        result = dense_database.execute(
+            AknnRequest(dense_queries[0], k=5, alpha=0.5, method="lb_lp_ub")
+        )
         assert result.stats.object_accesses <= 5 + len(dense_database)
         # every returned neighbour carries consistent bound information
         for neighbor in result.neighbors:
@@ -116,7 +139,9 @@ class TestCostBehaviour:
 
     def test_object_accesses_match_store_counter(self, dense_database, dense_queries):
         dense_database.reset_statistics()
-        result = dense_database.aknn(dense_queries[0], k=5, alpha=0.5, method="lb")
+        result = dense_database.execute(
+            AknnRequest(dense_queries[0], k=5, alpha=0.5, method="lb")
+        )
         assert result.stats.object_accesses == dense_database.object_accesses
 
 
@@ -128,7 +153,9 @@ class TestSearcherDirectly:
         assert len(first) == 4 and len(second) == 4
 
     def test_result_metadata(self, dense_database, dense_queries):
-        result = dense_database.aknn(dense_queries[0], k=4, alpha=0.3, method="lb")
+        result = dense_database.execute(
+            AknnRequest(dense_queries[0], k=4, alpha=0.3, method="lb")
+        )
         assert result.k == 4
         assert result.alpha == 0.3
         assert result.method == "lb"

@@ -10,6 +10,7 @@ from repro.analysis.cost_model import (
     expected_knn_distance,
     gaussian_cut_radius,
 )
+from repro.core.requests import AknnRequest
 
 
 class TestKnnRadius:
@@ -136,7 +137,9 @@ class TestAccessCostModel:
         )
         measured = []
         for query in dense_queries:
-            result = dense_database.aknn(query, k=5, alpha=0.5, method="basic")
+            result = dense_database.execute(
+                AknnRequest(query, k=5, alpha=0.5, method="basic")
+            )
             measured.append(result.stats.object_accesses)
         average = sum(measured) / len(measured)
         predicted = model.predict_object_accesses(5, 0.5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
+from repro.core.requests import SweepRequest
 from repro.datasets.builder import DatasetBundle
 from repro.fuzzy.alpha_distance import DistanceProfileStore, distance_profile
 from repro.fuzzy.fuzzy_object import (
@@ -116,8 +117,8 @@ class TestProfileStoreInRKNN:
         )
         database = bundle.database
         query = bundle.queries(1)[0]
-        first = database.rknn(query, k=4, alpha_range=(0.3, 0.7))
-        second = database.rknn(query, k=4, alpha_range=(0.3, 0.7))
+        first = database.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.7)))
+        second = database.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.7)))
         assert first.assignments.keys() == second.assignments.keys()
         for object_id in first.assignments:
             assert first.assignments[object_id] == second.assignments[object_id]
@@ -134,6 +135,6 @@ class TestProfileStoreInRKNN:
         )
         database = bundle.database
         query = bundle.queries(1)[0]
-        result = database.rknn(query, k=4, alpha_range=(0.3, 0.7))
+        result = database.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.7)))
         truth = database.linear_scan().rknn(query, k=4, alpha_range=(0.3, 0.7))
         assert result.assignments.keys() == truth.assignments.keys()

@@ -160,3 +160,16 @@ class TestBatchCommand:
         output = capsys.readouterr().out
         assert "counters:" in output
         assert "lower_bound_evaluations" in output
+
+
+class TestServeCommand:
+    def test_mixed_request_types_through_the_service(self, capsys):
+        """AKNN + reverse + range interleaved through the coalescing service."""
+        exit_code = main(
+            ["serve", "--n-objects", "24", "--points-per-object", "10",
+             "--k", "2", "--space-size", "5", "--shards", "2",
+             "--n-requests", "6", "--clients", "2", "--query-pool", "4",
+             "--mix", "aknn,reverse,range"]
+        )
+        assert exit_code == 0
+        capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
+from repro.core.requests import AknnRequest, SweepRequest
 from repro.exceptions import StorageError
 from tests.conftest import assert_same_assignments, make_fuzzy_object
 
@@ -67,16 +68,16 @@ class TestQueries:
     def test_aknn_and_rknn_available(self, objects, rng):
         database = FuzzyDatabase.build(objects)
         query = make_fuzzy_object(rng, center=[5.0, 5.0])
-        aknn = database.aknn(query, k=4, alpha=0.5)
+        aknn = database.execute(AknnRequest(query, k=4, alpha=0.5))
         assert len(aknn) == 4
-        rknn = database.rknn(query, k=4, alpha_range=(0.3, 0.6))
+        rknn = database.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.6)))
         truth = database.linear_scan().rknn(query, k=4, alpha_range=(0.3, 0.6))
         assert_same_assignments(rknn.assignments, truth.assignments)
 
     def test_reset_statistics(self, objects, rng):
         database = FuzzyDatabase.build(objects)
         query = make_fuzzy_object(rng, center=[5.0, 5.0])
-        database.aknn(query, k=3, alpha=0.5, method="basic")
+        database.execute(AknnRequest(query, k=3, alpha=0.5, method="basic"))
         assert database.object_accesses > 0
         database.reset_statistics()
         assert database.object_accesses == 0
@@ -88,14 +89,14 @@ class TestPersistence:
         database = FuzzyDatabase.build(objects, path=path)
         database.save(path)
         query = make_fuzzy_object(rng, center=[5.0, 5.0])
-        expected = database.aknn(query, k=5, alpha=0.5, method="lb")
+        expected = database.execute(AknnRequest(query, k=5, alpha=0.5, method="lb"))
         expected_ids = sorted(expected.object_ids)
         database.close()
 
         reopened = FuzzyDatabase.open(path)
         reopened.validate()
         assert len(reopened) == len(objects)
-        result = reopened.aknn(query, k=5, alpha=0.5, method="lb")
+        result = reopened.execute(AknnRequest(query, k=5, alpha=0.5, method="lb"))
         assert sorted(result.object_ids) == expected_ids
         reopened.close()
 
@@ -149,9 +150,10 @@ class TestRoundTripUnderCustomConfig:
         query = make_fuzzy_object(rng, center=[5.0, 5.0])
         queries = [make_fuzzy_object(rng, center=rng.random(2) * 10) for _ in range(5)]
 
-        before_aknn = database.aknn(query, k=6, alpha=0.5)
-        before_batch = database.aknn_batch(queries, k=4, alpha=0.5)
-        before_rknn = database.rknn(query, k=4, alpha_range=(0.3, 0.6))
+        before_aknn = database.execute(AknnRequest(query, k=6, alpha=0.5))
+        batch_requests = [AknnRequest(q, k=4, alpha=0.5) for q in queries]
+        before_batch = database.execute_batch(batch_requests)
+        before_rknn = database.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.6)))
         database.close()
 
         reopened = FuzzyDatabase.open(tmp_path / "db", config=config)
@@ -160,12 +162,12 @@ class TestRoundTripUnderCustomConfig:
         assert reopened.config.batch_workers == 2
         reopened.validate()
 
-        after_aknn = reopened.aknn(query, k=6, alpha=0.5)
+        after_aknn = reopened.execute(AknnRequest(query, k=6, alpha=0.5))
         assert set(after_aknn.object_ids) == set(before_aknn.object_ids)
-        after_batch = reopened.aknn_batch(queries, k=4, alpha=0.5)
-        for before, after in zip(before_batch.results, after_batch.results):
+        after_batch = reopened.execute_batch(batch_requests)
+        for before, after in zip(before_batch, after_batch):
             assert before.object_ids == after.object_ids
-        after_rknn = reopened.rknn(query, k=4, alpha_range=(0.3, 0.6))
+        after_rknn = reopened.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.6)))
         assert_same_assignments(after_rknn.assignments, before_rknn.assignments)
         # The buffer pool is live after reopen: repeated probes hit it.
         reopened.reset_statistics()
@@ -179,7 +181,9 @@ class TestRoundTripUnderCustomConfig:
         database.save(tmp_path / "plain")
         database.close()
         reopened = FuzzyDatabase.open(tmp_path / "plain")
-        result = reopened.aknn(make_fuzzy_object(rng, center=[5.0, 5.0]), k=3, alpha=0.5)
+        result = reopened.execute(
+            AknnRequest(make_fuzzy_object(rng, center=[5.0, 5.0]), k=3, alpha=0.5)
+        )
         assert len(result) == 3
         reopened.close()
 

@@ -1,8 +1,11 @@
 """Tests for the vectorized batch query executor.
 
-The load-bearing property is *parity*: ``Database.aknn_batch`` must return
-exactly the same neighbour sets as looping the single-query ``Database.aknn``
-over the batch, for every AKNN method variant, with exact distances.
+The load-bearing property is *parity*: a bucket of ``AknnRequest``s sharing
+``(k, alpha, method)`` — answered by one shared traversal — must return
+exactly the same neighbour sets as executing each request on its own (the
+single-query searcher), for every AKNN method variant, with exact distances.
+The executor's own telemetry (:class:`BatchResult` stats, ``workers``) is
+asserted on :class:`BatchQueryExecutor` directly.
 """
 
 import numpy as np
@@ -10,6 +13,8 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNN_METHODS
+from repro.core.executor import BatchQueryExecutor
+from repro.core.requests import AknnRequest
 from repro.datasets.builder import DatasetBundle
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import alpha_distance
@@ -30,29 +35,40 @@ def queries(bundle):
     return bundle.queries(12)
 
 
+@pytest.fixture(scope="module")
+def executor(bundle):
+    database = bundle.database
+    return BatchQueryExecutor(database.store, database.tree, database.config)
+
+
+def batch_of(database, queries, **params):
+    """One shared-bucket submission: per-request results in query order."""
+    return database.execute_batch([AknnRequest(q, **params) for q in queries])
+
+
 class TestBatchParity:
     @pytest.mark.parametrize("method", AKNN_METHODS)
     def test_neighbor_sets_match_single_query_path(self, bundle, queries, method):
         database = bundle.database
-        batch = database.aknn_batch(queries, k=7, alpha=0.5, method=method)
+        batch = batch_of(database, queries, k=7, alpha=0.5, method=method)
         assert len(batch) == len(queries)
-        for query, result in zip(queries, batch.results):
-            single = database.aknn(query, k=7, alpha=0.5, method=method)
+        for query, result in zip(queries, batch):
+            single = database.execute(AknnRequest(query, k=7, alpha=0.5, method=method))
             assert set(result.object_ids) == set(single.object_ids)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.85])
     @pytest.mark.parametrize("k", [1, 5, 15])
     def test_parity_across_k_and_alpha(self, bundle, queries, k, alpha):
         database = bundle.database
-        batch = database.aknn_batch(queries[:6], k=k, alpha=alpha)
-        for query, result in zip(queries, batch.results):
-            single = database.aknn(query, k=k, alpha=alpha)
+        batch = batch_of(database, queries[:6], k=k, alpha=alpha)
+        for query, result in zip(queries, batch):
+            single = database.execute(AknnRequest(query, k=k, alpha=alpha))
             assert set(result.object_ids) == set(single.object_ids)
 
     def test_distances_are_exact(self, bundle, queries):
         database = bundle.database
-        batch = database.aknn_batch(queries[:3], k=5, alpha=0.5)
-        for query, result in zip(queries, batch.results):
+        batch = batch_of(database, queries[:3], k=5, alpha=0.5)
+        for query, result in zip(queries, batch):
             for neighbor in result.neighbors:
                 assert neighbor.probed
                 obj = database.get_object(neighbor.object_id)
@@ -61,56 +77,61 @@ class TestBatchParity:
 
     def test_matches_linear_scan_ground_truth(self, bundle, queries):
         database = bundle.database
-        batch = database.aknn_batch(queries[:4], k=6, alpha=0.6)
-        for query, result in zip(queries, batch.results):
+        batch = batch_of(database, queries[:4], k=6, alpha=0.6)
+        for query, result in zip(queries, batch):
             truth = database.linear_scan().aknn(query, k=6, alpha=0.6)
             assert set(result.object_ids) == set(truth.object_ids)
 
-    def test_workers_do_not_change_results(self, bundle, queries):
-        database = bundle.database
-        serial = database.aknn_batch(queries, k=5, alpha=0.5, workers=0)
-        threaded = database.aknn_batch(queries, k=5, alpha=0.5, workers=4)
+    def test_workers_do_not_change_results(self, executor, queries):
+        serial = executor.aknn_batch(queries, k=5, alpha=0.5, workers=0)
+        threaded = executor.aknn_batch(queries, k=5, alpha=0.5, workers=4)
         for a, b in zip(serial.results, threaded.results):
             assert a.object_ids == b.object_ids
 
     def test_repeated_batches_are_stable(self, bundle, queries):
         """The cached representative index must not drift across calls."""
         database = bundle.database
-        first = database.aknn_batch(queries[:5], k=4, alpha=0.5)
-        second = database.aknn_batch(queries[:5], k=4, alpha=0.5)
-        for a, b in zip(first.results, second.results):
+        first = batch_of(database, queries[:5], k=4, alpha=0.5)
+        second = batch_of(database, queries[:5], k=4, alpha=0.5)
+        for a, b in zip(first, second):
             assert a.object_ids == b.object_ids
 
 
 class TestBatchEdgeCases:
     def test_k_larger_than_database_returns_everything(self, bundle, queries):
         database = bundle.database
-        batch = database.aknn_batch(queries[:2], k=len(database) + 10, alpha=0.5)
-        for result in batch.results:
+        batch = batch_of(database, queries[:2], k=len(database) + 10, alpha=0.5)
+        for result in batch:
             assert len(result) == len(database)
 
-    def test_empty_batch(self, bundle):
-        batch = bundle.database.aknn_batch([], k=3, alpha=0.5)
+    def test_empty_batch(self, bundle, executor):
+        assert bundle.database.execute_batch([]) == []
+        batch = executor.aknn_batch([], k=3, alpha=0.5)
         assert len(batch) == 0
         assert batch.stats.extra["batch_queries"] == 0.0
 
-    def test_invalid_k_rejected(self, bundle, queries):
+    def test_invalid_k_rejected(self, executor, queries):
         with pytest.raises(InvalidQueryError):
-            bundle.database.aknn_batch(queries[:1], k=0, alpha=0.5)
+            AknnRequest(queries[0], k=0, alpha=0.5)
+        with pytest.raises(InvalidQueryError):
+            executor.aknn_batch(queries[:1], k=0, alpha=0.5)
 
-    def test_invalid_method_rejected(self, bundle, queries):
+    def test_invalid_method_rejected(self, executor, queries):
         with pytest.raises(InvalidQueryError):
-            bundle.database.aknn_batch(queries[:1], k=3, alpha=0.5, method="nope")
+            AknnRequest(queries[0], k=3, alpha=0.5, method="nope")
+        with pytest.raises(InvalidQueryError):
+            executor.aknn_batch(queries[:1], k=3, alpha=0.5, method="nope")
 
-    def test_invalid_alpha_rejected(self, bundle, queries):
+    def test_invalid_alpha_rejected(self, executor, queries):
         with pytest.raises(InvalidQueryError):
-            bundle.database.aknn_batch(queries[:1], k=3, alpha=0.0)
+            AknnRequest(queries[0], k=3, alpha=0.0)
+        with pytest.raises(InvalidQueryError):
+            executor.aknn_batch(queries[:1], k=3, alpha=0.0)
 
 
 class TestBatchStats:
-    def test_aggregate_stats_shape(self, bundle, queries):
-        database = bundle.database
-        batch = database.aknn_batch(queries, k=5, alpha=0.5)
+    def test_aggregate_stats_shape(self, executor, queries):
+        batch = executor.aknn_batch(queries, k=5, alpha=0.5)
         stats = batch.stats
         assert stats.aknn_calls == len(queries)
         assert stats.extra["batch_queries"] == float(len(queries))
@@ -120,26 +141,23 @@ class TestBatchStats:
         assert batch.throughput_qps > 0
         assert stats.extra["throughput_qps"] == pytest.approx(batch.throughput_qps)
 
-    def test_shared_traversal_visits_nodes_once(self, bundle, queries):
+    def test_shared_traversal_visits_nodes_once(self, bundle, executor, queries):
         """Batch node accesses must undercut the summed single-query visits."""
-        database = bundle.database
-        batch = database.aknn_batch(queries, k=5, alpha=0.5)
-        total_nodes = database.tree.node_count()
+        batch = executor.aknn_batch(queries, k=5, alpha=0.5)
+        total_nodes = bundle.database.tree.node_count()
         assert batch.stats.node_accesses <= total_nodes
 
     def test_objects_fetched_once_per_batch(self, bundle, queries):
         database = bundle.database
         before = database.store.statistics.snapshot()
-        batch = database.aknn_batch(queries, k=5, alpha=0.5)
+        batch = batch_of(database, queries, k=5, alpha=0.5)
         accesses = database.store.statistics.object_accesses - before.object_accesses
-        distinct_neighbors = {
-            oid for result in batch.results for oid in result.object_ids
-        }
+        distinct_neighbors = {oid for result in batch for oid in result.object_ids}
         assert accesses <= len(database)
         assert len(distinct_neighbors) <= accesses
 
     def test_per_query_results_carry_distance_counts(self, bundle, queries):
-        batch = bundle.database.aknn_batch(queries[:3], k=4, alpha=0.5)
-        for result in batch.results:
+        batch = batch_of(bundle.database, queries[:3], k=4, alpha=0.5)
+        for result in batch:
             assert result.stats.aknn_calls == 1
             assert result.stats.distance_evaluations >= 0

@@ -637,6 +637,71 @@ class TestChurn:
             sharded.close()
         assert not errors, f"churn leaked unexpected errors: {errors!r}"
 
+    def test_parked_writers_cannot_wedge_the_fanout_pool(self, objects, queries):
+        """The churn hang above, without the scheduling luck.
+
+        A coupled pass is held open inside its first fan-out (both pool
+        workers sit in an injected delay while the pass holds both read
+        locks), a delete parks behind it on each shard, then two isolated
+        queries arrive.  If their per-shard tasks took the shard read lock on
+        the pool threads they would queue behind the parked writers, occupy
+        both workers, and the coupled pass's next fan-out could never be
+        scheduled — a deadlock.  Read locks are taken on the calling thread
+        only, so everything drains.
+        """
+        sharded = ShardedDatabase.build(
+            list(objects), n_shards=2, placement="hash", config=chaos_config()
+        )
+        plan = FaultPlan.parse("op=reverse_gather,kind=delay,delay_ms=400,count=2")
+        sharded.fault_plan = plan
+        victims = [shard.db.object_ids()[0] for shard in sharded._shards]
+        errors = []
+
+        def spawn(fn, *args):
+            def target():
+                try:
+                    fn(*args)
+                except Exception as error:  # noqa: BLE001 - collected for assert
+                    errors.append(error)
+
+            thread = threading.Thread(target=target, daemon=True)
+            thread.start()
+            return thread
+
+        def wait_until(condition, timeout=5.0):
+            give_up = time.monotonic() + timeout
+            while not condition() and time.monotonic() < give_up:
+                time.sleep(0.002)
+            return condition()
+
+        threads = [spawn(sharded.execute, ReverseRequest(queries[1], k=2, alpha=0.5))]
+        assert wait_until(lambda: plan.total_fired() == 2)
+        threads += [spawn(sharded.delete, victim) for victim in victims]
+        assert wait_until(
+            lambda: all(shard.lock._writers_waiting for shard in sharded._shards)
+        )
+        threads.append(spawn(sharded.execute, AknnRequest(queries[0], k=3, alpha=0.5)))
+        threads.append(
+            spawn(sharded.execute, RangeRequest(queries[2], alpha=0.5, radius=2.0))
+        )
+        give_up = time.monotonic() + 20.0  # one hard bound for all five
+        for thread in threads:
+            thread.join(timeout=max(0.0, give_up - time.monotonic()))
+        stuck = [thread for thread in threads if thread.is_alive()]
+        if stuck:
+            # Red, not hung: pool workers are not daemon threads, so a
+            # deadlock left in place would also hang interpreter exit.  Drop
+            # the coupled pass's read holds so the parked writers — and with
+            # them everything else — drain (this database is discarded).
+            for shard in sharded._shards:
+                with shard.lock._condition:
+                    shard.lock._active_readers = 0
+                    shard.lock._condition.notify_all()
+        assert not stuck, f"{len(stuck)} of {len(threads)} threads deadlocked"
+        assert not errors, f"unexpected errors: {errors!r}"
+        assert sorted(set(victims) & set(sharded.object_ids())) == []
+        sharded.close()
+
 
 # ---------------------------------------------------------------------------
 # RetryingClient: the backpressure contract's reference consumer

@@ -12,6 +12,7 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNN_METHODS
 from repro.core.database import FuzzyDatabase
+from repro.core.requests import AknnRequest, SweepRequest
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
 from tests.conftest import assert_same_assignments, sorted_exact_distances
@@ -34,14 +35,16 @@ def test_all_methods_agree_on_random_datasets(seed, kind):
     truth = database.linear_scan().aknn(query, k=k, alpha=alpha)
     expected = sorted(n.distance for n in truth.neighbors)
     for method in AKNN_METHODS:
-        result = database.aknn(query, k=k, alpha=alpha, method=method)
+        result = database.execute(AknnRequest(query, k=k, alpha=alpha, method=method))
         actual = sorted_exact_distances(database, result, query, alpha)
         np.testing.assert_allclose(actual, expected, atol=1e-9)
 
     # RKNN: qualifying ranges must match the exhaustive sweep.
     rknn_truth = database.linear_scan().rknn(query, k=4, alpha_range=(0.35, 0.75))
     for method in ("basic", "rss", "rss_icr"):
-        result = database.rknn(query, k=4, alpha_range=(0.35, 0.75), method=method)
+        result = database.execute(
+            SweepRequest(query, k=4, alpha_range=(0.35, 0.75), method=method)
+        )
         assert_same_assignments(result.assignments, rknn_truth.assignments)
     database.close()
 
@@ -57,15 +60,21 @@ def test_full_pipeline_with_persistence(tmp_path):
 
     rng = np.random.default_rng(4)
     query = generate_query_object(rng, kind="synthetic", space_size=6.0, points_per_object=25)
-    before = sorted(database.aknn(query, k=5, alpha=0.5, method="lb").object_ids)
+    before = sorted(database.execute(
+        AknnRequest(query, k=5, alpha=0.5, method="lb")
+    ).object_ids)
     truth = database.linear_scan().rknn(query, k=3, alpha_range=(0.4, 0.7))
     database.close()
 
     reopened = FuzzyDatabase.open(path)
     reopened.validate()
-    after = sorted(reopened.aknn(query, k=5, alpha=0.5, method="lb").object_ids)
+    after = sorted(reopened.execute(
+        AknnRequest(query, k=5, alpha=0.5, method="lb")
+    ).object_ids)
     assert after == before
-    rknn = reopened.rknn(query, k=3, alpha_range=(0.4, 0.7), method="rss_icr")
+    rknn = reopened.execute(
+        SweepRequest(query, k=3, alpha_range=(0.4, 0.7), method="rss_icr")
+    )
     assert_same_assignments(rknn.assignments, truth.assignments)
     reopened.close()
 
@@ -91,7 +100,9 @@ def test_cost_trends_match_paper_shape():
     aknn_totals = {method: 0 for method in AKNN_METHODS}
     for query in queries:
         for method in AKNN_METHODS:
-            result = database.aknn(query, k=10, alpha=0.7, method=method)
+            result = database.execute(
+                AknnRequest(query, k=10, alpha=0.7, method=method)
+            )
             aknn_totals[method] += result.stats.object_accesses
     assert aknn_totals["lb"] <= aknn_totals["basic"]
     assert aknn_totals["lb_lp"] <= aknn_totals["basic"]
@@ -102,14 +113,16 @@ def test_cost_trends_match_paper_shape():
     rss_steps = 0
     icr_steps = 0
     for query in queries:
-        basic_accesses += database.rknn(
-            query, k=10, alpha_range=(0.3, 0.7), method="basic"
+        basic_accesses += database.execute(
+            SweepRequest(query, k=10, alpha_range=(0.3, 0.7), method="basic")
         ).stats.object_accesses
-        rss_result = database.rknn(query, k=10, alpha_range=(0.3, 0.7), method="rss")
+        rss_result = database.execute(
+            SweepRequest(query, k=10, alpha_range=(0.3, 0.7), method="rss")
+        )
         rss_accesses += rss_result.stats.object_accesses
         rss_steps += rss_result.stats.refinement_steps
-        icr_steps += database.rknn(
-            query, k=10, alpha_range=(0.3, 0.7), method="rss_icr"
+        icr_steps += database.execute(
+            SweepRequest(query, k=10, alpha_range=(0.3, 0.7), method="rss_icr")
         ).stats.refinement_steps
     assert rss_accesses * 3 <= basic_accesses  # well below the basic sweep
     assert icr_steps <= rss_steps

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.query import PreparedQuery
 from repro.core.range_search import AlphaRangeSearcher
+from repro.core.requests import RangeRequest
 from repro.exceptions import InvalidQueryError
 
 
@@ -13,7 +14,7 @@ class TestCorrectness:
     def test_matches_linear_scan(self, dense_database, dense_queries, alpha, radius):
         query = dense_queries[0]
         expected = dense_database.linear_scan().range_search(query, alpha, radius)
-        actual = dense_database.range_search(query, alpha, radius)
+        actual = dense_database.execute(RangeRequest(query, alpha=alpha, radius=radius))
         assert sorted(actual.object_ids) == sorted(expected.object_ids)
         expected_distances = dict(expected.matches)
         for object_id, distance in actual.matches:
@@ -27,12 +28,16 @@ class TestCorrectness:
         assert sorted(improved.object_ids) == sorted(simple.object_ids)
 
     def test_huge_radius_returns_everything(self, dense_database, dense_queries):
-        result = dense_database.range_search(dense_queries[0], 0.5, 1e6)
+        result = dense_database.execute(
+            RangeRequest(dense_queries[0], alpha=0.5, radius=1e6)
+        )
         assert len(result) == len(dense_database)
 
     def test_negative_radius_rejected(self, dense_database, dense_queries):
         with pytest.raises(InvalidQueryError):
-            dense_database.range_search(dense_queries[0], 0.5, -0.1)
+            dense_database.execute(
+                RangeRequest(dense_queries[0], alpha=0.5, radius=-0.1)
+            )
 
 
 class TestCollect:
@@ -46,13 +51,17 @@ class TestCollect:
             assert objects[object_id].object_id == object_id
 
     def test_matches_sorted_by_distance(self, dense_database, dense_queries):
-        result = dense_database.range_search(dense_queries[0], 0.5, 3.0)
+        result = dense_database.execute(
+            RangeRequest(dense_queries[0], alpha=0.5, radius=3.0)
+        )
         distances = [d for _, d in result.matches]
         assert distances == sorted(distances)
 
     def test_stats(self, dense_database, dense_queries):
         dense_database.reset_statistics()
-        result = dense_database.range_search(dense_queries[0], 0.5, 1.0)
+        result = dense_database.execute(
+            RangeRequest(dense_queries[0], alpha=0.5, radius=1.0)
+        )
         assert result.stats.range_calls == 1
         assert result.stats.object_accesses == dense_database.object_accesses
         assert result.stats.node_accesses >= 1
@@ -62,5 +71,7 @@ class TestCollect:
         from repro.fuzzy.fuzzy_object import FuzzyObject
 
         database = FuzzyDatabase.build([])
-        result = database.range_search(FuzzyObject.single_point([0.0, 0.0]), 0.5, 10.0)
+        result = database.execute(
+            RangeRequest(FuzzyObject.single_point([0.0, 0.0]), alpha=0.5, radius=10.0)
+        )
         assert len(result) == 0

@@ -1,34 +1,35 @@
-"""The unified query surface: typed requests, mixed-type batch plans, shims.
+"""The unified query surface: typed requests and mixed-type batch plans.
 
 Covers the acceptance criteria of the request-API redesign:
 
-* ``execute`` / ``execute_batch`` return results identical to the legacy
-  per-type methods on every layer (single database, sharded database with
-  live churn, coalescing service);
+* a mixed-type ``execute_batch`` returns, per slot, what executing that
+  request on its own returns, on every layer (single database, sharded
+  database with live churn, coalescing service);
 * a mixed-type submission shares traversals within each ``bucket_key()``
   group (verified through the ``plan_groups`` / ``plan_requests`` /
   ``batch_queries`` counters);
-* the legacy per-type methods warn with :class:`LegacyQueryAPIWarning`, and
-  no in-repo caller (CLI included) goes through them;
-* the planner registry accepts new request families in one place;
+* the planner registry accepts new request families in one place — on the
+  sharded engine as one request dataclass + one per-shard worker + one merge,
+  with the whole failure contract supplied by the fan-out combinator;
 * the satellite changes: lazy ``PreparedQuery.query_samples`` and the
   ``DistanceProfileStore`` memo shared between the sweep and reverse engines.
 """
 
 from __future__ import annotations
 
-import warnings
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
+from repro.core.aknn import AKNNSearcher
 from repro.core.database import FuzzyDatabase
 from repro.core.query import PreparedQuery
 from repro.core.requests import (
     AknnMethod,
     AknnRequest,
-    LegacyQueryAPIWarning,
     QueryEngine,
     QueryRequest,
     RangeRequest,
@@ -36,14 +37,18 @@ from repro.core.requests import (
     ReverseRequest,
     SweepMethod,
     SweepRequest,
+    _PLANNERS,
     execute_plan,
     register_planner,
     registered_request_types,
 )
-from repro.exceptions import InvalidQueryError
+from repro.core.results import Coverage
+from repro.exceptions import InvalidQueryError, ShardUnavailableError
 from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.profile import DistanceProfile
+from repro.metrics.counters import MetricsCollector
+from repro.service.faults import FaultPlan
 from repro.service.query_service import QueryService
 from repro.service.sharded import ShardedDatabase
 from tests.conftest import (
@@ -51,13 +56,6 @@ from tests.conftest import (
     make_fuzzy_object,
     sorted_exact_distances,
 )
-
-
-def _legacy(call, *args, **kwargs):
-    """Run a deprecated shim with its warning silenced (parity baselines)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LegacyQueryAPIWarning)
-        return call(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -150,38 +148,25 @@ class TestMixedBatchSingleDatabase:
         ]
         results = db.execute_batch(requests)
 
+        # Each slot equals the same request executed on its own (a bucket
+        # of one: the single-query searcher / the looped engine).
+        alone = [db.execute(request) for request in requests]
+
         # AKNN: compare exact-distance multisets (robust to k-th-rank ties
         # between the batch and single-query engines).
-        for index, query in ((0, q0), (2, q1), (5, q2)):
+        for index in (0, 2, 5):
             request = requests[index]
-            legacy = _legacy(
-                db.aknn, query, k=request.k, alpha=request.alpha,
-                method=request.method.value,
-            )
             assert sorted_exact_distances(
-                db, results[index], query, request.alpha
+                db, results[index], request.query, request.alpha
             ) == pytest.approx(
-                sorted_exact_distances(db, legacy, query, request.alpha)
+                sorted_exact_distances(db, alone[index], request.query, request.alpha)
             )
 
-        reverse_legacy = _legacy(
-            db.reverse_aknn, q1, k=4, alpha=0.5, method="batch"
-        )
-        assert results[1].object_ids == reverse_legacy.object_ids
-        assert results[1].distances == pytest.approx(reverse_legacy.distances)
-
-        range_legacy = _legacy(db.range_search, q2, alpha=0.5, radius=2.0)
-        assert results[3].object_ids == range_legacy.object_ids
-
-        sweep_legacy = _legacy(db.rknn, q0, k=3, alpha_range=(0.4, 0.6))
-        assert_same_assignments(
-            results[4].assignments, sweep_legacy.assignments
-        )
-
-        pruned_legacy = _legacy(
-            db.reverse_aknn, q2, k=4, alpha=0.5, method="pruned"
-        )
-        assert results[6].object_ids == pruned_legacy.object_ids
+        assert results[1].object_ids == alone[1].object_ids
+        assert results[1].distances == pytest.approx(alone[1].distances)
+        assert results[3].object_ids == alone[3].object_ids
+        assert_same_assignments(results[4].assignments, alone[4].assignments)
+        assert results[6].object_ids == alone[6].object_ids
         assert results[6].method == "pruned"
 
     def test_single_execute_matches_single_query_path_exactly(
@@ -190,11 +175,11 @@ class TestMixedBatchSingleDatabase:
         db = dense_database
         query = dense_queries[0]
         result = db.execute(AknnRequest(query, k=6, alpha=0.5))
-        legacy = _legacy(db.aknn, query, k=6, alpha=0.5)
+        single = AKNNSearcher(db.store, db.tree, db.config).search(query, 6, 0.5)
         # A bucket of one runs the very same single-query searcher, so the
         # neighbour lists are identical, not merely tie-equivalent.
         assert [n.object_id for n in result.neighbors] == [
-            n.object_id for n in legacy.neighbors
+            n.object_id for n in single.neighbors
         ]
 
     def test_bucket_sharing_is_visible_in_the_counters(
@@ -228,18 +213,25 @@ class TestMixedBatchSingleDatabase:
 # ----------------------------------------------------------------------
 # Planner registry
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CountRequest(QueryRequest):
+    """The toy family: how many objects does the engine hold?"""
+
+    def bucket_key(self):
+        return ("count",)
+
+
+@dataclass
+class CountResult:
+    count: int
+    coverage: Optional[Coverage] = None
+
+
 class TestPlannerRegistry:
     def test_new_request_family_registers_in_one_place(self, dense_database):
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class CountRequest(QueryRequest):
-            def bucket_key(self):
-                return ("count",)
-
         calls = []
 
-        def plan_count(engine, bucket, rng):
+        def plan_count(engine, bucket, rng, deadline=None):
             calls.append(len(bucket))
             return [len(engine.store) for _ in bucket]
 
@@ -252,13 +244,81 @@ class TestPlannerRegistry:
             assert results == [len(dense_database), len(dense_database)]
             assert calls == [2]  # one shared bucket, not two
         finally:
-            from repro.core.requests import _PLANNERS
-
             _PLANNERS.pop(CountRequest, None)
 
-    def test_unregistered_request_type_raises(self, dense_database):
-        from dataclasses import dataclass
+    def test_fifth_family_over_shards_inherits_the_failure_contract(self):
+        """One request dataclass + one per-shard worker + one merge.
 
+        Everything else — retries, breaker shedding, partial ``Coverage``,
+        ``require_full`` — comes from the isolated fan-out combinator and the
+        bucket wrapper, shown here against a permanently dead shard.
+        """
+
+        def plan_count(engine, bucket, rng, deadline=None):
+            return engine._answer_bucket(
+                bucket,
+                [[request] for request in bucket],
+                lambda unit: [
+                    engine._isolated(
+                        "count",
+                        lambda shard: len(shard.db),               # the worker
+                        lambda counts: CountResult(sum(counts)),   # the merge
+                        deadline=deadline,
+                    )
+                ],
+            )
+
+        rng = np.random.default_rng(41)
+        objects = [make_fuzzy_object(rng, object_id=i) for i in range(30)]
+        config = RuntimeConfig(
+            shard_retry_attempts=2,
+            shard_retry_base_ms=0.1,
+            shard_retry_max_ms=0.5,
+            breaker_failure_threshold=2,
+            breaker_reset_timeout_ms=60_000.0,
+        )
+        sharded = ShardedDatabase.build(objects, n_shards=3, config=config)
+        sizes = sharded.shard_sizes()
+        query = make_fuzzy_object(rng)
+        register_planner(CountRequest, plan_count)
+        try:
+            whole = sharded.execute(CountRequest(query))
+            assert whole.count == len(objects) and whole.coverage.complete
+
+            sharded.fault_plan = FaultPlan.parse("shard=1,kind=raise")
+            # Retries, then a partial answer naming the dead shard — twice,
+            # which exhausts the breaker's failure threshold.
+            for _ in range(2):
+                partial = sharded.execute(CountRequest(query))
+                assert partial.count == sizes[0] + sizes[2]
+                assert partial.coverage.answered == (0, 2)
+                assert partial.coverage.failed == (1,)
+                assert "FaultInjectedError" in partial.coverage.reason_for(1)
+            counters = sharded.metrics.as_dict()
+            assert counters[MetricsCollector.RETRIES] == 2
+            assert counters[MetricsCollector.BREAKER_OPEN] == 1
+
+            # The open breaker now sheds the shard without invoking it.
+            fired = sharded.fault_plan.total_fired()
+            shed = sharded.execute_batch([CountRequest(query), CountRequest(query)])
+            assert sharded.fault_plan.total_fired() == fired
+            for result in shed:
+                assert result.count == sizes[0] + sizes[2]
+                assert result.coverage.reason_for(1) == "circuit breaker open"
+            counters = sharded.metrics.as_dict()
+            assert counters[MetricsCollector.BREAKER_SHED] == 2  # shards shed
+            assert counters[MetricsCollector.PARTIAL_RESULTS] == 4
+
+            # require_full opts back into fail-closed, with a retry-after hint.
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                sharded.execute(CountRequest(query, require_full=True))
+            assert tuple(excinfo.value.shards) == (1,)
+            assert excinfo.value.retry_after_ms > 0.0
+        finally:
+            _PLANNERS.pop(CountRequest, None)
+            sharded.close()
+
+    def test_unregistered_request_type_raises(self, dense_database):
         @dataclass(frozen=True)
         class OrphanRequest(QueryRequest):
             def bucket_key(self):
@@ -270,21 +330,19 @@ class TestPlannerRegistry:
             execute_plan(dense_database, [OrphanRequest(query)])
 
     def test_planner_result_arity_is_checked(self, dense_database):
-        from dataclasses import dataclass
-
         @dataclass(frozen=True)
         class ShortRequest(QueryRequest):
             def bucket_key(self):
                 return ("short",)
 
-        register_planner(ShortRequest, lambda engine, bucket, rng: [])
+        register_planner(
+            ShortRequest, lambda engine, bucket, rng, deadline=None: []
+        )
         try:
             query = make_fuzzy_object(np.random.default_rng(3))
             with pytest.raises(InvalidQueryError):
                 dense_database.execute(ShortRequest(query))
         finally:
-            from repro.core.requests import _PLANNERS
-
             _PLANNERS.pop(ShortRequest, None)
 
 
@@ -432,72 +490,6 @@ class TestServiceMixedCoalescing:
             with pytest.raises(TypeError):
                 service.submit_request("not a request")
         database.close()
-
-
-# ----------------------------------------------------------------------
-# Deprecated shims
-# ----------------------------------------------------------------------
-class TestLegacyShims:
-    def test_every_per_type_method_warns(self, dense_database, dense_queries):
-        db = dense_database
-        query = dense_queries[0]
-        with pytest.warns(LegacyQueryAPIWarning):
-            db.aknn(query, k=3, alpha=0.5)
-        with pytest.warns(LegacyQueryAPIWarning):
-            db.aknn_batch([query], k=3, alpha=0.5)
-        with pytest.warns(LegacyQueryAPIWarning):
-            db.rknn(query, k=2, alpha_range=(0.4, 0.6))
-        with pytest.warns(LegacyQueryAPIWarning):
-            db.range_search(query, alpha=0.5, radius=1.0)
-        with pytest.warns(LegacyQueryAPIWarning):
-            db.reverse_aknn(query, k=2, alpha=0.5)
-        with pytest.warns(LegacyQueryAPIWarning):
-            db.reverse_aknn_batch([query], k=2, alpha=0.5)
-
-    def test_sharded_and_service_shims_warn(self):
-        rng = np.random.default_rng(21)
-        objects = [make_fuzzy_object(rng, object_id=i) for i in range(10)]
-        sharded = ShardedDatabase.build(objects, n_shards=2)
-        query = make_fuzzy_object(rng, center=[5.0, 5.0])
-        with pytest.warns(LegacyQueryAPIWarning):
-            sharded.aknn(query, k=3, alpha=0.5)
-        with pytest.warns(LegacyQueryAPIWarning):
-            sharded.reverse_aknn(query, k=2, alpha=0.5)
-        with pytest.warns(LegacyQueryAPIWarning):
-            sharded.range_search(query, alpha=0.5, radius=1.0)
-        with QueryService(sharded, window_ms=10.0) as service:
-            with pytest.warns(LegacyQueryAPIWarning):
-                service.submit(query, k=3, alpha=0.5).result(timeout=30)
-            with pytest.warns(LegacyQueryAPIWarning):
-                service.submit_reverse(query, k=2, alpha=0.5).result(timeout=30)
-        sharded.close()
-
-    def test_cli_paths_are_shim_free(self, capsys):
-        """The in-repo gate behind CI's warnings-as-error job: no CLI code
-        path may route through the deprecated per-type methods."""
-        from repro.cli import main
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LegacyQueryAPIWarning)
-            assert main(
-                ["aknn", "--n-objects", "20", "--points-per-object", "10",
-                 "--k", "2", "--space-size", "5"]
-            ) == 0
-            assert main(
-                ["batch", "--n-objects", "20", "--points-per-object", "10",
-                 "--k", "2", "--n-queries", "4", "--space-size", "5"]
-            ) == 0
-            assert main(
-                ["reverse", "--n-objects", "20", "--points-per-object", "10",
-                 "--k", "2", "--space-size", "5"]
-            ) == 0
-            assert main(
-                ["serve", "--n-objects", "24", "--points-per-object", "10",
-                 "--k", "2", "--space-size", "5", "--shards", "2",
-                 "--n-requests", "6", "--clients", "2", "--query-pool", "4",
-                 "--mix", "aknn,reverse,range"]
-            ) == 0
-        capsys.readouterr()
 
 
 # ----------------------------------------------------------------------

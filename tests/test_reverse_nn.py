@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.database import FuzzyDatabase
+from repro.core.requests import ReverseRequest
 from repro.core.reverse_nn import ReverseAKNNSearcher
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import alpha_distance
@@ -45,7 +46,7 @@ class TestCorrectness:
     def test_matches_brute_force(self, reverse_setup, method, k):
         database, objects, query = reverse_setup
         expected = brute_force_reverse_knn(objects, query, k, alpha=0.5)
-        result = database.reverse_aknn(query, k=k, alpha=0.5, method=method)
+        result = database.execute(ReverseRequest(query, k=k, alpha=0.5, method=method))
         assert result.object_ids == expected
 
     @pytest.mark.parametrize("method", ["pruned", "batch"])
@@ -53,12 +54,16 @@ class TestCorrectness:
     def test_matches_brute_force_across_alphas(self, reverse_setup, alpha, method):
         database, objects, query = reverse_setup
         expected = brute_force_reverse_knn(objects, query, 2, alpha=alpha)
-        result = database.reverse_aknn(query, k=2, alpha=alpha, method=method)
+        result = database.execute(
+            ReverseRequest(query, k=2, alpha=alpha, method=method)
+        )
         assert result.object_ids == expected
 
     def test_distances_reported_for_results(self, reverse_setup):
         database, objects, query = reverse_setup
-        result = database.reverse_aknn(query, k=2, alpha=0.5)
+        result = database.execute(
+            ReverseRequest(query, k=2, alpha=0.5, method="pruned")
+        )
         by_id = {obj.object_id: obj for obj in objects}
         for object_id in result.object_ids:
             assert result.distances[object_id] == pytest.approx(
@@ -68,13 +73,17 @@ class TestCorrectness:
     def test_far_away_query_has_no_reverse_neighbors(self, reverse_setup):
         database, objects, query = reverse_setup
         far_query = make_fuzzy_object(np.random.default_rng(1), center=[500.0, 500.0])
-        result = database.reverse_aknn(far_query, k=1, alpha=0.5)
+        result = database.execute(
+            ReverseRequest(far_query, k=1, alpha=0.5, method="pruned")
+        )
         assert len(result) == 0
 
     def test_large_k_returns_everything(self, reverse_setup):
         database, objects, _ = reverse_setup
         query = make_fuzzy_object(np.random.default_rng(2), center=[4.0, 4.0])
-        result = database.reverse_aknn(query, k=len(objects) + 5, alpha=0.5)
+        result = database.execute(
+            ReverseRequest(query, k=len(objects) + 5, alpha=0.5, method="pruned")
+        )
         assert len(result) == len(objects)
 
 
@@ -85,7 +94,9 @@ def assert_three_way_parity(database, objects, query, k, alpha):
     """Pin ``linear == pruned == batch`` against the brute-force oracle."""
     expected = brute_force_reverse_knn(objects, query, k, alpha)
     for method in THREE_WAY:
-        result = database.reverse_aknn(query, k=k, alpha=alpha, method=method)
+        result = database.execute(
+            ReverseRequest(query, k=k, alpha=alpha, method=method)
+        )
         assert result.object_ids == expected, (
             f"method {method} diverged at k={k}, alpha={alpha}: "
             f"{result.object_ids} != {expected}"
@@ -130,8 +141,10 @@ class TestEdgeCaseParity:
             assert_three_way_parity(
                 database, objects, query, k=len(objects) + k_extra, alpha=0.5
             )
-            result = database.reverse_aknn(
-                query, k=len(objects) + k_extra, alpha=0.5, method="batch"
+            result = database.execute(
+                ReverseRequest(
+                    query, k=len(objects) + k_extra, alpha=0.5, method="batch"
+                ),
             )
             assert len(result) == len(objects)
         finally:
@@ -157,7 +170,9 @@ class TestEdgeCaseParity:
         try:
             query = make_fuzzy_object(np.random.default_rng(4), center=[1.0, 1.0])
             for method in THREE_WAY:
-                result = database.reverse_aknn(query, k=2, alpha=0.5, method=method)
+                result = database.execute(
+                    ReverseRequest(query, k=2, alpha=0.5, method=method)
+                )
                 assert len(result) == 0
         finally:
             database.close()
@@ -171,12 +186,16 @@ class TestBatchEngine:
             make_fuzzy_object(rng, n_points=12, center=rng.random(2) * 8)
             for _ in range(5)
         ]
-        results = database.reverse_aknn_batch(bucket, k=2, alpha=0.5)
+        results = database.execute_batch(
+            [ReverseRequest(query, k=2, alpha=0.5) for query in bucket]
+        )
         assert len(results) == len(bucket)
         for query, result in zip(bucket, results):
             expected = brute_force_reverse_knn(objects, query, 2, 0.5)
             assert result.object_ids == expected
-            single = database.reverse_aknn(query, k=2, alpha=0.5, method="batch")
+            single = database.execute(
+                ReverseRequest(query, k=2, alpha=0.5, method="batch")
+            )
             assert single.object_ids == result.object_ids
             for object_id in result.object_ids:
                 assert result.distances[object_id] == pytest.approx(
@@ -185,19 +204,21 @@ class TestBatchEngine:
 
     def test_empty_bucket(self, reverse_setup):
         database, _, _ = reverse_setup
-        assert database.reverse_aknn_batch([], k=2, alpha=0.5) == []
+        assert database.execute_batch([]) == []
 
     def test_batch_filter_is_effective(self, reverse_setup):
         """The vectorized filter keeps no more candidates than linear scans."""
         database, objects, query = reverse_setup
-        linear = database.reverse_aknn(query, k=2, alpha=0.5, method="linear")
-        batch = database.reverse_aknn(query, k=2, alpha=0.5, method="batch")
+        linear = database.execute(
+            ReverseRequest(query, k=2, alpha=0.5, method="linear")
+        )
+        batch = database.execute(ReverseRequest(query, k=2, alpha=0.5, method="batch"))
         assert batch.object_ids == linear.object_ids
         assert batch.stats.extra["candidates"] <= linear.stats.extra["candidates"]
 
     def test_batch_reports_exact_distances(self, reverse_setup):
         database, objects, query = reverse_setup
-        result = database.reverse_aknn(query, k=2, alpha=0.5, method="batch")
+        result = database.execute(ReverseRequest(query, k=2, alpha=0.5, method="batch"))
         by_id = {obj.object_id: obj for obj in objects}
         for object_id in result.object_ids:
             assert result.distances[object_id] == pytest.approx(
@@ -208,19 +229,23 @@ class TestBatchEngine:
 class TestCostAndValidation:
     def test_pruned_filters_candidates(self, reverse_setup):
         database, objects, query = reverse_setup
-        linear = database.reverse_aknn(query, k=2, alpha=0.5, method="linear")
-        pruned = database.reverse_aknn(query, k=2, alpha=0.5, method="pruned")
+        linear = database.execute(
+            ReverseRequest(query, k=2, alpha=0.5, method="linear")
+        )
+        pruned = database.execute(
+            ReverseRequest(query, k=2, alpha=0.5, method="pruned")
+        )
         assert pruned.object_ids == linear.object_ids
         assert pruned.stats.extra["candidates"] <= linear.stats.extra["candidates"]
 
     def test_validation(self, reverse_setup):
         database, _, query = reverse_setup
         with pytest.raises(InvalidQueryError):
-            database.reverse_aknn(query, k=0, alpha=0.5)
+            database.execute(ReverseRequest(query, k=0, alpha=0.5))
         with pytest.raises(InvalidQueryError):
-            database.reverse_aknn(query, k=2, alpha=0.0)
+            database.execute(ReverseRequest(query, k=2, alpha=0.0))
         with pytest.raises(InvalidQueryError):
-            database.reverse_aknn(query, k=2, alpha=0.5, method="bogus")
+            database.execute(ReverseRequest(query, k=2, alpha=0.5, method="bogus"))
 
     def test_searcher_direct_use(self, reverse_setup):
         database, objects, query = reverse_setup

@@ -10,6 +10,7 @@ from repro.core.rknn import (
     refine_candidates_icr,
 )
 from repro.core.linear_scan import evaluate_piecewise
+from repro.core.requests import SweepRequest
 from repro.core.results import QueryStats
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.profile import DistanceProfile
@@ -23,14 +24,18 @@ class TestCorrectness:
         query = dense_queries[0]
         k = 5
         truth = dense_database.linear_scan().rknn(query, k=k, alpha_range=alpha_range)
-        result = dense_database.rknn(query, k=k, alpha_range=alpha_range, method=method)
+        result = dense_database.execute(
+            SweepRequest(query, k=k, alpha_range=alpha_range, method=method)
+        )
         assert_same_assignments(result.assignments, truth.assignments)
 
     @pytest.mark.parametrize("method", ["basic", "rss", "rss_icr"])
     def test_multiple_queries(self, dense_database, dense_queries, method):
         for query in dense_queries:
             truth = dense_database.linear_scan().rknn(query, k=3, alpha_range=(0.4, 0.8))
-            result = dense_database.rknn(query, k=3, alpha_range=(0.4, 0.8), method=method)
+            result = dense_database.execute(
+                SweepRequest(query, k=3, alpha_range=(0.4, 0.8), method=method)
+            )
             assert_same_assignments(result.assignments, truth.assignments)
 
     @pytest.mark.parametrize("method", ["rss", "rss_icr"])
@@ -40,22 +45,32 @@ class TestCorrectness:
         rng = np.random.default_rng(17)
         query = generate_query_object(rng, kind="cells", space_size=7.0, points_per_object=40)
         truth = cell_database.linear_scan().rknn(query, k=4, alpha_range=(0.35, 0.75))
-        result = cell_database.rknn(query, k=4, alpha_range=(0.35, 0.75), method=method)
+        result = cell_database.execute(
+            SweepRequest(query, k=4, alpha_range=(0.35, 0.75), method=method)
+        )
         assert_same_assignments(result.assignments, truth.assignments)
 
     @pytest.mark.parametrize("method", ["rss", "rss_icr"])
     def test_different_aknn_methods_give_same_answer(self, dense_database, dense_queries, method):
         query = dense_queries[1]
-        baseline = dense_database.rknn(
-            query, k=4, alpha_range=(0.4, 0.7), method=method, aknn_method="basic"
+        baseline = dense_database.execute(
+            SweepRequest(
+                query, k=4, alpha_range=(0.4, 0.7), method=method, aknn_method="basic"
+            ),
         )
-        optimised = dense_database.rknn(
-            query, k=4, alpha_range=(0.4, 0.7), method=method, aknn_method="lb_lp_ub"
+        optimised = dense_database.execute(
+            SweepRequest(
+                query, k=4, alpha_range=(0.4, 0.7), method=method, aknn_method="lb_lp_ub"
+            ),
         )
         assert_same_assignments(optimised.assignments, baseline.assignments)
 
     def test_k_larger_than_dataset(self, dense_database, dense_queries):
-        result = dense_database.rknn(dense_queries[0], k=10_000, alpha_range=(0.4, 0.6), method="rss_icr")
+        result = dense_database.execute(
+            SweepRequest(
+                dense_queries[0], k=10_000, alpha_range=(0.4, 0.6), method="rss_icr"
+            ),
+        )
         # every object qualifies over the entire range
         assert len(result) == len(dense_database)
         for ranges in result.assignments.values():
@@ -64,12 +79,16 @@ class TestCorrectness:
     def test_degenerate_range_matches_aknn(self, dense_database, dense_queries):
         query = dense_queries[2]
         aknn = dense_database.linear_scan().aknn(query, k=5, alpha=0.55)
-        rknn = dense_database.rknn(query, k=5, alpha_range=(0.55, 0.55), method="rss_icr")
+        rknn = dense_database.execute(
+            SweepRequest(query, k=5, alpha_range=(0.55, 0.55), method="rss_icr")
+        )
         assert sorted(rknn.object_ids) == sorted(aknn.object_ids)
 
     def test_result_metadata_and_qualifying_at(self, dense_database, dense_queries):
         query = dense_queries[0]
-        result = dense_database.rknn(query, k=4, alpha_range=(0.4, 0.7), method="rss")
+        result = dense_database.execute(
+            SweepRequest(query, k=4, alpha_range=(0.4, 0.7), method="rss")
+        )
         assert result.k == 4
         assert result.alpha_range == (0.4, 0.7)
         assert result.method == "rss"
@@ -81,33 +100,39 @@ class TestValidation:
     def test_invalid_parameters(self, dense_database, dense_queries):
         query = dense_queries[0]
         with pytest.raises(InvalidQueryError):
-            dense_database.rknn(query, k=0, alpha_range=(0.3, 0.6))
+            dense_database.execute(SweepRequest(query, k=0, alpha_range=(0.3, 0.6)))
         with pytest.raises(InvalidQueryError):
-            dense_database.rknn(query, k=3, alpha_range=(0.6, 0.3))
+            dense_database.execute(SweepRequest(query, k=3, alpha_range=(0.6, 0.3)))
         with pytest.raises(InvalidQueryError):
-            dense_database.rknn(query, k=3, alpha_range=(0.0, 0.6))
+            dense_database.execute(SweepRequest(query, k=3, alpha_range=(0.0, 0.6)))
         with pytest.raises(InvalidQueryError):
-            dense_database.rknn(query, k=3, alpha_range=(0.3, 0.6), method="bogus")
+            dense_database.execute(
+                SweepRequest(query, k=3, alpha_range=(0.3, 0.6), method="bogus")
+            )
 
     def test_empty_database(self):
         from repro.core.database import FuzzyDatabase
         from repro.fuzzy.fuzzy_object import FuzzyObject
 
         database = FuzzyDatabase.build([])
-        result = database.rknn(FuzzyObject.single_point([0.0, 0.0]), k=3, alpha_range=(0.3, 0.6))
+        result = database.execute(
+            SweepRequest(
+                FuzzyObject.single_point([0.0, 0.0]), k=3, alpha_range=(0.3, 0.6)
+            ),
+        )
         assert len(result) == 0
 
 
 class TestCostBehaviour:
     def test_basic_issues_multiple_aknn_calls(self, dense_database, dense_queries):
-        result = dense_database.rknn(
-            dense_queries[0], k=5, alpha_range=(0.3, 0.7), method="basic"
+        result = dense_database.execute(
+            SweepRequest(dense_queries[0], k=5, alpha_range=(0.3, 0.7), method="basic")
         )
         assert result.stats.aknn_calls >= 2
 
     def test_rss_issues_one_aknn_and_one_range_call(self, dense_database, dense_queries):
-        result = dense_database.rknn(
-            dense_queries[0], k=5, alpha_range=(0.3, 0.7), method="rss"
+        result = dense_database.execute(
+            SweepRequest(dense_queries[0], k=5, alpha_range=(0.3, 0.7), method="rss")
         )
         assert result.stats.aknn_calls == 1
         assert result.stats.range_calls == 1
@@ -118,11 +143,11 @@ class TestCostBehaviour:
         basic_total = 0
         rss_total = 0
         for query in dense_queries:
-            basic_total += dense_database.rknn(
-                query, k=5, alpha_range=(0.3, 0.7), method="basic"
+            basic_total += dense_database.execute(
+                SweepRequest(query, k=5, alpha_range=(0.3, 0.7), method="basic")
             ).stats.object_accesses
-            rss_total += dense_database.rknn(
-                query, k=5, alpha_range=(0.3, 0.7), method="rss"
+            rss_total += dense_database.execute(
+                SweepRequest(query, k=5, alpha_range=(0.3, 0.7), method="rss")
             ).stats.object_accesses
         assert rss_total <= basic_total
 
@@ -131,23 +156,27 @@ class TestCostBehaviour:
         rss_steps = 0
         icr_steps = 0
         for query in dense_queries:
-            rss_steps += dense_database.rknn(
-                query, k=5, alpha_range=(0.2, 0.9), method="rss"
+            rss_steps += dense_database.execute(
+                SweepRequest(query, k=5, alpha_range=(0.2, 0.9), method="rss")
             ).stats.refinement_steps
-            icr_steps += dense_database.rknn(
-                query, k=5, alpha_range=(0.2, 0.9), method="rss_icr"
+            icr_steps += dense_database.execute(
+                SweepRequest(query, k=5, alpha_range=(0.2, 0.9), method="rss_icr")
             ).stats.refinement_steps
         assert icr_steps <= rss_steps
 
     def test_rss_and_icr_same_object_accesses(self, dense_database, dense_queries):
         query = dense_queries[0]
-        rss = dense_database.rknn(query, k=5, alpha_range=(0.3, 0.7), method="rss")
-        icr = dense_database.rknn(query, k=5, alpha_range=(0.3, 0.7), method="rss_icr")
+        rss = dense_database.execute(
+            SweepRequest(query, k=5, alpha_range=(0.3, 0.7), method="rss")
+        )
+        icr = dense_database.execute(
+            SweepRequest(query, k=5, alpha_range=(0.3, 0.7), method="rss_icr")
+        )
         assert rss.stats.object_accesses == icr.stats.object_accesses
 
     def test_candidate_count_recorded(self, dense_database, dense_queries):
-        result = dense_database.rknn(
-            dense_queries[0], k=5, alpha_range=(0.3, 0.7), method="rss"
+        result = dense_database.execute(
+            SweepRequest(dense_queries[0], k=5, alpha_range=(0.3, 0.7), method="rss")
         )
         assert result.stats.extra.get("candidates", 0) >= 5
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
+from repro.core.requests import AknnRequest
 from repro.exceptions import IndexError_, ObjectNotFoundError
 from repro.fuzzy.summary import build_summary
 from repro.geometry.mbr import MBR
@@ -124,7 +125,7 @@ class TestDatabaseLiveUpdates:
         for object_id in order[:20]:
             database.delete(object_id)
             database.validate()
-        result = database.aknn(query_object, k=5, alpha=0.5)
+        result = database.execute(AknnRequest(query_object, k=5, alpha=0.5))
         truth = database.linear_scan().aknn(query_object, k=5, alpha=0.5)
         assert set(result.object_ids) == set(truth.object_ids)
 
@@ -132,15 +133,15 @@ class TestDatabaseLiveUpdates:
         # An object dropped on the query's own centre must become the 1-NN.
         clone = make_fuzzy_object(rng, center=[5.0, 5.0], spread=0.05)
         object_id = database.insert(clone)
-        result = database.aknn(query_object, k=1, alpha=0.5)
+        result = database.execute(AknnRequest(query_object, k=1, alpha=0.5))
         truth = database.linear_scan().aknn(query_object, k=1, alpha=0.5)
         assert set(result.object_ids) == set(truth.object_ids)
         assert object_id in database.object_ids()
 
     def test_deleted_object_never_returned(self, database, query_object):
-        top = database.aknn(query_object, k=1, alpha=0.5).object_ids[0]
+        top = database.execute(AknnRequest(query_object, k=1, alpha=0.5)).object_ids[0]
         database.delete(top)
-        result = database.aknn(query_object, k=5, alpha=0.5)
+        result = database.execute(AknnRequest(query_object, k=5, alpha=0.5))
         assert top not in result.object_ids
 
     def test_delete_unknown_raises(self, database):
@@ -155,10 +156,13 @@ class TestDatabaseLiveUpdates:
 
     def test_batch_parity_after_equal_size_churn(self, database, rng, query_object):
         """Insert+delete keeping the size constant must refresh the rep index."""
-        database.aknn_batch([query_object], k=4, alpha=0.5)  # prime the KD-tree
+        # Two requests sharing a bucket run the batch engine (a bucket of one
+        # would take the single-query searcher and never touch the rep index).
+        requests = [AknnRequest(query_object, k=4, alpha=0.5)] * 2
+        database.execute_batch(requests)  # prime the KD-tree
         victim = database.object_ids()[0]
         database.delete(victim)
         database.insert(make_fuzzy_object(rng, center=[5.0, 5.0], spread=0.1))
-        batch = database.aknn_batch([query_object], k=4, alpha=0.5)
+        batch = database.execute_batch(requests)
         truth = database.linear_scan().aknn(query_object, k=4, alpha=0.5)
-        assert set(batch.results[0].object_ids) == set(truth.object_ids)
+        assert set(batch[0].object_ids) == set(truth.object_ids)

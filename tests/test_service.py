@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
+from repro.core.requests import AknnRequest, ReverseRequest
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
 from repro.exceptions import ServiceOverloadedError, ServiceStoppedError
@@ -61,15 +62,21 @@ def queries():
 class TestCoalescing:
     def test_results_match_direct_queries(self, sharded, reference, queries):
         with QueryService(sharded, window_ms=20.0, max_batch=32) as service:
-            futures = [service.submit(q, k=5, alpha=0.5) for q in queries]
+            futures = [
+                service.submit_request(AknnRequest(q, k=5, alpha=0.5))
+                for q in queries
+            ]
             for query, future in zip(queries, futures):
                 result = future.result(timeout=30)
-                want = reference.aknn(query, k=5, alpha=0.5)
+                want = reference.execute(AknnRequest(query, k=5, alpha=0.5))
                 assert set(result.object_ids) == set(want.object_ids)
 
     def test_compatible_requests_share_a_batch(self, sharded, queries):
         with QueryService(sharded, window_ms=200.0, max_batch=len(queries)) as service:
-            futures = [service.submit(q, k=4, alpha=0.5) for q in queries]
+            futures = [
+                service.submit_request(AknnRequest(q, k=4, alpha=0.5))
+                for q in queries
+            ]
             for future in futures:
                 future.result(timeout=30)
             stats = service.stats()
@@ -79,9 +86,9 @@ class TestCoalescing:
 
     def test_distinct_keys_use_distinct_batches(self, sharded, queries):
         with QueryService(sharded, window_ms=50.0, max_batch=32) as service:
-            f1 = service.submit(queries[0], k=3, alpha=0.5)
-            f2 = service.submit(queries[1], k=5, alpha=0.5)
-            f3 = service.submit(queries[2], k=3, alpha=0.7)
+            f1 = service.submit_request(AknnRequest(queries[0], k=3, alpha=0.5))
+            f2 = service.submit_request(AknnRequest(queries[1], k=5, alpha=0.5))
+            f3 = service.submit_request(AknnRequest(queries[2], k=3, alpha=0.7))
             r1, r2, r3 = (f.result(timeout=30) for f in (f1, f2, f3))
             assert r1.k == 3 and r2.k == 5 and r3.k == 3
             assert r3.alpha == 0.7
@@ -89,20 +96,26 @@ class TestCoalescing:
 
     def test_deadline_flush_without_companions(self, sharded, queries):
         with QueryService(sharded, window_ms=5.0, max_batch=64) as service:
-            result = service.submit(queries[0], k=3, alpha=0.5).result(timeout=30)
+            result = service.submit_request(
+                AknnRequest(queries[0], k=3, alpha=0.5)
+            ).result(timeout=30)
             assert len(result) == 3
 
     def test_sync_wrapper(self, sharded, reference, queries):
         with QueryService(sharded, window_ms=1.0) as service:
-            result = service.aknn(queries[0], k=4, alpha=0.5, timeout=30)
-            want = reference.aknn(queries[0], k=4, alpha=0.5)
+            result = service.execute(
+                AknnRequest(queries[0], k=4, alpha=0.5), timeout=30
+            )
+            want = reference.execute(AknnRequest(queries[0], k=4, alpha=0.5))
             assert set(result.object_ids) == set(want.object_ids)
 
     def test_works_over_plain_database(self, reference, queries):
         # The coalescer only needs aknn_batch, so an unsharded database works.
         with QueryService(reference, window_ms=5.0) as service:
-            result = service.aknn(queries[0], k=4, alpha=0.5, timeout=30)
-            want = reference.aknn(queries[0], k=4, alpha=0.5)
+            result = service.execute(
+                AknnRequest(queries[0], k=4, alpha=0.5), timeout=30
+            )
+            want = reference.execute(AknnRequest(queries[0], k=4, alpha=0.5))
             assert set(result.object_ids) == set(want.object_ids)
 
     def test_reverse_submissions_coalesce_into_one_bucket(
@@ -113,10 +126,15 @@ class TestCoalescing:
         with QueryService(
             sharded, window_ms=200.0, max_batch=len(queries)
         ) as service:
-            futures = [service.submit_reverse(q, k=3, alpha=0.5) for q in queries]
+            futures = [
+                service.submit_request(ReverseRequest(q, k=3, alpha=0.5))
+                for q in queries
+            ]
             for query, future in zip(queries, futures):
                 result = future.result(timeout=30)
-                want = reference.reverse_aknn(query, k=3, alpha=0.5, method="linear")
+                want = reference.execute(
+                    ReverseRequest(query, k=3, alpha=0.5, method="linear")
+                )
                 assert result.object_ids == want.object_ids
             stats = service.stats()
             assert stats.batches_flushed == 1
@@ -124,8 +142,10 @@ class TestCoalescing:
 
     def test_reverse_and_aknn_use_distinct_buckets(self, sharded, queries):
         with QueryService(sharded, window_ms=50.0, max_batch=32) as service:
-            f_aknn = service.submit(queries[0], k=3, alpha=0.5)
-            f_reverse = service.submit_reverse(queries[1], k=3, alpha=0.5)
+            f_aknn = service.submit_request(AknnRequest(queries[0], k=3, alpha=0.5))
+            f_reverse = service.submit_request(
+                ReverseRequest(queries[1], k=3, alpha=0.5)
+            )
             aknn_result = f_aknn.result(timeout=30)
             reverse_result = f_reverse.result(timeout=30)
             assert aknn_result.k == 3 and reverse_result.k == 3
@@ -134,8 +154,12 @@ class TestCoalescing:
 
     def test_reverse_sync_wrapper(self, sharded, reference, queries):
         with QueryService(sharded, window_ms=1.0) as service:
-            result = service.reverse_aknn(queries[0], k=2, alpha=0.5, timeout=30)
-            want = reference.reverse_aknn(queries[0], k=2, alpha=0.5, method="batch")
+            result = service.execute(
+                ReverseRequest(queries[0], k=2, alpha=0.5), timeout=30
+            )
+            want = reference.execute(
+                ReverseRequest(queries[0], k=2, alpha=0.5, method="batch")
+            )
             assert result.object_ids == want.object_ids
 
 
@@ -146,9 +170,12 @@ class TestAdmissionControl:
         )
         service.start()
         try:
-            futures = [service.submit(queries[i], k=3, alpha=0.5) for i in range(3)]
+            futures = [
+                service.submit_request(AknnRequest(queries[i], k=3, alpha=0.5))
+                for i in range(3)
+            ]
             with pytest.raises(ServiceOverloadedError):
-                service.submit(queries[3], k=3, alpha=0.5)
+                service.submit_request(AknnRequest(queries[3], k=3, alpha=0.5))
             stats = service.stats()
             assert stats.requests_shed == 1
             assert stats.counters.get("shed_requests") == 1
@@ -162,12 +189,12 @@ class TestAdmissionControl:
         service.start()
         service.stop()
         with pytest.raises(ServiceStoppedError):
-            service.submit(queries[0], k=3, alpha=0.5)
+            service.submit_request(AknnRequest(queries[0], k=3, alpha=0.5))
 
     def test_stop_without_drain_fails_pending(self, sharded, queries):
         service = QueryService(sharded, window_ms=10_000.0, max_batch=1024)
         service.start()
-        future = service.submit(queries[0], k=3, alpha=0.5)
+        future = service.submit_request(AknnRequest(queries[0], k=3, alpha=0.5))
         service.stop(drain=False)
         with pytest.raises(ServiceStoppedError):
             future.result(timeout=5)
@@ -177,7 +204,7 @@ class TestTelemetry:
     def test_latency_percentiles_populated(self, sharded, queries):
         with QueryService(sharded, window_ms=2.0) as service:
             for query in queries:
-                service.aknn(query, k=3, alpha=0.5, timeout=30)
+                service.execute(AknnRequest(query, k=3, alpha=0.5), timeout=30)
             stats = service.stats()
         assert stats.requests_completed == len(queries)
         assert stats.mean_latency_ms > 0.0
@@ -190,17 +217,19 @@ class TestTelemetry:
 class TestLiveUpdatesThroughService:
     def test_insert_and_delete_affect_results(self, sharded, queries, rng):
         with QueryService(sharded, window_ms=2.0) as service:
-            baseline = service.aknn(queries[0], k=3, alpha=0.5, timeout=30)
+            baseline = service.execute(
+                AknnRequest(queries[0], k=3, alpha=0.5), timeout=30
+            )
             # Drop a tight object on the query's centre: it must enter the
             # top-3 (ties at distance zero may rank it below an overlapping
             # incumbent, so membership is asserted, not rank).
             center = queries[0].support_mbr().center
             planted = make_fuzzy_object(rng, center=center, spread=0.01)
             planted_id = service.insert(planted)
-            found = service.aknn(queries[0], k=3, alpha=0.5, timeout=30)
+            found = service.execute(AknnRequest(queries[0], k=3, alpha=0.5), timeout=30)
             assert planted_id in found.object_ids
             service.delete(planted_id)
-            after = service.aknn(queries[0], k=3, alpha=0.5, timeout=30)
+            after = service.execute(AknnRequest(queries[0], k=3, alpha=0.5), timeout=30)
             assert planted_id not in after.object_ids
             assert set(after.object_ids) == set(baseline.object_ids)
             stats = service.stats()
@@ -211,7 +240,9 @@ class TestLiveUpdatesThroughService:
 class TestConcurrentClients:
     def test_many_threads_submit_correct_results(self, sharded, reference, queries):
         expected = {
-            id(query): set(reference.aknn(query, k=5, alpha=0.5).object_ids)
+            id(query): set(
+                reference.execute(AknnRequest(query, k=5, alpha=0.5)).object_ids
+            )
             for query in queries
         }
         errors = []
@@ -220,7 +251,9 @@ class TestConcurrentClients:
             for i in range(6):
                 query = queries[(index + i) % len(queries)]
                 try:
-                    result = service.aknn(query, k=5, alpha=0.5, timeout=60)
+                    result = service.execute(
+                        AknnRequest(query, k=5, alpha=0.5), timeout=60
+                    )
                     if set(result.object_ids) != expected[id(query)]:
                         errors.append((index, i, result.object_ids))
                 except Exception as exc:  # noqa: BLE001 - collected for assert
@@ -255,8 +288,9 @@ class TestConcurrentClients:
         def client(service: QueryService) -> None:
             for i in range(10):
                 try:
-                    result = service.aknn(
-                        queries[i % len(queries)], k=4, alpha=0.5, timeout=60
+                    result = service.execute(
+                        AknnRequest(queries[i % len(queries)], k=4, alpha=0.5),
+                        timeout=60,
                     )
                     if len(result) != 4:
                         errors.append(("short", len(result)))

@@ -13,6 +13,12 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNN_METHODS
 from repro.core.database import FuzzyDatabase
+from repro.core.requests import (
+    AknnRequest,
+    RangeRequest,
+    ReverseRequest,
+    SweepRequest,
+)
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
 from repro.exceptions import (
@@ -105,8 +111,8 @@ class TestQueryParity:
     ):
         sharded = build_sharded(objects, config, n_shards, placement)
         for query in queries:
-            got = sharded.aknn(query, k=7, alpha=0.5, method=method)
-            want = reference.aknn(query, k=7, alpha=0.5, method=method)
+            got = sharded.execute(AknnRequest(query, k=7, alpha=0.5, method=method))
+            want = reference.execute(AknnRequest(query, k=7, alpha=0.5, method=method))
             assert set(got.object_ids) == set(want.object_ids)
             for neighbor in got.neighbors:
                 assert neighbor.distance is not None  # merge is exact
@@ -116,10 +122,12 @@ class TestQueryParity:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_batch_parity(self, objects, config, reference, queries, placement, n_shards):
         sharded = build_sharded(objects, config, n_shards, placement)
-        batch = sharded.aknn_batch(queries, k=6, alpha=0.45)
+        batch = sharded.execute_batch(
+            [AknnRequest(query, k=6, alpha=0.45) for query in queries]
+        )
         assert len(batch) == len(queries)
-        for query, result in zip(queries, batch.results):
-            want = reference.aknn(query, k=6, alpha=0.45)
+        for query, result in zip(queries, batch):
+            want = reference.execute(AknnRequest(query, k=6, alpha=0.45))
             assert set(result.object_ids) == set(want.object_ids)
         sharded.close()
 
@@ -127,8 +135,8 @@ class TestQueryParity:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_range_parity(self, objects, config, reference, queries, placement, n_shards):
         sharded = build_sharded(objects, config, n_shards, placement)
-        got = sharded.range_search(queries[0], alpha=0.5, radius=1.5)
-        want = reference.range_search(queries[0], alpha=0.5, radius=1.5)
+        got = sharded.execute(RangeRequest(queries[0], alpha=0.5, radius=1.5))
+        want = reference.execute(RangeRequest(queries[0], alpha=0.5, radius=1.5))
         assert got.matches == want.matches
         sharded.close()
 
@@ -144,10 +152,12 @@ class TestQueryParity:
         try:
             for query in queries[:2]:
                 for k in (1, 4):
-                    want = reference.reverse_aknn(
-                        query, k=k, alpha=0.5, method="linear"
+                    want = reference.execute(
+                        ReverseRequest(query, k=k, alpha=0.5, method="linear")
                     )
-                    got = sharded.reverse_aknn(query, k=k, alpha=0.5, method=method)
+                    got = sharded.execute(
+                        ReverseRequest(query, k=k, alpha=0.5, method=method)
+                    )
                     assert got.object_ids == want.object_ids
                     for object_id in got.object_ids:
                         assert got.distances[object_id] == pytest.approx(
@@ -161,10 +171,14 @@ class TestQueryParity:
     ):
         sharded = build_sharded(objects, config, 3, "hash")
         try:
-            results = sharded.reverse_aknn_batch(queries, k=3, alpha=0.5)
+            results = sharded.execute_batch(
+                [ReverseRequest(query, k=3, alpha=0.5) for query in queries]
+            )
             assert len(results) == len(queries)
             for query, got in zip(queries, results):
-                want = reference.reverse_aknn(query, k=3, alpha=0.5, method="batch")
+                want = reference.execute(
+                    ReverseRequest(query, k=3, alpha=0.5, method="batch")
+                )
                 assert got.object_ids == want.object_ids
         finally:
             sharded.close()
@@ -173,11 +187,13 @@ class TestQueryParity:
         sharded = build_sharded(objects, config, 2, "hash")
         try:
             with pytest.raises(InvalidQueryError):
-                sharded.reverse_aknn(queries[0], k=0, alpha=0.5)
+                sharded.execute(ReverseRequest(queries[0], k=0, alpha=0.5))
             with pytest.raises(InvalidQueryError):
-                sharded.reverse_aknn(queries[0], k=2, alpha=0.0)
+                sharded.execute(ReverseRequest(queries[0], k=2, alpha=0.0))
             with pytest.raises(InvalidQueryError):
-                sharded.reverse_aknn(queries[0], k=2, alpha=0.5, method="bogus")
+                sharded.execute(
+                    ReverseRequest(queries[0], k=2, alpha=0.5, method="bogus")
+                )
         finally:
             sharded.close()
 
@@ -185,23 +201,27 @@ class TestQueryParity:
     @pytest.mark.parametrize("method", ("basic", "rss", "rss_icr"))
     def test_rknn_parity(self, objects, config, reference, queries, placement, method):
         sharded = build_sharded(objects, config, 3, placement)
-        got = sharded.rknn(queries[1], k=4, alpha_range=(0.3, 0.6), method=method)
-        want = reference.rknn(queries[1], k=4, alpha_range=(0.3, 0.6), method=method)
+        got = sharded.execute(
+            SweepRequest(queries[1], k=4, alpha_range=(0.3, 0.6), method=method)
+        )
+        want = reference.execute(
+            SweepRequest(queries[1], k=4, alpha_range=(0.3, 0.6), method=method)
+        )
         assert_same_assignments(got.assignments, want.assignments)
         sharded.close()
 
     def test_k_larger_than_database(self, objects, config, queries):
         sharded = build_sharded(objects, config, 3, "hash")
-        result = sharded.aknn(queries[0], k=len(objects) + 5, alpha=0.5)
+        result = sharded.execute(AknnRequest(queries[0], k=len(objects) + 5, alpha=0.5))
         assert len(result) == len(objects)
         sharded.close()
 
     def test_invalid_arguments_rejected(self, objects, config, queries):
         sharded = build_sharded(objects, config, 2, "hash")
         with pytest.raises(InvalidQueryError):
-            sharded.aknn(queries[0], k=0, alpha=0.5)
+            sharded.execute(AknnRequest(queries[0], k=0, alpha=0.5))
         with pytest.raises(InvalidQueryError):
-            sharded.aknn(queries[0], k=3, alpha=0.5, method="nope")
+            sharded.execute(AknnRequest(queries[0], k=3, alpha=0.5, method="nope"))
         sharded.close()
 
 
@@ -235,22 +255,26 @@ class TestLiveWorkloadParity:
 
         for query in queries[:2]:
             for method in ("basic", "lb_lp_ub"):
-                got = sharded.aknn(query, k=6, alpha=0.5, method=method)
-                want = mirror.aknn(query, k=6, alpha=0.5, method=method)
+                got = sharded.execute(AknnRequest(query, k=6, alpha=0.5, method=method))
+                want = mirror.execute(AknnRequest(query, k=6, alpha=0.5, method=method))
                 assert set(got.object_ids) == set(want.object_ids)
-            got_range = sharded.range_search(query, alpha=0.5, radius=1.4)
-            want_range = mirror.range_search(query, alpha=0.5, radius=1.4)
+            got_range = sharded.execute(RangeRequest(query, alpha=0.5, radius=1.4))
+            want_range = mirror.execute(RangeRequest(query, alpha=0.5, radius=1.4))
             assert got_range.matches == want_range.matches
-        got_rknn = sharded.rknn(queries[0], k=4, alpha_range=(0.35, 0.65))
-        want_rknn = mirror.rknn(queries[0], k=4, alpha_range=(0.35, 0.65))
+        got_rknn = sharded.execute(
+            SweepRequest(queries[0], k=4, alpha_range=(0.35, 0.65))
+        )
+        want_rknn = mirror.execute(
+            SweepRequest(queries[0], k=4, alpha_range=(0.35, 0.65))
+        )
         assert_same_assignments(got_rknn.assignments, want_rknn.assignments)
         # Reverse AKNN stays exact after churn, for every method.
         for method in ("linear", "pruned", "batch"):
-            got_reverse = sharded.reverse_aknn(
-                queries[0], k=3, alpha=0.5, method=method
+            got_reverse = sharded.execute(
+                ReverseRequest(queries[0], k=3, alpha=0.5, method=method)
             )
-            want_reverse = mirror.reverse_aknn(
-                queries[0], k=3, alpha=0.5, method="linear"
+            want_reverse = mirror.execute(
+                ReverseRequest(queries[0], k=3, alpha=0.5, method="linear")
             )
             assert got_reverse.object_ids == want_reverse.object_ids
         sharded.close()
@@ -322,10 +346,18 @@ class TestGeometryValidation:
 class TestTelemetry:
     def test_fanout_counter_and_stats(self, objects, config, queries):
         sharded = build_sharded(objects, config, 3, "hash")
-        result = sharded.aknn(queries[0], k=5, alpha=0.5)
+        result = sharded.execute(AknnRequest(queries[0], k=5, alpha=0.5))
         assert result.stats.extra["shard_fanouts"] == 3.0
         assert sharded.metrics.get("shard_fanouts") >= 3
-        batch = sharded.aknn_batch(queries, k=5, alpha=0.5)
-        assert batch.stats.extra["shard_fanouts"] == 3.0
-        assert batch.stats.aknn_calls == len(queries)
+        # A shared bucket is one fan-out over the three shards answering
+        # every member: the engine counters and per-request results say so.
+        fanouts_before = sharded.metrics.get("shard_fanouts")
+        batch = sharded.execute_batch(
+            [AknnRequest(query, k=5, alpha=0.5) for query in queries]
+        )
+        assert sharded.metrics.get("shard_fanouts") - fanouts_before == 3
+        assert sharded.metrics.get("batch_queries") == len(queries)
+        for one in batch:
+            assert one.coverage.answered == (0, 1, 2)
+            assert one.stats.aknn_calls == 1
         sharded.close()
