@@ -1,12 +1,22 @@
-"""Legacy setuptools shim.
+"""Package metadata for ``pip install -e .`` (src layout, ``fuzzy-knn`` CLI)."""
 
-The project is fully described by ``pyproject.toml``; this file only exists so
-that editable installs keep working in offline environments where the
-``wheel`` package (required by PEP 517 editable builds) is unavailable:
+import re
+from pathlib import Path
 
-    pip install -e . --no-build-isolation --no-use-pep517
-"""
+from setuptools import find_packages, setup
 
-from setuptools import setup
+# The version lives in the package; importing it here would need numpy.
+INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+MATCH = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(), re.M)
+if MATCH is None:
+    raise RuntimeError(f"no __version__ line in {INIT}")
 
-setup()
+setup(
+    name="fuzzy-knn",
+    version=MATCH.group(1),
+    description="K-nearest neighbor search for fuzzy objects (SIGMOD 2010 reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+    entry_points={"console_scripts": ["fuzzy-knn = repro.cli:main"]},
+)

@@ -155,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--method", choices=("basic", "lb", "lb_lp", "lb_lp_ub"), default="lb_lp_ub"
     )
-    batch.add_argument(
-        "--workers", type=int, default=None,
-        help="thread-pool size for the refinement phase (default: config)",
-    )
 
     serve = subparsers.add_parser(
         "serve",
@@ -171,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(e.g. --mix aknn,reverse,range submits a mixed-type stream); "
             "the coalescer groups concurrent submissions by their "
             "bucket_key(), so each flushed bucket shares one traversal / "
-            "filter pass.  Tuning guide: shard count should not exceed "
-            "physical cores (fan-out runs one thread per shard); a larger "
+            "filter pass.  Tuning guide: shards partition the index and "
+            "isolate failures, they add no parallelism (a query visits them "
+            "in turn on one thread); a larger "
             "--window-ms coalesces more aggressively (higher throughput, "
             "higher p50), a smaller one favours latency.  See the ROADMAP's "
             "'Serving architecture' section for details."
@@ -374,11 +371,6 @@ def _command_batch(args: argparse.Namespace) -> int:
     from repro.core.results import QueryStats
 
     database = _load_or_build_database(args)
-    if args.workers is not None:
-        # The batch executor reads batch_workers from the shared config at
-        # call time, so overriding it here applies the flag to every bucket
-        # this command executes through the request surface.
-        database.config.batch_workers = args.workers
     rng = np.random.default_rng(args.query_seed)
     requests = [
         AknnRequest(
@@ -580,7 +572,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             service.delete(object_id)
 
     with QueryService(database) as service:
-        # Warm caches and the shard pool before the measured phase.
+        # Warm caches before the measured phase.
         for index in range(min(8, len(queries))):
             try:
                 service.execute(make_request(index))

@@ -8,7 +8,7 @@ by the improved upper bound of Lemma 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # Default number of points sampled from the query alpha-cut when computing the
@@ -116,8 +116,6 @@ class RuntimeConfig:
         Fan-out of R-tree nodes.
     rtree_min_fill:
         Minimum fill factor used by the quadratic split.
-    use_kdtree:
-        Whether the closest-pair kernel may use :mod:`scipy.spatial` KD-trees.
     cache_capacity:
         Number of fuzzy objects the object-store buffer pool keeps in memory.
         ``0`` disables caching so every probe touches the backing file.
@@ -127,9 +125,6 @@ class RuntimeConfig:
     profile_cache_capacity:
         Number of memoised distance profiles (keyed by object pair) the RKNN
         searcher keeps.  ``0`` disables the store.
-    batch_workers:
-        Default worker-thread count of the batch query executor.  ``0`` (and
-        ``1``) evaluate the batch on the calling thread.
     service_shards:
         Default shard count of :class:`~repro.service.ShardedDatabase`.
     shard_placement:
@@ -176,11 +171,9 @@ class RuntimeConfig:
     upper_bound_samples: int = DEFAULT_UPPER_BOUND_SAMPLES
     rtree_max_entries: int = DEFAULT_RTREE_MAX_ENTRIES
     rtree_min_fill: float = DEFAULT_RTREE_MIN_FILL
-    use_kdtree: bool = True
     cache_capacity: int = 0
     alpha_cut_cache_capacity: int = DEFAULT_ALPHA_CUT_CACHE_CAPACITY
     profile_cache_capacity: int = DEFAULT_PROFILE_CACHE_CAPACITY
-    batch_workers: int = 0
     service_shards: int = DEFAULT_SERVICE_SHARDS
     shard_placement: str = DEFAULT_SHARD_PLACEMENT
     coalesce_window_ms: float = DEFAULT_COALESCE_WINDOW_MS
@@ -198,7 +191,6 @@ class RuntimeConfig:
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
     compaction_debt_ratio: float = DEFAULT_COMPACTION_DEBT_RATIO
     subscription_queue_depth: int = DEFAULT_SUBSCRIPTION_QUEUE_DEPTH
-    extra: dict = field(default_factory=dict)
 
     def validate(self) -> "RuntimeConfig":
         """Check invariants and return ``self`` for chaining."""
@@ -214,8 +206,6 @@ class RuntimeConfig:
             raise ValueError("alpha_cut_cache_capacity must be >= 0")
         if self.profile_cache_capacity < 0:
             raise ValueError("profile_cache_capacity must be >= 0")
-        if self.batch_workers < 0:
-            raise ValueError("batch_workers must be >= 0")
         if self.service_shards < 1:
             raise ValueError("service_shards must be >= 1")
         if self.shard_placement not in ("hash", "space"):

@@ -90,7 +90,7 @@ class FuzzyDatabase:
             store, tree, self.config, profile_store=self.profile_store
         )
         self._range = AlphaRangeSearcher(store, tree, self.config)
-        self._linear = LinearScanSearcher(store, self.config)
+        self._linear = LinearScanSearcher(store)
         self._executor = BatchQueryExecutor(store, tree, self.config)
         self._reverse = ReverseAKNNSearcher(
             store,
@@ -326,7 +326,6 @@ class FuzzyDatabase:
             self.tree,
             right_store=None if other is None else other.store,
             right_tree=None if other is None else other.tree,
-            config=self.config,
         )
         return join.join(alpha, epsilon, method=method)
 

@@ -33,19 +33,16 @@ ties by object id).  The per-neighbour distances are always exact
 (``probed=True``), unlike the lazy single-query variants which may confirm
 through bounds alone.
 
-``workers > 1`` distributes the per-query refinement over a thread pool.
-Traversal and store I/O stay on the calling thread, so the store and tree
-need no locking; NumPy releases the GIL inside the distance kernels, so the
-pool helps on multi-core hosts and degrades gracefully to serial behaviour
-on a single core.
+The whole batch runs on the calling thread, so the store and tree need no
+locking.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.config import RuntimeConfig
 from repro.core.query import PreparedQuery
@@ -57,11 +54,6 @@ from repro.index.soa import min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
-
-try:  # scipy is a hard dependency; keep the import failure readable.
-    from scipy.spatial import cKDTree
-except ImportError:  # pragma: no cover - scipy is always installed in CI
-    cKDTree = None
 
 # Relative + absolute slack when comparing a lower bound against a pruning
 # radius, absorbing the tiny float drift between vectorized and scalar paths.
@@ -137,7 +129,6 @@ class BatchQueryExecutor:
         k: int,
         alpha: float,
         method: str = "lb_lp_ub",
-        workers: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
         initial_tau: Optional[np.ndarray] = None,
         initial_exact: Optional[Sequence[Dict[int, float]]] = None,
@@ -153,9 +144,7 @@ class BatchQueryExecutor:
         ``method`` selects the lower bound driving the shared pruning
         (``"basic"`` uses the support-MBR ``MinDist``; every other variant
         uses the conservative-line bound ``d-_alpha``); all methods return
-        the same exact neighbour sets.  ``workers`` overrides the configured
-        thread count for the refinement phase (``None`` uses
-        ``config.batch_workers``).
+        the same exact neighbour sets.
 
         ``initial_tau`` is an optional per-query pruning radius.  When
         given, the local KD-tree bootstrap is skipped and the traversal
@@ -185,7 +174,6 @@ class BatchQueryExecutor:
                 f"unknown AKNN method {method!r}; expected one of {AKNN_METHODS}"
             )
         queries = list(queries)
-        workers = self.config.batch_workers if workers is None else int(workers)
         metrics = MetricsCollector()
         store_before = self.store.statistics.snapshot()
         cut_hits_before = CUT_CACHE_STATS["hits"]
@@ -199,7 +187,7 @@ class BatchQueryExecutor:
             if deadline is not None:
                 deadline.check("batch")
             per_query = self._run_batch(
-                queries, k, alpha, method, workers, rng, metrics, query_metrics,
+                queries, k, alpha, method, rng, metrics, query_metrics,
                 initial_tau=initial_tau, initial_exact=initial_exact,
                 deadline=deadline,
             )
@@ -243,7 +231,6 @@ class BatchQueryExecutor:
         k: int,
         alpha: float,
         method: str,
-        workers: int,
         rng: Optional[np.random.Generator],
         metrics: MetricsCollector,
         query_metrics: List[MetricsCollector],
@@ -294,15 +281,12 @@ class BatchQueryExecutor:
         self._fetch_cuts(needed, alpha, cuts)
         results: List[List[Neighbor]] = [[] for _ in prepared]
 
-        def refine(qi: int) -> None:
+        for qi, blocks in enumerate(candidates):
             if deadline is not None:
                 deadline.check("batch refinement")
-            blocks = candidates[qi]
-            ids = (
-                np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-            )
-            if ids.shape[0] == 0:
-                return
+            if not blocks:
+                continue
+            ids = np.concatenate(blocks)
             dists = self._probe(prepared[qi], ids, cuts, exact[qi])
             order = np.lexsort((ids, dists))[:k]
             results[qi] = [
@@ -315,8 +299,6 @@ class BatchQueryExecutor:
                 )
                 for j in order
             ]
-
-        self._for_each_query(range(len(prepared)), refine, workers)
         metrics.increment(
             "batch_candidates", int(sum(len(known) for known in exact))
         )
@@ -436,7 +418,7 @@ class BatchQueryExecutor:
         for entry in self.tree.leaf_entries():
             reps.append(entry.summary.representative)
             oids.append(entry.object_id)
-        if not reps or cKDTree is None:
+        if not reps:
             return None, np.empty(0, dtype=np.int64)
         tree = cKDTree(np.asarray(reps))
         oid_array = np.asarray(oids, dtype=np.int64)
@@ -476,17 +458,6 @@ class BatchQueryExecutor:
             if len(missing) == len(ids):
                 return distances
         return np.asarray([known[oid] for oid in ids])
-
-    @staticmethod
-    def _for_each_query(indices, fn, workers: int) -> None:
-        """Run ``fn`` per query index, optionally over a thread pool."""
-        indices = list(indices)
-        if workers > 1 and len(indices) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fn, indices))
-        else:
-            for index in indices:
-                fn(index)
 
     def _aggregate_stats(
         self,

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import RuntimeConfig
 from repro.core.results import QueryStats
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import alpha_distance_points
@@ -72,13 +71,11 @@ class AlphaDistanceJoin:
         left_tree: RTree,
         right_store: Optional[ObjectStore] = None,
         right_tree: Optional[RTree] = None,
-        config: Optional[RuntimeConfig] = None,
     ):
         self.left_store = left_store
         self.left_tree = left_tree
         self.right_store = right_store if right_store is not None else left_store
         self.right_tree = right_tree if right_tree is not None else left_tree
-        self.config = (config or RuntimeConfig()).validate()
         self._self_join = self.right_store is self.left_store and self.right_tree is self.left_tree
 
     # ------------------------------------------------------------------
@@ -143,9 +140,7 @@ class AlphaDistanceJoin:
                 if self._self_join and right_id <= left_id:
                     continue
                 metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS)
-                distance = alpha_distance_points(
-                    left_cut, right_cut, use_kdtree=self.config.use_kdtree
-                )
+                distance = alpha_distance_points(left_cut, right_cut)
                 if distance <= epsilon:
                     pairs.append((left_id, right_id, distance))
         return pairs
@@ -255,9 +250,7 @@ class AlphaDistanceJoin:
         left_cut = self._cut(left_id, alpha, self.left_store, cut_cache_left)
         right_cut = self._cut(right_id, alpha, self.right_store, cut_cache_right)
         metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS)
-        distance = alpha_distance_points(
-            left_cut, right_cut, use_kdtree=self.config.use_kdtree
-        )
+        distance = alpha_distance_points(left_cut, right_cut)
         if distance <= epsilon:
             pairs.append((left_id, right_id, distance))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import RuntimeConfig
 from repro.core.results import AKNNResult, Neighbor, QueryStats, RangeSearchResult, RKNNResult
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import alpha_distance, distance_profile
@@ -47,9 +46,8 @@ def rank_objects(
 class LinearScanSearcher:
     """Index-free exact query evaluation over an :class:`ObjectStore`."""
 
-    def __init__(self, store: ObjectStore, config: Optional[RuntimeConfig] = None):
+    def __init__(self, store: ObjectStore):
         self.store = store
-        self.config = (config or RuntimeConfig()).validate()
 
     # ------------------------------------------------------------------
     # AKNN
@@ -65,9 +63,7 @@ class LinearScanSearcher:
         distances: List[Tuple[float, int]] = []
         for object_id in self.store.object_ids():
             obj = self.store.get(object_id)
-            distances.append(
-                (alpha_distance(obj, query, alpha, use_kdtree=self.config.use_kdtree), object_id)
-            )
+            distances.append((alpha_distance(obj, query, alpha), object_id))
         distances.sort(key=lambda pair: (pair[0], pair[1]))
         neighbors = [
             Neighbor(
@@ -104,7 +100,7 @@ class LinearScanSearcher:
         count = 0
         for object_id in self.store.object_ids():
             obj = self.store.get(object_id)
-            distance = alpha_distance(obj, query, alpha, use_kdtree=self.config.use_kdtree)
+            distance = alpha_distance(obj, query, alpha)
             count += 1
             if distance <= radius:
                 matches.append((object_id, distance))
@@ -127,9 +123,7 @@ class LinearScanSearcher:
         profiles: Dict[int, DistanceProfile] = {}
         for object_id in self.store.object_ids():
             obj = self.store.get(object_id)
-            profiles[object_id] = distance_profile(
-                obj, query, use_kdtree=self.config.use_kdtree, max_level=max_level
-            )
+            profiles[object_id] = distance_profile(obj, query, max_level=max_level)
         return profiles
 
     def rknn(

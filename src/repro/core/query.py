@@ -150,11 +150,7 @@ class PreparedQuery:
     def distance_to(self, obj: FuzzyObject) -> float:
         """Exact ``d_alpha(A, Q)`` against a probed object."""
         self.metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS)
-        return alpha_distance_points(
-            obj.alpha_cut(self.alpha),
-            self.query_cut,
-            use_kdtree=self.config.use_kdtree,
-        )
+        return alpha_distance_points(obj.alpha_cut(self.alpha), self.query_cut)
 
     def __repr__(self) -> str:
         samples = (

@@ -485,9 +485,7 @@ class ReverseAKNNSearcher:
             if distance_to_query is None:
                 metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS)
                 distance_to_query = alpha_distance_points(
-                    candidate.alpha_cut(alpha),
-                    query_cut,
-                    use_kdtree=self.config.use_kdtree,
+                    candidate.alpha_cut(alpha), query_cut
                 )
                 self.profile_store.insert_distance(
                     query, object_id, alpha, distance_to_query
@@ -506,9 +504,7 @@ class ReverseAKNNSearcher:
                     other = self.store.get(neighbour.object_id)
                     metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS)
                     exact = alpha_distance_points(
-                        candidate.alpha_cut(alpha),
-                        other.alpha_cut(alpha),
-                        use_kdtree=self.config.use_kdtree,
+                        candidate.alpha_cut(alpha), other.alpha_cut(alpha)
                     )
                 if exact < distance_to_query:
                     closer += 1

@@ -272,9 +272,7 @@ class RKNNSearcher:
             profile = self.profile_store.lookup(query, object_id, alpha_end)
             if profile is None:
                 obj = self.store.get(object_id)
-                profile = distance_profile(
-                    obj, query, use_kdtree=self.config.use_kdtree, max_level=alpha_end
-                )
+                profile = distance_profile(obj, query, max_level=alpha_end)
                 self.profile_store.insert(query, object_id, profile, alpha_end)
             cache[object_id] = profile
         return cache[object_id]
@@ -335,10 +333,7 @@ class RKNNSearcher:
             profile = self.profile_store.lookup(query, object_id, alpha_end)
             if profile is None:
                 profile = distance_profile(
-                    objects[object_id],
-                    query,
-                    use_kdtree=self.config.use_kdtree,
-                    max_level=alpha_end,
+                    objects[object_id], query, max_level=alpha_end
                 )
                 self.profile_store.insert(query, object_id, profile, alpha_end)
             profiles[object_id] = profile
@@ -354,9 +349,7 @@ class RKNNSearcher:
                 distance = neighbor.distance
             else:
                 obj = self.store.get(neighbor.object_id)
-                distance = alpha_distance(
-                    obj, query, alpha, use_kdtree=self.config.use_kdtree
-                )
+                distance = alpha_distance(obj, query, alpha)
             radius = max(radius, distance)
         return radius
 

@@ -23,23 +23,14 @@ from repro.geometry.distance import closest_pair_distance
 from repro.storage.cache import LRUCache
 
 
-def alpha_distance_points(
-    cut_a: np.ndarray,
-    cut_b: np.ndarray,
-    use_kdtree: bool = True,
-) -> float:
+def alpha_distance_points(cut_a: np.ndarray, cut_b: np.ndarray) -> float:
     """Alpha-distance between two already-materialised alpha-cuts."""
     if cut_a.shape[0] == 0 or cut_b.shape[0] == 0:
         raise EmptyAlphaCutError("cannot evaluate a distance against an empty cut")
-    return closest_pair_distance(cut_a, cut_b, use_kdtree=use_kdtree)
+    return closest_pair_distance(cut_a, cut_b)
 
 
-def alpha_distance(
-    obj_a: FuzzyObject,
-    obj_b: FuzzyObject,
-    alpha: float,
-    use_kdtree: bool = True,
-) -> float:
+def alpha_distance(obj_a: FuzzyObject, obj_b: FuzzyObject, alpha: float) -> float:
     """``d_alpha(A, B)``: minimum distance between the two alpha-cuts."""
     if obj_a.dimensions != obj_b.dimensions:
         raise InvalidFuzzyObjectError(
@@ -47,13 +38,12 @@ def alpha_distance(
         )
     cut_a = obj_a.alpha_cut(alpha)
     cut_b = obj_b.alpha_cut(alpha)
-    return alpha_distance_points(cut_a, cut_b, use_kdtree=use_kdtree)
+    return alpha_distance_points(cut_a, cut_b)
 
 
 def distance_profile(
     obj_a: FuzzyObject,
     obj_b: FuzzyObject,
-    use_kdtree: bool = True,
     max_level: Optional[float] = None,
 ) -> DistanceProfile:
     """Exact profile of ``alpha -> d_alpha(A, B)`` over ``(0, 1]``.
@@ -104,9 +94,7 @@ def distance_profile(
         if count_a == 0 or count_b == 0:
             distances[i] = np.inf
             continue
-        distances[i] = closest_pair_distance(
-            pts_a[:count_a], pts_b[:count_b], use_kdtree=use_kdtree
-        )
+        distances[i] = closest_pair_distance(pts_a[:count_a], pts_b[:count_b])
     return DistanceProfile(levels, distances)
 
 

@@ -20,6 +20,15 @@ from repro.geometry.mbr import MBR
 # values like 0.7000000000000001 produced by normalisation still count as 0.7.
 MEMBERSHIP_ATOL = 1e-12
 
+
+def _at_least(memberships: np.ndarray, alpha: float) -> np.ndarray:
+    """The one membership predicate: ``mu >= alpha`` up to MEMBERSHIP_ATOL.
+
+    The kernel is the cut at ``alpha = 1`` — a second, looser test for it
+    would let ``rep(A)`` fall outside ``alpha_cut(1.0)`` and break Lemma 1.
+    """
+    return memberships >= alpha - MEMBERSHIP_ATOL
+
 #: Library-wide alpha-cut cache counters (aggregated over every object, since
 #: the per-object caches are short-lived); surfaced by the CLI ``--stats``
 #: output and resettable through :func:`reset_cut_cache_statistics`.
@@ -78,7 +87,7 @@ class FuzzyObject:
         if np.any(mus <= 0.0) or np.any(mus > 1.0 + MEMBERSHIP_ATOL):
             raise InvalidFuzzyObjectError("memberships must lie in (0, 1]")
         mus = np.minimum(mus, 1.0)
-        if require_kernel and not np.any(np.isclose(mus, 1.0, atol=MEMBERSHIP_ATOL)):
+        if require_kernel and not np.any(_at_least(mus, 1.0)):
             raise InvalidFuzzyObjectError(
                 "fuzzy object has an empty kernel; the paper assumes at least "
                 "one point with membership 1 (use normalize_memberships or "
@@ -172,7 +181,7 @@ class FuzzyObject:
     @property
     def has_kernel(self) -> bool:
         """Whether any point has membership exactly 1."""
-        return bool(np.any(np.isclose(self.memberships, 1.0, atol=MEMBERSHIP_ATOL)))
+        return bool(np.any(_at_least(self.memberships, 1.0)))
 
     def distinct_memberships(self) -> np.ndarray:
         """``U_A``: sorted distinct membership values of the object."""
@@ -194,8 +203,7 @@ class FuzzyObject:
 
     def kernel(self) -> np.ndarray:
         """The kernel set ``A_k`` (points with membership 1)."""
-        mask = np.isclose(self.memberships, 1.0, atol=MEMBERSHIP_ATOL)
-        return self.points[mask]
+        return self.points[_at_least(self.memberships, 1.0)]
 
     def alpha_cut(self, alpha: float) -> np.ndarray:
         """The alpha-cut ``A_alpha`` (points with membership >= alpha).
@@ -213,8 +221,7 @@ class FuzzyObject:
                 CUT_CACHE_STATS["hits"] += 1
                 return cached
             CUT_CACHE_STATS["misses"] += 1
-        mask = self.memberships >= alpha - MEMBERSHIP_ATOL
-        cut = self.points[mask]
+        cut = self.points[_at_least(self.memberships, alpha)]
         if cut.shape[0] == 0:
             raise EmptyAlphaCutError(
                 f"alpha-cut at alpha={alpha} is empty for object {self.object_id}"
@@ -242,7 +249,7 @@ class FuzzyObject:
     def alpha_cut_size(self, alpha: float) -> int:
         """Number of points with membership >= alpha."""
         self._check_alpha(alpha)
-        return int(np.count_nonzero(self.memberships >= alpha - MEMBERSHIP_ATOL))
+        return int(np.count_nonzero(_at_least(self.memberships, alpha)))
 
     def membership_at(self, index: int) -> float:
         """Membership value of the point at ``index``."""

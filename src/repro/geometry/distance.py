@@ -18,10 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-try:  # scipy is a hard dependency, but keep the import failure readable.
-    from scipy.spatial import cKDTree
-except ImportError:  # pragma: no cover - scipy is always installed in CI
-    cKDTree = None
+from scipy.spatial import cKDTree
 
 from repro.config import KDTREE_CROSSOVER_POINTS
 
@@ -134,7 +131,7 @@ def closest_pair(
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets must have the same dimensionality")
     large = min(a.shape[0], b.shape[0]) >= KDTREE_CROSSOVER_POINTS
-    if use_kdtree and large and cKDTree is not None:
+    if use_kdtree and large:
         return _closest_pair_kdtree(a, b)
     return _closest_pair_brute(a, b)
 

@@ -4,7 +4,7 @@ This package layers a serving architecture on top of the query engine:
 
 * :mod:`repro.service.placement` — hash and space shard-placement policies;
 * :mod:`repro.service.sharded` — :class:`ShardedDatabase`, partitioned
-  indexes with parallel fan-out, global top-k merging and live updates;
+  indexes with shard fan-out, global top-k merging and live updates;
 * :mod:`repro.service.query_service` — :class:`QueryService`, a coalescing,
   admission-controlled front end reporting p50/p99 latency;
 * :mod:`repro.service.concurrency` — the readers/writer lock and epoch

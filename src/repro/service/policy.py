@@ -130,7 +130,7 @@ class CircuitBreaker:
     shard's portion without touching it).  After ``reset_timeout_ms`` the
     breaker admits up to ``half_open_probes`` concurrent probe calls: one
     success closes it, one failure re-opens it for another full cool-off.
-    Thread-safe; all shard fan-out workers share the same instance.
+    Thread-safe; concurrent queries share the same instance.
     """
 
     def __init__(
@@ -202,6 +202,17 @@ class CircuitBreaker:
                 self._state is BreakerState.OPEN
                 and self._clock() - self._opened_at < self.reset_timeout_s
             )
+
+    def release_probe(self) -> None:
+        """Give back a slot :meth:`allow` handed out for a call that ended
+        with no outcome (never issued, or cut off by the caller's deadline).
+
+        A no-op unless the breaker is still HALF_OPEN, i.e. once any call
+        has recorded a success or a failure.
+        """
+        with self._lock:
+            if self._state is BreakerState.HALF_OPEN and self._probes_in_flight:
+                self._probes_in_flight -= 1
 
     def record_success(self) -> None:
         with self._lock:

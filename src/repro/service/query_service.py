@@ -470,9 +470,7 @@ class QueryService:
                         "listeners; standing queries need a FuzzyDatabase or "
                         "ShardedDatabase"
                     )
-                engine = SubscriptionEngine(
-                    self.database, config=self._config, metrics=self.metrics
-                )
+                engine = SubscriptionEngine(self.database, metrics=self.metrics)
                 register(engine)
                 self._subscriptions = engine
             return self._subscriptions

@@ -1,4 +1,4 @@
-"""A partitioned database with parallel shard fan-out and global merging.
+"""A partitioned database with shard fan-out and global merging.
 
 :class:`ShardedDatabase` splits a dataset across ``N`` independent
 :class:`~repro.core.database.FuzzyDatabase` shards, each owning its own
@@ -7,8 +7,10 @@ object store, R-tree, SoA views and batch executor.  Placement is pluggable
 space placement stripes the first spatial axis so nearby objects share a
 shard.
 
-Queries fan out to every shard in parallel (one pool thread per shard) and
-the per-shard answers are merged globally:
+Queries visit every shard in turn on the calling thread — shards partition
+the index (per-partition pruning), isolate failures and own their durability;
+they are not a parallelism device under one interpreter lock — and the
+per-shard answers are merged globally:
 
 * **AKNN / batched AKNN** — each shard answers its local top-k; the global
   answer is the k smallest exact distances across shards (ties broken by
@@ -46,12 +48,22 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
@@ -97,11 +109,6 @@ from repro.service.placement import make_placement
 from repro.service.policy import CircuitBreaker, RetryPolicy
 from repro.storage.object_store import StoreStatistics
 from repro.storage.snapshot import Manifest, read_manifest, write_manifest
-
-try:  # scipy is a hard dependency; keep the import failure readable.
-    from scipy.spatial import cKDTree
-except ImportError:  # pragma: no cover - scipy is always installed in CI
-    cKDTree = None
 
 T = TypeVar("T")
 
@@ -176,7 +183,6 @@ class ShardedDatabase:
         self._admin_lock = threading.Lock()
         self._next_id = max(self._owners, default=-1) + 1
         self._epoch = EpochCounter()
-        self._pool: Optional[ThreadPoolExecutor] = None
         self.metrics = SharedMetricsCollector()
         # One d_alpha profile memo shared by every sweep (keyed by query
         # instance + object id, so it stays valid across live sets).
@@ -410,21 +416,10 @@ class ShardedDatabase:
         """Object count per shard (placement-balance diagnostics)."""
         return [len(shard.db) for shard in self._shards]
 
-    def _fanout_pool(self) -> ThreadPoolExecutor:
-        with self._admin_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=len(self._shards),
-                    thread_name_prefix="shard-fanout",
-                )
-            return self._pool
-
     def _map_pool(self, shards: Sequence[_Shard], fn: Callable[[_Shard], T]) -> List[T]:
-        """Apply ``fn`` to each of ``shards``, in parallel when several."""
+        """Apply ``fn`` to each of ``shards`` in turn, on the calling thread."""
         self.metrics.increment(MetricsCollector.SHARD_FANOUTS, len(shards))
-        if len(shards) == 1:
-            return [fn(shards[0])]
-        return list(self._fanout_pool().map(fn, shards))
+        return [fn(shard) for shard in shards]
 
     def _owner_shard(self, object_id: int) -> _Shard:
         with self._admin_lock:
@@ -436,12 +431,17 @@ class ShardedDatabase:
     # ------------------------------------------------------------------
     # Failure-policy plumbing
     # ------------------------------------------------------------------
-    def _admit_shards(self) -> Tuple[List[_Shard], Dict[int, str]]:
-        """Split the shards into a live set and a breaker-shed set.
+    @contextmanager
+    def _admit_shards(self) -> Iterator[Tuple[List[_Shard], Dict[int, str]]]:
+        """Split the shards into a live set and a breaker-shed set, for one query.
 
         ``allow()`` is called exactly once per shard per query — it consumes
         half-open probe slots, so neither retry loops nor rerun passes may
-        call it again for the same query.
+        call it again for the same query.  On exit every admitted shard's
+        slot is given back: a query that ends before reaching a shard (a
+        deadline hit on an earlier one) records no outcome for it, and a
+        half-open breaker whose only slot stayed taken would shed that shard
+        forever.
         """
         live: List[_Shard] = []
         failed: Dict[int, str] = {}
@@ -452,7 +452,11 @@ class ShardedDatabase:
                 failed[shard.index] = "circuit breaker open"
         if failed:
             self.metrics.increment(MetricsCollector.BREAKER_SHED, len(failed))
-        return live, failed
+        try:
+            yield live, failed
+        finally:
+            for shard in live:
+                shard.breaker.release_probe()
 
     def _invoke_shard(
         self,
@@ -505,16 +509,11 @@ class ShardedDatabase:
         """Hold the given shards' read locks: ``with self._read_locked(live):``.
 
         The one place a query takes shard locks (the single-object point read
-        in :meth:`get_object` aside).  Always on the *calling* thread and in
-        ascending shard index — ``_admit_shards`` yields that order and
-        survivor sets keep it — so two queries can never hold-and-wait on
-        each other, and a callable handed to :meth:`_map_pool` never blocks
-        on a shard lock: the pool has one worker per shard, so a worker
-        parked behind a waiting writer (the lock is writer-preferring) while
-        another query's fan-out waits for the pool with its read locks held
-        would be a deadlock.  Per-shard workers therefore run lock-free
-        under the caller's locks, which also makes one fan-out — or one
-        whole coupled pass — a single snapshot of every covered shard.
+        in :meth:`get_object` aside): on the calling thread, in ascending
+        shard index — ``_admit_shards`` yields that order and survivor sets
+        keep it — so two queries can never hold-and-wait on each other, and
+        held for the whole fan-out or coupled pass, which makes it a single
+        snapshot of every covered shard.
         """
         stack = ExitStack()
         try:
@@ -534,33 +533,23 @@ class ShardedDatabase:
     ) -> Tuple[List[_Shard], List[T], Dict[int, str]]:
         """One fan-out under the caller's read locks; failures become outcomes.
 
-        Returns ``(answered shards, their values, {lost shard: reason})``.
-        The wrapper catches everything so the pool map always completes every
-        shard before the caller sees the split — the caller must not release
-        its read locks while a fan-out thread is still reading.  A deadline
-        hit on any shard is re-raised once that barrier has been crossed.
+        Returns ``(answered shards, their values, {lost shard: reason})``: a
+        lost shard is recorded and the remaining shards still run; a deadline
+        hit on any shard propagates at once.
         """
-
-        def guarded(shard: _Shard) -> Tuple[str, object]:
-            try:
-                return ("ok", self._invoke_shard(shard, op, fn, deadline=deadline))
-            except DeadlineExceededError as error:
-                return ("deadline", error)
-            except _ShardFailure as error:
-                return ("fail", error.reason)
-
-        outcomes = self._map_pool(shards, guarded)
         answered: List[_Shard] = []
         values: List[T] = []
         lost: Dict[int, str] = {}
-        for shard, (kind, value) in zip(shards, outcomes):
-            if kind == "deadline":
-                raise value
-            if kind == "ok":
-                answered.append(shard)
-                values.append(value)
+
+        def attempt(shard: _Shard) -> None:
+            try:
+                values.append(self._invoke_shard(shard, op, fn, deadline=deadline))
+            except _ShardFailure as error:
+                lost[shard.index] = error.reason
             else:
-                lost[shard.index] = value
+                answered.append(shard)
+
+        self._map_pool(shards, attempt)
         return answered, values, lost
 
     def _map_strict(
@@ -632,8 +621,8 @@ class ShardedDatabase:
         """Fast-fail a fail-closed bucket while breakers are still open.
 
         Uses the non-mutating ``shedding()`` check, so the bucket is shed in
-        well under a millisecond without touching the fan-out pool or
-        consuming half-open probe slots.  Returns ``None`` when any member
+        well under a millisecond without touching a shard or consuming
+        half-open probe slots.  Returns ``None`` when any member
         tolerates a partial answer (the bucket then runs normally and
         per-request finalization sorts the slots out).
         """
@@ -686,15 +675,15 @@ class ShardedDatabase:
         """
         if deadline is not None:
             deadline.check(f"{op} fan-out")
-        live, failed = self._admit_shards()
-        if not live:
-            raise self._unavailable(failed)
-        with self._read_locked(live):
-            answered, values, lost = self._map_outcomes(
-                live, op, worker, deadline=deadline
-            )
-            failed.update(lost)
-            coverage = self._coverage(answered, failed)
+        with self._admit_shards() as (live, failed):
+            if not live:
+                raise self._unavailable(failed)
+            with self._read_locked(live):
+                answered, values, lost = self._map_outcomes(
+                    live, op, worker, deadline=deadline
+                )
+                failed.update(lost)
+                coverage = self._coverage(answered, failed)
         if not answered:
             raise self._unavailable(failed)
         result = merge(values)
@@ -714,18 +703,18 @@ class ShardedDatabase:
         survivors: the partial answer is exactly what a fresh query against
         only those shards would return, with coverage naming the lost ones.
         """
-        live, failed = self._admit_shards()
-        while live:
-            try:
-                with self._read_locked(live):
-                    results = run_pass(live)
-                    coverage = self._coverage(live, failed)
-            except _FanoutFailure as failure:
-                live = self._drop_lost(live, failure, failed)
-                continue
-            for result in results:
-                result.coverage = coverage
-            return results
+        with self._admit_shards() as (live, failed):
+            while live:
+                try:
+                    with self._read_locked(live):
+                        results = run_pass(live)
+                        coverage = self._coverage(live, failed)
+                except _FanoutFailure as failure:
+                    live = self._drop_lost(live, failure, failed)
+                    continue
+                for result in results:
+                    result.coverage = coverage
+                return results
         raise self._unavailable(failed)
 
     def _answer_bucket(
@@ -787,7 +776,7 @@ class ShardedDatabase:
             for entry in shard.db.tree.leaf_entries():
                 reps.append(entry.summary.representative)
                 oids.append(entry.object_id)
-        if not reps or cKDTree is None:
+        if not reps:
             return None, np.empty(0, dtype=np.int64)
         tree = cKDTree(np.asarray(reps))
         oid_array = np.asarray(oids, dtype=np.int64)
@@ -811,8 +800,8 @@ class ShardedDatabase:
         Returns ``(tau, exact)`` — the radii plus the per-query exact
         distances already paid for, which seed the shard executors' memos so
         bootstrap nominees are never re-evaluated.  Returns ``None`` when no
-        usable radius can be computed (tiny database, scipy missing) —
-        shards then bootstrap locally.  The radii are only valid against the
+        usable radius can be computed (tiny database) — shards then
+        bootstrap locally.  The radii are only valid against the
         snapshot they were probed from, so the fan-out that consumes them
         must run inside the same :meth:`_coupled` pass (same read section).
         """
@@ -890,8 +879,8 @@ class ShardedDatabase:
 
         Grouping is identical to the unsharded engine
         (:meth:`FuzzyDatabase.execute_batch`); each per-bucket sub-batch runs
-        the sharded fast path (global bootstrap + parallel fan-out + global
-        merge) once for the whole bucket.
+        the sharded fast path (global bootstrap + fan-out + global merge)
+        once for the whole bucket.
         """
         return execute_plan(self, list(requests), rng=rng)
 
@@ -1138,9 +1127,9 @@ class ShardedDatabase:
         1. every covered shard exports its ``(n_s, d)`` Equation-2 box arrays
            from the leaf SoA views (one gather);
         2. each shard evaluates the all-pairs disqualification test for *its*
-           rows against the **global** box set in parallel — so candidate
-           sets are exactly as tight as the unsharded filter — and the
-           surviving candidates merge globally;
+           rows against the **global** box set — so candidate sets are
+           exactly as tight as the unsharded filter — and the surviving
+           candidates merge globally;
         3. every shard verifies the merged candidate list through its batch
            executor with the globally valid per-candidate radii
            (``d_alpha(A, Q)``, maximised over the bucket), and per-candidate
@@ -1391,11 +1380,7 @@ class ShardedDatabase:
             )
 
     def close(self) -> None:
-        """Shut the fan-out pool down and close every shard store."""
-        with self._admin_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Close every shard store."""
         for shard in self._shards:
             shard.db.close()
 
@@ -1420,9 +1405,7 @@ class ShardedDatabase:
         for neighbor in neighbors:
             if neighbor.distance is None:
                 obj = db.store.get(neighbor.object_id)
-                distance = alpha_distance(
-                    obj, query, alpha, use_kdtree=self.config.use_kdtree
-                )
+                distance = alpha_distance(obj, query, alpha)
                 neighbor = Neighbor(
                     object_id=neighbor.object_id,
                     distance=distance,

@@ -43,7 +43,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import RuntimeConfig
 from ..core.requests import AknnRequest, QueryRequest, RangeRequest
 from ..exceptions import EmptyAlphaCutError, InvalidQueryError
 from ..fuzzy.alpha_distance import alpha_distance_points
@@ -82,13 +81,10 @@ class Subscription:
         subscription_id: int,
         request: Union[AknnRequest, RangeRequest],
         listener: Optional[Callable[[ResultDelta], None]] = None,
-        *,
-        use_kdtree: bool = True,
     ) -> None:
         self.id = int(subscription_id)
         self.request = request
         self.listener = listener
-        self.use_kdtree = use_kdtree
         self.alpha = float(request.alpha)
         # The query alpha-cut is fixed for the subscription's lifetime;
         # materialise it (and its box) once.
@@ -126,7 +122,7 @@ class Subscription:
     def distance_of(self, obj: FuzzyObject) -> float:
         """Exact alpha-distance between the query and ``obj``."""
         cut = np.asarray(obj.alpha_cut(self.alpha), dtype=float)
-        return alpha_distance_points(cut, self.query_cut, use_kdtree=self.use_kdtree)
+        return alpha_distance_points(cut, self.query_cut)
 
     def ranked_members(self) -> List[Tuple[float, int]]:
         """Members ordered by ``(distance, object_id)`` — the merge order."""
@@ -165,11 +161,9 @@ class SubscriptionEngine:
     def __init__(
         self,
         engine,
-        config: Optional[RuntimeConfig] = None,
         metrics: Optional[MetricsCollector] = None,
     ) -> None:
         self.engine = engine
-        self.config = config or getattr(engine, "config", None) or RuntimeConfig()
         self.metrics = metrics if metrics is not None else getattr(engine, "metrics", None)
         self._subs: Dict[int, Subscription] = {}
         self._next_id = 0
@@ -199,12 +193,7 @@ class SubscriptionEngine:
                 f"{type(request).__name__}"
             )
         with self._lock:
-            sub = Subscription(
-                self._next_id,
-                request,
-                listener,
-                use_kdtree=self.config.use_kdtree,
-            )
+            sub = Subscription(self._next_id, request, listener)
             self._next_id += 1
             sub.members = self._execute_members(sub)
             self._subs[sub.id] = sub

@@ -49,6 +49,24 @@ class TestCorrectness:
         actual = sorted_exact_distances(cell_database, result, query, 0.6)
         np.testing.assert_allclose(actual, expected, atol=1e-9)
 
+    @pytest.mark.parametrize("method", AKNN_METHODS)
+    def test_near_one_membership_is_not_kernel(self, method):
+        """A point with membership in (1 - 1e-5, 1) is outside the 1.0-cut, so
+        it must not become rep(A): the Lemma 1 upper bound would drop below
+        the exact distance and lb_lp_ub would return A (d = 10) over B (d = 3)."""
+        from repro.core.database import FuzzyDatabase
+        from repro.fuzzy.fuzzy_object import FuzzyObject
+
+        a = FuzzyObject(np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([0.999995, 1.0]))
+        b = FuzzyObject.crisp(np.array([[3.0, 0.0], [3.0, 1.0]]))
+        c = FuzzyObject.crisp(np.array([[6.0, 0.0], [6.0, 1.0]]))
+        database = FuzzyDatabase.build([a, b, c])
+        query = FuzzyObject.single_point([0.0, 0.0])
+        truth = database.linear_scan().aknn(query, k=1, alpha=1.0)
+        result = database.execute(AknnRequest(query, k=1, alpha=1.0, method=method))
+        assert result.object_ids == truth.object_ids == [1]
+        database.close()
+
     def test_k_larger_than_dataset(self, dense_database, dense_queries):
         result = dense_database.execute(
             AknnRequest(dense_queries[0], k=10_000, alpha=0.5)

@@ -126,7 +126,6 @@ class TestBatchCommand:
         args = build_parser().parse_args(["batch"])
         assert args.n_queries == 64
         assert args.method == "lb_lp_ub"
-        assert args.workers is None
         assert not args.stats
 
     def test_batch_on_generated_database(self, capsys):

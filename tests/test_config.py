@@ -1,5 +1,7 @@
 """Unit tests for configuration objects."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import DEFAULTS, PaperDefaults, RuntimeConfig
@@ -48,6 +50,12 @@ class TestRuntimeConfig:
     def test_validate_returns_self(self):
         config = RuntimeConfig()
         assert config.validate() is config
+
+    def test_field_count_does_not_grow(self):
+        """ROADMAP house rule: a new knob needs two callers that disagree."""
+        names = {field.name for field in dataclasses.fields(RuntimeConfig)}
+        assert len(names) == 23
+        assert not names & {"batch_workers", "use_kdtree", "extra"}
 
 
 class TestExceptions:

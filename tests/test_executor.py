@@ -4,8 +4,8 @@ The load-bearing property is *parity*: a bucket of ``AknnRequest``s sharing
 ``(k, alpha, method)`` — answered by one shared traversal — must return
 exactly the same neighbour sets as executing each request on its own (the
 single-query searcher), for every AKNN method variant, with exact distances.
-The executor's own telemetry (:class:`BatchResult` stats, ``workers``) is
-asserted on :class:`BatchQueryExecutor` directly.
+The executor's own telemetry (:class:`BatchResult` stats) is asserted on
+:class:`BatchQueryExecutor` directly.
 """
 
 import numpy as np
@@ -81,12 +81,6 @@ class TestBatchParity:
         for query, result in zip(queries, batch):
             truth = database.linear_scan().aknn(query, k=6, alpha=0.6)
             assert set(result.object_ids) == set(truth.object_ids)
-
-    def test_workers_do_not_change_results(self, executor, queries):
-        serial = executor.aknn_batch(queries, k=5, alpha=0.5, workers=0)
-        threaded = executor.aknn_batch(queries, k=5, alpha=0.5, workers=4)
-        for a, b in zip(serial.results, threaded.results):
-            assert a.object_ids == b.object_ids
 
     def test_repeated_batches_are_stable(self, bundle, queries):
         """The cached representative index must not drift across calls."""

@@ -217,6 +217,23 @@ class TestCircuitBreaker:
         assert breaker.state is BreakerState.CLOSED
         assert breaker.allow()
 
+    def test_released_probe_slot_can_be_taken_again(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_ms=100, clock=clock.now
+        )
+        breaker.release_probe()  # closed: nothing to give back
+        assert breaker.allow()
+        breaker.record_failure()
+        clock.advance(0.2)
+        assert breaker.allow() and not breaker.allow()
+        breaker.release_probe()  # the admitted call was never issued
+        assert breaker.state is BreakerState.HALF_OPEN
+        assert breaker.allow() and not breaker.allow()
+        breaker.record_success()
+        breaker.release_probe()  # an outcome was recorded: no-op
+        assert breaker.state is BreakerState.CLOSED
+
     def test_half_open_probe_failure_reopens_for_full_cooloff(self):
         clock = FakeClock()
         breaker = CircuitBreaker(
@@ -496,6 +513,71 @@ class TestDeadlines:
         finally:
             sharded.close()
 
+    def test_deadline_stops_the_fanout_at_the_shard_that_hit_it(
+        self, objects, queries
+    ):
+        """A query runs on the thread that asked for it, one shard after the
+        other: once shard 0's worker finds the bucket's deadline expired, the
+        error propagates at once and shard 1 is never called."""
+        sharded = ShardedDatabase.build(
+            list(objects), n_shards=2, placement="hash", config=chaos_config()
+        )
+        try:
+            plan = FaultPlan.parse(
+                "shard=0,op=aknn_batch,kind=delay,delay_ms=120;"
+                "shard=1,op=aknn_batch,kind=delay,delay_ms=0"
+            )
+            sharded.fault_plan = plan
+            requests = [
+                AknnRequest(q, k=3, alpha=0.5, deadline_ms=40.0) for q in queries[:2]
+            ]
+            with pytest.raises(DeadlineExceededError):
+                sharded.execute_batch(requests)
+            assert plan.fired == [1, 0]
+        finally:
+            sharded.close()
+
+    def test_deadline_gives_back_the_probe_of_a_shard_it_never_reached(
+        self, objects, queries
+    ):
+        """Shard 1 is half-open (its probe slot taken at admission) when shard
+        0 blows the deadline, so shard 1's probe is never issued.  The slot
+        must come back: the next query probes shard 1 and closes its breaker
+        instead of answering from shard 0 forever."""
+        sharded = ShardedDatabase.build(
+            list(objects), n_shards=2, placement="hash",
+            config=chaos_config(
+                shard_retry_attempts=1,
+                breaker_failure_threshold=1,
+                breaker_reset_timeout_ms=50.0,
+            ),
+        )
+        request = AknnRequest(queries[0], k=3, alpha=0.5)
+        try:
+            sharded.fault_plan = FaultPlan.parse("shard=1,kind=raise")
+            assert sharded.execute(request).coverage.answered == (0,)
+            breaker = sharded._shards[1].breaker
+            assert breaker.state is BreakerState.OPEN
+            time.sleep(0.08)  # cool-off elapsed: the next allow() is the probe
+
+            sharded.fault_plan = FaultPlan.parse(
+                "shard=0,op=aknn_batch,kind=delay,delay_ms=120"
+            )
+            with pytest.raises(DeadlineExceededError):
+                sharded.execute_batch(
+                    [
+                        AknnRequest(q, k=3, alpha=0.5, deadline_ms=40.0)
+                        for q in queries[:2]
+                    ]
+                )
+            assert breaker.state is BreakerState.HALF_OPEN
+
+            sharded.fault_plan = None
+            assert sharded.execute(request).coverage.answered == (0, 1)
+            assert breaker.state is BreakerState.CLOSED
+        finally:
+            sharded.close()
+
     def test_expired_in_queue_is_withdrawn(self, sharded, queries, monkeypatch):
         real_execute_plan = query_service_module.execute_plan
 
@@ -637,17 +719,18 @@ class TestChurn:
             sharded.close()
         assert not errors, f"churn leaked unexpected errors: {errors!r}"
 
-    def test_parked_writers_cannot_wedge_the_fanout_pool(self, objects, queries):
-        """The churn hang above, without the scheduling luck.
+    def test_parked_writers_held_pass_and_isolated_queries_all_drain(
+        self, objects, queries
+    ):
+        """The churn above, without the scheduling luck.
 
-        A coupled pass is held open inside its first fan-out (both pool
-        workers sit in an injected delay while the pass holds both read
-        locks), a delete parks behind it on each shard, then two isolated
-        queries arrive.  If their per-shard tasks took the shard read lock on
-        the pool threads they would queue behind the parked writers, occupy
-        both workers, and the coupled pass's next fan-out could never be
-        scheduled — a deadlock.  Read locks are taken on the calling thread
-        only, so everything drains.
+        A coupled pass is held open inside its first fan-out (an injected
+        delay per shard while the pass holds both read locks), a delete parks
+        behind it on each shard, then two isolated queries arrive and queue
+        behind the parked writers (the lock is writer-preferring).  Every
+        query takes its read locks in ascending shard index and nothing else
+        waits while holding one, so the pass finishes, the writers run, the
+        isolated queries follow — all five threads drain.
         """
         sharded = ShardedDatabase.build(
             list(objects), n_shards=2, placement="hash", config=chaos_config()
@@ -689,10 +772,9 @@ class TestChurn:
             thread.join(timeout=max(0.0, give_up - time.monotonic()))
         stuck = [thread for thread in threads if thread.is_alive()]
         if stuck:
-            # Red, not hung: pool workers are not daemon threads, so a
-            # deadlock left in place would also hang interpreter exit.  Drop
-            # the coupled pass's read holds so the parked writers — and with
-            # them everything else — drain (this database is discarded).
+            # Red, not hung: drop the coupled pass's read holds so the parked
+            # writers — and with them everything else — drain (this database
+            # is discarded).
             for shard in sharded._shards:
                 with shard.lock._condition:
                     shard.lock._active_readers = 0

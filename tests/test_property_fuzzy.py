@@ -10,7 +10,7 @@ These check the invariants of DESIGN.md on randomly generated fuzzy objects:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fuzzy.alpha_distance import alpha_distance, distance_profile
 from repro.fuzzy.fuzzy_object import FuzzyObject
@@ -124,6 +124,16 @@ class TestBoundProperties:
         assert np.all(approx.upper >= true.upper - 1e-7)
 
     @given(a=fuzzy_objects(), q=fuzzy_objects(), alpha=alphas)
+    # Shrunk from a hypothesis failure: a membership in (1 - 1e-5, 1) once
+    # counted as kernel, so rep(A) sat outside the 1.0-cut and the Lemma 1
+    # upper bound (0) fell below the exact distance (10).
+    @example(
+        a=FuzzyObject(
+            np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([0.999995, 1.0]), object_id=0
+        ),
+        q=FuzzyObject.single_point([0.0, 0.0], object_id=0),
+        alpha=1.0,
+    )
     @settings(**SETTINGS)
     def test_prepared_query_bounds(self, a, q, alpha):
         from repro.core.query import PreparedQuery

@@ -7,6 +7,8 @@ objects, for every placement policy, shard count and query type — including
 after a mixed insert/delete workload applied to both sides.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from repro.exceptions import (
     InvalidQueryError,
     ObjectNotFoundError,
 )
-from repro.service import ShardedDatabase
+from repro.service import QueryService, ShardedDatabase
 from repro.service.placement import HashPlacement, SpacePlacement, make_placement
 
 from tests.conftest import assert_same_assignments, make_fuzzy_object
@@ -361,3 +363,45 @@ class TestTelemetry:
             assert one.coverage.answered == (0, 1, 2)
             assert one.stats.aknn_calls == 1
         sharded.close()
+
+
+class TestOneThreadPerQuery:
+    """A query runs on the thread that asked for it: the only thread the
+    library starts is the service's flusher."""
+
+    @staticmethod
+    def mixed_batch(queries):
+        return [
+            AknnRequest(queries[0], k=4, alpha=0.5),
+            AknnRequest(queries[1], k=4, alpha=0.5),
+            RangeRequest(queries[2], alpha=0.5, radius=2.5),
+            SweepRequest(queries[3], k=3, alpha_range=(0.4, 0.6)),
+            ReverseRequest(queries[0], k=3, alpha=0.5),
+        ]
+
+    @pytest.mark.parametrize("n_shards", (2, 4))
+    def test_execute_batch_starts_no_thread(self, objects, config, queries, n_shards):
+        sharded = build_sharded(objects, config, n_shards, "hash")
+        before = set(threading.enumerate())
+        try:
+            results = sharded.execute_batch(self.mixed_batch(queries))
+            assert all(result.coverage.complete for result in results)
+            assert set(threading.enumerate()) <= before
+        finally:
+            sharded.close()
+
+    def test_service_round_trip_adds_only_the_flusher(self, objects, config, queries):
+        sharded = build_sharded(objects, config, 4, "hash")
+        before = set(threading.enumerate())
+        try:
+            with QueryService(sharded, window_ms=1.0) as service:
+                futures = [
+                    service.submit_request(request)
+                    for request in self.mixed_batch(queries)
+                ]
+                for future in futures:
+                    assert future.result(timeout=30.0).coverage.complete
+                gained = [t.name for t in set(threading.enumerate()) - before]
+            assert gained == ["query-service-flusher"]
+        finally:
+            sharded.close()
