@@ -19,9 +19,13 @@ DEFAULT_UPPER_BOUND_SAMPLES = 8
 DEFAULT_RTREE_MAX_ENTRIES = 32
 DEFAULT_RTREE_MIN_FILL = 0.4
 
-# Number of points above which the closest-pair kernel switches from the
-# vectorised brute-force path to a KD-tree based path.
-KDTREE_CROSSOVER_POINTS = 256
+# Size of the smaller point set from which the closest-pair kernel switches
+# from the brute-force path to the KD-tree path.  Set from the table of
+# benchmarks/bench_ablation_closest_pair.py: brute force is 1.4x faster at
+# 160 x 160, even at 200 x 200 and 1.1-1.3x slower at 255 x 255.  The rule is
+# on the smaller set because the rectangular rows agree with it: brute force
+# is 1.6x faster at 30 x 800, the tree 2.6x faster at 255 x 800.
+KDTREE_CROSSOVER_POINTS = 192
 
 # Number of per-threshold Equation-2 reconstructions each leaf node's SoA view
 # memoises.  Repeated queries at the same alpha (and every query of a batch)

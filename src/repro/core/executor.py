@@ -49,6 +49,7 @@ from repro.core.query import PreparedQuery
 from repro.core.results import AKNNResult, BatchResult, Neighbor, QueryStats
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import CUT_CACHE_STATS, FuzzyObject
+from repro.geometry.distance import pairwise_sq_blocks
 from repro.index.rtree import RTree
 from repro.index.soa import min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
@@ -58,10 +59,6 @@ from repro.storage.object_store import ObjectStore
 # Relative + absolute slack when comparing a lower bound against a pruning
 # radius, absorbing the tiny float drift between vectorized and scalar paths.
 _PRUNE_SLACK = 1e-9
-
-# Element budget of one (m, chunk, d) difference block in the vectorized
-# probe kernel; bounds peak memory at a few megabytes.
-_PROBE_BLOCK_ELEMENTS = 262_144
 
 # Extra bootstrap candidates probed beyond k; a slightly larger pool gives a
 # tighter starting radius for near-tie configurations at negligible cost.
@@ -79,28 +76,18 @@ def _exact_min_distances(
     """Exact alpha-distances from one query cut to each candidate cut.
 
     Evaluates the closest-pair distance of ``query_cut`` against every cut in
-    ``cuts`` with one chunked distance matrix over the concatenated candidate
-    points, reduced per candidate via ``minimum.reduceat``.  The direct
-    ``(a - b)^2`` formula is used (not the dot-product expansion), so
-    coincident points come out as exactly zero.
+    ``cuts`` with one blocked pass of the pairwise kernel over the
+    concatenated candidate points, reduced per candidate via
+    ``minimum.reduceat``.
     """
     sizes = [cut.shape[0] for cut in cuts]
     points = np.concatenate(cuts, axis=0)
     starts = np.zeros(len(cuts), dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
-    total = points.shape[0]
-    m, d = query_cut.shape
-    col_min = np.empty(total)
-    chunk = max(1, _PROBE_BLOCK_ELEMENTS // max(1, m))
-    for start in range(0, total, chunk):
-        block = points[start : start + chunk]
-        # Per-dimension accumulation keeps the largest temporary at (m, c)
-        # instead of (m, c, d).
-        sq = np.square(query_cut[:, None, 0] - block[None, :, 0])
-        for dim in range(1, d):
-            sq += np.square(query_cut[:, None, dim] - block[None, :, dim])
-        col_min[start : start + chunk] = sq.min(axis=0)
-    return np.sqrt(np.minimum.reduceat(col_min, starts))
+    nearest = np.full(points.shape[0], np.inf)
+    for _, sq in pairwise_sq_blocks(query_cut, points):
+        np.minimum(nearest, sq.min(axis=0), out=nearest)
+    return np.sqrt(np.minimum.reduceat(nearest, starts))
 
 
 class BatchQueryExecutor:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.exceptions import EmptyAlphaCutError, InvalidFuzzyObjectError
 from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
 from repro.fuzzy.profile import DistanceProfile
-from repro.geometry.distance import closest_pair_distance
+from repro.geometry.distance import closest_pair_distance, pairwise_sq_blocks
 from repro.storage.cache import LRUCache
 
 
@@ -79,23 +79,31 @@ def distance_profile(
             levels = np.append(levels, above[0])
 
     # Sort both objects by decreasing membership once; every alpha-cut is then
-    # a prefix of the sorted arrays, so the sweep reuses the same buffers.
-    order_a = np.argsort(-obj_a.memberships, kind="stable")
-    order_b = np.argsort(-obj_b.memberships, kind="stable")
-    pts_a = obj_a.points[order_a]
-    mus_a = obj_a.memberships[order_a]
-    pts_b = obj_b.points[order_b]
-    mus_b = obj_b.memberships[order_b]
+    # a prefix of the sorted arrays, so d(level) is the minimum of the leading
+    # (count_a, count_b) corner of one pairwise matrix D: the 2-D running
+    # minimum of D read at (count_a - 1, count_b - 1).
+    pts_a = obj_a.points[np.argsort(-obj_a.memberships, kind="stable")]
+    pts_b = obj_b.points[np.argsort(-obj_b.memberships, kind="stable")]
+    thresholds = levels - MEMBERSHIP_ATOL
+    count_a = pts_a.shape[0] - np.searchsorted(np.sort(obj_a.memberships), thresholds)
+    count_b = pts_b.shape[0] - np.searchsorted(np.sort(obj_b.memberships), thresholds)
+    # An empty cut on either side puts the level's row at -1: never read, so inf.
+    rows = np.where(count_b > 0, count_a, 0) - 1
+    cols = count_b - 1
 
-    distances = np.empty(levels.size, dtype=float)
-    for i, level in enumerate(levels):
-        count_a = int(np.count_nonzero(mus_a >= level - MEMBERSHIP_ATOL))
-        count_b = int(np.count_nonzero(mus_b >= level - MEMBERSHIP_ATOL))
-        if count_a == 0 or count_b == 0:
-            distances[i] = np.inf
-            continue
-        distances[i] = closest_pair_distance(pts_a[:count_a], pts_b[:count_b])
-    return DistanceProfile(levels, distances)
+    # D is taken row block by row block and never held whole: the column-wise
+    # minimum of the rows above is carried into each block, and only the cells
+    # of the levels whose corner ends inside the block are read.
+    sq = np.full(levels.size, np.inf)
+    carry = np.full(pts_b.shape[0], np.inf)
+    for start, block in pairwise_sq_blocks(pts_a, pts_b):
+        np.minimum(block[0], carry, out=block[0])
+        np.minimum.accumulate(block, axis=0, out=block)
+        carry[:] = block[-1]
+        np.minimum.accumulate(block, axis=1, out=block)
+        here = (rows >= start) & (rows < start + block.shape[0])
+        sq[here] = block[rows[here] - start, cols[here]]
+    return DistanceProfile(levels, np.sqrt(sq))
 
 
 class DistanceProfileStore:

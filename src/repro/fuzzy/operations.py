@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.exceptions import InvalidFuzzyObjectError
 from repro.fuzzy.fuzzy_object import FuzzyObject
-from repro.geometry.distance import closest_pair_distance
+from repro.geometry.distance import closest_pair_distance, pairwise_sq_blocks
 
 # Coordinates are matched exactly after rounding to this many decimals, which
 # absorbs representation noise without conflating distinct pixels.
@@ -149,8 +149,7 @@ def diameter(obj: FuzzyObject, alpha: float = 0.0) -> float:
     cut = obj.support() if alpha <= 0.0 else obj.alpha_cut(alpha)
     if cut.shape[0] == 1:
         return 0.0
-    diffs = cut[:, None, :] - cut[None, :, :]
-    return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diffs, diffs))))
+    return float(np.sqrt(max(sq.max() for _, sq in pairwise_sq_blocks(cut, cut))))
 
 
 def overlap_degree(a: FuzzyObject, b: FuzzyObject) -> float:

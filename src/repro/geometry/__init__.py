@@ -5,9 +5,9 @@ This package is a small, self-contained computational-geometry substrate:
 * :class:`~repro.geometry.mbr.MBR` — d-dimensional minimum bounding
   rectangles with the ``MinDist`` / ``MaxDist`` metrics of Equations (1) and
   (3) of the paper.
-* :mod:`~repro.geometry.distance` — point-set distance kernels (closest pair
-  between two point clouds, point-to-set distances) with a vectorised
-  brute-force path and a KD-tree accelerated path.
+* :mod:`~repro.geometry.distance` — point-set distance kernels: the one
+  blocked pairwise squared-distance kernel, and the closest pair between two
+  point clouds as a brute-force argmin over it or a KD-tree query.
 * :mod:`~repro.geometry.convexhull` — Andrew's monotone chain convex hull and
   the upper convex hull used when fitting the optimal conservative line of
   Definition 6.
@@ -17,6 +17,7 @@ from repro.geometry.mbr import MBR, min_dist, max_dist
 from repro.geometry.distance import (
     closest_pair_distance,
     closest_pair,
+    pairwise_sq_blocks,
     point_to_set_distance,
     set_to_set_distances,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "max_dist",
     "closest_pair_distance",
     "closest_pair",
+    "pairwise_sq_blocks",
     "point_to_set_distance",
     "set_to_set_distances",
     "convex_hull",

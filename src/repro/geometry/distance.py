@@ -4,7 +4,10 @@ Evaluating the alpha-distance of Definition 3 reduces to the *closest pair*
 problem between two finite point sets (the two alpha-cuts).  The kernels in
 this module provide:
 
-* a vectorised brute-force path (exact, O(n*m) but with small constants), and
+* :func:`pairwise_sq_blocks`, the one place a pairwise squared distance is
+  formed (blocked, per dimension, direct ``(a - b)^2`` — exactly zero on
+  coincident points), which every exact distance in the library reduces,
+* a brute-force closest pair that is an argmin over those blocks, and
 * a KD-tree accelerated path built on :class:`scipy.spatial.cKDTree`, used when
   both sets are large enough for the tree construction cost to pay off.
 
@@ -14,7 +17,7 @@ decision controlled by :data:`repro.config.KDTREE_CROSSOVER_POINTS`.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -22,9 +25,10 @@ from scipy.spatial import cKDTree
 
 from repro.config import KDTREE_CROSSOVER_POINTS
 
-# Number of rows processed per chunk by the brute-force kernel; bounds the
-# size of the intermediate (chunk, m) distance matrix.
-_BRUTE_FORCE_CHUNK = 2048
+# Element budget of one (rows, m) squared-distance plane: 256 KB of doubles,
+# so the plane and its scratch stay cache-resident across the d passes made
+# over them (twice this is measurably slower at 255 x 255).
+_PLANE_ELEMENTS = 32_768
 
 
 def _as_points(points: np.ndarray, name: str) -> np.ndarray:
@@ -36,14 +40,43 @@ def _as_points(points: np.ndarray, name: str) -> np.ndarray:
     return pts
 
 
+def pairwise_sq_blocks(
+    points_a: np.ndarray, points_b: np.ndarray
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Squared distances between ``(n, d)`` and ``(m, d)`` points, by row block.
+
+    Yields ``(start, sq)`` with ``sq[r, j] = |a[start + r] - b[j]|^2``, formed
+    per dimension as ``(a - b)^2`` on ``(rows, m)`` planes: no ``(rows, m, d)``
+    temporary, and coincident points come out as exactly ``0.0``.  The plane
+    is a scratch buffer the next block overwrites, so reduce (or copy) it
+    before advancing.  ``points_b`` must be non-empty.
+    """
+    n, d = points_a.shape
+    m = points_b.shape[0]
+    columns = np.ascontiguousarray(points_b.T)
+    rows = max(1, _PLANE_ELEMENTS // m)
+    plane = np.empty((min(rows, n), m))
+    scratch = np.empty_like(plane)
+    for start in range(0, n, rows):
+        chunk = points_a[start : start + rows]
+        sq = plane[: chunk.shape[0]]
+        np.subtract(chunk[:, 0, None], columns[0], out=sq)
+        np.square(sq, out=sq)
+        for dim in range(1, d):
+            term = scratch[: chunk.shape[0]]
+            np.subtract(chunk[:, dim, None], columns[dim], out=term)
+            np.square(term, out=term)
+            sq += term
+        yield start, sq
+
+
 def point_to_set_distance(point: np.ndarray, points: np.ndarray) -> float:
     """Smallest Euclidean distance from ``point`` to any point in ``points``."""
     pts = _as_points(points, "points")
     pt = np.asarray(point, dtype=float).reshape(1, -1)
     if pt.shape[1] != pts.shape[1]:
         raise ValueError("point dimensionality does not match the point set")
-    diffs = pts - pt
-    return float(np.sqrt(np.min(np.einsum("ij,ij->i", diffs, diffs))))
+    return _closest_pair_brute(pt, pts)[0]
 
 
 def set_to_set_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
@@ -57,41 +90,22 @@ def set_to_set_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarr
     b = _as_points(points_b, "points_b")
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets must have the same dimensionality")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    matrix = np.empty((a.shape[0], b.shape[0]))
+    for start, sq in pairwise_sq_blocks(a, b):
+        np.sqrt(sq, out=matrix[start : start + sq.shape[0]])
+    return matrix
 
 
 def _closest_pair_brute(points_a: np.ndarray, points_b: np.ndarray) -> Tuple[float, int, int]:
-    """Exact closest pair by chunked vectorised scanning."""
+    """Exact closest pair: the first (row-major) argmin over the kernel's blocks."""
     best = np.inf
     best_i = best_j = 0
-    b_sq = np.einsum("ij,ij->i", points_b, points_b)
-    eps = float(np.finfo(float).eps)
-    for start in range(0, points_a.shape[0], _BRUTE_FORCE_CHUNK):
-        chunk = points_a[start : start + _BRUTE_FORCE_CHUNK]
-        a_sq = np.einsum("ij,ij->i", chunk, chunk)
-        # squared distances via the expansion |a-b|^2 = |a|^2 + |b|^2 - 2 a.b
-        sq = a_sq[:, None] + b_sq[None, :] - 2.0 * chunk @ points_b.T
-        np.maximum(sq, 0.0, out=sq)
-        # The expansion cancels catastrophically near zero (coincident points
-        # come out as ~1e-13 instead of 0), so every near-minimal candidate is
-        # re-evaluated with the direct formula, which is exact at zero and
-        # keeps parity with the KD-tree path.  Tie-heavy inputs (many
-        # coincident pairs) can make the candidate set large, so the
-        # re-evaluation is itself chunked to keep memory bounded.
-        chunk_min = float(sq.min())
-        slack = 16.0 * eps * (float(a_sq.max(initial=0.0)) + float(b_sq.max(initial=0.0)))
-        cand_i, cand_j = np.nonzero(sq <= chunk_min + slack)
-        for cand_start in range(0, cand_i.shape[0], _BRUTE_FORCE_CHUNK):
-            sel_i = cand_i[cand_start : cand_start + _BRUTE_FORCE_CHUNK]
-            sel_j = cand_j[cand_start : cand_start + _BRUTE_FORCE_CHUNK]
-            diffs = chunk[sel_i] - points_b[sel_j]
-            exact_sq = np.einsum("ij,ij->i", diffs, diffs)
-            pos = int(np.argmin(exact_sq))
-            if exact_sq[pos] < best:
-                best = float(exact_sq[pos])
-                best_i = start + int(sel_i[pos])
-                best_j = int(sel_j[pos])
+    m = points_b.shape[0]
+    for start, sq in pairwise_sq_blocks(points_a, points_b):
+        i, j = divmod(int(sq.argmin()), m)
+        if sq[i, j] < best:
+            best = float(sq[i, j])
+            best_i, best_j = start + i, j
     return float(np.sqrt(best)), best_i, best_j
 
 

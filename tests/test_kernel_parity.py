@@ -1,0 +1,499 @@
+"""Reference parity and adversarial numerics for the exact-distance kernels.
+
+PR 18 replaced three places an exact quantity was recomputed: the closest-pair
+brute force (dot-product expansion + cancellation repair) became an argmin
+over one blocked direct-formula pairwise kernel, ``distance_profile`` (one
+closest-pair solve per membership level) became a 2-D running minimum over
+that kernel's blocks, and the box-pair bounds (``(..., n, d)`` + trailing-axis
+``einsum``) became per-dimension planes.  The formulas they replaced live on
+*here*, as references: every rewritten kernel must equal its predecessor bit
+for bit at d = 2 (and d = 1) and within 2 ulp at d = 3, on generated inputs
+that aim at what the old code needed special handling for — coincident and
+duplicated points, ties, coordinates offset by 1e8, zero-extent boxes,
+membership levels closer than ``MEMBERSHIP_ATOL``, empty cuts, and inputs
+that span several kernel blocks.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.config import KDTREE_CROSSOVER_POINTS
+from repro.core.executor import _exact_min_distances
+from repro.exceptions import EmptyAlphaCutError
+from repro.fuzzy.alpha_distance import alpha_distance, distance_profile
+from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
+from repro.fuzzy.operations import diameter
+from repro.geometry import distance as distance_module
+from repro.geometry.distance import (
+    _closest_pair_brute,
+    closest_pair,
+    pairwise_sq_blocks,
+    point_to_set_distance,
+    set_to_set_distances,
+)
+from repro.index import soa as soa_module
+from repro.index.soa import (
+    certainly_closer_counts,
+    max_dist_to_boxes,
+    min_dist_to_boxes,
+    rep_to_samples_distances,
+)
+
+SETTINGS = dict(max_examples=60, deadline=None)
+DIMENSIONS = st.sampled_from([1, 2, 3])
+
+
+# ----------------------------------------------------------------------
+# The parent's formulas (commit 43e82b1), kept verbatim as references
+# ----------------------------------------------------------------------
+def reference_pairwise(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def reference_closest_pair(points_a, points_b, chunk_rows=2048):
+    """Dot-product expansion, then a direct re-evaluation of every candidate
+    within ``16 eps (max|a|^2 + max|b|^2)`` of the chunk minimum."""
+    best = np.inf
+    best_i = best_j = 0
+    b_sq = np.einsum("ij,ij->i", points_b, points_b)
+    eps = float(np.finfo(float).eps)
+    for start in range(0, points_a.shape[0], chunk_rows):
+        chunk = points_a[start : start + chunk_rows]
+        a_sq = np.einsum("ij,ij->i", chunk, chunk)
+        sq = a_sq[:, None] + b_sq[None, :] - 2.0 * chunk @ points_b.T
+        np.maximum(sq, 0.0, out=sq)
+        chunk_min = float(sq.min())
+        slack = 16.0 * eps * (float(a_sq.max(initial=0.0)) + float(b_sq.max(initial=0.0)))
+        cand_i, cand_j = np.nonzero(sq <= chunk_min + slack)
+        diffs = chunk[cand_i] - points_b[cand_j]
+        exact_sq = np.einsum("ij,ij->i", diffs, diffs)
+        pos = int(np.argmin(exact_sq))
+        if exact_sq[pos] < best:
+            best = float(exact_sq[pos])
+            best_i = start + int(cand_i[pos])
+            best_j = int(cand_j[pos])
+    return float(np.sqrt(best)), best_i, best_j
+
+
+def reference_profile(obj_a, obj_b, max_level=None):
+    """One fresh closest-pair solve per membership level."""
+    levels = np.union1d(obj_a.distinct_memberships(), obj_b.distinct_memberships())
+    if levels[-1] < 1.0 - MEMBERSHIP_ATOL:
+        levels = np.append(levels, 1.0)
+    if max_level is not None:
+        keep = levels <= max_level + MEMBERSHIP_ATOL
+        above = levels[levels > max_level + MEMBERSHIP_ATOL]
+        levels = levels[keep]
+        if above.size:
+            levels = np.append(levels, above[0])
+    distances = np.empty(levels.size)
+    for i, level in enumerate(levels):
+        cut_a = obj_a.points[obj_a.memberships >= level - MEMBERSHIP_ATOL]
+        cut_b = obj_b.points[obj_b.memberships >= level - MEMBERSHIP_ATOL]
+        if cut_a.shape[0] == 0 or cut_b.shape[0] == 0:
+            distances[i] = np.inf
+        else:
+            distances[i] = reference_closest_pair(cut_a, cut_b)[0]
+    return levels, distances
+
+
+def reference_min_dist(query_lower, query_upper, lower, upper):
+    gap = np.maximum(
+        0.0,
+        np.maximum(lower - query_upper[..., None, :], query_lower[..., None, :] - upper),
+    )
+    return np.sqrt(np.einsum("...nd,...nd->...n", gap, gap))
+
+
+def reference_max_dist(query_lower, query_upper, lower, upper):
+    span = np.maximum(
+        np.abs(upper - query_lower[..., None, :]),
+        np.abs(lower - query_upper[..., None, :]),
+    )
+    return np.sqrt(np.einsum("...nd,...nd->...n", span, span))
+
+
+def assert_parity(actual, expected, dimensions):
+    """Bit-equal up to d = 2 (a two-term sum has one rounding order); within
+    2 ulp at d = 3, where ``einsum`` and the kernel may associate differently."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    if dimensions <= 2:
+        np.testing.assert_array_equal(actual, expected)
+        return
+    finite = np.isfinite(expected)
+    np.testing.assert_array_equal(actual[~finite], expected[~finite])
+    ulps = np.abs(actual[finite] - expected[finite]) / np.spacing(np.abs(expected[finite]))
+    assert np.all(ulps <= 2.0), ulps.max()
+
+
+def small_planes(elements):
+    """Shrink the pairwise kernel's plane so small inputs span many blocks."""
+    return mock.patch.object(distance_module, "_PLANE_ELEMENTS", elements)
+
+
+# ----------------------------------------------------------------------
+# Generators
+# ----------------------------------------------------------------------
+# Mostly a coarse grid (coincident points, exact ties, duplicated rows), some
+# arbitrary floats; optionally shifted to 1e8, where the dot-product expansion
+# loses every digit of a unit-scale distance.
+COORDINATE = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+OFFSET = st.sampled_from([0.0, 0.0, 1e8])
+PLANE = st.sampled_from([1, 5, 32_768])
+
+
+@st.composite
+def point_sets(draw, dimensions, count=None):
+    n = draw(st.integers(1, 12)) if count is None else count
+    flat = draw(st.lists(COORDINATE, min_size=n * dimensions, max_size=n * dimensions))
+    points = np.asarray(flat, dtype=float).reshape(n, dimensions)
+    for _ in range(draw(st.integers(0, 2))):  # duplicated points
+        points[draw(st.integers(0, n - 1))] = points[draw(st.integers(0, n - 1))]
+    return points + draw(OFFSET)
+
+
+# Shared levels, pairs of levels 1e-13 apart (inside MEMBERSHIP_ATOL) and
+# arbitrary values.
+MEMBERSHIP = st.one_of(
+    st.sampled_from([0.2, 0.2 + 1e-13, 0.5, 0.5 - 1e-13, 0.8, 1.0, 1.0 - 1e-13]),
+    st.floats(0.01, 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def fuzzy_pairs(draw, require_kernel):
+    dimensions = draw(DIMENSIONS)
+    objects = []
+    for _ in range(2):
+        points = draw(point_sets(dimensions))
+        n = points.shape[0]
+        mus = np.asarray(draw(st.lists(MEMBERSHIP, min_size=n, max_size=n)))
+        if require_kernel:
+            mus[draw(st.integers(0, n - 1))] = 1.0
+        objects.append(FuzzyObject(points, mus, require_kernel=require_kernel))
+    return objects[0], objects[1]
+
+
+@st.composite
+def box_sets(draw, dimensions, count):
+    lower = draw(point_sets(dimensions, count))
+    extent = np.asarray(
+        draw(
+            st.lists(
+                st.sampled_from([0.0, 0.0, 0.5, 1.0, 7.25]),  # zero-extent sides
+                min_size=count * dimensions,
+                max_size=count * dimensions,
+            )
+        )
+    ).reshape(count, dimensions)
+    return lower, lower + extent
+
+
+# ----------------------------------------------------------------------
+# The pairwise kernel and what reduces it
+# ----------------------------------------------------------------------
+class TestPairwiseKernel:
+    @given(data=st.data(), dimensions=DIMENSIONS, plane=PLANE)
+    @settings(**SETTINGS)
+    def test_blocks_tile_the_reference_matrix(self, data, dimensions, plane):
+        a = data.draw(point_sets(dimensions))
+        b = data.draw(point_sets(dimensions))
+        matrix = np.full((a.shape[0], b.shape[0]), np.nan)
+        next_start = 0
+        with small_planes(plane):
+            for start, sq in pairwise_sq_blocks(a, b):
+                assert start == next_start and sq.shape[1] == b.shape[0]
+                assert sq.size <= max(plane, b.shape[0])
+                matrix[start : start + sq.shape[0]] = sq
+                next_start += sq.shape[0]
+        assert next_start == a.shape[0]
+        assert_parity(matrix, reference_pairwise(a, b), dimensions)
+
+    @given(data=st.data(), dimensions=DIMENSIONS, plane=PLANE)
+    @settings(**SETTINGS)
+    def test_coincident_points_are_exactly_zero(self, data, dimensions, plane):
+        a = data.draw(point_sets(dimensions))
+        b = data.draw(point_sets(dimensions))
+        b[data.draw(st.integers(0, b.shape[0] - 1))] = a[data.draw(st.integers(0, a.shape[0] - 1))]
+        with small_planes(plane):
+            assert _closest_pair_brute(a, b)[0] == 0.0
+            assert closest_pair(a, b)[0] == 0.0
+            assert point_to_set_distance(b[0], b) == 0.0
+            assert np.all(np.diag(set_to_set_distances(a, a)) == 0.0)
+            assert _exact_min_distances(a, [b, a])[1] == 0.0
+
+    @given(data=st.data(), dimensions=DIMENSIONS, plane=PLANE)
+    @settings(**SETTINGS)
+    def test_closest_pair_equals_expansion_plus_repair(self, data, dimensions, plane):
+        a = data.draw(point_sets(dimensions))
+        b = data.draw(point_sets(dimensions))
+        with small_planes(plane):
+            distance, i, j = _closest_pair_brute(a, b)
+        expected, expected_i, expected_j = reference_closest_pair(a, b)
+        assert_parity(distance, expected, dimensions)
+        assert np.linalg.norm(a[i] - b[j]) == pytest.approx(distance, rel=1e-14)
+        if dimensions <= 2:
+            # Same tie-break as before: the first minimum in row-major order.
+            assert (i, j) == (expected_i, expected_j)
+
+    def test_tie_break_is_first_in_row_major_order_across_blocks(self):
+        a = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
+        b = np.array([[9.0, 9.0], [0.0, 1.0], [4.0, 1.0], [1.0, 4.0], [1.0, 0.0]])
+        # Distance 1 is realised by (0,1), (0,4), (1,2), (2,3): the first wins.
+        for plane in (1, 5, 10, 32_768):
+            with small_planes(plane):
+                assert _closest_pair_brute(a, b) == (1.0, 0, 1)
+                assert closest_pair(a, b) == reference_closest_pair(a, b)
+        assert _closest_pair_brute(a[::-1], b) == (1.0, 1, 3)
+
+    def test_offset_coordinates_keep_unit_scale_distances(self, rng):
+        # |a|^2 + |b|^2 - 2 a.b cancels to noise at 1e8; the reference needed
+        # its repair pass here, the direct formula needs nothing.
+        a = rng.integers(0, 64, size=(40, 2)).astype(float) + 1e8
+        b = rng.integers(0, 64, size=(50, 2)).astype(float) + 1e8 + 0.5
+        exact = np.sqrt(reference_pairwise(a - 1e8, b - 1e8).min())
+        assert _closest_pair_brute(a, b)[0] == exact
+        assert _closest_pair_brute(a, b) == reference_closest_pair(a, b)
+        assert closest_pair(a, b, use_kdtree=True)[0] == exact
+
+    @pytest.mark.parametrize("dimensions", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (KDTREE_CROSSOVER_POINTS - 1, KDTREE_CROSSOVER_POINTS + 40),
+            (KDTREE_CROSSOVER_POINTS, KDTREE_CROSSOVER_POINTS),
+            (KDTREE_CROSSOVER_POINTS + 40, KDTREE_CROSSOVER_POINTS + 1),
+        ],
+    )
+    def test_brute_force_equals_kdtree_across_the_crossover(self, rng, dimensions, sizes):
+        a = rng.random((sizes[0], dimensions)) * 10.0
+        b = rng.random((sizes[1], dimensions)) * 10.0 + 0.5
+        b[7] = a[3] + 1e-7  # a unique, known closest pair
+        brute = closest_pair(a, b, use_kdtree=False)
+        tree = closest_pair(a, b, use_kdtree=True)
+        assert brute[1:] == tree[1:] == (3, 7)
+        assert_parity(tree[0], brute[0], dimensions)
+        assert_parity(brute[0], reference_closest_pair(a, b)[0], dimensions)
+
+    def test_crossover_is_a_rule_on_the_smaller_set(self, rng):
+        calls = []
+        real = distance_module._closest_pair_kdtree
+
+        def spy(points_a, points_b):
+            calls.append((points_a.shape[0], points_b.shape[0]))
+            return real(points_a, points_b)
+
+        big = rng.random((KDTREE_CROSSOVER_POINTS, 2))
+        small = rng.random((KDTREE_CROSSOVER_POINTS - 1, 2))
+        with mock.patch.object(distance_module, "_closest_pair_kdtree", spy):
+            closest_pair(small, big)
+            closest_pair(big, small)
+            closest_pair(big, big, use_kdtree=False)
+            assert calls == []
+            closest_pair(big, big)
+        assert calls == [(KDTREE_CROSSOVER_POINTS, KDTREE_CROSSOVER_POINTS)]
+
+    @given(data=st.data(), dimensions=DIMENSIONS, plane=PLANE)
+    @settings(**SETTINGS)
+    def test_hand_copied_formulas_now_reduce_the_kernel(self, data, dimensions, plane):
+        a = data.draw(point_sets(dimensions))
+        b = data.draw(point_sets(dimensions))
+        c = data.draw(point_sets(dimensions))
+        sq_ab, sq_ac = reference_pairwise(a, b), reference_pairwise(a, c)
+        with small_planes(plane):
+            assert_parity(set_to_set_distances(a, b), np.sqrt(sq_ab), dimensions)
+            assert_parity(point_to_set_distance(a[0], b), np.sqrt(sq_ab[0].min()), dimensions)
+            assert_parity(rep_to_samples_distances(a, b), np.sqrt(sq_ab.min(axis=1)), dimensions)
+            assert_parity(
+                _exact_min_distances(a, [b, c, b]),
+                np.sqrt([sq_ab.min(), sq_ac.min(), sq_ab.min()]),
+                dimensions,
+            )
+            obj = FuzzyObject(a, np.ones(a.shape[0]))
+            assert_parity(diameter(obj), np.sqrt(reference_pairwise(a, a).max()), dimensions)
+
+    def test_diameter_never_builds_the_cubic_temporary(self, rng):
+        obj = FuzzyObject(rng.random((3000, 2)), np.ones(3000))
+        tracemalloc.start()
+        try:
+            value = diameter(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The old (n, n, d) difference array alone was 144 MB here.
+        assert peak < 2 * 1024 * 1024
+        hull = obj.points[np.argsort(obj.points.sum(axis=1))[[0, -1]]]
+        assert value >= np.linalg.norm(hull[0] - hull[1])
+
+
+# ----------------------------------------------------------------------
+# Box-pair bounds
+# ----------------------------------------------------------------------
+class TestBoxBounds:
+    @given(
+        data=st.data(),
+        dimensions=DIMENSIONS,
+        batch=st.sampled_from([None, 1, 2, 5]),
+        count=st.sampled_from([1, 2, 9]),
+    )
+    @settings(**SETTINGS)
+    def test_bounds_equal_the_trailing_axis_einsum(self, data, dimensions, batch, count):
+        lower, upper = data.draw(box_sets(dimensions, count))
+        q_lower, q_upper = data.draw(box_sets(dimensions, batch or 1))
+        if data.draw(st.booleans()):  # a query box equal to a data box
+            q_lower[0], q_upper[0] = lower[-1], upper[-1]
+        if batch is None:
+            q_lower, q_upper = q_lower[0], q_upper[0]
+        for kernel, reference in (
+            (min_dist_to_boxes, reference_min_dist),
+            (max_dist_to_boxes, reference_max_dist),
+        ):
+            actual = kernel(q_lower, q_upper, lower, upper)
+            assert actual.shape == ((count,) if batch is None else (batch, count))
+            assert_parity(actual, reference(q_lower, q_upper, lower, upper), dimensions)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_equal_and_zero_extent_boxes(self, batched):
+        lower = np.array([[1.0, 2.0], [5.0, 5.0], [1e8, 1e8]])
+        upper = np.array([[4.0, 6.0], [5.0, 5.0], [1e8, 1e8 + 2.0]])
+        q_lower, q_upper = lower[0], upper[0]
+        if batched:
+            q_lower, q_upper = q_lower[None, :], q_upper[None, :]
+        gaps = min_dist_to_boxes(q_lower, q_upper, lower, upper).reshape(-1)
+        spans = max_dist_to_boxes(q_lower, q_upper, lower, upper).reshape(-1)
+        assert gaps[0] == 0.0 and spans[0] == 5.0  # itself: the 3-4-5 diagonal
+        assert gaps[1] == 1.0 and spans[1] == 5.0  # a point box right of it
+        # A point box against itself: both bounds are exactly zero.
+        assert min_dist_to_boxes(lower[1], upper[1], lower[1:2], upper[1:2])[0] == 0.0
+        assert max_dist_to_boxes(lower[1], upper[1], lower[1:2], upper[1:2])[0] == 0.0
+
+    def test_closer_counts_do_not_depend_on_the_block_size(self, rng):
+        lower = rng.random((70, 2)) * 20.0
+        upper = lower + rng.random((70, 2)) * 2.0
+        rows = np.arange(5, 45)
+        thresholds = rng.random((3, rows.size)) * 12.0
+        whole = reference_max_dist(lower[rows], upper[rows], lower, upper)
+        expected = (whole[None, :, :] < thresholds[:, :, None]).sum(axis=2)
+        expected -= whole[np.arange(rows.size), rows][None, :] < thresholds
+        for elements in (1, 700, 32_768):
+            with mock.patch.object(soa_module, "_PAIRWISE_BLOCK_ELEMENTS", elements):
+                counts = certainly_closer_counts(
+                    lower[rows], upper[rows], lower, upper, thresholds, self_index=rows
+                )
+                single = certainly_closer_counts(
+                    lower[rows], upper[rows], lower, upper, thresholds[1], self_index=rows
+                )
+            np.testing.assert_array_equal(counts, expected)
+            np.testing.assert_array_equal(single, expected[1])
+
+
+# ----------------------------------------------------------------------
+# The distance profile
+# ----------------------------------------------------------------------
+def max_levels_for(levels):
+    """None, below every level, at a level, between two levels, 1.0."""
+    choices = [None, float(levels[0]) / 2.0, float(levels[levels.size // 2]), 1.0]
+    if levels.size > 1:
+        choices.append(float(levels[0] + levels[1]) / 2.0)
+    return choices
+
+
+class TestDistanceProfile:
+    @given(pair=fuzzy_pairs(require_kernel=False), plane=PLANE, data=st.data())
+    @settings(**SETTINGS)
+    def test_profile_equals_one_closest_pair_per_level(self, pair, plane, data):
+        a, b = pair
+        every_level = np.union1d(a.distinct_memberships(), b.distinct_memberships())
+        max_level = data.draw(st.sampled_from(max_levels_for(every_level)))
+        with small_planes(plane):
+            profile = distance_profile(a, b, max_level=max_level)
+            mirrored = distance_profile(b, a, max_level=max_level)
+        levels, distances = reference_profile(a, b, max_level)
+        np.testing.assert_array_equal(profile.levels, levels)
+        assert_parity(profile.distances, distances, a.dimensions)
+        # An empty cut (no kernel on one side) reads inf, never a wrapped cell.
+        empty = np.array(
+            [
+                not (a.memberships >= level - MEMBERSHIP_ATOL).any()
+                or not (b.memberships >= level - MEMBERSHIP_ATOL).any()
+                for level in levels
+            ]
+        )
+        np.testing.assert_array_equal(np.isinf(profile.distances), empty)
+        np.testing.assert_array_equal(mirrored.levels, profile.levels)
+        np.testing.assert_array_equal(mirrored.distances, profile.distances)
+
+    @given(pair=fuzzy_pairs(require_kernel=True), plane=PLANE, data=st.data())
+    @settings(**SETTINGS)
+    def test_profile_evaluates_to_the_alpha_distance(self, pair, plane, data):
+        a, b = pair
+        every_level = np.union1d(a.distinct_memberships(), b.distinct_memberships())
+        max_level = data.draw(st.sampled_from(max_levels_for(every_level)))
+        with small_planes(plane):
+            profile = distance_profile(a, b, max_level=max_level)
+        stored = profile.levels
+        between = (np.concatenate([[0.0], stored[:-1]]) + stored) / 2.0
+        probes = list(stored) + [x for x in between if x > 0.0]
+        if max_level is not None:
+            probes.append(max_level)
+        for alpha in probes:
+            assert_parity(profile.value(alpha), alpha_distance(a, b, alpha), a.dimensions)
+
+    def test_levels_inside_the_membership_tolerance_share_one_cut(self):
+        a = FuzzyObject(
+            np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 0.0]]),
+            np.array([1.0, 0.5, 0.5 - 1e-13, 0.2]),
+        )
+        b = FuzzyObject(
+            np.array([[9.0, 0.0], [5.0, 0.0], [4.0, 0.0]]),
+            np.array([1.0, 0.5 + 1e-13, 0.2]),
+        )
+        profile = distance_profile(a, b)
+        np.testing.assert_array_equal(
+            profile.levels, [0.2, 0.5 - 1e-13, 0.5, 0.5 + 1e-13, 1.0]
+        )
+        # All three levels around 0.5 select {0,1,2} x {0,1}: |2 - 5| = 3.
+        np.testing.assert_array_equal(profile.distances, [2.0, 3.0, 3.0, 3.0, 9.0])
+        for level, distance in zip(profile.levels, profile.distances):
+            assert alpha_distance(a, b, float(level)) == distance
+
+    def test_objects_without_a_kernel_end_in_an_infinite_piece(self):
+        a = FuzzyObject(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.9, 0.4]), require_kernel=False)
+        b = FuzzyObject(np.array([[3.0, 0.0], [5.0, 0.0]]), np.array([0.4, 1.0]))
+        profile = distance_profile(a, b)
+        np.testing.assert_array_equal(profile.levels, [0.4, 0.9, 1.0])
+        np.testing.assert_array_equal(profile.distances, [2.0, 5.0, np.inf])
+        with pytest.raises(EmptyAlphaCutError):
+            alpha_distance(a, b, 1.0)
+
+    def test_a_large_profile_never_holds_the_full_matrix(self, rng):
+        def big(center):
+            points = np.asarray(center) + rng.normal(size=(1500, 2))
+            mus = rng.random(1500) * 0.98 + 0.01
+            mus[0] = 1.0
+            return FuzzyObject(points, mus)
+
+        a, b = big([0.0, 0.0]), big([6.0, 1.0])
+        tracemalloc.start()
+        try:
+            profile = distance_profile(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 1500 x 1500 matrix of doubles alone would be 18 MB.
+        assert peak < 8 * 1024 * 1024
+        assert profile.levels.size == 2999
+        for index in np.linspace(0, profile.levels.size - 1, 16).astype(int):
+            level = float(profile.levels[index])
+            cut_a = a.points[a.memberships >= level - MEMBERSHIP_ATOL]
+            cut_b = b.points[b.memberships >= level - MEMBERSHIP_ATOL]
+            assert profile.distances[index] == reference_closest_pair(cut_a, cut_b)[0]

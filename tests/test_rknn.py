@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.config import RuntimeConfig
+from repro.core.database import FuzzyDatabase
 from repro.core.rknn import (
     RKNN_METHODS,
     RKNNSearcher,
@@ -13,8 +15,9 @@ from repro.core.linear_scan import evaluate_piecewise
 from repro.core.requests import SweepRequest
 from repro.core.results import QueryStats
 from repro.exceptions import InvalidQueryError
+from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.profile import DistanceProfile
-from tests.conftest import assert_same_assignments
+from tests.conftest import assert_same_assignments, make_fuzzy_object
 
 
 class TestCorrectness:
@@ -28,6 +31,31 @@ class TestCorrectness:
             SweepRequest(query, k=k, alpha_range=alpha_range, method=method)
         )
         assert_same_assignments(result.assignments, truth.assignments)
+
+    @pytest.mark.parametrize("method", RKNN_METHODS)
+    def test_matches_linear_scan_when_objects_share_membership_levels(self, method):
+        # Memberships quantised to tenths: every profile has the same few
+        # levels, each reached by many points of both objects at once, so the
+        # profile's running minimum is read at corners far off the diagonal.
+        rng = np.random.default_rng(91)
+
+        def quantised(center, object_id=None):
+            obj = make_fuzzy_object(rng, n_points=25, center=center, spread=0.8)
+            mus = np.maximum(np.round(obj.memberships, 1), 0.1)
+            return FuzzyObject(obj.points, mus, object_id=object_id)
+
+        objects = [quantised(rng.random(2) * 6.0, object_id=i) for i in range(40)]
+        database = FuzzyDatabase.build(objects, config=RuntimeConfig(rtree_max_entries=6))
+        try:
+            for alpha_range in [(0.3, 0.7), (0.45, 0.55), (0.1, 1.0)]:
+                query = quantised([3.0, 3.0])
+                truth = database.linear_scan().rknn(query, k=4, alpha_range=alpha_range)
+                result = database.execute(
+                    SweepRequest(query, k=4, alpha_range=alpha_range, method=method)
+                )
+                assert_same_assignments(result.assignments, truth.assignments)
+        finally:
+            database.close()
 
     @pytest.mark.parametrize("method", ["basic", "rss", "rss_icr"])
     def test_multiple_queries(self, dense_database, dense_queries, method):
