@@ -24,7 +24,8 @@ searcher, by amortising all index work across the batch:
   candidate.
 * **Shared probe state.**  Each distinct object is fetched from the store
   and its alpha-cut materialised at most once per batch, no matter how many
-  queries probe it.
+  queries probe it — and only when some query still owes it a distance:
+  a candidate whose distance the caller already seeded is never read.
 
 The returned neighbour sets are exact and identical to the single-query
 methods (asserted by the parity tests) up to distance ties at the k-th rank,
@@ -39,7 +40,7 @@ locking.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -112,7 +113,7 @@ class BatchQueryExecutor:
     # ------------------------------------------------------------------
     def aknn_batch(
         self,
-        queries: Sequence[FuzzyObject],
+        queries: Sequence[Union[FuzzyObject, PreparedQuery]],
         k: int,
         alpha: float,
         method: str = "lb_lp_ub",
@@ -122,6 +123,10 @@ class BatchQueryExecutor:
         deadline=None,
     ) -> BatchResult:
         """Answer every query's AKNN at one shared ``k`` and ``alpha``.
+
+        A query may arrive already prepared (a :class:`PreparedQuery` at this
+        ``alpha``): a caller fanning one batch out to several executors
+        prepares each query once and every executor reuses it.
 
         ``deadline`` is an optional :class:`~repro.service.policy.Deadline`;
         the batch checks it between traversal chunks and refinement steps and
@@ -138,7 +143,7 @@ class BatchQueryExecutor:
         prunes against these radii directly.  The returned neighbour lists
         are complete only *up to the supplied radius*: every object whose
         exact distance is at most a query's radius is considered, anything
-        beyond it may be dropped.  A radius that upper-bounds the query's
+        beyond it is dropped.  A radius that upper-bounds the query's
         true k-th neighbour distance therefore yields the full exact top-k
         (the sharded database passes one globally-bootstrapped radius to
         every shard, which keeps per-shard candidate sets as tight as the
@@ -214,7 +219,7 @@ class BatchQueryExecutor:
     # ------------------------------------------------------------------
     def _run_batch(
         self,
-        queries: List[FuzzyObject],
+        queries: List[Union[FuzzyObject, PreparedQuery]],
         k: int,
         alpha: float,
         method: str,
@@ -227,9 +232,12 @@ class BatchQueryExecutor:
     ) -> List[List[Neighbor]]:
         improved = method != "basic"
         prepared = [
-            PreparedQuery(query, alpha, self.config, rng, query_metrics[i])
-            for i, query in enumerate(queries)
+            q if isinstance(q, PreparedQuery)
+            else PreparedQuery(q, alpha, self.config, rng)
+            for q in queries
         ]
+        if any(p.alpha != alpha for p in prepared):
+            raise InvalidQueryError(f"a prepared query is not at alpha={alpha}")
         q_lo = np.stack([p.query_mbr.lower for p in prepared])
         q_hi = np.stack([p.query_mbr.upper for p in prepared])
 
@@ -249,45 +257,42 @@ class BatchQueryExecutor:
                 raise InvalidQueryError(
                     f"initial_tau must have shape ({len(prepared)},), got {tau.shape}"
                 )
+            nominees: List[List[int]] = [[] for _ in prepared]
         else:
-            tau = self._bootstrap_tau(prepared, k, alpha, cuts, exact, metrics)
+            tau, nominees = self._bootstrap_tau(
+                prepared, k, alpha, cuts, exact, metrics, query_metrics
+            )
         if deadline is not None:
             deadline.check("batch bootstrap")
         candidates = self._shared_traversal(
-            prepared, alpha, improved, q_lo, q_hi, tau, metrics, deadline=deadline
+            alpha, improved, q_lo, q_hi, tau, metrics, deadline=deadline
         )
         if deadline is not None:
             deadline.check("batch traversal")
 
-        needed = np.unique(
-            np.concatenate(
-                [ids for per_query in candidates for ids in per_query] or
-                [np.empty(0, dtype=np.int64)]
-            )
+        rows = [ids.tolist() for ids in candidates]
+        probes = self._probe_rows(
+            prepared, rows, alpha, cuts, exact, query_metrics, deadline
         )
-        self._fetch_cuts(needed, alpha, cuts)
-        results: List[List[Neighbor]] = [[] for _ in prepared]
-
-        for qi, blocks in enumerate(candidates):
-            if deadline is not None:
-                deadline.check("batch refinement")
-            if not blocks:
-                continue
-            ids = np.concatenate(blocks)
-            dists = self._probe(prepared[qi], ids, cuts, exact[qi])
+        results: List[List[Neighbor]] = []
+        for ids, radius, dists in zip(candidates, tau, probes):
             order = np.lexsort((ids, dists))[:k]
-            results[qi] = [
-                Neighbor(
-                    object_id=int(ids[j]),
-                    distance=float(dists[j]),
-                    lower_bound=float(dists[j]),
-                    upper_bound=float(dists[j]),
-                    probed=True,
-                )
-                for j in order
-            ]
+            if initial_tau is not None:
+                order = order[dists[order] <= radius]
+            results.append(
+                [
+                    Neighbor(object_id, distance, distance, distance, True)
+                    for object_id, distance in zip(
+                        ids[order].tolist(), dists[order].tolist()
+                    )
+                ]
+            )
+        # The (query, object) pairs this executor examined: its traversal
+        # survivors plus its own nominees — not whatever else the caller's
+        # memo happened to hold.
         metrics.increment(
-            "batch_candidates", int(sum(len(known) for known in exact))
+            "batch_candidates",
+            sum(len(set(row).union(own)) for row, own in zip(rows, nominees)),
         )
         return results
 
@@ -299,7 +304,8 @@ class BatchQueryExecutor:
         cuts: Dict[int, np.ndarray],
         exact: List[Dict[int, float]],
         metrics: MetricsCollector,
-    ) -> np.ndarray:
+        query_metrics: List[MetricsCollector],
+    ) -> Tuple[np.ndarray, List[List[int]]]:
         """A valid per-query pruning radius from the shared representative index.
 
         For each query the KD-tree over ``rep(A)`` points nominates the
@@ -307,13 +313,13 @@ class BatchQueryExecutor:
         alpha-cut MBR; probing those exactly makes the k-th smallest probed
         distance a valid upper bound on the true k-th neighbour distance
         (where the nominations land only affects how tight the radius is,
-        never correctness).
+        never correctness).  Returns the radii and each query's nominee ids.
         """
         n_queries = len(prepared)
         tau = np.full(n_queries, np.inf)
         rep_tree, rep_oids = self._representative_index()
         if rep_tree is None or rep_oids.shape[0] < k:
-            return tau
+            return tau, [[] for _ in prepared]
         kk = min(k + _BOOTSTRAP_EXTRA, rep_oids.shape[0])
         centers = np.stack(
             [(p.query_mbr.lower + p.query_mbr.upper) / 2.0 for p in prepared]
@@ -321,19 +327,18 @@ class BatchQueryExecutor:
         _, rep_idx = rep_tree.query(centers, k=kk)
         if kk == 1:
             rep_idx = rep_idx[:, None]
-        nominated = rep_oids[rep_idx]
+        nominees = rep_oids[rep_idx].tolist()
         metrics.increment(
             MetricsCollector.UPPER_BOUND_EVALUATIONS, n_queries * kk
         )
-        self._fetch_cuts(np.unique(nominated), alpha, cuts)
-        for qi in range(n_queries):
-            dists = self._probe(prepared[qi], nominated[qi], cuts, exact[qi])
+        for qi, dists in enumerate(
+            self._probe_rows(prepared, nominees, alpha, cuts, exact, query_metrics)
+        ):
             tau[qi] = float(np.partition(dists, k - 1)[k - 1])
-        return tau
+        return tau, nominees
 
     def _shared_traversal(
         self,
-        prepared: List[PreparedQuery],
         alpha: float,
         improved: bool,
         q_lo: np.ndarray,
@@ -341,17 +346,21 @@ class BatchQueryExecutor:
         tau: np.ndarray,
         metrics: MetricsCollector,
         deadline=None,
-    ) -> List[List[np.ndarray]]:
+    ) -> List[np.ndarray]:
         """Visit every needed node once, gathering candidate ids per query.
 
         Bounds are evaluated only for the queries still *active* at a node
         (their radius exceeds the node's ``MinDist``), as one
-        ``(active, n)`` matrix per node.  Returns, per query, the id blocks of
-        every leaf entry whose lower bound survives the query's radius.
+        ``(active, n)`` matrix per node.  Returns, per query, the ids of
+        every leaf entry whose lower bound survives the query's radius, in
+        leaf-visit then entry order.
         """
-        n_queries = len(prepared)
+        n_queries = q_lo.shape[0]
         threshold = tau * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
-        candidates: List[List[np.ndarray]] = [[] for _ in prepared]
+        # (query index, object id) of every surviving leaf entry, leaf by leaf
+        # (seeded empty, so a traversal that reaches no leaf still concatenates).
+        hit_queries = [np.empty(0, dtype=np.int64)]
+        hit_ids = [np.empty(0, dtype=np.int64)]
         lb_counter = MetricsCollector.LOWER_BOUND_EVALUATIONS
         # Stack of (node, active query indices); the radius is fixed up
         # front by the bootstrap, so no best-first ordering is needed.
@@ -375,12 +384,9 @@ class BatchQueryExecutor:
                     box_lo, box_hi = soa.lo, soa.hi
                 lb = min_dist_to_boxes(q_lo[active], q_hi[active], box_lo, box_hi)
                 metrics.increment(lb_counter, int(active.shape[0]) * soa.n)
-                survivors = lb <= threshold[active, None]
-                object_ids = soa.object_ids
-                for row, qi in enumerate(active.tolist()):
-                    mask = survivors[row]
-                    if mask.any():
-                        candidates[qi].append(object_ids[mask].copy())
+                rows, cols = np.nonzero(lb <= threshold[active, None])
+                hit_queries.append(active[rows])
+                hit_ids.append(soa.object_ids[cols])
             else:
                 child_dists = soa.min_dist(q_lo[active], q_hi[active])
                 reachable = child_dists <= threshold[active, None]
@@ -390,7 +396,11 @@ class BatchQueryExecutor:
                         stack.append((entry.child, active[reachable[:, j]]))
                     else:
                         metrics.increment(MetricsCollector.NODES_PRUNED)
-        return candidates
+        # One stable sort groups the hits by query without reordering them.
+        owners = np.concatenate(hit_queries)
+        order = np.argsort(owners, kind="stable")
+        splits = np.cumsum(np.bincount(owners, minlength=n_queries))[:-1]
+        return np.split(np.concatenate(hit_ids)[order], splits)
 
     # ------------------------------------------------------------------
     # Probe helpers
@@ -412,39 +422,48 @@ class BatchQueryExecutor:
         self._rep_index = (key, tree, oid_array)
         return tree, oid_array
 
-    def _fetch_cuts(
+    def _probe_rows(
         self,
-        object_ids: np.ndarray,
+        prepared: List[PreparedQuery],
+        rows: List[List[int]],
         alpha: float,
         cuts: Dict[int, np.ndarray],
-    ) -> Dict[int, np.ndarray]:
-        """Fetch each distinct object once and materialise its alpha-cut."""
-        for object_id in object_ids.tolist():
-            if object_id not in cuts:
-                cuts[object_id] = self.store.get(object_id).alpha_cut(alpha)
-        return cuts
+        exact: List[Dict[int, float]],
+        query_metrics: List[MetricsCollector],
+        deadline=None,
+    ) -> List[np.ndarray]:
+        """Each query's exact alpha-distances to its row of object ids.
 
-    def _probe(
-        self,
-        prepared: PreparedQuery,
-        object_ids: np.ndarray,
-        cuts: Dict[int, np.ndarray],
-        known: Dict[int, float],
-    ) -> np.ndarray:
-        """Exact alpha-distances of one query to ``object_ids`` (memoised)."""
-        ids = object_ids.tolist()
-        missing = [oid for oid in ids if oid not in known] if known else ids
-        if missing:
-            distances = _exact_min_distances(
-                prepared.query_cut, [cuts[oid] for oid in missing]
-            )
-            prepared.metrics.increment(
-                MetricsCollector.DISTANCE_EVALUATIONS, len(missing)
-            )
-            known.update(zip(missing, distances.tolist()))
-            if len(missing) == len(ids):
-                return distances
-        return np.asarray([known[oid] for oid in ids])
+        An object is read from the store (once, ascending id order) only
+        when some query still owes it a distance; a row fully covered by its
+        memo costs no access at all.
+        """
+        owed = [
+            [oid for oid in row if oid not in known] if known else row
+            for row, known in zip(rows, exact)
+        ]
+        for object_id in sorted(set().union(*owed).difference(cuts)):
+            cuts[object_id] = self.store.get(object_id).alpha_cut(alpha)
+        distances: List[np.ndarray] = []
+        for qi, (row, missing) in enumerate(zip(rows, owed)):
+            if deadline is not None:
+                deadline.check("batch refinement")
+            known = exact[qi]
+            if missing:
+                fresh = _exact_min_distances(
+                    prepared[qi].query_cut, [cuts[oid] for oid in missing]
+                )
+                query_metrics[qi].increment(
+                    MetricsCollector.DISTANCE_EVALUATIONS, len(missing)
+                )
+                known.update(zip(missing, fresh.tolist()))
+            if missing and len(missing) == len(row):
+                distances.append(fresh)
+            else:
+                distances.append(
+                    np.asarray([known[oid] for oid in row], dtype=float)
+                )
+        return distances
 
     def _aggregate_stats(
         self,

@@ -786,10 +786,9 @@ class ShardedDatabase:
     def _global_bootstrap(
         self,
         shards: Sequence[_Shard],
-        queries: Sequence[FuzzyObject],
+        prepared: Sequence[PreparedQuery],
         k: int,
         alpha: float,
-        rng: Optional[np.random.Generator],
     ) -> Optional[Tuple[np.ndarray, List[Dict[int, float]]]]:
         """Globally-valid per-query pruning radii for a batch.
 
@@ -799,7 +798,10 @@ class ShardedDatabase:
         distance upper-bounds the true global k-th neighbour distance.
         Returns ``(tau, exact)`` — the radii plus the per-query exact
         distances already paid for, which seed the shard executors' memos so
-        bootstrap nominees are never re-evaluated.  Returns ``None`` when no
+        bootstrap nominees are never re-evaluated (nor fetched again: an
+        executor reads an object only while a distance is owed).  Each memo
+        holds exactly the distances evaluated for its query, so its length
+        is that query's bootstrap cost.  Returns ``None`` when no
         usable radius can be computed (tiny database) — shards then
         bootstrap locally.  The radii are only valid against the
         snapshot they were probed from, so the fan-out that consumes them
@@ -808,7 +810,6 @@ class ShardedDatabase:
         rep_tree, rep_oids = self._global_rep_index(shards)
         if rep_tree is None or rep_oids.shape[0] < k:
             return None
-        prepared = [PreparedQuery(q, alpha, self.config, rng) for q in queries]
         kk = min(k + _BOOTSTRAP_EXTRA, rep_oids.shape[0])
         centers = np.stack(
             [(p.query_mbr.lower + p.query_mbr.upper) / 2.0 for p in prepared]
@@ -1072,10 +1073,12 @@ class ShardedDatabase:
         the exact distances already paid for.  The radii are only valid
         against the dataset they were probed from — a delete landing between
         bootstrap and fan-out could otherwise prune true neighbours — which
-        is why the pass is coupled.
+        is why the pass is coupled.  Each query is prepared once here and
+        that one :class:`PreparedQuery` serves the bootstrap and every shard.
         """
+        prepared = [PreparedQuery(q, alpha, self.config, rng) for q in queries]
         bootstrap = (
-            self._global_bootstrap(shards, queries, k, alpha, rng)
+            self._global_bootstrap(shards, prepared, k, alpha)
             if len(shards) > 1
             else None
         )
@@ -1084,7 +1087,7 @@ class ShardedDatabase:
             shards,
             "aknn_batch",
             lambda shard: shard.db._executor.aknn_batch(
-                queries, k, alpha, method=method, rng=rng,
+                prepared, k, alpha, method=method, rng=rng,
                 initial_tau=initial_tau, initial_exact=initial_exact,
                 deadline=deadline,
             ),
@@ -1102,7 +1105,8 @@ class ShardedDatabase:
                     distance_evaluations=sum(
                         batch.results[qi].stats.distance_evaluations
                         for batch in shard_batches
-                    ),
+                    )
+                    + (len(initial_exact[qi]) if initial_exact else 0),
                     aknn_calls=1,
                 ),
             )

@@ -5,11 +5,16 @@ optional (capacity 0 by default in the experiment harness) but provided so
 downstream users can trade memory for I/O, and so tests can exercise the
 difference between logical probes and physical reads.
 
-The cache is thread-safe: the query service's shard pool and the batch
-executor's worker threads share cache instances (the store buffer pool,
-per-object alpha-cut caches, per-node alpha caches), so every mutating
-operation holds an internal lock.  The lock is per-instance and uncontended
-in single-threaded use, where its overhead is a few percent at most.
+The cache is thread-safe.  A query runs on the thread that asked for it and
+the engine starts no threads of its own, but a shard's *read* lock is shared:
+several callers of ``ShardedDatabase.execute*`` — and the query service's
+flusher thread beside them — can be inside the same shard at once, reading
+through the same cache instances (the store buffer pool, per-object alpha-cut
+caches, per-node alpha caches).  A lookup reorders the LRU list, so even
+``get`` mutates and every operation holds an internal lock.  The lock is
+per-instance and uncontended in single-threaded use; it is not free, though —
+on the served batch path the two lookups behind each object access (buffer
+pool, then alpha-cut cache) are the largest remaining per-access cost.
 """
 
 from __future__ import annotations

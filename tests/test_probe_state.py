@@ -1,0 +1,550 @@
+"""One probe state per served AKNN bucket: the count pins and the parity.
+
+A coalesced bucket carries one probe state from the global bootstrap through
+the shard executors to the merge.  These tests pin what that buys and what it
+must not change:
+
+* **every object access buys a distance** — the store is read only for
+  objects that enter an exact-distance evaluation in that engine pass;
+* each query is prepared once per bucket, and the bootstrap's evaluations are
+  reported in the merged results;
+* ``batch_candidates`` counts the pairs an executor examined, not its memo;
+* the vectorised candidate gather returns exactly what the per-(leaf, query)
+  loop it replaced returned (the loop is kept *here* as the reference);
+* answers — ids, order and distances — equal the unsharded engine's and the
+  linear scan's, ties at the k-th rank breaking by object id.
+"""
+
+import functools
+import inspect
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.core.executor as executor_module
+import repro.service.sharded as sharded_module
+from repro.config import RuntimeConfig
+from repro.core.database import FuzzyDatabase
+from repro.core.executor import _PRUNE_SLACK, BatchQueryExecutor
+from repro.core.query import PreparedQuery
+from repro.core.requests import AknnRequest
+from repro.datasets.builder import build_dataset
+from repro.datasets.queries import generate_query_object
+from repro.exceptions import InvalidQueryError
+from repro.fuzzy.fuzzy_object import FuzzyObject
+from repro.fuzzy.summary import build_summary
+from repro.index.rtree import RTree
+from repro.index.soa import min_dist_to_boxes
+from repro.metrics.counters import MetricsCollector
+from repro.service import ShardedDatabase
+
+from tests.conftest import make_fuzzy_object
+
+ALPHA = 0.5
+N_TWINS = 12
+
+
+@pytest.fixture(scope="module")
+def objects():
+    """90 synthetic objects plus 12 exact twins under higher ids.
+
+    A twin sits at exactly its original's distance from every query, so
+    distance ties — also at the k-th rank, also across shards — are the rule
+    here, not a corner.
+    """
+    base = build_dataset(
+        kind="synthetic", n_objects=90, points_per_object=24, seed=31, space_size=9.0
+    )
+    twins = [
+        FuzzyObject(obj.points.copy(), obj.memberships.copy(), object_id=1000 + i)
+        for i, obj in enumerate(base[:N_TWINS])
+    ]
+    return base + twins
+
+
+@pytest.fixture(scope="module")
+def config():
+    return RuntimeConfig(rtree_max_entries=8, cache_capacity=32)
+
+
+@pytest.fixture(scope="module")
+def reference(objects, config):
+    database = FuzzyDatabase.build(list(objects), config=config)
+    yield database
+    database.close()
+
+
+@pytest.fixture(scope="module")
+def query_pool():
+    rng = np.random.default_rng(404)
+    return [
+        generate_query_object(rng, kind="synthetic", space_size=9.0, points_per_object=24)
+        for _ in range(20)
+    ]
+
+
+def bucket_of(query_pool, size):
+    """``size`` queries; past the pool's 20 the same query objects come again."""
+    return [query_pool[i % len(query_pool)] for i in range(size)]
+
+
+def requests_for(queries, k, method="lb_lp_ub"):
+    return [AknnRequest(q, k=k, alpha=ALPHA, method=method) for q in queries]
+
+
+def answers(results):
+    """Ids and distances, in returned order — compared with ``==``."""
+    return [[(n.object_id, n.distance) for n in r.neighbors] for r in results]
+
+
+class ProbeLog:
+    """What one bucket's engine passes handed to the exact-distance kernel.
+
+    A *pass* is the global bootstrap or one shard executor's ``aknn_batch``;
+    within a pass each object has one alpha-cut array, so distinct arrays are
+    distinct objects (the arrays are kept alive here, so ``id`` cannot be
+    reused).
+    """
+
+    def __init__(self, monkeypatch):
+        self.passes = []
+        self.handed = 0
+        self.radius_violations = 0
+        self.prepared = 0
+        log = self
+
+        kernel = executor_module._exact_min_distances
+
+        def counted_kernel(query_cut, cuts):
+            log.handed += len(cuts)
+            log.passes[-1].update((id(cut), cut) for cut in cuts)
+            return kernel(query_cut, cuts)
+
+        # service/sharded.py imported the kernel by name: patch both bindings.
+        monkeypatch.setattr(executor_module, "_exact_min_distances", counted_kernel)
+        monkeypatch.setattr(sharded_module, "_exact_min_distances", counted_kernel)
+
+        bootstrap = ShardedDatabase._global_bootstrap
+
+        def logged_bootstrap(self, *args, **kwargs):
+            log.passes.append({})
+            return bootstrap(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedDatabase, "_global_bootstrap", logged_bootstrap)
+
+        aknn_batch = BatchQueryExecutor.aknn_batch
+
+        def logged_batch(self, *args, **kwargs):
+            log.passes.append({})
+            batch = aknn_batch(self, *args, **kwargs)
+            radii = kwargs.get("initial_tau")
+            if radii is not None:
+                log.radius_violations += sum(
+                    neighbor.distance > radius
+                    for result, radius in zip(batch.results, radii)
+                    for neighbor in result.neighbors
+                )
+            return batch
+
+        monkeypatch.setattr(BatchQueryExecutor, "aknn_batch", logged_batch)
+
+        prepare = PreparedQuery.__init__
+
+        def counted_prepare(self, *args, **kwargs):
+            log.prepared += 1
+            prepare(self, *args, **kwargs)
+
+        monkeypatch.setattr(PreparedQuery, "__init__", counted_prepare)
+
+    @property
+    def objects_probed(self):
+        return sum(len(cuts) for cuts in self.passes)
+
+
+def store_accesses(sharded):
+    return sum(
+        shard.db.store.statistics.object_accesses for shard in sharded._shards
+    )
+
+
+# ----------------------------------------------------------------------
+# Every access buys a distance
+# ----------------------------------------------------------------------
+class TestEveryAccessBuysADistance:
+    @pytest.mark.parametrize("placement", ["hash", "space"])
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    @pytest.mark.parametrize("size", [2, 8, 64])
+    def test_store_reads_equal_objects_probed(
+        self, objects, config, reference, query_pool, monkeypatch,
+        placement, n_shards, size,
+    ):
+        sharded = ShardedDatabase.build(
+            list(objects), n_shards=n_shards, placement=placement, config=config
+        )
+        queries = bucket_of(query_pool, size)
+        want = answers(reference.execute_batch(requests_for(queries, k=7)))
+        log = ProbeLog(monkeypatch)
+        before = store_accesses(sharded)
+        got = sharded.execute_batch(requests_for(queries, k=7))
+        accesses = store_accesses(sharded) - before
+
+        # one bootstrap pass + one executor pass per shard
+        assert len(log.passes) == 1 + n_shards
+        assert accesses == log.objects_probed
+        assert accesses > 0
+        # one PreparedQuery per query for the whole bucket, whatever the fan-out
+        assert log.prepared == size
+        assert log.radius_violations == 0
+        # every evaluated distance is reported, the bootstrap's included
+        evaluations = [r.stats.distance_evaluations for r in got]
+        assert sum(evaluations) == log.handed
+        assert min(evaluations) >= 7
+        assert answers(got) == want
+        sharded.close()
+
+    def test_fully_seeded_executor_never_reads_the_store(self, reference, query_pool):
+        """Seeds covering every candidate: zero ``store.get``, same answer."""
+        queries = query_pool[:6]
+        executor = reference._executor
+        plain = executor.aknn_batch(queries, k=5, alpha=ALPHA)
+        seeds = []
+        for query in queries:
+            scan = reference.linear_scan().aknn(query, k=len(reference), alpha=ALPHA)
+            seeds.append({n.object_id: n.distance for n in scan.neighbors})
+        radii = np.array([r.neighbors[-1].distance for r in plain.results])
+
+        before = reference.store.statistics.object_accesses
+        seeded = executor.aknn_batch(
+            queries, k=5, alpha=ALPHA, initial_tau=radii, initial_exact=seeds
+        )
+        assert reference.store.statistics.object_accesses == before
+        assert seeded.stats.object_accesses == 0
+        assert seeded.stats.distance_evaluations == 0
+        assert [r.object_ids for r in seeded.results] == [
+            r.object_ids for r in plain.results
+        ]
+
+    def test_results_under_a_radius_lie_within_it(self, reference, query_pool):
+        """A deliberately small radius truncates the list — at the radius."""
+        queries = query_pool[:6]
+        executor = reference._executor
+        full = executor.aknn_batch(queries, k=9, alpha=ALPHA).results
+        # the 3rd neighbour's distance: the top-9 must shrink to the ties at it
+        radii = np.array([r.neighbors[2].distance for r in full])
+        cut = executor.aknn_batch(queries, k=9, alpha=ALPHA, initial_tau=radii).results
+        for want, radius, got in zip(full, radii, cut):
+            within = [n for n in want.neighbors if n.distance <= radius]
+            assert 3 <= len(within) < 9
+            assert got.neighbors == within
+
+    def test_without_a_radius_nothing_is_cut(self, reference, query_pool):
+        """The local-bootstrap path returns k neighbours, beyond tau or not."""
+        batch = reference._executor.aknn_batch(query_pool[:8], k=9, alpha=ALPHA)
+        assert all(len(r.neighbors) == 9 for r in batch.results)
+
+
+# ----------------------------------------------------------------------
+# Parity on the awkward buckets
+# ----------------------------------------------------------------------
+class TestServedAnswersAreExact:
+    @pytest.fixture(scope="class")
+    def sharded(self, objects, config):
+        database = ShardedDatabase.build(
+            list(objects), n_shards=3, placement="hash", config=config
+        )
+        yield database
+        database.close()
+
+    def check(self, sharded, reference, queries, k, method="lb_lp_ub"):
+        got = sharded.execute_batch(requests_for(queries, k, method))
+        want = reference.execute_batch(requests_for(queries, k, method))
+        assert answers(got) == answers(want)
+        for query, result in zip(queries, got):
+            truth = reference.linear_scan().aknn(query, k=k, alpha=ALPHA)
+            ranked = sorted(truth.neighbors, key=lambda n: (n.distance, n.object_id))
+            assert result.object_ids == [n.object_id for n in ranked]
+            assert [n.distance for n in result.neighbors] == pytest.approx(
+                [n.distance for n in ranked], abs=1e-12
+            )
+
+    def test_same_query_object_twice(self, sharded, reference, query_pool):
+        queries = [query_pool[0], query_pool[1], query_pool[0], query_pool[0]]
+        self.check(sharded, reference, queries, k=6)
+
+    def test_ties_at_the_kth_rank_break_by_object_id(self, sharded, reference, objects):
+        """Query = a twinned object: ranks 1-2 tie at zero, and so on outward."""
+        queries = [objects[i] for i in range(4)]
+        for k in (1, 2, 3):
+            self.check(sharded, reference, queries, k=k)
+        first = sharded.execute_batch(requests_for(queries[:2], k=1))
+        assert [r.object_ids for r in first] == [[0], [1]]  # never the twin 1000+i
+
+    def test_k_larger_than_a_shard(self, sharded, reference, query_pool):
+        assert max(sharded.shard_sizes()) < 60
+        self.check(sharded, reference, query_pool[:5], k=60)
+
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_k_at_least_n(self, sharded, reference, query_pool, extra):
+        """No usable radius: ``tau = inf``, every object is a candidate."""
+        self.check(sharded, reference, query_pool[:3], k=len(reference) + extra)
+
+    def test_basic_method(self, sharded, reference, query_pool):
+        self.check(sharded, reference, query_pool[:9], k=7, method="basic")
+
+    def test_nominee_deleted_between_index_build_and_query(
+        self, objects, config, query_pool
+    ):
+        """A stale representative index nominates an object that is gone."""
+        sharded = ShardedDatabase.build(
+            list(objects), n_shards=2, placement="hash", config=config
+        )
+        queries = query_pool[:8]
+        first = sharded.execute_batch(requests_for(queries, k=5))
+        victim = first[0].object_ids[0]  # a nominee of query 0 for certain
+        _, stale_tree, stale_ids = sharded._rep_index
+        sharded.delete(victim)
+        # Forge the cache key the next pass will compute, over the old index.
+        sharded._global_rep_index(sharded._shards)
+        sharded._rep_index = (sharded._rep_index[0], stale_tree, stale_ids)
+
+        survivors = FuzzyDatabase.build(
+            [obj for obj in objects if obj.object_id != victim], config=config
+        )
+        self.check(sharded, survivors, queries, k=5)
+        assert sharded._rep_index[2] is stale_ids  # the stale index was used
+        survivors.close()
+        sharded.close()
+
+
+# ----------------------------------------------------------------------
+# batch_candidates counts examined pairs
+# ----------------------------------------------------------------------
+# ``stats.extra["batch_candidates"]`` of ``query_pool[:8]`` at k = 5 on the
+# unsharded fixture, measured at the parent commit (91f6bd6), where the
+# counter was ``sum(len(memo))``.
+UNSHARDED_CANDIDATES_AT_PARENT = 74.0
+
+
+class TestBatchCandidates:
+    @pytest.fixture
+    def survivors(self, monkeypatch):
+        """Total (query, object) pairs the shared traversals let through."""
+        seen = []
+        traversal = BatchQueryExecutor._shared_traversal
+
+        def logged(self, *args, **kwargs):
+            per_query = traversal(self, *args, **kwargs)
+            seen.append(sum(ids.shape[0] for ids in per_query))
+            return per_query
+
+        monkeypatch.setattr(BatchQueryExecutor, "_shared_traversal", logged)
+        return seen
+
+    def test_shards_count_their_own_survivors_not_the_shared_memo(
+        self, objects, config, query_pool, survivors, monkeypatch
+    ):
+        sharded = ShardedDatabase.build(
+            list(objects), n_shards=2, placement="hash", config=config
+        )
+        counted = []
+        aknn_batch = BatchQueryExecutor.aknn_batch
+
+        def logged(self, *args, **kwargs):
+            batch = aknn_batch(self, *args, **kwargs)
+            counted.append(batch.stats.extra["batch_candidates"])
+            return batch
+
+        monkeypatch.setattr(BatchQueryExecutor, "aknn_batch", logged)
+        sharded.execute_batch(requests_for(query_pool[:8], k=5))
+        assert len(counted) == len(survivors) == 2
+        # objects live in one shard each, so survivors are distinct pairs;
+        # the old count added every shard's copy of the 8 x 9 global nominees
+        assert counted == [float(n) for n in survivors]
+        assert sum(counted) < 2 * 8 * 9
+        sharded.close()
+
+    def test_unsharded_value_is_what_it_was(self, reference, query_pool, survivors):
+        """Survivors plus own nominees = every pair evaluated (pinned count)."""
+        batch = reference._executor.aknn_batch(query_pool[:8], k=5, alpha=ALPHA)
+        assert batch.stats.extra["batch_candidates"] == batch.stats.distance_evaluations
+        assert batch.stats.extra["batch_candidates"] == UNSHARDED_CANDIDATES_AT_PARENT
+        assert survivors[0] <= batch.stats.extra["batch_candidates"]
+
+
+# ----------------------------------------------------------------------
+# Prepared queries are shared, not re-made and not charged
+# ----------------------------------------------------------------------
+class TestPreparedQueriesAreReused:
+    def test_executor_accepts_prepared_and_raw_queries_alike(self, reference, query_pool):
+        executor = reference._executor
+        queries = query_pool[:5]
+        raw = executor.aknn_batch(queries, k=4, alpha=ALPHA)
+        prepared = [PreparedQuery(q, ALPHA, reference.config) for q in queries]
+        mixed = executor.aknn_batch(prepared[:3] + queries[3:], k=4, alpha=ALPHA)
+        assert answers(mixed.results) == answers(raw.results)
+        assert [r.stats.distance_evaluations for r in mixed.results] == [
+            r.stats.distance_evaluations for r in raw.results
+        ]
+        # the executor charges its own per-query collectors: a shared
+        # PreparedQuery accumulates nothing, however many executors use it
+        assert all(
+            p.metrics.get(MetricsCollector.DISTANCE_EVALUATIONS) == 0 for p in prepared
+        )
+
+    def test_prepared_query_at_another_alpha_is_rejected(self, reference, query_pool):
+        prepared = [PreparedQuery(query_pool[0], 0.8, reference.config)]
+        with pytest.raises(InvalidQueryError):
+            reference._executor.aknn_batch(prepared, k=3, alpha=ALPHA)
+
+    def test_aknn_batch_signature_is_the_parents(self):
+        assert list(inspect.signature(BatchQueryExecutor.aknn_batch).parameters) == [
+            "self", "queries", "k", "alpha", "method", "rng",
+            "initial_tau", "initial_exact", "deadline",
+        ]
+
+
+# ----------------------------------------------------------------------
+# The vectorised gather equals the loop it replaces
+# ----------------------------------------------------------------------
+def gather_by_loop(tree, alpha, improved, q_lo, q_hi, tau):
+    """The parent commit's ``_shared_traversal``, verbatim but for the names.
+
+    One Python iteration per (leaf, active query), ``mask.any()`` + a copy
+    each; kept as the reference the vectorised gather must reproduce.
+    """
+    metrics = MetricsCollector()
+    n_queries = q_lo.shape[0]
+    threshold = tau * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
+    candidates = [[] for _ in range(n_queries)]
+    stack = [(tree.root, np.arange(n_queries))]
+    while stack:
+        node, active = stack.pop()
+        metrics.increment(MetricsCollector.NODE_ACCESSES)
+        if not node.entries:
+            continue
+        soa = node.soa()
+        if node.is_leaf:
+            if improved:
+                box_lo, box_hi = soa.approx_alpha_bounds(alpha)
+            else:
+                box_lo, box_hi = soa.lo, soa.hi
+            lb = min_dist_to_boxes(q_lo[active], q_hi[active], box_lo, box_hi)
+            metrics.increment(
+                MetricsCollector.LOWER_BOUND_EVALUATIONS, int(active.shape[0]) * soa.n
+            )
+            survivors = lb <= threshold[active, None]
+            object_ids = soa.object_ids
+            for row, qi in enumerate(active.tolist()):
+                mask = survivors[row]
+                if mask.any():
+                    candidates[qi].append(object_ids[mask].copy())
+        else:
+            child_dists = soa.min_dist(q_lo[active], q_hi[active])
+            reachable = child_dists <= threshold[active, None]
+            keep = reachable.any(axis=0)
+            for j, entry in enumerate(node.entries):
+                if keep[j]:
+                    stack.append((entry.child, active[reachable[:, j]]))
+                else:
+                    metrics.increment(MetricsCollector.NODES_PRUNED)
+    per_query = [
+        np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+        for blocks in candidates
+    ]
+    return per_query, metrics
+
+
+@functools.lru_cache(maxsize=None)
+def summary_pool():
+    """30 summaries and an exact twin of each (same boxes, another id).
+
+    A cached function, not a fixture: hypothesis prints every argument of a
+    failing example, and 60 summaries would bury the ones that matter.
+    """
+    rng = np.random.default_rng(5)
+    originals = [make_fuzzy_object(rng, n_points=8, object_id=i) for i in range(30)]
+    twins = [
+        FuzzyObject(o.points.copy(), o.memberships.copy(), object_id=100 + o.object_id)
+        for o in originals
+    ]
+    return [build_summary(obj) for obj in originals + twins]
+
+
+COUNTERS = (
+    MetricsCollector.NODE_ACCESSES,
+    MetricsCollector.NODES_PRUNED,
+    MetricsCollector.LOWER_BOUND_EVALUATIONS,
+)
+
+RADII = st.one_of(
+    st.sampled_from([0.0, np.inf]),
+    st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+)
+
+
+# At 4 entries a node: one, two and three levels when bulk-loaded, each as likely.
+MEMBERS = st.sampled_from([(1, 4), (5, 16), (17, 60)]).flatmap(
+    lambda size: st.lists(
+        st.integers(0, 59), min_size=size[0], max_size=size[1], unique=True
+    )
+)
+
+
+class TestGatherEqualsTheLoop:
+    @given(
+        members=MEMBERS,
+        bulk=st.booleans(),
+        improved=st.booleans(),
+        alpha=st.sampled_from([0.2, 0.5, 1.0]),
+        corners=st.lists(
+            st.tuples(
+                st.floats(-4.0, 14.0), st.floats(-4.0, 14.0),
+                st.floats(0.0, 3.0), st.floats(0.0, 3.0), RADII,
+            ),
+            min_size=1, max_size=40,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_ids_same_order_same_counts(
+        self, members, bulk, improved, alpha, corners, data
+    ):
+        chosen = [summary_pool()[i] for i in members]
+        if bulk:
+            tree = RTree.bulk_load(chosen, max_entries=4)
+        else:
+            tree = RTree(max_entries=4)
+            for summary in chosen:
+                tree.insert(summary)
+        assert 1 <= tree.height <= 4
+
+        q_lo = np.array([[x, y] for x, y, _, _, _ in corners])
+        q_hi = q_lo + np.array([[w, h] for _, _, w, h, _ in corners])
+        tau = np.array([radius for *_, radius in corners])
+        if data.draw(st.booleans(), label="one query far away, radius 0"):
+            q_lo[0] = q_hi[0] = [1e6, 1e6]
+            tau[0] = 0.0
+
+        want, want_metrics = gather_by_loop(tree, alpha, improved, q_lo, q_hi, tau)
+        executor = BatchQueryExecutor(store=None, tree=tree)
+        got_metrics = MetricsCollector()
+        got = executor._shared_traversal(alpha, improved, q_lo, q_hi, tau, got_metrics)
+
+        assert len(got) == len(want) == q_lo.shape[0]
+        for got_ids, want_ids in zip(got, want):
+            assert got_ids.dtype == want_ids.dtype
+            assert got_ids.tolist() == want_ids.tolist()
+        for counter in COUNTERS:
+            assert got_metrics.get(counter) == want_metrics.get(counter)
+        if tau[0] == 0.0 and q_lo[0, 0] == 1e6:
+            assert got[0].shape == (0,)
+
+    def test_a_tree_with_no_leaf_hit_returns_empty_rows(self):
+        tree = RTree.bulk_load(summary_pool()[:10], max_entries=4)
+        executor = BatchQueryExecutor(store=None, tree=tree)
+        far = np.full((3, 2), 1e6)
+        got = executor._shared_traversal(
+            0.5, True, far, far, np.zeros(3), MetricsCollector()
+        )
+        assert [ids.tolist() for ids in got] == [[], [], []]
