@@ -41,10 +41,20 @@ class MBR:
             raise ValueError("MBR lower/upper bounds must have the same length")
         if lower_arr.size == 0:
             raise ValueError("MBR must have at least one dimension")
-        if np.any(lower_arr > upper_arr):
-            raise ValueError("MBR lower bound exceeds upper bound")
+        # ``not all(<=)`` rather than ``any(>)``: a NaN bound fails every
+        # comparison, so only the first form rejects it.
+        if not np.all(lower_arr <= upper_arr):
+            raise ValueError("MBR bounds must satisfy lower <= upper (NaN is not a bound)")
         self.lower = lower_arr
         self.upper = upper_arr
+
+    @classmethod
+    def _derived(cls, lower: np.ndarray, upper: np.ndarray) -> "MBR":
+        """A box that is a min / max over valid boxes: valid by construction, not re-checked."""
+        box = cls.__new__(cls)
+        box.lower = lower
+        box.upper = upper
+        return box
 
     # ------------------------------------------------------------------
     # Constructors
@@ -71,7 +81,7 @@ class MBR:
             raise ValueError("union_of expects at least one MBR")
         lower = np.min(np.vstack([m.lower for m in mbrs]), axis=0)
         upper = np.max(np.vstack([m.upper for m in mbrs]), axis=0)
-        return cls(lower, upper)
+        return cls._derived(lower, upper)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -124,7 +134,9 @@ class MBR:
     # ------------------------------------------------------------------
     def union(self, other: "MBR") -> "MBR":
         """Smallest MBR enclosing both rectangles."""
-        return MBR(np.minimum(self.lower, other.lower), np.maximum(self.upper, other.upper))
+        return MBR._derived(
+            np.minimum(self.lower, other.lower), np.maximum(self.upper, other.upper)
+        )
 
     def enlargement(self, other: "MBR") -> float:
         """Area increase needed to also cover ``other`` (R-tree ChooseLeaf metric)."""

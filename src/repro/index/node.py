@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
+import numpy as np
+
 from repro.exceptions import IndexError_
 from repro.geometry.mbr import MBR
 from repro.index.entry import InternalEntry, LeafEntry
@@ -20,9 +22,10 @@ class RTreeNode:
 
     Besides the entry list, every node lazily exposes a struct-of-arrays view
     (:meth:`soa`) holding contiguous ``(n, d)`` arrays of its children's MBRs
-    and leaf summaries, which is what the searchers evaluate bounds against.
-    The view is maintained incrementally on :meth:`add` and invalidated on
-    structural rewrites.
+    and leaf summaries, which is what the searchers evaluate bounds against
+    and what tree maintenance reads every box from.  The view is maintained
+    incrementally on :meth:`add`, :meth:`remove_at` and :meth:`refresh_child`
+    and invalidated on structural rewrites.
     """
 
     __slots__ = ("level", "entries", "_soa", "_soa_list_id")
@@ -42,7 +45,8 @@ class RTreeNode:
         """Tightest MBR enclosing every entry of the node."""
         if not self.entries:
             raise IndexError_("cannot compute the MBR of an empty node")
-        return MBR.union_of(entry.mbr for entry in self.entries)
+        view = self.soa()
+        return MBR._derived(view.lo.min(axis=0), view.hi.max(axis=0))
 
     def add(self, entry: Entry) -> None:
         """Append an entry (caller is responsible for overflow handling)."""
@@ -54,14 +58,13 @@ class RTreeNode:
         if self._soa is not None:
             self._soa.append(entry)
 
-    def remove_entry(self, entry: Entry) -> None:
-        """Remove an entry, keeping the SoA view aligned.
+    def remove_at(self, index: int) -> None:
+        """Remove the entry at ``index``, keeping the SoA view aligned.
 
         A populated view is updated in place (the matching row shifts out); a
         node left empty drops its view entirely, since a SoA cannot represent
         zero rows.
         """
-        index = self.entries.index(entry)
         self.entries.pop(index)
         if self._soa is not None:
             if self.entries:
@@ -78,7 +81,7 @@ class RTreeNode:
         A stale view caused by wholesale entry replacement is detected through
         the row count and the identity of the ``entries`` list (rebinding
         ``node.entries`` to a new list always rebuilds); in-place MBR
-        refreshes must go through :meth:`refresh_child_mbr` (or
+        refreshes must go through :meth:`refresh_child` (or
         :meth:`invalidate_soa`) instead.
         """
         if (
@@ -94,10 +97,27 @@ class RTreeNode:
         """Drop the cached view after a structural rewrite of ``entries``."""
         self._soa = None
 
-    def refresh_child_mbr(self, entry: InternalEntry) -> None:
-        """Propagate an in-place directory-entry MBR refresh into the view."""
+    def check_view(self) -> None:
+        """Raise unless a live view mirrors ``entries`` row for row (maintenance decides
+        from it).  Builds nothing; a view ``soa()`` would rebuild anyway is skipped."""
+        view = self._soa
+        if view is None or self._soa_list_id != id(self.entries):
+            return
+        boxes = [entry.mbr for entry in self.entries]
+        if (
+            view.n != len(boxes)
+            or not np.array_equal(view.lo, [box.lower for box in boxes])
+            or not np.array_equal(view.hi, [box.upper for box in boxes])
+            or (self.is_leaf and view.object_ids.tolist() != [e.object_id for e in self.entries])
+        ):
+            raise IndexError_("node view does not mirror its entries")
+
+    def refresh_child(self, index: int) -> None:
+        """Re-tighten the directory entry at ``index`` to its child, view row included."""
+        entry = self.entries[index]
+        entry.refresh_mbr()
         if self._soa is not None:
-            self._soa.refresh_box(self.entries.index(entry), entry.mbr)
+            self._soa.refresh_box(index, entry.mbr)
 
     def __len__(self) -> int:
         return len(self.entries)

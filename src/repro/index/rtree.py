@@ -12,6 +12,15 @@ Supported operations:
 * rectangle range search (used by the RSS optimisation of Section 4.2),
 * structural validation (used by the test suite).
 
+Maintenance evaluates Guttman's criteria a node at a time, not an ``MBR``
+object at a time: ChooseSubtree, PickSeeds / PickNext, FindLeaf's containment
+test and node tight boxes read the ``(n, d)`` arrays of the node's
+:class:`~repro.index.soa.NodeSoA` view (the one mirror of the entries' boxes),
+and STR packing reduces each level's stacked boxes.  Areas multiply in
+``MBR.area()``'s order and every tie goes to the first entry, so the trees
+are the ones the per-entry loops built, byte for byte
+(``tests/test_rtree_maintenance_parity.py`` keeps those loops as reference).
+
 Every structural mutation bumps :attr:`RTree.mutations`, which lets callers
 that cache derived structures (for example the batch executor's
 representative KD-tree) detect that the indexed set changed even when the
@@ -37,6 +46,19 @@ from repro.geometry.mbr import MBR
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Entry, RTreeNode
 from repro.metrics.counters import MetricsCollector
+
+
+def _areas(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Hyper-volumes of the boxes ``lower`` / ``upper`` (shape ``(..., d)``).
+
+    Extents are multiplied dimension by dimension, the order of
+    :meth:`MBR.area`'s ``np.prod``, so the two agree to the last bit.
+    """
+    extent = upper - lower
+    area = extent[..., 0]
+    for dim in range(1, extent.shape[-1]):
+        area = area * extent[..., dim]
+    return area
 
 
 class RTree:
@@ -70,50 +92,59 @@ class RTree:
         """Build a tree with Sort-Tile-Recursive packing.
 
         STR produces well-filled, spatially coherent leaves which keeps the
-        best-first search close to the paper's measured behaviour.
+        best-first search close to the paper's measured behaviour.  A level's
+        boxes are stacked once and its nodes' tight boxes, reduced from those
+        arrays, are the next level's input: no view is built at pack time.
         """
         tree = cls(max_entries=max_entries, min_fill=min_fill)
         if not summaries:
             return tree
-        leaf_entries: List[Entry] = [LeafEntry(s) for s in summaries]
-        nodes = tree._pack_level(leaf_entries, level=0)
-        level = 1
-        while len(nodes) > 1:
-            entries: List[Entry] = [
-                InternalEntry(node.compute_mbr(), node) for node in nodes
+        entries: List[Entry] = [LeafEntry(s) for s in summaries]
+        lower = np.array([s.support_mbr.lower for s in summaries])
+        upper = np.array([s.support_mbr.upper for s in summaries])
+        level = 0
+        while True:
+            nodes, lower, upper = tree._pack_level(entries, lower, upper, level)
+            if len(nodes) == 1:
+                break
+            entries = [
+                InternalEntry(MBR._derived(lo, hi), node)
+                for lo, hi, node in zip(lower, upper, nodes)
             ]
-            nodes = tree._pack_level(entries, level=level)
             level += 1
         tree.root = nodes[0]
         tree._size = len(summaries)
         return tree
 
-    def _pack_level(self, entries: List[Entry], level: int) -> List[RTreeNode]:
-        """Pack ``entries`` into nodes of ``level`` using STR tiling."""
+    def _pack_level(
+        self, entries: List[Entry], lower: np.ndarray, upper: np.ndarray, level: int
+    ) -> Tuple[List[RTreeNode], np.ndarray, np.ndarray]:
+        """Pack ``entries`` (boxes ``lower`` / ``upper``) into nodes of ``level`` by STR tiling.
+
+        Returns the nodes with their tight boxes as ``(n_nodes, d)`` arrays.
+        """
         capacity = self.max_entries
         n = len(entries)
         n_nodes = max(1, math.ceil(n / capacity))
-        dims = entries[0].mbr.dimensions
-        centers = np.asarray([e.mbr.center for e in entries])
-        if dims == 1 or n_nodes == 1:
-            order = np.argsort(centers[:, 0])
-            ordered = [entries[i] for i in order]
-        else:
+        centers = (lower + upper) / 2.0
+        order = np.argsort(centers[:, 0])
+        if lower.shape[1] > 1 and n_nodes > 1:
             # Classic 2-d STR: sort by x, cut into vertical slices, then sort
             # each slice by y.  Higher dimensions reuse the first two axes.
             n_slices = max(1, math.ceil(math.sqrt(n_nodes)))
             slice_size = math.ceil(n / n_slices)
-            order = np.argsort(centers[:, 0])
-            ordered = []
-            for start in range(0, n, slice_size):
-                slice_idx = order[start : start + slice_size]
-                slice_centers = centers[slice_idx]
-                inner = slice_idx[np.argsort(slice_centers[:, 1])]
-                ordered.extend(entries[i] for i in inner)
-        nodes = []
-        for start in range(0, n, capacity):
-            nodes.append(RTreeNode(level=level, entries=ordered[start : start + capacity]))
-        return nodes
+            slices = [order[start : start + slice_size] for start in range(0, n, slice_size)]
+            order = np.concatenate(
+                [slice_idx[np.argsort(centers[slice_idx, 1])] for slice_idx in slices]
+            )
+        ordered = [entries[i] for i in order]
+        starts = np.arange(0, n, capacity)
+        nodes = [RTreeNode(level, ordered[start : start + capacity]) for start in starts]
+        return (
+            nodes,
+            np.minimum.reduceat(lower[order], starts, axis=0),
+            np.maximum.reduceat(upper[order], starts, axis=0),
+        )
 
     # ------------------------------------------------------------------
     # Insertion
@@ -128,11 +159,14 @@ class RTree:
         """Place ``entry`` into a node of ``target_level``, growing the root on split."""
         split = self._insert_into(self.root, entry, target_level)
         if split is not None:
-            old_root = self.root
-            new_root = RTreeNode(level=old_root.level + 1)
-            new_root.add(InternalEntry(old_root.compute_mbr(), old_root))
-            new_root.add(InternalEntry(split.compute_mbr(), split))
-            self.root = new_root
+            self._grow_root(InternalEntry(split.compute_mbr(), split))
+
+    def _grow_root(self, sibling: InternalEntry) -> None:
+        """Join the current root and ``sibling`` under a fresh root one level up."""
+        old_root = self.root
+        self.root = RTreeNode(level=old_root.level + 1)
+        self.root.add(InternalEntry(old_root.compute_mbr(), old_root))
+        self.root.add(sibling)
 
     def _insert_into(
         self, node: RTreeNode, entry: Entry, target_level: int
@@ -140,10 +174,9 @@ class RTree:
         if node.level == target_level:
             node.add(entry)
         else:
-            child_entry = self._choose_subtree(node, entry.mbr)
-            split = self._insert_into(child_entry.child, entry, target_level)
-            child_entry.refresh_mbr()
-            node.refresh_child_mbr(child_entry)
+            position = self._choose_subtree(node, entry.mbr)
+            split = self._insert_into(node.entries[position].child, entry, target_level)
+            node.refresh_child(position)
             if split is not None:
                 node.add(InternalEntry(split.compute_mbr(), split))
         if len(node.entries) > self.max_entries:
@@ -151,80 +184,58 @@ class RTree:
         return None
 
     @staticmethod
-    def _choose_subtree(node: RTreeNode, mbr: MBR) -> InternalEntry:
-        """Guttman's ChooseLeaf criterion: least enlargement, then least area."""
-        best = None
-        best_key = None
-        for entry in node.entries:
-            enlargement = entry.mbr.enlargement(mbr)
-            key = (enlargement, entry.mbr.area())
-            if best_key is None or key < best_key:
-                best = entry
-                best_key = key
-        assert best is not None
-        return best
+    def _choose_subtree(node: RTreeNode, mbr: MBR) -> int:
+        """Guttman's ChooseLeaf criterion: least enlargement, then least area.
+
+        Returns the chosen child's position; the stable sort hands ties to
+        the first entry.
+        """
+        view = node.soa()
+        area = _areas(view.lo, view.hi)
+        grown = _areas(np.minimum(view.lo, mbr.lower), np.maximum(view.hi, mbr.upper))
+        return int(np.lexsort((area, grown - area))[0])
 
     def _split_node(self, node: RTreeNode) -> RTreeNode:
-        """Quadratic split; ``node`` keeps one group, the sibling is returned."""
-        entries = node.entries
-        seed_a, seed_b = self._pick_seeds(entries)
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        mbr_a = entries[seed_a].mbr
-        mbr_b = entries[seed_b].mbr
-        remaining = [e for i, e in enumerate(entries) if i not in (seed_a, seed_b)]
+        """Quadratic split; ``node`` keeps one group, the sibling is returned.
 
-        while remaining:
+        PickSeeds takes the first pair (row-major over ``i < j``) wasting the
+        most area; PickNext then repeatedly moves the first live entry with
+        the strongest preference into the group it enlarges least (ties: the
+        smaller group box, then the shorter group, then the first group).
+        """
+        entries = node.entries
+        view = node.soa()
+        lo, hi = view.lo, view.hi
+        area = _areas(lo, hi)
+        first, second = np.triu_indices(len(entries), 1)
+        union = _areas(np.minimum(lo[first], lo[second]), np.maximum(hi[first], hi[second]))
+        seed = int(np.argmax(union - area[first] - area[second]))
+        seeds = [int(first[seed]), int(second[seed])]
+        members = ([seeds[0]], [seeds[1]])
+        # Both groups' boxes, as (2, d) bounds and (2,) areas, carried incrementally.
+        box_lo, box_hi, box_area = lo[seeds], hi[seeds], area[seeds]
+        alive = np.ones(len(entries), dtype=bool)
+        alive[seeds] = False
+        for remaining in range(len(entries) - 2, 0, -1):
             # If one group must take everything left to reach minimum fill,
             # assign the rest to it outright.
-            if len(group_a) + len(remaining) <= self.min_entries:
-                group_a.extend(remaining)
-                remaining = []
+            starved = [m for m in members if len(m) + remaining <= self.min_entries]
+            if starved:
+                starved[0].extend(np.flatnonzero(alive).tolist())
                 break
-            if len(group_b) + len(remaining) <= self.min_entries:
-                group_b.extend(remaining)
-                remaining = []
-                break
-            index = self._pick_next(remaining, mbr_a, mbr_b)
-            entry = remaining.pop(index)
-            cost_a = mbr_a.enlargement(entry.mbr)
-            cost_b = mbr_b.enlargement(entry.mbr)
-            if (cost_a, mbr_a.area(), len(group_a)) <= (cost_b, mbr_b.area(), len(group_b)):
-                group_a.append(entry)
-                mbr_a = mbr_a.union(entry.mbr)
-            else:
-                group_b.append(entry)
-                mbr_b = mbr_b.union(entry.mbr)
-
-        node.entries = group_a
+            grown = _areas(np.minimum(lo, box_lo[:, None]), np.maximum(hi, box_hi[:, None]))
+            cost = grown - box_area[:, None]
+            pick = int(np.argmax(np.where(alive, np.abs(cost[0] - cost[1]), -1.0)))
+            alive[pick] = False
+            keys = [(cost[g, pick], box_area[g], len(members[g])) for g in (0, 1)]
+            g = 0 if keys[0] <= keys[1] else 1
+            members[g].append(pick)
+            box_lo[g] = np.minimum(box_lo[g], lo[pick])
+            box_hi[g] = np.maximum(box_hi[g], hi[pick])
+            box_area[g] = grown[g, pick]
+        node.entries = [entries[i] for i in members[0]]
         node.invalidate_soa()
-        return RTreeNode(level=node.level, entries=group_b)
-
-    @staticmethod
-    def _pick_seeds(entries: Sequence[Entry]) -> Tuple[int, int]:
-        """The pair of entries wasting the most area when grouped together."""
-        best_pair = (0, 1)
-        best_waste = -math.inf
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                union = entries[i].mbr.union(entries[j].mbr)
-                waste = union.area() - entries[i].mbr.area() - entries[j].mbr.area()
-                if waste > best_waste:
-                    best_waste = waste
-                    best_pair = (i, j)
-        return best_pair
-
-    @staticmethod
-    def _pick_next(remaining: Sequence[Entry], mbr_a: MBR, mbr_b: MBR) -> int:
-        """The entry with the strongest preference for one of the groups."""
-        best_index = 0
-        best_diff = -1.0
-        for i, entry in enumerate(remaining):
-            diff = abs(mbr_a.enlargement(entry.mbr) - mbr_b.enlargement(entry.mbr))
-            if diff > best_diff:
-                best_diff = diff
-                best_index = i
-        return best_index
+        return RTreeNode(level=node.level, entries=[entries[i] for i in members[1]])
 
     # ------------------------------------------------------------------
     # Deletion
@@ -239,23 +250,12 @@ class RTree:
         original level; a root left with a single child is shortened.
         Raises :class:`IndexError_` when the object is not indexed.
         """
-        path = self._find_leaf(self.root, int(object_id), mbr)
-        if path is None:
-            raise IndexError_(f"object {object_id} is not indexed")
-        leaf = path[-1]
-        entry = next(e for e in leaf.entries if e.object_id == object_id)
-        leaf.remove_entry(entry)
-        self._size -= 1
-        self.mutations += 1
-        orphans = self._condense(path)
+        orphans = self._remove(object_id, mbr, self.min_entries)
         # Taller orphan subtrees go back first so lower-level entries can
         # descend into them (the empty-root seeding below depends on it).
         for level, orphan in sorted(orphans, key=lambda item: -item[0]):
             self._reinsert(orphan, level)
-        while not self.root.is_leaf and len(self.root.entries) == 1:
-            self.root = self.root.entries[0].child
-        if not self.root.is_leaf and not self.root.entries:
-            self.root = RTreeNode(level=0)
+        self._shorten_root()
 
     def delete_lazy(self, object_id: int, mbr: Optional[MBR] = None) -> None:
         """Remove the data entry for ``object_id`` without condensing.
@@ -270,23 +270,36 @@ class RTree:
         are preserved (validation rejects *empty* non-root nodes, never
         underfull ones).
         """
+        self._remove(object_id, mbr, 1)
+        self._shorten_root()
+
+    def _remove(
+        self, object_id: int, mbr: Optional[MBR], min_entries: int
+    ) -> List[Tuple[int, Entry]]:
+        """Drop ``object_id``'s entry, then dissolve path nodes under ``min_entries``, bottom-up.
+
+        Returns the orphans as ``(level to reinsert at, entry)`` pairs; a node
+        that stays adequately filled gets its parent's box tightened instead.
+        """
         path = self._find_leaf(self.root, int(object_id), mbr)
         if path is None:
             raise IndexError_(f"object {object_id} is not indexed")
-        leaf = path[-1]
-        entry = next(e for e in leaf.entries if e.object_id == object_id)
-        leaf.remove_entry(entry)
+        leaf, position = path[-1]
+        leaf.remove_at(position)
         self._size -= 1
         self.mutations += 1
+        orphans: List[Tuple[int, Entry]] = []
         for depth in range(len(path) - 1, 0, -1):
-            node = path[depth]
-            parent = path[depth - 1]
-            parent_entry = next(e for e in parent.entries if e.child is node)
-            if not node.entries:
-                parent.remove_entry(parent_entry)
+            node = path[depth][0]
+            parent, position = path[depth - 1]
+            if len(node.entries) < min_entries:
+                parent.remove_at(position)
+                orphans.extend((node.level, e) for e in node.entries)
             else:
-                parent_entry.refresh_mbr()
-                parent.refresh_child_mbr(parent_entry)
+                parent.refresh_child(position)
+        return orphans
+
+    def _shorten_root(self) -> None:
         while not self.root.is_leaf and len(self.root.entries) == 1:
             self.root = self.root.entries[0].child
         if not self.root.is_leaf and not self.root.entries:
@@ -294,39 +307,27 @@ class RTree:
 
     def _find_leaf(
         self, node: RTreeNode, object_id: int, mbr: Optional[MBR]
-    ) -> Optional[List[RTreeNode]]:
-        """Root-to-leaf path ending at the node holding ``object_id``."""
-        if node.is_leaf:
-            if any(e.object_id == object_id for e in node.entries):
-                return [node]
-            return None
-        for entry in node.entries:
-            if mbr is not None and not entry.mbr.contains(mbr):
-                continue
-            tail = self._find_leaf(entry.child, object_id, mbr)
-            if tail is not None:
-                return [node, *tail]
-        return None
+    ) -> Optional[List[Tuple[RTreeNode, int]]]:
+        """Root-to-leaf path to ``object_id`` as ``(node, position)`` steps.
 
-    def _condense(self, path: List[RTreeNode]) -> List[Tuple[int, Entry]]:
-        """Dissolve underfull nodes along ``path``, bottom-up.
-
-        Returns the orphaned entries as ``(level, entry)`` pairs, where
-        ``level`` is the node level the entry must be reinserted at.  Nodes
-        that stay adequately filled get their parent MBRs tightened instead.
+        ``position`` is where the next step's node (for the leaf: the data
+        entry) sits in ``node.entries``.
         """
-        orphans: List[Tuple[int, Entry]] = []
-        for depth in range(len(path) - 1, 0, -1):
-            node = path[depth]
-            parent = path[depth - 1]
-            parent_entry = next(e for e in parent.entries if e.child is node)
-            if len(node.entries) < self.min_entries:
-                parent.remove_entry(parent_entry)
-                orphans.extend((node.level, e) for e in node.entries)
-            else:
-                parent_entry.refresh_mbr()
-                parent.refresh_child_mbr(parent_entry)
-        return orphans
+        if node.is_leaf:
+            for position, entry in enumerate(node.entries):
+                if entry.object_id == object_id:
+                    return [(node, position)]
+            return None
+        covering: Sequence[int] = range(len(node.entries))
+        if mbr is not None:
+            view = node.soa()
+            covers = np.all((view.lo <= mbr.lower) & (view.hi >= mbr.upper), axis=1)
+            covering = np.flatnonzero(covers).tolist()
+        for position in covering:
+            tail = self._find_leaf(node.entries[position].child, object_id, mbr)
+            if tail is not None:
+                return [(node, position), *tail]
+        return None
 
     def _reinsert(self, entry: Entry, target_level: int) -> None:
         """Reinsert one orphaned entry into a node of ``target_level``.
@@ -344,11 +345,7 @@ class RTree:
         if isinstance(entry, InternalEntry) and entry.child.level >= self.root.level:
             # The orphaned subtree is as tall as the (reseeded) tree itself:
             # join both under a fresh root instead of descending.
-            old_root = self.root
-            new_root = RTreeNode(level=entry.child.level + 1)
-            new_root.add(InternalEntry(old_root.compute_mbr(), old_root))
-            new_root.add(entry)
-            self.root = new_root
+            self._grow_root(entry)
             return
         self._insert_entry(entry, target_level)
 
@@ -472,20 +469,20 @@ class RTree:
             raise IndexError_("node exceeds max_entries")
         if not is_root and self._size > 0 and len(node.entries) == 0:
             raise IndexError_("non-root node is empty")
+        kind = LeafEntry if node.is_leaf else InternalEntry
+        if not all(isinstance(entry, kind) for entry in node.entries):
+            raise IndexError_(f"level-{node.level} node holds an entry that is no {kind.__name__}")
+        node.check_view()
         if node.is_leaf:
             for entry in node.entries:
-                if not isinstance(entry, LeafEntry):
-                    raise IndexError_("leaf node contains a non-leaf entry")
                 if entry.object_id in seen_objects:
                     raise IndexError_(f"duplicate object id {entry.object_id}")
                 seen_objects.add(entry.object_id)
             return
         for entry in node.entries:
-            if not isinstance(entry, InternalEntry):
-                raise IndexError_("internal node contains a non-internal entry")
             if entry.child.level != node.level - 1:
                 raise IndexError_("child level mismatch")
-            child_mbr = entry.child.compute_mbr()
-            if not entry.mbr.contains(child_mbr):
-                raise IndexError_("internal entry MBR does not cover its child")
+            boxes = [e.mbr for e in entry.child.entries]
+            if boxes and entry.mbr != MBR.union_of(boxes):
+                raise IndexError_("internal entry MBR is not its child's tight box")
             self._validate_node(entry.child, is_root=False, seen_objects=seen_objects)

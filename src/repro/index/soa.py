@@ -1,12 +1,12 @@
 """Struct-of-arrays (SoA) views of R-tree nodes.
 
-The per-entry objects (:class:`~repro.index.entry.LeafEntry` /
-:class:`~repro.index.entry.InternalEntry`) are convenient for tree
-maintenance, but evaluating a bound against every entry of a node one Python
-object at a time dominates the query cost.  :class:`NodeSoA` mirrors a node's
-entries as contiguous ``(n, d)`` arrays so the searchers compute ``MinDist``,
-``MaxDist`` and the approximated alpha-cut MBR ``M_A(alpha)*`` (Equation 2)
-for the whole node in a handful of NumPy calls.
+Evaluating a bound against every entry of a node one Python object at a time
+(:class:`~repro.index.entry.LeafEntry` / :class:`~repro.index.entry.InternalEntry`)
+dominates the cost of a query and, as it turned out, of a write.
+:class:`NodeSoA` mirrors a node's entries as contiguous ``(n, d)`` arrays so
+the searchers compute ``MinDist``, ``MaxDist`` and the approximated alpha-cut
+MBR ``M_A(alpha)*`` (Equation 2), and tree maintenance its areas, enlargements
+and containment tests, for the whole node in a handful of NumPy calls.
 
 A leaf SoA additionally carries the summary payload of every entry — kernel
 MBRs, conservative-line coefficients and representative kernel points — and
@@ -15,9 +15,9 @@ repeated queries at the same ``alpha`` (and every query of a batch) share one
 reconstruction per node.
 
 The SoA is maintained incrementally: appending an entry grows the arrays with
-amortised-doubling capacity, and directory-entry MBR refreshes update the
-affected row in place.  Structural rewrites (node splits) invalidate the view,
-which is rebuilt lazily on next access.
+amortised-doubling capacity, a removal shifts its row out, and directory-entry
+MBR refreshes update the affected row in place.  Structural rewrites (node
+splits) invalidate the view, which is rebuilt lazily on next access.
 
 The element-wise formulas are kept identical to the scalar paths in
 :mod:`repro.geometry.mbr` and :class:`~repro.fuzzy.summary.FuzzyObjectSummary`

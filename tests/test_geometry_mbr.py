@@ -19,6 +19,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MBR([1.0, 0.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [([math.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, math.nan]), ([math.nan], [math.nan])],
+    )
+    def test_rejects_nan_in_either_bound(self, lower, upper):
+        """``any(lower > upper)`` is False for NaN: the check must be ``all(lower <= upper)``."""
+        with pytest.raises(ValueError):
+            MBR(lower, upper)
+
+    def test_rejects_nan_through_the_other_constructors(self):
+        with pytest.raises(ValueError):
+            MBR.from_points(np.array([[0.0, 1.0], [math.nan, 2.0]]))
+        with pytest.raises(ValueError):
+            MBR.from_point([0.0, math.nan])
+        with pytest.raises(ValueError):
+            MBR.from_array([0.0, math.nan, 1.0, 1.0])
+
+    def test_infinite_bounds_are_still_boxes(self):
+        box = MBR([-math.inf, 0.0], [math.inf, 1.0])
+        assert box.contains_point([1e300, 0.5])
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             MBR([0.0], [1.0, 2.0])
