@@ -5,10 +5,15 @@
 searcher, by amortising all index work across the batch:
 
 * **Shared pruning-radius bootstrap.**  A KD-tree over every object's
-  representative kernel point (built once per executor and reused across
-  batches) yields, per query, a handful of candidates whose exact distances
-  immediately give a valid k-th-distance radius ``tau`` — before the R-tree
-  is even touched.
+  representative kernel point (cached across batches) yields, per query, a
+  handful of candidates whose exact distances immediately give a valid
+  k-th-distance radius ``tau`` — before the R-tree is even touched.  It is
+  written once, over a *partition set*: :class:`RepresentativeIndex` covers
+  any number of R-trees and :func:`bootstrap_radii` reads each nominee from
+  the part holding it.  The executor runs it over itself, a set of one; the
+  sharded database runs the same function over its live shards and hands
+  every shard executor the resulting radii (``initial_tau``) and the
+  distances already paid for (``initial_exact``).
 * **One shared traversal.**  Every R-tree node is visited at most once per
   batch.  A node is expanded only for the *active* queries whose radius it
   can still beat, and the lower bounds (``d-_alpha`` of Section 3.2, or the
@@ -40,7 +45,7 @@ locking.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -91,6 +96,139 @@ def _exact_min_distances(
     return np.sqrt(np.minimum.reduceat(nearest, starts))
 
 
+class RepresentativeIndex:
+    """KD-tree over the representative points of a partition set (cached).
+
+    ``over(trees)`` indexes every ``rep(A)`` of the given R-trees — one tree
+    for a single database, the live shards' trees for a sharded one — and
+    records which member holds each object.  The cache key is, per member,
+    its identity, size and ``tree.mutations``, so a mutation (also an insert
+    + delete pair that keeps the size) or a change of the covered set
+    rebuilds it; anything else returns the same KD-tree.
+    """
+
+    def __init__(self) -> None:
+        # (key, the trees — kept alive so their ids stay unique, the answer);
+        # one tuple swapped in whole, so concurrent batches never see a mix.
+        self._cached: Optional[Tuple] = None
+
+    def over(
+        self, trees: Sequence[RTree]
+    ) -> Tuple[Optional[cKDTree], np.ndarray, Dict[int, int]]:
+        """``(KD-tree, aligned object ids, object id -> position in trees)``."""
+        key = tuple((id(tree), len(tree), tree.mutations) for tree in trees)
+        cached = self._cached
+        if cached is not None and cached[0] == key:
+            return cached[2]
+        reps: List[np.ndarray] = []
+        oids: List[int] = []
+        member_of: Dict[int, int] = {}
+        for member, tree in enumerate(trees):
+            first = len(oids)
+            for entry in tree.leaf_entries():
+                reps.append(entry.summary.representative)
+                oids.append(entry.object_id)
+            member_of.update(dict.fromkeys(oids[first:], member))
+        answer = (
+            cKDTree(np.asarray(reps)) if reps else None,
+            np.asarray(oids, dtype=np.int64),
+            member_of,
+        )
+        self._cached = (key, tuple(trees), answer)
+        return answer
+
+
+def bootstrap_radii(
+    index: RepresentativeIndex,
+    parts: Sequence,
+    prepared: Sequence[PreparedQuery],
+    k: int,
+    alpha: float,
+    cuts: Dict[int, np.ndarray],
+    exact: List[Dict[int, float]],
+    metrics: MetricsCollector,
+    query_metrics: List[MetricsCollector],
+) -> Tuple[np.ndarray, List[List[int]]]:
+    """A valid per-query pruning radius over a partition set.
+
+    ``parts`` each expose ``tree`` and ``store`` (an executor is a set of
+    one; the sharded database hands in its live shards).  For each query the
+    KD-tree over every part's ``rep(A)`` points nominates the objects whose
+    representatives are closest to the centre of the query alpha-cut MBR;
+    probing those exactly — each read from the part the index found it in —
+    makes the k-th smallest probed distance a valid upper bound on the true
+    k-th neighbour distance over all parts (where the nominations land only
+    affects how tight the radius is, never correctness).  Returns the radii
+    and each query's nominee ids; ``exact`` gains every distance paid for, so
+    an executor seeded with it never evaluates — nor fetches — a nominee
+    again.  Fewer than ``k`` indexed objects leave the radii at ``inf``.  The
+    radii hold only against the snapshot they were probed from.
+    """
+    n_queries = len(prepared)
+    tau = np.full(n_queries, np.inf)
+    kdtree, object_ids, member_of = index.over([part.tree for part in parts])
+    if object_ids.shape[0] < k:
+        return tau, [[] for _ in prepared]
+    kk = min(k + _BOOTSTRAP_EXTRA, object_ids.shape[0])
+    centers = np.stack(
+        [(p.query_mbr.lower + p.query_mbr.upper) / 2.0 for p in prepared]
+    )
+    _, rep_idx = kdtree.query(centers, k=kk)
+    if kk == 1:
+        rep_idx = rep_idx[:, None]
+    nominees = object_ids[rep_idx].tolist()
+    metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, n_queries * kk)
+    probes = probe_rows(
+        lambda object_id: parts[member_of[object_id]].store.get(object_id),
+        prepared, nominees, alpha, cuts, exact, query_metrics,
+    )
+    for qi, dists in enumerate(probes):
+        tau[qi] = float(np.partition(dists, k - 1)[k - 1])
+    return tau, nominees
+
+
+def probe_rows(
+    fetch: Callable[[int], FuzzyObject],
+    prepared: Sequence[PreparedQuery],
+    rows: List[List[int]],
+    alpha: float,
+    cuts: Dict[int, np.ndarray],
+    exact: List[Dict[int, float]],
+    query_metrics: List[MetricsCollector],
+    deadline=None,
+) -> List[np.ndarray]:
+    """Each query's exact alpha-distances to its row of object ids.
+
+    An object is read through ``fetch`` (once, ascending id order) only
+    when some query still owes it a distance; a row fully covered by its
+    memo costs no access at all.
+    """
+    owed = [
+        [oid for oid in row if oid not in known] if known else row
+        for row, known in zip(rows, exact)
+    ]
+    for object_id in sorted(set().union(*owed).difference(cuts)):
+        cuts[object_id] = fetch(object_id).alpha_cut(alpha)
+    distances: List[np.ndarray] = []
+    for qi, (row, missing) in enumerate(zip(rows, owed)):
+        if deadline is not None:
+            deadline.check("batch refinement")
+        known = exact[qi]
+        if missing:
+            fresh = _exact_min_distances(
+                prepared[qi].query_cut, [cuts[oid] for oid in missing]
+            )
+            query_metrics[qi].increment(
+                MetricsCollector.DISTANCE_EVALUATIONS, len(missing)
+            )
+            known.update(zip(missing, fresh.tolist()))
+        if missing and len(missing) == len(row):
+            distances.append(fresh)
+        else:
+            distances.append(np.asarray([known[oid] for oid in row], dtype=float))
+    return distances
+
+
 class BatchQueryExecutor:
     """Answers batches of AKNN queries over an object store + R-tree pair."""
 
@@ -103,10 +241,7 @@ class BatchQueryExecutor:
         self.store = store
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
-        # ((tree size, tree mutations), KD-tree over representatives, aligned
-        # object ids); rebuilt lazily whenever the indexed set changes — the
-        # mutation counter catches insert/delete pairs that keep the size.
-        self._rep_index: Optional[Tuple[Tuple[int, int], object, np.ndarray]] = None
+        self._rep_index = RepresentativeIndex()
 
     # ------------------------------------------------------------------
     # Public API
@@ -259,8 +394,9 @@ class BatchQueryExecutor:
                 )
             nominees: List[List[int]] = [[] for _ in prepared]
         else:
-            tau, nominees = self._bootstrap_tau(
-                prepared, k, alpha, cuts, exact, metrics, query_metrics
+            tau, nominees = bootstrap_radii(
+                self._rep_index, [self],
+                prepared, k, alpha, cuts, exact, metrics, query_metrics,
             )
         if deadline is not None:
             deadline.check("batch bootstrap")
@@ -271,8 +407,9 @@ class BatchQueryExecutor:
             deadline.check("batch traversal")
 
         rows = [ids.tolist() for ids in candidates]
-        probes = self._probe_rows(
-            prepared, rows, alpha, cuts, exact, query_metrics, deadline
+        probes = probe_rows(
+            self.store.get, prepared, rows, alpha, cuts, exact, query_metrics,
+            deadline,
         )
         results: List[List[Neighbor]] = []
         for ids, radius, dists in zip(candidates, tau, probes):
@@ -295,47 +432,6 @@ class BatchQueryExecutor:
             sum(len(set(row).union(own)) for row, own in zip(rows, nominees)),
         )
         return results
-
-    def _bootstrap_tau(
-        self,
-        prepared: List[PreparedQuery],
-        k: int,
-        alpha: float,
-        cuts: Dict[int, np.ndarray],
-        exact: List[Dict[int, float]],
-        metrics: MetricsCollector,
-        query_metrics: List[MetricsCollector],
-    ) -> Tuple[np.ndarray, List[List[int]]]:
-        """A valid per-query pruning radius from the shared representative index.
-
-        For each query the KD-tree over ``rep(A)`` points nominates the
-        objects whose representatives are closest to the centre of the query
-        alpha-cut MBR; probing those exactly makes the k-th smallest probed
-        distance a valid upper bound on the true k-th neighbour distance
-        (where the nominations land only affects how tight the radius is,
-        never correctness).  Returns the radii and each query's nominee ids.
-        """
-        n_queries = len(prepared)
-        tau = np.full(n_queries, np.inf)
-        rep_tree, rep_oids = self._representative_index()
-        if rep_tree is None or rep_oids.shape[0] < k:
-            return tau, [[] for _ in prepared]
-        kk = min(k + _BOOTSTRAP_EXTRA, rep_oids.shape[0])
-        centers = np.stack(
-            [(p.query_mbr.lower + p.query_mbr.upper) / 2.0 for p in prepared]
-        )
-        _, rep_idx = rep_tree.query(centers, k=kk)
-        if kk == 1:
-            rep_idx = rep_idx[:, None]
-        nominees = rep_oids[rep_idx].tolist()
-        metrics.increment(
-            MetricsCollector.UPPER_BOUND_EVALUATIONS, n_queries * kk
-        )
-        for qi, dists in enumerate(
-            self._probe_rows(prepared, nominees, alpha, cuts, exact, query_metrics)
-        ):
-            tau[qi] = float(np.partition(dists, k - 1)[k - 1])
-        return tau, nominees
 
     def _shared_traversal(
         self,
@@ -401,69 +497,6 @@ class BatchQueryExecutor:
         order = np.argsort(owners, kind="stable")
         splits = np.cumsum(np.bincount(owners, minlength=n_queries))[:-1]
         return np.split(np.concatenate(hit_ids)[order], splits)
-
-    # ------------------------------------------------------------------
-    # Probe helpers
-    # ------------------------------------------------------------------
-    def _representative_index(self) -> Tuple[Optional[object], np.ndarray]:
-        """KD-tree over every summary's representative point (cached)."""
-        key = (len(self.tree), getattr(self.tree, "mutations", 0))
-        if self._rep_index is not None and self._rep_index[0] == key:
-            return self._rep_index[1], self._rep_index[2]
-        reps: List[np.ndarray] = []
-        oids: List[int] = []
-        for entry in self.tree.leaf_entries():
-            reps.append(entry.summary.representative)
-            oids.append(entry.object_id)
-        if not reps:
-            return None, np.empty(0, dtype=np.int64)
-        tree = cKDTree(np.asarray(reps))
-        oid_array = np.asarray(oids, dtype=np.int64)
-        self._rep_index = (key, tree, oid_array)
-        return tree, oid_array
-
-    def _probe_rows(
-        self,
-        prepared: List[PreparedQuery],
-        rows: List[List[int]],
-        alpha: float,
-        cuts: Dict[int, np.ndarray],
-        exact: List[Dict[int, float]],
-        query_metrics: List[MetricsCollector],
-        deadline=None,
-    ) -> List[np.ndarray]:
-        """Each query's exact alpha-distances to its row of object ids.
-
-        An object is read from the store (once, ascending id order) only
-        when some query still owes it a distance; a row fully covered by its
-        memo costs no access at all.
-        """
-        owed = [
-            [oid for oid in row if oid not in known] if known else row
-            for row, known in zip(rows, exact)
-        ]
-        for object_id in sorted(set().union(*owed).difference(cuts)):
-            cuts[object_id] = self.store.get(object_id).alpha_cut(alpha)
-        distances: List[np.ndarray] = []
-        for qi, (row, missing) in enumerate(zip(rows, owed)):
-            if deadline is not None:
-                deadline.check("batch refinement")
-            known = exact[qi]
-            if missing:
-                fresh = _exact_min_distances(
-                    prepared[qi].query_cut, [cuts[oid] for oid in missing]
-                )
-                query_metrics[qi].increment(
-                    MetricsCollector.DISTANCE_EVALUATIONS, len(missing)
-                )
-                known.update(zip(missing, fresh.tolist()))
-            if missing and len(missing) == len(row):
-                distances.append(fresh)
-            else:
-                distances.append(
-                    np.asarray([known[oid] for oid in row], dtype=float)
-                )
-        return distances
 
     def _aggregate_stats(
         self,

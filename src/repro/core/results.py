@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzzy.intervals import IntervalSet
 
@@ -123,6 +123,13 @@ class Neighbor:
     def best_known_distance(self) -> float:
         """Exact distance when available, otherwise the upper bound."""
         return self.distance if self.distance is not None else self.upper_bound
+
+
+def merge_topk(per_part: Sequence[Sequence[Neighbor]], k: int) -> List[Neighbor]:
+    """The k nearest across per-partition answers (exact distance, then id)."""
+    merged = [neighbor for neighbors in per_part for neighbor in neighbors]
+    merged.sort(key=lambda n: (n.distance, n.object_id))
+    return merged[:k]
 
 
 @dataclass

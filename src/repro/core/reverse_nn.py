@@ -35,19 +35,22 @@ Three strategies are provided:
     traversal there preserves the membership decision), and every distinct
     object is fetched from the store once for the whole batch.
 
-:meth:`ReverseAKNNSearcher.search_batch` extends the ``batch`` plan to a
-*bucket* of reverse queries sharing ``(k, alpha)``: the MaxDist matrix of
-the filter is query-independent, so the whole bucket pays for it once, and
-the union of every query's surviving candidates is verified through a single
-shared traversal (per-candidate radii take the maximum over the bucket,
-which keeps each per-query decision exact).  The query service's coalescer
-flushes reverse submissions through this path.
+:func:`reverse_bucket_pass` is the ``batch`` plan for a *bucket* of reverse
+queries sharing ``(k, alpha)``, written once over a *partition set*: the
+MaxDist matrix of the filter is query-independent, so the whole bucket pays
+for it once, and the union of every query's surviving candidates is verified
+through a single shared traversal per partition (per-candidate radii take
+the maximum over the bucket, which keeps each per-query decision exact).
+:meth:`ReverseAKNNSearcher.search_batch` runs it over one tree — a partition
+set of one, fanned out by a plain call — and the sharded database over its
+live shards through its strict fan-out; the gather, the filter, the
+candidate plan, the merge and the cost totals exist only here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +58,7 @@ from repro.config import RuntimeConfig
 from repro.core.aknn import AKNNSearcher
 from repro.core.executor import BatchQueryExecutor, _exact_min_distances
 from repro.core.query import PreparedQuery
-from repro.core.results import Coverage, QueryStats
+from repro.core.results import Coverage, QueryStats, merge_topk
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import DistanceProfileStore, alpha_distance_points
 from repro.fuzzy.fuzzy_object import FuzzyObject
@@ -177,8 +180,7 @@ def query_filter_thresholds(
 
     Row ``(q, A)`` is ``MinDist(M_A(alpha)*, M_Q(alpha))`` — the value the
     ``certainly_closer_counts`` kernel compares ``MaxDist(M_A*, M_B*)``
-    against.  Shared by the unsharded filter and the sharded per-shard
-    fan-out (which evaluates the same thresholds against the global box set).
+    against, for every row of the whole (all partitions') box set.
     """
     return min_dist_to_boxes(
         np.stack([p.query_mbr.lower for p in prepared]),
@@ -192,9 +194,8 @@ def query_filter_thresholds(
 class BucketVerificationPlan:
     """Candidate-side state shared by one bucket's verification traversal.
 
-    Produced by :func:`plan_bucket_verification`; consumed by both the
-    unsharded reverse engine and the sharded fan-out, which only differ in
-    *where* the verification batch runs (one executor vs every shard).
+    Produced by :func:`plan_bucket_verification`; every partition's executor
+    verifies the same plan.
     """
 
     union: np.ndarray
@@ -275,9 +276,7 @@ def build_bucket_results(
     counters charge each query only its own exact candidate probes
     (``probes``), with the bucket totals (``totals``, keyed by QueryStats
     field name) reported under ``extra["bucket_<name>"]``.  A bucket of one
-    query owns every cost, so its scalars carry the full totals.  Both the
-    unsharded and the sharded engine assemble their answers through this
-    helper, keeping the two telemetry schemes identical.
+    query owns every cost, so its scalars carry the full totals.
     """
     single = len(memberships) == 1
     results: List[ReverseKNNResult] = []
@@ -341,6 +340,159 @@ class ReverseKNNResult:
 
     def __len__(self) -> int:
         return len(self.object_ids)
+
+
+def reverse_bucket_pass(
+    parts: Sequence,
+    fan_out: Callable[[str, Callable], List],
+    queries: Sequence[FuzzyObject],
+    k: int,
+    alpha: float,
+    method: str,
+    config: RuntimeConfig,
+    rng: Optional[np.random.Generator] = None,
+    deadline=None,
+    profile_store: Optional[DistanceProfileStore] = None,
+) -> List[ReverseKNNResult]:
+    """One reverse bucket (shared ``k`` / ``alpha``) over a partition set.
+
+    ``parts`` each expose ``store`` / ``tree`` / ``executor`` and
+    ``fan_out(op, fn)`` applies ``fn`` to every part, returning the values in
+    ``parts`` order — a plain call for a single tree, the sharded database's
+    strict fan-out (fault injection, retries, survivor reruns) for shards:
+
+    1. ``reverse_gather`` — every part exports its ``(n_p, d)`` Equation-2
+       box arrays from the leaf SoA views;
+    2. ``reverse_filter`` — each part evaluates the all-pairs
+       disqualification test for *its* rows against the **whole** box set, so
+       candidate sets are exactly as tight as one tree's (``linear`` skips
+       the filter: every row is a candidate);
+    3. the union of every query's surviving candidates is fetched through
+       the part that gathered the row and planned once
+       (:func:`plan_bucket_verification`);
+    4. ``reverse_verify`` — every part answers the candidates' (k+1)-NN
+       through its batch executor under the shared radii ``d_alpha(A, Q)``
+       (maximised over the bucket), and the per-part lists merge before the
+       membership count.
+
+    The bucket totals are assembled here, once: the filter's ``Q·n + n²``
+    bound evaluations plus every part's verification traversal.
+    """
+    if k <= 0:
+        raise InvalidQueryError(f"k must be positive, got {k}")
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidQueryError(f"alpha must be in (0, 1], got {alpha}")
+    queries = list(queries)
+    if not queries:
+        return []
+    timer = Timer().start()
+    metrics = MetricsCollector()
+    accesses_before = sum(part.store.statistics.object_accesses for part in parts)
+    if deadline is not None:
+        deadline.check("reverse filter")
+    prepared = [PreparedQuery(query, alpha, config, rng) for query in queries]
+    gathered = fan_out(
+        "reverse_gather", lambda part: part.tree.leaf_alpha_bounds(alpha)
+    )
+    # Row range of each part within the concatenated arrays (an empty tree
+    # exports (0, 0)-shaped boxes, which cannot be concatenated).
+    sizes = [part_ids.shape[0] for part_ids, _, _ in gathered]
+    stops = np.cumsum(sizes).tolist()
+    spans = {
+        id(part): (stop - size, stop)
+        for part, size, stop in zip(parts, sizes, stops)
+    }
+    part_of_row = np.repeat(np.arange(len(parts)), sizes)
+    n = stops[-1]
+    filled = [g for g in gathered if g[0].shape[0]] or gathered[:1]
+    ids, box_lo, box_hi = (
+        np.concatenate([g[axis] for g in filled]) for axis in range(3)
+    )
+
+    if method == "linear" or n == 0:
+        masks = np.ones((len(queries), n), dtype=bool)
+    else:
+        thresholds = query_filter_thresholds(prepared, box_lo, box_hi)
+
+        def filter_rows(part) -> np.ndarray:
+            start, stop = spans[id(part)]
+            return certainly_closer_counts(
+                box_lo[start:stop], box_hi[start:stop], box_lo, box_hi,
+                thresholds[:, start:stop], self_index=np.arange(start, stop),
+            )
+
+        counts = fan_out("reverse_filter", filter_rows)
+        masks = np.concatenate(counts, axis=1) < k
+        metrics.increment(
+            MetricsCollector.LOWER_BOUND_EVALUATIONS, len(queries) * n + n * n
+        )
+
+    if deadline is not None:
+        deadline.check("reverse verification")
+    plan = plan_bucket_verification(
+        prepared,
+        masks,
+        ids,
+        lambda row: parts[part_of_row[row]].store.get(int(ids[row])),
+        alpha,
+        metrics,
+        profile_store=profile_store,
+    )
+    memberships: List[List[int]] = [[] for _ in queries]
+    distance_maps: List[Dict[int, float]] = [{} for _ in queries]
+    probes = [0] * len(queries)
+    verification = QueryStats()
+    if plan is not None:
+        batches = fan_out(
+            "reverse_verify",
+            lambda part: part.executor.aknn_batch(
+                plan.cand_objs, k + 1, alpha, rng=rng,
+                initial_tau=plan.tau, initial_exact=plan.seeds,
+                deadline=deadline,
+            ),
+        )
+        for batch in batches:
+            verification.merge(batch.stats)
+        merged = [
+            merge_topk([batch.results[j].neighbors for batch in batches], k + 1)
+            for j in range(len(plan.cand_ids))
+        ]
+        memberships, distance_maps = collect_memberships(
+            k, plan.cand_ids, merged, plan.per_query_cols, plan.per_query_dists
+        )
+        probes = plan.probes
+
+    return build_bucket_results(
+        k,
+        alpha,
+        method,
+        timer.stop(),
+        masks,
+        memberships,
+        distance_maps,
+        probes,
+        totals={
+            "object_accesses": sum(
+                part.store.statistics.object_accesses for part in parts
+            )
+            - accesses_before,
+            "node_accesses": verification.node_accesses,
+            "distance_evaluations": metrics.get(
+                MetricsCollector.DISTANCE_EVALUATIONS
+            )
+            + verification.distance_evaluations,
+            "lower_bound_evaluations": metrics.get(
+                MetricsCollector.LOWER_BOUND_EVALUATIONS
+            )
+            + verification.lower_bound_evaluations,
+            "upper_bound_evaluations": verification.upper_bound_evaluations,
+        },
+        extra_common={
+            "batch_reverse_queries": float(len(queries)),
+            "reverse_candidates": float(len(plan.cand_ids) if plan else 0),
+            "shard_fanouts": float(len(parts)),
+        },
+    )
 
 
 class ReverseAKNNSearcher:
@@ -526,155 +678,12 @@ class ReverseAKNNSearcher:
     ) -> List["ReverseKNNResult"]:
         """Answer a bucket of reverse AKNN queries sharing ``(k, alpha)``.
 
-        Runs the ``batch`` plan described in the module docstring: one
-        vectorized all-pairs filter (its MaxDist matrix shared by the whole
-        bucket), then one shared ``aknn_batch`` traversal verifying the union
-        of every query's surviving candidates.  Returns one result per query,
-        identical to the ``linear`` / ``pruned`` answers.  ``deadline``
-        bounds the bucket; it is checked between the filter and verification
-        phases and inside the verification traversal.
+        :func:`reverse_bucket_pass` over this searcher as a partition set of
+        one.  Returns one result per query, identical to the ``linear`` /
+        ``pruned`` answers.  ``deadline`` bounds the bucket.
         """
-        if k <= 0:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        if not 0.0 < alpha <= 1.0:
-            raise InvalidQueryError(f"alpha must be in (0, 1], got {alpha}")
-        queries = list(queries)
-        if not queries:
-            return []
-        metrics = MetricsCollector()
-        before = self.store.statistics.snapshot()
-        timer = Timer().start()
-
-        prepared = [
-            PreparedQuery(query, alpha, self.config, rng, metrics)
-            for query in queries
-        ]
-        if deadline is not None:
-            deadline.check("reverse filter")
-        ids, box_lo, box_hi = self.tree.leaf_alpha_bounds(alpha)
-        masks = self._filter_batch(prepared, k, ids, box_lo, box_hi, metrics)
-        if deadline is not None:
-            deadline.check("reverse verification")
-        memberships, distances, probes = self._verify_batch(
-            prepared, k, alpha, ids, masks, metrics, rng, deadline=deadline
-        )
-
-        elapsed = timer.stop()
-        accesses = self.store.statistics.object_accesses - before.object_accesses
-        return build_bucket_results(
-            k,
-            alpha,
-            "batch",
-            elapsed,
-            masks,
-            memberships,
-            distances,
-            probes,
-            totals={
-                "object_accesses": accesses,
-                "node_accesses": metrics.get(MetricsCollector.NODE_ACCESSES),
-                "distance_evaluations": metrics.get(
-                    MetricsCollector.DISTANCE_EVALUATIONS
-                ),
-                "lower_bound_evaluations": metrics.get(
-                    MetricsCollector.LOWER_BOUND_EVALUATIONS
-                ),
-                "upper_bound_evaluations": metrics.get(
-                    MetricsCollector.UPPER_BOUND_EVALUATIONS
-                ),
-            },
-            extra_common={
-                "batch_reverse_queries": float(len(queries)),
-                "reverse_candidates": float(
-                    metrics.get(MetricsCollector.REVERSE_CANDIDATES)
-                ),
-            },
-        )
-
-    def _filter_batch(
-        self,
-        prepared: List[PreparedQuery],
-        k: int,
-        ids: np.ndarray,
-        box_lo: np.ndarray,
-        box_hi: np.ndarray,
-        metrics: MetricsCollector,
-    ) -> np.ndarray:
-        """Per-query candidate masks from the vectorized all-pairs filter.
-
-        Row ``A`` of query ``q`` survives while fewer than ``k`` boxes have
-        ``MaxDist(M_A*, M_B*) < MinDist(M_A*, M_Q(alpha))`` — the same
-        conservative test as the ``pruned`` loop, evaluated as chunked
-        matrices.  Returns a ``(Q, N)`` boolean mask.
-        """
-        n = ids.shape[0]
-        if n == 0:
-            return np.zeros((len(prepared), 0), dtype=bool)
-        thresholds = query_filter_thresholds(prepared, box_lo, box_hi)
-        counts = certainly_closer_counts(
-            box_lo, box_hi, box_lo, box_hi, thresholds, self_index=np.arange(n)
-        )
-        metrics.increment(
-            MetricsCollector.LOWER_BOUND_EVALUATIONS, len(prepared) * n + n * n
-        )
-        return counts < k
-
-    def _verify_batch(
-        self,
-        prepared: List[PreparedQuery],
-        k: int,
-        alpha: float,
-        ids: np.ndarray,
-        masks: np.ndarray,
-        metrics: MetricsCollector,
-        rng: Optional[np.random.Generator],
-        deadline=None,
-    ) -> Tuple[List[List[int]], List[Dict[int, float]], List[int]]:
-        """Verify the union of surviving candidates in one shared traversal.
-
-        Returns per-query memberships and distance maps plus the number of
-        exact candidate probes each query paid (its attributable cost share).
-        """
-        # d_alpha(A, Q) per (query, its candidates); the per-candidate radius
-        # handed to the executor is the maximum over the bucket, which keeps
-        # every query's truncated decision exact (see membership_from_neighbors).
-        plan = plan_bucket_verification(
-            prepared,
-            masks,
-            ids,
-            lambda row: self.store.get(int(ids[row])),
-            alpha,
-            metrics,
+        return reverse_bucket_pass(
+            [self], lambda op, fn: [fn(self)], queries, k, alpha, "batch",
+            self.config, rng=rng, deadline=deadline,
             profile_store=self.profile_store,
         )
-        if plan is None:
-            n_queries = len(prepared)
-            return (
-                [[] for _ in range(n_queries)],
-                [dict() for _ in range(n_queries)],
-                [0] * n_queries,
-            )
-        batch = self.executor.aknn_batch(
-            plan.cand_objs,
-            k + 1,
-            alpha,
-            rng=rng,
-            initial_tau=plan.tau,
-            initial_exact=plan.seeds,
-            deadline=deadline,
-        )
-        metrics.increment(MetricsCollector.REVERSE_CANDIDATES, len(plan.cand_ids))
-        metrics.increment(
-            MetricsCollector.NODE_ACCESSES, batch.stats.node_accesses
-        )
-        metrics.increment(
-            MetricsCollector.DISTANCE_EVALUATIONS, batch.stats.distance_evaluations
-        )
-        memberships, distances = collect_memberships(
-            k,
-            plan.cand_ids,
-            [result.neighbors for result in batch.results],
-            plan.per_query_cols,
-            plan.per_query_dists,
-        )
-        return memberships, distances, plan.probes

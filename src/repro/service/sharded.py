@@ -9,26 +9,31 @@ shard.
 
 Queries visit every shard in turn on the calling thread — shards partition
 the index (per-partition pruning), isolate failures and own their durability;
-they are not a parallelism device under one interpreter lock — and the
-per-shard answers are merged globally:
+they are not a parallelism device under one interpreter lock.  What lives in
+this module is how a query meets the shards, not the queries themselves:
 
-* **AKNN / batched AKNN** — each shard answers its local top-k; the global
-  answer is the k smallest exact distances across shards (ties broken by
-  object id).  Lazily-confirmed local neighbours are probed inside the
-  shard's read section so the merge always compares exact distances.
-* **Range search** — the union of the per-shard matches.
-* **RKNN** — the sweep algorithms of :mod:`repro.core.rknn` run unchanged
-  against federated building blocks: a fan-out AKNN, a fan-out range
-  collector and a store router, so every sub-query is globally correct and
-  the returned qualifying ranges are identical to the single-tree path.
+* **Fan-out and failure policy** — decided in one place: two combinators
+  (``_isolated``: independent per-shard answers merge; ``_coupled``: a pass
+  whose shards depend on each other reruns on the survivors) plus one bucket
+  wrapper (``_answer_bucket``) carry admission through the breakers, read
+  locking (calling thread only, see ``_read_locked``), retries, partial
+  ``Coverage`` and the fail-closed contract.  A store read a coupled pass
+  makes *between* fan-outs goes through :class:`_ShardStore`, which blames
+  the shard, so it degrades like any other shard failure.
+* **Durability glue and topology** — per-shard WAL / snapshot directories,
+  recovery, placement, the owner map, live updates, update listeners.
+* **Adapters for the families still written per shard** — a bucket of one
+  AKNN request (per-shard :class:`~repro.core.aknn.AKNNSearcher` + exact
+  merge), range (the union of per-shard matches) and the RKNN sweep (the
+  algorithms of :mod:`repro.core.rknn` unchanged over a fan-out AKNN, a
+  fan-out range collector and a store router).
 
-How a query meets the shards is decided in one place — two combinators
-(``_isolated``: independent per-shard answers merge; ``_coupled``: a pass
-whose shards depend on each other reruns on the survivors) plus one bucket
-wrapper (``_answer_bucket``) carry admission through the breakers, read
-locking (calling thread only, see ``_read_locked``), retries, partial
-``Coverage`` and the fail-closed contract; each family supplies only its
-per-shard worker and its merge.
+The two batched passes are **not** here.  A bucket of AKNN requests runs
+:func:`repro.core.executor.bootstrap_radii` over the live shards — the same
+function the unsharded executor runs over its one tree — and hands every
+shard executor the global radii; a reverse bucket is
+:func:`repro.core.reverse_nn.reverse_bucket_pass` over the live shards, with
+``_map_strict`` as its fan-out.  A single tree is a partition set of one.
 
 Live updates (:meth:`insert` / :meth:`delete`) route through the placement
 policy to the owning shard and take that shard's write lock, so in-flight
@@ -63,11 +68,10 @@ from typing import (
 )
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
-from repro.core.executor import _BOOTSTRAP_EXTRA, _exact_min_distances
+from repro.core.executor import RepresentativeIndex, bootstrap_radii
 from repro.core.query import PreparedQuery
 from repro.core.requests import (
     AknnRequest,
@@ -83,14 +87,9 @@ from repro.core.results import (
     Neighbor,
     QueryStats,
     RangeSearchResult,
+    merge_topk,
 )
-from repro.core.reverse_nn import (
-    ReverseKNNResult,
-    build_bucket_results,
-    collect_memberships,
-    plan_bucket_verification,
-    query_filter_thresholds,
-)
+from repro.core.reverse_nn import reverse_bucket_pass
 from repro.core.rknn import RKNNSearcher
 from repro.exceptions import (
     DeadlineExceededError,
@@ -100,7 +99,6 @@ from repro.exceptions import (
 )
 from repro.fuzzy.alpha_distance import DistanceProfileStore, alpha_distance
 from repro.fuzzy.fuzzy_object import FuzzyObject
-from repro.index.soa import certainly_closer_counts
 from repro.metrics.counters import MetricsCollector, SharedMetricsCollector
 from repro.metrics.timer import Timer
 from repro.service.concurrency import EpochCounter, ReadWriteLock
@@ -114,15 +112,58 @@ T = TypeVar("T")
 
 
 class _Shard:
-    """One partition: a FuzzyDatabase, its readers/writer lock, its breaker."""
+    """One partition: a FuzzyDatabase, its readers/writer lock, its breaker.
 
-    __slots__ = ("index", "db", "lock", "breaker")
+    ``store`` / ``tree`` / ``executor`` are what the families' partition-set
+    passes (:mod:`repro.core.executor`, :mod:`repro.core.reverse_nn`) see of it.
+    """
+
+    __slots__ = ("index", "db", "lock", "breaker", "store")
 
     def __init__(self, index: int, db: FuzzyDatabase, breaker: CircuitBreaker):
         self.index = index
         self.db = db
         self.lock = ReadWriteLock()
         self.breaker = breaker
+        self.store = _ShardStore(index, db.store)
+
+    @property
+    def tree(self):
+        return self.db.tree
+
+    @property
+    def executor(self):
+        return self.db._executor
+
+
+class _ShardStore:
+    """A shard's object store as a coupled pass reads it, outside any fan-out.
+
+    Nothing blames a shard for a read made between fan-outs (a bootstrap
+    nominee, a reverse candidate, a sweep's profile probe), so a failing
+    ``get`` is converted here into the :class:`_FanoutFailure` that makes
+    :meth:`ShardedDatabase._coupled` rerun the pass on the survivors.
+    """
+
+    __slots__ = ("_index", "_store")
+
+    def __init__(self, index: int, store):
+        self._index = index
+        self._store = store
+
+    def get(self, object_id: int) -> FuzzyObject:
+        try:
+            return self._store.get(object_id)
+        except ObjectNotFoundError:
+            raise
+        except Exception as error:  # noqa: BLE001 - isolation boundary
+            raise _FanoutFailure(
+                {self._index: f"store read failed: {type(error).__name__}: {error}"}
+            ) from error
+
+    @property
+    def statistics(self) -> StoreStatistics:
+        return self._store.statistics
 
 
 class _ShardFailure(Exception):
@@ -187,11 +228,8 @@ class ShardedDatabase:
         # One d_alpha profile memo shared by every sweep (keyed by query
         # instance + object id, so it stays valid across live sets).
         self._sweep_profiles = DistanceProfileStore(self.config.profile_cache_capacity)
-        # ((covered shard indices, total size, summed tree mutations), KD-tree
-        # over those shards' representative points, aligned object ids);
-        # rebuilt lazily after any mutation or change of the covered set —
-        # the global analogue of the executor's local index.
-        self._rep_index: Optional[Tuple[Tuple, object, np.ndarray]] = None
+        # The bucket bootstrap's KD-tree over the live shards' representatives.
+        self._rep_index = RepresentativeIndex()
 
     # ------------------------------------------------------------------
     # Construction
@@ -745,120 +783,6 @@ class ShardedDatabase:
         return self._finalize_bucket(bucket, results)
 
     # ------------------------------------------------------------------
-    # Global pruning-radius bootstrap
-    # ------------------------------------------------------------------
-    def _global_rep_index(
-        self, shards: Sequence[_Shard]
-    ) -> Tuple[Optional[object], np.ndarray]:
-        """KD-tree over the given shards' representative points (cached).
-
-        The cross-shard analogue of the executor's per-shard index: one
-        nominate-and-probe pass against it yields pruning radii that are
-        valid over the covered shards, so each shard's traversal prunes as
-        tightly as an unsharded one would.  The cache key includes the shard
-        set, so a degraded pass (some shards excluded) never reuses radii
-        probed from a different snapshot.  Runs inside a :meth:`_coupled`
-        pass, i.e. under the given shards' read locks
-        (:meth:`_read_locked`); taking them again here would deadlock
-        against the non-reentrant writer-preferring lock.
-        """
-        key = (
-            tuple(shard.index for shard in shards),
-            sum(len(shard.db) for shard in shards),
-            sum(shard.db.tree.mutations for shard in shards),
-        )
-        cached = self._rep_index
-        if cached is not None and cached[0] == key:
-            return cached[1], cached[2]
-        reps: List[np.ndarray] = []
-        oids: List[int] = []
-        for shard in shards:
-            for entry in shard.db.tree.leaf_entries():
-                reps.append(entry.summary.representative)
-                oids.append(entry.object_id)
-        if not reps:
-            return None, np.empty(0, dtype=np.int64)
-        tree = cKDTree(np.asarray(reps))
-        oid_array = np.asarray(oids, dtype=np.int64)
-        self._rep_index = (key, tree, oid_array)
-        return tree, oid_array
-
-    def _global_bootstrap(
-        self,
-        shards: Sequence[_Shard],
-        prepared: Sequence[PreparedQuery],
-        k: int,
-        alpha: float,
-    ) -> Optional[Tuple[np.ndarray, List[Dict[int, float]]]]:
-        """Globally-valid per-query pruning radii for a batch.
-
-        For each query, the ``k + extra`` objects whose representatives sit
-        closest to the query alpha-cut centre are probed exactly (each cut
-        fetched once, from its owning shard); the k-th smallest probed
-        distance upper-bounds the true global k-th neighbour distance.
-        Returns ``(tau, exact)`` — the radii plus the per-query exact
-        distances already paid for, which seed the shard executors' memos so
-        bootstrap nominees are never re-evaluated (nor fetched again: an
-        executor reads an object only while a distance is owed).  Each memo
-        holds exactly the distances evaluated for its query, so its length
-        is that query's bootstrap cost.  Returns ``None`` when no
-        usable radius can be computed (tiny database) — shards then
-        bootstrap locally.  The radii are only valid against the
-        snapshot they were probed from, so the fan-out that consumes them
-        must run inside the same :meth:`_coupled` pass (same read section).
-        """
-        rep_tree, rep_oids = self._global_rep_index(shards)
-        if rep_tree is None or rep_oids.shape[0] < k:
-            return None
-        kk = min(k + _BOOTSTRAP_EXTRA, rep_oids.shape[0])
-        centers = np.stack(
-            [(p.query_mbr.lower + p.query_mbr.upper) / 2.0 for p in prepared]
-        )
-        _, rep_idx = rep_tree.query(centers, k=kk)
-        if kk == 1:
-            rep_idx = rep_idx[:, None]
-        nominated = rep_oids[rep_idx]
-        # Fetch each distinct nominee once, from its owning shard's store.
-        by_shard: Dict[int, List[int]] = {}
-        with self._admin_lock:
-            for object_id in np.unique(nominated).tolist():
-                shard_index = self._owners.get(object_id)
-                if shard_index is not None:
-                    by_shard.setdefault(shard_index, []).append(object_id)
-        cuts: Dict[int, np.ndarray] = {}
-        for shard_index, object_ids in by_shard.items():
-            store = self._shards[shard_index].db.store
-            for object_id in object_ids:
-                try:
-                    cuts[object_id] = store.get(object_id).alpha_cut(alpha)
-                except ObjectNotFoundError:
-                    # Deleted before this batch took its locks: skip it.
-                    continue
-                except Exception as error:  # noqa: BLE001 - isolation boundary
-                    # A failing probe blames its shard so the exclusion loop
-                    # can rerun the batch against the survivors.
-                    raise _FanoutFailure(
-                        {
-                            shard_index: (
-                                f"bootstrap probe failed: "
-                                f"{type(error).__name__}: {error}"
-                            )
-                        }
-                    ) from error
-        tau = np.full(len(prepared), np.inf)
-        exact: List[Dict[int, float]] = [dict() for _ in prepared]
-        for qi in range(len(prepared)):
-            row = [oid for oid in nominated[qi].tolist() if oid in cuts]
-            if len(row) < k:
-                continue  # not enough survivors; inf stays a valid radius
-            dists = _exact_min_distances(
-                prepared[qi].query_cut, [cuts[oid] for oid in row]
-            )
-            exact[qi] = dict(zip(row, dists.tolist()))
-            tau[qi] = float(np.partition(dists, k - 1)[k - 1])
-        return tau, exact
-
-    # ------------------------------------------------------------------
     # The query surface (QueryEngine protocol)
     # ------------------------------------------------------------------
     def execute(
@@ -885,10 +809,13 @@ class ShardedDatabase:
         """
         return execute_plan(self, list(requests), rng=rng)
 
-    # Bucket hooks consumed by the planners in repro.core.requests.  Each
-    # family keeps only its per-shard worker and its merge; how the workers
-    # meet the shards (admission, locks, retries, survivors, coverage) is
+    # Bucket hooks consumed by the planners in repro.core.requests.  How work
+    # meets the shards (admission, locks, retries, survivors, coverage) is
     # _isolated / _coupled, and the per-slot failure contract _answer_bucket.
+    # The batched AKNN bootstrap and the whole reverse pass are their
+    # families' own partition-set functions (core/executor.py,
+    # core/reverse_nn.py), handed the live shards; only the AKNN singleton,
+    # range and the sweep still keep a per-shard worker and a merge here.
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
@@ -980,13 +907,23 @@ class ShardedDatabase:
 
         def answer(unit: Sequence[ReverseRequest]) -> List:
             queries = [request.query for request in unit]
+            # Gather, filter and verification are three strict fan-outs of
+            # the family's one pass; coupled because the filter compares each
+            # shard's rows against the global box set and the verification
+            # radii fold all shards' candidates together.
             results = self._coupled(
-                lambda live: self._reverse_pass(
-                    live, queries, first.k, first.alpha, first.method.value,
-                    rng, deadline,
+                lambda live: reverse_bucket_pass(
+                    live,
+                    lambda op, fn: self._map_strict(live, op, fn, deadline=deadline),
+                    queries, first.k, first.alpha, first.method.value,
+                    self.config, rng=rng, deadline=deadline,
                 )
             )
             self.metrics.increment(MetricsCollector.REVERSE_QUERIES, len(unit))
+            self.metrics.increment(
+                MetricsCollector.REVERSE_CANDIDATES,
+                int(results[0].stats.extra["reverse_candidates"]),
+            )
             return results
 
         return self._answer_bucket(bucket, [bucket], answer)
@@ -1031,7 +968,7 @@ class ShardedDatabase:
             stats.merge(shard_stats)
         stats.aknn_calls = 1
         stats.extra["shard_fanouts"] = float(len(per_shard))
-        merged = ShardedDatabase._merge_topk(
+        merged = merge_topk(
             [neighbors for neighbors, _ in per_shard], k
         )
         stats.elapsed_seconds = timer.stop()
@@ -1068,21 +1005,24 @@ class ShardedDatabase:
     ) -> List[AKNNResult]:
         """One batched-AKNN pass against a fixed shard set (coupled).
 
-        One global nominate-and-probe pass replaces N per-shard bootstraps
-        and hands every shard the tight global radius to prune against, plus
-        the exact distances already paid for.  The radii are only valid
-        against the dataset they were probed from — a delete landing between
-        bootstrap and fan-out could otherwise prune true neighbours — which
-        is why the pass is coupled.  Each query is prepared once here and
-        that one :class:`PreparedQuery` serves the bootstrap and every shard.
+        The executor's own bootstrap, run once over the live shards, replaces
+        N per-shard bootstraps and hands every shard the tight global radius
+        to prune against, plus the exact distances already paid for (each
+        nominee read from the shard the index found it in — no owner-map
+        lookup, the pass holds every member's read lock).  The radii are only
+        valid against the dataset they were probed from — a delete landing
+        between bootstrap and fan-out could otherwise prune true neighbours —
+        which is why the pass is coupled.  Each query is prepared once here
+        and that one :class:`PreparedQuery` serves the bootstrap and every
+        shard.
         """
         prepared = [PreparedQuery(q, alpha, self.config, rng) for q in queries]
-        bootstrap = (
-            self._global_bootstrap(shards, prepared, k, alpha)
-            if len(shards) > 1
-            else None
+        initial_exact: List[Dict[int, float]] = [dict() for _ in prepared]
+        bootstrap_evals = [MetricsCollector() for _ in prepared]
+        initial_tau, _ = bootstrap_radii(
+            self._rep_index, shards, prepared, k, alpha,
+            {}, initial_exact, self.metrics, bootstrap_evals,
         )
-        initial_tau, initial_exact = bootstrap if bootstrap else (None, None)
         shard_batches = self._map_strict(
             shards,
             "aknn_batch",
@@ -1095,7 +1035,7 @@ class ShardedDatabase:
         )
         return [
             AKNNResult(
-                neighbors=self._merge_topk(
+                neighbors=merge_topk(
                     [batch.results[qi].neighbors for batch in shard_batches], k
                 ),
                 k=k,
@@ -1106,190 +1046,11 @@ class ShardedDatabase:
                         batch.results[qi].stats.distance_evaluations
                         for batch in shard_batches
                     )
-                    + (len(initial_exact[qi]) if initial_exact else 0),
+                    + bootstrap_evals[qi].get(MetricsCollector.DISTANCE_EVALUATIONS),
                     aknn_calls=1,
                 ),
             )
             for qi in range(len(queries))
-        ]
-
-    def _reverse_pass(
-        self,
-        shards: Sequence[_Shard],
-        queries: Sequence[FuzzyObject],
-        k: int,
-        alpha: float,
-        method: str,
-        rng: Optional[np.random.Generator],
-        deadline,
-    ) -> List[ReverseKNNResult]:
-        """One reverse-bucket pass against a fixed shard set (coupled).
-
-        The sharded analogue of
-        :meth:`~repro.core.reverse_nn.ReverseAKNNSearcher.search_batch`:
-
-        1. every covered shard exports its ``(n_s, d)`` Equation-2 box arrays
-           from the leaf SoA views (one gather);
-        2. each shard evaluates the all-pairs disqualification test for *its*
-           rows against the **global** box set — so candidate sets are
-           exactly as tight as the unsharded filter — and the surviving
-           candidates merge globally;
-        3. every shard verifies the merged candidate list through its batch
-           executor with the globally valid per-candidate radii
-           (``d_alpha(A, Q)``, maximised over the bucket), and per-candidate
-           (k+1)-NN lists merge across shards before the membership count.
-
-        Coupled because the filter compares every shard's rows against the
-        global box set and the verification radii fold all shards'
-        candidates together.
-        """
-        timer = Timer().start()
-        n_queries = len(queries)
-        accesses_before = sum(
-            shard.db.store.statistics.object_accesses for shard in shards
-        )
-        gathered = self._map_strict(
-            shards,
-            "reverse_gather",
-            lambda shard: shard.db.tree.leaf_alpha_bounds(alpha),
-            deadline=deadline,
-        )
-        parts = [g for g in gathered if g[0].shape[0] > 0]
-        if not parts:
-            return self._empty_reverse_results(n_queries, k, alpha, method, timer)
-        ids = np.concatenate([g[0] for g in parts])
-        box_lo = np.concatenate([g[1] for g in parts])
-        box_hi = np.concatenate([g[2] for g in parts])
-        # Row ranges of each shard within the concatenated global arrays.
-        spans: Dict[int, Tuple[int, int]] = {}
-        offset = 0
-        for shard, g in zip(shards, gathered):
-            rows = g[0].shape[0]
-            spans[shard.index] = (offset, offset + rows)
-            offset += rows
-
-        if deadline is not None:
-            deadline.check("reverse filter")
-        prepared = [PreparedQuery(q, alpha, self.config, rng) for q in queries]
-        if method == "linear":
-            masks = np.ones((n_queries, ids.shape[0]), dtype=bool)
-        else:
-            thresholds = query_filter_thresholds(prepared, box_lo, box_hi)
-
-            def filter_rows(shard: _Shard) -> Optional[np.ndarray]:
-                start, stop = spans[shard.index]
-                if start == stop:
-                    return None
-                return certainly_closer_counts(
-                    box_lo[start:stop],
-                    box_hi[start:stop],
-                    box_lo,
-                    box_hi,
-                    thresholds[:, start:stop],
-                    self_index=np.arange(start, stop),
-                )
-
-            blocks = self._map_strict(
-                shards, "reverse_filter", filter_rows, deadline=deadline
-            )
-            counts = np.concatenate(
-                [b for b in blocks if b is not None], axis=1
-            )
-            masks = counts < k
-
-        # Each candidate row came from a known shard span, so its object
-        # can be fetched from the owning store without the owner map.
-        # Candidate prep (union, exact distances, shared radii, seeds) is
-        # the same plan the unsharded engine runs; only the fetch and the
-        # verification fan-out differ.
-        shard_of_row = np.empty(ids.shape[0], dtype=np.int64)
-        for shard_index, (start, stop) in spans.items():
-            shard_of_row[start:stop] = shard_index
-        metrics = MetricsCollector()
-        plan = plan_bucket_verification(
-            prepared,
-            masks,
-            ids,
-            lambda row: self._shards[int(shard_of_row[row])].db.store.get(
-                int(ids[row])
-            ),
-            alpha,
-            metrics,
-        )
-        if plan is None:
-            return self._empty_reverse_results(n_queries, k, alpha, method, timer)
-        shard_batches = self._map_strict(
-            shards,
-            "reverse_verify",
-            lambda shard: shard.db._executor.aknn_batch(
-                plan.cand_objs, k + 1, alpha, rng=rng,
-                initial_tau=plan.tau, initial_exact=plan.seeds,
-                deadline=deadline,
-            ),
-            deadline=deadline,
-        )
-
-        merged = [
-            self._merge_topk(
-                [batch.results[j].neighbors for batch in shard_batches], k + 1
-            )
-            for j in range(len(plan.cand_ids))
-        ]
-        elapsed = timer.stop()
-        self.metrics.increment(MetricsCollector.REVERSE_CANDIDATES, len(plan.cand_ids))
-        memberships, distance_maps = collect_memberships(
-            k, plan.cand_ids, merged, plan.per_query_cols, plan.per_query_dists
-        )
-        return build_bucket_results(
-            k,
-            alpha,
-            method,
-            elapsed,
-            masks,
-            memberships,
-            distance_maps,
-            plan.probes,
-            totals={
-                "object_accesses": sum(
-                    shard.db.store.statistics.object_accesses
-                    for shard in shards
-                )
-                - accesses_before,
-                "node_accesses": sum(
-                    batch.stats.node_accesses for batch in shard_batches
-                ),
-                "distance_evaluations": metrics.get(
-                    MetricsCollector.DISTANCE_EVALUATIONS
-                )
-                + sum(batch.stats.distance_evaluations for batch in shard_batches),
-                "lower_bound_evaluations": sum(
-                    batch.stats.lower_bound_evaluations for batch in shard_batches
-                ),
-                "upper_bound_evaluations": sum(
-                    batch.stats.upper_bound_evaluations for batch in shard_batches
-                ),
-            },
-            extra_common={
-                "batch_reverse_queries": float(n_queries),
-                "shard_fanouts": float(len(shards)),
-            },
-        )
-
-    @staticmethod
-    def _empty_reverse_results(
-        n_queries: int, k: int, alpha: float, method: str, timer: Timer
-    ) -> List[ReverseKNNResult]:
-        elapsed = timer.stop()
-        return [
-            ReverseKNNResult(
-                object_ids=[],
-                distances={},
-                k=k,
-                alpha=alpha,
-                method=method,
-                stats=QueryStats(elapsed_seconds=elapsed, extra={"candidates": 0.0}),
-            )
-            for _ in range(n_queries)
         ]
 
     # ------------------------------------------------------------------
@@ -1323,9 +1084,12 @@ class ShardedDatabase:
         shard = self._shards[shard_index]
         with shard.lock.write():
             shard.db.insert(obj, rng=rng)
-        with self._admin_lock:
-            self._owners[object_id] = shard_index
-            self.metrics.increment(MetricsCollector.LIVE_INSERTS)
+            # Published before readers are let back in: a pass that finds the
+            # object in the tree can always route to it (lock order: shard
+            # write, then admin; nothing takes them the other way round).
+            with self._admin_lock:
+                self._owners[object_id] = shard_index
+                self.metrics.increment(MetricsCollector.LIVE_INSERTS)
         self._epoch.advance()
         self._notify_insert(obj)
         return object_id
@@ -1420,14 +1184,6 @@ class ShardedDatabase:
             resolved.append(neighbor)
         return resolved
 
-    @staticmethod
-    def _merge_topk(
-        per_shard: Sequence[Sequence[Neighbor]], k: int
-    ) -> List[Neighbor]:
-        """Global top-k across shard answers (distance, then object id)."""
-        merged = [neighbor for neighbors in per_shard for neighbor in neighbors]
-        merged.sort(key=lambda n: (n.distance, n.object_id))
-        return merged[:k]
 
 
 # ----------------------------------------------------------------------
@@ -1454,7 +1210,7 @@ class _FederatedStore:
         shard = self._sharded._owner_shard(object_id)
         if shard not in self._shards:
             raise _FanoutFailure({shard.index: "shard excluded from live set"})
-        return shard.db.store.get(object_id)
+        return shard.store.get(object_id)
 
     def object_ids(self) -> List[int]:
         return sorted(

@@ -18,6 +18,7 @@ Covers the failure-semantics contract end to end:
 * RetryingClient honouring the retry-after backpressure contract.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -366,6 +367,52 @@ class TestPartialParity:
         assert set(got.object_ids) == set(want.object_ids)
         for object_id, distance in got.distances.items():
             assert distance == pytest.approx(want.distances[object_id])
+
+    def test_a_store_that_cannot_be_read_degrades_every_coupled_family(
+        self, objects, queries
+    ):
+        """No fault plan: the shard's store itself fails, also between fan-outs.
+
+        The reverse pass fetches its candidates outside any fan-out; that
+        read must blame its shard like the AKNN bootstrap's and the sweep's.
+        """
+        config = chaos_config(shard_retry_attempts=1)
+        sharded = ShardedDatabase.build(
+            list(objects), n_shards=2, placement="hash", config=config
+        )
+        reference = FuzzyDatabase.build(
+            [
+                sharded.get_object(object_id)
+                for object_id in sharded._shards[0].db.object_ids()
+            ],
+            config=config,
+        )
+
+        def disk_gone(object_id):
+            raise OSError("disk gone")
+
+        sharded._shards[1].db.store.get = disk_gone
+        try:
+            aknn = [AknnRequest(q, k=4, alpha=0.6) for q in queries[:2]]
+            sweep = SweepRequest(queries[0], k=3, alpha_range=(0.45, 0.6))
+            reverse = ReverseRequest(queries[1], k=2, alpha=0.5)
+            got = sharded.execute_batch(aknn + [sweep, reverse])
+            want = reference.execute_batch(aknn + [sweep, reverse])
+            for result in got:
+                assert result.coverage.failed == (1,)
+                assert result.coverage.answered == (0,)
+            for got_one, want_one in zip(got[:2], want[:2]):
+                assert got_one.object_ids == want_one.object_ids
+            assert_same_assignments(got[2].assignments, want[2].assignments)
+            assert got[3].object_ids == want[3].object_ids
+            assert got[3].distances == pytest.approx(want[3].distances)
+            assert "disk gone" in got[3].coverage.reason_for(1)
+            for request in aknn + [sweep, reverse]:
+                with pytest.raises(ShardUnavailableError):
+                    sharded.execute(dataclasses.replace(request, require_full=True))
+        finally:
+            sharded.close()
+            reference.close()
 
     def test_retries_recover_transient_faults_completely(self, objects, queries):
         """A fault bounded below the retry budget never surfaces at all."""
@@ -782,6 +829,73 @@ class TestChurn:
         assert not stuck, f"{len(stuck)} of {len(threads)} threads deadlocked"
         assert not errors, f"unexpected errors: {errors!r}"
         assert sorted(set(victims) & set(sharded.object_ids())) == []
+        sharded.close()
+
+    @pytest.mark.parametrize("method", ["naive", "basic"])
+    def test_insert_publishes_its_owner_before_readers_are_let_back_in(
+        self, objects, queries, method
+    ):
+        """A pass that finds an object in a tree can always route to it.
+
+        The writer is parked at its second ``_admin_lock`` entry — the owner
+        publication.  That must still be inside the shard's write section:
+        a sweep started now waits; released, it ranks the newcomer (the query
+        is the newcomer itself) and reads it back through the owner map.
+        """
+        sharded = ShardedDatabase.build(
+            list(objects), n_shards=2, placement="hash", config=chaos_config()
+        )
+        newcomer = queries[0].with_id(1000)
+        parked, release = threading.Event(), threading.Event()
+
+        class GatedLock:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.writer_entries = 0
+
+            def __enter__(self):
+                if threading.current_thread().name == "writer":
+                    self.writer_entries += 1
+                    if self.writer_entries == 2:
+                        parked.set()
+                        assert release.wait(timeout=20.0)
+                self.lock.acquire()
+
+            def __exit__(self, *exc_info):
+                self.lock.release()
+
+        sharded._admin_lock = GatedLock()
+        outcome = []
+
+        def sweep():
+            try:
+                outcome.append(
+                    sharded.execute(
+                        SweepRequest(
+                            newcomer, k=2, alpha_range=(0.45, 0.6), method=method
+                        )
+                    )
+                )
+            except Exception as error:  # noqa: BLE001 - asserted below
+                outcome.append(error)
+
+        writer = threading.Thread(
+            target=sharded.insert, args=(newcomer,), name="writer", daemon=True
+        )
+        reader = threading.Thread(target=sweep, daemon=True)
+        try:
+            writer.start()
+            assert parked.wait(timeout=20.0)
+            reader.start()
+            reader.join(timeout=0.3)
+            assert reader.is_alive(), f"the sweep ran inside the window: {outcome!r}"
+        finally:
+            release.set()
+            writer.join(timeout=20.0)
+            reader.join(timeout=20.0)
+        assert not writer.is_alive() and not reader.is_alive()
+        (result,) = outcome
+        assert 1000 in result.object_ids
         sharded.close()
 
 

@@ -26,7 +26,7 @@ import repro.core.executor as executor_module
 import repro.service.sharded as sharded_module
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
-from repro.core.executor import _PRUNE_SLACK, BatchQueryExecutor
+from repro.core.executor import _PRUNE_SLACK, BatchQueryExecutor, RepresentativeIndex
 from repro.core.query import PreparedQuery
 from repro.core.requests import AknnRequest
 from repro.datasets.builder import build_dataset
@@ -121,17 +121,16 @@ class ProbeLog:
             log.passes[-1].update((id(cut), cut) for cut in cuts)
             return kernel(query_cut, cuts)
 
-        # service/sharded.py imported the kernel by name: patch both bindings.
         monkeypatch.setattr(executor_module, "_exact_min_distances", counted_kernel)
-        monkeypatch.setattr(sharded_module, "_exact_min_distances", counted_kernel)
 
-        bootstrap = ShardedDatabase._global_bootstrap
+        bootstrap = executor_module.bootstrap_radii
 
-        def logged_bootstrap(self, *args, **kwargs):
+        def logged_bootstrap(*args, **kwargs):
             log.passes.append({})
-            return bootstrap(self, *args, **kwargs)
+            return bootstrap(*args, **kwargs)
 
-        monkeypatch.setattr(ShardedDatabase, "_global_bootstrap", logged_bootstrap)
+        # The one bootstrap, as the sharded pass reaches it (imported by name).
+        monkeypatch.setattr(sharded_module, "bootstrap_radii", logged_bootstrap)
 
         aknn_batch = BatchQueryExecutor.aknn_batch
 
@@ -292,29 +291,78 @@ class TestServedAnswersAreExact:
     def test_basic_method(self, sharded, reference, query_pool):
         self.check(sharded, reference, query_pool[:9], k=7, method="basic")
 
-    def test_nominee_deleted_between_index_build_and_query(
-        self, objects, config, query_pool
+    def test_k_at_least_n_leaves_the_radii_infinite(
+        self, sharded, reference, query_pool, monkeypatch
     ):
-        """A stale representative index nominates an object that is gone."""
-        sharded = ShardedDatabase.build(
-            list(objects), n_shards=2, placement="hash", config=config
-        )
-        queries = query_pool[:8]
-        first = sharded.execute_batch(requests_for(queries, k=5))
-        victim = first[0].object_ids[0]  # a nominee of query 0 for certain
-        _, stale_tree, stale_ids = sharded._rep_index
-        sharded.delete(victim)
-        # Forge the cache key the next pass will compute, over the old index.
-        sharded._global_rep_index(sharded._shards)
-        sharded._rep_index = (sharded._rep_index[0], stale_tree, stale_ids)
+        """Too few objects to bootstrap: the executor's branch, on both engines."""
+        radii = []
+        bootstrap = executor_module.bootstrap_radii
 
-        survivors = FuzzyDatabase.build(
-            [obj for obj in objects if obj.object_id != victim], config=config
-        )
-        self.check(sharded, survivors, queries, k=5)
-        assert sharded._rep_index[2] is stale_ids  # the stale index was used
-        survivors.close()
-        sharded.close()
+        def logged(*args, **kwargs):
+            tau, nominees = bootstrap(*args, **kwargs)
+            radii.append((tau.tolist(), nominees))
+            return tau, nominees
+
+        monkeypatch.setattr(sharded_module, "bootstrap_radii", logged)
+        monkeypatch.setattr(executor_module, "bootstrap_radii", logged)
+        queries = query_pool[:3]
+        n = len(reference)
+        for engine in (sharded, reference):
+            got = engine.execute_batch(requests_for(queries, k=n + 1))
+            assert [sorted(r.object_ids) for r in got] == [sorted(reference.object_ids())] * 3
+        assert radii == [([np.inf] * 3, [[], [], []])] * 2
+
+
+# ----------------------------------------------------------------------
+# The representative index follows the set it covers
+# ----------------------------------------------------------------------
+class TestRepresentativeIndexFollowsItsTrees:
+    """What protects a bucket from nominating through a stale index."""
+
+    @pytest.fixture
+    def trees(self):
+        pool = summary_pool()
+        return [RTree.bulk_load(pool[:20], max_entries=4),
+                RTree.bulk_load(pool[20:45], max_entries=4)]
+
+    @pytest.mark.parametrize("n_trees", [1, 2])
+    def test_rebuilds_on_every_change_and_only_then(self, trees, n_trees):
+        trees = trees[:n_trees]
+        spare = summary_pool()[50]
+        index = RepresentativeIndex()
+
+        def covered():
+            kdtree, object_ids, member_of = index.over(trees)
+            assert kdtree.n == object_ids.shape[0] == sum(len(t) for t in trees)
+            assert member_of == {
+                entry.object_id: member
+                for member, tree in enumerate(trees)
+                for entry in tree.leaf_entries()
+            }
+            return kdtree
+
+        first = covered()
+        assert covered() is first  # nothing changed: the same KD-tree object
+        trees[-1].insert(spare)
+        after_insert = covered()
+        assert after_insert is not first
+        trees[-1].delete(spare.object_id)  # the size is back where it was
+        after_pair = covered()
+        assert after_pair is not after_insert
+        trees[0].delete(next(trees[0].leaf_entries()).object_id)
+        after_delete = covered()
+        assert after_delete is not after_pair
+        assert covered() is after_delete
+
+    def test_rebuilds_when_the_covered_set_shrinks(self, trees):
+        index = RepresentativeIndex()
+        both = index.over(trees)
+        assert index.over(trees)[0] is both[0]
+        survivor = index.over(trees[1:])
+        assert survivor[0] is not both[0]
+        assert survivor[0].n == len(trees[1])
+        assert set(survivor[2].values()) == {0}
+        assert index.over(trees)[0] is not survivor[0]
 
 
 # ----------------------------------------------------------------------

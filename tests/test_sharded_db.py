@@ -15,6 +15,7 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNN_METHODS
 from repro.core.database import FuzzyDatabase
+from repro.core.executor import BatchQueryExecutor
 from repro.core.requests import (
     AknnRequest,
     RangeRequest,
@@ -363,6 +364,77 @@ class TestTelemetry:
             assert one.coverage.answered == (0, 1, 2)
             assert one.stats.aknn_calls == 1
         sharded.close()
+
+
+class TestOneSetOfNumbers:
+    """Each batched pass is written once, so its counters cannot drift apart:
+    a single tree and a one-shard database report the same ``QueryStats``."""
+
+    K, ALPHA = 2, 0.5
+
+    @pytest.fixture(scope="class")
+    def engines(self, config):
+        small = build_dataset(
+            kind="synthetic", n_objects=36, points_per_object=16, seed=5, space_size=6.0
+        )
+        single = FuzzyDatabase.build(list(small), config=config)
+        sharded = [build_sharded(small, config, n, "hash") for n in (1, 2)]
+        yield single, *sharded
+        for engine in (single, *sharded):
+            engine.close()
+
+    @staticmethod
+    def counted(result):
+        stats = result.stats.as_dict()
+        return {
+            name: value
+            for name, value in stats.items()
+            if name not in ("elapsed_seconds", "throughput_qps")
+        }
+
+    def test_aknn_bucket(self, engines, queries):
+        single, one_shard, two_shards = engines
+        requests = [AknnRequest(q, k=self.K, alpha=self.ALPHA) for q in queries[:2]]
+        want = [self.counted(r) for r in single.execute_batch(requests)]
+        assert [self.counted(r) for r in one_shard.execute_batch(requests)] == want
+        assert [self.counted(r) for r in two_shards.execute_batch(requests)] == want
+        # the bootstrap's nominations are upper-bound evaluations on both engines
+        nominations = single._executor.aknn_batch(
+            queries[:2], self.K, self.ALPHA
+        ).stats.upper_bound_evaluations
+        assert nominations == 2 * (self.K + 4)
+        assert one_shard.metrics.get("upper_bound_evaluations") == nominations
+
+    def test_reverse_bucket(self, engines, queries, monkeypatch):
+        single, one_shard, two_shards = engines
+        requests = [ReverseRequest(q, k=self.K, alpha=self.ALPHA) for q in queries[:2]]
+        verification = []
+        aknn_batch = BatchQueryExecutor.aknn_batch
+
+        def logged(self, *args, **kwargs):
+            batch = aknn_batch(self, *args, **kwargs)
+            verification.append(batch.stats.lower_bound_evaluations)
+            return batch
+
+        monkeypatch.setattr(BatchQueryExecutor, "aknn_batch", logged)
+        want = [self.counted(r) for r in single.execute_batch(requests)]
+        (traversal,) = verification
+        assert [self.counted(r) for r in one_shard.execute_batch(requests)] == want
+        for stats in want:
+            # the filter's Q.n + n^2 box tests plus the verification traversal
+            assert stats["bucket_lower_bound_evaluations"] == 2 * 36 + 36 * 36 + traversal
+            assert stats["batch_reverse_queries"] == 2.0
+            assert stats["shard_fanouts"] == 1.0
+            assert stats["reverse_candidates"] >= stats["candidates"]
+            assert stats["reverse_candidates"] > 0
+        for got, stats in zip(two_shards.execute_batch(requests), want):
+            got = self.counted(got)
+            assert got["shard_fanouts"] == 2.0
+            for name in (
+                "distance_evaluations", "bucket_distance_evaluations",
+                "bucket_object_accesses", "candidates", "reverse_candidates",
+            ):
+                assert got[name] == stats[name], name
 
 
 class TestOneThreadPerQuery:
