@@ -68,10 +68,8 @@ from repro.core import (
     AKNN_METHODS,
     AKNNResult,
     AKNNSearcher,
-    AlphaDistanceJoin,
     AlphaRangeSearcher,
     FuzzyDatabase,
-    JoinResult,
     LinearScanSearcher,
     Neighbor,
     QueryStats,
@@ -151,9 +149,7 @@ __all__ = [
     "RangeSearchResult",
     "Neighbor",
     "QueryStats",
-    # Extension queries (the paper's proposed follow-up work)
-    "AlphaDistanceJoin",
-    "JoinResult",
+    # Extension query (the paper's proposed follow-up work)
     "ReverseAKNNSearcher",
     "ReverseKNNResult",
     # Serving

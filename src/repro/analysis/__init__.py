@@ -1,17 +1,10 @@
 """Cost analysis of Section 5.
 
-* :mod:`~repro.analysis.fractal` — correlation (D2) and box-counting /
-  Hausdorff (D0) fractal-dimension estimators for point sets, following
-  Papadopoulos & Manolopoulos.
 * :mod:`~repro.analysis.cost_model` — the analytical estimate of the number
   of objects accessed by an AKNN query (Equations 6-8), parameterised by the
   ideal-fuzzy-object radius function ``R(alpha)``.
 """
 
-from repro.analysis.fractal import (
-    box_counting_dimension,
-    correlation_dimension,
-)
 from repro.analysis.cost_model import (
     AccessCostModel,
     estimate_knn_radius,
@@ -19,8 +12,6 @@ from repro.analysis.cost_model import (
 )
 
 __all__ = [
-    "box_counting_dimension",
-    "correlation_dimension",
     "AccessCostModel",
     "estimate_knn_radius",
     "expected_knn_distance",

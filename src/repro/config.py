@@ -56,10 +56,8 @@ DEFAULT_SERVICE_QUEUE_DEPTH = 1024
 DEFAULT_SHARD_RETRY_ATTEMPTS = 3
 DEFAULT_SHARD_RETRY_BASE_MS = 5.0
 DEFAULT_SHARD_RETRY_MAX_MS = 50.0
-DEFAULT_SHARD_RETRY_JITTER = 0.5
 DEFAULT_BREAKER_FAILURE_THRESHOLD = 3
 DEFAULT_BREAKER_RESET_TIMEOUT_MS = 1000.0
-DEFAULT_BREAKER_HALF_OPEN_PROBES = 1
 
 # Durability defaults (see repro.storage.wal / repro.storage.snapshot).
 # ``wal_sync`` picks the durability/throughput trade of every WAL append:
@@ -70,18 +68,6 @@ DEFAULT_BREAKER_HALF_OPEN_PROBES = 1
 # truncates it (0 disables automatic snapshots).
 DEFAULT_WAL_SYNC = "flush"
 DEFAULT_SNAPSHOT_EVERY = 0
-
-# Deferred-compaction default (see repro.index.bulk).  With durability
-# enabled, deletes prune lazily instead of reinserting orphans on the write
-# path; once ``lazy deletes / live entries`` exceeds this ratio the tree is
-# rebuilt with one STR bulk load.
-DEFAULT_COMPACTION_DEBT_RATIO = 0.3
-
-# Standing-query defaults (see repro.service.subscriptions).  The queue depth
-# bounds undelivered deltas per subscriber; a subscriber that falls further
-# behind is shed (subscription cancelled) rather than allowed to grow the
-# queue without limit.
-DEFAULT_SUBSCRIPTION_QUEUE_DEPTH = 256
 
 # The small epsilon used by the basic RKNN sweep (Algorithm 3) to step just
 # beyond a critical probability.  The exact sweep used in this implementation
@@ -145,18 +131,13 @@ class RuntimeConfig:
         Total attempts (initial call included) for a failed per-shard read
         before the shard is counted as failed for this query.  ``1``
         disables retries.
-    shard_retry_base_ms / shard_retry_max_ms / shard_retry_jitter:
+    shard_retry_base_ms / shard_retry_max_ms:
         Capped exponential backoff between attempts (see
         :class:`~repro.service.policy.RetryPolicy`).
     breaker_failure_threshold:
         Consecutive exhausted fan-outs that open a shard's circuit breaker.
     breaker_reset_timeout_ms:
         Cool-off before an open breaker admits half-open probes.
-    breaker_half_open_probes:
-        Concurrent probe calls admitted while half-open.
-    default_deadline_ms:
-        Deadline budget applied to service requests that do not carry their
-        own ``deadline_ms``.  ``None`` (the default) leaves them unbounded.
     wal_sync:
         WAL append durability: ``"none"`` (OS-buffered), ``"flush"``
         (userspace buffer drained per append) or ``"fsync"`` (page cache
@@ -164,12 +145,6 @@ class RuntimeConfig:
     snapshot_every:
         WAL appends between automatic snapshots (``0`` disables them; the
         WAL then grows until an explicit snapshot/close).
-    compaction_debt_ratio:
-        Fraction of lazily-deleted entries tolerated before the R-tree is
-        rebuilt via STR bulk load (durable databases only).
-    subscription_queue_depth:
-        Maximum undelivered deltas buffered per standing-query subscriber
-        before the subscriber is shed.
     """
 
     upper_bound_samples: int = DEFAULT_UPPER_BOUND_SAMPLES
@@ -186,15 +161,10 @@ class RuntimeConfig:
     shard_retry_attempts: int = DEFAULT_SHARD_RETRY_ATTEMPTS
     shard_retry_base_ms: float = DEFAULT_SHARD_RETRY_BASE_MS
     shard_retry_max_ms: float = DEFAULT_SHARD_RETRY_MAX_MS
-    shard_retry_jitter: float = DEFAULT_SHARD_RETRY_JITTER
     breaker_failure_threshold: int = DEFAULT_BREAKER_FAILURE_THRESHOLD
     breaker_reset_timeout_ms: float = DEFAULT_BREAKER_RESET_TIMEOUT_MS
-    breaker_half_open_probes: int = DEFAULT_BREAKER_HALF_OPEN_PROBES
-    default_deadline_ms: float | None = None
     wal_sync: str = DEFAULT_WAL_SYNC
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
-    compaction_debt_ratio: float = DEFAULT_COMPACTION_DEBT_RATIO
-    subscription_queue_depth: int = DEFAULT_SUBSCRIPTION_QUEUE_DEPTH
 
     def validate(self) -> "RuntimeConfig":
         """Check invariants and return ``self`` for chaining."""
@@ -226,26 +196,16 @@ class RuntimeConfig:
             raise ValueError("shard_retry_attempts must be >= 1")
         if self.shard_retry_base_ms < 0.0 or self.shard_retry_max_ms < 0.0:
             raise ValueError("shard retry delays must be >= 0")
-        if not 0.0 <= self.shard_retry_jitter <= 1.0:
-            raise ValueError("shard_retry_jitter must be in [0, 1]")
         if self.breaker_failure_threshold < 1:
             raise ValueError("breaker_failure_threshold must be >= 1")
         if self.breaker_reset_timeout_ms < 0.0:
             raise ValueError("breaker_reset_timeout_ms must be >= 0")
-        if self.breaker_half_open_probes < 1:
-            raise ValueError("breaker_half_open_probes must be >= 1")
-        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0.0:
-            raise ValueError("default_deadline_ms must be positive (or None)")
         if self.wal_sync not in ("none", "flush", "fsync"):
             raise ValueError(
                 f"wal_sync must be 'none', 'flush' or 'fsync', got {self.wal_sync!r}"
             )
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0 (0 disables)")
-        if not 0.0 < self.compaction_debt_ratio <= 1.0:
-            raise ValueError("compaction_debt_ratio must be in (0, 1]")
-        if self.subscription_queue_depth < 1:
-            raise ValueError("subscription_queue_depth must be >= 1")
         return self
 
 

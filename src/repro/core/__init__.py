@@ -46,7 +46,6 @@ from repro.core.range_search import AlphaRangeSearcher
 from repro.core.rknn import RKNNSearcher, RKNN_METHODS
 from repro.core.linear_scan import LinearScanSearcher
 from repro.core.database import FuzzyDatabase
-from repro.core.join import AlphaDistanceJoin, JoinResult, JOIN_METHODS
 from repro.core.reverse_nn import ReverseAKNNSearcher, ReverseKNNResult, REVERSE_METHODS
 
 __all__ = [
@@ -75,9 +74,6 @@ __all__ = [
     "RKNN_METHODS",
     "LinearScanSearcher",
     "FuzzyDatabase",
-    "AlphaDistanceJoin",
-    "JoinResult",
-    "JOIN_METHODS",
     "ReverseAKNNSearcher",
     "ReverseKNNResult",
     "REVERSE_METHODS",

@@ -311,24 +311,6 @@ class FuzzyDatabase:
             )
         return results
 
-    def distance_join(
-        self,
-        alpha: float,
-        epsilon: float,
-        other: Optional["FuzzyDatabase"] = None,
-        method: str = "index",
-    ):
-        """Alpha-distance join with ``other`` (self-join when omitted)."""
-        from repro.core.join import AlphaDistanceJoin
-
-        join = AlphaDistanceJoin(
-            self.store,
-            self.tree,
-            right_store=None if other is None else other.store,
-            right_tree=None if other is None else other.tree,
-        )
-        return join.join(alpha, epsilon, method=method)
-
     # ------------------------------------------------------------------
     # Live updates
     # ------------------------------------------------------------------
@@ -623,10 +605,9 @@ class FuzzyDatabase:
         directory is recoverable from the first logged mutation on, then
         logs every subsequent insert/delete ahead of applying it.  Deletes
         switch to the deferred-compaction path (lazy R-tree removal, STR
-        repack when the debt ratio crosses
-        ``config.compaction_debt_ratio``).  ``fault_hook`` is invoked before
-        every WAL append (chaos testing; see
-        :mod:`repro.service.faults`).
+        repack when the debt crosses :class:`CompactionManager`'s ratio).
+        ``fault_hook`` is invoked before every WAL append (chaos testing;
+        see :mod:`repro.service.faults`).
 
         This is for a *live, consistent* database; to attach to a directory
         left behind by a crash, use :meth:`recover` — calling this directly
@@ -643,9 +624,7 @@ class FuzzyDatabase:
             metrics=self.metrics,
             fault_hook=fault_hook,
         )
-        self._compaction = CompactionManager(
-            debt_ratio=self.config.compaction_debt_ratio, metrics=self.metrics
-        )
+        self._compaction = CompactionManager(metrics=self.metrics)
         self._snapshots = SnapshotManager(
             directory=directory,
             wal=self._wal,

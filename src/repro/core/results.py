@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.fuzzy.alpha_distance import alpha_distance
+from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.intervals import IntervalSet
 
 
@@ -125,6 +127,20 @@ class Neighbor:
         return self.distance if self.distance is not None else self.upper_bound
 
 
+def resolve_exact(
+    neighbor: Neighbor,
+    query: FuzzyObject,
+    alpha: float,
+    fetch: Callable[[int], FuzzyObject],
+) -> Neighbor:
+    """``neighbor`` with an exact distance: a lazily-confirmed one pays one
+    ``fetch(object_id)`` and one closest-pair evaluation."""
+    if neighbor.distance is not None:
+        return neighbor
+    distance = alpha_distance(fetch(neighbor.object_id), query, alpha)
+    return Neighbor(neighbor.object_id, distance, distance, distance, probed=True)
+
+
 def merge_topk(per_part: Sequence[Sequence[Neighbor]], k: int) -> List[Neighbor]:
     """The k nearest across per-partition answers (exact distance, then id)."""
     merged = [neighbor for neighbors in per_part for neighbor in neighbors]
@@ -179,10 +195,6 @@ class BatchResult:
         if self.stats.elapsed_seconds <= 0.0:
             return 0.0
         return len(self.results) / self.stats.elapsed_seconds
-
-    def object_id_sets(self) -> List[List[int]]:
-        """Per-query neighbour id lists (order insensitive per the paper)."""
-        return [result.object_ids for result in self.results]
 
     def __len__(self) -> int:
         return len(self.results)

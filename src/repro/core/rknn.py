@@ -47,11 +47,10 @@ from repro.core.aknn import AKNNSearcher
 from repro.core.linear_scan import rank_objects
 from repro.core.query import PreparedQuery
 from repro.core.range_search import AlphaRangeSearcher
-from repro.core.results import QueryStats, RKNNResult
+from repro.core.results import QueryStats, RKNNResult, resolve_exact
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import (
     DistanceProfileStore,
-    alpha_distance,
     distance_profile,
 )
 from repro.fuzzy.fuzzy_object import FuzzyObject
@@ -315,7 +314,14 @@ class RKNNSearcher:
             query, k, alpha_end, method=aknn_method, rng=rng
         )
         self._merge_substats(stats, result_end.stats)
-        radius = self._exact_kth_distance(result_end.neighbors, query, alpha_end)
+        # Exact k-th neighbour distance, probing lazily-confirmed neighbours.
+        radius = max(
+            (
+                resolve_exact(neighbor, query, alpha_end, self.store.get).distance
+                for neighbor in result_end.neighbors
+            ),
+            default=0.0,
+        )
 
         metrics = MetricsCollector()
         prepared = PreparedQuery(query, alpha_start, self.config, rng, metrics)
@@ -338,20 +344,6 @@ class RKNNSearcher:
                 self.profile_store.insert(query, object_id, profile, alpha_end)
             profiles[object_id] = profile
         return profiles
-
-    def _exact_kth_distance(
-        self, neighbors, query: FuzzyObject, alpha: float
-    ) -> float:
-        """Exact k-th neighbour distance, probing lazily-confirmed neighbours."""
-        radius = 0.0
-        for neighbor in neighbors:
-            if neighbor.distance is not None:
-                distance = neighbor.distance
-            else:
-                obj = self.store.get(neighbor.object_id)
-                distance = alpha_distance(obj, query, alpha)
-            radius = max(radius, distance)
-        return radius
 
     # ------------------------------------------------------------------
     # Helpers

@@ -75,10 +75,6 @@ class IndexError_(ReproError):
     """
 
 
-class ExperimentError(ReproError):
-    """Raised by the benchmark harness for inconsistent experiment configs."""
-
-
 class BackpressureError(ReproError):
     """Base of every shed-and-retry-later error.
 

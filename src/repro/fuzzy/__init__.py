@@ -33,30 +33,8 @@ from repro.fuzzy.boundary import (
 )
 from repro.fuzzy.summary import FuzzyObjectSummary, build_summary
 from repro.fuzzy.intervals import Interval, IntervalSet
-from repro.fuzzy.operations import (
-    alpha_cut_area,
-    diameter,
-    fuzzy_area,
-    fuzzy_centroid,
-    fuzzy_difference,
-    fuzzy_intersection,
-    fuzzy_union,
-    overlap_degree,
-    overlaps,
-    scalar_cardinality,
-)
 
 __all__ = [
-    "fuzzy_union",
-    "fuzzy_intersection",
-    "fuzzy_difference",
-    "overlaps",
-    "overlap_degree",
-    "scalar_cardinality",
-    "fuzzy_centroid",
-    "fuzzy_area",
-    "alpha_cut_area",
-    "diameter",
     "FuzzyObject",
     "alpha_distance",
     "alpha_distance_points",

@@ -251,10 +251,6 @@ class FuzzyObject:
         self._check_alpha(alpha)
         return int(np.count_nonzero(_at_least(self.memberships, alpha)))
 
-    def membership_at(self, index: int) -> float:
-        """Membership value of the point at ``index``."""
-        return float(self.memberships[index])
-
     # ------------------------------------------------------------------
     # Bounding rectangles
     # ------------------------------------------------------------------

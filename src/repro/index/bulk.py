@@ -11,7 +11,7 @@ Two pieces move the R-tree's expensive maintenance off the write path:
 * :class:`CompactionManager` — durable databases delete with
   :meth:`~repro.index.rtree.RTree.delete_lazy` (no orphan reinsertion on the
   write path) and let the manager track the accumulated fill debt.  Once
-  ``lazy deletes / live entries`` crosses ``compaction_debt_ratio`` the whole
+  ``lazy deletes / live entries`` crosses ``debt_ratio`` the whole
   tree is repacked with one STR pass, amortising what Guttman's CondenseTree
   would have paid per delete.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.config import DEFAULT_COMPACTION_DEBT_RATIO, RuntimeConfig
+from repro.config import RuntimeConfig
 from repro.fuzzy.summary import FuzzyObjectSummary
 from repro.index.rtree import RTree
 from repro.metrics.counters import MetricsCollector
@@ -55,7 +55,7 @@ class CompactionManager:
     def __init__(
         self,
         *,
-        debt_ratio: float = DEFAULT_COMPACTION_DEBT_RATIO,
+        debt_ratio: float = 0.3,
         metrics: Optional[MetricsCollector] = None,
     ) -> None:
         if not 0.0 < debt_ratio <= 1.0:

@@ -104,7 +104,6 @@ class RetryPolicy:
             max_attempts=config.shard_retry_attempts,
             base_delay_ms=config.shard_retry_base_ms,
             max_delay_ms=config.shard_retry_max_ms,
-            jitter=config.shard_retry_jitter,
         )
 
     def delay_seconds(self, attempt: int, rand: Callable[[], float] = random.random) -> float:
@@ -161,7 +160,6 @@ class CircuitBreaker:
         return cls(
             failure_threshold=config.breaker_failure_threshold,
             reset_timeout_ms=config.breaker_reset_timeout_ms,
-            half_open_probes=config.breaker_half_open_probes,
         )
 
     @property

@@ -42,7 +42,7 @@ Standing queries ride the same mutation path: :meth:`QueryService.subscribe`
 registers an ``AknnRequest`` or ``RangeRequest`` with the shared
 :class:`~repro.service.subscriptions.SubscriptionEngine` and returns a
 buffered delta stream; consumers that stop pulling are shed at
-``subscription_queue_depth`` instead of stalling writers.
+their queue depth instead of stalling writers.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ class QueryService:
     ):
         config = getattr(database, "config", None) or RuntimeConfig()
         self.database = database
-        self._config = config
         self.window_seconds = (
             config.coalesce_window_ms if window_ms is None else float(window_ms)
         ) / 1000.0
@@ -199,7 +198,6 @@ class QueryService:
             raise ValueError("max_batch must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        self.default_deadline_ms = config.default_deadline_ms
         self.metrics = SharedMetricsCollector()
         # EWMA of flush throughput (requests/second); feeds the retry-after
         # estimate handed back with ServiceOverloadedError.
@@ -313,13 +311,10 @@ class QueryService:
         return self._submit(request).future
 
     def _deadline_for(self, request: QueryRequest) -> Optional[Deadline]:
-        """The request's absolute deadline, honouring the service default."""
-        budget_ms = request.deadline_ms
-        if budget_ms is None:
-            budget_ms = self.default_deadline_ms
-        if budget_ms is None:
+        """The request's absolute deadline (``None`` when it carries no budget)."""
+        if request.deadline_ms is None:
             return None
-        return Deadline.after_ms(budget_ms)
+        return Deadline.after_ms(request.deadline_ms)
 
     def _retry_after_ms(self) -> float:
         """How long a shed caller should back off (caller holds ``_cv``).
@@ -482,15 +477,13 @@ class QueryService:
 
         The first delta is the request's full current answer; every
         subsequent mutation that changes the answer queues an incremental
-        delta.  A consumer that lets ``depth`` deltas pile up (default
-        ``subscription_queue_depth``) is shed: its stream closes with
+        delta.  A consumer that lets ``depth`` deltas pile up (default:
+        :class:`DeliverySubscription`'s) is shed: its stream closes with
         ``shed=True`` and the subscription is torn down, so one stuck
         consumer cannot stall mutations or grow memory without bound.
         """
         engine = self._subscription_engine()
-        delivery = DeliverySubscription(
-            self._config.subscription_queue_depth if depth is None else int(depth)
-        )
+        delivery = DeliverySubscription() if depth is None else DeliverySubscription(depth)
         delivery._on_overflow = lambda: self._shed_subscriber(delivery)
         delivery.subscription = engine.subscribe(request, listener=delivery.deliver)
         with self._sub_lock:

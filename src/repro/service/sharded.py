@@ -88,6 +88,7 @@ from repro.core.results import (
     QueryStats,
     RangeSearchResult,
     merge_topk,
+    resolve_exact,
 )
 from repro.core.reverse_nn import reverse_bucket_pass
 from repro.core.rknn import RKNNSearcher
@@ -97,7 +98,7 @@ from repro.exceptions import (
     ShardUnavailableError,
     StorageError,
 )
-from repro.fuzzy.alpha_distance import DistanceProfileStore, alpha_distance
+from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.metrics.counters import MetricsCollector, SharedMetricsCollector
 from repro.metrics.timer import Timer
@@ -222,7 +223,7 @@ class ShardedDatabase:
         self._durable_dir: Optional[Path] = None
         self._update_listeners: List = []
         self._admin_lock = threading.Lock()
-        self._next_id = max(self._owners, default=-1) + 1
+        self._next_id = max(shard.db.store.id_watermark for shard in self._shards)
         self._epoch = EpochCounter()
         self.metrics = SharedMetricsCollector()
         # One d_alpha profile memo shared by every sweep (keyed by query
@@ -949,7 +950,10 @@ class ShardedDatabase:
             if len(shard.db) == 0:
                 return [], QueryStats()
             result = shard.db._aknn.search(query, k, alpha, method=method, rng=rng)
-            resolved = self._resolve_exact(shard.db, result.neighbors, query, alpha)
+            resolved = [
+                resolve_exact(neighbor, query, alpha, shard.db.store.get)
+                for neighbor in result.neighbors
+            ]
             return resolved, result.stats
 
         return run
@@ -1157,33 +1161,6 @@ class ShardedDatabase:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Merge helpers
-    # ------------------------------------------------------------------
-    def _resolve_exact(
-        self,
-        db: FuzzyDatabase,
-        neighbors: Sequence[Neighbor],
-        query: FuzzyObject,
-        alpha: float,
-    ) -> List[Neighbor]:
-        """Probe lazily-confirmed neighbours so the merge compares exact values."""
-        resolved: List[Neighbor] = []
-        for neighbor in neighbors:
-            if neighbor.distance is None:
-                obj = db.store.get(neighbor.object_id)
-                distance = alpha_distance(obj, query, alpha)
-                neighbor = Neighbor(
-                    object_id=neighbor.object_id,
-                    distance=distance,
-                    lower_bound=distance,
-                    upper_bound=distance,
-                    probed=True,
-                )
-            resolved.append(neighbor)
-        return resolved
-
 
 
 # ----------------------------------------------------------------------

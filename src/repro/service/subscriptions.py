@@ -44,6 +44,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.requests import AknnRequest, QueryRequest, RangeRequest
+from ..core.results import resolve_exact
 from ..exceptions import EmptyAlphaCutError, InvalidQueryError
 from ..fuzzy.alpha_distance import alpha_distance_points
 from ..fuzzy.fuzzy_object import FuzzyObject
@@ -123,10 +124,6 @@ class Subscription:
         """Exact alpha-distance between the query and ``obj``."""
         cut = np.asarray(obj.alpha_cut(self.alpha), dtype=float)
         return alpha_distance_points(cut, self.query_cut)
-
-    def ranked_members(self) -> List[Tuple[float, int]]:
-        """Members ordered by ``(distance, object_id)`` — the merge order."""
-        return sorted((d, oid) for oid, d in self.members.items())
 
     # ------------------------------------------------------------------
 
@@ -311,18 +308,16 @@ class SubscriptionEngine:
         """Run the subscription's request and return exact ``{id: distance}``.
 
         Lazily-confirmed kNN neighbours (accepted through bounds alone) carry
-        ``distance=None``; the maintained state needs exact distances, so
-        those are resolved with one store probe + closest-pair evaluation.
+        ``distance=None``; the maintained state needs exact distances.
         """
         result = self.engine.execute(sub.request)
         members: Dict[int, float] = {}
         if isinstance(sub.request, AknnRequest):
             for neighbor in result.neighbors:
-                distance = neighbor.distance
-                if distance is None:
-                    obj = self.engine.get_object(neighbor.object_id)
-                    distance = sub.distance_of(obj)
-                members[int(neighbor.object_id)] = float(distance)
+                exact = resolve_exact(
+                    neighbor, sub.request.query, sub.alpha, self.engine.get_object
+                )
+                members[int(neighbor.object_id)] = float(exact.distance)
         else:
             for object_id, distance in result.matches:
                 members[int(object_id)] = float(distance)
@@ -346,23 +341,18 @@ class SubscriptionEngine:
             self.metrics.increment(name, amount)
 
 
-class SubscriptionShedError(Exception):
-    """Internal marker: the delivery queue overflowed (consumer too slow)."""
-
-
 class DeliverySubscription:
     """A subscription whose deltas are buffered for a pulling consumer.
 
-    The service layer hands these out: deltas queue up to
-    ``RuntimeConfig.subscription_queue_depth``; a consumer that falls
-    further behind is *shed* — the subscription is cancelled, the counter
-    bumped, and the queue is terminated with a sentinel so the consumer
-    observes the shed instead of waiting forever.
+    The service layer hands these out: deltas queue up to ``depth``; a
+    consumer that falls further behind is *shed* — the subscription is
+    cancelled, the counter bumped, and the queue is terminated with a
+    sentinel so the consumer observes the shed instead of waiting forever.
     """
 
     _CLOSE = object()
 
-    def __init__(self, depth: int) -> None:
+    def __init__(self, depth: int = 256) -> None:
         self._queue: "queue.Queue" = queue.Queue(maxsize=max(1, int(depth)))
         self.subscription: Optional[Subscription] = None
         self.shed = False

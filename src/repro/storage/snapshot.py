@@ -138,7 +138,3 @@ class SnapshotManager:
         if self.metrics is not None:
             self.metrics.increment(MetricsCollector.SNAPSHOTS)
         return self.manifest
-
-    @property
-    def appends_since_snapshot(self) -> int:
-        return self._since_snapshot

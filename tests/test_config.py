@@ -54,8 +54,17 @@ class TestRuntimeConfig:
     def test_field_count_does_not_grow(self):
         """ROADMAP house rule: a new knob needs two callers that disagree."""
         names = {field.name for field in dataclasses.fields(RuntimeConfig)}
-        assert len(names) == 23
-        assert not names & {"batch_workers", "use_kdtree", "extra"}
+        assert len(names) == 18
+        assert not names & {
+            "batch_workers",
+            "use_kdtree",
+            "extra",
+            "shard_retry_jitter",
+            "breaker_half_open_probes",
+            "default_deadline_ms",
+            "compaction_debt_ratio",
+            "subscription_queue_depth",
+        }
 
 
 class TestExceptions:

@@ -29,6 +29,7 @@ from repro.exceptions import (
 from repro.metrics.counters import MetricsCollector
 from repro.service.faults import FaultPlan
 from repro.service.sharded import ShardedDatabase
+from repro.service.subscriptions import SubscriptionEngine
 
 from tests.conftest import assert_same_assignments, make_fuzzy_object, sorted_exact_distances
 
@@ -299,3 +300,51 @@ class TestCrashRecoveryParitySharded:
         recovered.close()
         twin.close()
         sharded.close()
+
+
+class TestRecoveredIdWatermark:
+    """``recover`` restores the never-recycle bound, not ``max(live ids) + 1``:
+    an id that was handed out and deleted before the crash stays retired."""
+
+    def _insert_delete_crash_recover_insert(self, engine_class, directory):
+        config = RuntimeConfig(snapshot_every=0, service_shards=2)
+        db = engine_class.build(_initial_objects(61, 12), config=config)
+        db.enable_durability(directory)
+        rng = np.random.default_rng(62)
+        query = make_fuzzy_object(rng, center=[5.0, 5.0])
+        deltas = []
+        subscriptions = SubscriptionEngine(db)
+        db.add_update_listener(subscriptions)
+        standing = subscriptions.subscribe(
+            AknnRequest(query, k=3, alpha=0.4), listener=deltas.append
+        )
+        doomed = db.insert(make_fuzzy_object(rng, center=[5.0, 5.0], spread=0.2))
+        assert doomed == 12 and doomed in standing.members
+        db.execute(SweepRequest(query, k=3, alpha_range=(0.2, 0.9)))
+        db.delete(doomed)
+        # Crash: the handle is dropped without close(); recover in place.
+        recovered = engine_class.recover(directory, config=config)
+        fresh = recovered.insert(make_fuzzy_object(rng, center=[50.0, 50.0]))
+        recovered.close()
+        return db, query, doomed, fresh, deltas
+
+    def test_sharded_recover_does_not_recycle_a_deleted_id(self, tmp_path):
+        sharded, query, doomed, fresh, deltas = self._insert_delete_crash_recover_insert(
+            ShardedDatabase, tmp_path / "sharded"
+        )
+        assert len(sharded._shards) == 2 and fresh == doomed + 1
+        # What the crashed handle's clients still hold under the retired id —
+        # a standing query's delta history, a memoised sweep profile — cannot
+        # name the object inserted after recovery.
+        assert sharded._sweep_profiles.lookup(query, doomed, 0.9) is not None
+        assert sharded._sweep_profiles.lookup(query, fresh, 0.9) is None
+        delivered = {object_id for delta in deltas for object_id, _ in delta.added}
+        assert doomed in delivered and fresh not in delivered
+        sharded.close()
+
+    def test_single_node_recover_hands_out_the_same_id(self, tmp_path):
+        single, _, doomed, fresh, _ = self._insert_delete_crash_recover_insert(
+            FuzzyDatabase, tmp_path / "single"
+        )
+        assert fresh == doomed + 1
+        single.close()

@@ -26,7 +26,6 @@ from repro.core.executor import _exact_min_distances
 from repro.exceptions import EmptyAlphaCutError
 from repro.fuzzy.alpha_distance import alpha_distance, distance_profile
 from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
-from repro.fuzzy.operations import diameter
 from repro.geometry import distance as distance_module
 from repro.geometry.distance import (
     _closest_pair_brute,
@@ -318,21 +317,6 @@ class TestPairwiseKernel:
                 np.sqrt([sq_ab.min(), sq_ac.min(), sq_ab.min()]),
                 dimensions,
             )
-            obj = FuzzyObject(a, np.ones(a.shape[0]))
-            assert_parity(diameter(obj), np.sqrt(reference_pairwise(a, a).max()), dimensions)
-
-    def test_diameter_never_builds_the_cubic_temporary(self, rng):
-        obj = FuzzyObject(rng.random((3000, 2)), np.ones(3000))
-        tracemalloc.start()
-        try:
-            value = diameter(obj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The old (n, n, d) difference array alone was 144 MB here.
-        assert peak < 2 * 1024 * 1024
-        hull = obj.points[np.argsort(obj.points.sum(axis=1))[[0, -1]]]
-        assert value >= np.linalg.norm(hull[0] - hull[1])
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""What ``service/sharded.py`` may know, and the line-count script, as checks.
+"""What ``service/sharded.py`` may know, what the package may carry, and the
+line-count script, as checks.
 
 The sharded module is fan-out / failure policy, durability glue and topology.
 The batched passes live in their families' modules and reach it only through
 public names, so the index kernels, the geometry and scipy are none of its
-business.  Read from the syntax tree: nothing is imported or executed.
+business.  Every module under ``src/repro`` is reached from an entry point
+and every ``RuntimeConfig`` field is set by someone, so nothing ships that
+only its own tests use.  Read from the syntax tree: nothing is imported or
+executed.
 """
 
 import ast
@@ -11,21 +15,31 @@ import importlib.util
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SHARDED = REPO / "src" / "repro" / "service" / "sharded.py"
+SRC = REPO / "src"
+SHARDED = SRC / "repro" / "service" / "sharded.py"
+CONFIG = SRC / "repro" / "config.py"
 
 FORBIDDEN = ("scipy", "repro.index.soa", "repro.geometry")
 PUBLIC_NAMES_ONLY = ("repro.core.executor", "repro.core.reverse_nn")
 
 
-def imports_of(path):
-    """``(module, imported name or None)`` for every import statement in a file."""
+def imports_of(path, importer=None):
+    """``(module, imported name or None)`` for every import statement in a file.
+
+    ``importer`` is the file's own dotted name, which a relative import is
+    resolved against.
+    """
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             found.extend((alias.name, None) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "relative import: resolve it before judging it"
-            found.extend((node.module, alias.name) for alias in node.names)
+            module = node.module
+            if node.level:
+                assert importer, "relative import: resolve it before judging it"
+                package = importer.split(".")[: -node.level]
+                module = ".".join(package + ([node.module] if node.module else []))
+            found.extend((module, alias.name) for alias in node.names)
     return found
 
 
@@ -54,6 +68,72 @@ def test_sharded_reaches_the_family_passes_through_public_names_only():
             names.append(name)
     assert names, "the sharded hooks no longer import the shared passes"
     assert not [name for name in names if name.startswith("_")]
+
+
+# What people run or import directly (the console script, the served surface)
+# and the experiment harness behind ``benchmarks/bench_fig*.py``.
+ENTRY_POINTS = (
+    "repro.cli",
+    "repro.service.client",
+    "repro.service.query_service",
+    "repro.service.sharded",
+    "repro.bench",
+)
+
+
+def package_modules():
+    """``{dotted name: path}`` of every module under ``src/repro``."""
+    modules = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return modules
+
+
+def test_every_module_is_imported_outside_a_package_init():
+    modules = package_modules()
+    assert len(modules) > 40, "the walk is not looking at the package"
+    reached = set()
+    for importer, path in modules.items():
+        if path.name == "__init__.py":
+            continue  # a re-export keeps nothing alive
+        for module, name in imports_of(path, importer):
+            # ``from repro.index import soa`` names a module by its alias
+            reached.update((module, f"{module}.{name}"))
+    unreachable = [
+        name
+        for name, path in modules.items()
+        if path.name != "__init__.py"
+        and name not in reached
+        and not any(within(name, entry) for entry in ENTRY_POINTS)
+    ]
+    assert not unreachable, unreachable
+
+
+def test_every_runtime_config_field_is_set_by_someone():
+    config_class = next(
+        node
+        for node in ast.parse(CONFIG.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "RuntimeConfig"
+    )
+    fields = {
+        node.target.id for node in config_class.body if isinstance(node, ast.AnnAssign)
+    }
+    assert len(fields) >= 10, "no fields found: the check is not looking at the class"
+    assigned = set()
+    for directory in ("src", "tests", "benchmarks", "scripts", "examples"):
+        for path in (REPO / directory).rglob("*.py"):
+            if path == CONFIG:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword):
+                    assigned.add(node.arg)
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    assigned.update(
+                        target.attr for target in targets if isinstance(target, ast.Attribute)
+                    )
+    assert not fields - assigned, sorted(fields - assigned)
 
 
 def test_net_lines_reports_moved_files_and_directory_totals():

@@ -267,7 +267,6 @@ class TestServiceSubscriptions:
 
         service = QueryService.__new__(QueryService)
         # Only exercise the guard, not the full service lifecycle.
-        service._config = RuntimeConfig()
         service.database = Plain()
         service.metrics = MetricsCollector()
         import threading
