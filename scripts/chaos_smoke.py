@@ -38,6 +38,7 @@ from repro.core.requests import (  # noqa: E402
     AknnRequest,
     RangeRequest,
     ReverseRequest,
+    SweepMethod,
     SweepRequest,
 )
 from repro.datasets.builder import build_dataset  # noqa: E402
@@ -71,7 +72,10 @@ def _mixed_requests(queries, n: int):
         elif kind < 15:
             requests.append(ReverseRequest(query, k=2, alpha=0.5))
         else:
-            requests.append(SweepRequest(query, k=2, alpha_range=(0.45, 0.55)))
+            method = list(SweepMethod)[(i // 16) % 4]
+            requests.append(
+                SweepRequest(query, k=2, alpha_range=(0.45, 0.55), method=method)
+            )
     return requests
 
 

@@ -39,8 +39,8 @@ DEFAULT_ALPHA_CUT_CACHE_CAPACITY = 8
 # pair); 0 disables the store.
 DEFAULT_PROFILE_CACHE_CAPACITY = 256
 
-# Defaults of the sharded query service (see repro.service).  Shard count 0
-# means "one shard", i.e. no partitioning; the coalescer window is the
+# Defaults of the sharded query service (see repro.service).  The shard count
+# is at least 1 (one shard: no partitioning); the coalescer window is the
 # maximum time a request waits for companions before its bucket is flushed.
 DEFAULT_SERVICE_SHARDS = 4
 DEFAULT_SHARD_PLACEMENT = "hash"

@@ -35,19 +35,21 @@ buffer overflow and tight upper bounds avoid them altogether — but it is
 robust to ties and to adversarial bound configurations, which the verbatim
 pseudo-code is not.  All four variants return a correct order-insensitive
 k-nearest-neighbour set (asserted against a linear scan in the test suite).
+:func:`aknn_fanout` is one query over a *partition set* (per-part search and
+the exact merge of the parts' top-ks).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import RuntimeConfig
 from repro.core.query import PreparedQuery
-from repro.core.results import AKNNResult, Neighbor, QueryStats
+from repro.core.results import AKNNResult, Neighbor, QueryStats, merge_topk, resolve_exact
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.index.entry import LeafEntry
@@ -322,3 +324,46 @@ class AKNNSearcher:
             aknn_calls=1,
             elapsed_seconds=elapsed,
         )
+
+
+def aknn_fanout(
+    query: FuzzyObject,
+    k: int,
+    alpha: float,
+    method: str = "lb_lp_ub",
+    rng: Optional[np.random.Generator] = None,
+    exact: bool = True,
+) -> Tuple[Callable, Callable]:
+    """One AKNN query over a partition set: ``(local, merge)``.
+
+    ``local(part)`` runs the part's ``aknn_searcher``; with ``exact`` (the
+    answers of several parts will be merged) it also probes every
+    lazily-confirmed neighbour, inside the caller's fan-out, so the merge
+    compares exact distances.  ``merge(per_part)`` keeps the ``k`` smallest
+    across the parts' answers; one part's answer is returned as it is, so a
+    set of one pays neither the probes nor the merge.
+    """
+    timer = Timer().start()
+
+    def local(part) -> AKNNResult:
+        result = part.aknn_searcher.search(query, k, alpha, method=method, rng=rng)
+        if exact:
+            fetch = part.aknn_searcher.store.get
+            result.neighbors = [
+                resolve_exact(neighbor, query, alpha, fetch) for neighbor in result.neighbors
+            ]
+        return result
+
+    def merge(per_part: Sequence[AKNNResult]) -> AKNNResult:
+        if len(per_part) == 1:
+            return per_part[0]
+        stats = QueryStats()
+        for result in per_part:
+            stats.merge(result.stats)
+        stats.aknn_calls = 1
+        stats.extra["shard_fanouts"] = float(len(per_part))
+        neighbors = merge_topk([result.neighbors for result in per_part], k)
+        stats.elapsed_seconds = timer.stop()
+        return AKNNResult(neighbors=neighbors, k=k, alpha=alpha, method=method, stats=stats)
+
+    return local, merge

@@ -85,11 +85,13 @@ class FuzzyDatabase:
         # One d_alpha memo shared by the sweep searcher and the reverse
         # engine: overlapping (query, object) evaluations are paid once.
         self.profile_store = DistanceProfileStore(self.config.profile_cache_capacity)
-        self._aknn = AKNNSearcher(store, tree, self.config)
+        self.aknn_searcher = AKNNSearcher(store, tree, self.config)
+        self.range_searcher = AlphaRangeSearcher(store, tree, self.config)
+        # The sweep runs over this database as a partition set of one.
         self._rknn = RKNNSearcher(
-            store, tree, self.config, profile_store=self.profile_store
+            [self], lambda op, fn: [fn(self)], self.config,
+            profile_store=self.profile_store,
         )
-        self._range = AlphaRangeSearcher(store, tree, self.config)
         self._linear = LinearScanSearcher(store)
         self._executor = BatchQueryExecutor(store, tree, self.config)
         self._reverse = ReverseAKNNSearcher(
@@ -229,7 +231,7 @@ class FuzzyDatabase:
             if deadline is not None:
                 deadline.check("aknn")
             return [
-                self._aknn.search(
+                self.aknn_searcher.search(
                     first.query, first.k, first.alpha,
                     method=first.method.value, rng=rng,
                 )
@@ -259,7 +261,9 @@ class FuzzyDatabase:
             if deadline is not None:
                 deadline.check("range")
             results.append(
-                self._range.search(request.query, request.alpha, request.radius, rng=rng)
+                self.range_searcher.search(
+                    request.query, request.alpha, request.radius, rng=rng
+                )
             )
         return results
 
@@ -281,6 +285,7 @@ class FuzzyDatabase:
                     method=request.method.value,
                     aknn_method=request.aknn_method.value,
                     rng=rng,
+                    deadline=deadline,
                 )
             )
         return results
@@ -358,9 +363,16 @@ class FuzzyDatabase:
         store's watermark, the encoded object goes into the WAL, and only
         then does the store append.  A crash at any point in between is
         covered — replay re-applies the logged record, and ids never recycle
-        so replaying an already-applied record is a no-op.
+        so replaying an already-applied record is a no-op.  An explicit id
+        below the store's id watermark (stored now, or deleted) is rejected
+        with :class:`~repro.exceptions.StorageError`.
         """
         obj = obj.require_finite()
+        if obj.object_id is not None and obj.object_id < self.store.id_watermark:
+            raise StorageError(
+                f"object id {obj.object_id} is below the id watermark "
+                f"{self.store.id_watermark}: ids are never recycled"
+            )
         if self._wal is not None:
             if obj.object_id is None:
                 obj = obj.with_id(self.store.id_watermark)

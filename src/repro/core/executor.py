@@ -10,10 +10,11 @@ searcher, by amortising all index work across the batch:
   k-th-distance radius ``tau`` — before the R-tree is even touched.  It is
   written once, over a *partition set*: :class:`RepresentativeIndex` covers
   any number of R-trees and :func:`bootstrap_radii` reads each nominee from
-  the part holding it.  The executor runs it over itself, a set of one; the
-  sharded database runs the same function over its live shards and hands
-  every shard executor the resulting radii (``initial_tau``) and the
-  distances already paid for (``initial_exact``).
+  the part holding it.  The executor runs it over itself, a set of one;
+  :func:`aknn_bucket_pass` runs the same function over a partition set (the
+  sharded database's live shards) and hands every part's executor the
+  resulting radii (``initial_tau``) and the distances already paid for
+  (``initial_exact``).
 * **One shared traversal.**  Every R-tree node is visited at most once per
   batch.  A node is expanded only for the *active* queries whose radius it
   can still beat, and the lower bounds (``d-_alpha`` of Section 3.2, or the
@@ -52,7 +53,7 @@ from scipy.spatial import cKDTree
 
 from repro.config import RuntimeConfig
 from repro.core.query import PreparedQuery
-from repro.core.results import AKNNResult, BatchResult, Neighbor, QueryStats
+from repro.core.results import AKNNResult, BatchResult, Neighbor, QueryStats, merge_topk
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import CUT_CACHE_STATS, FuzzyObject
 from repro.geometry.distance import pairwise_sq_blocks
@@ -227,6 +228,56 @@ def probe_rows(
         else:
             distances.append(np.asarray([known[oid] for oid in row], dtype=float))
     return distances
+
+
+def aknn_bucket_pass(
+    index: RepresentativeIndex,
+    parts: Sequence,
+    fan_out: Callable[[str, Callable], List],
+    queries: Sequence[FuzzyObject],
+    k: int,
+    alpha: float,
+    method: str,
+    config: RuntimeConfig,
+    metrics: MetricsCollector,
+    rng: Optional[np.random.Generator] = None,
+    deadline=None,
+) -> List[AKNNResult]:
+    """One AKNN bucket (shared ``k`` / ``alpha``) over a partition set.
+
+    ``parts`` each expose ``store`` / ``tree`` / ``executor``; ``fan_out(op,
+    fn)`` applies ``fn`` to every part (as for
+    :func:`repro.core.reverse_nn.reverse_bucket_pass`).  One
+    :func:`bootstrap_radii` over all parts (``index`` caches its KD-tree,
+    ``metrics`` counts its nominations) hands every part's executor the
+    global radii and the distances already paid for; the radii hold only
+    against the snapshot they were probed from.  Each query is prepared once
+    for the bootstrap and every part; the parts' top-ks merge exactly.
+    """
+    prepared = [PreparedQuery(q, alpha, config, rng) for q in queries]
+    initial_exact: List[Dict[int, float]] = [dict() for _ in prepared]
+    bootstrap_evals = [MetricsCollector() for _ in prepared]
+    initial_tau, _ = bootstrap_radii(
+        index, parts, prepared, k, alpha, {}, initial_exact, metrics, bootstrap_evals,
+    )
+    batches = fan_out(
+        "aknn_batch",
+        lambda part: part.executor.aknn_batch(
+            prepared, k, alpha, method=method, rng=rng,
+            initial_tau=initial_tau, initial_exact=initial_exact, deadline=deadline,
+        ),
+    )
+    results = []
+    for qi, evals in enumerate(bootstrap_evals):
+        per_part = [batch.results[qi] for batch in batches]
+        stats = QueryStats(
+            distance_evaluations=sum(r.stats.distance_evaluations for r in per_part)
+            + evals.get(MetricsCollector.DISTANCE_EVALUATIONS),
+            aknn_calls=1,
+        )
+        neighbors = merge_topk([r.neighbors for r in per_part], k)
+        results.append(AKNNResult(neighbors, k, alpha, method, stats))
+    return results
 
 
 class BatchQueryExecutor:

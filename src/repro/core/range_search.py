@@ -4,12 +4,14 @@
 query is at most a given radius.  It is the second building block of the RSS
 optimisation for RKNN queries (Algorithm 4, line 3): after one AKNN query at
 the end of the probability range fixes the radius, a single range search at
-the start of the range collects the complete candidate set.
+the start of the range collects the complete candidate set.  Over a
+*partition set* the answer is the union of the parts' answers
+(:func:`range_fanout`, :func:`collect_over_parts`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,5 +117,56 @@ class AlphaRangeSearcher:
                 for entry, bound in zip(node.entries, bounds):
                     if bound <= radius:
                         stack.append(entry.child)  # type: ignore[union-attr]
-        matches.sort(key=lambda pair: (pair[1], pair[0]))
+        matches.sort(key=_by_distance)
         return matches, objects
+
+
+def _by_distance(match: Tuple[int, float]) -> Tuple[float, int]:
+    return match[1], match[0]
+
+
+def range_fanout(
+    query: FuzzyObject,
+    alpha: float,
+    radius: float,
+    rng: Optional[np.random.Generator] = None,
+) -> Tuple[Callable, Callable]:
+    """One range query over a partition set: ``(local, merge)``.
+
+    ``local(part)`` runs the part's ``range_searcher``; ``merge(per_part)``
+    is the union of the parts' answers, one part's answer as it is.
+    """
+    timer = Timer().start()
+
+    def local(part) -> RangeSearchResult:
+        return part.range_searcher.search(query, alpha, radius, rng=rng)
+
+    def merge(per_part: Sequence[RangeSearchResult]) -> RangeSearchResult:
+        if len(per_part) == 1:
+            return per_part[0]
+        matches = sorted((m for result in per_part for m in result.matches), key=_by_distance)
+        stats = QueryStats()
+        for result in per_part:
+            stats.merge(result.stats)
+        stats.range_calls = 1
+        stats.elapsed_seconds = timer.stop()
+        stats.extra["shard_fanouts"] = float(len(per_part))
+        return RangeSearchResult(matches=matches, radius=radius, alpha=alpha, stats=stats)
+
+    return local, merge
+
+
+def collect_over_parts(
+    fan_out: Callable[[str, Callable], List], prepared: PreparedQuery, radius: float
+) -> Tuple[List[Tuple[int, float]], Dict[int, FuzzyObject]]:
+    """:meth:`AlphaRangeSearcher.collect` over a partition set (the union);
+    ``fan_out(op, fn)`` applies ``fn`` to every part."""
+    matches: List[Tuple[int, float]] = []
+    objects: Dict[int, FuzzyObject] = {}
+    for part_matches, part_objects in fan_out(
+        "range", lambda part: part.range_searcher.collect(prepared, radius)
+    ):
+        matches.extend(part_matches)
+        objects.update(part_objects)
+    matches.sort(key=_by_distance)
+    return matches, objects

@@ -31,6 +31,14 @@ All variants return the same qualifying ranges as the exhaustive
 :class:`~repro.core.linear_scan.LinearScanSearcher` (asserted by the test
 suite); they differ in the number of object accesses and refinement steps.
 
+The sweep is written once, over a *partition set*: its AKNN sub-queries are
+:func:`~repro.core.aknn.aknn_fanout`, its candidate collection
+:func:`~repro.core.range_search.collect_over_parts`, and every object it
+reads between sub-queries comes from the part holding it.  A
+:class:`~repro.core.database.FuzzyDatabase` is a set of one, fanned out by a
+plain call; the sharded database runs :func:`sweep_pass` over its live shards
+through its strict fan-out.
+
 Interval convention: the elementary piece ``(a, b]`` of the piecewise-constant
 distance functions is reported as the closed interval ``[a, b]``.
 """
@@ -38,16 +46,16 @@ distance functions is reported as the closed interval ``[a, b]``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import RKNN_EPSILON, RuntimeConfig
-from repro.core.aknn import AKNNSearcher
+from repro.core.aknn import aknn_fanout
 from repro.core.linear_scan import rank_objects
 from repro.core.query import PreparedQuery
-from repro.core.range_search import AlphaRangeSearcher
-from repro.core.results import QueryStats, RKNNResult, resolve_exact
+from repro.core.range_search import collect_over_parts
+from repro.core.results import AKNNResult, QueryStats, RKNNResult, resolve_exact
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import (
     DistanceProfileStore,
@@ -58,7 +66,6 @@ from repro.fuzzy.intervals import IntervalSet
 from repro.fuzzy.profile import DistanceProfile
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
-from repro.storage.object_store import ObjectStore
 
 RKNN_METHODS: Tuple[str, ...] = ("naive", "basic", "rss", "rss_icr")
 
@@ -67,30 +74,33 @@ _ALPHA_TOL = 1e-12
 
 
 class RKNNSearcher:
-    """Answers RKNN queries over an object store + R-tree pair.
+    """Answers RKNN queries over a partition set.
 
     Parameters
     ----------
-    store:
-        Object store holding the full point sets.
-    tree:
-        R-tree over the corresponding summaries.
+    parts:
+        The partitions swept over; each exposes ``store`` (object reads and
+        access counters), ``aknn_searcher`` and ``range_searcher``.
+    fan_out:
+        ``fan_out(op, fn)`` applies ``fn`` to every part and returns the
+        values in ``parts`` order — a plain call for a set of one, the
+        sharded database's strict fan-out for shards.
     config:
-        Runtime knobs shared with the underlying AKNN / range searchers.
+        Runtime knobs (the candidate collection's prepared query).
+    profile_store:
+        The d_alpha profile memo, keyed by query instance + object id.
     """
 
     def __init__(
         self,
-        store: ObjectStore,
-        tree,
+        parts: Sequence,
+        fan_out: Callable[[str, Callable], List],
         config: Optional[RuntimeConfig] = None,
         profile_store: Optional[DistanceProfileStore] = None,
     ):
-        self.store = store
-        self.tree = tree
+        self.parts = list(parts)
+        self.fan_out = fan_out
         self.config = (config or RuntimeConfig()).validate()
-        self.aknn_searcher = AKNNSearcher(store, tree, self.config)
-        self.range_searcher = AlphaRangeSearcher(store, tree, self.config)
         # The database shares one store between this sweep searcher and the
         # reverse engine, so overlapping d_alpha(A, Q) work is paid once.
         # (Explicit None check: an empty store is falsy via __len__.)
@@ -109,8 +119,13 @@ class RKNNSearcher:
         method: str = "rss_icr",
         aknn_method: str = "lb_lp_ub",
         rng: Optional[np.random.Generator] = None,
+        deadline=None,
     ) -> RKNNResult:
-        """Return every object qualifying somewhere in ``alpha_range``."""
+        """Return every object qualifying somewhere in ``alpha_range``.
+
+        ``deadline`` (a :class:`~repro.service.policy.Deadline`) is checked
+        before every AKNN and range sub-query.
+        """
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
         if method not in RKNN_METHODS:
@@ -119,35 +134,48 @@ class RKNNSearcher:
             )
         alpha_start, alpha_end = self._validate_range(alpha_range)
         stats = QueryStats()
-        before = self.store.statistics.snapshot()
+        accesses_before = self._object_accesses()
         profile_hits_before = self.profile_store.hits
         profile_misses_before = self.profile_store.misses
         timer = Timer().start()
 
+        def aknn(alpha: float) -> Tuple[AKNNResult, Dict[int, object]]:
+            """One AKNN sub-query over the parts, and the part that ranked
+            each neighbour (where a later read of that object goes)."""
+            if deadline is not None:
+                deadline.check("sweep aknn")
+            local, merge = aknn_fanout(
+                query, k, alpha, aknn_method, rng, exact=len(self.parts) > 1
+            )
+            per_part = self.fan_out("aknn", local)
+            result = merge(per_part)
+            self._merge_substats(stats, result.stats)
+            ranked_by = {
+                neighbor.object_id: part
+                for part, answer in zip(self.parts, per_part)
+                for neighbor in answer.neighbors
+            }
+            return result, ranked_by
+
         if method == "naive":
-            assignments = self._search_naive(
-                query, k, alpha_start, alpha_end, aknn_method, rng, stats
-            )
+            assignments = self._search_naive(aknn, alpha_start, alpha_end, stats)
         elif method == "basic":
-            assignments = self._search_basic(
-                query, k, alpha_start, alpha_end, aknn_method, rng, stats
-            )
+            assignments = self._search_basic(aknn, query, alpha_start, alpha_end, stats)
         else:
             assignments = self._search_rss(
+                aknn,
                 query,
                 k,
                 alpha_start,
                 alpha_end,
-                aknn_method,
                 rng,
                 stats,
+                deadline,
                 improved_refinement=(method == "rss_icr"),
             )
 
         stats.elapsed_seconds = timer.stop()
-        stats.object_accesses = (
-            self.store.statistics.object_accesses - before.object_accesses
-        )
+        stats.object_accesses = self._object_accesses() - accesses_before
         stats.extra["profile_cache_hits"] = float(
             self.profile_store.hits - profile_hits_before
         )
@@ -167,22 +195,16 @@ class RKNNSearcher:
     # ------------------------------------------------------------------
     def _search_naive(
         self,
-        query: FuzzyObject,
-        k: int,
+        aknn: Callable,
         alpha_start: float,
         alpha_end: float,
-        aknn_method: str,
-        rng: Optional[np.random.Generator],
         stats: QueryStats,
     ) -> Dict[int, IntervalSet]:
         boundaries = self._dataset_levels_in_range(alpha_start, alpha_end)
         assignments: Dict[int, IntervalSet] = {}
         piece_start = alpha_start
         for boundary in boundaries:
-            result = self.aknn_searcher.search(
-                query, k, min(boundary, 1.0), method=aknn_method, rng=rng
-            )
-            self._merge_substats(stats, result.stats)
+            result, _ = aknn(min(boundary, 1.0))
             for object_id in result.object_ids:
                 assignments.setdefault(object_id, IntervalSet()).add_range(
                     piece_start, boundary
@@ -196,16 +218,17 @@ class RKNNSearcher:
 
         The naive method needs the universe of membership values, which can
         only be learned by reading every object — exactly why the paper calls
-        its cost prohibitive.  The closed left endpoint of the range is
-        evaluated as its own degenerate piece (see
-        :func:`repro.core.linear_scan.evaluate_piecewise`).
+        its cost prohibitive.  Each part reads its own objects.  The closed
+        left endpoint of the range is evaluated as its own degenerate piece
+        (see :func:`repro.core.linear_scan.evaluate_piecewise`).
         """
         levels: set = set()
-        for object_id in self.store.object_ids():
-            obj = self.store.get(object_id)
-            for level in obj.distinct_memberships():
-                if alpha_start < level < alpha_end:
-                    levels.add(float(level))
+        for part in self.parts:
+            for object_id in part.store.object_ids():
+                obj = part.store.get(object_id)
+                for level in obj.distinct_memberships():
+                    if alpha_start < level < alpha_end:
+                        levels.add(float(level))
         boundaries = [alpha_start]
         boundaries.extend(sorted(levels))
         boundaries.append(alpha_end)
@@ -216,12 +239,10 @@ class RKNNSearcher:
     # ------------------------------------------------------------------
     def _search_basic(
         self,
+        aknn: Callable,
         query: FuzzyObject,
-        k: int,
         alpha_start: float,
         alpha_end: float,
-        aknn_method: str,
-        rng: Optional[np.random.Generator],
         stats: QueryStats,
     ) -> Dict[int, IntervalSet]:
         assignments: Dict[int, IntervalSet] = {}
@@ -230,16 +251,15 @@ class RKNNSearcher:
         evaluation_point = alpha_start
 
         while True:
-            result = self.aknn_searcher.search(
-                query, k, min(evaluation_point, 1.0), method=aknn_method, rng=rng
-            )
-            self._merge_substats(stats, result.stats)
+            result, ranked_by = aknn(min(evaluation_point, 1.0))
             nn_ids = result.object_ids
             if not nn_ids:
                 break
             ends = []
             for object_id in nn_ids:
-                profile = self._profile_for(object_id, query, alpha_end, profile_cache)
+                profile = self._profile_for(
+                    object_id, query, alpha_end, profile_cache, ranked_by[object_id]
+                )
                 ends.append(profile.next_critical(min(evaluation_point, 1.0)))
             alpha_star = min(ends)
             piece_end = min(alpha_star, alpha_end)
@@ -260,8 +280,9 @@ class RKNNSearcher:
         query: FuzzyObject,
         alpha_end: float,
         cache: Dict[int, DistanceProfile],
+        part,
     ) -> DistanceProfile:
-        """Distance profile of one object, probing the store at most once.
+        """Distance profile of one object, probing ``part``'s store at most once.
 
         Consults the searcher-level :class:`DistanceProfileStore` first, so a
         hit skips the object probe entirely (and repeated calls with the same
@@ -270,7 +291,7 @@ class RKNNSearcher:
         if object_id not in cache:
             profile = self.profile_store.lookup(query, object_id, alpha_end)
             if profile is None:
-                obj = self.store.get(object_id)
+                obj = part.store.get(object_id)
                 profile = distance_profile(obj, query, max_level=alpha_end)
                 self.profile_store.insert(query, object_id, profile, alpha_end)
             cache[object_id] = profile
@@ -281,17 +302,18 @@ class RKNNSearcher:
     # ------------------------------------------------------------------
     def _search_rss(
         self,
+        aknn: Callable,
         query: FuzzyObject,
         k: int,
         alpha_start: float,
         alpha_end: float,
-        aknn_method: str,
         rng: Optional[np.random.Generator],
         stats: QueryStats,
+        deadline,
         improved_refinement: bool,
     ) -> Dict[int, IntervalSet]:
         profiles = self._collect_candidates(
-            query, k, alpha_start, alpha_end, aknn_method, rng, stats
+            aknn, query, alpha_start, alpha_end, rng, stats, deadline
         )
         if not profiles:
             return {}
@@ -301,31 +323,32 @@ class RKNNSearcher:
 
     def _collect_candidates(
         self,
+        aknn: Callable,
         query: FuzzyObject,
-        k: int,
         alpha_start: float,
         alpha_end: float,
-        aknn_method: str,
         rng: Optional[np.random.Generator],
         stats: QueryStats,
+        deadline,
     ) -> Dict[int, DistanceProfile]:
         """Lemma 3 pruning: one AKNN at the range end, one range search at the start."""
-        result_end = self.aknn_searcher.search(
-            query, k, alpha_end, method=aknn_method, rng=rng
-        )
-        self._merge_substats(stats, result_end.stats)
+        result_end, ranked_by = aknn(alpha_end)
         # Exact k-th neighbour distance, probing lazily-confirmed neighbours.
         radius = max(
             (
-                resolve_exact(neighbor, query, alpha_end, self.store.get).distance
+                resolve_exact(
+                    neighbor, query, alpha_end, ranked_by[neighbor.object_id].store.get
+                ).distance
                 for neighbor in result_end.neighbors
             ),
             default=0.0,
         )
 
+        if deadline is not None:
+            deadline.check("sweep range")
         metrics = MetricsCollector()
         prepared = PreparedQuery(query, alpha_start, self.config, rng, metrics)
-        matches, objects = self.range_searcher.collect(prepared, radius)
+        matches, objects = collect_over_parts(self.fan_out, prepared, radius)
         stats.range_calls += 1
         stats.node_accesses += metrics.get(MetricsCollector.NODE_ACCESSES)
         stats.distance_evaluations += metrics.get(MetricsCollector.DISTANCE_EVALUATIONS)
@@ -348,6 +371,9 @@ class RKNNSearcher:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _object_accesses(self) -> int:
+        return sum(part.store.statistics.object_accesses for part in self.parts)
+
     @staticmethod
     def _merge_substats(stats: QueryStats, sub: QueryStats) -> None:
         """Accumulate a sub-query's counters, except object accesses.
@@ -374,6 +400,13 @@ class RKNNSearcher:
                 f"alpha range start {alpha_start} exceeds end {alpha_end}"
             )
         return alpha_start, alpha_end
+
+
+def sweep_pass(parts, fan_out, config, profile_store, *args, **kwargs) -> RKNNResult:
+    """One :meth:`RKNNSearcher.search` (``*args`` / ``**kwargs``) over a
+    partition set that holds for this pass only (a sharded database's live
+    shards), so the searcher is built per pass."""
+    return RKNNSearcher(parts, fan_out, config, profile_store).search(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -22,18 +22,17 @@ this module is how a query meets the shards, not the queries themselves:
   the shard, so it degrades like any other shard failure.
 * **Durability glue and topology** — per-shard WAL / snapshot directories,
   recovery, placement, the owner map, live updates, update listeners.
-* **Adapters for the families still written per shard** — a bucket of one
-  AKNN request (per-shard :class:`~repro.core.aknn.AKNNSearcher` + exact
-  merge), range (the union of per-shard matches) and the RKNN sweep (the
-  algorithms of :mod:`repro.core.rknn` unchanged over a fan-out AKNN, a
-  fan-out range collector and a store router).
 
-The two batched passes are **not** here.  A bucket of AKNN requests runs
-:func:`repro.core.executor.bootstrap_radii` over the live shards — the same
-function the unsharded executor runs over its one tree — and hands every
-shard executor the global radii; a reverse bucket is
-:func:`repro.core.reverse_nn.reverse_bucket_pass` over the live shards, with
-``_map_strict`` as its fan-out.  A single tree is a partition set of one.
+The families are **not** here.  Each is written once in its own module, over
+a *partition set* — parts exposing ``store`` / ``tree`` / ``executor`` /
+``aknn_searcher`` / ``range_searcher``, which a :class:`_Shard` does — and
+a single tree is a set of one.  A bucket hook picks ``_isolated`` (a
+per-part search and its merge: :func:`~repro.core.aknn.aknn_fanout`,
+:func:`~repro.core.range_search.range_fanout`) or ``_coupled`` (a pass over
+the live shards with ``_map_strict`` as its fan-out:
+:func:`~repro.core.executor.aknn_bucket_pass`,
+:func:`~repro.core.rknn.sweep_pass`,
+:func:`~repro.core.reverse_nn.reverse_bucket_pass`) and calls it.
 
 Live updates (:meth:`insert` / :meth:`delete`) route through the placement
 policy to the owning shard and take that shard's write lock, so in-flight
@@ -54,6 +53,7 @@ import os
 import threading
 import time
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from pathlib import Path
 from typing import (
     Callable,
@@ -70,9 +70,10 @@ from typing import (
 import numpy as np
 
 from repro.config import RuntimeConfig
+from repro.core.aknn import aknn_fanout
 from repro.core.database import FuzzyDatabase
-from repro.core.executor import RepresentativeIndex, bootstrap_radii
-from repro.core.query import PreparedQuery
+from repro.core.executor import RepresentativeIndex, aknn_bucket_pass
+from repro.core.range_search import range_fanout
 from repro.core.requests import (
     AknnRequest,
     QueryRequest,
@@ -81,17 +82,9 @@ from repro.core.requests import (
     SweepRequest,
     execute_plan,
 )
-from repro.core.results import (
-    AKNNResult,
-    Coverage,
-    Neighbor,
-    QueryStats,
-    RangeSearchResult,
-    merge_topk,
-    resolve_exact,
-)
+from repro.core.results import Coverage
 from repro.core.reverse_nn import reverse_bucket_pass
-from repro.core.rknn import RKNNSearcher
+from repro.core.rknn import sweep_pass
 from repro.exceptions import (
     DeadlineExceededError,
     ObjectNotFoundError,
@@ -101,12 +94,10 @@ from repro.exceptions import (
 from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.metrics.counters import MetricsCollector, SharedMetricsCollector
-from repro.metrics.timer import Timer
 from repro.service.concurrency import EpochCounter, ReadWriteLock
 from repro.service.faults import FaultPlan
 from repro.service.placement import make_placement
 from repro.service.policy import CircuitBreaker, RetryPolicy
-from repro.storage.object_store import StoreStatistics
 from repro.storage.snapshot import Manifest, read_manifest, write_manifest
 
 T = TypeVar("T")
@@ -115,8 +106,9 @@ T = TypeVar("T")
 class _Shard:
     """One partition: a FuzzyDatabase, its readers/writer lock, its breaker.
 
-    ``store`` / ``tree`` / ``executor`` are what the families' partition-set
-    passes (:mod:`repro.core.executor`, :mod:`repro.core.reverse_nn`) see of it.
+    ``store`` / ``tree`` / ``executor`` / ``aknn_searcher`` /
+    ``range_searcher`` are what the families' partition-set functions see
+    of it.
     """
 
     __slots__ = ("index", "db", "lock", "breaker", "store")
@@ -136,14 +128,22 @@ class _Shard:
     def executor(self):
         return self.db._executor
 
+    @property
+    def aknn_searcher(self):
+        return self.db.aknn_searcher
+
+    @property
+    def range_searcher(self):
+        return self.db.range_searcher
+
 
 class _ShardStore:
     """A shard's object store as a coupled pass reads it, outside any fan-out.
 
     Nothing blames a shard for a read made between fan-outs (a bootstrap
-    nominee, a reverse candidate, a sweep's profile probe), so a failing
-    ``get`` is converted here into the :class:`_FanoutFailure` that makes
-    :meth:`ShardedDatabase._coupled` rerun the pass on the survivors.
+    nominee, a reverse candidate, a sweep's level scan or profile probe), so
+    a failing ``get`` is converted here into the :class:`_FanoutFailure` that
+    makes :meth:`ShardedDatabase._coupled` rerun the pass on the survivors.
     """
 
     __slots__ = ("_index", "_store")
@@ -162,8 +162,11 @@ class _ShardStore:
                 {self._index: f"store read failed: {type(error).__name__}: {error}"}
             ) from error
 
+    def object_ids(self) -> List[int]:
+        return self._store.object_ids()
+
     @property
-    def statistics(self) -> StoreStatistics:
+    def statistics(self):
         return self._store.statistics
 
 
@@ -223,6 +226,7 @@ class ShardedDatabase:
         self._durable_dir: Optional[Path] = None
         self._update_listeners: List = []
         self._admin_lock = threading.Lock()
+        self._insert_lock = threading.Lock()
         self._next_id = max(shard.db.store.id_watermark for shard in self._shards)
         self._epoch = EpochCounter()
         self.metrics = SharedMetricsCollector()
@@ -318,16 +322,6 @@ class ShardedDatabase:
 
         return hook
 
-    def _write_toplevel_manifest(self, directory: Path) -> None:
-        write_manifest(
-            directory,
-            Manifest(
-                kind="sharded",
-                n_shards=len(self._shards),
-                extra={"placement": getattr(self.placement, "name", "hash")},
-            ),
-        )
-
     def enable_durability(self, directory: os.PathLike | str) -> "ShardedDatabase":
         """Attach per-shard WAL + snapshot cycles rooted at ``directory``.
 
@@ -350,7 +344,11 @@ class ShardedDatabase:
                 shard.db.enable_durability(
                     sub, fault_hook=self._wal_fault_hook(shard.index)
                 )
-        self._write_toplevel_manifest(directory)
+        placement = getattr(self.placement, "name", "hash")
+        write_manifest(
+            directory,
+            Manifest(kind="sharded", n_shards=len(self._shards), extra={"placement": placement}),
+        )
         self._durable_dir = directory
         return self
 
@@ -638,15 +636,9 @@ class ShardedDatabase:
             epoch=self.epoch,
         )
 
-    def breaker_retry_after_ms(self) -> float:
-        """Longest remaining cool-off across shard breakers (0 if none open)."""
-        return max(
-            (shard.breaker.retry_after_ms() for shard in self._shards),
-            default=0.0,
-        )
-
     def _unavailable(self, failed: Dict[int, str]) -> ShardUnavailableError:
-        retry_after = self.breaker_retry_after_ms()
+        # The longest remaining breaker cool-off, else one retry base delay.
+        retry_after = max(shard.breaker.retry_after_ms() for shard in self._shards)
         if retry_after <= 0.0:
             retry_after = self.config.shard_retry_base_ms
         return ShardUnavailableError(
@@ -687,12 +679,6 @@ class ShardedDatabase:
         self.metrics.increment(MetricsCollector.PARTIAL_RESULTS)
         return result
 
-    def _finalize_bucket(self, bucket: Sequence[QueryRequest], results: List) -> List:
-        return [
-            self._finalize_slot(request, result)
-            for request, result in zip(bucket, results)
-        ]
-
     # ------------------------------------------------------------------
     # How a query meets N shards: two combinators and one bucket wrapper
     # ------------------------------------------------------------------
@@ -729,15 +715,20 @@ class ShardedDatabase:
         result.coverage = coverage
         return result
 
-    def _coupled(self, run_pass: Callable[[List[_Shard]], List]) -> List:
+    def _coupled(
+        self,
+        run_pass: Callable[[List[_Shard], Callable[[str, Callable], List]], List],
+        deadline=None,
+    ) -> List:
         """Coupled pass: shards' answers depend on each other; rerun on survivors.
 
-        ``run_pass(live)`` answers against exactly the shards in ``live``
-        through the strict maps (:meth:`_map_strict`), under their read locks
-        for the whole pass — globally bootstrapped radii, a global box set or
-        a sweep's chained sub-queries are only valid against the one snapshot
-        they were derived from.  A mid-pass shard failure cannot simply drop
-        that shard's slice (a dead shard's nominee may have set a radius that
+        ``run_pass(live, fan_out)`` answers against exactly the shards in
+        ``live``, whose ``fan_out(op, fn)`` is the strict map
+        (:meth:`_map_strict`), under their read locks for the whole pass —
+        globally bootstrapped radii, a global box set or a sweep's chained
+        sub-queries are only valid against the one snapshot they were
+        derived from.  A mid-pass shard failure cannot simply drop that
+        shard's slice (a dead shard's nominee may have set a radius that
         over-prunes a survivor), so the whole pass reruns against the
         survivors: the partial answer is exactly what a fresh query against
         only those shards would return, with coverage naming the lost ones.
@@ -746,7 +737,9 @@ class ShardedDatabase:
             while live:
                 try:
                     with self._read_locked(live):
-                        results = run_pass(live)
+                        results = run_pass(
+                            live, partial(self._map_strict, live, deadline=deadline)
+                        )
                         coverage = self._coverage(live, failed)
                 except _FanoutFailure as failure:
                     live = self._drop_lost(live, failure, failed)
@@ -781,7 +774,7 @@ class ShardedDatabase:
                 results.extend(answer(unit))
             except ShardUnavailableError as error:
                 results.extend([error] * len(unit))
-        return self._finalize_bucket(bucket, results)
+        return [self._finalize_slot(r, result) for r, result in zip(bucket, results)]
 
     # ------------------------------------------------------------------
     # The query surface (QueryEngine protocol)
@@ -812,11 +805,8 @@ class ShardedDatabase:
 
     # Bucket hooks consumed by the planners in repro.core.requests.  How work
     # meets the shards (admission, locks, retries, survivors, coverage) is
-    # _isolated / _coupled, and the per-slot failure contract _answer_bucket.
-    # The batched AKNN bootstrap and the whole reverse pass are their
-    # families' own partition-set functions (core/executor.py,
-    # core/reverse_nn.py), handed the live shards; only the AKNN singleton,
-    # range and the sweep still keep a per-shard worker and a merge here.
+    # _isolated / _coupled, and the per-slot failure contract _answer_bucket;
+    # what runs on the shards is each family's partition-set function.
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
@@ -829,22 +819,17 @@ class ShardedDatabase:
         def answer(unit: Sequence[AknnRequest]) -> List:
             queries = [request.query for request in unit]
             if len(unit) == 1:
-                timer = Timer().start()
-                return [
-                    self._isolated(
-                        "aknn",
-                        self._aknn_worker(queries[0], k, alpha, method, rng),
-                        lambda per_shard: self._aknn_merge(
-                            per_shard, k, alpha, method, timer
-                        ),
-                        deadline=deadline,
-                    )
-                ]
+                local, merge = aknn_fanout(
+                    queries[0], k, alpha, method, rng, exact=self.n_shards > 1
+                )
+                return [self._isolated("aknn", local, merge, deadline=deadline)]
             self.metrics.increment(MetricsCollector.BATCH_QUERIES, len(unit))
             return self._coupled(
-                lambda live: self._aknn_batch_pass(
-                    live, queries, k, alpha, method, rng, deadline
-                )
+                lambda live, fan_out: aknn_bucket_pass(
+                    self._rep_index, live, fan_out, queries, k, alpha, method,
+                    self.config, self.metrics, rng=rng, deadline=deadline,
+                ),
+                deadline,
             )
 
         return self._answer_bucket(bucket, [bucket], answer)
@@ -857,17 +842,10 @@ class ShardedDatabase:
     ) -> List:
         def answer(unit: Sequence[RangeRequest]) -> List:
             (request,) = unit
-            timer = Timer().start()
-            return [
-                self._isolated(
-                    "range",
-                    lambda shard: shard.db._range.search(
-                        request.query, request.alpha, request.radius, rng=rng
-                    ),
-                    lambda per_shard: self._range_merge(per_shard, request, timer),
-                    deadline=deadline,
-                )
-            ]
+            local, merge = range_fanout(
+                request.query, request.alpha, request.radius, rng
+            )
+            return [self._isolated("range", local, merge, deadline=deadline)]
 
         return self._answer_bucket(bucket, [[r] for r in bucket], answer)
 
@@ -879,21 +857,19 @@ class ShardedDatabase:
     ) -> List:
         def answer(unit: Sequence[SweepRequest]) -> List:
             (request,) = unit
-            # The sweep's sub-queries must all answer against the same live
-            # set and the same snapshot: the pass holds its live set's read
-            # locks for the whole sweep, and a mid-sweep shard loss (the
-            # federated adapters are strict) reruns it against the survivors.
+            # Coupled: the sweep's chained sub-queries must all answer against
+            # the same live set and snapshot.
             return self._coupled(
-                lambda live: [
-                    _FederatedRKNNSearcher(self, live, deadline).search(
-                        request.query,
-                        request.k,
-                        request.alpha_range,
+                lambda live, fan_out: [
+                    sweep_pass(
+                        live, fan_out, self.config, self._sweep_profiles,
+                        request.query, request.k, request.alpha_range,
                         method=request.method.value,
                         aknn_method=request.aknn_method.value,
-                        rng=rng,
+                        rng=rng, deadline=deadline,
                     )
-                ]
+                ],
+                deadline,
             )
 
         return self._answer_bucket(bucket, [[r] for r in bucket], answer)
@@ -913,12 +889,11 @@ class ShardedDatabase:
             # shard's rows against the global box set and the verification
             # radii fold all shards' candidates together.
             results = self._coupled(
-                lambda live: reverse_bucket_pass(
-                    live,
-                    lambda op, fn: self._map_strict(live, op, fn, deadline=deadline),
-                    queries, first.k, first.alpha, first.method.value,
+                lambda live, fan_out: reverse_bucket_pass(
+                    live, fan_out, queries, first.k, first.alpha, first.method.value,
                     self.config, rng=rng, deadline=deadline,
-                )
+                ),
+                deadline,
             )
             self.metrics.increment(MetricsCollector.REVERSE_QUERIES, len(unit))
             self.metrics.increment(
@@ -928,134 +903,6 @@ class ShardedDatabase:
             return results
 
         return self._answer_bucket(bucket, [bucket], answer)
-
-    # ------------------------------------------------------------------
-    # Per-family workers and merges
-    # ------------------------------------------------------------------
-    def _aknn_worker(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str,
-        rng: Optional[np.random.Generator],
-    ) -> Callable[[_Shard], Tuple[List[Neighbor], QueryStats]]:
-        """The per-shard AKNN worker shared by the isolated path and the sweep.
-
-        Lazily-confirmed local neighbours are probed here, inside the
-        caller's read section, so the merge always compares exact distances.
-        """
-
-        def run(shard: _Shard) -> Tuple[List[Neighbor], QueryStats]:
-            if len(shard.db) == 0:
-                return [], QueryStats()
-            result = shard.db._aknn.search(query, k, alpha, method=method, rng=rng)
-            resolved = [
-                resolve_exact(neighbor, query, alpha, shard.db.store.get)
-                for neighbor in result.neighbors
-            ]
-            return resolved, result.stats
-
-        return run
-
-    @staticmethod
-    def _aknn_merge(
-        per_shard: Sequence[Tuple[List[Neighbor], QueryStats]],
-        k: int,
-        alpha: float,
-        method: str,
-        timer: Timer,
-    ) -> AKNNResult:
-        """Global AKNN: the k smallest exact distances across shard top-ks."""
-        stats = QueryStats()
-        for _, shard_stats in per_shard:
-            stats.merge(shard_stats)
-        stats.aknn_calls = 1
-        stats.extra["shard_fanouts"] = float(len(per_shard))
-        merged = merge_topk(
-            [neighbors for neighbors, _ in per_shard], k
-        )
-        stats.elapsed_seconds = timer.stop()
-        return AKNNResult(
-            neighbors=merged, k=k, alpha=alpha, method=method, stats=stats
-        )
-
-    @staticmethod
-    def _range_merge(
-        per_shard: Sequence[RangeSearchResult], request: RangeRequest, timer: Timer
-    ) -> RangeSearchResult:
-        """All objects within the radius: the union of the shard answers."""
-        matches = [match for result in per_shard for match in result.matches]
-        matches.sort(key=lambda pair: (pair[1], pair[0]))
-        stats = QueryStats()
-        for result in per_shard:
-            stats.merge(result.stats)
-        stats.range_calls = 1
-        stats.elapsed_seconds = timer.stop()
-        stats.extra["shard_fanouts"] = float(len(per_shard))
-        return RangeSearchResult(
-            matches=matches, radius=request.radius, alpha=request.alpha, stats=stats
-        )
-
-    def _aknn_batch_pass(
-        self,
-        shards: Sequence[_Shard],
-        queries: Sequence[FuzzyObject],
-        k: int,
-        alpha: float,
-        method: str,
-        rng: Optional[np.random.Generator],
-        deadline,
-    ) -> List[AKNNResult]:
-        """One batched-AKNN pass against a fixed shard set (coupled).
-
-        The executor's own bootstrap, run once over the live shards, replaces
-        N per-shard bootstraps and hands every shard the tight global radius
-        to prune against, plus the exact distances already paid for (each
-        nominee read from the shard the index found it in — no owner-map
-        lookup, the pass holds every member's read lock).  The radii are only
-        valid against the dataset they were probed from — a delete landing
-        between bootstrap and fan-out could otherwise prune true neighbours —
-        which is why the pass is coupled.  Each query is prepared once here
-        and that one :class:`PreparedQuery` serves the bootstrap and every
-        shard.
-        """
-        prepared = [PreparedQuery(q, alpha, self.config, rng) for q in queries]
-        initial_exact: List[Dict[int, float]] = [dict() for _ in prepared]
-        bootstrap_evals = [MetricsCollector() for _ in prepared]
-        initial_tau, _ = bootstrap_radii(
-            self._rep_index, shards, prepared, k, alpha,
-            {}, initial_exact, self.metrics, bootstrap_evals,
-        )
-        shard_batches = self._map_strict(
-            shards,
-            "aknn_batch",
-            lambda shard: shard.db._executor.aknn_batch(
-                prepared, k, alpha, method=method, rng=rng,
-                initial_tau=initial_tau, initial_exact=initial_exact,
-                deadline=deadline,
-            ),
-            deadline=deadline,
-        )
-        return [
-            AKNNResult(
-                neighbors=merge_topk(
-                    [batch.results[qi].neighbors for batch in shard_batches], k
-                ),
-                k=k,
-                alpha=alpha,
-                method=method,
-                stats=QueryStats(
-                    distance_evaluations=sum(
-                        batch.results[qi].stats.distance_evaluations
-                        for batch in shard_batches
-                    )
-                    + bootstrap_evals[qi].get(MetricsCollector.DISTANCE_EVALUATIONS),
-                    aknn_calls=1,
-                ),
-            )
-            for qi in range(len(queries))
-        ]
 
     # ------------------------------------------------------------------
     # Live updates
@@ -1072,28 +919,37 @@ class ShardedDatabase:
         the new index state, never a partial mutation.  The object's geometry
         is validated first — a non-finite support centre would otherwise be
         mis-routed (or poison distance evaluations) after the owner map and
-        id watermark were already touched.
+        id watermark were already touched.  An explicit id below the id
+        watermark (stored now, or deleted) is rejected with
+        :class:`~repro.exceptions.StorageError`.
         """
         center = obj.require_finite().support_mbr().center
-        with self._admin_lock:
-            if obj.object_id is None:
-                object_id = self._next_id
-                obj = obj.with_id(object_id)
-            else:
-                object_id = int(obj.object_id)
-                if object_id in self._owners:
-                    raise StorageError(f"object id {object_id} already stored")
-            self._next_id = max(self._next_id, object_id + 1)
-        shard_index = self.placement.shard_for(object_id, center)
-        shard = self._shards[shard_index]
-        with shard.lock.write():
-            shard.db.insert(obj, rng=rng)
-            # Published before readers are let back in: a pass that finds the
-            # object in the tree can always route to it (lock order: shard
-            # write, then admin; nothing takes them the other way round).
+        # Ids are handed out and applied in one order, so each shard sees its
+        # ids ascending (a shard, too, rejects an id below its watermark).
+        with self._insert_lock:
             with self._admin_lock:
-                self._owners[object_id] = shard_index
-                self.metrics.increment(MetricsCollector.LIVE_INSERTS)
+                if obj.object_id is None:
+                    object_id = self._next_id
+                    obj = obj.with_id(object_id)
+                else:
+                    object_id = int(obj.object_id)
+                    if object_id < self._next_id:
+                        raise StorageError(
+                            f"object id {object_id} is below the id watermark "
+                            f"{self._next_id}: ids are never recycled"
+                        )
+                self._next_id = object_id + 1
+            shard_index = self.placement.shard_for(object_id, center)
+            shard = self._shards[shard_index]
+            with shard.lock.write():
+                shard.db.insert(obj, rng=rng)
+                # Published before readers are let back in: a caller that saw
+                # the object in an answer can always get_object / delete it
+                # (lock order: insert, shard write, then admin; nothing takes
+                # them the other way round).
+                with self._admin_lock:
+                    self._owners[object_id] = shard_index
+                    self.metrics.increment(MetricsCollector.LIVE_INSERTS)
         self._epoch.advance()
         self._notify_insert(obj)
         return object_id
@@ -1161,133 +1017,3 @@ class ShardedDatabase:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# Federated building blocks for the RKNN sweep
-# ----------------------------------------------------------------------
-# All three run inside the sweep's coupled pass, i.e. under the live set's
-# read locks (ShardedDatabase._read_locked), so none of them takes a lock.
-class _FederatedStore:
-    """Routes store reads to the owning live shard; aggregates statistics.
-
-    Implements exactly the slice of the :class:`ObjectStore` interface the
-    RKNN searcher consumes (``get``, ``object_ids``, ``statistics``), so the
-    sweep algorithms run unmodified over the partitioned data.  It only sees
-    the live shards' objects — a read routed to an excluded shard raises
-    :class:`_FanoutFailure` so the sweep fails closed rather than mixing in a
-    dead shard.
-    """
-
-    def __init__(self, sharded: ShardedDatabase, shards: Sequence[_Shard]):
-        self._sharded = sharded
-        self._shards = list(shards)
-
-    def get(self, object_id: int) -> FuzzyObject:
-        shard = self._sharded._owner_shard(object_id)
-        if shard not in self._shards:
-            raise _FanoutFailure({shard.index: "shard excluded from live set"})
-        return shard.store.get(object_id)
-
-    def object_ids(self) -> List[int]:
-        return sorted(
-            object_id for shard in self._shards for object_id in shard.db.object_ids()
-        )
-
-    @property
-    def statistics(self) -> StoreStatistics:
-        """Summed counters across the covered shard stores."""
-        total = StoreStatistics()
-        for shard in self._shards:
-            stats = shard.db.store.statistics
-            total.object_accesses += stats.object_accesses
-            total.physical_reads += stats.physical_reads
-            total.bytes_read += stats.bytes_read
-            total.bytes_written += stats.bytes_written
-            total.cache_hits += stats.cache_hits
-            total.deletes += stats.deletes
-        return total
-
-
-class _FanoutAdapter:
-    """A searcher facade over the strict sharded fan-out (for the RKNN sweep).
-
-    Always strict: a sweep's sub-queries must all answer against the same
-    live set, so any shard loss surfaces as :class:`_FanoutFailure` for the
-    coupled pass's survivor loop instead of a silently partial merge.
-    """
-
-    def __init__(self, sharded: ShardedDatabase, shards: Sequence[_Shard], deadline):
-        self._sharded = sharded
-        self._shards = shards
-        self._deadline = deadline
-
-
-class _FanoutAKNNAdapter(_FanoutAdapter):
-    """``AKNNSearcher.search`` answered by every live shard, merged exactly."""
-
-    def search(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
-    ) -> AKNNResult:
-        timer = Timer().start()
-        per_shard = self._sharded._map_strict(
-            self._shards,
-            "aknn",
-            self._sharded._aknn_worker(query, k, alpha, method, rng),
-            deadline=self._deadline,
-        )
-        return ShardedDatabase._aknn_merge(per_shard, k, alpha, method, timer)
-
-
-class _FanoutRangeAdapter(_FanoutAdapter):
-    """``AlphaRangeSearcher.collect`` gathering candidates from the live shards."""
-
-    def collect(
-        self,
-        prepared,
-        radius: float,
-        use_improved_bounds: bool = True,
-    ) -> Tuple[List[Tuple[int, float]], Dict[int, FuzzyObject]]:
-        per_shard = self._sharded._map_strict(
-            self._shards,
-            "range",
-            lambda shard: shard.db._range.collect(
-                prepared, radius, use_improved_bounds=use_improved_bounds
-            ),
-            deadline=self._deadline,
-        )
-        matches: List[Tuple[int, float]] = []
-        objects: Dict[int, FuzzyObject] = {}
-        for shard_matches, shard_objects in per_shard:
-            matches.extend(shard_matches)
-            objects.update(shard_objects)
-        matches.sort(key=lambda pair: (pair[1], pair[0]))
-        return matches, objects
-
-
-class _FederatedRKNNSearcher(RKNNSearcher):
-    """The stock RKNN sweep running on federated sub-query building blocks.
-
-    Every index-backed primitive the four method variants touch — the AKNN
-    call fixing radii, the range search collecting candidates, and the store
-    probes materialising distance profiles — is swapped for its globally
-    correct fan-out equivalent; the sweep logic itself is inherited verbatim,
-    so qualifying ranges match the single-tree searcher exactly.  One
-    searcher serves one sweep pass: ``shards`` is the pass's live set and
-    ``deadline`` bounds every federated sub-query.
-    """
-
-    def __init__(self, sharded: ShardedDatabase, shards: Sequence[_Shard], deadline):
-        super().__init__(
-            _FederatedStore(sharded, shards),
-            None,
-            sharded.config,
-            profile_store=sharded._sweep_profiles,
-        )
-        self.aknn_searcher = _FanoutAKNNAdapter(sharded, shards, deadline)
-        self.range_searcher = _FanoutRangeAdapter(sharded, shards, deadline)

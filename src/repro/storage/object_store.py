@@ -150,7 +150,7 @@ class ObjectStore:
         """
         self._ensure_open()
         if obj.object_id is None:
-            obj = obj.with_id(self._next_id())
+            obj = obj.with_id(self._id_watermark)
         object_id = int(obj.object_id)
         if object_id in self._slots or object_id in self._memory:
             raise StorageError(f"object id {object_id} already stored")
@@ -166,9 +166,6 @@ class ObjectStore:
         self.statistics.bytes_written += len(payload)
         self._id_watermark = max(self._id_watermark, object_id + 1)
         return object_id
-
-    def _next_id(self) -> int:
-        return max(self._id_watermark, max(self._slots.keys(), default=-1) + 1)
 
     def delete(self, object_id: int) -> None:
         """Remove one object from the store.
@@ -332,7 +329,7 @@ class ObjectStore:
         it alongside the slot table so the never-recycle-ids guarantee
         survives a save/reopen even when the highest id was deleted.
         """
-        return self._next_id()
+        return self._id_watermark
 
     @classmethod
     def open_existing(

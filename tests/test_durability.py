@@ -21,11 +21,15 @@ from repro.core.requests import (
     ReverseRequest,
     SweepRequest,
 )
+from repro.datasets.builder import build_dataset
+from repro.datasets.queries import generate_query_object
 from repro.exceptions import (
     FaultInjectedError,
     ObjectNotFoundError,
     StorageCorruptionError,
+    StorageError,
 )
+from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.metrics.counters import MetricsCollector
 from repro.service.faults import FaultPlan
 from repro.service.sharded import ShardedDatabase
@@ -348,3 +352,49 @@ class TestRecoveredIdWatermark:
         )
         assert fresh == doomed + 1
         single.close()
+
+
+class TestExplicitIdBelowTheWatermark:
+    """A deleted id cannot come back through an explicit ``object_id``: the
+    sweep's profile memo (query instance + id) would answer for the new
+    object with the old one's profile."""
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_reusing_a_deleted_id_is_rejected(self, n_shards):
+        objects = build_dataset(
+            kind="synthetic", n_objects=60, points_per_object=16, seed=5, space_size=6.0
+        )
+        config = RuntimeConfig(rtree_max_entries=8, cache_capacity=32)
+        if n_shards is None:
+            db = FuzzyDatabase.build(objects, config=config)
+        else:
+            db = ShardedDatabase.build(objects, n_shards=n_shards, config=config)
+        rng = np.random.default_rng(404)
+        generate_query_object(rng, kind="synthetic", space_size=6.0, points_per_object=24)
+        query = generate_query_object(
+            rng, kind="synthetic", space_size=6.0, points_per_object=24
+        )
+        request = SweepRequest(query, k=3, alpha_range=(0.1, 1.0), method="rss")
+        first = db.execute(request)
+        assert 11 in first.assignments  # its profile is memoised
+        old = db.get_object(11)
+        db.delete(11)
+        # The same object moved away from the query, under the retired id.
+        shift = 0.8 * (old.points.mean(axis=0) - query.points.mean(axis=0))
+        moved = FuzzyObject(old.points + shift, old.memberships.copy(), object_id=11)
+        ids = db.object_ids()
+        with pytest.raises(StorageError):
+            db.insert(moved)
+        assert db.object_ids() == ids
+        db.validate()
+        live = [obj for obj in objects if obj.object_id != 11]
+        fresh = FuzzyDatabase.build(live, config=config)
+        for method in ("rss", "rss_icr"):
+            again = SweepRequest(query, k=3, alpha_range=(0.1, 1.0), method=method)
+            assert_same_assignments(
+                db.execute(again).assignments, fresh.execute(again).assignments
+            )
+        # A new id is still accepted.
+        assert db.insert(moved.with_id(1000)) == 1000
+        fresh.close()
+        db.close()

@@ -835,12 +835,12 @@ class TestChurn:
     def test_insert_publishes_its_owner_before_readers_are_let_back_in(
         self, objects, queries, method
     ):
-        """A pass that finds an object in a tree can always route to it.
+        """A pass that finds an object in a tree sees its owner published.
 
         The writer is parked at its second ``_admin_lock`` entry — the owner
         publication.  That must still be inside the shard's write section:
         a sweep started now waits; released, it ranks the newcomer (the query
-        is the newcomer itself) and reads it back through the owner map.
+        is the newcomer itself) and reads it back from the shard that ranked it.
         """
         sharded = ShardedDatabase.build(
             list(objects), n_shards=2, placement="hash", config=chaos_config()

@@ -2,9 +2,10 @@
 line-count script, as checks.
 
 The sharded module is fan-out / failure policy, durability glue and topology.
-The batched passes live in their families' modules and reach it only through
-public names, so the index kernels, the geometry and scipy are none of its
-business.  Every module under ``src/repro`` is reached from an entry point
+Every family lives in its own module and reaches it only through public
+names, so the index kernels, the geometry, scipy and the pieces a family is
+built from are none of its business, and it defines no class of its own
+beyond the shard and its failures.  Every module under ``src/repro`` is reached from an entry point
 and every ``RuntimeConfig`` field is set by someone, so nothing ships that
 only its own tests use.  Read from the syntax tree: nothing is imported or
 executed.
@@ -20,7 +21,25 @@ SHARDED = SRC / "repro" / "service" / "sharded.py"
 CONFIG = SRC / "repro" / "config.py"
 
 FORBIDDEN = ("scipy", "repro.index.soa", "repro.geometry")
-PUBLIC_NAMES_ONLY = ("repro.core.executor", "repro.core.reverse_nn")
+PUBLIC_NAMES_ONLY = (
+    "repro.core.aknn",
+    "repro.core.executor",
+    "repro.core.range_search",
+    "repro.core.reverse_nn",
+    "repro.core.rknn",
+)
+# The pieces a family's own partition-set function uses: a sharded module that
+# imports one of them is writing a family again.
+FAMILY_PIECES = (
+    "RKNNSearcher",
+    "PreparedQuery",
+    "Timer",
+    "merge_topk",
+    "resolve_exact",
+    "bootstrap_radii",
+    "StoreStatistics",
+)
+SHARDED_CLASSES = {"_Shard", "_ShardStore", "_ShardFailure", "_FanoutFailure", "ShardedDatabase"}
 
 
 def imports_of(path, importer=None):
@@ -68,6 +87,18 @@ def test_sharded_reaches_the_family_passes_through_public_names_only():
             names.append(name)
     assert names, "the sharded hooks no longer import the shared passes"
     assert not [name for name in names if name.startswith("_")]
+
+
+def test_sharded_writes_no_family():
+    imported = {name or module.rsplit(".", 1)[-1] for module, name in imports_of(SHARDED)}
+    assert "FuzzyDatabase" in imported, "the check is not looking at the module"
+    assert not imported.intersection(FAMILY_PIECES), sorted(imported.intersection(FAMILY_PIECES))
+    classes = {
+        node.name
+        for node in ast.walk(ast.parse(SHARDED.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert classes == SHARDED_CLASSES, sorted(classes ^ SHARDED_CLASSES)
 
 
 # What people run or import directly (the console script, the served surface)

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.executor as executor_module
-import repro.service.sharded as sharded_module
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import _PRUNE_SLACK, BatchQueryExecutor, RepresentativeIndex
@@ -129,8 +128,8 @@ class ProbeLog:
             log.passes.append({})
             return bootstrap(*args, **kwargs)
 
-        # The one bootstrap, as the sharded pass reaches it (imported by name).
-        monkeypatch.setattr(sharded_module, "bootstrap_radii", logged_bootstrap)
+        # The one bootstrap, as the partition-set bucket pass reaches it.
+        monkeypatch.setattr(executor_module, "bootstrap_radii", logged_bootstrap)
 
         aknn_batch = BatchQueryExecutor.aknn_batch
 
@@ -303,7 +302,6 @@ class TestServedAnswersAreExact:
             radii.append((tau.tolist(), nominees))
             return tau, nominees
 
-        monkeypatch.setattr(sharded_module, "bootstrap_radii", logged)
         monkeypatch.setattr(executor_module, "bootstrap_radii", logged)
         queries = query_pool[:3]
         n = len(reference)

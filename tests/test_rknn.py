@@ -1,9 +1,12 @@
 """Tests for the RKNN searcher: every method variant against the exact sweep."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
+from repro.core.aknn import AKNNSearcher
 from repro.core.database import FuzzyDatabase
 from repro.core.rknn import (
     RKNN_METHODS,
@@ -14,9 +17,12 @@ from repro.core.rknn import (
 from repro.core.linear_scan import evaluate_piecewise
 from repro.core.requests import SweepRequest
 from repro.core.results import QueryStats
-from repro.exceptions import InvalidQueryError
+from repro.datasets.builder import build_dataset
+from repro.datasets.queries import generate_query_object
+from repro.exceptions import DeadlineExceededError, InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.profile import DistanceProfile
+from repro.service import ShardedDatabase
 from tests.conftest import assert_same_assignments, make_fuzzy_object
 
 
@@ -249,3 +255,41 @@ class TestRefinementHelpers:
             assignments = refine(profiles, 2, 0.3, 0.8)
             assert list(assignments.keys()) == [7]
             assert assignments[7].contains(0.3) and assignments[7].contains(0.8)
+
+
+class TestDeadline:
+    """The sweep checks its deadline before every sub-query, on a single tree
+    as on shards: a sweep whose first AKNN overruns stops there."""
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_stops_after_the_first_slow_sub_query(self, monkeypatch, n_shards):
+        objects = build_dataset(
+            kind="synthetic", n_objects=36, points_per_object=16, seed=5, space_size=6.0
+        )
+        config = RuntimeConfig(rtree_max_entries=8, cache_capacity=32)
+        if n_shards is None:
+            engine = FuzzyDatabase.build(objects, config=config)
+        else:
+            engine = ShardedDatabase.build(objects, n_shards=n_shards, config=config)
+        query = generate_query_object(
+            np.random.default_rng(404), kind="synthetic", space_size=6.0,
+            points_per_object=24,
+        )
+        request = dict(k=3, alpha_range=(0.1, 1.0), method="basic")
+        # Unhurried, the sweep takes many sub-queries.
+        assert engine.execute(SweepRequest(query, **request)).stats.aknn_calls > 2
+
+        searches = []
+        search = AKNNSearcher.search
+
+        def slow(self, *args, **kwargs):
+            searches.append(self)
+            time.sleep(0.05)
+            return search(self, *args, **kwargs)
+
+        monkeypatch.setattr(AKNNSearcher, "search", slow)
+        with pytest.raises(DeadlineExceededError):
+            engine.execute(SweepRequest(query, **request, deadline_ms=20.0))
+        # one sub-query: one search per part
+        assert len(searches) == (n_shards or 1)
+        engine.close()

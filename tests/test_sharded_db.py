@@ -7,6 +7,7 @@ objects, for every placement policy, shard count and query type — including
 after a mixed insert/delete workload applied to both sides.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -289,6 +290,37 @@ class TestLiveWorkloadParity:
             sharded.delete(99_999)
         sharded.close()
 
+    def test_concurrent_inserts_into_one_shard(self, objects, config):
+        """Ids are handed out and applied in one order, so concurrent inserts
+        never reach a shard below its own id watermark."""
+        sharded = build_sharded(objects, config, 1, "hash")
+        rng = np.random.default_rng(5)
+        pool = [make_fuzzy_object(rng, center=rng.random(2) * 9.0) for _ in range(64)]
+        ids, errors = [], []
+
+        def writer(chunk):
+            try:
+                for obj in chunk:
+                    ids.append(sharded.insert(obj))
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer, args=(pool[i::8],)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert sorted(ids) == list(range(len(objects), len(objects) + len(pool)))
+        sharded.validate()
+        sharded.close()
+
     def test_duplicate_explicit_id_rejected(self, objects, config, rng):
         sharded = build_sharded(objects, config, 2, "hash")
         taken = sharded.object_ids()[0]
@@ -435,6 +467,46 @@ class TestOneSetOfNumbers:
                 "bucket_object_accesses", "candidates", "reverse_candidates",
             ):
                 assert got[name] == stats[name], name
+
+    def test_sweep(self, engines):
+        """One sweep over a partition set: a set of one pays exactly what a
+        single tree pays (no probes or merge of a lone answer), more parts
+        make the same sub-queries and refinement steps."""
+        single, one_shard, two_shards = engines
+        # A query instance no other test used: the profile memo starts cold
+        # on every engine.
+        query = generate_query_object(
+            np.random.default_rng(17), kind="synthetic", space_size=6.0,
+            points_per_object=24,
+        )
+        for method in ("naive", "basic", "rss", "rss_icr"):
+            request = SweepRequest(
+                query, k=self.K, alpha_range=(0.3, 0.8), method=method
+            )
+            want = single.execute(request)
+            got = one_shard.execute(request)
+            assert got.assignments == want.assignments, method
+            assert self.counted(got) == self.counted(want), method
+            spread = two_shards.execute(request)
+            assert spread.assignments == want.assignments, method
+            for name in ("aknn_calls", "range_calls", "refinement_steps"):
+                assert getattr(spread.stats, name) == getattr(want.stats, name), (
+                    method, name,
+                )
+
+    def test_range(self, engines, queries):
+        single, one_shard, two_shards = engines
+        request = RangeRequest(queries[0], alpha=self.ALPHA, radius=2.0)
+        want = single.execute(request)
+        assert want.matches
+        got = one_shard.execute(request)
+        assert got.matches == want.matches
+        assert self.counted(got) == self.counted(want)
+        spread = two_shards.execute(request)
+        assert spread.matches == want.matches
+        # whether an object is probed depends on its own bound, not the tree
+        for name in ("object_accesses", "distance_evaluations", "range_calls"):
+            assert getattr(spread.stats, name) == getattr(want.stats, name), name
 
 
 class TestOneThreadPerQuery:
