@@ -19,13 +19,26 @@ DEFAULT_UPPER_BOUND_SAMPLES = 8
 DEFAULT_RTREE_MAX_ENTRIES = 32
 DEFAULT_RTREE_MIN_FILL = 0.4
 
+# Both constants are set from the table of
+# benchmarks/bench_ablation_closest_pair.py (brute_force / kdtree / public arms).
+#
 # Size of the smaller point set from which the closest-pair kernel switches
-# from the brute-force path to the KD-tree path.  Set from the table of
-# benchmarks/bench_ablation_closest_pair.py: brute force is 1.4x faster at
-# 160 x 160, even at 200 x 200 and 1.1-1.3x slower at 255 x 255.  The rule is
-# on the smaller set because the rectangular rows agree with it: brute force
-# is 1.6x faster at 30 x 800, the tree 2.6x faster at 255 x 800.
+# from the brute-force path to the KD-tree path.  It is applied to the sets
+# that survive the prune below, so the tree mostly sees overlapping cuts the
+# prune cannot shrink: there it is 1.6x faster than brute force at 350 x 350.
+# Between the kernels themselves brute force is 1.25x faster at 160 x 160 and
+# the tree 1.1x faster at 200 x 200, 1.3x at 255 x 255.  The rule is on the
+# smaller set because the rectangular rows agree with it: brute force is 1.4x
+# faster at 30 x 800, the tree 2.8x faster at 255 x 800.
 KDTREE_CROSSOVER_POINTS = 192
+
+# Size of the smaller point set from which the closest pair is first pruned to
+# the points that can take part (a bound from one real pair, then a box-gap
+# test on each side).  The prune costs a fixed ~35 us of NumPy calls: at
+# 128 x 128 the public path is 1.2x slower than brute force, at 160 x 160 1.3x
+# faster, and on sets a gap apart 3.5x faster than the tree at 350 x 350.  On
+# overlapping sets it prunes nothing and is 1.3x slower than the tree alone.
+PRUNE_MIN_POINTS = 160
 
 # Number of per-threshold Equation-2 reconstructions each leaf node's SoA view
 # memoises.  Repeated queries at the same alpha (and every query of a batch)

@@ -41,8 +41,8 @@ the exact merge of the parts' top-ks).
 
 from __future__ import annotations
 
+import bisect
 import heapq
-import itertools
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,6 +86,88 @@ class _Candidate:
     @property
     def probed(self) -> bool:
         return self.exact is not None
+
+
+class _LeafCursor:
+    """A leaf's entries in ``(lower, counter)`` order, one queue element at a time.
+
+    Expanding a leaf numbers its entries ``base .. base + n - 1`` in entry
+    order, exactly as pushing them one by one did, but only the next entry in
+    ``(lower, counter)`` order sits in the queue; popping it pushes the one
+    after.  The queue's minimum is therefore always the element it would be
+    with every entry pushed, and the global pop order, ties included, is
+    unchanged -- at the cost of one push per *popped* entry.
+    """
+
+    __slots__ = ("entries", "soa", "lowers", "order", "base", "pos", "uppers")
+
+    def __init__(self, entries: List[LeafEntry], soa, lowers: List[float], base: int):
+        self.entries = entries
+        self.soa = soa
+        self.lowers = lowers
+        self.order = sorted(range(len(lowers)), key=lowers.__getitem__)  # stable
+        self.base = base
+        self.pos = 0
+        self.uppers: Optional[List[float]] = None
+
+    def head(self) -> Tuple[float, int, int, "_LeafCursor"]:
+        index = self.order[self.pos]
+        return (self.lowers[index], self.base + index, _LEAF, self)
+
+
+class _Frontier:
+    """The best-first queue of one search, keyed ``(key, counter)``.
+
+    Counters are handed out in push order, so equal keys pop first-pushed
+    first.  Internal nodes push every child; a leaf pushes one
+    :class:`_LeafCursor`, and :meth:`pop` returns its entries as
+    ``(cursor, index)``.
+    """
+
+    __slots__ = ("heap", "counter")
+
+    def __init__(self, tree: RTree):
+        self.heap: List[tuple] = []
+        self.counter = 0
+        if len(tree) > 0:
+            self.push(0.0, _NODE, tree.root)
+
+    def __bool__(self) -> bool:
+        return bool(self.heap)
+
+    def head_key(self) -> float:
+        return self.heap[0][0] if self.heap else float("inf")
+
+    def push(self, key: float, kind: int, payload) -> None:
+        heapq.heappush(self.heap, (key, self.counter, kind, payload))
+        self.counter += 1
+
+    def pop(self) -> Tuple[float, int, object]:
+        key, _, kind, payload = self.heap[0]
+        if kind != _LEAF:
+            heapq.heappop(self.heap)
+            return key, kind, payload
+        index = payload.order[payload.pos]
+        payload.pos += 1
+        if payload.pos < len(payload.order):
+            heapq.heapreplace(self.heap, payload.head())
+        else:
+            heapq.heappop(self.heap)
+        return key, kind, (payload, index)
+
+    def expand(self, node, prepared: PreparedQuery, improved: bool) -> None:
+        """Queue a popped node's children, bounded in one call over its SoA view."""
+        if not node.entries:
+            return
+        soa = node.soa()
+        if node.is_leaf:
+            lowers = prepared.leaf_lower_bounds(soa, improved=improved)
+            cursor = _LeafCursor(node.entries, soa, lowers, self.counter)
+            heapq.heappush(self.heap, cursor.head())
+            self.counter += len(lowers)
+        else:
+            for entry, bound in zip(node.entries, prepared.node_lower_bounds(soa)):
+                self.push(bound, _NODE, entry.child)
 
 
 class AKNNSearcher:
@@ -142,32 +224,19 @@ class AKNNSearcher:
         self, prepared: PreparedQuery, k: int, improved: bool
     ) -> List[Neighbor]:
         metrics = prepared.metrics
-        counter = itertools.count()
-        heap: List[Tuple[float, int, int, object]] = []
-        if len(self.tree) > 0:
-            heapq.heappush(heap, (0.0, next(counter), _NODE, self.tree.root))
+        frontier = _Frontier(self.tree)
         result: List[Neighbor] = []
 
-        while heap and len(result) < k:
-            key, _, kind, payload = heapq.heappop(heap)
+        while frontier and len(result) < k:
+            key, kind, payload = frontier.pop()
             if kind == _NODE:
                 metrics.increment(MetricsCollector.NODE_ACCESSES)
-                if not payload.entries:
-                    continue
-                # Whole-node bound evaluation against the SoA view: one NumPy
-                # call per node instead of one Python call per entry.
-                if payload.is_leaf:
-                    bounds = prepared.leaf_lower_bounds(payload.soa(), improved=improved)
-                    for entry, bound in zip(payload.entries, bounds):
-                        heapq.heappush(heap, (bound, next(counter), _LEAF, entry))
-                else:
-                    bounds = prepared.node_lower_bounds(payload.soa())
-                    for entry, bound in zip(payload.entries, bounds):
-                        heapq.heappush(heap, (bound, next(counter), _NODE, entry.child))
+                frontier.expand(payload, prepared, improved)
             elif kind == _LEAF:
-                obj = self.store.get(payload.object_id)
-                distance = prepared.distance_to(obj)
-                heapq.heappush(heap, (distance, next(counter), _OBJECT, payload.object_id))
+                cursor, index = payload
+                object_id = cursor.entries[index].object_id
+                obj = self.store.get(object_id)
+                frontier.push(prepared.distance_to(obj), _OBJECT, object_id)
             else:
                 result.append(
                     Neighbor(
@@ -187,57 +256,39 @@ class AKNNSearcher:
         self, prepared: PreparedQuery, k: int, use_representative_ub: bool
     ) -> List[Neighbor]:
         metrics = prepared.metrics
-        counter = itertools.count()
-        heap: List[Tuple[float, int, int, object]] = []
-        if len(self.tree) > 0:
-            heapq.heappush(heap, (0.0, next(counter), _NODE, self.tree.root))
+        frontier = _Frontier(self.tree)
         buffer: List[_Candidate] = []
         result: List[Neighbor] = []
-        # Upper bounds are evaluated lazily, one whole node at a time: the
-        # first entry popped from a leaf node triggers a single vectorized
-        # evaluation shared by its siblings, so nodes whose entries never
-        # leave the heap pay nothing (matching the lazy-probe accounting at
-        # node granularity).
-        node_uppers: dict = {}
 
-        def upper_bounds_for(soa) -> List[float]:
-            key = id(soa)
-            uppers = node_uppers.get(key)
-            if uppers is None:
-                uppers = prepared.leaf_upper_bounds(
-                    soa, use_representative=use_representative_ub
+        def emit(candidate: _Candidate) -> None:
+            buffer.remove(candidate)
+            result.append(
+                Neighbor(
+                    object_id=candidate.entry.object_id,
+                    distance=candidate.exact,
+                    lower_bound=candidate.lower,
+                    upper_bound=candidate.upper,
+                    probed=candidate.probed,
                 )
-                node_uppers[key] = uppers
-            return uppers
-
-        def head_key() -> float:
-            return heap[0][0] if heap else float("inf")
+            )
 
         def try_confirm() -> bool:
             """Emit one buffered candidate that is provably in the top-k."""
-            if not buffer:
+            hmin = frontier.head_key()
+            eligible = [c for c in buffer if c.upper <= hmin]
+            if not eligible:
                 return False
-            hmin = head_key()
+            lowers = sorted([c.lower for c in buffer])
+            budget = k - 1 - len(result)
             # Candidates are inspected best-upper-bound first.
-            for candidate in sorted(buffer, key=lambda c: (c.upper, c.entry.object_id)):
-                if candidate.upper > hmin:
-                    break
-                closer = sum(
-                    1
-                    for other in buffer
-                    if other is not candidate and other.lower < candidate.upper
+            for candidate in sorted(eligible, key=lambda c: (c.upper, c.entry.object_id)):
+                # Buffered lowers strictly below this upper bound, less the
+                # candidate's own when it is one of them.
+                closer = bisect.bisect_left(lowers, candidate.upper) - (
+                    candidate.lower < candidate.upper
                 )
-                if len(result) + closer <= k - 1:
-                    buffer.remove(candidate)
-                    result.append(
-                        Neighbor(
-                            object_id=candidate.entry.object_id,
-                            distance=candidate.exact,
-                            lower_bound=candidate.lower,
-                            upper_bound=candidate.upper,
-                            probed=candidate.probed,
-                        )
-                    )
+                if closer <= budget:
+                    emit(candidate)
                     return True
             return False
 
@@ -245,7 +296,7 @@ class AKNNSearcher:
             obj = self.store.get(candidate.entry.object_id)
             candidate.settle(prepared.distance_to(obj))
 
-        while len(result) < k and (heap or buffer):
+        while len(result) < k and (frontier or buffer):
             if try_confirm():
                 continue
             overflow = len(buffer) > k - len(result)
@@ -258,7 +309,7 @@ class AKNNSearcher:
                     continue
                 # Everything buffered is exact; only advancing the main queue
                 # (raising the unexplored lower bound) can unlock progress.
-            if not heap:
+            if not frontier:
                 # No unexplored entries remain but the rank test is still
                 # inconclusive (possible only through ties): settle the best
                 # unprobed candidate to break the tie exactly.
@@ -266,46 +317,28 @@ class AKNNSearcher:
                 if not unprobed:
                     # All exact and still not confirmable cannot happen, but
                     # guard against it by emitting the closest candidate.
-                    best = min(buffer, key=lambda c: (c.upper, c.entry.object_id))
-                    buffer.remove(best)
-                    result.append(
-                        Neighbor(
-                            object_id=best.entry.object_id,
-                            distance=best.exact,
-                            lower_bound=best.lower,
-                            upper_bound=best.upper,
-                            probed=best.probed,
-                        )
-                    )
+                    emit(min(buffer, key=lambda c: (c.upper, c.entry.object_id)))
                     continue
                 probe(min(unprobed, key=lambda c: (c.lower, c.entry.object_id)))
                 continue
 
-            key, _, kind, payload = heapq.heappop(heap)
+            key, kind, payload = frontier.pop()
             if kind == _NODE:
                 metrics.increment(MetricsCollector.NODE_ACCESSES)
-                if not payload.entries:
-                    continue
-                # Whole-node lower-bound evaluation against the SoA view; the
-                # entry remembers its node row so the upper bound can be
-                # resolved lazily on pop.
-                if payload.is_leaf:
-                    soa = payload.soa()
-                    lowers = prepared.leaf_lower_bounds(soa, improved=True)
-                    for index, (entry, lower) in enumerate(
-                        zip(payload.entries, lowers)
-                    ):
-                        heapq.heappush(
-                            heap, (lower, next(counter), _LEAF, (entry, soa, index))
-                        )
-                else:
-                    bounds = prepared.node_lower_bounds(payload.soa())
-                    for entry, bound in zip(payload.entries, bounds):
-                        heapq.heappush(heap, (bound, next(counter), _NODE, entry.child))
+                frontier.expand(payload, prepared, improved=True)
             else:  # _LEAF
-                entry, soa, index = payload
-                upper = upper_bounds_for(soa)[index]
-                buffer.append(_Candidate(entry, lower=key, upper=upper))
+                # Upper bounds are evaluated lazily, one whole node at a time:
+                # the first entry popped from a leaf pays one vectorized
+                # evaluation shared by its siblings, so leaves whose entries
+                # never leave the queue pay nothing.
+                cursor, index = payload
+                if cursor.uppers is None:
+                    cursor.uppers = prepared.leaf_upper_bounds(
+                        cursor.soa, use_representative=use_representative_ub
+                    )
+                buffer.append(
+                    _Candidate(cursor.entries[index], lower=key, upper=cursor.uppers[index])
+                )
         return result
 
     # ------------------------------------------------------------------

@@ -7,12 +7,18 @@ this module provide:
 * :func:`pairwise_sq_blocks`, the one place a pairwise squared distance is
   formed (blocked, per dimension, direct ``(a - b)^2`` — exactly zero on
   coincident points), which every exact distance in the library reduces,
-* a brute-force closest pair that is an argmin over those blocks, and
+* a brute-force closest pair that is an argmin over those blocks,
 * a KD-tree accelerated path built on :class:`scipy.spatial.cKDTree`, used when
-  both sets are large enough for the tree construction cost to pay off.
+  both sets are large enough for the tree construction cost to pay off, and
+* a bound-then-refine front end: once both sets reach
+  :data:`repro.config.PRUNE_MIN_POINTS`, a cheap real pair bounds the answer
+  and each set is cut down to the points whose gap to the other set's box is
+  within that bound, before the brute / KD-tree choice is made on what is
+  left.  Overlapping sets prune nothing and go to that choice whole.
 
-Both paths return identical results; the selection is purely a performance
-decision controlled by :data:`repro.config.KDTREE_CROSSOVER_POINTS`.
+Every path returns the brute force's distance; the KD-tree choice is a
+performance decision controlled by :data:`repro.config.KDTREE_CROSSOVER_POINTS`
+and made on the sizes that survive the prune.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from scipy.spatial import cKDTree
 
-from repro.config import KDTREE_CROSSOVER_POINTS
+from repro.config import KDTREE_CROSSOVER_POINTS, PRUNE_MIN_POINTS
 
 # Element budget of one (rows, m) squared-distance plane: 256 KB of doubles,
 # so the plane and its scratch stay cache-resident across the d passes made
@@ -125,6 +131,71 @@ def _closest_pair_kdtree(points_a: np.ndarray, points_b: np.ndarray) -> Tuple[fl
     return float(dists[q]), q, t
 
 
+def _row_sums(planes: np.ndarray) -> np.ndarray:
+    """Sum a ``(d, n)`` array's rows in dimension order, as the kernel does (in place)."""
+    total = planes[0]
+    for dim in range(1, planes.shape[0]):
+        total += planes[dim]
+    return total
+
+
+def _sq_to_point(columns: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """The kernel's squared distance from each point of ``(d, n)`` columns to ``point``."""
+    diff = columns - point[:, None]
+    return _row_sums(np.square(diff, out=diff))
+
+
+def _sq_gap_to_box(columns: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared gap from each point of ``(d, n)`` columns to the box ``[lo, hi]``."""
+    gap = np.maximum(lo[:, None] - columns, columns - hi[:, None])
+    np.maximum(gap, 0.0, out=gap)
+    return _row_sums(np.square(gap, out=gap))
+
+
+def _solve(points_a: np.ndarray, points_b: np.ndarray, use_kdtree: bool) -> Tuple[float, int, int]:
+    if use_kdtree and min(points_a.shape[0], points_b.shape[0]) >= KDTREE_CROSSOVER_POINTS:
+        return _closest_pair_kdtree(points_a, points_b)
+    return _closest_pair_brute(points_a, points_b)
+
+
+def _closest_pair_pruned(
+    points_a: np.ndarray, points_b: np.ndarray, use_kdtree: bool = True
+) -> Tuple[float, int, int]:
+    """Bound with a real pair, drop the points that cannot beat it, then solve.
+
+    The bound ``ub`` is the squared distance of an actual pair, found by
+    nearest-point hops (``a`` nearest ``b``'s centre, then ``b`` nearest that,
+    then ``a`` nearest that), so ``ub >= d^2``.  A point of ``a`` survives if
+    its squared gap to ``b``'s MBR is ``<= ub``; a point of ``b`` survives if
+    its gap to the survivors' MBR is.
+
+    Exactness without a tolerance: for ``x`` outside a box ``[lo, hi]`` and any
+    ``y`` inside it, ``lo - x <= y - x`` (or ``x - hi <= x - y``) holds after
+    rounding too, because rounding is monotone; so are squaring a
+    non-negative value and summing in the same dimension order as
+    :func:`pairwise_sq_blocks`.  The gap therefore never exceeds the kernel's
+    own value for any pair through ``x``, and ``ub`` *is* the kernel's value
+    of a real pair, so both ends of the closest pair (and of every pair tied
+    with it) survive.  Only squared values are compared; nothing goes through
+    ``sqrt``.  Survivor indices are increasing, so the brute force's first
+    row-major argmin maps back to the same pair it picks on the whole sets.
+    """
+    cols_a = np.ascontiguousarray(points_a.T)
+    cols_b = np.ascontiguousarray(points_b.T)
+    lo_b, hi_b = cols_b.min(axis=1), cols_b.max(axis=1)
+    i = int(np.argmin(_sq_to_point(cols_a, 0.5 * (lo_b + hi_b))))
+    to_b = _sq_to_point(cols_b, cols_a[:, i])
+    j = int(np.argmin(to_b))
+    ub = min(to_b[j], _sq_to_point(cols_a, cols_b[:, j]).min())
+    keep_a = np.flatnonzero(_sq_gap_to_box(cols_a, lo_b, hi_b) <= ub)
+    kept = cols_a[:, keep_a]
+    keep_b = np.flatnonzero(_sq_gap_to_box(cols_b, kept.min(axis=1), kept.max(axis=1)) <= ub)
+    if keep_a.size == points_a.shape[0] and keep_b.size == points_b.shape[0]:
+        return _solve(points_a, points_b, use_kdtree)
+    distance, i, j = _solve(points_a[keep_a], points_b[keep_b], use_kdtree)
+    return distance, int(keep_a[i]), int(keep_b[j])
+
+
 def closest_pair(
     points_a: np.ndarray,
     points_b: np.ndarray,
@@ -132,22 +203,23 @@ def closest_pair(
 ) -> Tuple[float, int, int]:
     """Exact closest pair between two point sets.
 
-    Returns ``(distance, index_in_a, index_in_b)``.
+    Returns ``(distance, index_in_a, index_in_b)``.  Once both sets have
+    ``PRUNE_MIN_POINTS`` points they are first pruned to the points that can
+    take part (:func:`_closest_pair_pruned`); the distance is unchanged.
 
     Parameters
     ----------
     use_kdtree:
-        Allow the KD-tree fast path when both sets exceed the configured
-        cross-over size.  The result is identical either way.
+        Allow the KD-tree fast path when both (surviving) sets reach the
+        configured cross-over size.  The result is identical either way.
     """
     a = _as_points(points_a, "points_a")
     b = _as_points(points_b, "points_b")
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets must have the same dimensionality")
-    large = min(a.shape[0], b.shape[0]) >= KDTREE_CROSSOVER_POINTS
-    if use_kdtree and large:
-        return _closest_pair_kdtree(a, b)
-    return _closest_pair_brute(a, b)
+    if min(a.shape[0], b.shape[0]) >= PRUNE_MIN_POINTS:
+        return _closest_pair_pruned(a, b, use_kdtree)
+    return _solve(a, b, use_kdtree)
 
 
 def closest_pair_distance(
