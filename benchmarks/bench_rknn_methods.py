@@ -11,12 +11,7 @@ from benchmarks.conftest import BENCH_SCALE
 from repro.core.requests import SweepRequest
 from repro.core.rknn import RKNN_METHODS
 
-# The naive method is excluded: like the paper we only report it as
-# "prohibitive" (it probes the entire dataset once per membership level).
-BENCH_METHODS = tuple(m for m in RKNN_METHODS if m != "naive")
-
-
-@pytest.mark.parametrize("method", BENCH_METHODS)
+@pytest.mark.parametrize("method", RKNN_METHODS)
 def test_rknn_method(benchmark, bench_bundle, bench_queries, method):
     database = bench_bundle.database
     query = bench_queries[0]

@@ -72,7 +72,7 @@ def _mixed_requests(queries, n: int):
         elif kind < 15:
             requests.append(ReverseRequest(query, k=2, alpha=0.5))
         else:
-            method = list(SweepMethod)[(i // 16) % 4]
+            method = list(SweepMethod)[(i // 16) % len(SweepMethod)]
             requests.append(
                 SweepRequest(query, k=2, alpha_range=(0.45, 0.55), method=method)
             )

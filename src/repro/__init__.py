@@ -60,7 +60,6 @@ from repro.core import (
     QueryEngine,
     QueryRequest,
     RangeRequest,
-    ReverseMethod,
     ReverseRequest,
     SweepMethod,
     SweepRequest,
@@ -70,7 +69,6 @@ from repro.core import (
     AKNNSearcher,
     AlphaRangeSearcher,
     FuzzyDatabase,
-    LinearScanSearcher,
     Neighbor,
     QueryStats,
     ReverseAKNNSearcher,
@@ -131,7 +129,6 @@ __all__ = [
     "QueryEngine",
     "QueryRequest",
     "RangeRequest",
-    "ReverseMethod",
     "ReverseRequest",
     "SweepMethod",
     "SweepRequest",
@@ -143,7 +140,6 @@ __all__ = [
     "RKNNSearcher",
     "RKNN_METHODS",
     "AlphaRangeSearcher",
-    "LinearScanSearcher",
     "AKNNResult",
     "RKNNResult",
     "RangeSearchResult",

@@ -56,13 +56,18 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.reporting import result_to_full_text
 from repro.core.database import FuzzyDatabase
 from repro.core.requests import (
+    AknnMethod,
     AknnRequest,
     RangeRequest,
     ReverseRequest,
+    SweepMethod,
     SweepRequest,
 )
 from repro.datasets.builder import build_database
 from repro.datasets.queries import generate_query_object
+
+AKNN_CHOICES = [method.value for method in AknnMethod]
+SWEEP_CHOICES = [method.value for method in SweepMethod]
 
 
 def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
@@ -100,9 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     aknn = subparsers.add_parser("aknn", help="run one ad-hoc kNN query")
     _add_query_arguments(aknn)
     aknn.add_argument("--alpha", type=float, default=0.5)
-    aknn.add_argument(
-        "--method", choices=("basic", "lb", "lb_lp", "lb_lp_ub"), default="lb_lp_ub"
-    )
+    aknn.add_argument("--method", choices=AKNN_CHOICES, default="lb_lp_ub")
 
     rknn = subparsers.add_parser(
         "rknn",
@@ -119,9 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_query_arguments(rknn)
     rknn.add_argument("--alpha-start", type=float, default=0.4)
     rknn.add_argument("--alpha-end", type=float, default=0.6)
-    rknn.add_argument(
-        "--method", choices=("naive", "basic", "rss", "rss_icr"), default="rss_icr"
-    )
+    rknn.add_argument("--method", choices=SWEEP_CHOICES, default="rss_icr")
 
     reverse = subparsers.add_parser(
         "reverse",
@@ -131,20 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
             "dataset object A is returned iff the query object would be among "
             "A's k nearest neighbours at threshold --alpha, where A's "
             "neighbours are drawn from the dataset without A itself, plus the "
-            "query.  Methods: 'linear' verifies every object exhaustively; "
-            "'pruned' filters candidates through the summary bounds, then "
-            "verifies each with one single-query AKNN; 'batch' (default) "
-            "evaluates the filter as vectorized all-pairs matrices over the "
-            "SoA summary arrays and verifies every surviving candidate "
-            "through one shared batch traversal.  All methods return "
-            "identical reverse-neighbour sets."
+            "query."
         ),
     )
     _add_query_arguments(reverse)
     reverse.add_argument("--alpha", type=float, default=0.5)
-    reverse.add_argument(
-        "--method", choices=("linear", "pruned", "batch"), default="batch"
-    )
 
     batch = subparsers.add_parser(
         "batch", help="run a batch of AKNN queries through the vectorized executor"
@@ -152,9 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_query_arguments(batch)
     batch.add_argument("--alpha", type=float, default=0.5)
     batch.add_argument("--n-queries", type=int, default=64)
-    batch.add_argument(
-        "--method", choices=("basic", "lb", "lb_lp", "lb_lp_ub"), default="lb_lp_ub"
-    )
+    batch.add_argument("--method", choices=AKNN_CHOICES, default="lb_lp_ub")
 
     serve = subparsers.add_parser(
         "serve",
@@ -171,15 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
             "isolate failures, they add no parallelism (a query visits them "
             "in turn on one thread); a larger "
             "--window-ms coalesces more aggressively (higher throughput, "
-            "higher p50), a smaller one favours latency.  See the ROADMAP's "
-            "'Serving architecture' section for details."
+            "higher p50), a smaller one favours latency.  README's 'Failure "
+            "semantics' section describes partial answers, deadlines and "
+            "--fault-plan."
         ),
     )
     _add_query_arguments(serve)
     serve.add_argument("--alpha", type=float, default=0.5)
-    serve.add_argument(
-        "--method", choices=("basic", "lb", "lb_lp", "lb_lp_ub"), default="lb_lp_ub"
-    )
+    serve.add_argument("--method", choices=AKNN_CHOICES, default="lb_lp_ub")
     serve.add_argument(
         "--shards", type=int, default=4, help="number of index partitions"
     )
@@ -447,11 +436,9 @@ def _command_reverse(args: argparse.Namespace) -> int:
         rng, kind=args.kind, space_size=args.space_size,
         points_per_object=args.points_per_object,
     )
-    result = database.execute(
-        ReverseRequest(query, k=args.k, alpha=args.alpha, method=args.method)
-    )
+    result = database.execute(ReverseRequest(query, k=args.k, alpha=args.alpha))
     print(
-        f"REVERSE AKNN(k={args.k}, alpha={args.alpha}, method={args.method}): "
+        f"REVERSE AKNN(k={args.k}, alpha={args.alpha}): "
         f"{len(result)} reverse neighbours"
     )
     for object_id in result.object_ids:

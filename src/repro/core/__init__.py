@@ -13,10 +13,11 @@ are exposed for experimentation and benchmarking:
 
 * :class:`~repro.core.aknn.AKNNSearcher` — Algorithms 1 and 2 with the LB,
   LP and UB optimisations of Section 3.
-* :class:`~repro.core.rknn.RKNNSearcher` — the naive, basic, RSS and RSS-ICR
+* :class:`~repro.core.rknn.RKNNSearcher` — the basic, RSS and RSS-ICR
   strategies of Section 4.
-* :class:`~repro.core.linear_scan.LinearScanSearcher` — the exact sequential
-  baseline used as ground truth in tests.
+
+The brute-force answers every search is tested against live outside this
+package, in :mod:`repro.reference`, and share no code with it.
 """
 
 from repro.core.requests import (
@@ -25,7 +26,6 @@ from repro.core.requests import (
     QueryEngine,
     QueryRequest,
     RangeRequest,
-    ReverseMethod,
     ReverseRequest,
     SweepMethod,
     SweepRequest,
@@ -44,9 +44,8 @@ from repro.core.aknn import AKNNSearcher, AKNN_METHODS
 from repro.core.executor import BatchQueryExecutor
 from repro.core.range_search import AlphaRangeSearcher
 from repro.core.rknn import RKNNSearcher, RKNN_METHODS
-from repro.core.linear_scan import LinearScanSearcher
 from repro.core.database import FuzzyDatabase
-from repro.core.reverse_nn import ReverseAKNNSearcher, ReverseKNNResult, REVERSE_METHODS
+from repro.core.reverse_nn import ReverseAKNNSearcher, ReverseKNNResult
 
 __all__ = [
     "AknnMethod",
@@ -54,7 +53,6 @@ __all__ = [
     "QueryEngine",
     "QueryRequest",
     "RangeRequest",
-    "ReverseMethod",
     "ReverseRequest",
     "SweepMethod",
     "SweepRequest",
@@ -72,9 +70,7 @@ __all__ = [
     "AlphaRangeSearcher",
     "RKNNSearcher",
     "RKNN_METHODS",
-    "LinearScanSearcher",
     "FuzzyDatabase",
     "ReverseAKNNSearcher",
     "ReverseKNNResult",
-    "REVERSE_METHODS",
 ]

@@ -34,7 +34,8 @@ closer".  This is the same lazy-probing policy — probes are mandatory only on
 buffer overflow and tight upper bounds avoid them altogether — but it is
 robust to ties and to adversarial bound configurations, which the verbatim
 pseudo-code is not.  All four variants return a correct order-insensitive
-k-nearest-neighbour set (asserted against a linear scan in the test suite).
+k-nearest-neighbour set (asserted against :mod:`repro.reference` in the
+test suite).
 :func:`aknn_fanout` is one query over a *partition set* (per-part search and
 the exact merge of the parts' top-ks).
 """

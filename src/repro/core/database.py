@@ -36,13 +36,11 @@ import numpy as np
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNNSearcher
 from repro.core.executor import BatchQueryExecutor
-from repro.core.linear_scan import LinearScanSearcher
 from repro.core.range_search import AlphaRangeSearcher
 from repro.core.requests import (
     AknnRequest,
     QueryRequest,
     RangeRequest,
-    ReverseMethod,
     ReverseRequest,
     SweepRequest,
     execute_plan,
@@ -92,7 +90,6 @@ class FuzzyDatabase:
             [self], lambda op, fn: [fn(self)], self.config,
             profile_store=self.profile_store,
         )
-        self._linear = LinearScanSearcher(store)
         self._executor = BatchQueryExecutor(store, tree, self.config)
         self._reverse = ReverseAKNNSearcher(
             store,
@@ -298,23 +295,10 @@ class FuzzyDatabase:
     ) -> List[ReverseKNNResult]:
         first = bucket[0]
         self.metrics.increment(MetricsCollector.REVERSE_QUERIES, len(bucket))
-        if first.method is ReverseMethod.BATCH:
-            return self._reverse.search_batch(
-                [request.query for request in bucket], first.k, first.alpha, rng=rng,
-                deadline=deadline,
-            )
-        # linear / pruned exist as parity baselines; they share nothing.
-        results = []
-        for request in bucket:
-            if deadline is not None:
-                deadline.check("reverse")
-            results.append(
-                self._reverse.search(
-                    request.query, request.k, request.alpha,
-                    method=request.method.value, rng=rng,
-                )
-            )
-        return results
+        return self._reverse.search_batch(
+            [request.query for request in bucket], first.k, first.alpha, rng=rng,
+            deadline=deadline,
+        )
 
     # ------------------------------------------------------------------
     # Live updates
@@ -424,10 +408,6 @@ class FuzzyDatabase:
         if self._snapshots is not None:
             self._snapshots.record_append()
         self._notify_delete(object_id)
-
-    def linear_scan(self) -> LinearScanSearcher:
-        """The exhaustive baseline searcher (ground truth for tests)."""
-        return self._linear
 
     def get_object(self, object_id: int) -> FuzzyObject:
         """Probe one object from the store (counted as an object access)."""

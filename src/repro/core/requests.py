@@ -4,7 +4,7 @@ Every query the system answers is described by one frozen request dataclass —
 :class:`AknnRequest`, :class:`RangeRequest`, :class:`SweepRequest` (the
 paper's alpha-range kNN) and :class:`ReverseRequest` — carrying its full
 parameterisation: the query fuzzy object, ``k`` / ``radius`` / ``alpha``, and
-a method *enum* instead of a magic string.  Engines expose exactly two entry
+(AKNN and sweep) a method *enum* instead of a magic string.  Engines expose exactly two entry
 points (:class:`QueryEngine`)::
 
     from repro import AknnRequest, RangeRequest, ReverseRequest
@@ -75,18 +75,9 @@ class AknnMethod(str, Enum):
 class SweepMethod(str, Enum):
     """Alpha-range kNN sweep variants (Section 4, Algorithms 3-5)."""
 
-    NAIVE = "naive"
     BASIC = "basic"
     RSS = "rss"
     RSS_ICR = "rss_icr"
-
-
-class ReverseMethod(str, Enum):
-    """Reverse AKNN strategies (:mod:`repro.core.reverse_nn`)."""
-
-    LINEAR = "linear"
-    PRUNED = "pruned"
-    BATCH = "batch"
 
 
 def _coerce_enum(enum_cls: Type[Enum], value: Any, what: str) -> Enum:
@@ -258,20 +249,16 @@ class ReverseRequest(QueryRequest):
 
     k: int = 1
     alpha: float = 0.5
-    method: ReverseMethod = ReverseMethod.BATCH
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(
-            self, "method", _coerce_enum(ReverseMethod, self.method, "reverse method")
-        )
         self._validate_k(self.k)
         self._validate_alpha(self.alpha)
         self._validate_envelope()
 
     def bucket_key(self) -> Tuple:
-        return ("reverse", self.k, self.alpha, self.method.value)
+        return ("reverse", self.k, self.alpha)
 
 
 # ----------------------------------------------------------------------

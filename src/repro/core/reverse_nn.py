@@ -6,36 +6,21 @@ Given a query fuzzy object ``Q``, a threshold ``alpha`` and a result size
 semantics: ``A``'s neighbours are drawn from the dataset without ``A`` itself,
 plus ``Q``).
 
-Three strategies are provided:
+The plan is filter, then verify.  The filter evaluates the all-pairs
+disqualification test — ``A`` is out once ``k`` objects have
+``MaxDist(M_A(alpha)*, M_B(alpha)*)`` below ``MinDist(M_A(alpha)*,
+M_Q(alpha))`` — as chunked NumPy matrices over the ``(N, d)`` Equation-2 box
+arrays gathered straight from the leaf SoA views, without touching the store.
+Verification then answers every surviving candidate's (k+1)-NN through
+**one** shared :meth:`~repro.core.executor.BatchQueryExecutor.aknn_batch`
+traversal: each candidate's exact distance to ``Q`` doubles as an externally
+bootstrapped pruning radius (any object at or beyond ``d_alpha(A, Q)`` can
+never be strictly closer to ``A`` than ``Q``, so truncating the traversal
+there preserves the membership decision), and every distinct object is
+fetched from the store once for the whole batch.  Results report the method
+``"batch"``.
 
-``linear``
-    For every object ``A``: evaluate ``d_alpha(A, Q)`` and count how many
-    dataset objects are strictly closer to ``A``; ``A`` is a reverse
-    neighbour when fewer than ``k`` are.  Exact, O(N) AKNN-equivalents.
-
-``pruned``
-    Same verification, but candidates are filtered first: by Lemma-style
-    reasoning an object ``A`` can only be a reverse neighbour if fewer than
-    ``k`` objects have a *lower bound* below ``A``'s *upper bound* to ``Q``,
-    both of which are computed from the in-memory summaries without touching
-    the store.  Only surviving candidates pay the exact verification.
-
-``batch``
-    The same filter-then-verify plan rebuilt on the batch engine.  The
-    filter evaluates the all-pairs disqualification test — ``A`` is out once
-    ``k`` objects have ``MaxDist(M_A(alpha)*, M_B(alpha)*)`` below
-    ``MinDist(M_A(alpha)*, M_Q(alpha))`` — as chunked NumPy matrices over
-    the ``(N, d)`` Equation-2 box arrays gathered straight from the leaf SoA
-    views, instead of the O(N^2) Python double loop.  Verification then
-    answers every surviving candidate's (k+1)-NN through **one** shared
-    :meth:`~repro.core.executor.BatchQueryExecutor.aknn_batch` traversal:
-    each candidate's exact distance to ``Q`` doubles as an externally
-    bootstrapped pruning radius (any object at or beyond ``d_alpha(A, Q)``
-    can never be strictly closer to ``A`` than ``Q``, so truncating the
-    traversal there preserves the membership decision), and every distinct
-    object is fetched from the store once for the whole batch.
-
-:func:`reverse_bucket_pass` is the ``batch`` plan for a *bucket* of reverse
+:func:`reverse_bucket_pass` is that plan for a *bucket* of reverse
 queries sharing ``(k, alpha)``, written once over a *partition set*: the
 MaxDist matrix of the filter is query-independent, so the whole bucket pays
 for it once, and the union of every query's surviving candidates is verified
@@ -55,21 +40,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.aknn import AKNNSearcher
 from repro.core.executor import BatchQueryExecutor, _exact_min_distances
 from repro.core.query import PreparedQuery
 from repro.core.results import Coverage, QueryStats, merge_topk
 from repro.exceptions import InvalidQueryError
-from repro.fuzzy.alpha_distance import DistanceProfileStore, alpha_distance_points
+from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
-from repro.geometry.mbr import max_dist, min_dist
 from repro.index.rtree import RTree
 from repro.index.soa import certainly_closer_counts, min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
-
-REVERSE_METHODS: Tuple[str, ...] = ("linear", "pruned", "batch")
 
 
 def membership_from_neighbors(
@@ -348,7 +329,6 @@ def reverse_bucket_pass(
     queries: Sequence[FuzzyObject],
     k: int,
     alpha: float,
-    method: str,
     config: RuntimeConfig,
     rng: Optional[np.random.Generator] = None,
     deadline=None,
@@ -365,8 +345,7 @@ def reverse_bucket_pass(
        box arrays from the leaf SoA views;
     2. ``reverse_filter`` — each part evaluates the all-pairs
        disqualification test for *its* rows against the **whole** box set, so
-       candidate sets are exactly as tight as one tree's (``linear`` skips
-       the filter: every row is a candidate);
+       candidate sets are exactly as tight as one tree's;
     3. the union of every query's surviving candidates is fetched through
        the part that gathered the row and planned once
        (:func:`plan_bucket_verification`);
@@ -409,7 +388,7 @@ def reverse_bucket_pass(
         np.concatenate([g[axis] for g in filled]) for axis in range(3)
     )
 
-    if method == "linear" or n == 0:
+    if n == 0:
         masks = np.ones((len(queries), n), dtype=bool)
     else:
         thresholds = query_filter_thresholds(prepared, box_lo, box_hi)
@@ -465,7 +444,7 @@ def reverse_bucket_pass(
     return build_bucket_results(
         k,
         alpha,
-        method,
+        "batch",
         timer.stop(),
         masks,
         memberships,
@@ -509,9 +488,8 @@ class ReverseAKNNSearcher:
         self.store = store
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
-        self.aknn = AKNNSearcher(store, tree, self.config)
-        # The batch method verifies through a shared executor; passing the
-        # database's own instance reuses its representative-index cache.
+        # Verification runs through a shared executor; passing the database's
+        # own instance reuses its representative-index cache.
         self.executor = executor or BatchQueryExecutor(store, tree, self.config)
         # d_alpha(A, Q) memo shared with the RKNN sweep searcher (the
         # database hands both the same store): a profile the sweep computed
@@ -522,152 +500,6 @@ class ReverseAKNNSearcher:
             profile_store = DistanceProfileStore(self.config.profile_cache_capacity)
         self.profile_store = profile_store
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str = "pruned",
-        rng: Optional[np.random.Generator] = None,
-    ) -> ReverseKNNResult:
-        """Every object that has ``query`` among its k nearest neighbours."""
-        if k <= 0:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        if not 0.0 < alpha <= 1.0:
-            raise InvalidQueryError(f"alpha must be in (0, 1], got {alpha}")
-        if method not in REVERSE_METHODS:
-            raise InvalidQueryError(
-                f"unknown reverse-kNN method {method!r}; expected one of {REVERSE_METHODS}"
-            )
-        if method == "batch":
-            return self.search_batch([query], k, alpha, rng=rng)[0]
-        metrics = MetricsCollector()
-        before = self.store.statistics.snapshot()
-        timer = Timer().start()
-
-        candidate_ids = self._candidate_ids(query, k, alpha, method, metrics, rng)
-        object_ids, distances = self._verify(query, k, alpha, candidate_ids, metrics)
-
-        stats = QueryStats(
-            object_accesses=self.store.statistics.object_accesses - before.object_accesses,
-            node_accesses=metrics.get(MetricsCollector.NODE_ACCESSES),
-            distance_evaluations=metrics.get(MetricsCollector.DISTANCE_EVALUATIONS),
-            lower_bound_evaluations=metrics.get(MetricsCollector.LOWER_BOUND_EVALUATIONS),
-            upper_bound_evaluations=metrics.get(MetricsCollector.UPPER_BOUND_EVALUATIONS),
-            elapsed_seconds=timer.stop(),
-            extra={"candidates": float(len(candidate_ids))},
-        )
-        return ReverseKNNResult(
-            object_ids=sorted(object_ids),
-            distances=distances,
-            k=k,
-            alpha=alpha,
-            method=method,
-            stats=stats,
-        )
-
-    # ------------------------------------------------------------------
-    # Candidate filtering
-    # ------------------------------------------------------------------
-    def _candidate_ids(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        method: str,
-        metrics: MetricsCollector,
-        rng: Optional[np.random.Generator],
-    ) -> List[int]:
-        all_ids = self.store.object_ids()
-        if method == "linear":
-            return all_ids
-
-        # Pruned: work entirely on the in-memory summaries.  For a candidate
-        # A, an upper bound on d_alpha(A, Q) is MaxDist of the approximated
-        # alpha-cut MBRs; a lower bound on d_alpha(A, B) for any other B is
-        # MinDist of their approximated MBRs.  If at least k other objects
-        # have a lower bound to A that is smaller than A's upper bound to Q,
-        # A may still be a reverse neighbour — only the opposite (k objects
-        # *certainly* closer than Q can ever be) disqualifies A.
-        prepared = PreparedQuery(query, alpha, self.config, rng, metrics)
-        summaries = {entry.object_id: entry.summary for entry in self.tree.leaf_entries()}
-        approx = {
-            object_id: summary.approx_alpha_mbr(alpha)
-            for object_id, summary in summaries.items()
-        }
-        candidates: List[int] = []
-        for object_id, summary in summaries.items():
-            certainly_closer = 0
-            for other_id, other_mbr in approx.items():
-                if other_id == object_id:
-                    continue
-                metrics.increment(MetricsCollector.LOWER_BOUND_EVALUATIONS)
-                # MaxDist(A, B) < the lower bound of d(A, Q) would be the
-                # certain disqualifier; use the conservative pair of bounds.
-                if max_dist(approx[object_id], other_mbr) < min_dist(
-                    approx[object_id], prepared.query_mbr
-                ):
-                    certainly_closer += 1
-                    if certainly_closer >= k:
-                        break
-            if certainly_closer < k:
-                candidates.append(object_id)
-        return candidates
-
-    # ------------------------------------------------------------------
-    # Exact verification
-    # ------------------------------------------------------------------
-    def _verify(
-        self,
-        query: FuzzyObject,
-        k: int,
-        alpha: float,
-        candidate_ids: List[int],
-        metrics: MetricsCollector,
-    ) -> Tuple[List[int], Dict[int, float]]:
-        query_cut = query.alpha_cut(alpha)
-        results: List[int] = []
-        distances: Dict[int, float] = {}
-        for object_id in candidate_ids:
-            candidate = self.store.get(object_id)
-            distance_to_query = self.profile_store.distance_at(query, object_id, alpha)
-            if distance_to_query is None:
-                metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS)
-                distance_to_query = alpha_distance_points(
-                    candidate.alpha_cut(alpha), query_cut
-                )
-                self.profile_store.insert_distance(
-                    query, object_id, alpha, distance_to_query
-                )
-            # Q is among the candidate's k nearest neighbours iff fewer than k
-            # dataset objects (excluding the candidate itself) are strictly
-            # closer to it than Q.  Ask the index for the candidate's k+1
-            # nearest (the candidate itself is returned at distance zero).
-            neighbours = self.aknn.search(candidate, k=k + 1, alpha=alpha, method="lb_lp_ub")
-            closer = 0
-            for neighbour in neighbours.neighbors:
-                if neighbour.object_id == object_id:
-                    continue
-                exact = neighbour.distance
-                if exact is None:
-                    other = self.store.get(neighbour.object_id)
-                    metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS)
-                    exact = alpha_distance_points(
-                        candidate.alpha_cut(alpha), other.alpha_cut(alpha)
-                    )
-                if exact < distance_to_query:
-                    closer += 1
-            if closer < k:
-                results.append(object_id)
-                distances[object_id] = distance_to_query
-        return results, distances
-
-    # ------------------------------------------------------------------
-    # Vectorized batch engine
-    # ------------------------------------------------------------------
     def search_batch(
         self,
         queries: Sequence[FuzzyObject],
@@ -679,11 +511,10 @@ class ReverseAKNNSearcher:
         """Answer a bucket of reverse AKNN queries sharing ``(k, alpha)``.
 
         :func:`reverse_bucket_pass` over this searcher as a partition set of
-        one.  Returns one result per query, identical to the ``linear`` /
-        ``pruned`` answers.  ``deadline`` bounds the bucket.
+        one.  Returns one result per query.  ``deadline`` bounds the bucket.
         """
         return reverse_bucket_pass(
-            [self], lambda op, fn: [fn(self)], queries, k, alpha, "batch",
+            [self], lambda op, fn: [fn(self)], queries, k, alpha,
             self.config, rng=rng, deadline=deadline,
             profile_store=self.profile_store,
         )

@@ -2,13 +2,10 @@
 
 An RKNN query (Definition 5) asks for every object that is a k nearest
 neighbour at *some* probability threshold inside ``[alpha_start, alpha_end]``,
-together with its qualifying range.  Four method variants are provided,
-matching Section 4 and the competitors of Figures 13 and 14:
-
-``naive``
-    Issue one AKNN query at every distinct membership value of the dataset
-    that falls inside the probability range (the paper's strawman; its cost
-    is prohibitive for anything but toy datasets).
+together with its qualifying range.  Three method variants are provided,
+matching Section 4 and the competitors of Figures 13 and 14 (the paper's
+naive strawman, one AKNN query per membership level of the dataset, is not
+one of them; :func:`repro.reference.sweep` is the exhaustive answer):
 
 ``basic``
     Algorithm 3: sweep the range with repeated AKNN queries, jumping from one
@@ -27,9 +24,10 @@ matching Section 4 and the competitors of Figures 13 and 14:
     extends as long as its distance stays below the (k+1)-th neighbour
     distance, so far fewer critical probabilities have to be checked.
 
-All variants return the same qualifying ranges as the exhaustive
-:class:`~repro.core.linear_scan.LinearScanSearcher` (asserted by the test
-suite); they differ in the number of object accesses and refinement steps.
+All variants return the same qualifying ranges as the brute-force
+:func:`repro.reference.sweep`, which shares no code with them (asserted by
+the test suite); they differ in the number of object accesses and refinement
+steps.
 
 The sweep is written once, over a *partition set*: its AKNN sub-queries are
 :func:`~repro.core.aknn.aknn_fanout`, its candidate collection
@@ -52,7 +50,6 @@ import numpy as np
 
 from repro.config import RKNN_EPSILON, RuntimeConfig
 from repro.core.aknn import aknn_fanout
-from repro.core.linear_scan import rank_objects
 from repro.core.query import PreparedQuery
 from repro.core.range_search import collect_over_parts
 from repro.core.results import AKNNResult, QueryStats, RKNNResult, resolve_exact
@@ -67,10 +64,23 @@ from repro.fuzzy.profile import DistanceProfile
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 
-RKNN_METHODS: Tuple[str, ...] = ("naive", "basic", "rss", "rss_icr")
+RKNN_METHODS: Tuple[str, ...] = ("basic", "rss", "rss_icr")
 
 # Numerical slack when comparing probability thresholds.
 _ALPHA_TOL = 1e-12
+
+
+def rank_objects(distances: Dict[int, float], k: int) -> Tuple[List[int], float]:
+    """Deterministic top-k selection shared by the refinement routines.
+
+    Returns ``(top_k_ids, k_plus_1_distance)`` where ties are broken by
+    object id and the (k+1)-th distance is ``inf`` when fewer than ``k + 1``
+    objects are available.
+    """
+    ordered = sorted(distances.items(), key=lambda item: (item[1], item[0]))
+    top = [object_id for object_id, _ in ordered[:k]]
+    k_plus_1 = ordered[k][1] if len(ordered) > k else float("inf")
+    return top, k_plus_1
 
 
 class RKNNSearcher:
@@ -157,9 +167,7 @@ class RKNNSearcher:
             }
             return result, ranked_by
 
-        if method == "naive":
-            assignments = self._search_naive(aknn, alpha_start, alpha_end, stats)
-        elif method == "basic":
+        if method == "basic":
             assignments = self._search_basic(aknn, query, alpha_start, alpha_end, stats)
         else:
             assignments = self._search_rss(
@@ -189,50 +197,6 @@ class RKNNSearcher:
             method=method,
             stats=stats,
         )
-
-    # ------------------------------------------------------------------
-    # Naive: one AKNN query per dataset membership level in the range
-    # ------------------------------------------------------------------
-    def _search_naive(
-        self,
-        aknn: Callable,
-        alpha_start: float,
-        alpha_end: float,
-        stats: QueryStats,
-    ) -> Dict[int, IntervalSet]:
-        boundaries = self._dataset_levels_in_range(alpha_start, alpha_end)
-        assignments: Dict[int, IntervalSet] = {}
-        piece_start = alpha_start
-        for boundary in boundaries:
-            result, _ = aknn(min(boundary, 1.0))
-            for object_id in result.object_ids:
-                assignments.setdefault(object_id, IntervalSet()).add_range(
-                    piece_start, boundary
-                )
-            stats.refinement_steps += 1
-            piece_start = boundary
-        return assignments
-
-    def _dataset_levels_in_range(self, alpha_start: float, alpha_end: float) -> List[float]:
-        """``U_D`` restricted to the query range (right endpoints of all pieces).
-
-        The naive method needs the universe of membership values, which can
-        only be learned by reading every object — exactly why the paper calls
-        its cost prohibitive.  Each part reads its own objects.  The closed
-        left endpoint of the range is evaluated as its own degenerate piece
-        (see :func:`repro.core.linear_scan.evaluate_piecewise`).
-        """
-        levels: set = set()
-        for part in self.parts:
-            for object_id in part.store.object_ids():
-                obj = part.store.get(object_id)
-                for level in obj.distinct_memberships():
-                    if alpha_start < level < alpha_end:
-                        levels.add(float(level))
-        boundaries = [alpha_start]
-        boundaries.extend(sorted(levels))
-        boundaries.append(alpha_end)
-        return boundaries
 
     # ------------------------------------------------------------------
     # Basic: Algorithm 3 (critical-probability sweep with repeated AKNN)
@@ -435,7 +399,7 @@ def refine_candidates_basic(
             object_id: profile.value(min(evaluation_point, 1.0))
             for object_id, profile in profiles.items()
         }
-        top, _, _ = rank_objects(distances, k)
+        top, _ = rank_objects(distances, k)
         if not top:
             break
         ends = [
@@ -481,7 +445,7 @@ def refine_candidates_icr(
             object_id: profile.value(min(evaluation_point, 1.0))
             for object_id, profile in profiles.items()
         }
-        top, _, d_k_plus_1 = rank_objects(distances, k)
+        top, d_k_plus_1 = rank_objects(distances, k)
         if not top:
             break
         safe_ends = []

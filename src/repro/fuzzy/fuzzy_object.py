@@ -84,6 +84,9 @@ class FuzzyObject:
             )
         if not np.all(np.isfinite(pts)):
             raise InvalidFuzzyObjectError("points must be finite")
+        # NaN fails both range comparisons below, so it needs its own test.
+        if not np.all(np.isfinite(mus)):
+            raise InvalidFuzzyObjectError("memberships must be finite")
         if np.any(mus <= 0.0) or np.any(mus > 1.0 + MEMBERSHIP_ATOL):
             raise InvalidFuzzyObjectError("memberships must lie in (0, 1]")
         mus = np.minimum(mus, 1.0)

@@ -17,10 +17,8 @@ engine for its type: one R-tree traversal for an AKNN bucket, one candidate
 filter matrix + one verification traversal for a reverse bucket.  New
 request families coalesce correctly with zero service edits — the bucket
 table never switches on request types.  Since ``bucket_key()`` carries each
-request's full method parameterisation, per-request method overrides (e.g. a
-``ReverseRequest(method=ReverseMethod.LINEAR)`` audit probe next to the
-default batch traffic) are supported for free: they simply land in their own
-bucket.
+request's full method parameterisation, a per-request method override simply
+lands in its own bucket.
 
 The service itself implements the :class:`~repro.core.requests.QueryEngine`
 protocol — ``execute`` / ``execute_batch`` submit and wait — so callers can

@@ -890,7 +890,7 @@ class ShardedDatabase:
             # radii fold all shards' candidates together.
             results = self._coupled(
                 lambda live, fan_out: reverse_bucket_pass(
-                    live, fan_out, queries, first.k, first.alpha, first.method.value,
+                    live, fan_out, queries, first.k, first.alpha,
                     self.config, rng=rng, deadline=deadline,
                 ),
                 deadline,

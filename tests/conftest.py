@@ -2,8 +2,9 @@
 
 The fixtures deliberately keep datasets small (tens of objects, tens of
 points) so the whole suite runs in seconds; correctness of the search
-algorithms is asserted against the exhaustive linear scan, which is exact at
-any scale.
+algorithms is asserted against :mod:`repro.reference`, the brute-force answer
+to every query family, which is exact at any scale and shares no code with
+the engine.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from repro.core.database import FuzzyDatabase
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
 from repro.fuzzy.fuzzy_object import FuzzyObject
+from repro.fuzzy.intervals import IntervalSet
+from repro import reference
 
 
 def make_fuzzy_object(
@@ -91,31 +94,41 @@ def cell_database() -> FuzzyDatabase:
     database.close()
 
 
+def stored_objects(database: FuzzyDatabase) -> list:
+    """Every object of ``database``, ids set, read without counting an access:
+    the input :mod:`repro.reference` answers over."""
+    return list(database.store.iter_objects(count_accesses=False))
+
+
 def sorted_exact_distances(database: FuzzyDatabase, result, query, alpha: float):
     """Exact alpha-distances of a result's neighbours, sorted ascending.
 
-    Lazily-confirmed neighbours (no exact distance) are probed on demand so
-    that results from different AKNN variants can be compared as multisets of
-    distances, which is robust to ties.
+    Lazily-confirmed neighbours (no exact distance) get theirs from the
+    reference, so that results from different AKNN variants can be compared
+    as multisets of distances, which is robust to ties.
     """
-    from repro.fuzzy.alpha_distance import alpha_distance
-
     distances = []
     for neighbor in result.neighbors:
         if neighbor.distance is not None:
             distances.append(neighbor.distance)
         else:
             obj = database.get_object(neighbor.object_id)
-            distances.append(alpha_distance(obj, query, alpha))
+            distances.append(reference.aknn([obj], query, 1, alpha)[0][1])
     return sorted(distances)
 
 
 def assert_same_assignments(actual, expected, tol: float = 1e-7) -> None:
-    """Assert two RKNN assignment maps describe the same qualifying ranges."""
+    """Assert two RKNN assignment maps describe the same qualifying ranges.
+
+    ``expected`` maps ids to an :class:`IntervalSet` or, as
+    :func:`repro.reference.sweep` returns them, to ``(start, end)`` pairs.
+    """
     assert set(actual.keys()) == set(expected.keys()), (
         f"qualifying object sets differ: {sorted(actual)} vs {sorted(expected)}"
     )
     for object_id, expected_ranges in expected.items():
+        if not isinstance(expected_ranges, IntervalSet):
+            expected_ranges = IntervalSet.from_pairs(expected_ranges)
         assert actual[object_id].approx_equal(expected_ranges, tol=tol), (
             f"object {object_id}: {actual[object_id]} != {expected_ranges}"
         )

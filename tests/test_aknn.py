@@ -1,12 +1,14 @@
-"""Tests for the AKNN searcher: all method variants against the linear scan."""
+"""Tests for the AKNN searcher: all method variants against the brute-force
+reference (a linear scan that shares no code with the engine)."""
 
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core.aknn import AKNN_METHODS, AKNNSearcher
 from repro.core.requests import AknnRequest
 from repro.exceptions import InvalidQueryError
-from tests.conftest import sorted_exact_distances
+from tests.conftest import sorted_exact_distances, stored_objects
 
 
 class TestCorrectness:
@@ -14,8 +16,10 @@ class TestCorrectness:
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8, 1.0])
     def test_matches_linear_scan(self, dense_database, dense_queries, method, alpha):
         k = 7
-        truth = dense_database.linear_scan().aknn(dense_queries[0], k=k, alpha=alpha)
-        expected = sorted(n.distance for n in truth.neighbors)
+        truth = reference.aknn(
+            stored_objects(dense_database), dense_queries[0], k=k, alpha=alpha
+        )
+        expected = [distance for _, distance in truth]
         result = dense_database.execute(
             AknnRequest(dense_queries[0], k=k, alpha=alpha, method=method)
         )
@@ -27,8 +31,10 @@ class TestCorrectness:
     def test_multiple_queries_and_ks(self, dense_database, dense_queries, method):
         for query in dense_queries:
             for k in (1, 3, 12):
-                truth = dense_database.linear_scan().aknn(query, k=k, alpha=0.5)
-                expected = sorted(n.distance for n in truth.neighbors)
+                truth = reference.aknn(
+                    stored_objects(dense_database), query, k=k, alpha=0.5
+                )
+                expected = [distance for _, distance in truth]
                 result = dense_database.execute(
                     AknnRequest(query, k=k, alpha=0.5, method=method)
                 )
@@ -41,8 +47,8 @@ class TestCorrectness:
         from repro.datasets.queries import generate_query_object
 
         query = generate_query_object(rng, kind="cells", space_size=7.0, points_per_object=40)
-        truth = cell_database.linear_scan().aknn(query, k=5, alpha=0.6)
-        expected = sorted(n.distance for n in truth.neighbors)
+        truth = reference.aknn(stored_objects(cell_database), query, k=5, alpha=0.6)
+        expected = [distance for _, distance in truth]
         result = cell_database.execute(
             AknnRequest(query, k=5, alpha=0.6, method=method)
         )
@@ -62,9 +68,9 @@ class TestCorrectness:
         c = FuzzyObject.crisp(np.array([[6.0, 0.0], [6.0, 1.0]]))
         database = FuzzyDatabase.build([a, b, c])
         query = FuzzyObject.single_point([0.0, 0.0])
-        truth = database.linear_scan().aknn(query, k=1, alpha=1.0)
+        truth = reference.aknn(stored_objects(database), query, k=1, alpha=1.0)
         result = database.execute(AknnRequest(query, k=1, alpha=1.0, method=method))
-        assert result.object_ids == truth.object_ids == [1]
+        assert result.object_ids == [object_id for object_id, _ in truth] == [1]
         database.close()
 
     def test_k_larger_than_dataset(self, dense_database, dense_queries):
@@ -77,9 +83,9 @@ class TestCorrectness:
         from repro.fuzzy.fuzzy_object import FuzzyObject
 
         query = FuzzyObject.single_point([4.0, 4.0])
-        truth = dense_database.linear_scan().aknn(query, k=3, alpha=0.5)
+        truth = reference.aknn(stored_objects(dense_database), query, k=3, alpha=0.5)
         result = dense_database.execute(AknnRequest(query, k=3, alpha=0.5))
-        expected = sorted(n.distance for n in truth.neighbors)
+        expected = [distance for _, distance in truth]
         actual = sorted_exact_distances(dense_database, result, query, 0.5)
         np.testing.assert_allclose(actual, expected, atol=1e-9)
 

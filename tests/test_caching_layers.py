@@ -7,6 +7,7 @@ memoised :class:`DistanceProfileStore` wired into the RKNN searcher.
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.config import RuntimeConfig
 from repro.core.requests import SweepRequest
 from repro.datasets.builder import DatasetBundle
@@ -16,6 +17,7 @@ from repro.fuzzy.fuzzy_object import (
     FuzzyObject,
     reset_cut_cache_statistics,
 )
+from tests.conftest import stored_objects
 
 
 def make_object(seed=0, n=20):
@@ -136,5 +138,5 @@ class TestProfileStoreInRKNN:
         database = bundle.database
         query = bundle.queries(1)[0]
         result = database.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.7)))
-        truth = database.linear_scan().rknn(query, k=4, alpha_range=(0.3, 0.7))
-        assert result.assignments.keys() == truth.assignments.keys()
+        truth = reference.sweep(stored_objects(database), query, k=4, alpha_range=(0.3, 0.7))
+        assert result.assignments.keys() == truth.keys()

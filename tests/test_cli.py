@@ -32,6 +32,17 @@ class TestParser:
         assert args.alpha_end == 0.8
         assert args.method == "rss"
 
+    def test_method_choices_are_the_request_enums(self):
+        from repro.core.requests import AknnMethod, SweepMethod
+
+        for command in ("aknn", "batch", "serve"):
+            for method in AknnMethod:
+                assert build_parser().parse_args([command, "--method", method.value])
+        for method in SweepMethod:
+            assert build_parser().parse_args(["rknn", "--method", method.value])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["rknn", "--method", "naive"])
+
     def test_experiment_rejects_unknown_name(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
@@ -83,15 +94,14 @@ class TestCommands:
         assert "RKNN(k=2" in output
         assert "qualifying" in output
 
-    @pytest.mark.parametrize("method", ["linear", "pruned", "batch"])
-    def test_reverse_on_generated_database(self, capsys, method):
+    def test_reverse_on_generated_database(self, capsys):
         exit_code = main(
             ["reverse", "--n-objects", "25", "--points-per-object", "12", "--k", "2",
-             "--space-size", "5", "--method", method]
+             "--space-size", "5"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert f"REVERSE AKNN(k=2, alpha=0.5, method={method})" in output
+        assert "REVERSE AKNN(k=2, alpha=0.5)" in output
         assert "candidates" in output
 
 
@@ -100,7 +110,7 @@ class TestReverseParser:
         args = build_parser().parse_args(["reverse"])
         assert args.command == "reverse"
         assert args.alpha == 0.5
-        assert args.method == "batch"
+        assert not hasattr(args, "method")  # one reverse plan
 
     def test_rknn_help_names_the_range_semantics(self, capsys):
         """The rknn subcommand is the alpha-range sweep, not reverse kNN; its
@@ -117,8 +127,7 @@ class TestReverseParser:
             main(["reverse", "--help"])
         reverse_help = " ".join(capsys.readouterr().out.split())
         assert "monochromatic" in reverse_help
-        for method in ("linear", "pruned", "batch"):
-            assert method in reverse_help
+        assert "--method" not in reverse_help
 
 
 class TestBatchCommand:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.core.requests import AknnRequest, SweepRequest
 from repro.exceptions import StorageError
-from tests.conftest import assert_same_assignments, make_fuzzy_object
+from tests.conftest import assert_same_assignments, make_fuzzy_object, stored_objects
 
 
 @pytest.fixture
@@ -71,8 +72,8 @@ class TestQueries:
         aknn = database.execute(AknnRequest(query, k=4, alpha=0.5))
         assert len(aknn) == 4
         rknn = database.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.6)))
-        truth = database.linear_scan().rknn(query, k=4, alpha_range=(0.3, 0.6))
-        assert_same_assignments(rknn.assignments, truth.assignments)
+        truth = reference.sweep(stored_objects(database), query, k=4, alpha_range=(0.3, 0.6))
+        assert_same_assignments(rknn.assignments, truth)
 
     def test_reset_statistics(self, objects, rng):
         database = FuzzyDatabase.build(objects)

@@ -11,6 +11,7 @@ The executor's own telemetry (:class:`BatchResult` stats) is asserted on
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNN_METHODS
 from repro.core.executor import BatchQueryExecutor
@@ -18,6 +19,7 @@ from repro.core.requests import AknnRequest
 from repro.datasets.builder import DatasetBundle
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import alpha_distance
+from tests.conftest import stored_objects
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +81,8 @@ class TestBatchParity:
         database = bundle.database
         batch = batch_of(database, queries[:4], k=6, alpha=0.6)
         for query, result in zip(queries, batch):
-            truth = database.linear_scan().aknn(query, k=6, alpha=0.6)
-            assert set(result.object_ids) == set(truth.object_ids)
+            truth = reference.aknn(stored_objects(database), query, k=6, alpha=0.6)
+            assert set(result.object_ids) == {object_id for object_id, _ in truth}
 
     def test_repeated_batches_are_stable(self, bundle, queries):
         """The cached representative index must not drift across calls."""

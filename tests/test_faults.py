@@ -831,7 +831,7 @@ class TestChurn:
         assert sorted(set(victims) & set(sharded.object_ids())) == []
         sharded.close()
 
-    @pytest.mark.parametrize("method", ["naive", "basic"])
+    @pytest.mark.parametrize("method", ["basic", "rss_icr"])
     def test_insert_publishes_its_owner_before_readers_are_let_back_in(
         self, objects, queries, method
     ):

@@ -41,6 +41,15 @@ class TestConstruction:
         with pytest.raises(InvalidFuzzyObjectError):
             FuzzyObject(np.array([[np.inf, 0.0]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_memberships(self, bad):
+        """NaN fails both range comparisons, so a range check alone let it in."""
+        points = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+        with pytest.raises(InvalidFuzzyObjectError):
+            FuzzyObject(points, [1.0, bad, 0.5])
+        with pytest.raises(InvalidFuzzyObjectError):
+            FuzzyObject(points, [1.0, bad, 0.5], require_kernel=False)
+
     def test_requires_kernel_by_default(self):
         with pytest.raises(InvalidFuzzyObjectError):
             FuzzyObject(np.zeros((2, 2)), np.array([0.5, 0.6]))

@@ -2,26 +2,27 @@
 
 These run the complete pipeline — generate a dataset, build and persist a
 database, answer AKNN / RKNN queries with every method — and cross-check all
-methods against the linear scan on fresh random data (several seeds), which is
+methods against the brute-force reference on fresh random data (several seeds), which is
 the strongest single consistency guarantee the suite provides.
 """
 
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNN_METHODS
 from repro.core.database import FuzzyDatabase
 from repro.core.requests import AknnRequest, SweepRequest
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
-from tests.conftest import assert_same_assignments, sorted_exact_distances
+from tests.conftest import assert_same_assignments, sorted_exact_distances, stored_objects
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", ["synthetic", "cells"])
 def test_all_methods_agree_on_random_datasets(seed, kind):
-    """AKNN and RKNN methods all agree with the linear scan on random data."""
+    """AKNN and RKNN methods all agree with the reference on random data."""
     space = 6.0
     objects = build_dataset(
         kind=kind, n_objects=40, points_per_object=30, seed=seed, space_size=space
@@ -30,22 +31,24 @@ def test_all_methods_agree_on_random_datasets(seed, kind):
     rng = np.random.default_rng(seed + 100)
     query = generate_query_object(rng, kind=kind, space_size=space, points_per_object=30)
 
-    # AKNN: distance multisets must match the linear scan for every method.
+    # AKNN: distance multisets must match the reference for every method.
     k, alpha = 6, 0.55
-    truth = database.linear_scan().aknn(query, k=k, alpha=alpha)
-    expected = sorted(n.distance for n in truth.neighbors)
+    truth = reference.aknn(stored_objects(database), query, k=k, alpha=alpha)
+    expected = [distance for _, distance in truth]
     for method in AKNN_METHODS:
         result = database.execute(AknnRequest(query, k=k, alpha=alpha, method=method))
         actual = sorted_exact_distances(database, result, query, alpha)
         np.testing.assert_allclose(actual, expected, atol=1e-9)
 
-    # RKNN: qualifying ranges must match the exhaustive sweep.
-    rknn_truth = database.linear_scan().rknn(query, k=4, alpha_range=(0.35, 0.75))
+    # RKNN: qualifying ranges must match the brute-force sweep.
+    rknn_truth = reference.sweep(
+        stored_objects(database), query, k=4, alpha_range=(0.35, 0.75)
+    )
     for method in ("basic", "rss", "rss_icr"):
         result = database.execute(
             SweepRequest(query, k=4, alpha_range=(0.35, 0.75), method=method)
         )
-        assert_same_assignments(result.assignments, rknn_truth.assignments)
+        assert_same_assignments(result.assignments, rknn_truth)
     database.close()
 
 
@@ -63,7 +66,7 @@ def test_full_pipeline_with_persistence(tmp_path):
     before = sorted(database.execute(
         AknnRequest(query, k=5, alpha=0.5, method="lb")
     ).object_ids)
-    truth = database.linear_scan().rknn(query, k=3, alpha_range=(0.4, 0.7))
+    truth = reference.sweep(stored_objects(database), query, k=3, alpha_range=(0.4, 0.7))
     database.close()
 
     reopened = FuzzyDatabase.open(path)
@@ -75,7 +78,7 @@ def test_full_pipeline_with_persistence(tmp_path):
     rknn = reopened.execute(
         SweepRequest(query, k=3, alpha_range=(0.4, 0.7), method="rss_icr")
     )
-    assert_same_assignments(rknn.assignments, truth.assignments)
+    assert_same_assignments(rknn.assignments, truth)
     reopened.close()
 
 

@@ -1,14 +1,15 @@
-"""What ``service/sharded.py`` may know, what the package may carry, and the
-line-count script, as checks.
+"""What ``service/sharded.py`` may know, what ``reference.py`` may import,
+what the package may carry, and the line-count script, as checks.
 
 The sharded module is fan-out / failure policy, durability glue and topology.
 Every family lives in its own module and reaches it only through public
 names, so the index kernels, the geometry, scipy and the pieces a family is
 built from are none of its business, and it defines no class of its own
-beyond the shard and its failures.  Every module under ``src/repro`` is reached from an entry point
-and every ``RuntimeConfig`` field is set by someone, so nothing ships that
-only its own tests use.  Read from the syntax tree: nothing is imported or
-executed.
+beyond the shard and its failures.  The brute-force reference imports none
+of the engine it is the specification for.  Every module under
+``src/repro`` is reached from an entry point and every ``RuntimeConfig``
+field is set by someone, so nothing ships that only its own tests use.  Read
+from the syntax tree: nothing is imported or executed.
 """
 
 import ast
@@ -101,14 +102,41 @@ def test_sharded_writes_no_family():
     assert classes == SHARDED_CLASSES, sorted(classes ^ SHARDED_CLASSES)
 
 
-# What people run or import directly (the console script, the served surface)
-# and the experiment harness behind ``benchmarks/bench_fig*.py``.
+REFERENCE = SRC / "repro" / "reference.py"
+# What the brute-force reference must not share with the engine it checks.
+ENGINE = (
+    "scipy",
+    "repro.index",
+    "repro.storage",
+    "repro.geometry",
+    "repro.core",
+    "repro.fuzzy.alpha_distance",
+    "repro.fuzzy.profile",
+    "repro.fuzzy.summary",
+)
+
+
+def test_reference_shares_no_code_with_the_engine():
+    imported = imports_of(REFERENCE, "repro.reference")
+    assert ("repro.fuzzy.fuzzy_object", "FuzzyObject") in imported, (
+        "the check is not looking at the module"
+    )
+    for module, name in imported:
+        spelled = [module] + ([f"{module}.{name}"] if name else [])
+        for package in ENGINE:
+            assert not any(within(m, package) for m in spelled), (module, name)
+
+
+# What people run or import directly (the console script, the served surface),
+# the experiment harness behind ``benchmarks/bench_fig*.py``, and the
+# reference implementation the tests compare the engine against.
 ENTRY_POINTS = (
     "repro.cli",
     "repro.service.client",
     "repro.service.query_service",
     "repro.service.sharded",
     "repro.bench",
+    "repro.reference",
 )
 
 

@@ -12,7 +12,7 @@ must not change:
 * the vectorised candidate gather returns exactly what the per-(leaf, query)
   loop it replaced returned (the loop is kept *here* as the reference);
 * answers — ids, order and distances — equal the unsharded engine's and the
-  linear scan's, ties at the k-th rank breaking by object id.
+  brute-force reference's, ties at the k-th rank breaking by object id.
 """
 
 import functools
@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.executor as executor_module
+import repro.reference as brute_force
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import _PRUNE_SLACK, BatchQueryExecutor, RepresentativeIndex
@@ -38,7 +39,7 @@ from repro.index.soa import min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
 from repro.service import ShardedDatabase
 
-from tests.conftest import make_fuzzy_object
+from tests.conftest import make_fuzzy_object, stored_objects
 
 ALPHA = 0.5
 N_TWINS = 12
@@ -208,8 +209,8 @@ class TestEveryAccessBuysADistance:
         plain = executor.aknn_batch(queries, k=5, alpha=ALPHA)
         seeds = []
         for query in queries:
-            scan = reference.linear_scan().aknn(query, k=len(reference), alpha=ALPHA)
-            seeds.append({n.object_id: n.distance for n in scan.neighbors})
+            scan = brute_force.aknn(stored_objects(reference), query, len(reference), ALPHA)
+            seeds.append(dict(scan))
         radii = np.array([r.neighbors[-1].distance for r in plain.results])
 
         before = reference.store.statistics.object_accesses
@@ -259,11 +260,10 @@ class TestServedAnswersAreExact:
         want = reference.execute_batch(requests_for(queries, k, method))
         assert answers(got) == answers(want)
         for query, result in zip(queries, got):
-            truth = reference.linear_scan().aknn(query, k=k, alpha=ALPHA)
-            ranked = sorted(truth.neighbors, key=lambda n: (n.distance, n.object_id))
-            assert result.object_ids == [n.object_id for n in ranked]
+            ranked = brute_force.aknn(stored_objects(reference), query, k, ALPHA)
+            assert result.object_ids == [object_id for object_id, _ in ranked]
             assert [n.distance for n in result.neighbors] == pytest.approx(
-                [n.distance for n in ranked], abs=1e-12
+                [distance for _, distance in ranked], abs=1e-12
             )
 
     def test_same_query_object_twice(self, sharded, reference, query_pool):

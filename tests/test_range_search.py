@@ -1,11 +1,13 @@
-"""Tests for the alpha range searcher against the linear-scan baseline."""
+"""Tests for the alpha range searcher against the brute-force reference."""
 
 import pytest
 
+from repro import reference
 from repro.core.query import PreparedQuery
 from repro.core.range_search import AlphaRangeSearcher
 from repro.core.requests import RangeRequest
 from repro.exceptions import InvalidQueryError
+from tests.conftest import stored_objects
 
 
 class TestCorrectness:
@@ -13,10 +15,12 @@ class TestCorrectness:
     @pytest.mark.parametrize("radius", [0.0, 0.5, 1.5, 4.0])
     def test_matches_linear_scan(self, dense_database, dense_queries, alpha, radius):
         query = dense_queries[0]
-        expected = dense_database.linear_scan().range_search(query, alpha, radius)
+        expected = reference.range_search(
+            stored_objects(dense_database), query, alpha, radius
+        )
         actual = dense_database.execute(RangeRequest(query, alpha=alpha, radius=radius))
-        assert sorted(actual.object_ids) == sorted(expected.object_ids)
-        expected_distances = dict(expected.matches)
+        expected_distances = dict(expected)
+        assert sorted(actual.object_ids) == sorted(expected_distances)
         for object_id, distance in actual.matches:
             assert distance == pytest.approx(expected_distances[object_id])
 

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNNSearcher
 from repro.core.database import FuzzyDatabase
@@ -33,7 +34,6 @@ from repro.core.requests import (
     QueryEngine,
     QueryRequest,
     RangeRequest,
-    ReverseMethod,
     ReverseRequest,
     SweepMethod,
     SweepRequest,
@@ -55,6 +55,7 @@ from tests.conftest import (
     assert_same_assignments,
     make_fuzzy_object,
     sorted_exact_distances,
+    stored_objects,
 )
 
 
@@ -74,10 +75,6 @@ class TestRequestValidation:
     def test_method_strings_coerce_to_enums(self):
         query = self.query()
         assert AknnRequest(query, k=1, method="basic").method is AknnMethod.BASIC
-        assert (
-            ReverseRequest(query, k=1, method="pruned").method
-            is ReverseMethod.PRUNED
-        )
         assert SweepRequest(query, k=1, method="rss").method is SweepMethod.RSS
 
     def test_invalid_parameters_raise(self):
@@ -110,8 +107,8 @@ class TestRequestValidation:
         # The method is part of the key: a per-request override lands in its
         # own bucket instead of silently riding the default engine.
         assert (
-            ReverseRequest(q1, k=3, alpha=0.5).bucket_key()
-            != ReverseRequest(q1, k=3, alpha=0.5, method="linear").bucket_key()
+            AknnRequest(q1, k=3, alpha=0.5).bucket_key()
+            != AknnRequest(q1, k=3, alpha=0.5, method="basic").bucket_key()
         )
         # Keys never contain the query object itself.
         assert all(
@@ -144,7 +141,7 @@ class TestMixedBatchSingleDatabase:
             RangeRequest(q2, alpha=0.5, radius=2.0),
             SweepRequest(q0, k=3, alpha_range=(0.4, 0.6)),
             AknnRequest(q2, k=3, alpha=0.7),        # its own bucket
-            ReverseRequest(q2, k=4, alpha=0.5, method="pruned"),
+            ReverseRequest(q2, k=3, alpha=0.5),     # its own bucket
         ]
         results = db.execute_batch(requests)
 
@@ -167,7 +164,7 @@ class TestMixedBatchSingleDatabase:
         assert results[3].object_ids == alone[3].object_ids
         assert_same_assignments(results[4].assignments, alone[4].assignments)
         assert results[6].object_ids == alone[6].object_ids
-        assert results[6].method == "pruned"
+        assert results[6].k == 3
 
     def test_single_execute_matches_single_query_path_exactly(
         self, dense_database, dense_queries
@@ -446,15 +443,14 @@ class TestServiceMixedCoalescing:
         rng = np.random.default_rng(6)
         query = make_fuzzy_object(rng, center=[5.0, 5.0])
         with QueryService(database, window_ms=40.0) as service:
-            batch_future = service.submit_request(
-                ReverseRequest(query, k=3, alpha=0.5)
+            default_future = service.submit_request(
+                AknnRequest(query, k=3, alpha=0.5)
             )
-            linear_future = service.submit_request(
-                ReverseRequest(query, k=3, alpha=0.5, method="linear")
+            basic_future = service.submit_request(
+                AknnRequest(query, k=3, alpha=0.5, method="basic")
             )
-            assert (
-                batch_future.result(timeout=30).object_ids
-                == linear_future.result(timeout=30).object_ids
+            assert set(default_future.result(timeout=30).object_ids) == set(
+                basic_future.result(timeout=30).object_ids
             )
             stats = service.stats()
         assert stats.batches_flushed == 2  # distinct bucket keys
@@ -560,11 +556,9 @@ class TestSharedProfileStore:
         # sweep range then reuses those evaluations (and stays exact).
         sweep = db.execute(SweepRequest(query, k=3, alpha_range=(0.4, 0.7)))
         assert len(sweep) > 0
-        baseline = db.execute(
-            ReverseRequest(query, k=3, alpha=0.5, method="linear")
-        )
+        baseline = reference.reverse(stored_objects(db), query, 3, 0.5)
         shared = db.execute(ReverseRequest(query, k=3, alpha=0.5))
-        assert shared.object_ids == baseline.object_ids
+        assert shared.object_ids == [object_id for object_id, _ in baseline]
         # Repeating the same reverse request is now served from the memo:
         # no new exact candidate evaluations are charged.
         repeat = db.execute(ReverseRequest(query, k=3, alpha=0.5))

@@ -1,20 +1,22 @@
-"""Tests for the RKNN searcher: every method variant against the exact sweep."""
+"""Tests for the RKNN searcher: every method variant against the brute-force
+sweep of :mod:`repro.reference`."""
 
 import time
 
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNNSearcher
 from repro.core.database import FuzzyDatabase
 from repro.core.rknn import (
     RKNN_METHODS,
     RKNNSearcher,
+    rank_objects,
     refine_candidates_basic,
     refine_candidates_icr,
 )
-from repro.core.linear_scan import evaluate_piecewise
 from repro.core.requests import SweepRequest
 from repro.core.results import QueryStats
 from repro.datasets.builder import build_dataset
@@ -23,7 +25,7 @@ from repro.exceptions import DeadlineExceededError, InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.profile import DistanceProfile
 from repro.service import ShardedDatabase
-from tests.conftest import assert_same_assignments, make_fuzzy_object
+from tests.conftest import assert_same_assignments, make_fuzzy_object, stored_objects
 
 
 class TestCorrectness:
@@ -32,11 +34,13 @@ class TestCorrectness:
     def test_matches_linear_scan(self, dense_database, dense_queries, method, alpha_range):
         query = dense_queries[0]
         k = 5
-        truth = dense_database.linear_scan().rknn(query, k=k, alpha_range=alpha_range)
+        truth = reference.sweep(
+            stored_objects(dense_database), query, k=k, alpha_range=alpha_range
+        )
         result = dense_database.execute(
             SweepRequest(query, k=k, alpha_range=alpha_range, method=method)
         )
-        assert_same_assignments(result.assignments, truth.assignments)
+        assert_same_assignments(result.assignments, truth)
 
     @pytest.mark.parametrize("method", RKNN_METHODS)
     def test_matches_linear_scan_when_objects_share_membership_levels(self, method):
@@ -55,22 +59,26 @@ class TestCorrectness:
         try:
             for alpha_range in [(0.3, 0.7), (0.45, 0.55), (0.1, 1.0)]:
                 query = quantised([3.0, 3.0])
-                truth = database.linear_scan().rknn(query, k=4, alpha_range=alpha_range)
+                truth = reference.sweep(
+                    stored_objects(database), query, k=4, alpha_range=alpha_range
+                )
                 result = database.execute(
                     SweepRequest(query, k=4, alpha_range=alpha_range, method=method)
                 )
-                assert_same_assignments(result.assignments, truth.assignments)
+                assert_same_assignments(result.assignments, truth)
         finally:
             database.close()
 
     @pytest.mark.parametrize("method", ["basic", "rss", "rss_icr"])
     def test_multiple_queries(self, dense_database, dense_queries, method):
         for query in dense_queries:
-            truth = dense_database.linear_scan().rknn(query, k=3, alpha_range=(0.4, 0.8))
+            truth = reference.sweep(
+                stored_objects(dense_database), query, k=3, alpha_range=(0.4, 0.8)
+            )
             result = dense_database.execute(
                 SweepRequest(query, k=3, alpha_range=(0.4, 0.8), method=method)
             )
-            assert_same_assignments(result.assignments, truth.assignments)
+            assert_same_assignments(result.assignments, truth)
 
     @pytest.mark.parametrize("method", ["rss", "rss_icr"])
     def test_on_cell_dataset(self, cell_database, method):
@@ -78,11 +86,13 @@ class TestCorrectness:
 
         rng = np.random.default_rng(17)
         query = generate_query_object(rng, kind="cells", space_size=7.0, points_per_object=40)
-        truth = cell_database.linear_scan().rknn(query, k=4, alpha_range=(0.35, 0.75))
+        truth = reference.sweep(
+            stored_objects(cell_database), query, k=4, alpha_range=(0.35, 0.75)
+        )
         result = cell_database.execute(
             SweepRequest(query, k=4, alpha_range=(0.35, 0.75), method=method)
         )
-        assert_same_assignments(result.assignments, truth.assignments)
+        assert_same_assignments(result.assignments, truth)
 
     @pytest.mark.parametrize("method", ["rss", "rss_icr"])
     def test_different_aknn_methods_give_same_answer(self, dense_database, dense_queries, method):
@@ -112,11 +122,11 @@ class TestCorrectness:
 
     def test_degenerate_range_matches_aknn(self, dense_database, dense_queries):
         query = dense_queries[2]
-        aknn = dense_database.linear_scan().aknn(query, k=5, alpha=0.55)
+        aknn = reference.aknn(stored_objects(dense_database), query, k=5, alpha=0.55)
         rknn = dense_database.execute(
             SweepRequest(query, k=5, alpha_range=(0.55, 0.55), method="rss_icr")
         )
-        assert sorted(rknn.object_ids) == sorted(aknn.object_ids)
+        assert sorted(rknn.object_ids) == sorted(object_id for object_id, _ in aknn)
 
     def test_result_metadata_and_qualifying_at(self, dense_database, dense_queries):
         query = dense_queries[0]
@@ -126,8 +136,8 @@ class TestCorrectness:
         assert result.k == 4
         assert result.alpha_range == (0.4, 0.7)
         assert result.method == "rss"
-        truth = dense_database.linear_scan().aknn(query, k=4, alpha=0.55)
-        assert sorted(result.qualifying_at(0.55)) == sorted(truth.object_ids)
+        truth = reference.aknn(stored_objects(dense_database), query, k=4, alpha=0.55)
+        assert sorted(result.qualifying_at(0.55)) == sorted(object_id for object_id, _ in truth)
 
 
 class TestValidation:
@@ -215,35 +225,56 @@ class TestCostBehaviour:
         assert result.stats.extra.get("candidates", 0) >= 5
 
 
+class TestRankObjects:
+    def test_orders_by_distance_then_id(self):
+        distances = {3: 1.0, 1: 2.0, 2: 1.0, 4: 0.5}
+        top, k_plus_1 = rank_objects(distances, 2)
+        assert top == [4, 2]
+        assert k_plus_1 == 1.0  # object 3 ties at distance 1.0
+
+    def test_fewer_objects_than_k(self):
+        top, k_plus_1 = rank_objects({1: 3.0}, 5)
+        assert top == [1]
+        assert k_plus_1 == float("inf")
+
+    def test_empty(self):
+        top, k_plus_1 = rank_objects({}, 3)
+        assert top == []
+        assert k_plus_1 == float("inf")
+
+
 class TestRefinementHelpers:
-    """The in-memory refinement routines against the exact piecewise sweep."""
+    """The in-memory refinement routines against the reference's piecewise
+    evaluation, which is handed the same steps as plain arrays."""
 
     @staticmethod
-    def _random_profiles(rng, count=12, levels=6):
-        profiles = {}
+    def _random_steps(rng, count=12, levels=6):
+        """``{id: (levels, distances)}`` of random non-decreasing step functions."""
+        steps = {}
         for object_id in range(count):
             level_values = np.sort(rng.choice(np.linspace(0.05, 1.0, 20), size=levels, replace=False))
             if level_values[-1] < 1.0:
                 level_values = np.append(level_values, 1.0)
             base = rng.random() * 3
             increments = np.cumsum(rng.random(level_values.size) * rng.integers(0, 2, level_values.size))
-            profiles[object_id] = DistanceProfile(level_values, base + increments)
-        return profiles
+            steps[object_id] = (level_values, base + increments)
+        return steps
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     @pytest.mark.parametrize("refine", [refine_candidates_basic, refine_candidates_icr])
     def test_refinement_matches_piecewise_sweep(self, k, refine):
-        rng = np.random.default_rng(k)
         for trial in range(5):
-            profiles = self._random_profiles(np.random.default_rng(trial * 13 + k))
+            steps = self._random_steps(np.random.default_rng(trial * 13 + k))
+            profiles = {i: DistanceProfile(*step) for i, step in steps.items()}
             alpha_start, alpha_end = 0.2, 0.9
-            expected = evaluate_piecewise(profiles, k, alpha_start, alpha_end)
+            expected = reference.piecewise(steps, k, alpha_start, alpha_end)
             actual = refine(profiles, k, alpha_start, alpha_end, QueryStats())
             assert_same_assignments(actual, expected)
 
     def test_icr_never_more_steps_than_basic(self):
         rng = np.random.default_rng(99)
-        profiles = self._random_profiles(rng, count=20, levels=8)
+        steps = self._random_steps(rng, count=20, levels=8)
+        profiles = {i: DistanceProfile(*step) for i, step in steps.items()}
         basic_stats, icr_stats = QueryStats(), QueryStats()
         refine_candidates_basic(profiles, 4, 0.1, 0.95, basic_stats)
         refine_candidates_icr(profiles, 4, 0.1, 0.95, icr_stats)

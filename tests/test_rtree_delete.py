@@ -9,6 +9,7 @@ surviving objects.
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.core.requests import AknnRequest
@@ -17,7 +18,7 @@ from repro.fuzzy.summary import build_summary
 from repro.geometry.mbr import MBR
 from repro.index.rtree import RTree
 
-from tests.conftest import make_fuzzy_object
+from tests.conftest import make_fuzzy_object, stored_objects
 
 
 def _summaries(rng, count, **kwargs):
@@ -126,16 +127,16 @@ class TestDatabaseLiveUpdates:
             database.delete(object_id)
             database.validate()
         result = database.execute(AknnRequest(query_object, k=5, alpha=0.5))
-        truth = database.linear_scan().aknn(query_object, k=5, alpha=0.5)
-        assert set(result.object_ids) == set(truth.object_ids)
+        truth = reference.aknn(stored_objects(database), query_object, k=5, alpha=0.5)
+        assert set(result.object_ids) == {object_id for object_id, _ in truth}
 
     def test_insert_visible_to_queries(self, database, query_object, rng):
         # An object dropped on the query's own centre must become the 1-NN.
         clone = make_fuzzy_object(rng, center=[5.0, 5.0], spread=0.05)
         object_id = database.insert(clone)
         result = database.execute(AknnRequest(query_object, k=1, alpha=0.5))
-        truth = database.linear_scan().aknn(query_object, k=1, alpha=0.5)
-        assert set(result.object_ids) == set(truth.object_ids)
+        truth = reference.aknn(stored_objects(database), query_object, k=1, alpha=0.5)
+        assert set(result.object_ids) == {object_id for object_id, _ in truth}
         assert object_id in database.object_ids()
 
     def test_deleted_object_never_returned(self, database, query_object):
@@ -164,5 +165,5 @@ class TestDatabaseLiveUpdates:
         database.delete(victim)
         database.insert(make_fuzzy_object(rng, center=[5.0, 5.0], spread=0.1))
         batch = database.execute_batch(requests)
-        truth = database.linear_scan().aknn(query_object, k=4, alpha=0.5)
-        assert set(batch[0].object_ids) == set(truth.object_ids)
+        truth = reference.aknn(stored_objects(database), query_object, k=4, alpha=0.5)
+        assert set(batch[0].object_ids) == {object_id for object_id, _ in truth}

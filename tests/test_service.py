@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import reference as oracle
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.core.requests import AknnRequest, ReverseRequest
@@ -119,10 +120,10 @@ class TestCoalescing:
             assert set(result.object_ids) == set(want.object_ids)
 
     def test_reverse_submissions_coalesce_into_one_bucket(
-        self, sharded, reference, queries
+        self, sharded, objects, queries
     ):
         """Reverse AKNN requests sharing (k, alpha) flush as one bucket and
-        return exactly the direct per-query answers."""
+        return exactly the brute-force per-query answers."""
         with QueryService(
             sharded, window_ms=200.0, max_batch=len(queries)
         ) as service:
@@ -132,10 +133,8 @@ class TestCoalescing:
             ]
             for query, future in zip(queries, futures):
                 result = future.result(timeout=30)
-                want = reference.execute(
-                    ReverseRequest(query, k=3, alpha=0.5, method="linear")
-                )
-                assert result.object_ids == want.object_ids
+                want = oracle.reverse(objects, query, 3, 0.5)
+                assert result.object_ids == [object_id for object_id, _ in want]
             stats = service.stats()
             assert stats.batches_flushed == 1
             assert stats.max_batch_size == len(queries)
@@ -157,9 +156,7 @@ class TestCoalescing:
             result = service.execute(
                 ReverseRequest(queries[0], k=2, alpha=0.5), timeout=30
             )
-            want = reference.execute(
-                ReverseRequest(queries[0], k=2, alpha=0.5, method="batch")
-            )
+            want = reference.execute(ReverseRequest(queries[0], k=2, alpha=0.5))
             assert result.object_ids == want.object_ids
 
 

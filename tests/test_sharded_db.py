@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import reference as oracle
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNN_METHODS
 from repro.core.database import FuzzyDatabase
@@ -33,7 +34,7 @@ from repro.exceptions import (
 from repro.service import QueryService, ShardedDatabase
 from repro.service.placement import HashPlacement, SpacePlacement, make_placement
 
-from tests.conftest import assert_same_assignments, make_fuzzy_object
+from tests.conftest import assert_same_assignments, make_fuzzy_object, stored_objects
 
 SHARD_COUNTS = (2, 3, 5)
 PLACEMENTS = ("hash", "space")
@@ -146,26 +147,21 @@ class TestQueryParity:
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
     @pytest.mark.parametrize("n_shards", (2, 4))
-    @pytest.mark.parametrize("method", ["linear", "pruned", "batch"])
     def test_reverse_aknn_parity(
-        self, objects, config, reference, queries, placement, n_shards, method
+        self, objects, config, queries, placement, n_shards
     ):
-        """Sharded reverse AKNN returns the single-tree answer for every
-        method, placement and shard count."""
+        """Sharded reverse AKNN returns the brute-force answer for every
+        placement and shard count."""
         sharded = build_sharded(objects, config, n_shards, placement)
         try:
             for query in queries[:2]:
                 for k in (1, 4):
-                    want = reference.execute(
-                        ReverseRequest(query, k=k, alpha=0.5, method="linear")
-                    )
-                    got = sharded.execute(
-                        ReverseRequest(query, k=k, alpha=0.5, method=method)
-                    )
-                    assert got.object_ids == want.object_ids
+                    want = dict(oracle.reverse(objects, query, k, 0.5))
+                    got = sharded.execute(ReverseRequest(query, k=k, alpha=0.5))
+                    assert got.object_ids == sorted(want)
                     for object_id in got.object_ids:
                         assert got.distances[object_id] == pytest.approx(
-                            want.distances[object_id]
+                            want[object_id]
                         )
         finally:
             sharded.close()
@@ -180,9 +176,7 @@ class TestQueryParity:
             )
             assert len(results) == len(queries)
             for query, got in zip(queries, results):
-                want = reference.execute(
-                    ReverseRequest(query, k=3, alpha=0.5, method="batch")
-                )
+                want = reference.execute(ReverseRequest(query, k=3, alpha=0.5))
                 assert got.object_ids == want.object_ids
         finally:
             sharded.close()
@@ -194,10 +188,6 @@ class TestQueryParity:
                 sharded.execute(ReverseRequest(queries[0], k=0, alpha=0.5))
             with pytest.raises(InvalidQueryError):
                 sharded.execute(ReverseRequest(queries[0], k=2, alpha=0.0))
-            with pytest.raises(InvalidQueryError):
-                sharded.execute(
-                    ReverseRequest(queries[0], k=2, alpha=0.5, method="bogus")
-                )
         finally:
             sharded.close()
 
@@ -272,15 +262,10 @@ class TestLiveWorkloadParity:
             SweepRequest(queries[0], k=4, alpha_range=(0.35, 0.65))
         )
         assert_same_assignments(got_rknn.assignments, want_rknn.assignments)
-        # Reverse AKNN stays exact after churn, for every method.
-        for method in ("linear", "pruned", "batch"):
-            got_reverse = sharded.execute(
-                ReverseRequest(queries[0], k=3, alpha=0.5, method=method)
-            )
-            want_reverse = mirror.execute(
-                ReverseRequest(queries[0], k=3, alpha=0.5, method="linear")
-            )
-            assert got_reverse.object_ids == want_reverse.object_ids
+        # Reverse AKNN stays exact after churn.
+        got_reverse = sharded.execute(ReverseRequest(queries[0], k=3, alpha=0.5))
+        want_reverse = oracle.reverse(stored_objects(mirror), queries[0], 3, 0.5)
+        assert got_reverse.object_ids == [object_id for object_id, _ in want_reverse]
         sharded.close()
         mirror.close()
 
@@ -479,7 +464,7 @@ class TestOneSetOfNumbers:
             np.random.default_rng(17), kind="synthetic", space_size=6.0,
             points_per_object=24,
         )
-        for method in ("naive", "basic", "rss", "rss_icr"):
+        for method in ("basic", "rss", "rss_icr"):
             request = SweepRequest(
                 query, k=self.K, alpha_range=(0.3, 0.8), method=method
             )
