@@ -12,10 +12,11 @@ the failure-semantics contract held:
 
 2. **Dead shard** — a permanent ``raise`` rule on one shard with a small
    breaker threshold.  Every future must still complete, every answer must
-   carry partial coverage naming the dead shard, the breaker must reach
-   OPEN (non-zero ``breaker_open``), and once open the shard must stop
-   being invoked at all (the fault plan's fired count freezes while
-   ``breaker_shed`` keeps climbing).
+   carry partial coverage naming the dead shard, every range and AKNN
+   answer must equal :mod:`repro.reference`'s over the surviving shards'
+   objects, the breaker must reach OPEN (non-zero ``breaker_open``), and
+   once open the shard must stop being invoked at all (the fault plan's
+   fired count freezes while ``breaker_shed`` keeps climbing).
 
 Run locally::
 
@@ -33,6 +34,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import reference  # noqa: E402
 from repro.config import RuntimeConfig  # noqa: E402
 from repro.core.requests import (  # noqa: E402
     AknnRequest,
@@ -98,6 +100,24 @@ def _run_workload(database, requests) -> list:
         return [future.result(timeout=FUTURE_TIMEOUT_S) for future in futures]
 
 
+def _answers_the_survivors(request, result, survivors) -> bool:
+    """A range or AKNN answer equals the reference over ``survivors`` (ids
+    and distances); other families are not checked here."""
+    if isinstance(request, RangeRequest):
+        want = reference.range_search(
+            survivors, request.query, request.alpha, request.radius
+        )
+        got = result.matches
+    elif isinstance(request, AknnRequest):
+        want = reference.aknn(survivors, request.query, request.k, request.alpha)
+        got = [(n.object_id, n.distance) for n in result.neighbors]
+    else:
+        return True
+    return sorted(i for i, _ in got) == sorted(i for i, _ in want) and np.allclose(
+        sorted(d for _, d in got), sorted(d for _, d in want), rtol=1e-9, atol=1e-12
+    )
+
+
 def phase_transient(objects, queries, seed: int, n_requests: int, failures: list):
     print(f"\n=== phase 1: transient chaos (seed {seed}) ===")
     database = _build(objects)
@@ -134,9 +154,16 @@ def phase_dead_shard(objects, queries, n_requests: int, failures: list):
     )
     try:
         dead = 1
+        survivors = [
+            obj
+            for shard in database._shards
+            if shard.index != dead
+            for obj in shard.db.store.iter_objects(count_accesses=False)
+        ]
         plan = FaultPlan.parse(f"shard={dead},kind=raise")
         database.fault_plan = plan
-        results = _run_workload(database, _mixed_requests(queries, n_requests))
+        requests = _mixed_requests(queries, n_requests)
+        results = _run_workload(database, requests)
         counters = database.metrics.as_dict()
         _check(len(results) == n_requests, "every future completed", failures)
         _check(
@@ -145,6 +172,14 @@ def phase_dead_shard(objects, queries, n_requests: int, failures: list):
                 for r in results
             ),
             "every answer is partial and names the dead shard",
+            failures,
+        )
+        _check(
+            all(
+                _answers_the_survivors(request, result, survivors)
+                for request, result in zip(requests, results)
+            ),
+            "every range and AKNN answer equals the reference over the survivors",
             failures,
         )
         _check(

@@ -14,8 +14,8 @@ request executed through one surface::
 ``execute_batch`` groups a mixed submission into per-type, per-bucket
 sub-batches (see :mod:`repro.core.requests`); requests sharing a
 ``bucket_key()`` are answered by the corresponding shared engine (one R-tree
-traversal for an AKNN bucket, one filter matrix + verification traversal for
-a reverse bucket).
+traversal for an AKNN or a range bucket, one filter matrix + verification
+traversal for a reverse bucket).
 
 The database owns the object store (point sets on disk or in memory), the
 R-tree over per-object summaries, and one searcher per query type.  A
@@ -206,17 +206,18 @@ class FuzzyDatabase:
 
         The planner groups the submission into per-type, per-``bucket_key()``
         sub-batches; requests sharing a key are answered through the shared
-        engines (one R-tree traversal per AKNN bucket, one filter matrix +
-        one verification traversal per reverse bucket).  Results come back in
-        submission order.
+        engines (one R-tree traversal per AKNN or range bucket, one filter
+        matrix + one verification traversal per reverse bucket).  Results come
+        back in submission order.
         """
         return execute_plan(self, list(requests), rng=rng)
 
-    # Bucket hooks consumed by the planners in repro.core.requests.  A bucket
-    # of one runs the single-query searcher; larger buckets run the shared
-    # batch engines.  The ``deadline`` keyword is the bucket's abort point
-    # (latest member expiry); loops over members check it between queries,
-    # the batch engines between traversal chunks.
+    # Bucket hooks consumed by the planners in repro.core.requests.  An AKNN
+    # bucket of one runs the single-query searcher; larger AKNN buckets and
+    # every range / reverse bucket run the shared batch engines.  The
+    # ``deadline`` keyword is the bucket's abort point (latest member expiry);
+    # the sweep loop checks it between queries, the batch engines between
+    # traversal chunks.
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
@@ -253,16 +254,15 @@ class FuzzyDatabase:
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List[RangeSearchResult]:
-        results = []
-        for request in bucket:
-            if deadline is not None:
-                deadline.check("range")
-            results.append(
-                self.range_searcher.search(
-                    request.query, request.alpha, request.radius, rng=rng
-                )
-            )
-        return results
+        # One descent and one probe pass for the whole bucket, whatever the
+        # members' radii.
+        return self.range_searcher.search_batch(
+            [request.query for request in bucket],
+            bucket[0].alpha,
+            [request.radius for request in bucket],
+            rng=rng,
+            deadline=deadline,
+        )
 
     def _execute_sweep_bucket(
         self,

@@ -15,9 +15,10 @@ searcher, by amortising all index work across the batch:
   sharded database's live shards) and hands every part's executor the
   resulting radii (``initial_tau``) and the distances already paid for
   (``initial_exact``).
-* **One shared traversal.**  Every R-tree node is visited at most once per
-  batch.  A node is expanded only for the *active* queries whose radius it
-  can still beat, and the lower bounds (``d-_alpha`` of Section 3.2, or the
+* **One shared traversal** (:func:`shared_traversal`, which range buckets
+  descend too).  Every R-tree node is visited at most once per batch.  A
+  node is expanded only for the *active* queries whose radius it can still
+  beat, and the lower bounds (``d-_alpha`` of Section 3.2, or the
   support-MBR ``MinDist`` for ``method="basic"``) of all its entries against
   all active queries are evaluated as one ``(active, n)`` NumPy matrix
   against the node's struct-of-arrays view.  The Equation-2 reconstruction
@@ -228,6 +229,74 @@ def probe_rows(
         else:
             distances.append(np.asarray([known[oid] for oid in row], dtype=float))
     return distances
+
+
+def shared_traversal(
+    tree: RTree,
+    alpha: float,
+    improved: bool,
+    q_lo: np.ndarray,
+    q_hi: np.ndarray,
+    tau: np.ndarray,
+    metrics: MetricsCollector,
+    deadline=None,
+) -> List[np.ndarray]:
+    """One descent of ``tree`` for a whole bucket, gathering candidate ids per query.
+
+    ``tau`` is each query's radius: an AKNN bucket's bootstrapped k-th
+    distance, or a range bucket's own radii (:mod:`repro.core.range_search`),
+    so both families share this one descent.  Every node is visited at most
+    once; bounds are evaluated only for the queries still *active* at a node
+    (their radius exceeds the node's ``MinDist``), as one ``(active, n)``
+    matrix per node.  Returns, per query, the ids of every leaf entry whose
+    lower bound survives the query's radius, in leaf-visit then entry order.
+    """
+    n_queries = q_lo.shape[0]
+    threshold = tau * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
+    # (query index, object id) of every surviving leaf entry, leaf by leaf
+    # (seeded empty, so a traversal that reaches no leaf still concatenates).
+    hit_queries = [np.empty(0, dtype=np.int64)]
+    hit_ids = [np.empty(0, dtype=np.int64)]
+    lb_counter = MetricsCollector.LOWER_BOUND_EVALUATIONS
+    # Stack of (node, active query indices); the radii are fixed up
+    # front, so no best-first ordering is needed.
+    stack: List[Tuple[object, np.ndarray]] = [
+        (tree.root, np.arange(n_queries))
+    ]
+    pops = 0
+    while stack:
+        node, active = stack.pop()
+        pops += 1
+        if deadline is not None and pops % _DEADLINE_CHECK_INTERVAL == 0:
+            deadline.check("batch traversal")
+        metrics.increment(MetricsCollector.NODE_ACCESSES)
+        if not node.entries:
+            continue
+        soa = node.soa()
+        if node.is_leaf:
+            if improved:
+                box_lo, box_hi = soa.approx_alpha_bounds(alpha)
+            else:
+                box_lo, box_hi = soa.lo, soa.hi
+            lb = min_dist_to_boxes(q_lo[active], q_hi[active], box_lo, box_hi)
+            metrics.increment(lb_counter, int(active.shape[0]) * soa.n)
+            rows, cols = np.nonzero(lb <= threshold[active, None])
+            hit_queries.append(active[rows])
+            hit_ids.append(soa.object_ids[cols])
+        else:
+            child_dists = soa.min_dist(q_lo[active], q_hi[active])
+            reachable = child_dists <= threshold[active, None]
+            keep = reachable.any(axis=0)
+            for j, entry in enumerate(node.entries):
+                if keep[j]:
+                    stack.append((entry.child, active[reachable[:, j]]))
+                else:
+                    metrics.increment(MetricsCollector.NODES_PRUNED)
+    # One stable sort groups the hits by query without reordering them.
+    owners = np.concatenate(hit_queries)
+    order = np.argsort(owners, kind="stable")
+    splits = np.cumsum(np.bincount(owners, minlength=n_queries))[:-1]
+    return np.split(np.concatenate(hit_ids)[order], splits)
 
 
 def aknn_bucket_pass(
@@ -451,8 +520,8 @@ class BatchQueryExecutor:
             )
         if deadline is not None:
             deadline.check("batch bootstrap")
-        candidates = self._shared_traversal(
-            alpha, improved, q_lo, q_hi, tau, metrics, deadline=deadline
+        candidates = shared_traversal(
+            self.tree, alpha, improved, q_lo, q_hi, tau, metrics, deadline=deadline
         )
         if deadline is not None:
             deadline.check("batch traversal")
@@ -483,71 +552,6 @@ class BatchQueryExecutor:
             sum(len(set(row).union(own)) for row, own in zip(rows, nominees)),
         )
         return results
-
-    def _shared_traversal(
-        self,
-        alpha: float,
-        improved: bool,
-        q_lo: np.ndarray,
-        q_hi: np.ndarray,
-        tau: np.ndarray,
-        metrics: MetricsCollector,
-        deadline=None,
-    ) -> List[np.ndarray]:
-        """Visit every needed node once, gathering candidate ids per query.
-
-        Bounds are evaluated only for the queries still *active* at a node
-        (their radius exceeds the node's ``MinDist``), as one
-        ``(active, n)`` matrix per node.  Returns, per query, the ids of
-        every leaf entry whose lower bound survives the query's radius, in
-        leaf-visit then entry order.
-        """
-        n_queries = q_lo.shape[0]
-        threshold = tau * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
-        # (query index, object id) of every surviving leaf entry, leaf by leaf
-        # (seeded empty, so a traversal that reaches no leaf still concatenates).
-        hit_queries = [np.empty(0, dtype=np.int64)]
-        hit_ids = [np.empty(0, dtype=np.int64)]
-        lb_counter = MetricsCollector.LOWER_BOUND_EVALUATIONS
-        # Stack of (node, active query indices); the radius is fixed up
-        # front by the bootstrap, so no best-first ordering is needed.
-        stack: List[Tuple[object, np.ndarray]] = [
-            (self.tree.root, np.arange(n_queries))
-        ]
-        pops = 0
-        while stack:
-            node, active = stack.pop()
-            pops += 1
-            if deadline is not None and pops % _DEADLINE_CHECK_INTERVAL == 0:
-                deadline.check("batch traversal")
-            metrics.increment(MetricsCollector.NODE_ACCESSES)
-            if not node.entries:
-                continue
-            soa = node.soa()
-            if node.is_leaf:
-                if improved:
-                    box_lo, box_hi = soa.approx_alpha_bounds(alpha)
-                else:
-                    box_lo, box_hi = soa.lo, soa.hi
-                lb = min_dist_to_boxes(q_lo[active], q_hi[active], box_lo, box_hi)
-                metrics.increment(lb_counter, int(active.shape[0]) * soa.n)
-                rows, cols = np.nonzero(lb <= threshold[active, None])
-                hit_queries.append(active[rows])
-                hit_ids.append(soa.object_ids[cols])
-            else:
-                child_dists = soa.min_dist(q_lo[active], q_hi[active])
-                reachable = child_dists <= threshold[active, None]
-                keep = reachable.any(axis=0)
-                for j, entry in enumerate(node.entries):
-                    if keep[j]:
-                        stack.append((entry.child, active[reachable[:, j]]))
-                    else:
-                        metrics.increment(MetricsCollector.NODES_PRUNED)
-        # One stable sort groups the hits by query without reordering them.
-        owners = np.concatenate(hit_queries)
-        order = np.argsort(owners, kind="stable")
-        splits = np.cumsum(np.bincount(owners, minlength=n_queries))[:-1]
-        return np.split(np.concatenate(hit_ids)[order], splits)
 
     def _aggregate_stats(
         self,

@@ -25,8 +25,8 @@ into per-type, per-:meth:`~QueryRequest.bucket_key` sub-batches, hands each
 group to the planner registered for its request type, and scatters the
 results back into submission order.  Requests sharing a bucket key are
 answered through the corresponding shared engine (one R-tree traversal for an
-AKNN bucket, one filter matrix + one verification traversal for a reverse
-bucket); the same keys drive the query service's coalescer, so a request
+AKNN or a range bucket, one filter matrix + one verification traversal for a
+reverse bucket); the same keys drive the query service's coalescer, so a request
 type defined once coalesces correctly at every layer.
 
 A future query family plugs in at one place: define the request dataclass
@@ -196,7 +196,9 @@ class RangeRequest(QueryRequest):
         self._validate_envelope()
 
     def bucket_key(self) -> Tuple:
-        return ("range", self.alpha, self.radius)
+        # The radius is per-request data, like the query: one bucket answers
+        # every radius with one descent.
+        return ("range", self.alpha)
 
 
 @dataclass(frozen=True)

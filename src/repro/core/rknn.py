@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.config import RKNN_EPSILON, RuntimeConfig
 from repro.core.aknn import aknn_fanout
-from repro.core.query import PreparedQuery
 from repro.core.range_search import collect_over_parts
 from repro.core.results import AKNNResult, QueryStats, RKNNResult, resolve_exact
 from repro.exceptions import InvalidQueryError
@@ -61,7 +60,6 @@ from repro.fuzzy.alpha_distance import (
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.intervals import IntervalSet
 from repro.fuzzy.profile import DistanceProfile
-from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 
 RKNN_METHODS: Tuple[str, ...] = ("basic", "rss", "rss_icr")
@@ -90,7 +88,7 @@ class RKNNSearcher:
     ----------
     parts:
         The partitions swept over; each exposes ``store`` (object reads and
-        access counters), ``aknn_searcher`` and ``range_searcher``.
+        access counters), ``tree`` and ``aknn_searcher``.
     fan_out:
         ``fan_out(op, fn)`` applies ``fn`` to every part and returns the
         values in ``parts`` order — a plain call for a set of one, the
@@ -310,19 +308,14 @@ class RKNNSearcher:
 
         if deadline is not None:
             deadline.check("sweep range")
-        metrics = MetricsCollector()
-        prepared = PreparedQuery(query, alpha_start, self.config, rng, metrics)
-        matches, objects = collect_over_parts(self.fan_out, prepared, radius)
-        stats.range_calls += 1
-        stats.node_accesses += metrics.get(MetricsCollector.NODE_ACCESSES)
-        stats.distance_evaluations += metrics.get(MetricsCollector.DISTANCE_EVALUATIONS)
-        stats.lower_bound_evaluations += metrics.get(
-            MetricsCollector.LOWER_BOUND_EVALUATIONS
+        found, objects = collect_over_parts(
+            self.fan_out, query, alpha_start, radius, self.config, rng, deadline
         )
-        stats.extra["candidates"] = stats.extra.get("candidates", 0.0) + len(matches)
+        self._merge_substats(stats, found.stats)
+        stats.extra["candidates"] = stats.extra.get("candidates", 0.0) + len(found)
 
         profiles: Dict[int, DistanceProfile] = {}
-        for object_id, _ in matches:
+        for object_id, _ in found.matches:
             profile = self.profile_store.lookup(query, object_id, alpha_end)
             if profile is None:
                 profile = distance_profile(

@@ -25,11 +25,11 @@ this module is how a query meets the shards, not the queries themselves:
 
 The families are **not** here.  Each is written once in its own module, over
 a *partition set* — parts exposing ``store`` / ``tree`` / ``executor`` /
-``aknn_searcher`` / ``range_searcher``, which a :class:`_Shard` does — and
-a single tree is a set of one.  A bucket hook picks ``_isolated`` (a
-per-part search and its merge: :func:`~repro.core.aknn.aknn_fanout`,
-:func:`~repro.core.range_search.range_fanout`) or ``_coupled`` (a pass over
-the live shards with ``_map_strict`` as its fan-out:
+``aknn_searcher``, which a :class:`_Shard` does — and a single tree is a set
+of one.  A bucket hook picks ``_isolated`` (a per-part search and its merge:
+:func:`~repro.core.aknn.aknn_fanout` for one AKNN query,
+:func:`~repro.core.range_search.range_bucket` for a whole range bucket) or
+``_coupled`` (a pass over the live shards with ``_map_strict`` as its fan-out:
 :func:`~repro.core.executor.aknn_bucket_pass`,
 :func:`~repro.core.rknn.sweep_pass`,
 :func:`~repro.core.reverse_nn.reverse_bucket_pass`) and calls it.
@@ -73,7 +73,7 @@ from repro.config import RuntimeConfig
 from repro.core.aknn import aknn_fanout
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import RepresentativeIndex, aknn_bucket_pass
-from repro.core.range_search import range_fanout
+from repro.core.range_search import range_bucket
 from repro.core.requests import (
     AknnRequest,
     QueryRequest,
@@ -106,9 +106,8 @@ T = TypeVar("T")
 class _Shard:
     """One partition: a FuzzyDatabase, its readers/writer lock, its breaker.
 
-    ``store`` / ``tree`` / ``executor`` / ``aknn_searcher`` /
-    ``range_searcher`` are what the families' partition-set functions see
-    of it.
+    ``store`` / ``tree`` / ``executor`` / ``aknn_searcher`` are what the
+    families' partition-set functions see of it.
     """
 
     __slots__ = ("index", "db", "lock", "breaker", "store")
@@ -132,18 +131,16 @@ class _Shard:
     def aknn_searcher(self):
         return self.db.aknn_searcher
 
-    @property
-    def range_searcher(self):
-        return self.db.range_searcher
-
 
 class _ShardStore:
-    """A shard's object store as a coupled pass reads it, outside any fan-out.
+    """A shard's object store as the families read it.
 
     Nothing blames a shard for a read made between fan-outs (a bootstrap
     nominee, a reverse candidate, a sweep's level scan or profile probe), so
     a failing ``get`` is converted here into the :class:`_FanoutFailure` that
     makes :meth:`ShardedDatabase._coupled` rerun the pass on the survivors.
+    A read inside the shard's own call (a range bucket's probes) fails that
+    call, with the same reason.
     """
 
     __slots__ = ("_index", "_store")
@@ -535,9 +532,11 @@ class ShardedDatabase:
                     raise DeadlineExceededError(
                         f"deadline expired during shard {shard.index} {op}"
                     ) from error
-                raise _ShardFailure(
-                    shard.index, f"{type(error).__name__}: {error}"
-                ) from error
+                if isinstance(error, _FanoutFailure):  # its own _ShardStore's read
+                    reason = error.failures[shard.index]
+                else:
+                    reason = f"{type(error).__name__}: {error}"
+                raise _ShardFailure(shard.index, reason) from error
             else:
                 shard.breaker.record_success()
                 return result
@@ -692,7 +691,9 @@ class ShardedDatabase:
         """Isolated fan-out: independent per-shard answers, merged.
 
         ``worker`` answers one shard (lock-free — see :meth:`_read_locked`)
-        and ``merge`` folds the answering shards' values into one result.
+        and ``merge`` folds the answering shards' values into one result, or
+        into a list of them (one per request of a bucket), each of which
+        carries the coverage.
         Shard failures are isolated: the survivors' values merge into a
         partial result whose coverage names the shards that failed.  Raises
         :class:`~repro.exceptions.ShardUnavailableError` only when no shard
@@ -712,7 +713,8 @@ class ShardedDatabase:
         if not answered:
             raise self._unavailable(failed)
         result = merge(values)
-        result.coverage = coverage
+        for one in result if isinstance(result, list) else [result]:
+            one.coverage = coverage
         return result
 
     def _coupled(
@@ -841,13 +843,16 @@ class ShardedDatabase:
         deadline=None,
     ) -> List:
         def answer(unit: Sequence[RangeRequest]) -> List:
-            (request,) = unit
-            local, merge = range_fanout(
-                request.query, request.alpha, request.radius, rng
+            # Isolated: each shard answers the whole bucket on its own (one
+            # descent, one probe pass); a lost shard leaves every member partial.
+            local, merge = range_bucket(
+                [request.query for request in unit], unit[0].alpha,
+                [request.radius for request in unit], self.config, rng,
+                deadline=deadline,
             )
-            return [self._isolated("range", local, merge, deadline=deadline)]
+            return self._isolated("range", local, merge, deadline=deadline)
 
-        return self._answer_bucket(bucket, [[r] for r in bucket], answer)
+        return self._answer_bucket(bucket, [bucket], answer)
 
     def _execute_sweep_bucket(
         self,

@@ -349,6 +349,21 @@ class TestPartialParity:
         assert_partial_coverage(got)
         assert sorted(got.matches) == pytest.approx(sorted(want.matches))
 
+    def test_range_bucket(self, dead_pair, queries):
+        """A bucket of mixed radii (and a duplicate) fans out once; every
+        member is partial and equals the survivors-only database's answer."""
+        sharded, reference = dead_pair
+        requests = [
+            RangeRequest(query, alpha=0.5, radius=radius)
+            for query, radius in zip(queries, (1.0, 2.5, 4.0))
+        ] + [RangeRequest(queries[0], alpha=0.5, radius=4.0)]
+        got = sharded.execute_batch(requests)
+        want = reference.execute_batch(requests)
+        for got_one, want_one in zip(got, want):
+            assert_partial_coverage(got_one)
+            assert got_one.matches == want_one.matches
+        assert any(result.matches for result in got)
+
     def test_sweep(self, dead_pair, queries):
         sharded, reference = dead_pair
         request = SweepRequest(queries[0], k=3, alpha_range=(0.45, 0.6))

@@ -94,12 +94,29 @@ def test_sharded_writes_no_family():
     imported = {name or module.rsplit(".", 1)[-1] for module, name in imports_of(SHARDED)}
     assert "FuzzyDatabase" in imported, "the check is not looking at the module"
     assert not imported.intersection(FAMILY_PIECES), sorted(imported.intersection(FAMILY_PIECES))
+    # range is answered a bucket at a time, never by a per-request worker
+    assert "range_bucket" in imported and "range_fanout" not in imported
     classes = {
         node.name
         for node in ast.walk(ast.parse(SHARDED.read_text()))
         if isinstance(node, ast.ClassDef)
     }
     assert classes == SHARDED_CLASSES, sorted(classes ^ SHARDED_CLASSES)
+
+
+RANGE = SRC / "repro" / "core" / "range_search.py"
+# What walking an R-tree looks like: its nodes' entries and children, a stack.
+NODE_WALK = {"root", "entries", "children", "child", "is_leaf"}
+
+
+def test_range_search_walks_no_tree_of_its_own():
+    """One descent in the package: range reuses the AKNN batch traversal."""
+    tree = ast.parse(RANGE.read_text())
+    assert ("repro.core.executor", "shared_traversal") in imports_of(RANGE)
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attributes & NODE_WALK, sorted(attributes & NODE_WALK)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not {name for name in names if "stack" in name.lower()}
 
 
 REFERENCE = SRC / "repro" / "reference.py"

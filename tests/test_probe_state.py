@@ -26,7 +26,12 @@ import repro.core.executor as executor_module
 import repro.reference as brute_force
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
-from repro.core.executor import _PRUNE_SLACK, BatchQueryExecutor, RepresentativeIndex
+from repro.core.executor import (
+    _PRUNE_SLACK,
+    BatchQueryExecutor,
+    RepresentativeIndex,
+    shared_traversal,
+)
 from repro.core.query import PreparedQuery
 from repro.core.requests import AknnRequest
 from repro.datasets.builder import build_dataset
@@ -377,14 +382,14 @@ class TestBatchCandidates:
     def survivors(self, monkeypatch):
         """Total (query, object) pairs the shared traversals let through."""
         seen = []
-        traversal = BatchQueryExecutor._shared_traversal
+        traversal = executor_module.shared_traversal
 
-        def logged(self, *args, **kwargs):
-            per_query = traversal(self, *args, **kwargs)
+        def logged(*args, **kwargs):
+            per_query = traversal(*args, **kwargs)
             seen.append(sum(ids.shape[0] for ids in per_query))
             return per_query
 
-        monkeypatch.setattr(BatchQueryExecutor, "_shared_traversal", logged)
+        monkeypatch.setattr(executor_module, "shared_traversal", logged)
         return seen
 
     def test_shards_count_their_own_survivors_not_the_shared_memo(
@@ -454,7 +459,8 @@ class TestPreparedQueriesAreReused:
 # The vectorised gather equals the loop it replaces
 # ----------------------------------------------------------------------
 def gather_by_loop(tree, alpha, improved, q_lo, q_hi, tau):
-    """The parent commit's ``_shared_traversal``, verbatim but for the names.
+    """``shared_traversal`` as it was before its gather was vectorised,
+    verbatim but for the names.
 
     One Python iteration per (leaf, active query), ``mask.any()`` + a copy
     each; kept as the reference the vectorised gather must reproduce.
@@ -573,9 +579,8 @@ class TestGatherEqualsTheLoop:
             tau[0] = 0.0
 
         want, want_metrics = gather_by_loop(tree, alpha, improved, q_lo, q_hi, tau)
-        executor = BatchQueryExecutor(store=None, tree=tree)
         got_metrics = MetricsCollector()
-        got = executor._shared_traversal(alpha, improved, q_lo, q_hi, tau, got_metrics)
+        got = shared_traversal(tree, alpha, improved, q_lo, q_hi, tau, got_metrics)
 
         assert len(got) == len(want) == q_lo.shape[0]
         for got_ids, want_ids in zip(got, want):
@@ -588,9 +593,6 @@ class TestGatherEqualsTheLoop:
 
     def test_a_tree_with_no_leaf_hit_returns_empty_rows(self):
         tree = RTree.bulk_load(summary_pool()[:10], max_entries=4)
-        executor = BatchQueryExecutor(store=None, tree=tree)
         far = np.full((3, 2), 1e6)
-        got = executor._shared_traversal(
-            0.5, True, far, far, np.zeros(3), MetricsCollector()
-        )
+        got = shared_traversal(tree, 0.5, True, far, far, np.zeros(3), MetricsCollector())
         assert [ids.tolist() for ids in got] == [[], [], []]

@@ -1,13 +1,21 @@
-"""Tests for the alpha range searcher against the brute-force reference."""
+"""Tests for range search against the brute-force reference."""
 
+import dataclasses
+import time
+
+import numpy as np
 import pytest
 
 from repro import reference
-from repro.core.query import PreparedQuery
-from repro.core.range_search import AlphaRangeSearcher
-from repro.core.requests import RangeRequest
-from repro.exceptions import InvalidQueryError
-from tests.conftest import stored_objects
+from repro.config import RuntimeConfig
+from repro.core.database import FuzzyDatabase
+from repro.core.range_search import AlphaRangeSearcher, collect_over_parts
+from repro.core.requests import RangeRequest, execute_plan
+from repro.datasets.builder import build_dataset
+from repro.datasets.queries import generate_query_object
+from repro.exceptions import DeadlineExceededError, InvalidQueryError
+from repro.service import FaultPlan, QueryService, ShardedDatabase
+from tests.conftest import make_fuzzy_object, stored_objects
 
 
 class TestCorrectness:
@@ -43,15 +51,29 @@ class TestCorrectness:
                 RangeRequest(dense_queries[0], alpha=0.5, radius=-0.1)
             )
 
+    def test_nan_radius_rejected_at_the_searcher(self, dense_database, dense_queries):
+        query, nan = dense_queries[0], float("nan")
+        with pytest.raises(InvalidQueryError):
+            dense_database.range_searcher.search(query, 0.5, nan)
+        one_part = lambda op, fn: [fn(dense_database)]  # noqa: E731
+        with pytest.raises(InvalidQueryError):
+            collect_over_parts(one_part, query, 0.5, nan, dense_database.config)
+        # the sweep's unbounded radius stays legal: every object is a candidate
+        found, _ = collect_over_parts(
+            one_part, query, 0.5, float("inf"), dense_database.config
+        )
+        assert len(found) == len(dense_database)
+
 
 class TestCollect:
     def test_collect_returns_probed_objects(self, dense_database, dense_queries):
-        query = dense_queries[0]
-        searcher = AlphaRangeSearcher(dense_database.store, dense_database.tree)
-        prepared = PreparedQuery(query, 0.5)
-        matches, objects = searcher.collect(prepared, radius=2.0)
-        assert set(objects.keys()) >= {object_id for object_id, _ in matches}
-        for object_id, _ in matches:
+        found, objects = collect_over_parts(
+            lambda op, fn: [fn(dense_database)], dense_queries[0], 0.5, 2.0,
+            dense_database.config,
+        )
+        assert found.matches
+        assert set(objects.keys()) >= set(found.object_ids)
+        for object_id in found.object_ids:
             assert objects[object_id].object_id == object_id
 
     def test_matches_sorted_by_distance(self, dense_database, dense_queries):
@@ -79,3 +101,161 @@ class TestCollect:
             RangeRequest(FuzzyObject.single_point([0.0, 0.0]), alpha=0.5, radius=10.0)
         )
         assert len(result) == 0
+
+
+# ----------------------------------------------------------------------
+# A whole bucket: one descent and one probe pass per partition
+# ----------------------------------------------------------------------
+RADII = (0.0, 0.5, 1.5, 4.0)
+ENGINES = [None, (1, "hash"), (1, "space"), (3, "hash"), (3, "space")]
+
+
+@pytest.fixture(scope="module")
+def bucket_objects():
+    return build_dataset(
+        kind="synthetic", n_objects=70, points_per_object=20, seed=8, space_size=8.0
+    )
+
+
+@pytest.fixture(scope="module")
+def bucket_queries():
+    rng = np.random.default_rng(808)
+    return [
+        generate_query_object(rng, kind="synthetic", space_size=8.0, points_per_object=20)
+        for _ in range(len(RADII))
+    ]
+
+
+def mixed_bucket(queries):
+    """One bucket: four radii, a duplicate request, a query nothing is near."""
+    far = make_fuzzy_object(np.random.default_rng(3), center=[500.0, 500.0])
+    requests = [RangeRequest(q, alpha=0.5, radius=r) for q, r in zip(queries, RADII)]
+    return requests + [requests[2], RangeRequest(far, alpha=0.5, radius=4.0)]
+
+
+def build_engine(objects, shape):
+    config = RuntimeConfig(rtree_max_entries=8)
+    if shape is None:
+        return FuzzyDatabase.build(list(objects), config=config)
+    n_shards, placement = shape
+    return ShardedDatabase.build(
+        list(objects), n_shards=n_shards, placement=placement, config=config
+    )
+
+
+def engine_objects(engine):
+    if isinstance(engine, ShardedDatabase):
+        return [obj for shard in engine._shards for obj in stored_objects(shard.db)]
+    return stored_objects(engine)
+
+
+def assert_bucket_answers(engine, requests):
+    """One plan group, answered as the reference answers each request."""
+    objects = engine_objects(engine)
+    groups = engine.metrics.get("plan_groups")
+    results = engine.execute_batch(requests)
+    assert engine.metrics.get("plan_groups") - groups == 1
+    for request, result in zip(requests, results):
+        want = dict(
+            reference.range_search(objects, request.query, request.alpha, request.radius)
+        )
+        assert sorted(result.object_ids) == sorted(want)
+        for object_id, distance in result.matches:
+            assert distance == pytest.approx(want[object_id])
+        assert result.matches == sorted(result.matches, key=lambda m: (m[1], m[0]))
+        assert result.stats.range_calls == 1
+    assert results[-1].matches == [] and results[3].matches
+    assert results[4].matches == results[2].matches  # the duplicate
+    # each object was read once however many queries probed it
+    shared = results[0].stats.extra
+    assert all(r.stats.extra["bucket_object_accesses"] == shared["bucket_object_accesses"]
+               for r in results)
+    assert shared["bucket_object_accesses"] <= len(objects)
+    assert shared["bucket_distance_evaluations"] == sum(
+        r.stats.distance_evaluations for r in results
+    )
+    assert shared["bucket_distance_evaluations"] > shared["bucket_object_accesses"]
+
+
+class TestRangeBucket:
+    @pytest.mark.parametrize(
+        "shape", ENGINES, ids=["single", "1-hash", "1-space", "3-hash", "3-space"]
+    )
+    def test_one_bucket_matches_the_reference_before_and_after_churn(
+        self, bucket_objects, bucket_queries, shape
+    ):
+        engine = build_engine(bucket_objects, shape)
+        requests = mixed_bucket(bucket_queries)
+        try:
+            assert_bucket_answers(engine, requests)
+            rng = np.random.default_rng(21)
+            for _ in range(8):
+                engine.insert(make_fuzzy_object(rng, n_points=20, center=rng.random(2) * 8.0))
+            for object_id in engine.object_ids()[::9]:
+                engine.delete(object_id)
+            assert_bucket_answers(engine, requests)
+        finally:
+            engine.close()
+
+    def test_a_sharded_bucket_is_one_fan_out(self, bucket_objects, bucket_queries):
+        sharded = build_engine(bucket_objects, (3, "hash"))
+        try:
+            results = sharded.execute_batch(mixed_bucket(bucket_queries))
+            assert sharded.metrics.get("shard_fanouts") == 3
+            for result in results:
+                assert result.coverage.complete
+                assert result.stats.extra["shard_fanouts"] == 3.0
+        finally:
+            sharded.close()
+
+    def test_the_service_coalesces_every_radius_into_one_group(
+        self, bucket_objects, bucket_queries
+    ):
+        sharded = build_engine(bucket_objects, (3, "hash"))
+        requests = mixed_bucket(bucket_queries)
+        try:
+            direct = sharded.execute_batch(requests)
+            sharded.metrics.reset()
+            with QueryService(sharded, window_ms=60.0, max_batch=64) as service:
+                results = service.execute_batch(requests)
+                stats = service.stats()
+            assert stats.batches_flushed == 1
+            assert sharded.metrics.get("plan_groups") == 1
+            assert [r.matches for r in results] == [r.matches for r in direct]
+        finally:
+            sharded.close()
+
+    def test_a_deadline_expiring_mid_bucket_fails_every_slot(
+        self, bucket_objects, bucket_queries
+    ):
+        requests = [
+            dataclasses.replace(r, deadline_ms=40.0) for r in mixed_bucket(bucket_queries)
+        ]
+        sharded = build_engine(bucket_objects, (2, "hash"))
+        single = build_engine(bucket_objects, None)
+        try:
+            plan = FaultPlan.parse(
+                "shard=0,op=range,kind=delay,delay_ms=120;"
+                "shard=1,op=range,kind=delay,delay_ms=0"
+            )
+            sharded.fault_plan = plan
+            answers = execute_plan(sharded, requests, on_error="return")
+            assert all(isinstance(a, DeadlineExceededError) for a in answers)
+            assert plan.fired == [1, 0]  # the bucket stopped at shard 0
+
+            get = single.store.get
+            stalled = []
+
+            def first_read_stalls(object_id):
+                if not stalled:
+                    stalled.append(object_id)
+                    time.sleep(0.12)
+                return get(object_id)
+
+            single.store.get = first_read_stalls
+            answers = execute_plan(single, requests, on_error="return")
+            assert stalled
+            assert all(isinstance(a, DeadlineExceededError) for a in answers)
+        finally:
+            sharded.close()
+            single.close()

@@ -480,18 +480,26 @@ class TestOneSetOfNumbers:
                 )
 
     def test_range(self, engines, queries):
+        """One bucket of mixed radii: one descent and one probe pass per part."""
         single, one_shard, two_shards = engines
-        request = RangeRequest(queries[0], alpha=self.ALPHA, radius=2.0)
-        want = single.execute(request)
-        assert want.matches
-        got = one_shard.execute(request)
-        assert got.matches == want.matches
-        assert self.counted(got) == self.counted(want)
-        spread = two_shards.execute(request)
-        assert spread.matches == want.matches
+        requests = [
+            RangeRequest(query, alpha=self.ALPHA, radius=radius)
+            for query, radius in zip(queries, (2.0, 0.5, 3.0, 1.0))
+        ]
+        want = single.execute_batch(requests)
+        assert all(result.matches for result in want[::2])
+        got = one_shard.execute_batch(requests)
+        assert [r.matches for r in got] == [r.matches for r in want]
+        assert [self.counted(r) for r in got] == [self.counted(r) for r in want]
+        spread = two_shards.execute_batch(requests)
+        assert [r.matches for r in spread] == [r.matches for r in want]
         # whether an object is probed depends on its own bound, not the tree
-        for name in ("object_accesses", "distance_evaluations", "range_calls"):
-            assert getattr(spread.stats, name) == getattr(want.stats, name), name
+        for got_one, want_one in zip(spread, want):
+            for name in ("object_accesses", "distance_evaluations", "range_calls"):
+                assert getattr(got_one.stats, name) == getattr(want_one.stats, name), name
+            for name in ("bucket_object_accesses", "bucket_distance_evaluations"):
+                assert got_one.stats.extra[name] == want_one.stats.extra[name], name
+            assert got_one.stats.extra["shard_fanouts"] == 2.0
 
 
 class TestOneThreadPerQuery:
