@@ -4,8 +4,9 @@ The library implements the paper's fuzzy object model, the alpha-distance,
 and the AKNN / RKNN query processing algorithms (with every optimisation the
 paper evaluates), together with the substrates they rely on: an R-tree over
 fuzzy-object summaries, a disk-backed object store with exact access counting,
-dataset generators matching the experimental setup, the Section-5 cost model
-and a per-figure experiment harness.
+dataset generators matching the experimental setup and the Section-5 cost
+model.  ``tests/test_paper.py`` asserts the shapes of Figures 11-15 and the
+cost model's agreement on both engines; ``benchmarks/scale.py`` prints them.
 
 Typical usage::
 

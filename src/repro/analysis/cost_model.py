@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Optional
 
 from repro.config import DEFAULT_RTREE_MAX_ENTRIES
 
@@ -186,23 +186,6 @@ class AccessCostModel:
         """
         objects = self.range_query_accesses(self.search_range(k, alpha), capacity=1.0)
         return float(max(objects, k))
-
-    # ------------------------------------------------------------------
-    # Sweeps used by the Section-5 validation experiment
-    # ------------------------------------------------------------------
-    def sweep_alpha(self, k: int, alphas: Iterable[float]) -> List[Dict[str, float]]:
-        """Predicted accesses for several thresholds at fixed ``k``."""
-        return [
-            {"alpha": float(alpha), "predicted_accesses": self.predict_object_accesses(k, alpha)}
-            for alpha in alphas
-        ]
-
-    def sweep_k(self, alpha: float, ks: Iterable[int]) -> List[Dict[str, float]]:
-        """Predicted accesses for several ``k`` at a fixed threshold."""
-        return [
-            {"k": int(k), "predicted_accesses": self.predict_object_accesses(int(k), alpha)}
-            for k in ks
-        ]
 
     @classmethod
     def for_synthetic_dataset(

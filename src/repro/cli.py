@@ -35,9 +35,6 @@ runnable as ``python -m repro.cli``.  Subcommands:
     Rebuild a durable database directory after a crash: last snapshot + WAL
     tail replay + one STR bulk load per shard, then validate.
 
-``experiment``
-    Reproduce one of the paper's figures and print the corresponding tables.
-
 All query subcommands accept ``--stats`` to additionally dump every collected
 counter, including cache hit/miss telemetry (object-store buffer pool,
 per-object alpha-cut caches, distance-profile store).
@@ -51,9 +48,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.bench.config import scale_for_name
-from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.reporting import result_to_full_text
 from repro.core.database import FuzzyDatabase
 from repro.core.requests import (
     AknnMethod,
@@ -268,12 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument(
         "--stats", action="store_true",
         help="dump every recovery counter",
-    )
-
-    experiment = subparsers.add_parser("experiment", help="reproduce one paper figure")
-    experiment.add_argument("name", choices=sorted(EXPERIMENTS) + ["all"])
-    experiment.add_argument(
-        "--scale", choices=("tiny", "laptop", "paper"), default="laptop"
     )
     return parser
 
@@ -669,16 +657,6 @@ def _command_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_experiment(args: argparse.Namespace) -> int:
-    config = scale_for_name(args.scale)
-    names = sorted(EXPERIMENTS) if args.name == "all" else [args.name]
-    for name in names:
-        result = run_experiment(name, config)
-        print(result_to_full_text(result))
-        print()
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -691,7 +669,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "batch": _command_batch,
         "serve": _command_serve,
         "recover": _command_recover,
-        "experiment": _command_experiment,
     }
     return handlers[args.command](args)
 

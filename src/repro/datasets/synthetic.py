@@ -24,8 +24,8 @@ class SyntheticDatasetConfig:
 
     The defaults follow Table 2 / Section 6.1 of the paper except for the
     dataset size and points per object, which are scaled down so the default
-    configuration runs comfortably on a laptop; the experiment harness scales
-    them explicitly per figure.
+    configuration runs comfortably on a laptop; ``benchmarks/scale.py`` sets
+    them per figure.
     """
 
     n_objects: int = 1_000

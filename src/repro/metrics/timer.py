@@ -1,4 +1,4 @@
-"""Wall-clock timing helpers for the experiment harness."""
+"""Wall-clock timing helpers behind ``QueryStats.elapsed_seconds``."""
 
 from __future__ import annotations
 

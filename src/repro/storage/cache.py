@@ -1,7 +1,7 @@
 """A small LRU buffer pool for fuzzy objects.
 
 The paper's algorithms treat every probe as a disk access; the buffer pool is
-optional (capacity 0 by default in the experiment harness) but provided so
+optional but provided so
 downstream users can trade memory for I/O, and so tests can exercise the
 difference between logical probes and physical reads.
 

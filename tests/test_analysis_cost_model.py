@@ -1,4 +1,8 @@
-"""Tests for the Section-5 access cost model (Equations 6-8)."""
+"""Tests for the Section-5 access cost model (Equations 6-8).
+
+The model against the engine, at a stated tolerance, is
+``tests/test_paper.py::test_sec5_eq8_predicts_basic_aknn_within_2x_and_both_rise_with_alpha``.
+"""
 
 import math
 
@@ -109,24 +113,6 @@ class TestAccessCostModel:
             assert math.isfinite(predicted)
             assert predicted >= 20
 
-    def test_node_level_prediction_available(self):
-        model = AccessCostModel.for_synthetic_dataset(n_objects=2000, space_size=20.0)
-        nodes = model.predict_node_accesses(20, 0.5)
-        objects = model.predict_object_accesses(20, 0.5)
-        assert 0 < nodes <= objects
-
-    def test_range_query_accesses_grow_with_radius(self, model):
-        assert model.range_query_accesses(2.0) >= model.range_query_accesses(0.5)
-        with pytest.raises(ValueError):
-            model.range_query_accesses(-1.0)
-
-    def test_sweeps(self, model):
-        alpha_rows = model.sweep_alpha(20, (0.3, 0.5))
-        assert [row["alpha"] for row in alpha_rows] == [0.3, 0.5]
-        k_rows = model.sweep_k(0.5, (5, 10))
-        assert [row["k"] for row in k_rows] == [5, 10]
-        assert all(row["predicted_accesses"] > 0 for row in alpha_rows + k_rows)
-
     def test_prediction_in_plausible_range_vs_measurement(self, dense_database, dense_queries):
         """The model should land within an order of magnitude of a real
         measurement on a matching synthetic dataset (it is an asymptotic
@@ -144,3 +130,14 @@ class TestAccessCostModel:
         average = sum(measured) / len(measured)
         predicted = model.predict_object_accesses(5, 0.5)
         assert predicted / 10 <= average <= predicted * 10
+
+    def test_node_level_prediction_available(self):
+        model = AccessCostModel.for_synthetic_dataset(n_objects=2000, space_size=20.0)
+        nodes = model.predict_node_accesses(20, 0.5)
+        objects = model.predict_object_accesses(20, 0.5)
+        assert 0 < nodes <= objects
+
+    def test_range_query_accesses_grow_with_radius(self, model):
+        assert model.range_query_accesses(2.0) >= model.range_query_accesses(0.5)
+        with pytest.raises(ValueError):
+            model.range_query_accesses(-1.0)

@@ -1,190 +1,30 @@
-"""Tests for the experiment harness (config, runner, experiments, reporting)."""
+"""Tests for the figure harness ``benchmarks/scale.py`` itself.
 
-import numpy as np
-import pytest
+The paper's shapes on its ``tiny`` grid are asserted in ``tests/test_paper.py``;
+here a micro grid checks the rows one figure hands back.
+"""
 
-from repro.bench.config import (
-    ExperimentConfig,
-    LAPTOP_SCALE,
-    PAPER_SCALE,
-    TINY_SCALE,
-    density_matched_space,
-    scale_for_name,
-)
-from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.reporting import (
-    format_table,
-    result_to_full_text,
-    result_to_text,
-    results_to_markdown,
-    summarize_speedups,
-)
-from repro.bench.runner import ExperimentResult, run_aknn_batch, run_rknn_batch
+import importlib.util
+from pathlib import Path
 
+SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "scale.py"
+_spec = importlib.util.spec_from_file_location("scale", SCRIPT)
+scale = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scale)
 
-#: A micro configuration so harness tests finish in a couple of seconds.
-MICRO = ExperimentConfig(
-    n_objects=60,
-    points_per_object=25,
-    n_values=(30, 60),
-    k_values=(3, 5),
-    alpha_values=(0.4, 0.8),
-    range_lengths=(0.1, 0.3),
-    k=4,
-    n_queries=1,
-    aknn_methods=("basic", "lb_lp_ub"),
-    rknn_methods=("basic", "rss", "rss_icr"),
-)
-
-
-class TestConfig:
-    def test_density_matched_space(self):
-        # The paper's own scale maps back to its own space.
-        assert density_matched_space(50_000) == pytest.approx(100.0)
-        # A quarter of the objects -> half the side length (same density).
-        assert density_matched_space(12_500) == pytest.approx(50.0)
-
-    def test_space_for_explicit_override(self):
-        config = ExperimentConfig(space_size=42.0)
-        assert config.space_for(999) == 42.0
-
-    def test_space_for_density_default(self):
-        config = ExperimentConfig(space_size=None, n_objects=2000)
-        assert config.space_for() == pytest.approx(density_matched_space(2000))
-
-    def test_alpha_range(self):
-        config = ExperimentConfig(range_start=0.4, range_length=0.2)
-        assert config.alpha_range() == (0.4, pytest.approx(0.6))
-        assert config.alpha_range(0.5) == (0.4, pytest.approx(0.9))
-
-    def test_scaled_copy(self):
-        scaled = LAPTOP_SCALE.scaled(n_objects=123)
-        assert scaled.n_objects == 123
-        assert LAPTOP_SCALE.n_objects != 123
-
-    def test_presets(self):
-        assert PAPER_SCALE.n_objects == 50_000
-        assert TINY_SCALE.n_objects < LAPTOP_SCALE.n_objects
-        assert scale_for_name("tiny") is TINY_SCALE
-        with pytest.raises(ValueError):
-            scale_for_name("galactic")
-
-    def test_describe_mentions_key_parameters(self):
-        text = MICRO.describe()
-        assert "N=60" in text and "k=4" in text
-
-
-class TestRunner:
-    @pytest.fixture(scope="class")
-    def micro_bundle(self):
-        from repro.datasets.builder import DatasetBundle
-
-        bundle = DatasetBundle.create(
-            kind="synthetic",
-            n_objects=MICRO.n_objects,
-            points_per_object=MICRO.points_per_object,
-            space_size=MICRO.space_for(),
-            seed=MICRO.seed,
-        )
-        yield bundle
-        bundle.database.close()
-
-    def test_run_aknn_batch_keys(self, micro_bundle):
-        queries = micro_bundle.queries(2)
-        row = run_aknn_batch(micro_bundle.database, queries, k=3, alpha=0.5, method="basic")
-        assert set(row) == {
-            "object_accesses",
-            "node_accesses",
-            "distance_evaluations",
-            "running_time",
-        }
-        assert row["object_accesses"] >= 3
-
-    def test_run_rknn_batch_keys(self, micro_bundle):
-        queries = micro_bundle.queries(1)
-        row = run_rknn_batch(
-            micro_bundle.database, queries, k=3, alpha_range=(0.4, 0.6), method="rss_icr"
-        )
-        assert row["result_size"] >= 3
-        assert row["aknn_calls"] >= 1
-
-    def test_experiment_result_series(self):
-        result = ExperimentResult("x", "title", "k", ("object_accesses",))
-        result.add_row(k=5, method="basic", object_accesses=10.0)
-        result.add_row(k=10, method="basic", object_accesses=20.0)
-        result.add_row(k=5, method="lb", object_accesses=8.0)
-        assert result.methods() == ["basic", "lb"]
-        assert result.parameter_values() == [5, 10]
-        assert result.series("basic", "object_accesses") == [(5, 10.0), (10, 20.0)]
+#: A micro grid so a harness test finishes in about a second.
+MICRO = scale.Scale(60, 25, 5, 2, (30, 60), (3, 5), (0.1, 0.2),
+                    alpha_values=(0.3, 0.7), rtree_max_entries=8)
 
 
 class TestExperiments:
-    def test_registry_covers_every_figure(self):
-        assert set(EXPERIMENTS) == {
-            "fig15",
-            "fig11a",
-            "fig11b",
-            "fig11c",
-            "fig13a",
-            "fig13b",
-            "fig13c",
-            "sec5",
-        }
-
-    def test_unknown_experiment(self):
-        with pytest.raises(ValueError):
-            run_experiment("fig99", MICRO)
-
-    def test_aknn_alpha_sweep_shape(self):
-        result = run_experiment("fig11c", MICRO)
-        assert result.parameter == "alpha"
-        assert set(result.methods()) == set(MICRO.aknn_methods)
-        assert len(result.rows) == len(MICRO.alpha_values) * len(MICRO.aknn_methods)
-        assert all(row["object_accesses"] > 0 for row in result.rows)
-
-    def test_rknn_range_sweep_shape(self):
-        result = run_experiment("fig13c", MICRO)
-        assert result.parameter == "range_length"
-        assert set(result.methods()) == set(MICRO.rknn_methods)
-        assert len(result.rows) == len(MICRO.range_lengths) * len(MICRO.rknn_methods)
-
     def test_cost_model_validation_rows(self):
-        result = run_experiment("sec5", MICRO)
-        assert set(result.methods()) == {"measured_basic", "predicted_eq8"}
-        assert all(row["object_accesses"] > 0 for row in result.rows)
-
-
-class TestReporting:
-    def test_format_table_alignment(self):
-        table = format_table(["a", "b"], [[1, 2.5], ["x", 0.00001]])
-        lines = table.splitlines()
-        assert len(lines) == 4
-        assert "a" in lines[0] and "b" in lines[0]
-        assert set(lines[1]) <= {"-", "+"}
-
-    def test_result_to_text_contains_methods_and_values(self):
-        result = ExperimentResult("fig", "demo", "k", ("object_accesses",))
-        result.add_row(k=5, method="basic", object_accesses=12.0)
-        result.add_row(k=5, method="lb", object_accesses=7.0)
-        text = result_to_text(result, "object_accesses")
-        assert "basic" in text and "lb" in text and "12" in text
-
-    def test_result_to_full_text_covers_all_metrics(self):
-        result = ExperimentResult("fig", "demo", "k", ("object_accesses", "running_time"))
-        result.add_row(k=5, method="basic", object_accesses=12.0, running_time=0.1)
-        text = result_to_full_text(result)
-        assert "object_accesses" in text and "running_time" in text
-
-    def test_results_to_markdown(self):
-        result = ExperimentResult("fig", "demo", "k", ("object_accesses",))
-        result.add_row(k=5, method="basic", object_accesses=12.0)
-        markdown = results_to_markdown([result])
-        assert "### fig" in markdown
-        assert "```" in markdown
-
-    def test_summarize_speedups(self):
-        result = ExperimentResult("fig", "demo", "k", ("object_accesses",))
-        result.add_row(k=5, method="basic", object_accesses=100.0)
-        result.add_row(k=5, method="rss", object_accesses=10.0)
-        speedups = summarize_speedups(result, "object_accesses", baseline="basic")
-        assert speedups["rss"] == pytest.approx(10.0)
+        data = scale.Datasets(MICRO, "single")
+        try:
+            rows = scale.sweep("sec5", data)
+        finally:
+            data.close()
+        assert set(rows) == {"basic", "eq8"}
+        for method in rows:
+            assert set(rows[method]) == set(MICRO.alpha_values)
+            assert all(m["object_accesses"] > 0 for m in rows[method].values())

@@ -43,10 +43,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["rknn", "--method", "naive"])
 
-    def test_experiment_rejects_unknown_name(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig99"])
-
 
 class TestCommands:
     def test_generate_then_query_saved_database(self, tmp_path, capsys):

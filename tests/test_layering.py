@@ -145,15 +145,16 @@ def test_reference_shares_no_code_with_the_engine():
 
 
 # What people run or import directly (the console script, the served surface),
-# the experiment harness behind ``benchmarks/bench_fig*.py``, and the
-# reference implementation the tests compare the engine against.
+# and what the tests check the engine against: the brute-force reference and
+# the Sec. 5 cost model (imported by ``benchmarks/scale.py``, whose sweeps
+# ``tests/test_paper.py`` asserts).
 ENTRY_POINTS = (
     "repro.cli",
     "repro.service.client",
     "repro.service.query_service",
     "repro.service.sharded",
-    "repro.bench",
     "repro.reference",
+    "repro.analysis.cost_model",
 )
 
 

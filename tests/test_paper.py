@@ -1,0 +1,198 @@
+"""The paper's evaluation as assertions: Figures 11-15 and Sec. 5, on both engines.
+
+``benchmarks/scale.py`` sweeps every figure's axis; this module runs its
+``tiny`` grid (N = 400 objects of 60 points at Table 2's density, k = 10,
+two queries, 16-entry R-tree nodes) once per engine -- one ``FuzzyDatabase``
+and three space-placed shards -- and asserts the shapes the paper reports.
+``PYTHONPATH=src python benchmarks/scale.py all --scale tiny`` prints the
+numbers asserted here.  Costs are object accesses, the paper's first axis,
+unless a test names another counter; running time is printed, not asserted.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "scale.py"
+_spec = importlib.util.spec_from_file_location("scale", SCRIPT)
+scale = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scale)
+
+
+@pytest.fixture(scope="module", params=scale.ENGINES)
+def paper(request):
+    """``{figure: {method: {x: metrics}}}`` for one engine.
+
+    Every figure is swept in one fixed order over databases built once, so
+    the numbers are what ``scale.py all --scale tiny`` prints whatever order
+    the tests run in (a sweep reuses the profiles an earlier one memoised).
+    """
+    data = scale.Datasets(scale.SCALES["tiny"], request.param)
+    try:
+        figures = {figure: scale.sweep(figure, data) for figure in sorted(scale.FIGURES)}
+    finally:
+        data.close()
+    return figures
+
+
+def counter(rows, method, name):
+    return {x: metrics[name] for x, metrics in rows[method].items()}
+
+
+def accesses(rows, method):
+    return counter(rows, method, "object_accesses")
+
+
+def non_decreasing(series):
+    values = [series[x] for x in sorted(series)]
+    return all(a <= b for a, b in zip(values, values[1:]))
+
+
+def assert_bounds_ordered(rows):
+    """LB-LP-UB <= LB-LP <= LB <= basic at every x: each bound of Sec. 3 prunes more."""
+    basic, lb, lb_lp, ub = (accesses(rows, m) for m in scale.AKNN_METHODS)
+    for x in basic:
+        assert ub[x] <= lb_lp[x] <= lb[x] <= basic[x], (x, ub[x], lb_lp[x], lb[x], basic[x])
+
+
+def assert_icr_refines_less(rows):
+    """Lemma 4: RSS-ICR never needs more refinement steps than RSS."""
+    rss = counter(rows, "rss", "refinement_steps")
+    icr = counter(rows, "rss_icr", "refinement_steps")
+    assert all(icr[x] <= rss[x] for x in rss), (icr, rss)
+
+
+def assert_rss_prunes_the_sweep(rows):
+    """RSS and RSS-ICR read no more objects than the basic sweep at any x."""
+    basic = accesses(rows, "basic")
+    for method in ("rss", "rss_icr"):
+        assert all(accesses(rows, method)[x] <= basic[x] for x in basic), method
+
+
+# ----------------------------------------------------------------------
+# AKNN: Figures 11 / 12 and 15
+# ----------------------------------------------------------------------
+def test_fig11a_aknn_grows_with_n_and_bounds_stay_ordered(paper):
+    rows = paper["fig11a"]
+    assert non_decreasing(accesses(rows, "basic"))
+    assert_bounds_ordered(rows)
+
+
+def test_fig11b_aknn_grows_with_k_and_the_optimised_search_grows_less(paper):
+    rows = paper["fig11b"]
+    basic, optimised = accesses(rows, "basic"), accesses(rows, "lb_lp_ub")
+    assert non_decreasing(basic) and non_decreasing(optimised)
+    low, high = min(basic), max(basic)
+    assert optimised[high] - optimised[low] <= basic[high] - basic[low]
+    assert_bounds_ordered(rows)
+
+
+def test_fig11c_basic_rises_and_lb_lp_ub_falls_as_alpha_grows(paper):
+    """The evaluation's signature trend (tiny, one tree: basic 12 -> 19, LB-LP-UB 9 -> 5).
+
+    The basic search prunes with the support MBR, fixed in alpha, while the
+    k-th alpha-distance grows; the alpha-cut boxes of Eq. 2 shrink with it.
+    """
+    rows = paper["fig11c"]
+    assert non_decreasing(accesses(rows, "basic"))
+    optimised = accesses(rows, "lb_lp_ub")
+    assert non_decreasing({alpha: -value for alpha, value in optimised.items()})
+    assert optimised[max(optimised)] < optimised[min(optimised)]
+    assert_bounds_ordered(rows)
+
+
+def test_fig15_bounds_ordered_on_synthetic_and_cells(paper):
+    rows = paper["fig15"]
+    assert set(rows["basic"]) == {"synthetic", "cells"}
+    assert_bounds_ordered(rows)
+    basic, optimised = accesses(rows, "basic"), accesses(rows, "lb_lp_ub")
+    assert all(optimised[kind] < basic[kind] for kind in basic)
+
+
+# ----------------------------------------------------------------------
+# The alpha-range sweep: Figures 13 / 14
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "paper",
+    [
+        "single",
+        pytest.param(
+            "sharded",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason=(
+                    "on three space-placed shards the basic sweep pays 877 object "
+                    "accesses at n = 100 and 765.5 at n = 400: its AKNN calls fall "
+                    "from 24.5 to 17 as N grows, and each call pays every shard's "
+                    "own top k (35.8 -> 45 accesses a call), so the falling call "
+                    "count outweighs the density"
+                ),
+            ),
+        ),
+    ],
+    indirect=True,
+)
+def test_fig13a_basic_sweep_grows_with_n(paper):
+    assert non_decreasing(accesses(paper["fig13a"], "basic"))
+
+
+def test_fig13a_rss_is_3x_cheaper_than_basic_at_the_largest_n(paper):
+    rows = paper["fig13a"]
+    assert_rss_prunes_the_sweep(rows)
+    largest = max(rows["basic"])
+    assert 3 * accesses(rows, "rss")[largest] <= accesses(rows, "basic")[largest]
+    assert_icr_refines_less(rows)
+
+
+def test_fig13b_sweep_grows_with_k_and_rss_prunes_it(paper):
+    rows = paper["fig13b"]
+    assert non_decreasing(accesses(rows, "basic"))
+    assert_rss_prunes_the_sweep(rows)
+    assert_icr_refines_less(rows)
+
+
+def test_fig13c_basic_grows_with_l_while_rss_stays_flat(paper):
+    """Tiny, one tree: basic 62 -> 162.5 as L goes 0.05 -> 0.2, RSS 24 -> 26.5.
+
+    RSS pays one AKNN query and one range search whatever L is, while the
+    basic sweep issues an AKNN query per critical probability.
+    """
+    rows = paper["fig13c"]
+    basic, rss = accesses(rows, "basic"), accesses(rows, "rss")
+    assert non_decreasing(counter(rows, "basic", "aknn_calls"))
+    assert non_decreasing(basic)
+    assert max(rss.values()) <= 1.25 * min(rss.values()), rss
+    longest = max(basic)
+    assert 3 * rss[longest] <= basic[longest]
+    assert_rss_prunes_the_sweep(rows)
+    assert_icr_refines_less(rows)
+
+
+# ----------------------------------------------------------------------
+# Section 5: the access cost model
+# ----------------------------------------------------------------------
+# Eq. 8 models one R-tree over ideal spherical objects with uniform centres
+# and replaces the kNN search by a range query of the expected k-th radius,
+# so it is an estimate, not a count.  On the tiny grid the measured basic
+# AKNN sits at 1.20-1.50x the prediction (12/10, 15/10, 16/11.9, 19/15.5 at
+# alpha = 0.3 ... 0.9).  A factor of two either way leaves room for that
+# modelling gap and still fails when the support-MBR bound stops pruning (the
+# search reads up to all 400 objects) or the access counter stops counting.
+# Three shards are not asserted: each finds its own top k (49-63.5 accesses
+# against 10-15.5 predicted); ``scale.py sec5`` prints that ratio.
+SEC5_TOLERANCE = (0.5, 2.0)
+
+
+@pytest.mark.parametrize("paper", ["single"], indirect=True)
+def test_sec5_eq8_predicts_basic_aknn_within_2x_and_both_rise_with_alpha(paper):
+    rows = paper["sec5"]
+    measured, predicted = accesses(rows, "basic"), accesses(rows, "eq8")
+    low, high = SEC5_TOLERANCE
+    for alpha in measured:
+        assert low <= measured[alpha] / predicted[alpha] <= high, (
+            alpha, measured[alpha], predicted[alpha]
+        )
+    assert non_decreasing(measured)
+    assert non_decreasing(predicted)
+    assert measured[max(measured)] > measured[min(measured)]
