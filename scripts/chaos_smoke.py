@@ -12,9 +12,12 @@ the failure-semantics contract held:
 
 2. **Dead shard** — a permanent ``raise`` rule on one shard with a small
    breaker threshold.  Every future must still complete, every answer must
-   carry partial coverage naming the dead shard, every range and AKNN
-   answer must equal :mod:`repro.reference`'s over the surviving shards'
-   objects, the breaker must reach OPEN (non-zero ``breaker_open``), and
+   carry partial coverage naming the dead shard, every range, AKNN and
+   reverse answer must equal :mod:`repro.reference`'s over the surviving
+   shards' objects, every reverse filter must keep exactly the candidates a
+   fresh survivors-only database keeps (its k-th MaxDist table is built over
+   all three shards first, so a table that outlives the live set shows), the
+   breaker must reach OPEN (non-zero ``breaker_open``), and
    once open the shard must stop being invoked at all (the fault plan's
    fired count freezes while ``breaker_shed`` keeps climbing).
 
@@ -36,6 +39,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import reference  # noqa: E402
 from repro.config import RuntimeConfig  # noqa: E402
+from repro.core.database import FuzzyDatabase  # noqa: E402
 from repro.core.requests import (  # noqa: E402
     AknnRequest,
     RangeRequest,
@@ -101,8 +105,8 @@ def _run_workload(database, requests) -> list:
 
 
 def _answers_the_survivors(request, result, survivors) -> bool:
-    """A range or AKNN answer equals the reference over ``survivors`` (ids
-    and distances); other families are not checked here."""
+    """A range, AKNN or reverse answer equals the reference over
+    ``survivors`` (ids and distances); sweeps are not checked here."""
     if isinstance(request, RangeRequest):
         want = reference.range_search(
             survivors, request.query, request.alpha, request.radius
@@ -111,6 +115,9 @@ def _answers_the_survivors(request, result, survivors) -> bool:
     elif isinstance(request, AknnRequest):
         want = reference.aknn(survivors, request.query, request.k, request.alpha)
         got = [(n.object_id, n.distance) for n in result.neighbors]
+    elif isinstance(request, ReverseRequest):
+        want = reference.reverse(survivors, request.query, request.k, request.alpha)
+        got = list(result.distances.items())
     else:
         return True
     return sorted(i for i, _ in got) == sorted(i for i, _ in want) and np.allclose(
@@ -160,9 +167,13 @@ def phase_dead_shard(objects, queries, n_requests: int, failures: list):
             if shard.index != dead
             for obj in shard.db.store.iter_objects(count_accesses=False)
         ]
+        requests = _mixed_requests(queries, n_requests)
+        # Every reverse table the workload uses, built while all shards live.
+        for request in requests:
+            if isinstance(request, ReverseRequest):
+                database.execute(request)
         plan = FaultPlan.parse(f"shard={dead},kind=raise")
         database.fault_plan = plan
-        requests = _mixed_requests(queries, n_requests)
         results = _run_workload(database, requests)
         counters = database.metrics.as_dict()
         _check(len(results) == n_requests, "every future completed", failures)
@@ -179,9 +190,21 @@ def phase_dead_shard(objects, queries, n_requests: int, failures: list):
                 _answers_the_survivors(request, result, survivors)
                 for request, result in zip(requests, results)
             ),
-            "every range and AKNN answer equals the reference over the survivors",
+            "every range, AKNN and reverse answer equals the reference over the survivors",
             failures,
         )
+        twin = FuzzyDatabase.build(survivors)
+        _check(
+            all(
+                result.stats.extra["candidates"]
+                == twin.execute(request).stats.extra["candidates"]
+                for request, result in zip(requests, results)
+                if isinstance(request, ReverseRequest)
+            ),
+            "every reverse filter keeps the candidates of a survivors-only database",
+            failures,
+        )
+        twin.close()
         _check(
             database._shards[dead].breaker.state is BreakerState.OPEN,
             "the dead shard's breaker reached OPEN",

@@ -14,8 +14,8 @@ request executed through one surface::
 ``execute_batch`` groups a mixed submission into per-type, per-bucket
 sub-batches (see :mod:`repro.core.requests`); requests sharing a
 ``bucket_key()`` are answered by the corresponding shared engine (one R-tree
-traversal for an AKNN or a range bucket, one filter matrix + verification
-traversal for a reverse bucket).
+traversal for an AKNN or a range bucket, one filter pass against a cached
+k-th MaxDist table + verification traversal for a reverse bucket).
 
 The database owns the object store (point sets on disk or in memory), the
 R-tree over per-object summaries, and one searcher per query type.  A
@@ -207,8 +207,8 @@ class FuzzyDatabase:
         The planner groups the submission into per-type, per-``bucket_key()``
         sub-batches; requests sharing a key are answered through the shared
         engines (one R-tree traversal per AKNN or range bucket, one filter
-        matrix + one verification traversal per reverse bucket).  Results come
-        back in submission order.
+        pass against a cached k-th MaxDist table + one verification traversal
+        per reverse bucket).  Results come back in submission order.
         """
         return execute_plan(self, list(requests), rng=rng)
 

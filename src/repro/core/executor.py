@@ -59,7 +59,7 @@ from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import CUT_CACHE_STATS, FuzzyObject
 from repro.geometry.distance import pairwise_sq_blocks
 from repro.index.rtree import RTree
-from repro.index.soa import min_dist_to_boxes
+from repro.index.soa import kth_max_dists, min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
@@ -76,6 +76,10 @@ _BOOTSTRAP_EXTRA = 4
 # that an expired batch stops within a few node expansions, large enough that
 # the clock read never shows up in profiles.
 _DEADLINE_CHECK_INTERVAL = 32
+
+# (alpha, k) pairs whose reverse-filter table a partition set keeps; a bucket
+# of one more pair drops the oldest.
+_KTH_TABLE_PAIRS = 8
 
 
 def _exact_min_distances(
@@ -99,26 +103,35 @@ def _exact_min_distances(
 
 
 class RepresentativeIndex:
-    """KD-tree over the representative points of a partition set (cached).
+    """Per-partition-set state that outlives a batch (cached).
 
     ``over(trees)`` indexes every ``rep(A)`` of the given R-trees — one tree
     for a single database, the live shards' trees for a sharded one — and
-    records which member holds each object.  The cache key is, per member,
-    its identity, size and ``tree.mutations``, so a mutation (also an insert
-    + delete pair that keeps the size) or a change of the covered set
-    rebuilds it; anything else returns the same KD-tree.
+    records which member holds each object.  ``kth_table`` keeps the reverse
+    filter's k-th ``MaxDist`` per row for a few ``(alpha, k)`` pairs.  The
+    cache key is, per member, its identity, size and ``tree.mutations``, so
+    a mutation (also an insert + delete pair that keeps the size) or a change
+    of the covered set rebuilds either; anything else returns the same
+    answer.
     """
 
     def __init__(self) -> None:
         # (key, the trees — kept alive so their ids stay unique, the answer);
         # one tuple swapped in whole, so concurrent batches never see a mix.
         self._cached: Optional[Tuple] = None
+        # The same, with {(alpha, k): {(start, stop): k-th MaxDist rows}} as
+        # the answer; a lost race between two builders only costs a rebuild.
+        self._tables: Optional[Tuple] = None
+
+    @staticmethod
+    def _key(trees: Sequence[RTree]) -> Tuple:
+        return tuple((id(tree), len(tree), tree.mutations) for tree in trees)
 
     def over(
         self, trees: Sequence[RTree]
     ) -> Tuple[Optional[cKDTree], np.ndarray, Dict[int, int]]:
         """``(KD-tree, aligned object ids, object id -> position in trees)``."""
-        key = tuple((id(tree), len(tree), tree.mutations) for tree in trees)
+        key = self._key(trees)
         cached = self._cached
         if cached is not None and cached[0] == key:
             return cached[2]
@@ -138,6 +151,43 @@ class RepresentativeIndex:
         )
         self._cached = (key, tuple(trees), answer)
         return answer
+
+    def kth_table(
+        self,
+        trees: Sequence[RTree],
+        alpha: float,
+        k: int,
+        start: int,
+        stop: int,
+        box_lo: np.ndarray,
+        box_hi: np.ndarray,
+    ) -> Tuple[np.ndarray, bool]:
+        """Rows ``start:stop``'s k-th ``MaxDist`` to the whole box set, and whether it was built.
+
+        ``box_lo`` / ``box_hi`` are every member's ``M_A(alpha)*`` boxes in
+        ``leaf_alpha_bounds`` order, member after member, so the key of
+        ``trees`` fixes them.  A hit is returned as stored; a miss builds the
+        slice with :func:`~repro.index.soa.kth_max_dists`.  At most
+        ``_KTH_TABLE_PAIRS`` ``(alpha, k)`` pairs are kept, oldest out first.
+        """
+        key = self._key(trees)
+        cached = self._tables
+        if cached is None or cached[0] != key:
+            cached = (key, tuple(trees), {})
+        pair, rows = (float(alpha), int(k)), (start, stop)
+        kth = cached[2].get(pair, {}).get(rows)
+        if kth is not None:
+            return kth, False
+        kth = kth_max_dists(
+            box_lo[start:stop], box_hi[start:stop], box_lo, box_hi, k,
+            self_index=np.arange(start, stop),
+        )
+        tables = dict(cached[2])
+        tables[pair] = {**tables.get(pair, {}), rows: kth}
+        if len(tables) > _KTH_TABLE_PAIRS:
+            del tables[next(iter(tables))]
+        self._tables = (key, cached[1], tables)
+        return kth, True
 
 
 def bootstrap_radii(

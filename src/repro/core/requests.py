@@ -25,9 +25,10 @@ into per-type, per-:meth:`~QueryRequest.bucket_key` sub-batches, hands each
 group to the planner registered for its request type, and scatters the
 results back into submission order.  Requests sharing a bucket key are
 answered through the corresponding shared engine (one R-tree traversal for an
-AKNN or a range bucket, one filter matrix + one verification traversal for a
-reverse bucket); the same keys drive the query service's coalescer, so a request
-type defined once coalesces correctly at every layer.
+AKNN or a range bucket, one filter pass against a cached k-th MaxDist table +
+one verification traversal for a reverse bucket); the same keys drive the
+query service's coalescer, so a request type defined once coalesces correctly
+at every layer.
 
 A future query family plugs in at one place: define the request dataclass
 (with ``bucket_key``) and call :func:`register_planner` with a callable

@@ -6,14 +6,19 @@ Given a query fuzzy object ``Q``, a threshold ``alpha`` and a result size
 semantics: ``A``'s neighbours are drawn from the dataset without ``A`` itself,
 plus ``Q``).
 
-The plan is filter, then verify.  The filter evaluates the all-pairs
+The plan is filter, then verify.  The filter is the all-pairs
 disqualification test — ``A`` is out once ``k`` objects have
 ``MaxDist(M_A(alpha)*, M_B(alpha)*)`` below ``MinDist(M_A(alpha)*,
-M_Q(alpha))`` — as chunked NumPy matrices over the ``(N, d)`` Equation-2 box
-arrays gathered straight from the leaf SoA views, without touching the store.
-Verification then answers every surviving candidate's (k+1)-NN through
-**one** shared :meth:`~repro.core.executor.BatchQueryExecutor.aknn_batch`
-traversal: each candidate's exact distance to ``Q`` doubles as an externally
+M_Q(alpha))`` — over the ``(N, d)`` Equation-2 box arrays gathered straight
+from the leaf SoA views, without touching the store.  Its MaxDist half does
+not depend on the query: fewer than ``k`` objects beat the threshold exactly
+when ``A``'s k-th smallest MaxDist is at or above it, so that one value per
+row (:func:`~repro.index.soa.kth_max_dists`) is built once per partition-set
+version, ``alpha`` and ``k`` and cached in the
+:class:`~repro.core.executor.RepresentativeIndex`; a query then pays one
+``MinDist`` per row.  Verification then answers every surviving candidate's
+(k+1)-NN through **one** shared
+:meth:`~repro.core.executor.BatchQueryExecutor.aknn_batch` traversal: each candidate's exact distance to ``Q`` doubles as an externally
 bootstrapped pruning radius (any object at or beyond ``d_alpha(A, Q)`` can
 never be strictly closer to ``A`` than ``Q``, so truncating the traversal
 there preserves the membership decision), and every distinct object is
@@ -22,10 +27,10 @@ fetched from the store once for the whole batch.  Results report the method
 
 :func:`reverse_bucket_pass` is that plan for a *bucket* of reverse
 queries sharing ``(k, alpha)``, written once over a *partition set*: the
-MaxDist matrix of the filter is query-independent, so the whole bucket pays
-for it once, and the union of every query's surviving candidates is verified
-through a single shared traversal per partition (per-candidate radii take
-the maximum over the bucket, which keeps each per-query decision exact).
+bucket reads (or, after a write, rebuilds) the cached k-th MaxDist table, and
+the union of every query's surviving candidates is verified through a single
+shared traversal per partition (per-candidate radii take the maximum over
+the bucket, which keeps each per-query decision exact).
 :meth:`ReverseAKNNSearcher.search_batch` runs it over one tree — a partition
 set of one, fanned out by a plain call — and the sharded database over its
 live shards through its strict fan-out; the gather, the filter, the
@@ -40,14 +45,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.executor import BatchQueryExecutor, _exact_min_distances
+from repro.core.executor import (
+    BatchQueryExecutor,
+    RepresentativeIndex,
+    _exact_min_distances,
+)
 from repro.core.query import PreparedQuery
 from repro.core.results import Coverage, QueryStats, merge_topk
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.index.rtree import RTree
-from repro.index.soa import certainly_closer_counts, min_dist_to_boxes
+from repro.index.soa import min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
@@ -159,9 +168,9 @@ def query_filter_thresholds(
 ) -> np.ndarray:
     """Per-(query, row) disqualification thresholds for the all-pairs filter.
 
-    Row ``(q, A)`` is ``MinDist(M_A(alpha)*, M_Q(alpha))`` — the value the
-    ``certainly_closer_counts`` kernel compares ``MaxDist(M_A*, M_B*)``
-    against, for every row of the whole (all partitions') box set.
+    Row ``(q, A)`` is ``MinDist(M_A(alpha)*, M_Q(alpha))`` — the value
+    ``A``'s k-th ``MaxDist(M_A*, M_B*)`` is compared against, for every row
+    of the whole (all partitions') box set.
     """
     return min_dist_to_boxes(
         np.stack([p.query_mbr.lower for p in prepared]),
@@ -252,7 +261,7 @@ def build_bucket_results(
 ) -> List["ReverseKNNResult"]:
     """Per-query results with per-query-honest cost attribution.
 
-    Most of a bucket's work (filter matrix, shared traversal, store fetches)
+    Most of a bucket's work (filter table, shared traversal, store fetches)
     is paid once and cannot be attributed to one query, so per-result scalar
     counters charge each query only its own exact candidate probes
     (``probes``), with the bucket totals (``totals``, keyed by QueryStats
@@ -324,6 +333,7 @@ class ReverseKNNResult:
 
 
 def reverse_bucket_pass(
+    index: RepresentativeIndex,
     parts: Sequence,
     fan_out: Callable[[str, Callable], List],
     queries: Sequence[FuzzyObject],
@@ -343,9 +353,13 @@ def reverse_bucket_pass(
 
     1. ``reverse_gather`` — every part exports its ``(n_p, d)`` Equation-2
        box arrays from the leaf SoA views;
-    2. ``reverse_filter`` — each part evaluates the all-pairs
+    2. ``reverse_filter`` — each part decides the all-pairs
        disqualification test for *its* rows against the **whole** box set, so
-       candidate sets are exactly as tight as one tree's;
+       candidate sets are exactly as tight as one tree's: a row survives when
+       its k-th MaxDist is at or above the query's MinDist.  ``index`` holds
+       those k-th values per member set (the key covers every part's tree, so
+       a write or a survivor rerun rebuilds) and builds a part's slice on a
+       miss;
     3. the union of every query's surviving candidates is fetched through
        the part that gathered the row and planned once
        (:func:`plan_bucket_verification`);
@@ -354,8 +368,9 @@ def reverse_bucket_pass(
        (maximised over the bucket), and the per-part lists merge before the
        membership count.
 
-    The bucket totals are assembled here, once: the filter's ``Q·n + n²``
-    bound evaluations plus every part's verification traversal.
+    The bucket totals are assembled here, once: the filter's ``Q·n`` bound
+    evaluations, ``n`` more per row whose k-th table this bucket built
+    (``Q·n + n²`` on a cold table), plus every part's verification traversal.
     """
     if k <= 0:
         raise InvalidQueryError(f"k must be positive, got {k}")
@@ -392,18 +407,21 @@ def reverse_bucket_pass(
         masks = np.ones((len(queries), n), dtype=bool)
     else:
         thresholds = query_filter_thresholds(prepared, box_lo, box_hi)
+        trees = [part.tree for part in parts]
 
-        def filter_rows(part) -> np.ndarray:
+        def filter_rows(part) -> Tuple[np.ndarray, int]:
             start, stop = spans[id(part)]
-            return certainly_closer_counts(
-                box_lo[start:stop], box_hi[start:stop], box_lo, box_hi,
-                thresholds[:, start:stop], self_index=np.arange(start, stop),
+            kth, built = index.kth_table(
+                trees, alpha, k, start, stop, box_lo, box_hi
             )
+            return kth >= thresholds[:, start:stop], (stop - start if built else 0)
 
-        counts = fan_out("reverse_filter", filter_rows)
-        masks = np.concatenate(counts, axis=1) < k
+        filtered = fan_out("reverse_filter", filter_rows)
+        masks = np.concatenate([mask for mask, _ in filtered], axis=1)
+        built_rows = sum(rows for _, rows in filtered)
         metrics.increment(
-            MetricsCollector.LOWER_BOUND_EVALUATIONS, len(queries) * n + n * n
+            MetricsCollector.LOWER_BOUND_EVALUATIONS,
+            len(queries) * n + built_rows * n,
         )
 
     if deadline is not None:
@@ -514,7 +532,7 @@ class ReverseAKNNSearcher:
         one.  Returns one result per query.  ``deadline`` bounds the bucket.
         """
         return reverse_bucket_pass(
-            [self], lambda op, fn: [fn(self)], queries, k, alpha,
-            self.config, rng=rng, deadline=deadline,
+            self.executor._rep_index, [self], lambda op, fn: [fn(self)],
+            queries, k, alpha, self.config, rng=rng, deadline=deadline,
             profile_store=self.profile_store,
         )

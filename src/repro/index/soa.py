@@ -94,10 +94,12 @@ def max_dist_to_boxes(
 
 
 # Element budget of one (rows, N) MaxDist block in the all-pairs reverse-kNN
-# filter kernel: 256 KB planes stay cache-resident across the per-dimension
-# passes.  Every call `family_batches` makes is 250 rows x 500 boxes x 1 query
-# (125 000 elements): 1.5 ms in four blocks against 3.7 ms as one 1 MB plane,
-# +9.8 % `ops_per_s` end to end (README "Exact distances").
+# filter kernels: 256 KB planes stay cache-resident across the per-dimension
+# passes.  Set when every `family_batches` reverse bucket counted its own
+# 250 rows x 500 boxes x 1 query (125 000 elements): 1.5 ms in four blocks
+# against 3.7 ms as one 1 MB plane, +9.8 % `ops_per_s` end to end (README
+# "Exact distances").  The same planes now build the k-th MaxDist table, once
+# per partition-set version.
 _PAIRWISE_BLOCK_ELEMENTS = 32_768
 
 
@@ -119,10 +121,11 @@ def certainly_closer_counts(
     peak temporary stays bounded for any ``N``.
 
     ``thresholds`` is ``(m,)`` for one query or ``(Q, m)`` for a batch of
-    queries sharing the same boxes (the MaxDist matrix is query-independent,
-    so a whole coalesced bucket pays for it once); the result has the same
-    leading shape.  ``self_index`` gives each row's position within the full
-    box set so the row's pairing with itself is excluded from its count.
+    queries sharing the same boxes; the result has the same leading shape.
+    ``self_index`` gives each row's position within the full box set so the
+    row's pairing with itself is excluded from its count.  The reverse
+    filter decides through :func:`kth_max_dists` instead; this count stays
+    as its reference.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     single = thresholds.ndim == 1
@@ -146,6 +149,43 @@ def certainly_closer_counts(
             self_md = md[rows - start, self_index[start:stop]]
             counts[:, start:stop] -= self_md[None, :] < block
     return counts[0] if single else counts
+
+
+def kth_max_dists(
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    all_lower: np.ndarray,
+    all_upper: np.ndarray,
+    k: int,
+    self_index: np.ndarray,
+) -> np.ndarray:
+    """Per-row ``k``-th smallest ``MaxDist`` to the other boxes of the full set.
+
+    The query-independent half of :func:`certainly_closer_counts`: fewer
+    than ``k`` boxes have ``MaxDist(row_i, box_j) < t`` exactly when the
+    value returned for row ``i`` is ``>= t``, so one ``(m,)`` vector per box
+    set, ``alpha`` and ``k`` decides the filter for every threshold.  The
+    ``MaxDist`` values come from the same :func:`max_dist_to_boxes` planes
+    under the same block budget, so the decision is bit-identical.
+    ``self_index`` gives each row's position within the full box set, whose
+    pairing with the row itself is excluded; a row with fewer than ``k``
+    other boxes gets ``inf``.
+    """
+    m = row_lower.shape[0]
+    n = all_lower.shape[0]
+    kth = np.full(m, np.inf)
+    if n - 1 < k:
+        return kth
+    chunk = max(1, _PAIRWISE_BLOCK_ELEMENTS // n)
+    for start in range(0, m, chunk):
+        stop = min(m, start + chunk)
+        md = max_dist_to_boxes(
+            row_lower[start:stop], row_upper[start:stop], all_lower, all_upper
+        )
+        md[np.arange(stop - start), self_index[start:stop]] = np.inf
+        md.partition(k - 1, axis=1)
+        kth[start:stop] = md[:, k - 1]
+    return kth
 
 
 def rep_to_samples_distances(reps: np.ndarray, samples: np.ndarray) -> np.ndarray:

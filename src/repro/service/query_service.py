@@ -14,7 +14,8 @@ when it either reaches ``coalesce_max_batch`` requests or its oldest request
 has waited ``coalesce_window_ms`` milliseconds.  A flushed bucket is
 homogeneous by construction, so the planner answers it through the shared
 engine for its type: one R-tree traversal for an AKNN bucket, one candidate
-filter matrix + one verification traversal for a reverse bucket.  New
+filter pass against a cached k-th MaxDist table + one verification traversal
+for a reverse bucket.  New
 request families coalesce correctly with zero service edits — the bucket
 table never switches on request types.  Since ``bucket_key()`` carries each
 request's full method parameterisation, a per-request method override simply

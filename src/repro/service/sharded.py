@@ -227,10 +227,12 @@ class ShardedDatabase:
         self._next_id = max(shard.db.store.id_watermark for shard in self._shards)
         self._epoch = EpochCounter()
         self.metrics = SharedMetricsCollector()
-        # One d_alpha profile memo shared by every sweep (keyed by query
-        # instance + object id, so it stays valid across live sets).
+        # One d_alpha profile memo shared by every sweep and reverse bucket
+        # (keyed by query instance + object id, so it stays valid across
+        # live sets).
         self._sweep_profiles = DistanceProfileStore(self.config.profile_cache_capacity)
-        # The bucket bootstrap's KD-tree over the live shards' representatives.
+        # The bucket bootstrap's KD-tree over the live shards' representatives
+        # and the reverse filter's k-th MaxDist table over their boxes.
         self._rep_index = RepresentativeIndex()
 
     # ------------------------------------------------------------------
@@ -895,8 +897,9 @@ class ShardedDatabase:
             # radii fold all shards' candidates together.
             results = self._coupled(
                 lambda live, fan_out: reverse_bucket_pass(
-                    live, fan_out, queries, first.k, first.alpha,
-                    self.config, rng=rng, deadline=deadline,
+                    self._rep_index, live, fan_out, queries, first.k,
+                    first.alpha, self.config, rng=rng, deadline=deadline,
+                    profile_store=self._sweep_profiles,
                 ),
                 deadline,
             )

@@ -15,14 +15,16 @@ that span several kernel blocks.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import KDTREE_CROSSOVER_POINTS
-from repro.core.executor import _exact_min_distances
+from repro.config import KDTREE_CROSSOVER_POINTS, RuntimeConfig
+from repro.core import executor as executor_module, reverse_nn as reverse_module
+from repro.core.executor import RepresentativeIndex, _exact_min_distances
 from repro.exceptions import EmptyAlphaCutError
 from repro.fuzzy.alpha_distance import alpha_distance, distance_profile
 from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
@@ -378,6 +380,124 @@ class TestBoxBounds:
                 )
             np.testing.assert_array_equal(counts, expected)
             np.testing.assert_array_equal(single, expected[1])
+
+
+# ----------------------------------------------------------------------
+# The reverse filter's k-th MaxDist table
+# ----------------------------------------------------------------------
+class _BoxTree:
+    """Exports fixed Equation-2 boxes the way an R-tree's leaves do."""
+
+    mutations = 0
+
+    def __init__(self, lower, upper):
+        self.lower, self.upper = lower, upper
+
+    def __len__(self):
+        return self.lower.shape[0]
+
+    def leaf_alpha_bounds(self, alpha):
+        if not len(self):  # an empty tree exports (0, 0)-shaped boxes
+            return np.empty(0, dtype=np.int64), np.empty((0, 0)), np.empty((0, 0))
+        return np.arange(len(self)), self.lower, self.upper
+
+
+def _box_part(lower, upper):
+    return SimpleNamespace(
+        tree=_BoxTree(lower, upper),
+        store=SimpleNamespace(statistics=SimpleNamespace(object_accesses=0)),
+    )
+
+
+@st.composite
+def filter_thresholds(draw, spans, n_queries):
+    """Per (query, row): exactly one of the row's MaxDist values, 1 ulp either
+    side of one, or an arbitrary value."""
+    thresholds = np.empty((n_queries, spans.shape[0]))
+    for q in range(n_queries):
+        for row in range(spans.shape[0]):
+            value = spans[row, draw(st.integers(0, spans.shape[1] - 1))]
+            kind = draw(st.sampled_from(["at", "above", "below", "any"]))
+            if kind == "above":
+                value = np.nextafter(value, np.inf)
+            elif kind == "below":
+                value = np.nextafter(value, -np.inf)
+            elif kind == "any":
+                value = draw(st.floats(0.0, 120.0))
+            thresholds[q, row] = value
+    return thresholds
+
+
+class TestReverseFilterTable:
+    """``k``-th MaxDist ``>=`` threshold decides exactly what the closer count
+    ``< k`` decides, through the reverse pass's own filter: cold, cached, per
+    part and across blocks."""
+
+    @given(
+        data=st.data(),
+        dimensions=DIMENSIONS,
+        count=st.integers(1, 14),
+        k=st.sampled_from([1, 2, 3, 5, 16]),
+        n_queries=st.integers(1, 4),
+        elements=st.sampled_from([1, 7, 20, 32_768]),
+    )
+    @settings(**SETTINGS)
+    def test_masks_equal_closer_counts_below_k(
+        self, data, dimensions, count, k, n_queries, elements
+    ):
+        lower, upper = data.draw(box_sets(dimensions, count))
+        for _ in range(data.draw(st.integers(0, 3))):  # duplicated boxes
+            i, j = data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, count - 1))
+            lower[i], upper[i] = lower[j], upper[j]
+        spans = max_dist_to_boxes(lower, upper, lower, upper)
+        thresholds = data.draw(filter_thresholds(spans, n_queries))
+        cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=2)))
+        bounds = [0, *cuts, count]
+        parts = [
+            _box_part(lower[a:b], upper[a:b]) for a, b in zip(bounds, bounds[1:])
+        ]
+        expected = certainly_closer_counts(
+            lower, upper, lower, upper, thresholds, self_index=np.arange(count)
+        ) < k
+
+        seen = []
+
+        def capture(prepared, masks, *args, **kwargs):
+            seen.append(masks.copy())
+            return None
+
+        query = FuzzyObject(np.zeros((1, dimensions)), np.ones(1))
+        index = RepresentativeIndex()
+        with mock.patch.object(soa_module, "_PAIRWISE_BLOCK_ELEMENTS", elements), \
+                mock.patch.object(reverse_module, "query_filter_thresholds",
+                                  lambda *args: thresholds), \
+                mock.patch.object(reverse_module, "plan_bucket_verification", capture):
+            for _ in range(2):  # builds the table, then reads it
+                results = reverse_module.reverse_bucket_pass(
+                    index, parts, lambda op, fn: [fn(part) for part in parts],
+                    [query] * n_queries, k, 0.5, RuntimeConfig(),
+                )
+                seen[-1] = (seen[-1], results[0].stats.extra)
+        (cold, cold_stats), (warm, warm_stats) = seen
+        np.testing.assert_array_equal(cold, expected)
+        np.testing.assert_array_equal(warm, expected)
+        filtered = n_queries * count
+        assert cold_stats["bucket_lower_bound_evaluations"] == filtered + count * count
+        assert warm_stats["bucket_lower_bound_evaluations"] == filtered
+
+    def test_a_few_pairs_are_kept_oldest_out_first(self, rng):
+        lower = rng.random((6, 2)) * 4.0
+        upper = lower + 0.5
+        trees = [_BoxTree(lower, upper)]
+        index = RepresentativeIndex()
+
+        def builds(k):
+            return index.kth_table(trees, 0.5, k, 0, 6, lower, upper)[1]
+
+        kept = executor_module._KTH_TABLE_PAIRS
+        assert all(builds(k) for k in range(1, kept + 2))
+        assert not any(builds(k) for k in range(2, kept + 2))
+        assert builds(1)  # the first pair went out when one too many came in
 
 
 # ----------------------------------------------------------------------

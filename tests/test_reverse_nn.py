@@ -1,15 +1,22 @@
 """Tests for the reverse AKNN extension query, against the brute-force
 reference."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro import reference
+from repro.config import RuntimeConfig
+from repro.core import executor as executor_module
 from repro.core.database import FuzzyDatabase
 from repro.core.requests import ReverseRequest
 from repro.core.reverse_nn import ReverseAKNNSearcher
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
+from repro.metrics.counters import MetricsCollector
+from repro.service import FaultPlan, ShardedDatabase
 from tests.conftest import make_fuzzy_object
 
 
@@ -207,3 +214,164 @@ class TestCostAndValidation:
         assert result.object_ids == expected
         assert result.stats.object_accesses > 0
         assert result.k == 3 and result.alpha == 0.6
+
+
+class TestTableVersion:
+    """The filter's k-th MaxDist table is built once per partition-set
+    version: two buckets with no write between them build it once, every
+    write (also one that keeps a tree's size) and every change of the live
+    set rebuilds it, and every answer equals the reference."""
+
+    K, ALPHA = 3, 0.5
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        kernel = executor_module.kth_max_dists
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "kth_max_dists", counted)
+        return calls
+
+    def answer(self, db, queries, builds, expect_builds, objects=None):
+        """One reverse bucket; its kernel calls and answers are checked."""
+        before = len(builds)
+        results = db.execute_batch(
+            [ReverseRequest(q, k=self.K, alpha=self.ALPHA) for q in queries]
+        )
+        assert len(builds) - before == expect_builds
+        if objects is None:
+            objects = [db.get_object(object_id) for object_id in db.object_ids()]
+        for query, result in zip(queries, results):
+            want = reference.reverse(objects, query, self.K, self.ALPHA)
+            assert result.object_ids == [object_id for object_id, _ in want]
+            np.testing.assert_allclose(
+                [result.distances[object_id] for object_id in result.object_ids],
+                [distance for _, distance in want],
+                rtol=1e-9, atol=1e-12,
+            )
+        return results
+
+    @staticmethod
+    def tree_mates(db, object_id):
+        """Ids stored in the same tree as ``object_id``."""
+        if isinstance(db, FuzzyDatabase):
+            return db.object_ids()
+        (shard,) = [s for s in db._shards if object_id in s.db.summaries]
+        return shard.db.object_ids()
+
+    @pytest.mark.parametrize("n_shards", [None, 1, 3])
+    def test_writes_and_recovery_rebuild_the_table(self, builds, tmp_path, n_shards):
+        rng = np.random.default_rng(41)
+        objects = [
+            make_fuzzy_object(rng, n_points=10, center=rng.random(2) * 8, object_id=i)
+            for i in range(45)
+        ]
+        queries = [
+            make_fuzzy_object(rng, n_points=10, center=center)
+            for center in ([3.0, 3.0], [5.0, 6.0])
+        ]
+        config = RuntimeConfig(
+            rtree_max_entries=6, snapshot_every=0, service_shards=n_shards or 1,
+            shard_retry_attempts=1, shard_retry_base_ms=0.1, shard_retry_max_ms=0.2,
+        )
+        engine = FuzzyDatabase if n_shards is None else ShardedDatabase
+        db = engine.build(objects, config=config)
+        parts = n_shards or 1
+        self.answer(db, queries, builds, parts)
+        self.answer(db, queries, builds, 0)  # no write: the same table
+
+        db.insert(make_fuzzy_object(rng, center=[3.5, 3.0]))
+        self.answer(db, queries, builds, parts)
+        db.insert(make_fuzzy_object(rng, center=[5.0, 5.5], object_id=100))
+        self.answer(db, queries, builds, parts)
+        db.delete(7)
+        self.answer(db, queries, builds, parts)
+        # One insert and one delete in the same tree: its size is unchanged.
+        fresh = db.insert(make_fuzzy_object(rng, center=[4.0, 4.0]))
+        db.delete(next(i for i in self.tree_mates(db, fresh) if i != fresh))
+        self.answer(db, queries, builds, parts)
+
+        db.enable_durability(tmp_path / "db")  # deletes now take delete_lazy
+        db.delete(db.object_ids()[0])
+        self.answer(db, queries, builds, parts)
+        # Lazy deletes from one tree until its compaction swaps the tree in.
+        victim = db.object_ids()[-1]
+        owner = db if n_shards is None else next(
+            s.db for s in db._shards if victim in s.db.summaries
+        )
+        while not owner.metrics.get(MetricsCollector.COMPACTIONS):
+            db.delete(next(i for i in self.tree_mates(db, victim) if i != victim))
+        self.answer(db, queries, builds, parts)
+        self.answer(db, queries, builds, 0)
+
+        # Recovery: a new database with its own, cold table.
+        db.close()
+        db = engine.recover(tmp_path / "db", config=config)
+        try:
+            self.answer(db, queries, builds, parts)
+            self.answer(db, queries, builds, 0)
+            if n_shards != 3:
+                return
+            # A dead shard: the pass reruns over the survivors, whose rows
+            # are a different set, so the table is rebuilt for them only.
+            db.fault_plan = FaultPlan.parse("shard=2,op=reverse_filter,kind=raise")
+            survivors = [
+                db.get_object(object_id)
+                for shard in db._shards[:2]
+                for object_id in shard.db.object_ids()
+            ]
+            results = self.answer(db, queries, builds, 2, objects=survivors)
+            assert all(result.coverage.failed == (2,) for result in results)
+            db.fault_plan = None
+            self.answer(db, queries, builds, parts)
+        finally:
+            db.close()
+
+    def test_concurrent_buckets_share_the_table(self):
+        """Readers on more threads than cores, over more (alpha, k) pairs
+        than the table keeps: a lost update only costs a rebuild, and every
+        answer still equals the reference."""
+        rng = np.random.default_rng(43)
+        objects = [
+            make_fuzzy_object(rng, n_points=8, center=rng.random(2) * 8, object_id=i)
+            for i in range(36)
+        ]
+        queries = [make_fuzzy_object(rng, n_points=8, center=rng.random(2) * 8)]
+        pairs = [(alpha, k) for alpha in (0.3, 0.5, 0.7) for k in (1, 2, 3)]
+        want = {
+            (alpha, k): reverse_ids(objects, queries[0], k, alpha)
+            for alpha, k in pairs
+        }
+        db = ShardedDatabase.build(
+            objects, config=RuntimeConfig(rtree_max_entries=6, service_shards=3)
+        )
+        wrong, errors = [], []
+
+        def reader(offset):
+            try:
+                for step in range(12):
+                    alpha, k = pairs[(offset + step) % len(pairs)]
+                    got = db.execute(ReverseRequest(queries[0], k=k, alpha=alpha))
+                    if got.object_ids != want[alpha, k]:
+                        wrong.append((alpha, k, got.object_ids))
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            db.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert not wrong, wrong

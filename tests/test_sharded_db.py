@@ -26,6 +26,7 @@ from repro.core.requests import (
 )
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
+from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
 from repro.exceptions import (
     InvalidFuzzyObjectError,
     InvalidQueryError,
@@ -452,6 +453,38 @@ class TestOneSetOfNumbers:
                 "bucket_object_accesses", "candidates", "reverse_candidates",
             ):
                 assert got[name] == stats[name], name
+        # No write since: the k-th MaxDist table is read, not rebuilt, so
+        # the filter pays only its Q.n thresholds.
+        verification.clear()
+        again = [self.counted(r) for r in single.execute_batch(requests)]
+        (traversal,) = verification
+        assert [self.counted(r) for r in one_shard.execute_batch(requests)] == again
+        for stats in again:
+            assert stats["bucket_lower_bound_evaluations"] == 2 * 36 + traversal
+
+    def test_reverse_reads_the_sweeps_profile_memo(self):
+        """A reverse bucket after a sweep of the same query instance is served
+        from the sweep's distance profiles on both engines."""
+        objects = generate_synthetic_dataset(
+            SyntheticDatasetConfig(n_objects=80, points_per_object=12),
+            rng=np.random.default_rng(3),
+        )
+        query = generate_query_object(
+            np.random.default_rng(3), kind="synthetic", points_per_object=12
+        )
+        answers = []
+        for engine in (
+            FuzzyDatabase.build(list(objects)),
+            ShardedDatabase.build(list(objects), n_shards=1),
+        ):
+            try:
+                engine.execute(SweepRequest(query, k=3, alpha_range=(0.3, 0.7)))
+                answers.append(engine.execute(ReverseRequest(query, k=3, alpha=0.5)))
+            finally:
+                engine.close()
+        single, one_shard = answers
+        assert one_shard.object_ids == single.object_ids
+        assert self.counted(one_shard) == self.counted(single)
 
     def test_sweep(self, engines):
         """One sweep over a partition set: a set of one pays exactly what a
