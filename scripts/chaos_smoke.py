@@ -19,7 +19,14 @@ the failure-semantics contract held:
    all three shards first, so a table that outlives the live set shows), the
    breaker must reach OPEN (non-zero ``breaker_open``), and
    once open the shard must stop being invoked at all (the fault plan's
-   fired count freezes while ``breaker_shed`` keeps climbing).
+   fired count freezes while ``breaker_shed`` keeps climbing).  The service
+   coalesces AKNN requests into buckets, so every AKNN and sweep request of
+   the workload also runs once on its own through ``database.execute``, on
+   a twin database whose breaker stays closed: each one meets the dead shard,
+   must rerun on the survivors, and must answer like the reference over
+   them (an AKNN neighbour by its bounds when unprobed, by its distance when
+   probed; a sweep by its ``qualifying_at`` at three thresholds inside its
+   range).
 
 Run locally::
 
@@ -125,6 +132,29 @@ def _answers_the_survivors(request, result, survivors) -> bool:
     )
 
 
+def _singleton_answers_the_survivors(request, result, survivors) -> bool:
+    """One AKNN or sweep answered alone equals the reference over ``survivors``."""
+    if isinstance(request, AknnRequest):
+        exact = dict(reference.aknn(survivors, request.query, len(survivors), request.alpha))
+        want = reference.aknn(survivors, request.query, request.k, request.alpha)
+        if sorted(result.object_ids) != sorted(i for i, _ in want):
+            return False
+        for neighbor in result.neighbors:
+            d_alpha = exact[neighbor.object_id]
+            if neighbor.probed:
+                if not np.isclose(neighbor.distance, d_alpha, rtol=1e-9, atol=1e-12):
+                    return False
+            elif not neighbor.lower_bound <= d_alpha <= neighbor.upper_bound:
+                return False
+        return True
+    low, high = request.alpha_range
+    for alpha in np.linspace(low, high, 5)[1:-1]:
+        want = reference.aknn(survivors, request.query, request.k, float(alpha))
+        if result.qualifying_at(float(alpha)) != sorted(i for i, _ in want):
+            return False
+    return True
+
+
 def phase_transient(objects, queries, seed: int, n_requests: int, failures: list):
     print(f"\n=== phase 1: transient chaos (seed {seed}) ===")
     database = _build(objects)
@@ -226,6 +256,34 @@ def phase_dead_shard(objects, queries, n_requests: int, failures: list):
         _check(
             plan.total_fired() == fired_before,
             "open breaker sheds without touching the shard",
+            failures,
+        )
+    finally:
+        database.close()
+
+    # Singletons: one search over the live shards, rerun on the survivors.
+    alone = [r for r in requests if isinstance(r, (AknnRequest, SweepRequest))]
+    database = _build(objects, breaker_failure_threshold=len(alone) + 1)
+    try:
+        plan = FaultPlan.parse(f"shard={dead},kind=raise")
+        database.fault_plan = plan
+        results, met = [], 0
+        for request in alone:
+            fired_before = plan.total_fired()
+            results.append(database.execute(request))
+            met += plan.total_fired() > fired_before
+        _check(met == len(alone), "every singleton met the dead shard", failures)
+        _check(
+            all(dead in result.coverage.failed for result in results),
+            "every singleton answer is partial and names the dead shard",
+            failures,
+        )
+        _check(
+            all(
+                _singleton_answers_the_survivors(request, result, survivors)
+                for request, result in zip(alone, results)
+            ),
+            "every singleton AKNN and sweep answers like the reference over the survivors",
             failures,
         )
     finally:

@@ -36,21 +36,24 @@ robust to ties and to adversarial bound configurations, which the verbatim
 pseudo-code is not.  All four variants return a correct order-insensitive
 k-nearest-neighbour set (asserted against :mod:`repro.reference` in the
 test suite).
-:func:`aknn_fanout` is one query over a *partition set* (per-part search and
-the exact merge of the parts' top-ks).
+
+Each variant is one search over a *partition set* (parts expose ``store`` and
+``tree``; one store and tree are a set of one, :func:`searcher_over` spans
+several): the frontier holds every part's root, and a node or candidate reads
+objects from its own part's store, so N parts pay what one tree would.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import RuntimeConfig
 from repro.core.query import PreparedQuery
-from repro.core.results import AKNNResult, Neighbor, QueryStats, merge_topk, resolve_exact
+from repro.core.results import AKNNResult, Neighbor, QueryStats
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.index.entry import LeafEntry
@@ -68,15 +71,16 @@ _OBJECT = 2
 
 
 class _Candidate:
-    """A leaf entry buffered by the lazy-probe variants."""
+    """A leaf entry buffered by the lazy-probe variants, and its part."""
 
-    __slots__ = ("entry", "lower", "upper", "exact")
+    __slots__ = ("entry", "lower", "upper", "exact", "part")
 
-    def __init__(self, entry: LeafEntry, lower: float, upper: float):
+    def __init__(self, entry: LeafEntry, lower: float, upper: float, part=None):
         self.entry = entry
         self.lower = lower
         self.upper = upper
         self.exact: Optional[float] = None
+        self.part = part
 
     def settle(self, exact: float) -> None:
         """Record the exact distance after a probe; bounds collapse onto it."""
@@ -100,9 +104,10 @@ class _LeafCursor:
     unchanged -- at the cost of one push per *popped* entry.
     """
 
-    __slots__ = ("entries", "soa", "lowers", "order", "base", "pos", "uppers")
+    __slots__ = ("part", "entries", "soa", "lowers", "order", "base", "pos", "uppers")
 
-    def __init__(self, entries: List[LeafEntry], soa, lowers: List[float], base: int):
+    def __init__(self, part, entries: List[LeafEntry], soa, lowers: List[float], base: int):
+        self.part = part
         self.entries = entries
         self.soa = soa
         self.lowers = lowers
@@ -119,19 +124,21 @@ class _LeafCursor:
 class _Frontier:
     """The best-first queue of one search, keyed ``(key, counter)``.
 
-    Counters are handed out in push order, so equal keys pop first-pushed
-    first.  Internal nodes push every child; a leaf pushes one
-    :class:`_LeafCursor`, and :meth:`pop` returns its entries as
-    ``(cursor, index)``.
+    Every non-empty part's root is pushed first, in part order, with key 0.0;
+    a node travels as ``(part, node)``.  Counters are handed out in push
+    order, so equal keys pop first-pushed first.  Internal nodes push every
+    child; a leaf pushes one :class:`_LeafCursor`, and :meth:`pop` returns
+    its entries as ``(cursor, index)``.
     """
 
     __slots__ = ("heap", "counter")
 
-    def __init__(self, tree: RTree):
+    def __init__(self, parts: Sequence):
         self.heap: List[tuple] = []
         self.counter = 0
-        if len(tree) > 0:
-            self.push(0.0, _NODE, tree.root)
+        for part in parts:
+            if len(part.tree) > 0:
+                self.push(0.0, _NODE, (part, part.tree.root))
 
     def __bool__(self) -> bool:
         return bool(self.heap)
@@ -156,33 +163,37 @@ class _Frontier:
             heapq.heappop(self.heap)
         return key, kind, (payload, index)
 
-    def expand(self, node, prepared: PreparedQuery, improved: bool) -> None:
+    def expand(self, part, node, prepared: PreparedQuery, improved: bool) -> None:
         """Queue a popped node's children, bounded in one call over its SoA view."""
         if not node.entries:
             return
         soa = node.soa()
         if node.is_leaf:
             lowers = prepared.leaf_lower_bounds(soa, improved=improved)
-            cursor = _LeafCursor(node.entries, soa, lowers, self.counter)
+            cursor = _LeafCursor(part, node.entries, soa, lowers, self.counter)
             heapq.heappush(self.heap, cursor.head())
             self.counter += len(lowers)
         else:
             for entry, bound in zip(node.entries, prepared.node_lower_bounds(soa)):
-                self.push(bound, _NODE, entry.child)
+                self.push(bound, _NODE, (part, entry.child))
 
 
 class AKNNSearcher:
-    """Answers AKNN queries over an object store + R-tree pair."""
+    """Answers AKNN queries over an object store + R-tree pair: a set of one,
+    its own part (:func:`searcher_over` builds one over several parts)."""
 
     def __init__(
         self,
-        store: ObjectStore,
-        tree: RTree,
+        store: Optional[ObjectStore],
+        tree: Optional[RTree],
         config: Optional[RuntimeConfig] = None,
     ):
         self.store = store
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
+        self.parts: Sequence = (self,)
+        # Neighbour id -> the part whose leaf held it (searcher_over's only).
+        self.owners: Optional[Dict[int, object]] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -204,7 +215,7 @@ class AKNNSearcher:
             )
         metrics = MetricsCollector()
         prepared = PreparedQuery(query, alpha, self.config, rng, metrics)
-        store_before = self.store.statistics.snapshot()
+        accesses_before = self._object_accesses()
         timer = Timer().start()
 
         if method in ("basic", "lb"):
@@ -215,7 +226,7 @@ class AKNNSearcher:
             )
 
         elapsed = timer.stop()
-        stats = self._build_stats(metrics, store_before, elapsed)
+        stats = self._build_stats(metrics, accesses_before, elapsed)
         return AKNNResult(neighbors=neighbors, k=k, alpha=alpha, method=method, stats=stats)
 
     # ------------------------------------------------------------------
@@ -225,23 +236,27 @@ class AKNNSearcher:
         self, prepared: PreparedQuery, k: int, improved: bool
     ) -> List[Neighbor]:
         metrics = prepared.metrics
-        frontier = _Frontier(self.tree)
+        owners = self.owners
+        frontier = _Frontier(self.parts)
         result: List[Neighbor] = []
 
         while frontier and len(result) < k:
             key, kind, payload = frontier.pop()
             if kind == _NODE:
                 metrics.increment(MetricsCollector.NODE_ACCESSES)
-                frontier.expand(payload, prepared, improved)
+                frontier.expand(*payload, prepared, improved)
             elif kind == _LEAF:
                 cursor, index = payload
-                object_id = cursor.entries[index].object_id
-                obj = self.store.get(object_id)
-                frontier.push(prepared.distance_to(obj), _OBJECT, object_id)
+                obj = cursor.part.store.get(cursor.entries[index].object_id)
+                frontier.push(prepared.distance_to(obj), _OBJECT, payload)
             else:
+                cursor, index = payload
+                object_id = int(cursor.entries[index].object_id)
+                if owners is not None:
+                    owners[object_id] = cursor.part
                 result.append(
                     Neighbor(
-                        object_id=int(payload),
+                        object_id=object_id,
                         distance=key,
                         lower_bound=key,
                         upper_bound=key,
@@ -257,12 +272,15 @@ class AKNNSearcher:
         self, prepared: PreparedQuery, k: int, use_representative_ub: bool
     ) -> List[Neighbor]:
         metrics = prepared.metrics
-        frontier = _Frontier(self.tree)
+        owners = self.owners
+        frontier = _Frontier(self.parts)
         buffer: List[_Candidate] = []
         result: List[Neighbor] = []
 
         def emit(candidate: _Candidate) -> None:
             buffer.remove(candidate)
+            if owners is not None:
+                owners[candidate.entry.object_id] = candidate.part
             result.append(
                 Neighbor(
                     object_id=candidate.entry.object_id,
@@ -294,7 +312,7 @@ class AKNNSearcher:
             return False
 
         def probe(candidate: _Candidate) -> None:
-            obj = self.store.get(candidate.entry.object_id)
+            obj = candidate.part.store.get(candidate.entry.object_id)
             candidate.settle(prepared.distance_to(obj))
 
         while len(result) < k and (frontier or buffer):
@@ -326,7 +344,7 @@ class AKNNSearcher:
             key, kind, payload = frontier.pop()
             if kind == _NODE:
                 metrics.increment(MetricsCollector.NODE_ACCESSES)
-                frontier.expand(payload, prepared, improved=True)
+                frontier.expand(*payload, prepared, improved=True)
             else:  # _LEAF
                 # Upper bounds are evaluated lazily, one whole node at a time:
                 # the first entry popped from a leaf pays one vectorized
@@ -338,19 +356,23 @@ class AKNNSearcher:
                         cursor.soa, use_representative=use_representative_ub
                     )
                 buffer.append(
-                    _Candidate(cursor.entries[index], lower=key, upper=cursor.uppers[index])
+                    _Candidate(
+                        cursor.entries[index], key, cursor.uppers[index], cursor.part
+                    )
                 )
         return result
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _object_accesses(self) -> int:
+        return sum(part.store.statistics.object_accesses for part in self.parts)
+
     def _build_stats(
-        self, metrics: MetricsCollector, store_before, elapsed: float
+        self, metrics: MetricsCollector, accesses_before: int, elapsed: float
     ) -> QueryStats:
-        delta_accesses = self.store.statistics.object_accesses - store_before.object_accesses
-        return QueryStats(
-            object_accesses=delta_accesses,
+        stats = QueryStats(
+            object_accesses=self._object_accesses() - accesses_before,
             node_accesses=metrics.get(MetricsCollector.NODE_ACCESSES),
             distance_evaluations=metrics.get(MetricsCollector.DISTANCE_EVALUATIONS),
             lower_bound_evaluations=metrics.get(MetricsCollector.LOWER_BOUND_EVALUATIONS),
@@ -358,46 +380,21 @@ class AKNNSearcher:
             aknn_calls=1,
             elapsed_seconds=elapsed,
         )
+        if len(self.parts) > 1:
+            stats.extra["shard_fanouts"] = float(len(self.parts))
+        return stats
 
 
-def aknn_fanout(
-    query: FuzzyObject,
-    k: int,
-    alpha: float,
-    method: str = "lb_lp_ub",
-    rng: Optional[np.random.Generator] = None,
-    exact: bool = True,
-) -> Tuple[Callable, Callable]:
-    """One AKNN query over a partition set: ``(local, merge)``.
+def searcher_over(
+    fan_out: Callable[[str, Callable], List], config: Optional[RuntimeConfig] = None
+) -> AKNNSearcher:
+    """An :class:`AKNNSearcher` over the parts ``fan_out("aknn", fn)`` admits.
 
-    ``local(part)`` runs the part's ``aknn_searcher``; with ``exact`` (the
-    answers of several parts will be merged) it also probes every
-    lazily-confirmed neighbour, inside the caller's fan-out, so the merge
-    compares exact distances.  ``merge(per_part)`` keeps the ``k`` smallest
-    across the parts' answers; one part's answer is returned as it is, so a
-    set of one pays neither the probes nor the merge.
+    The fan-out reads nothing (it is where a sharded database's fault plan,
+    retries and breakers meet each shard); the search's reads go through
+    each part's ``store``.  ``owners`` records where each neighbour lives.
     """
-    timer = Timer().start()
-
-    def local(part) -> AKNNResult:
-        result = part.aknn_searcher.search(query, k, alpha, method=method, rng=rng)
-        if exact:
-            fetch = part.aknn_searcher.store.get
-            result.neighbors = [
-                resolve_exact(neighbor, query, alpha, fetch) for neighbor in result.neighbors
-            ]
-        return result
-
-    def merge(per_part: Sequence[AKNNResult]) -> AKNNResult:
-        if len(per_part) == 1:
-            return per_part[0]
-        stats = QueryStats()
-        for result in per_part:
-            stats.merge(result.stats)
-        stats.aknn_calls = 1
-        stats.extra["shard_fanouts"] = float(len(per_part))
-        neighbors = merge_topk([result.neighbors for result in per_part], k)
-        stats.elapsed_seconds = timer.stop()
-        return AKNNResult(neighbors=neighbors, k=k, alpha=alpha, method=method, stats=stats)
-
-    return local, merge
+    searcher = AKNNSearcher(None, None, config)
+    searcher.parts = fan_out("aknn", lambda part: part)
+    searcher.owners = {}
+    return searcher

@@ -29,10 +29,11 @@ All variants return the same qualifying ranges as the brute-force
 the test suite); they differ in the number of object accesses and refinement
 steps.
 
-The sweep is written once, over a *partition set*: its AKNN sub-queries are
-:func:`~repro.core.aknn.aknn_fanout`, its candidate collection
+The sweep is written once, over a *partition set*: each AKNN sub-query is one
+:class:`~repro.core.aknn.AKNNSearcher` search over every part (admitted by
+:func:`~repro.core.aknn.searcher_over`), its candidate collection is
 :func:`~repro.core.range_search.collect_over_parts`, and every object it
-reads between sub-queries comes from the part holding it.  A
+reads between sub-queries comes from the part whose leaf held it.  A
 :class:`~repro.core.database.FuzzyDatabase` is a set of one, fanned out by a
 plain call; the sharded database runs :func:`sweep_pass` over its live shards
 through its strict fan-out.
@@ -49,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import RKNN_EPSILON, RuntimeConfig
-from repro.core.aknn import aknn_fanout
+from repro.core.aknn import searcher_over
 from repro.core.range_search import collect_over_parts
 from repro.core.results import AKNNResult, QueryStats, RKNNResult, resolve_exact
 from repro.exceptions import InvalidQueryError
@@ -88,7 +89,7 @@ class RKNNSearcher:
     ----------
     parts:
         The partitions swept over; each exposes ``store`` (object reads and
-        access counters), ``tree`` and ``aknn_searcher``.
+        access counters) and ``tree``.
     fan_out:
         ``fan_out(op, fn)`` applies ``fn`` to every part and returns the
         values in ``parts`` order — a plain call for a set of one, the
@@ -152,18 +153,10 @@ class RKNNSearcher:
             each neighbour (where a later read of that object goes)."""
             if deadline is not None:
                 deadline.check("sweep aknn")
-            local, merge = aknn_fanout(
-                query, k, alpha, aknn_method, rng, exact=len(self.parts) > 1
-            )
-            per_part = self.fan_out("aknn", local)
-            result = merge(per_part)
+            searcher = searcher_over(self.fan_out, self.config)
+            result = searcher.search(query, k, alpha, aknn_method, rng)
             self._merge_substats(stats, result.stats)
-            ranked_by = {
-                neighbor.object_id: part
-                for part, answer in zip(self.parts, per_part)
-                for neighbor in answer.neighbors
-            }
-            return result, ranked_by
+            return result, searcher.owners
 
         if method == "basic":
             assignments = self._search_basic(aknn, query, alpha_start, alpha_end, stats)

@@ -24,13 +24,13 @@ this module is how a query meets the shards, not the queries themselves:
   recovery, placement, the owner map, live updates, update listeners.
 
 The families are **not** here.  Each is written once in its own module, over
-a *partition set* — parts exposing ``store`` / ``tree`` / ``executor`` /
-``aknn_searcher``, which a :class:`_Shard` does — and a single tree is a set
-of one.  A bucket hook picks ``_isolated`` (a per-part search and its merge:
-:func:`~repro.core.aknn.aknn_fanout` for one AKNN query,
+a *partition set* — parts exposing ``store`` / ``tree`` / ``executor``, which
+a :class:`_Shard` does — and a single tree is a set of one.  A bucket hook
+picks ``_isolated`` (a per-part search and its merge:
 :func:`~repro.core.range_search.range_bucket` for a whole range bucket) or
 ``_coupled`` (a pass over the live shards with ``_map_strict`` as its fan-out:
-:func:`~repro.core.executor.aknn_bucket_pass`,
+:func:`~repro.core.aknn.searcher_over` for one AKNN query,
+:func:`~repro.core.executor.aknn_bucket_pass` for a bucket of many,
 :func:`~repro.core.rknn.sweep_pass`,
 :func:`~repro.core.reverse_nn.reverse_bucket_pass`) and calls it.
 
@@ -70,7 +70,7 @@ from typing import (
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.aknn import aknn_fanout
+from repro.core.aknn import searcher_over
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import RepresentativeIndex, aknn_bucket_pass
 from repro.core.range_search import range_bucket
@@ -106,8 +106,8 @@ T = TypeVar("T")
 class _Shard:
     """One partition: a FuzzyDatabase, its readers/writer lock, its breaker.
 
-    ``store`` / ``tree`` / ``executor`` / ``aknn_searcher`` are what the
-    families' partition-set functions see of it.
+    ``store`` / ``tree`` / ``executor`` are what the families'
+    partition-set functions see of it.
     """
 
     __slots__ = ("index", "db", "lock", "breaker", "store")
@@ -127,16 +127,12 @@ class _Shard:
     def executor(self):
         return self.db._executor
 
-    @property
-    def aknn_searcher(self):
-        return self.db.aknn_searcher
-
 
 class _ShardStore:
     """A shard's object store as the families read it.
 
     Nothing blames a shard for a read made between fan-outs (a bootstrap
-    nominee, a reverse candidate, a sweep's level scan or profile probe), so
+    nominee, a reverse candidate, a singleton AKNN's or a sweep's probe), so
     a failing ``get`` is converted here into the :class:`_FanoutFailure` that
     makes :meth:`ShardedDatabase._coupled` rerun the pass on the survivors.
     A read inside the shard's own call (a range bucket's probes) fails that
@@ -823,10 +819,15 @@ class ShardedDatabase:
         def answer(unit: Sequence[AknnRequest]) -> List:
             queries = [request.query for request in unit]
             if len(unit) == 1:
-                local, merge = aknn_fanout(
-                    queries[0], k, alpha, method, rng, exact=self.n_shards > 1
+                # One search over every live shard's root.
+                return self._coupled(
+                    lambda live, fan_out: [
+                        searcher_over(fan_out, self.config).search(
+                            queries[0], k, alpha, method, rng
+                        )
+                    ],
+                    deadline,
                 )
-                return [self._isolated("aknn", local, merge, deadline=deadline)]
             self.metrics.increment(MetricsCollector.BATCH_QUERIES, len(unit))
             return self._coupled(
                 lambda live, fan_out: aknn_bucket_pass(

@@ -120,8 +120,12 @@ class TestQueryParity:
             got = sharded.execute(AknnRequest(query, k=7, alpha=0.5, method=method))
             want = reference.execute(AknnRequest(query, k=7, alpha=0.5, method=method))
             assert set(got.object_ids) == set(want.object_ids)
+            exact = dict(oracle.aknn(objects, query, len(objects), 0.5))
             for neighbor in got.neighbors:
-                assert neighbor.distance is not None  # merge is exact
+                d_alpha = exact[neighbor.object_id]
+                assert neighbor.lower_bound <= d_alpha <= neighbor.upper_bound
+                if neighbor.probed:
+                    assert neighbor.distance == pytest.approx(d_alpha, rel=1e-9)
         sharded.close()
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
