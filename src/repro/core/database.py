@@ -34,8 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.aknn import AKNNSearcher
-from repro.core.executor import BatchQueryExecutor
+from repro.core.executor import BatchQueryExecutor, RepresentativeIndex, aknn_bucket_pass
 from repro.core.range_search import AlphaRangeSearcher
 from repro.core.requests import (
     AknnRequest,
@@ -83,19 +82,22 @@ class FuzzyDatabase:
         # One d_alpha memo shared by the sweep searcher and the reverse
         # engine: overlapping (query, object) evaluations are paid once.
         self.profile_store = DistanceProfileStore(self.config.profile_cache_capacity)
-        self.aknn_searcher = AKNNSearcher(store, tree, self.config)
         self.range_searcher = AlphaRangeSearcher(store, tree, self.config)
         # The sweep runs over this database as a partition set of one.
         self._rknn = RKNNSearcher(
             [self], lambda op, fn: [fn(self)], self.config,
             profile_store=self.profile_store,
         )
-        self._executor = BatchQueryExecutor(store, tree, self.config)
+        # This database as a part of its own AKNN partition set of one
+        # (``store`` / ``tree`` / ``executor``, as a shard exposes them) and
+        # the bucket bootstrap's KD-tree over its representatives.
+        self.executor = BatchQueryExecutor(store, tree, self.config)
+        self._rep_index = RepresentativeIndex()
         self._reverse = ReverseAKNNSearcher(
             store,
             tree,
             self.config,
-            executor=self._executor,
+            executor=self.executor,
             profile_store=self.profile_store,
         )
         # Request-planner telemetry (plan_groups / plan_requests / the shared
@@ -212,12 +214,14 @@ class FuzzyDatabase:
         """
         return execute_plan(self, list(requests), rng=rng)
 
-    # Bucket hooks consumed by the planners in repro.core.requests.  An AKNN
-    # bucket of one runs the single-query searcher; larger AKNN buckets and
-    # every range / reverse bucket run the shared batch engines.  The
-    # ``deadline`` keyword is the bucket's abort point (latest member expiry);
-    # the sweep loop checks it between queries, the batch engines between
-    # traversal chunks.
+    # Bucket hooks consumed by the planners in repro.core.requests.  Each
+    # family runs its partition-set function over this database, a set of
+    # one fanned out by a plain call, exactly as the sharded database runs it
+    # over its live shards: an AKNN bucket of any size is aknn_bucket_pass
+    # (a bucket of one is the single-query search), every range / reverse
+    # bucket a shared batch engine.  The ``deadline`` keyword is the bucket's
+    # abort point (latest member expiry); the sweep loop checks it between
+    # queries, the batch engines between traversal chunks.
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
@@ -225,28 +229,11 @@ class FuzzyDatabase:
         deadline=None,
     ) -> List[AKNNResult]:
         first = bucket[0]
-        if len(bucket) == 1:
-            if deadline is not None:
-                deadline.check("aknn")
-            return [
-                self.aknn_searcher.search(
-                    first.query, first.k, first.alpha,
-                    method=first.method.value, rng=rng,
-                )
-            ]
-        self.metrics.increment(MetricsCollector.BATCH_QUERIES, len(bucket))
-        # One R-tree traversal shared by the whole bucket; neighbour sets
-        # equal the single-query path up to distance ties at the k-th rank
-        # (the batch engine breaks ties by object id, the single-query
-        # searchers by traversal order).
-        return self._executor.aknn_batch(
-            [request.query for request in bucket],
-            first.k,
-            first.alpha,
-            method=first.method.value,
-            rng=rng,
-            deadline=deadline,
-        ).results
+        return aknn_bucket_pass(
+            self._rep_index, [self], lambda op, fn: [fn(self)],
+            [request.query for request in bucket], first.k, first.alpha,
+            first.method.value, self.config, self.metrics, rng=rng, deadline=deadline,
+        )
 
     def _execute_range_bucket(
         self,
@@ -294,11 +281,16 @@ class FuzzyDatabase:
         deadline=None,
     ) -> List[ReverseKNNResult]:
         first = bucket[0]
-        self.metrics.increment(MetricsCollector.REVERSE_QUERIES, len(bucket))
-        return self._reverse.search_batch(
+        results = self._reverse.search_batch(
             [request.query for request in bucket], first.k, first.alpha, rng=rng,
             deadline=deadline,
         )
+        self.metrics.increment(MetricsCollector.REVERSE_QUERIES, len(bucket))
+        self.metrics.increment(
+            MetricsCollector.REVERSE_CANDIDATES,
+            int(results[0].stats.extra["reverse_candidates"]),
+        )
+        return results
 
     # ------------------------------------------------------------------
     # Live updates
@@ -336,7 +328,7 @@ class FuzzyDatabase:
 
         The object is appended to the store, summarised, and inserted into
         the R-tree (Guttman insertion with quadratic splits).  The next query
-        sees it immediately; derived caches (the batch executor's
+        sees it immediately; derived caches (the bucket bootstrap's
         representative index, node SoA views) refresh themselves through the
         tree's mutation counter and incremental SoA maintenance.  Geometry is
         revalidated first (non-finite points would poison MBRs and distance

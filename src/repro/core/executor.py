@@ -10,11 +10,12 @@ searcher, by amortising all index work across the batch:
   k-th-distance radius ``tau`` — before the R-tree is even touched.  It is
   written once, over a *partition set*: :class:`RepresentativeIndex` covers
   any number of R-trees and :func:`bootstrap_radii` reads each nominee from
-  the part holding it.  The executor runs it over itself, a set of one;
-  :func:`aknn_bucket_pass` runs the same function over a partition set (the
-  sharded database's live shards) and hands every part's executor the
-  resulting radii (``initial_tau``) and the distances already paid for
-  (``initial_exact``).
+  the part holding it.  Its one caller is :func:`aknn_bucket_pass`, the AKNN
+  bucket of both engines: it runs the bootstrap over the partition set (a
+  database's one tree, or the sharded database's live shards) and hands
+  every part's executor the resulting radii (``initial_tau``) and the
+  distances already paid for (``initial_exact``).  An executor is one
+  part's stage and never bootstraps on its own.
 * **One shared traversal** (:func:`shared_traversal`, which range buckets
   descend too).  Every R-tree node is visited at most once per batch.  A
   node is expanded only for the *active* queries whose radius it can still
@@ -37,9 +38,10 @@ searcher, by amortising all index work across the batch:
 The returned neighbour sets are exact and identical to the single-query
 methods (asserted by the parity tests) up to distance ties at the k-th rank,
 where any of the equally-correct k-sets may be returned (this engine breaks
-ties by object id).  The per-neighbour distances are always exact
-(``probed=True``), unlike the lazy single-query variants which may confirm
-through bounds alone.
+ties by object id).  A bucket of many reports every neighbour's distance
+exact (``probed=True``); a bucket of one is the single-query search
+(:func:`~repro.core.aknn.searcher_over`) on either engine, whose lazy
+variants may confirm a neighbour through bounds alone.
 
 The whole batch runs on the calling thread, so the store and tree need no
 locking.
@@ -53,6 +55,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.config import RuntimeConfig
+from repro.core.aknn import AKNN_METHODS, searcher_over
 from repro.core.query import PreparedQuery
 from repro.core.results import AKNNResult, BatchResult, Neighbor, QueryStats, merge_topk
 from repro.exceptions import InvalidQueryError
@@ -196,31 +199,29 @@ def bootstrap_radii(
     prepared: Sequence[PreparedQuery],
     k: int,
     alpha: float,
-    cuts: Dict[int, np.ndarray],
     exact: List[Dict[int, float]],
     metrics: MetricsCollector,
     query_metrics: List[MetricsCollector],
-) -> Tuple[np.ndarray, List[List[int]]]:
+) -> np.ndarray:
     """A valid per-query pruning radius over a partition set.
 
-    ``parts`` each expose ``tree`` and ``store`` (an executor is a set of
-    one; the sharded database hands in its live shards).  For each query the
+    ``parts`` each expose ``tree`` and ``store``.  For each query the
     KD-tree over every part's ``rep(A)`` points nominates the objects whose
     representatives are closest to the centre of the query alpha-cut MBR;
     probing those exactly — each read from the part the index found it in —
     makes the k-th smallest probed distance a valid upper bound on the true
     k-th neighbour distance over all parts (where the nominations land only
-    affects how tight the radius is, never correctness).  Returns the radii
-    and each query's nominee ids; ``exact`` gains every distance paid for, so
-    an executor seeded with it never evaluates — nor fetches — a nominee
-    again.  Fewer than ``k`` indexed objects leave the radii at ``inf``.  The
-    radii hold only against the snapshot they were probed from.
+    affects how tight the radius is, never correctness).  Returns the radii;
+    ``exact`` gains every distance paid for, so an executor seeded with it
+    never evaluates — nor fetches — a nominee again.  Fewer than ``k``
+    indexed objects leave the radii at ``inf``.  The radii hold only against
+    the snapshot they were probed from.
     """
     n_queries = len(prepared)
     tau = np.full(n_queries, np.inf)
     kdtree, object_ids, member_of = index.over([part.tree for part in parts])
     if object_ids.shape[0] < k:
-        return tau, [[] for _ in prepared]
+        return tau
     kk = min(k + _BOOTSTRAP_EXTRA, object_ids.shape[0])
     centers = np.stack(
         [(p.query_mbr.lower + p.query_mbr.upper) / 2.0 for p in prepared]
@@ -228,15 +229,14 @@ def bootstrap_radii(
     _, rep_idx = kdtree.query(centers, k=kk)
     if kk == 1:
         rep_idx = rep_idx[:, None]
-    nominees = object_ids[rep_idx].tolist()
     metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, n_queries * kk)
     probes = probe_rows(
         lambda object_id: parts[member_of[object_id]].store.get(object_id),
-        prepared, nominees, alpha, cuts, exact, query_metrics,
+        prepared, object_ids[rep_idx].tolist(), alpha, exact, query_metrics,
     )
     for qi, dists in enumerate(probes):
         tau[qi] = float(np.partition(dists, k - 1)[k - 1])
-    return tau, nominees
+    return tau
 
 
 def probe_rows(
@@ -244,7 +244,6 @@ def probe_rows(
     prepared: Sequence[PreparedQuery],
     rows: List[List[int]],
     alpha: float,
-    cuts: Dict[int, np.ndarray],
     exact: List[Dict[int, float]],
     query_metrics: List[MetricsCollector],
     deadline=None,
@@ -253,14 +252,17 @@ def probe_rows(
 
     An object is read through ``fetch`` (once, ascending id order) only
     when some query still owes it a distance; a row fully covered by its
-    memo costs no access at all.
+    memo (``exact``, which gains every distance paid for) costs no access
+    at all.
     """
     owed = [
         [oid for oid in row if oid not in known] if known else row
         for row, known in zip(rows, exact)
     ]
-    for object_id in sorted(set().union(*owed).difference(cuts)):
-        cuts[object_id] = fetch(object_id).alpha_cut(alpha)
+    cuts = {
+        object_id: fetch(object_id).alpha_cut(alpha)
+        for object_id in sorted(set().union(*owed))
+    }
     distances: List[np.ndarray] = []
     for qi, (row, missing) in enumerate(zip(rows, owed)):
         if deadline is not None:
@@ -364,20 +366,31 @@ def aknn_bucket_pass(
 ) -> List[AKNNResult]:
     """One AKNN bucket (shared ``k`` / ``alpha``) over a partition set.
 
-    ``parts`` each expose ``store`` / ``tree`` / ``executor``; ``fan_out(op,
-    fn)`` applies ``fn`` to every part (as for
-    :func:`repro.core.reverse_nn.reverse_bucket_pass`).  One
+    The AKNN bucket of both engines: a database runs it over itself, a set
+    of one, and the sharded database over its live shards.  ``parts`` each
+    expose ``store`` / ``tree`` / ``executor``; ``fan_out(op, fn)`` applies
+    ``fn`` to every part (as for
+    :func:`repro.core.reverse_nn.reverse_bucket_pass`).
+
+    A bucket of one is one best-first search over every part's root
+    (:func:`~repro.core.aknn.searcher_over`).  A bucket of many is one
     :func:`bootstrap_radii` over all parts (``index`` caches its KD-tree,
-    ``metrics`` counts its nominations) hands every part's executor the
-    global radii and the distances already paid for; the radii hold only
-    against the snapshot they were probed from.  Each query is prepared once
-    for the bootstrap and every part; the parts' top-ks merge exactly.
+    ``metrics`` counts its nominations), then every part's executor runs
+    under the global radii with the distances already paid for; the radii
+    hold only against the snapshot they were probed from.  Each query is
+    prepared once for the bootstrap and every part; the parts' top-ks merge
+    exactly.  ``batch_queries`` is counted last, after every fan-out, so a
+    pass that a lost part makes the caller rerun counts its bucket once.
     """
+    if deadline is not None:
+        deadline.check("aknn")
+    if len(queries) == 1:
+        return [searcher_over(fan_out, config).search(queries[0], k, alpha, method, rng)]
     prepared = [PreparedQuery(q, alpha, config, rng) for q in queries]
     initial_exact: List[Dict[int, float]] = [dict() for _ in prepared]
     bootstrap_evals = [MetricsCollector() for _ in prepared]
-    initial_tau, _ = bootstrap_radii(
-        index, parts, prepared, k, alpha, {}, initial_exact, metrics, bootstrap_evals,
+    initial_tau = bootstrap_radii(
+        index, parts, prepared, k, alpha, initial_exact, metrics, bootstrap_evals,
     )
     batches = fan_out(
         "aknn_batch",
@@ -396,11 +409,13 @@ def aknn_bucket_pass(
         )
         neighbors = merge_topk([r.neighbors for r in per_part], k)
         results.append(AKNNResult(neighbors, k, alpha, method, stats))
+    metrics.increment(MetricsCollector.BATCH_QUERIES, len(queries))
     return results
 
 
 class BatchQueryExecutor:
-    """Answers batches of AKNN queries over an object store + R-tree pair."""
+    """One part's stage of an AKNN bucket: a shared traversal of its R-tree
+    under radii the caller supplies, then the exact refinement."""
 
     def __init__(
         self,
@@ -411,7 +426,6 @@ class BatchQueryExecutor:
         self.store = store
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
-        self._rep_index = RepresentativeIndex()
 
     # ------------------------------------------------------------------
     # Public API
@@ -443,19 +457,17 @@ class BatchQueryExecutor:
         uses the conservative-line bound ``d-_alpha``); all methods return
         the same exact neighbour sets.
 
-        ``initial_tau`` is an optional per-query pruning radius.  When
-        given, the local KD-tree bootstrap is skipped and the traversal
-        prunes against these radii directly.  The returned neighbour lists
-        are complete only *up to the supplied radius*: every object whose
-        exact distance is at most a query's radius is considered, anything
-        beyond it is dropped.  A radius that upper-bounds the query's
-        true k-th neighbour distance therefore yields the full exact top-k
-        (the sharded database passes one globally-bootstrapped radius to
-        every shard, which keeps per-shard candidate sets as tight as the
-        unsharded ones); a deliberately smaller radius yields a truncated
-        list — the reverse-kNN engine exploits this with
-        ``tau = d_alpha(A, Q)``, whose truncation provably preserves the
-        membership decision (see
+        ``initial_tau`` holds one pruning radius per query and is required
+        for a non-empty batch: the executor never bootstraps a radius of its
+        own (:func:`aknn_bucket_pass` supplies the bucket's global ones).
+        The traversal prunes against these radii and the returned neighbour
+        lists are complete only *up to the supplied radius*: every object
+        whose exact distance is at most a query's radius is considered,
+        anything beyond it is dropped.  A radius that upper-bounds the
+        query's true k-th neighbour distance therefore yields the full exact
+        top-k; a deliberately smaller radius yields a truncated list — the
+        reverse-kNN engine exploits this with ``tau = d_alpha(A, Q)``, whose
+        truncation provably preserves the membership decision (see
         :func:`repro.core.reverse_nn.membership_from_neighbors`) but would
         NOT be a valid top-k answer on its own.  ``initial_exact``
         optionally seeds each query's exact-distance memo (one dict per
@@ -464,8 +476,6 @@ class BatchQueryExecutor:
         """
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
-        from repro.core.aknn import AKNN_METHODS
-
         if method not in AKNN_METHODS:
             raise InvalidQueryError(
                 f"unknown AKNN method {method!r}; expected one of {AKNN_METHODS}"
@@ -531,9 +541,9 @@ class BatchQueryExecutor:
         rng: Optional[np.random.Generator],
         metrics: MetricsCollector,
         query_metrics: List[MetricsCollector],
-        initial_tau: Optional[np.ndarray] = None,
-        initial_exact: Optional[Sequence[Dict[int, float]]] = None,
-        deadline=None,
+        initial_tau: Optional[np.ndarray],
+        initial_exact: Optional[Sequence[Dict[int, float]]],
+        deadline,
     ) -> List[List[Neighbor]]:
         improved = method != "basic"
         prepared = [
@@ -546,7 +556,12 @@ class BatchQueryExecutor:
         q_lo = np.stack([p.query_mbr.lower for p in prepared])
         q_hi = np.stack([p.query_mbr.upper for p in prepared])
 
-        cuts: Dict[int, np.ndarray] = {}
+        tau = np.asarray(initial_tau, dtype=float)
+        if tau.shape != (len(prepared),):
+            raise InvalidQueryError(
+                f"initial_tau needs one radius per query ({len(prepared)}), "
+                f"got shape {tau.shape}"
+            )
         if initial_exact is not None:
             if len(initial_exact) != len(prepared):
                 raise InvalidQueryError(
@@ -556,20 +571,6 @@ class BatchQueryExecutor:
             exact: List[Dict[int, float]] = [dict(d) for d in initial_exact]
         else:
             exact = [dict() for _ in prepared]
-        if initial_tau is not None:
-            tau = np.asarray(initial_tau, dtype=float)
-            if tau.shape != (len(prepared),):
-                raise InvalidQueryError(
-                    f"initial_tau must have shape ({len(prepared)},), got {tau.shape}"
-                )
-            nominees: List[List[int]] = [[] for _ in prepared]
-        else:
-            tau, nominees = bootstrap_radii(
-                self._rep_index, [self],
-                prepared, k, alpha, cuts, exact, metrics, query_metrics,
-            )
-        if deadline is not None:
-            deadline.check("batch bootstrap")
         candidates = shared_traversal(
             self.tree, alpha, improved, q_lo, q_hi, tau, metrics, deadline=deadline
         )
@@ -578,14 +579,12 @@ class BatchQueryExecutor:
 
         rows = [ids.tolist() for ids in candidates]
         probes = probe_rows(
-            self.store.get, prepared, rows, alpha, cuts, exact, query_metrics,
-            deadline,
+            self.store.get, prepared, rows, alpha, exact, query_metrics, deadline
         )
         results: List[List[Neighbor]] = []
         for ids, radius, dists in zip(candidates, tau, probes):
             order = np.lexsort((ids, dists))[:k]
-            if initial_tau is not None:
-                order = order[dists[order] <= radius]
+            order = order[dists[order] <= radius]
             results.append(
                 [
                     Neighbor(object_id, distance, distance, distance, True)
@@ -595,12 +594,8 @@ class BatchQueryExecutor:
                 ]
             )
         # The (query, object) pairs this executor examined: its traversal
-        # survivors plus its own nominees — not whatever else the caller's
-        # memo happened to hold.
-        metrics.increment(
-            "batch_candidates",
-            sum(len(set(row).union(own)) for row, own in zip(rows, nominees)),
-        )
+        # survivors, not whatever else the caller's memo happened to hold.
+        metrics.increment("batch_candidates", sum(len(row) for row in rows))
         return results
 
     def _aggregate_stats(

@@ -107,7 +107,7 @@ def range_bucket(
             )
             rows = [ids.tolist() for ids in candidates]
             probes = probe_rows(
-                fetch, prepared, rows, alpha, {}, [{} for _ in prepared],
+                fetch, prepared, rows, alpha, [{} for _ in prepared],
                 query_metrics, deadline,
             )
             answers = zip(rows, probes, radii.tolist())

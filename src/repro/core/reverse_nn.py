@@ -506,9 +506,10 @@ class ReverseAKNNSearcher:
         self.store = store
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
-        # Verification runs through a shared executor; passing the database's
-        # own instance reuses its representative-index cache.
+        # Verification runs through a shared executor (the database hands in
+        # its own); the k-th MaxDist table belongs to this partition set of one.
         self.executor = executor or BatchQueryExecutor(store, tree, self.config)
+        self._rep_index = RepresentativeIndex()
         # d_alpha(A, Q) memo shared with the RKNN sweep searcher (the
         # database hands both the same store): a profile the sweep computed
         # answers a reverse evaluation for free, and vice versa the scalar
@@ -532,7 +533,7 @@ class ReverseAKNNSearcher:
         one.  Returns one result per query.  ``deadline`` bounds the bucket.
         """
         return reverse_bucket_pass(
-            self.executor._rep_index, [self], lambda op, fn: [fn(self)],
+            self._rep_index, [self], lambda op, fn: [fn(self)],
             queries, k, alpha, self.config, rng=rng, deadline=deadline,
             profile_store=self.profile_store,
         )

@@ -18,6 +18,10 @@ class MetricsCollector:
     """A tiny bag of named integer counters."""
 
     # Counters the query processors use; free-form names are also accepted.
+    # The cost counters (node / object accesses, distance and bound
+    # evaluations) count work done, so a pass rerun on a sharded database's
+    # survivors pays again; on a database's own ``metrics`` the AKNN bucket
+    # bootstrap's nominations are its upper-bound evaluations.
     NODE_ACCESSES = "node_accesses"
     OBJECT_ACCESSES = "object_accesses"
     DISTANCE_EVALUATIONS = "distance_evaluations"
@@ -26,7 +30,8 @@ class MetricsCollector:
     AKNN_CALLS = "aknn_calls"
     RANGE_CALLS = "range_calls"
     REFINEMENT_STEPS = "refinement_steps"
-    # Cache and batch-executor accounting.
+    # Cache and batch-executor accounting; batch_queries counts the queries
+    # of every AKNN bucket of many once per bucket answered.
     CACHE_HITS = "cache_hits"
     CACHE_MISSES = "cache_misses"
     BATCH_QUERIES = "batch_queries"
@@ -38,7 +43,8 @@ class MetricsCollector:
     COALESCED_BATCHES = "coalesced_batches"
     COALESCED_QUERIES = "coalesced_queries"
     # Reverse-AKNN engine accounting: queries answered through the vectorized
-    # batch path and the candidates that survived its all-pairs filter.
+    # batch path and the candidates that survived its all-pairs filter, both
+    # once per bucket answered.
     REVERSE_QUERIES = "reverse_queries"
     REVERSE_CANDIDATES = "reverse_candidates"
     # Unified request-planner accounting (core/requests.py): per-(type,

@@ -29,8 +29,7 @@ a :class:`_Shard` does — and a single tree is a set of one.  A bucket hook
 picks ``_isolated`` (a per-part search and its merge:
 :func:`~repro.core.range_search.range_bucket` for a whole range bucket) or
 ``_coupled`` (a pass over the live shards with ``_map_strict`` as its fan-out:
-:func:`~repro.core.aknn.searcher_over` for one AKNN query,
-:func:`~repro.core.executor.aknn_bucket_pass` for a bucket of many,
+:func:`~repro.core.executor.aknn_bucket_pass` for an AKNN bucket of any size,
 :func:`~repro.core.rknn.sweep_pass`,
 :func:`~repro.core.reverse_nn.reverse_bucket_pass`) and calls it.
 
@@ -70,7 +69,6 @@ from typing import (
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.aknn import searcher_over
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import RepresentativeIndex, aknn_bucket_pass
 from repro.core.range_search import range_bucket
@@ -125,7 +123,7 @@ class _Shard:
 
     @property
     def executor(self):
-        return self.db._executor
+        return self.db.executor
 
 
 class _ShardStore:
@@ -818,17 +816,6 @@ class ShardedDatabase:
 
         def answer(unit: Sequence[AknnRequest]) -> List:
             queries = [request.query for request in unit]
-            if len(unit) == 1:
-                # One search over every live shard's root.
-                return self._coupled(
-                    lambda live, fan_out: [
-                        searcher_over(fan_out, self.config).search(
-                            queries[0], k, alpha, method, rng
-                        )
-                    ],
-                    deadline,
-                )
-            self.metrics.increment(MetricsCollector.BATCH_QUERIES, len(unit))
             return self._coupled(
                 lambda live, fan_out: aknn_bucket_pass(
                     self._rep_index, live, fan_out, queries, k, alpha, method,

@@ -236,6 +236,7 @@ def test_frontier_equals_reference(request, case, method, alpha, k):
 def test_tie_case_bounds_are_all_zero(tie_case):
     """The tie fixture really is one: every leaf lower bound is 0."""
     database, (query,) = tie_case
-    result = database.aknn_searcher.search(query, 62, 0.5, method="lb_lp")
+    searcher = AKNNSearcher(database.store, database.tree, database.config)
+    result = searcher.search(query, 62, 0.5, method="lb_lp")
     assert len(result.neighbors) == 62
     assert all(neighbor.lower_bound == 0.0 for neighbor in result.neighbors if not neighbor.probed)

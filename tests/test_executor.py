@@ -48,6 +48,12 @@ def batch_of(database, queries, **params):
     return database.execute_batch([AknnRequest(q, **params) for q in queries])
 
 
+def radii_of(database, queries, k, alpha):
+    """Each query's k-th neighbour distance: the radii an executor is handed."""
+    batch = batch_of(database, queries, k=k, alpha=alpha)
+    return np.array([result.neighbors[-1].distance for result in batch])
+
+
 class TestBatchParity:
     @pytest.mark.parametrize("method", AKNN_METHODS)
     def test_neighbor_sets_match_single_query_path(self, bundle, queries, method):
@@ -126,8 +132,9 @@ class TestBatchEdgeCases:
 
 
 class TestBatchStats:
-    def test_aggregate_stats_shape(self, executor, queries):
-        batch = executor.aknn_batch(queries, k=5, alpha=0.5)
+    def test_aggregate_stats_shape(self, bundle, executor, queries):
+        radii = radii_of(bundle.database, queries, k=5, alpha=0.5)
+        batch = executor.aknn_batch(queries, k=5, alpha=0.5, initial_tau=radii)
         stats = batch.stats
         assert stats.aknn_calls == len(queries)
         assert stats.extra["batch_queries"] == float(len(queries))
@@ -139,7 +146,8 @@ class TestBatchStats:
 
     def test_shared_traversal_visits_nodes_once(self, bundle, executor, queries):
         """Batch node accesses must undercut the summed single-query visits."""
-        batch = executor.aknn_batch(queries, k=5, alpha=0.5)
+        radii = radii_of(bundle.database, queries, k=5, alpha=0.5)
+        batch = executor.aknn_batch(queries, k=5, alpha=0.5, initial_tau=radii)
         total_nodes = bundle.database.tree.node_count()
         assert batch.stats.node_accesses <= total_nodes
 

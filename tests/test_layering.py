@@ -1,5 +1,6 @@
-"""What ``service/sharded.py`` may know, what ``reference.py`` may import,
-what the package may carry, and the line-count script, as checks.
+"""What ``service/sharded.py`` may know, how both engines answer an AKNN
+bucket, what ``reference.py`` may import, what the package may carry, and
+the line-count script, as checks.
 
 The sharded module is fan-out / failure policy, durability glue and topology.
 Every family lives in its own module and reaches it only through public
@@ -102,6 +103,48 @@ def test_sharded_writes_no_family():
         if isinstance(node, ast.ClassDef)
     }
     assert classes == SHARDED_CLASSES, sorted(classes ^ SHARDED_CLASSES)
+
+
+DATABASE = SRC / "repro" / "core" / "database.py"
+EXECUTOR = SRC / "repro" / "core" / "executor.py"
+# What only ``aknn_bucket_pass`` may call: an engine hook that names one of
+# them answers an AKNN bucket its own way again.
+AKNN_BUCKET_PIECES = {"aknn_batch", "searcher_over", "bootstrap_radii"}
+
+
+def referenced_names(tree):
+    """Every identifier a syntax tree names: variables, attributes, imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_both_engines_answer_an_aknn_bucket_through_one_pass():
+    for path in (DATABASE, SHARDED):
+        names = referenced_names(ast.parse(path.read_text()))
+        assert "aknn_bucket_pass" in names, f"{path.name}: the check is not looking at the hook"
+        assert not names & AKNN_BUCKET_PIECES, (path.name, sorted(names & AKNN_BUCKET_PIECES))
+
+
+def test_the_batch_executor_keeps_no_representative_index():
+    """The index belongs to whoever owns the partition set, not to one part."""
+    executor_class = next(
+        node
+        for node in ast.parse(EXECUTOR.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "BatchQueryExecutor"
+    )
+    names = referenced_names(executor_class) | {
+        node.name for node in ast.walk(executor_class) if isinstance(node, ast.FunctionDef)
+    }
+    assert "aknn_batch" in names, "the check is not looking at the class"
+    assert not {name for name in names if "rep_index" in name}, sorted(names)
+    assert "RepresentativeIndex" not in names and "bootstrap_radii" not in names
 
 
 RANGE = SRC / "repro" / "core" / "range_search.py"

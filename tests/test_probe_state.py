@@ -30,6 +30,7 @@ from repro.core.executor import (
     _PRUNE_SLACK,
     BatchQueryExecutor,
     RepresentativeIndex,
+    aknn_bucket_pass,
     shared_traversal,
 )
 from repro.core.query import PreparedQuery
@@ -96,6 +97,18 @@ def bucket_of(query_pool, size):
 
 def requests_for(queries, k, method="lb_lp_ub"):
     return [AknnRequest(q, k=k, alpha=ALPHA, method=method) for q in queries]
+
+
+def one_part_bucket(database, queries, k):
+    """An AKNN bucket through ``aknn_bucket_pass`` over a set of one."""
+    return aknn_bucket_pass(
+        RepresentativeIndex(), [database], lambda op, fn: [fn(database)],
+        queries, k, ALPHA, "lb_lp_ub", database.config, MetricsCollector(),
+    )
+
+
+def kth_distances(results):
+    return np.array([r.neighbors[-1].distance for r in results])
 
 
 def answers(results):
@@ -210,13 +223,13 @@ class TestEveryAccessBuysADistance:
     def test_fully_seeded_executor_never_reads_the_store(self, reference, query_pool):
         """Seeds covering every candidate: zero ``store.get``, same answer."""
         queries = query_pool[:6]
-        executor = reference._executor
-        plain = executor.aknn_batch(queries, k=5, alpha=ALPHA)
+        executor = reference.executor
+        plain = one_part_bucket(reference, queries, k=5)
         seeds = []
         for query in queries:
             scan = brute_force.aknn(stored_objects(reference), query, len(reference), ALPHA)
             seeds.append(dict(scan))
-        radii = np.array([r.neighbors[-1].distance for r in plain.results])
+        radii = kth_distances(plain)
 
         before = reference.store.statistics.object_accesses
         seeded = executor.aknn_batch(
@@ -226,14 +239,14 @@ class TestEveryAccessBuysADistance:
         assert seeded.stats.object_accesses == 0
         assert seeded.stats.distance_evaluations == 0
         assert [r.object_ids for r in seeded.results] == [
-            r.object_ids for r in plain.results
+            r.object_ids for r in plain
         ]
 
     def test_results_under_a_radius_lie_within_it(self, reference, query_pool):
         """A deliberately small radius truncates the list — at the radius."""
         queries = query_pool[:6]
-        executor = reference._executor
-        full = executor.aknn_batch(queries, k=9, alpha=ALPHA).results
+        executor = reference.executor
+        full = one_part_bucket(reference, queries, k=9)
         # the 3rd neighbour's distance: the top-9 must shrink to the ties at it
         radii = np.array([r.neighbors[2].distance for r in full])
         cut = executor.aknn_batch(queries, k=9, alpha=ALPHA, initial_tau=radii).results
@@ -241,11 +254,6 @@ class TestEveryAccessBuysADistance:
             within = [n for n in want.neighbors if n.distance <= radius]
             assert 3 <= len(within) < 9
             assert got.neighbors == within
-
-    def test_without_a_radius_nothing_is_cut(self, reference, query_pool):
-        """The local-bootstrap path returns k neighbours, beyond tau or not."""
-        batch = reference._executor.aknn_batch(query_pool[:8], k=9, alpha=ALPHA)
-        assert all(len(r.neighbors) == 9 for r in batch.results)
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +311,9 @@ class TestServedAnswersAreExact:
         bootstrap = executor_module.bootstrap_radii
 
         def logged(*args, **kwargs):
-            tau, nominees = bootstrap(*args, **kwargs)
-            radii.append((tau.tolist(), nominees))
-            return tau, nominees
+            tau = bootstrap(*args, **kwargs)
+            radii.append(tau.tolist())
+            return tau
 
         monkeypatch.setattr(executor_module, "bootstrap_radii", logged)
         queries = query_pool[:3]
@@ -313,7 +321,7 @@ class TestServedAnswersAreExact:
         for engine in (sharded, reference):
             got = engine.execute_batch(requests_for(queries, k=n + 1))
             assert [sorted(r.object_ids) for r in got] == [sorted(reference.object_ids())] * 3
-        assert radii == [([np.inf] * 3, [[], [], []])] * 2
+        assert radii == [[np.inf] * 3] * 2
 
 
 # ----------------------------------------------------------------------
@@ -371,12 +379,6 @@ class TestRepresentativeIndexFollowsItsTrees:
 # ----------------------------------------------------------------------
 # batch_candidates counts examined pairs
 # ----------------------------------------------------------------------
-# ``stats.extra["batch_candidates"]`` of ``query_pool[:8]`` at k = 5 on the
-# unsharded fixture, measured at the parent commit (91f6bd6), where the
-# counter was ``sum(len(memo))``.
-UNSHARDED_CANDIDATES_AT_PARENT = 74.0
-
-
 class TestBatchCandidates:
     @pytest.fixture
     def survivors(self, monkeypatch):
@@ -393,7 +395,7 @@ class TestBatchCandidates:
         return seen
 
     def test_shards_count_their_own_survivors_not_the_shared_memo(
-        self, objects, config, query_pool, survivors, monkeypatch
+        self, objects, config, reference, query_pool, survivors, monkeypatch
     ):
         sharded = ShardedDatabase.build(
             list(objects), n_shards=2, placement="hash", config=config
@@ -414,13 +416,12 @@ class TestBatchCandidates:
         assert counted == [float(n) for n in survivors]
         assert sum(counted) < 2 * 8 * 9
         sharded.close()
-
-    def test_unsharded_value_is_what_it_was(self, reference, query_pool, survivors):
-        """Survivors plus own nominees = every pair evaluated (pinned count)."""
-        batch = reference._executor.aknn_batch(query_pool[:8], k=5, alpha=ALPHA)
-        assert batch.stats.extra["batch_candidates"] == batch.stats.distance_evaluations
-        assert batch.stats.extra["batch_candidates"] == UNSHARDED_CANDIDATES_AT_PARENT
-        assert survivors[0] <= batch.stats.extra["batch_candidates"]
+        # one part: a database's own executor counts its survivors as well
+        counted.clear()
+        survivors.clear()
+        reference.execute_batch(requests_for(query_pool[:8], k=5))
+        assert len(counted) == len(survivors) == 1
+        assert counted == [float(n) for n in survivors]
 
 
 # ----------------------------------------------------------------------
@@ -428,11 +429,14 @@ class TestBatchCandidates:
 # ----------------------------------------------------------------------
 class TestPreparedQueriesAreReused:
     def test_executor_accepts_prepared_and_raw_queries_alike(self, reference, query_pool):
-        executor = reference._executor
+        executor = reference.executor
         queries = query_pool[:5]
-        raw = executor.aknn_batch(queries, k=4, alpha=ALPHA)
+        radii = kth_distances(one_part_bucket(reference, queries, k=4))
+        raw = executor.aknn_batch(queries, k=4, alpha=ALPHA, initial_tau=radii)
         prepared = [PreparedQuery(q, ALPHA, reference.config) for q in queries]
-        mixed = executor.aknn_batch(prepared[:3] + queries[3:], k=4, alpha=ALPHA)
+        mixed = executor.aknn_batch(
+            prepared[:3] + queries[3:], k=4, alpha=ALPHA, initial_tau=radii
+        )
         assert answers(mixed.results) == answers(raw.results)
         assert [r.stats.distance_evaluations for r in mixed.results] == [
             r.stats.distance_evaluations for r in raw.results
@@ -446,7 +450,9 @@ class TestPreparedQueriesAreReused:
     def test_prepared_query_at_another_alpha_is_rejected(self, reference, query_pool):
         prepared = [PreparedQuery(query_pool[0], 0.8, reference.config)]
         with pytest.raises(InvalidQueryError):
-            reference._executor.aknn_batch(prepared, k=3, alpha=ALPHA)
+            reference.executor.aknn_batch(
+                prepared, k=3, alpha=ALPHA, initial_tau=np.array([np.inf])
+            )
 
     def test_aknn_batch_signature_is_the_parents(self):
         assert list(inspect.signature(BatchQueryExecutor.aknn_batch).parameters) == [

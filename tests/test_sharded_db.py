@@ -417,15 +417,47 @@ class TestOneSetOfNumbers:
     def test_aknn_bucket(self, engines, queries):
         single, one_shard, two_shards = engines
         requests = [AknnRequest(q, k=self.K, alpha=self.ALPHA) for q in queries[:2]]
+        before = [e.metrics.get("upper_bound_evaluations") for e in (single, one_shard)]
         want = [self.counted(r) for r in single.execute_batch(requests)]
         assert [self.counted(r) for r in one_shard.execute_batch(requests)] == want
         assert [self.counted(r) for r in two_shards.execute_batch(requests)] == want
         # the bootstrap's nominations are upper-bound evaluations on both engines
-        nominations = single._executor.aknn_batch(
-            queries[:2], self.K, self.ALPHA
-        ).stats.upper_bound_evaluations
-        assert nominations == 2 * (self.K + 4)
-        assert one_shard.metrics.get("upper_bound_evaluations") == nominations
+        nominations = [
+            e.metrics.get("upper_bound_evaluations") - b
+            for e, b in zip((single, one_shard), before)
+        ]
+        assert nominations == [2 * (self.K + 4)] * 2
+
+    @pytest.mark.parametrize("family", ["aknn_1", "aknn_3", "range", "sweep", "reverse"])
+    def test_database_counters_move_alike(self, engines, queries, family):
+        """One bucket moves ``db.metrics`` by the same amounts on both engines
+        (bar the sharded fan-out count): cost counters count the work done,
+        ``batch_queries`` / ``reverse_*`` once per bucket answered."""
+        single, one_shard, _ = engines
+        # not ALPHA: the reverse filter's k-th MaxDist table at (K, ALPHA)
+        # stays cold for test_reverse_bucket
+        k, alpha = self.K, 0.4
+        requests = {
+            "aknn_1": [AknnRequest(queries[0], k=k, alpha=alpha)],
+            "aknn_3": [AknnRequest(q, k=k, alpha=alpha) for q in queries[:3]],
+            "range": [
+                RangeRequest(q, alpha=alpha, radius=r) for q, r in zip(queries, (1.0, 2.5))
+            ],
+            "sweep": [SweepRequest(queries[1], k=k, alpha_range=(0.3, 0.7))],
+            "reverse": [ReverseRequest(q, k=k, alpha=alpha) for q in queries[1:3]],
+        }[family]
+
+        def moved(engine):
+            before = engine.metrics.as_dict()
+            engine.execute_batch(requests)
+            after = engine.metrics.as_dict()
+            delta = {name: after[name] - before.get(name, 0) for name in after}
+            delta.pop("shard_fanouts", None)
+            return {name: value for name, value in delta.items() if value}
+
+        want = moved(single)
+        assert want["plan_requests"] == len(requests)
+        assert moved(one_shard) == want
 
     def test_reverse_bucket(self, engines, queries, monkeypatch):
         single, one_shard, two_shards = engines
