@@ -4,6 +4,8 @@ Each figure varies one axis of Table 2 (N, k, alpha, range length L, dataset)
 and runs every method the paper plots on one ``FuzzyDatabase`` and on three
 space-placed shards, printing per-query object accesses, running time, AKNN
 calls and refinement steps (``sec5``: also Eq. 8's prediction and the ratio).
+Under each table it prints what building the figure's databases cost: build
+seconds and objects per second per dataset and N.
 ``tests/test_paper.py`` asserts the shapes of the ``tiny`` grid (seconds);
 ``laptop`` takes minutes and ``paper`` (Table 2 itself) hours::
 
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 import argparse
 import math
-from typing import Dict, NamedTuple, Tuple
+import time
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -82,23 +85,31 @@ class Datasets:
     def __init__(self, scale: Scale, engine: str) -> None:
         self.scale, self.engine = scale, engine
         self._open: Dict[tuple, tuple] = {}
+        # Seconds each (dataset, N, space) took to build, and the keys asked
+        # for since ``used`` was last cleared.
+        self.build_seconds: Dict[tuple, float] = {}
+        self.used: List[tuple] = []
 
     def get(self, kind: str = "synthetic", n_objects: int = 0, space: float = 0.0):
         """``(database, queries)``; N and the space default to the scale's."""
         n_objects = n_objects or self.scale.n_objects
         space = space or space_for(n_objects)
         key = (kind, n_objects, space)
+        if key not in self.used:
+            self.used.append(key)
         if key not in self._open:
             points = self.scale.points_per_object
             objects = build_dataset(kind, n_objects, points, SEED, space)
             config = RuntimeConfig(rtree_max_entries=self.scale.rtree_max_entries)
             rng = np.random.default_rng(SEED + 1)
+            start = time.perf_counter()
             if self.engine == "single":
                 database = FuzzyDatabase.build(objects, config=config, rng=rng)
             else:
                 database = ShardedDatabase.build(
                     objects, n_shards=3, placement="space", config=config, rng=rng
                 )
+            self.build_seconds[key] = time.perf_counter() - start
             query_rng = np.random.default_rng(QUERY_SEED)
             queries = [
                 generate_query_object(query_rng, kind, space_size=space, points_per_object=points)
@@ -160,7 +171,7 @@ def sweep(figure: str, data: Datasets) -> Dict[str, Dict[object, Dict[str, float
     return rows
 
 
-def report(figure: str, engine: str, rows) -> None:
+def report(figure: str, engine: str, rows, data: Datasets) -> None:
     title, axis = FIGURES[figure]
     print(f"{figure} [{engine}]: {title}")
     print(f"  {'method':<9}{axis:>10}{'accesses':>10}{'time_ms':>9}{'aknn':>7}{'refine':>8}")
@@ -174,6 +185,10 @@ def report(figure: str, engine: str, rows) -> None:
             measured, predicted = m["object_accesses"], rows["eq8"][alpha]["object_accesses"]
             print(f"  measured / Eq. 8 at alpha={alpha}: "
                   f"{measured:.1f} / {predicted:.1f} = {measured / predicted:.2f}")
+    for key in data.used:
+        (kind, n_objects, _), seconds = key, data.build_seconds[key]
+        print(f"  build {kind} N={n_objects}: {seconds:.2f} s, "
+              f"{n_objects / seconds:.0f} objects/s")
     print()
 
 
@@ -186,7 +201,8 @@ def main(argv=None) -> int:
         data = Datasets(SCALES[args.scale], engine)
         try:
             for figure in sorted(FIGURES) if args.figure == "all" else [args.figure]:
-                report(figure, engine, sweep(figure, data))
+                data.used.clear()
+                report(figure, engine, sweep(figure, data), data)
         finally:
             data.close()
     return 0

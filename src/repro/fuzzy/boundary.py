@@ -14,10 +14,29 @@ line ``y = m*alpha + t`` that stays on or above every ``delta(alpha)`` while
 minimising the summed squared error.  Following Achtert et al. the optimum
 interpolates an anchor point of the upper convex hull of the boundary
 function and is located by bisection over the hull vertices.
+
+One object's fit is a few NumPy passes plus a Python loop over a fraction of
+its levels.  :func:`alpha_mbr_table` reads every level's exact box off two
+suffix scans with one ``searchsorted``; :func:`conservative_lines` takes all
+``2 d`` boundary functions from one subtraction and feeds the monotone chain
+only the first level and the last level of each run of equal deltas.  That
+leaves the chain unchanged in floating point, not only in exact arithmetic.
+Deltas are non-increasing in alpha (suffix extremes of nested cuts), so any
+vertex ``o`` under a stack top ``a`` has ``o.y >= a.y``, and for a fixed
+``(o, a)`` the rounded ``cross(o, a, p) = (a.x-o.x)*(p.y-o.y) -
+(a.y-o.y)*(p.x-o.x)`` is non-decreasing in ``p.x`` at fixed ``p.y`` (IEEE
+rounding is monotone and ``a.y - o.y <= 0``).  So the next point ``p`` of a
+run pops every vertex an earlier point ``a`` of the run popped, then ``a``
+itself (``cross = (y-o.y)*((a.x-o.x) - (p.x-o.x)) >= 0``), leaving the stack
+``a`` never entered.  Only the very first level must stay, as the stack's
+bottom.  :func:`enclose_cuts` then lifts intercepts until the Equation (2)
+box holds every exact cut box in coordinates: the Definition 6 check works
+on deltas, and ``kernel + (coordinate - kernel)`` need not round back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -25,7 +44,8 @@ import numpy as np
 
 from repro.config import CONSERVATIVE_SLACK
 from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
-from repro.geometry.convexhull import upper_convex_hull
+from repro.geometry.convexhull import upper_chain
+from repro.geometry.mbr import MBR
 
 
 @dataclass(frozen=True)
@@ -51,7 +71,8 @@ class ConservativeLine:
 
 @dataclass(frozen=True)
 class BoundaryFunction:
-    """The sampled boundary function of one dimension/side of an object."""
+    """The sampled boundary function of one dimension/side of an object
+    (``alphas`` strictly increasing, ``deltas`` non-increasing)."""
 
     alphas: np.ndarray
     deltas: np.ndarray
@@ -59,13 +80,12 @@ class BoundaryFunction:
     def __post_init__(self) -> None:
         if self.alphas.shape != self.deltas.shape or self.alphas.ndim != 1:
             raise ValueError("alphas and deltas must be aligned 1-d arrays")
+        if np.any(np.diff(self.alphas) <= 0.0) or np.any(np.diff(self.deltas) > 0.0):
+            raise ValueError("alphas must increase strictly and deltas must not increase")
 
     def pairs(self) -> List[Tuple[float, float]]:
         """``(alpha, delta)`` tuples sorted by alpha."""
-        order = np.argsort(self.alphas)
-        return [
-            (float(self.alphas[i]), float(self.deltas[i])) for i in order
-        ]
+        return list(zip(self.alphas.tolist(), self.deltas.tolist()))
 
     @property
     def is_trivial(self) -> bool:
@@ -78,117 +98,148 @@ def alpha_mbr_table(obj: FuzzyObject) -> Tuple[np.ndarray, np.ndarray, np.ndarra
 
     Returns ``(levels, lower, upper)`` where ``lower[j]`` / ``upper[j]`` are
     the per-dimension bounds of the alpha-cut at ``levels[j]``.  Computed with
-    one sort and a pair of suffix scans, so the cost is ``O(n log n + n d)``.
+    one sort, a pair of suffix scans and one ``searchsorted`` over all levels,
+    so the cost is ``O(n log n + n d)``.
     """
     levels = obj.distinct_memberships()
     order = np.argsort(obj.memberships, kind="stable")
-    pts = obj.points[order]
     mus = obj.memberships[order]
-    # Suffix aggregates: suffix_min[i] = min over points[i:], ditto for max.
-    suffix_min = np.minimum.accumulate(pts[::-1], axis=0)[::-1]
-    suffix_max = np.maximum.accumulate(pts[::-1], axis=0)[::-1]
-    lower = np.empty((levels.size, obj.dimensions))
-    upper = np.empty((levels.size, obj.dimensions))
-    for j, level in enumerate(levels):
-        start = int(np.searchsorted(mus, level - MEMBERSHIP_ATOL, side="left"))
-        start = min(start, pts.shape[0] - 1)
-        lower[j] = suffix_min[start]
-        upper[j] = suffix_max[start]
-    return levels, lower, upper
+    # One row per dimension, so every pass runs along a contiguous row.
+    coords = np.ascontiguousarray(obj.points.T[:, order])
+    # Suffix aggregates: suffix_min[:, i] = min over points[i:], ditto for max.
+    suffix_min = np.minimum.accumulate(coords[:, ::-1], axis=1)[:, ::-1]
+    suffix_max = np.maximum.accumulate(coords[:, ::-1], axis=1)[:, ::-1]
+    starts = np.minimum(np.searchsorted(mus, levels - MEMBERSHIP_ATOL, side="left"), mus.size - 1)
+    return levels, suffix_min[:, starts].T, suffix_max[:, starts].T
 
 
 def boundary_function(
     obj: FuzzyObject, dimension: int, side: str
 ) -> BoundaryFunction:
-    """Boundary function of one dimension/side of ``obj``.
-
-    Parameters
-    ----------
-    dimension:
-        Index of the spatial dimension.
-    side:
-        ``"upper"`` for ``Mi+`` or ``"lower"`` for ``Mi-``.
-    """
+    """Boundary function of ``dimension`` of ``obj`` on ``side`` ``"upper"``
+    (``Mi+``) or ``"lower"`` (``Mi-``)."""
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     levels, lower, upper = alpha_mbr_table(obj)
-    kernel_level_idx = levels.size - 1
-    if side == "upper":
-        deltas = np.abs(upper[:, dimension] - upper[kernel_level_idx, dimension])
-    else:
-        deltas = np.abs(lower[:, dimension] - lower[kernel_level_idx, dimension])
-    return BoundaryFunction(levels.copy(), deltas)
+    column = (upper if side == "upper" else lower)[:, dimension]
+    return BoundaryFunction(levels.copy(), np.abs(column - column[-1]))
 
 
-def _anchor_optimal_line(
-    alphas: np.ndarray, deltas: np.ndarray, anchor: Tuple[float, float]
-) -> ConservativeLine:
-    """Least-squares line constrained to pass through ``anchor``."""
-    x0, y0 = anchor
-    dx = alphas - x0
-    dy = deltas - y0
-    denom = float(np.dot(dx, dx))
-    if denom <= 0.0:
-        slope = 0.0
-    else:
-        slope = float(np.dot(dx, dy) / denom)
-    intercept = y0 - slope * x0
-    return ConservativeLine(slope, intercept)
+def _anchor_bisection(
+    alphas: np.ndarray, deltas: np.ndarray, hull: List[Tuple[float, float]]
+) -> Tuple[float, float]:
+    """The anchor-optimal line of Achtert et al.: the least-squares line
+    through one hull vertex, bisecting over the vertices towards the side
+    whose neighbour still lies above it."""
+    lo, hi, slack = 0, len(hull) - 1, CONSERVATIVE_SLACK
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        x0, y0 = hull[mid]
+        dx, dy = alphas - x0, deltas - y0
+        denom = float(np.dot(dx, dx))
+        slope = float(np.dot(dx, dy) / denom) if denom > 0.0 else 0.0
+        icpt = y0 - slope * x0
+        if mid + 1 < len(hull) and hull[mid + 1][1] > slope * hull[mid + 1][0] + icpt + slack:
+            lo = mid + 1
+        elif mid > 0 and hull[mid - 1][1] > slope * hull[mid - 1][0] + icpt + slack:
+            hi = mid - 1
+        else:
+            break
+    return slope, icpt
+
+
+def _fit_rows(alphas: np.ndarray, deltas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Definition 6 ``(slopes, intercepts)`` for every row of ``deltas``.
+
+    Each row is one boundary function over the strictly increasing
+    ``alphas``, its deltas non-increasing.
+    """
+    slopes = np.zeros(deltas.shape[0])
+    # A single level or a flat boundary: the constant line at the largest
+    # delta is both conservative and optimal.
+    icpts = deltas.max(axis=1, initial=0.0)
+    fit = np.flatnonzero((deltas > CONSERVATIVE_SLACK).any(axis=1))
+    if alphas.size == 1 or fit.size == 0:
+        return slopes, icpts
+    fitted = deltas[fit]
+    # The hull sees the first level and the last level of each run of equal
+    # deltas, nothing else (see the module docstring).
+    ends = np.ones(fitted.shape, dtype=bool)
+    ends[:, 1:-1] = fitted[:, 1:-1] != fitted[:, 2:]
+    xs = alphas[np.nonzero(ends)[1]].tolist()
+    ys = fitted[ends].tolist()
+    stops = np.cumsum(ends.sum(axis=1)).tolist()
+    for row, values, start, stop in zip(fit.tolist(), fitted, [0] + stops, stops):
+        hull = upper_chain(list(zip(xs[start:stop], ys[start:stop])))
+        slope, icpt = _anchor_bisection(alphas, values, hull)
+        # A non-positive slope also bounds delta *between* levels (where the
+        # next level up's delta holds); degenerate inputs fall back to flat.
+        if slope > 0.0:
+            slope, icpt = 0.0, icpts[row]
+        slopes[row], icpts[row] = slope, icpt
+    # Guarantee conservativeness on every sampled point regardless of how the
+    # bisection terminated (and regardless of rounding error).
+    violation = (fitted - (slopes[fit, None] * alphas + icpts[fit, None])).max(axis=1)
+    icpts[fit] = np.where(violation > 0.0, icpts[fit] + violation + CONSERVATIVE_SLACK, icpts[fit])
+    return slopes, icpts
 
 
 def fit_conservative_line(bf: BoundaryFunction) -> ConservativeLine:
-    """The optimal conservative approximation of a boundary function.
+    """The optimal conservative approximation of a boundary function: the
+    anchor bisection over its upper convex hull, the intercept then lifted to
+    absorb rounding so every sampled ``(alpha, delta)`` lies on or below."""
+    slopes, icpts = _fit_rows(bf.alphas, bf.deltas[None, :])
+    return ConservativeLine(float(slopes[0]), float(icpts[0]))
 
-    Implements the anchor-point bisection of Achtert et al. over the upper
-    convex hull of the boundary function, then lifts the intercept by the
-    tiny amount needed to absorb floating-point rounding so conservativeness
-    holds exactly for every sampled ``(alpha, delta)`` pair.
+
+def conservative_lines(
+    levels: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Definition 6 ``(slopes, intercepts)`` from one alpha-MBR table, each of
+    length ``2 d``: the upper side's lines by dimension, then the lower's."""
+    up, lo = upper.T, lower.T
+    return _fit_rows(levels, np.concatenate((np.abs(up - up[:, -1:]), np.abs(lo - lo[:, -1:]))))
+
+
+def enclose_cuts(
+    levels: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    kernel: MBR,
+    slopes: np.ndarray,
+    intercepts: np.ndarray,
+) -> np.ndarray:
+    """Intercepts lifted until Equation (2) encloses every exact alpha-cut box.
+
+    For every level ``j`` of the table the lines were fitted on and every
+    alpha whose cut holds it (``mu >= alpha - MEMBERSHIP_ATOL``), afterwards
+    ``kernel.upper + max(0, slope*alpha + t) >= upper[j]`` and
+    ``kernel.lower - max(0, ...) <= lower[j]`` in float, evaluated as
+    ``approx_alpha_mbr`` / ``NodeSoA.approx_alpha_bounds`` do.  Checking at
+    ``levels + 2*MEMBERSHIP_ATOL`` covers every such alpha (slopes are
+    non-positive, rounding monotone); the lower side is the upper side of
+    negated coordinates.  A line that already encloses keeps its intercept.
     """
-    pairs = bf.pairs()
-    alphas = np.asarray([p[0] for p in pairs])
-    deltas = np.asarray([p[1] for p in pairs])
-    if alphas.size == 1 or bf.is_trivial:
-        # A flat object (or a single level): the constant line at the largest
-        # delta is both conservative and optimal.
-        return ConservativeLine(0.0, float(deltas.max(initial=0.0)))
-
-    hull = upper_convex_hull(list(zip(alphas, deltas)))
-    lo, hi = 0, len(hull) - 1
-    best = _anchor_optimal_line(alphas, deltas, hull[lo])
-    # Bisection over hull vertices: move towards the side whose neighbour
-    # still violates the anchor-optimal line.
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        line = _anchor_optimal_line(alphas, deltas, hull[mid])
-        best = line
-        pred_above = (
-            mid > 0
-            and hull[mid - 1][1] > line.slope * hull[mid - 1][0] + line.intercept + CONSERVATIVE_SLACK
-        )
-        succ_above = (
-            mid < len(hull) - 1
-            and hull[mid + 1][1] > line.slope * hull[mid + 1][0] + line.intercept + CONSERVATIVE_SLACK
-        )
-        if not pred_above and not succ_above:
-            break
-        if succ_above:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-
-    # A non-positive slope is required so the line also upper-bounds delta at
-    # thresholds *between* sampled levels (where the effective delta is the
-    # one of the next level up); with non-increasing data the fitted slope is
-    # normally negative, but degenerate inputs are clamped to a flat line.
-    if best.slope > 0.0:
-        best = ConservativeLine(0.0, float(deltas.max()))
-
-    # Guarantee conservativeness on every sampled point regardless of how the
-    # bisection terminated (and regardless of rounding error).
-    violation = float(np.max(deltas - (best.slope * alphas + best.intercept)))
-    if violation > 0.0:
-        best = ConservativeLine(best.slope, best.intercept + violation + CONSERVATIVE_SLACK)
-    return best
+    base = np.concatenate((kernel.upper, -kernel.lower))
+    # One row per line: (2 d, levels).
+    bounds = np.concatenate((upper.T, -lower.T))
+    products = slopes[:, None] * (levels + 2.0 * MEMBERSHIP_ATOL)
+    short = base[:, None] + np.maximum(0.0, products + intercepts[:, None]) < bounds
+    if not short.any():
+        return intercepts
+    intercepts = intercepts.copy()
+    for line, level in zip(*np.nonzero(short)):
+        kernel_side, bound, product = base[line], bounds[line, level], products[line, level]
+        # The smallest delta whose sum with the kernel reaches the bound, then
+        # an intercept whose line reaches that delta (one ulp at a time).
+        need = bound - kernel_side
+        while kernel_side + need < bound:
+            need = math.nextafter(need, math.inf)
+        lifted = need - product
+        while product + lifted < need:
+            lifted = math.nextafter(lifted, math.inf)
+        intercepts[line] = max(intercepts[line], lifted)
+    return intercepts
 
 
 @dataclass(frozen=True)
@@ -204,22 +255,11 @@ class ObjectLines:
 
 
 def fit_object_lines(obj: FuzzyObject) -> ObjectLines:
-    """Fit conservative lines for every dimension and side of ``obj``.
-
-    The result, together with the kernel and support MBRs, is all the
-    information the improved lower bound (Equation 2) needs at query time.
-    """
+    """Conservative lines for every dimension and side of ``obj``, lifted so
+    Equation (2) around ``obj.kernel_mbr()`` holds every exact cut box.  With
+    the kernel and support MBRs, all the improved lower bound needs."""
     levels, lower, upper = alpha_mbr_table(obj)
-    kernel_idx = levels.size - 1
-    upper_lines: List[ConservativeLine] = []
-    lower_lines: List[ConservativeLine] = []
-    for dim in range(obj.dimensions):
-        up_bf = BoundaryFunction(
-            levels.copy(), np.abs(upper[:, dim] - upper[kernel_idx, dim])
-        )
-        lo_bf = BoundaryFunction(
-            levels.copy(), np.abs(lower[:, dim] - lower[kernel_idx, dim])
-        )
-        upper_lines.append(fit_conservative_line(up_bf))
-        lower_lines.append(fit_conservative_line(lo_bf))
-    return ObjectLines(tuple(upper_lines), tuple(lower_lines))
+    slopes, intercepts = conservative_lines(levels, lower, upper)
+    intercepts = enclose_cuts(levels, lower, upper, obj.kernel_mbr(), slopes, intercepts)
+    lines = [ConservativeLine(m, t) for m, t in zip(slopes.tolist(), intercepts.tolist())]
+    return ObjectLines(tuple(lines[: obj.dimensions]), tuple(lines[obj.dimensions :]))

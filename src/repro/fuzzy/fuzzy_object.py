@@ -62,7 +62,6 @@ class FuzzyObject:
         "memberships",
         "object_id",
         "_levels",
-        "_order",
         "_cut_cache",
         "_cut_cache_capacity",
     )
@@ -100,9 +99,6 @@ class FuzzyObject:
         self.memberships = mus
         self.object_id = object_id
         self._levels: Optional[np.ndarray] = None
-        # Points sorted by decreasing membership; lets alpha-cuts be taken as
-        # prefixes which keeps repeated cuts cheap.
-        self._order: Optional[np.ndarray] = None
         # Materialised alpha-cuts keyed by threshold (built lazily; see
         # set_cut_cache_capacity).
         self._cut_cache = None
@@ -191,11 +187,6 @@ class FuzzyObject:
         if self._levels is None:
             self._levels = np.unique(self.memberships)
         return self._levels
-
-    def _sorted_order(self) -> np.ndarray:
-        if self._order is None:
-            self._order = np.argsort(-self.memberships, kind="stable")
-        return self._order
 
     # ------------------------------------------------------------------
     # Fuzzy set operations (Definition 2)

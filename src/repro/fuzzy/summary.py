@@ -51,8 +51,9 @@ class FuzzyObjectSummary:
 
         Per dimension the upper bound is
         ``min(M_A(1)+ + line_up(alpha), M_A(0)+)`` and the lower bound is
-        ``max(M_A(1)- - line_lo(alpha), M_A(0)-)``.  Conservativeness of the
-        lines guarantees the true ``M_A(alpha)`` is always enclosed.
+        ``max(M_A(1)- - line_lo(alpha), M_A(0)-)``.  :func:`build_summary`
+        lifts the lines until this float box encloses the exact
+        ``M_A(alpha)`` in coordinates for every alpha, not only in deltas.
         """
         dims = self.dimensions
         upper = np.empty(dims)

@@ -8,9 +8,8 @@ This package is a small, self-contained computational-geometry substrate:
 * :mod:`~repro.geometry.distance` — point-set distance kernels: the one
   blocked pairwise squared-distance kernel, and the closest pair between two
   point clouds as a brute-force argmin over it or a KD-tree query.
-* :mod:`~repro.geometry.convexhull` — Andrew's monotone chain convex hull and
-  the upper convex hull used when fitting the optimal conservative line of
-  Definition 6.
+* :mod:`~repro.geometry.convexhull` — Andrew's monotone chain upper convex
+  hull used when fitting the optimal conservative line of Definition 6.
 """
 
 from repro.geometry.mbr import MBR, min_dist, max_dist
@@ -21,7 +20,7 @@ from repro.geometry.distance import (
     point_to_set_distance,
     set_to_set_distances,
 )
-from repro.geometry.convexhull import convex_hull, upper_convex_hull, is_right_turn_chain
+from repro.geometry.convexhull import upper_convex_hull
 
 __all__ = [
     "MBR",
@@ -32,7 +31,5 @@ __all__ = [
     "pairwise_sq_blocks",
     "point_to_set_distance",
     "set_to_set_distances",
-    "convex_hull",
     "upper_convex_hull",
-    "is_right_turn_chain",
 ]

@@ -1,9 +1,9 @@
-"""Convex hull primitives (Andrew's monotone chain).
+"""Upper convex hull (Andrew's monotone chain).
 
 The optimal conservative line of Definition 6 interpolates an *anchor point*
 of the upper convex hull (UCH) of the boundary function.  The paper cites
 Andrew's monotone chain algorithm [3] for building the hull in linear time on
-sorted input; this module implements both the full hull and the upper hull.
+sorted input.
 """
 
 from __future__ import annotations
@@ -13,34 +13,23 @@ from typing import List, Sequence, Tuple
 Point2D = Tuple[float, float]
 
 
-def _cross(o: Point2D, a: Point2D, b: Point2D) -> float:
-    """2-d cross product (OA x OB); positive for a counter-clockwise turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _prepare(points: Sequence[Point2D]) -> List[Point2D]:
-    unique = sorted({(float(x), float(y)) for x, y in points})
-    if not unique:
-        raise ValueError("convex hull of an empty point set is undefined")
-    return unique
-
-
-def convex_hull(points: Sequence[Point2D]) -> List[Point2D]:
-    """Full convex hull in counter-clockwise order (monotone chain)."""
-    pts = _prepare(points)
-    if len(pts) <= 2:
-        return pts
-    lower: List[Point2D] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
+def upper_chain(points: Sequence[Point2D]) -> List[Point2D]:
+    """Upper convex hull of points already sorted (by x, then y) and distinct."""
+    if len(points) <= 2:
+        return list(points)
     upper: List[Point2D] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+    for p in points:
+        px, py = p
+        # Pop while the last three points make a left turn (or are collinear),
+        # keeping only vertices where the chain turns right: the 2-d cross
+        # product OA x OP is non-negative.
+        while len(upper) >= 2:
+            (ox, oy), (ax, ay) = upper[-2], upper[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) < 0:
+                break
             upper.pop()
         upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return upper
 
 
 def upper_convex_hull(points: Sequence[Point2D]) -> List[Point2D]:
@@ -51,27 +40,7 @@ def upper_convex_hull(points: Sequence[Point2D]) -> List[Point2D]:
     non-increasing (every interior vertex is a "right turn").  All input
     points lie on or below the chain.
     """
-    pts = _prepare(points)
-    if len(pts) <= 2:
-        return pts
-    upper: List[Point2D] = []
-    for p in pts:
-        # Pop while the last three points make a left turn (or are collinear),
-        # keeping only vertices where the chain turns right.
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) >= 0:
-            upper.pop()
-        upper.append(p)
-    return upper
-
-
-def is_right_turn_chain(points: Sequence[Point2D]) -> bool:
-    """Whether consecutive segment slopes are monotonically non-increasing.
-
-    This is the defining property of the UCH used by the anchor bisection of
-    the optimal conservative line; exposed for testing.
-    """
-    pts = [(float(x), float(y)) for x, y in points]
-    for i in range(len(pts) - 2):
-        if _cross(pts[i], pts[i + 1], pts[i + 2]) > 1e-12:
-            return False
-    return True
+    pts = sorted({(float(x), float(y)) for x, y in points})
+    if not pts:
+        raise ValueError("convex hull of an empty point set is undefined")
+    return upper_chain(pts)

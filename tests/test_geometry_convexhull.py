@@ -1,9 +1,48 @@
-"""Unit tests for the monotone-chain convex hull / upper hull."""
+"""Unit tests for the monotone-chain upper hull, with a full hull as a test helper."""
+
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from repro.geometry.convexhull import convex_hull, is_right_turn_chain, upper_convex_hull
+from repro.geometry.convexhull import upper_convex_hull
+
+Point2D = Tuple[float, float]
+
+
+def _cross(o: Point2D, a: Point2D, b: Point2D) -> float:
+    """2-d cross product (OA x OB); positive for a counter-clockwise turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull(points: Sequence[Point2D]) -> List[Point2D]:
+    """Full convex hull in counter-clockwise order (monotone chain)."""
+    pts = sorted({(float(x), float(y)) for x, y in points})
+    if not pts:
+        raise ValueError("convex hull of an empty point set is undefined")
+    if len(pts) <= 2:
+        return pts
+    lower: List[Point2D] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: List[Point2D] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def is_right_turn_chain(points: Sequence[Point2D]) -> bool:
+    """Whether every consecutive triple turns right (slopes never increase).
+
+    Exact: the upper hull keeps a vertex only when the rounded cross product
+    of the same formula is negative, so its output passes with no slack.
+    """
+    pts = [(float(x), float(y)) for x, y in points]
+    return all(_cross(pts[i], pts[i + 1], pts[i + 2]) <= 0 for i in range(len(pts) - 2))
 
 
 class TestConvexHull:
