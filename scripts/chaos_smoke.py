@@ -8,7 +8,11 @@ the failure-semantics contract held:
    workload.  Every submitted future must complete within its timeout (zero
    hung futures) and the retry counter must be non-zero — i.e. the injected
    faults actually exercised the retry path rather than being absorbed
-   silently.
+   silently.  The same requests then run again as blocking ``execute`` calls
+   from 4 threads under a fresh copy of the same plan, so the path that
+   flushes a blocked caller's bucket as soon as the flusher is free meets
+   the same faults: every call must return within the timeout, with the
+   same coverage check.
 
 2. **Dead shard** — a permanent ``raise`` rule on one shard with a small
    breaker threshold.  Every future must still complete, every answer must
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +116,31 @@ def _run_workload(database, requests) -> list:
         return [future.result(timeout=FUTURE_TIMEOUT_S) for future in futures]
 
 
+def _run_blocking(database, requests, n_threads: int = 4) -> list:
+    """Answer ``requests`` as blocking ``execute`` calls from ``n_threads``
+    threads; a call that raises or misses the timeout leaves ``None``."""
+    results = [None] * len(requests)
+    with QueryService(database, window_ms=1.0, max_batch=32) as service:
+
+        def client(first: int) -> None:
+            for index in range(first, len(requests), n_threads):
+                try:
+                    results[index] = service.execute(
+                        requests[index], timeout=FUTURE_TIMEOUT_S
+                    )
+                except Exception as exc:  # noqa: BLE001 - reported as a miss
+                    print(f"  blocking call {index} failed: {exc!r}")
+
+        threads = [
+            threading.Thread(target=client, args=(first,)) for first in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    return results
+
+
 def _answers_the_survivors(request, result, survivors) -> bool:
     """A range, AKNN or reverse answer equals the reference over
     ``survivors`` (ids and distances); sweeps are not checked here."""
@@ -178,6 +208,25 @@ def phase_transient(objects, queries, seed: int, n_requests: int, failures: list
             "retries counter is non-zero",
             failures,
         )
+        plan = FaultPlan.random(
+            np.random.default_rng(seed), n_shards=database.n_shards, n_rules=6
+        )
+        database.fault_plan = plan
+        results = _run_blocking(database, _mixed_requests(queries, n_requests))
+        _check(
+            all(r is not None for r in results),
+            "every blocking call (4 threads) returned",
+            failures,
+        )
+        _check(
+            all(
+                r is None or r.coverage is None or r.coverage.answered
+                for r in results
+            ),
+            "every blocking answer has at least one contributing shard",
+            failures,
+        )
+        _check(plan.total_fired() > 0, "the plan fired on the blocking calls", failures)
     finally:
         database.close()
 

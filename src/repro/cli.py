@@ -153,9 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
             "bucket_key(), so each flushed bucket shares one traversal / "
             "filter pass.  Tuning guide: shards partition the index and "
             "isolate failures, they add no parallelism (a query visits them "
-            "in turn on one thread); a larger "
-            "--window-ms coalesces more aggressively (higher throughput, "
-            "higher p50), a smaller one favours latency.  README's 'Failure "
+            "in turn on one thread); each client blocks on its request, so "
+            "a request flushes as soon as the flusher is free, and requests "
+            "that arrive while a flush runs share the next one (more clients, "
+            "larger batches).  README's 'Failure "
             "semantics' section describes partial answers, deadlines and "
             "--fault-plan."
         ),
@@ -179,10 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--query-pool", type=int, default=64,
         help="number of distinct query objects the clients draw from",
-    )
-    serve.add_argument(
-        "--window-ms", type=float, default=2.0,
-        help="coalescer window: max milliseconds a request waits for companions",
     )
     serve.add_argument(
         "--max-batch", type=int, default=64,
@@ -468,7 +465,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     config = RuntimeConfig(
         service_shards=args.shards,
         shard_placement=args.placement,
-        coalesce_window_ms=args.window_ms,
         coalesce_max_batch=args.max_batch,
         service_queue_depth=args.queue_depth,
         snapshot_every=args.snapshot_every,

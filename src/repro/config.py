@@ -54,7 +54,8 @@ DEFAULT_PROFILE_CACHE_CAPACITY = 256
 
 # Defaults of the sharded query service (see repro.service).  The shard count
 # is at least 1 (one shard: no partitioning); the coalescer window is the
-# maximum time a request waits for companions before its bucket is flushed.
+# longest a submit_request bucket waits for companions (a blocked caller's
+# bucket flushes as soon as the flusher is free).
 DEFAULT_SERVICE_SHARDS = 4
 DEFAULT_SHARD_PLACEMENT = "hash"
 DEFAULT_COALESCE_WINDOW_MS = 2.0
@@ -132,9 +133,6 @@ class RuntimeConfig:
         Default shard count of :class:`~repro.service.ShardedDatabase`.
     shard_placement:
         Default placement policy name (``"hash"`` or ``"space"``).
-    coalesce_window_ms:
-        Maximum milliseconds a request may wait in a coalescer bucket before
-        the bucket is flushed through the batch executor.
     coalesce_max_batch:
         Bucket size that triggers an immediate flush.
     service_queue_depth:
@@ -168,7 +166,6 @@ class RuntimeConfig:
     profile_cache_capacity: int = DEFAULT_PROFILE_CACHE_CAPACITY
     service_shards: int = DEFAULT_SERVICE_SHARDS
     shard_placement: str = DEFAULT_SHARD_PLACEMENT
-    coalesce_window_ms: float = DEFAULT_COALESCE_WINDOW_MS
     coalesce_max_batch: int = DEFAULT_COALESCE_MAX_BATCH
     service_queue_depth: int = DEFAULT_SERVICE_QUEUE_DEPTH
     shard_retry_attempts: int = DEFAULT_SHARD_RETRY_ATTEMPTS
@@ -199,8 +196,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"shard_placement must be 'hash' or 'space', got {self.shard_placement!r}"
             )
-        if self.coalesce_window_ms < 0.0:
-            raise ValueError("coalesce_window_ms must be >= 0")
         if self.coalesce_max_batch < 1:
             raise ValueError("coalesce_max_batch must be >= 1")
         if self.service_queue_depth < 1:

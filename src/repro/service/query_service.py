@@ -10,16 +10,24 @@ story: concurrent callers submit typed requests
 Behind the scenes one generic coalescer groups requests by their
 ``bucket_key()`` — the same key every request type defines for execution
 sharing — and flushes each bucket through the database's ``execute_batch``
-when it either reaches ``coalesce_max_batch`` requests or its oldest request
-has waited ``coalesce_window_ms`` milliseconds.  A flushed bucket is
-homogeneous by construction, so the planner answers it through the shared
-engine for its type: one R-tree traversal for an AKNN bucket, one candidate
-filter pass against a cached k-th MaxDist table + one verification traversal
-for a reverse bucket.  New
-request families coalesce correctly with zero service edits — the bucket
-table never switches on request types.  Since ``bucket_key()`` carries each
-request's full method parameterisation, a per-request method override simply
-lands in its own bucket.
+on the first of four triggers: **size** (``coalesce_max_batch`` requests),
+**window** (its oldest request waited ``window_ms``), **deadline** (its
+earliest member deadline leaves one window to execute) and **blocked caller**
+(Nagle's rule, RFC 896: a bucket holding a request of a caller blocked in
+``execute`` / ``execute_batch`` flushes as soon as the flusher is free — at
+once when it is idle, else right after the running flush, with every other
+blocked request that arrived meanwhile).  A blocked caller can add nothing to
+its own bucket, so the window would only delay it; under load the flusher is
+busy and blocked callers batch anyway.  ``submit_request`` streams keep the
+window, since their caller may still be submitting companions: the window is
+a maximum wait for company, never a minimum.  A flushed bucket is homogeneous
+by construction, so the planner answers it through the shared engine for its
+type: one R-tree traversal for an AKNN bucket, one candidate filter pass
+against a cached k-th MaxDist table + one verification traversal for a
+reverse bucket.  New request families coalesce correctly with zero service
+edits — the bucket table never switches on request types.  Since
+``bucket_key()`` carries each request's full method parameterisation, a
+per-request method override simply lands in its own bucket.
 
 The service itself implements the :class:`~repro.core.requests.QueryEngine`
 protocol — ``execute`` / ``execute_batch`` submit and wait — so callers can
@@ -55,7 +63,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import RuntimeConfig
+from repro.config import DEFAULT_COALESCE_WINDOW_MS, RuntimeConfig
 from repro.core.requests import QueryRequest, execute_plan
 from repro.exceptions import (
     DeadlineExceededError,
@@ -103,12 +111,14 @@ class _Pending:
 
 
 class _Bucket:
-    __slots__ = ("key", "requests", "opened_at", "expires_at")
+    __slots__ = ("key", "requests", "opened_at", "expires_at", "blocked")
 
     def __init__(self, key: _BucketKey, opened_at: float):
         self.key = key
         self.requests: List[_Pending] = []
         self.opened_at = opened_at
+        # A member's caller is blocked on it: due at the flusher's next turn.
+        self.blocked = False
         # Earliest member deadline (monotonic), or None while every member
         # is unbounded; the flusher brings the flush forward so a bounded
         # member still has time to execute.
@@ -165,10 +175,12 @@ class QueryService:
         Any :class:`~repro.core.requests.QueryEngine` (a
         :class:`ShardedDatabase` or a plain :class:`FuzzyDatabase`);
         ``insert``/``delete`` are forwarded when present.
-    window_ms / max_batch / queue_depth:
+    window_ms:
+        The longest a ``submit_request`` bucket waits for company (default
+        ``DEFAULT_COALESCE_WINDOW_MS``); a blocked caller's bucket does not.
+    max_batch / queue_depth:
         Coalescer knobs; default to the database config's
-        ``coalesce_window_ms`` / ``coalesce_max_batch`` /
-        ``service_queue_depth``.
+        ``coalesce_max_batch`` / ``service_queue_depth``.
     latency_window:
         Number of recent per-request latencies kept for the percentile
         telemetry.
@@ -185,7 +197,7 @@ class QueryService:
         config = getattr(database, "config", None) or RuntimeConfig()
         self.database = database
         self.window_seconds = (
-            config.coalesce_window_ms if window_ms is None else float(window_ms)
+            DEFAULT_COALESCE_WINDOW_MS if window_ms is None else float(window_ms)
         ) / 1000.0
         self.max_batch = (
             config.coalesce_max_batch if max_batch is None else int(max_batch)
@@ -386,14 +398,14 @@ class QueryService:
         rng=None,
         timeout: Optional[float] = None,
     ):
-        """Synchronously answer one request (submit + wait).
+        """Synchronously answer one request: ``execute_batch`` of one.
 
         ``rng`` is accepted for :class:`~repro.core.requests.QueryEngine`
         compatibility but ignored: coalesced execution happens on the flusher
         thread, where per-caller randomness would race between bucket
         members.
         """
-        return self.submit_request(request).result(timeout=timeout)
+        return self.execute_batch([request], timeout=timeout)[0]
 
     def execute_batch(
         self,
@@ -411,9 +423,12 @@ class QueryService:
         submission is shed part-way by admission control, the requests
         already enqueued by this call are withdrawn from their buckets
         (counted as shed) before the error propagates, so the overloaded
-        service does not pay for answers nobody can retrieve.  ``timeout``
-        is one deadline for the whole batch, not per future; when it
-        expires, still-queued requests are withdrawn before the
+        service does not pay for answers nobody can retrieve.  Once the
+        whole submission is enqueued, every bucket holding one of its
+        requests is marked blocked, so each flushes at the flusher's next
+        turn (one batch per key) instead of waiting out the window.
+        ``timeout`` is one deadline for the whole batch, not per future;
+        when it expires, still-queued requests are withdrawn before the
         :class:`TimeoutError` propagates.
         """
         submitted: List[_Pending] = []
@@ -423,6 +438,12 @@ class QueryService:
         except BaseException:
             self._withdraw(submitted)
             raise
+        with self._cv:
+            for pending in submitted:
+                bucket = self._buckets.get(pending.request.bucket_key())
+                if bucket is not None and not bucket.blocked:
+                    bucket.blocked = pending in bucket.requests
+            self._cv.notify_all()
         deadline = None if timeout is None else time.monotonic() + timeout
         results = []
         for pending in submitted:
@@ -551,16 +572,20 @@ class QueryService:
     # Flusher
     # ------------------------------------------------------------------
     def _flush_at(self, bucket: _Bucket) -> float:
-        """When this bucket must flush: its window, brought forward so the
+        """When this bucket must flush: now if a caller is blocked on it (the
+        loop pops due buckets only between flushes, so "now" is the
+        flusher's next turn), else its window, brought forward so the
         earliest member deadline still leaves one window's worth of time to
         execute."""
+        if bucket.blocked:
+            return bucket.opened_at
         at = bucket.opened_at + self.window_seconds
         if bucket.expires_at is not None:
             at = min(at, bucket.expires_at - self.window_seconds)
         return at
 
     def _due_buckets(self, now: float, flush_all: bool) -> List[_Bucket]:
-        """Pop the buckets ready to execute (size, window or deadline)."""
+        """Pop the buckets ready to execute (size, window, deadline, blocked)."""
         due: List[_Bucket] = []
         for key in list(self._buckets):
             bucket = self._buckets[key]
@@ -599,6 +624,9 @@ class QueryService:
                         self._failed += len(bucket.requests)
                     for pending in bucket.requests:
                         pending.fail(exc)
+            # Yield before the next turn, so callers just answered can submit
+            # again and join it instead of trailing it as a flush of their own.
+            time.sleep(0)
 
     def _withdraw_expired(self, bucket: _Bucket) -> List[_Pending]:
         """Fail members whose deadline lapsed in the queue; return the rest.

@@ -54,8 +54,9 @@ class TestRuntimeConfig:
     def test_field_count_does_not_grow(self):
         """ROADMAP house rule: a new knob needs two callers that disagree."""
         names = {field.name for field in dataclasses.fields(RuntimeConfig)}
-        assert len(names) == 18
+        assert len(names) == 17
         assert not names & {
+            "coalesce_window_ms",
             "batch_workers",
             "use_kdtree",
             "extra",

@@ -14,7 +14,7 @@ import pytest
 from repro import reference as oracle
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
-from repro.core.requests import AknnRequest, ReverseRequest
+from repro.core.requests import AknnRequest, RangeRequest, ReverseRequest
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
 from repro.exceptions import ServiceOverloadedError, ServiceStoppedError
@@ -158,6 +158,124 @@ class TestCoalescing:
             )
             want = reference.execute(ReverseRequest(queries[0], k=2, alpha=0.5))
             assert result.object_ids == want.object_ids
+
+
+@pytest.fixture
+def held_flush(monkeypatch):
+    """Hold the flusher inside its first flush.
+
+    Yields ``(entered, release, sizes)``: ``entered`` is set once the first
+    ``_execute`` call is waiting, ``release`` lets it go, and ``sizes``
+    records every flushed bucket's size.
+    """
+    entered, release = threading.Event(), threading.Event()
+    sizes = []
+    real_execute = QueryService._execute
+
+    def held_execute(self, bucket):
+        sizes.append(len(bucket.requests))
+        if len(sizes) == 1:
+            entered.set()
+            release.wait(timeout=30)
+        return real_execute(self, bucket)
+
+    monkeypatch.setattr(QueryService, "_execute", held_execute)
+    yield entered, release, sizes
+    release.set()
+
+
+def _wait_until(condition, timeout=10.0) -> bool:
+    stop_at = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > stop_at:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestFlushRule:
+    """Blocked callers flush as soon as the flusher is free; submit_request
+    streams flush on size, window or deadline only."""
+
+    def test_blocked_caller_never_waits_out_the_window(self, sharded, queries):
+        with QueryService(sharded, window_ms=600_000.0) as service:
+            request = AknnRequest(queries[0], k=3, alpha=0.5)
+            assert len(service.execute(request, timeout=10)) == 3
+            before = service.stats().batches_flushed
+            results = service.execute_batch(
+                [
+                    AknnRequest(queries[1], k=3, alpha=0.5),
+                    AknnRequest(queries[2], k=3, alpha=0.5),
+                    RangeRequest(queries[3], alpha=0.5, radius=2.0),
+                ],
+                timeout=10,
+            )
+            assert len(results) == 3
+            # One batch per bucket key: the two AKNN requests flush together.
+            assert service.stats().batches_flushed == before + 2
+
+    def test_blocked_callers_batch_while_the_flusher_is_busy(
+        self, sharded, queries, held_flush
+    ):
+        entered, release, sizes = held_flush
+
+        def client(query, k):
+            service.execute(AknnRequest(query, k=k, alpha=0.5), timeout=30)
+
+        service = QueryService(sharded, window_ms=600_000.0, max_batch=8).start()
+        threads = [threading.Thread(target=client, args=(queries[0], 2))]
+        try:
+            threads[0].start()
+            assert entered.wait(timeout=10)
+            threads += [
+                threading.Thread(target=client, args=(query, 3))
+                for query in queries[1:4]
+            ]
+            for thread in threads[1:]:
+                thread.start()
+            assert _wait_until(lambda: service.pending == 3)
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            service.stop(drain=True)
+        # The three callers that arrived during the held flush share the next.
+        assert sizes == [1, 3]
+
+    def test_streams_keep_the_window(self, sharded, queries):
+        with QueryService(sharded, window_ms=600_000.0, max_batch=8) as service:
+            for wave in range(3):
+                futures = [
+                    service.submit_request(AknnRequest(query, k=3, alpha=0.5))
+                    for query in queries
+                ]
+                for future in futures:
+                    future.result(timeout=30)
+                stats = service.stats()
+                assert stats.batches_flushed == wave + 1
+                assert stats.max_batch_size == 8
+            lone = service.submit_request(AknnRequest(queries[0], k=3, alpha=0.5))
+            time.sleep(0.05)
+            assert not lone.done()
+            service.stop(drain=True)
+            assert len(lone.result(timeout=0)) == 3
+
+    def test_timed_out_execute_is_withdrawn(self, sharded, queries, held_flush):
+        entered, release, _ = held_flush
+        service = QueryService(sharded, window_ms=10_000.0, max_batch=1).start()
+        try:
+            blocker = service.submit_request(AknnRequest(queries[0], k=3, alpha=0.5))
+            assert entered.wait(timeout=10)
+            with pytest.raises(TimeoutError):
+                service.execute(AknnRequest(queries[1], k=3, alpha=0.5), timeout=0.05)
+            assert service.pending == 0
+            assert service.stats().requests_shed == 1
+            release.set()
+            assert len(blocker.result(timeout=30)) == 3
+        finally:
+            release.set()
+            service.stop(drain=True)
+        assert service.stats().requests_completed == 1
 
 
 class TestAdmissionControl:
