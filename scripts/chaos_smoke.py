@@ -16,9 +16,11 @@ the failure-semantics contract held:
 
 2. **Dead shard** — a permanent ``raise`` rule on one shard with a small
    breaker threshold.  Every future must still complete, every answer must
-   carry partial coverage naming the dead shard, every range, AKNN and
-   reverse answer must equal :mod:`repro.reference`'s over the surviving
-   shards' objects, every reverse filter must keep exactly the candidates a
+   carry partial coverage naming the dead shard, every answer must equal
+   :mod:`repro.reference`'s over the surviving shards' objects (an AKNN
+   neighbour, coalesced or alone, by its bounds when unprobed and by its
+   distance when probed; a sweep by its ``qualifying_at`` at three
+   thresholds inside its range), every reverse filter must keep exactly the candidates a
    fresh survivors-only database keeps (its k-th MaxDist table is built over
    all three shards first, so a table that outlives the live set shows), the
    breaker must reach OPEN (non-zero ``breaker_open``), and
@@ -28,9 +30,7 @@ the failure-semantics contract held:
    the workload also runs once on its own through ``database.execute``, on
    a twin database whose breaker stays closed: each one meets the dead shard,
    must rerun on the survivors, and must answer like the reference over
-   them (an AKNN neighbour by its bounds when unprobed, by its distance when
-   probed; a sweep by its ``qualifying_at`` at three thresholds inside its
-   range).
+   them, checked the same way.
 
 Run locally::
 
@@ -142,28 +142,13 @@ def _run_blocking(database, requests, n_threads: int = 4) -> list:
 
 
 def _answers_the_survivors(request, result, survivors) -> bool:
-    """A range, AKNN or reverse answer equals the reference over
-    ``survivors`` (ids and distances); sweeps are not checked here."""
-    if isinstance(request, RangeRequest):
-        want = reference.range_search(
-            survivors, request.query, request.alpha, request.radius
-        )
-        got = result.matches
-    elif isinstance(request, AknnRequest):
-        want = reference.aknn(survivors, request.query, request.k, request.alpha)
-        got = [(n.object_id, n.distance) for n in result.neighbors]
-    elif isinstance(request, ReverseRequest):
-        want = reference.reverse(survivors, request.query, request.k, request.alpha)
-        got = list(result.distances.items())
-    else:
-        return True
-    return sorted(i for i, _ in got) == sorted(i for i, _ in want) and np.allclose(
-        sorted(d for _, d in got), sorted(d for _, d in want), rtol=1e-9, atol=1e-12
-    )
+    """An answer equals :mod:`repro.reference`'s over ``survivors``.
 
-
-def _singleton_answers_the_survivors(request, result, survivors) -> bool:
-    """One AKNN or sweep answered alone equals the reference over ``survivors``."""
+    A range or reverse answer by ids and distances.  An AKNN answer, from a
+    bucket of any size, by its id set, each probed neighbour by its
+    distance and each unprobed one by bounds that contain ``d_alpha``.  A
+    sweep by its ``qualifying_at`` at three thresholds inside its range.
+    """
     if isinstance(request, AknnRequest):
         exact = dict(reference.aknn(survivors, request.query, len(survivors), request.alpha))
         want = reference.aknn(survivors, request.query, request.k, request.alpha)
@@ -177,12 +162,24 @@ def _singleton_answers_the_survivors(request, result, survivors) -> bool:
             elif not neighbor.lower_bound <= d_alpha <= neighbor.upper_bound:
                 return False
         return True
-    low, high = request.alpha_range
-    for alpha in np.linspace(low, high, 5)[1:-1]:
-        want = reference.aknn(survivors, request.query, request.k, float(alpha))
-        if result.qualifying_at(float(alpha)) != sorted(i for i, _ in want):
-            return False
-    return True
+    if isinstance(request, SweepRequest):
+        low, high = request.alpha_range
+        for alpha in np.linspace(low, high, 5)[1:-1]:
+            want = reference.aknn(survivors, request.query, request.k, float(alpha))
+            if result.qualifying_at(float(alpha)) != sorted(i for i, _ in want):
+                return False
+        return True
+    if isinstance(request, RangeRequest):
+        want = reference.range_search(
+            survivors, request.query, request.alpha, request.radius
+        )
+        got = result.matches
+    else:
+        want = reference.reverse(survivors, request.query, request.k, request.alpha)
+        got = list(result.distances.items())
+    return sorted(i for i, _ in got) == sorted(i for i, _ in want) and np.allclose(
+        sorted(d for _, d in got), sorted(d for _, d in want), rtol=1e-9, atol=1e-12
+    )
 
 
 def phase_transient(objects, queries, seed: int, n_requests: int, failures: list):
@@ -269,7 +266,7 @@ def phase_dead_shard(objects, queries, n_requests: int, failures: list):
                 _answers_the_survivors(request, result, survivors)
                 for request, result in zip(requests, results)
             ),
-            "every range, AKNN and reverse answer equals the reference over the survivors",
+            "every answer equals the reference over the survivors",
             failures,
         )
         twin = FuzzyDatabase.build(survivors)
@@ -329,7 +326,7 @@ def phase_dead_shard(objects, queries, n_requests: int, failures: list):
         )
         _check(
             all(
-                _singleton_answers_the_survivors(request, result, survivors)
+                _answers_the_survivors(request, result, survivors)
                 for request, result in zip(alone, results)
             ),
             "every singleton AKNN and sweep answers like the reference over the survivors",

@@ -90,7 +90,7 @@ class FuzzyDatabase:
         )
         # This database as a part of its own AKNN partition set of one
         # (``store`` / ``tree`` / ``executor``, as a shard exposes them) and
-        # the bucket bootstrap's KD-tree over its representatives.
+        # the AKNN buckets' KD-tree and bound table over its leaves.
         self.executor = BatchQueryExecutor(store, tree, self.config)
         self._rep_index = RepresentativeIndex()
         self._reverse = ReverseAKNNSearcher(
@@ -328,9 +328,10 @@ class FuzzyDatabase:
 
         The object is appended to the store, summarised, and inserted into
         the R-tree (Guttman insertion with quadratic splits).  The next query
-        sees it immediately; derived caches (the bucket bootstrap's
-        representative index, node SoA views) refresh themselves through the
-        tree's mutation counter and incremental SoA maintenance.  Geometry is
+        sees it immediately; derived caches (the AKNN buckets'
+        representative index and bound table, node SoA views) refresh
+        themselves through the tree's mutation counter and incremental SoA
+        maintenance.  Geometry is
         revalidated first (non-finite points would poison MBRs and distance
         evaluations) before any store or index state is touched.
 

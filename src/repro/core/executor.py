@@ -1,50 +1,40 @@
 """Vectorized batch AKNN execution.
 
-:class:`BatchQueryExecutor` answers a *batch* of AKNN queries (one shared
-``k`` and threshold ``alpha``) far faster than looping the single-query
-searcher, by amortising all index work across the batch:
+An AKNN *bucket of many* (queries sharing ``k``, ``alpha`` and method) is
+answered by :func:`aknn_bucket_pass` far faster than looping the
+single-query searcher, as the paper's lazy probe (Sections 3.3-3.4) for the
+whole bucket over a *partition set* (a database's one tree, or the sharded
+database's live shards):
 
-* **Shared pruning-radius bootstrap.**  A KD-tree over every object's
-  representative kernel point (cached across batches) yields, per query, a
-  handful of candidates whose exact distances immediately give a valid
-  k-th-distance radius ``tau`` — before the R-tree is even touched.  It is
-  written once, over a *partition set*: :class:`RepresentativeIndex` covers
-  any number of R-trees and :func:`bootstrap_radii` reads each nominee from
-  the part holding it.  Its one caller is :func:`aknn_bucket_pass`, the AKNN
-  bucket of both engines: it runs the bootstrap over the partition set (a
-  database's one tree, or the sharded database's live shards) and hands
-  every part's executor the resulting radii (``initial_tau``) and the
-  distances already paid for (``initial_exact``).  An executor is one
-  part's stage and never bootstraps on its own.
-* **One shared traversal** (:func:`shared_traversal`, which range buckets
-  descend too).  Every R-tree node is visited at most once per batch.  A
-  node is expanded only for the *active* queries whose radius it can still
-  beat, and the lower bounds (``d-_alpha`` of Section 3.2, or the
-  support-MBR ``MinDist`` for ``method="basic"``) of all its entries against
-  all active queries are evaluated as one ``(active, n)`` NumPy matrix
-  against the node's struct-of-arrays view.  The Equation-2 reconstruction
-  per node is computed once per (node, alpha) and shared by the whole batch
-  through the node's per-alpha cache.
-* **Vectorized exact refinement.**  Surviving candidates are probed through
-  one chunked closest-pair evaluation per query (a single distance matrix
-  against the concatenated candidate alpha-cuts, reduced per candidate with
-  ``minimum.reduceat``), instead of one Python-level closest-pair call per
-  candidate.
-* **Shared probe state.**  Each distinct object is fetched from the store
-  and its alpha-cut materialised at most once per batch, no matter how many
-  queries probe it — and only when some query still owes it a distance:
-  a candidate whose distance the caller already seeded is never read.
+* **Radius from bounds** (:func:`bootstrap_radii`).  A KD-tree over every
+  ``rep(A)`` nominates a handful of objects per query; the k-th smallest of
+  their stored upper bounds is a valid pruning radius, found without a
+  read.  :class:`RepresentativeIndex` keeps the KD-tree and the bound table
+  (:class:`BoundTable`, from the leaves' struct-of-arrays views) until a
+  write changes the set.
+* **One shared traversal per part** (:func:`shared_traversal`, which range
+  buckets descend too).  Every node is visited at most once; a node is
+  expanded only for the queries whose radius it can still beat, and its
+  entries' lower bounds (``d-_alpha``, or the support-MBR ``MinDist`` for
+  ``basic``) against them are one ``(active, n)`` NumPy matrix.
+* **One rank test** (:func:`rank_test`, ``lb_lp`` / ``lb_lp_ub``) over
+  padded ``(queries, candidates)`` bounds confirms every candidate the
+  bounds place in the top-k and drops every one they place outside it.
+* **One probe pass** (:func:`probe_rows`) reads the rest, each distinct
+  object once per bucket however many queries want it.
 
-The returned neighbour sets are exact and identical to the single-query
-methods (asserted by the parity tests) up to distance ties at the k-th rank,
-where any of the equally-correct k-sets may be returned (this engine breaks
-ties by object id).  A bucket of many reports every neighbour's distance
-exact (``probed=True``); a bucket of one is the single-query search
-(:func:`~repro.core.aknn.searcher_over`) on either engine, whose lazy
-variants may confirm a neighbour through bounds alone.
+The contract is per method.  ``basic`` / ``lb`` probe every candidate and
+report every neighbour's distance exact (``probed=True``); ``lb_lp`` /
+``lb_lp_ub`` report a probed neighbour's distance exact and a confirmed
+one's as ``distance=None`` with its bounds, as a bucket of one
+(:func:`~repro.core.aknn.searcher_over`) does.  On ``serve_aknn`` that cut
+the objects read per request from 17.25 to 7.56 (README, "Lazy AKNN
+buckets").  Every method returns the exact id set, ties at the k-th rank
+broken by object id, nearest (best known distance, then id) first.
 
-The whole batch runs on the calling thread, so the store and tree need no
-locking.
+:class:`BatchQueryExecutor` is one part's traversal + exact refinement under
+radii the caller supplies: the reverse-kNN verification's stage.  Everything
+runs on the calling thread, so the store and tree need no locking.
 """
 
 from __future__ import annotations
@@ -57,12 +47,12 @@ from scipy.spatial import cKDTree
 from repro.config import RuntimeConfig
 from repro.core.aknn import AKNN_METHODS, searcher_over
 from repro.core.query import PreparedQuery
-from repro.core.results import AKNNResult, BatchResult, Neighbor, QueryStats, merge_topk
+from repro.core.results import AKNNResult, BatchResult, Neighbor, QueryStats
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import CUT_CACHE_STATS, FuzzyObject
 from repro.geometry.distance import pairwise_sq_blocks
 from repro.index.rtree import RTree
-from repro.index.soa import kth_max_dists, min_dist_to_boxes
+from repro.index.soa import kth_max_dists, max_dist_to_boxes, min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
@@ -71,8 +61,8 @@ from repro.storage.object_store import ObjectStore
 # radius, absorbing the tiny float drift between vectorized and scalar paths.
 _PRUNE_SLACK = 1e-9
 
-# Extra bootstrap candidates probed beyond k; a slightly larger pool gives a
-# tighter starting radius for near-tie configurations at negligible cost.
+# Extra bootstrap nominees beyond k; a slightly larger pool gives a tighter
+# starting radius for near-tie configurations at negligible cost.
 _BOOTSTRAP_EXTRA = 4
 
 # Node pops between deadline checks in the shared traversal.  Small enough
@@ -110,17 +100,19 @@ class RepresentativeIndex:
 
     ``over(trees)`` indexes every ``rep(A)`` of the given R-trees — one tree
     for a single database, the live shards' trees for a sharded one — and
-    records which member holds each object.  ``kth_table`` keeps the reverse
-    filter's k-th ``MaxDist`` per row for a few ``(alpha, k)`` pairs.  The
-    cache key is, per member, its identity, size and ``tree.mutations``, so
-    a mutation (also an insert + delete pair that keeps the size) or a change
-    of the covered set rebuilds either; anything else returns the same
-    answer.
+    records which member holds each object.  ``bounds`` keeps, per
+    ``alpha``, every object's stored bound inputs in the same row order, and
+    ``kth_table`` the reverse filter's k-th ``MaxDist`` per row for a few
+    ``(alpha, k)`` pairs.  The cache key is, per member, its identity, size
+    and ``tree.mutations``, so a mutation (also an insert + delete pair that
+    keeps the size) or a change of the covered set rebuilds all of them;
+    anything else returns the same answer.
     """
 
     def __init__(self) -> None:
-        # (key, the trees — kept alive so their ids stay unique, the answer);
-        # one tuple swapped in whole, so concurrent batches never see a mix.
+        # (key, the trees — kept alive so their ids stay unique, the answer,
+        # {alpha: bound table}); one tuple swapped in whole, so concurrent
+        # batches never see a mix.
         self._cached: Optional[Tuple] = None
         # The same, with {(alpha, k): {(start, stop): k-th MaxDist rows}} as
         # the answer; a lost race between two builders only costs a rebuild.
@@ -130,30 +122,57 @@ class RepresentativeIndex:
     def _key(trees: Sequence[RTree]) -> Tuple:
         return tuple((id(tree), len(tree), tree.mutations) for tree in trees)
 
+    def _covered(self, trees: Sequence[RTree]) -> Tuple:
+        key = self._key(trees)
+        cached = self._cached
+        if cached is not None and cached[0] == key:
+            return cached
+        views = [list(tree.leaf_views()) for tree in trees]
+        # Filled leaf by leaf, so its keys are the rows' object ids in order.
+        member_of = {
+            object_id: member
+            for member, leaves in enumerate(views)
+            for soa in leaves
+            for object_id in soa.object_ids.tolist()
+        }
+        reps = [soa.reps for leaves in views for soa in leaves]
+        answer = (
+            cKDTree(np.concatenate(reps)) if reps else None,
+            np.fromiter(member_of, dtype=np.int64, count=len(member_of)),
+            member_of,
+        )
+        self._cached = cached = (key, tuple(trees), answer, {})
+        return cached
+
     def over(
         self, trees: Sequence[RTree]
     ) -> Tuple[Optional[cKDTree], np.ndarray, Dict[int, int]]:
         """``(KD-tree, aligned object ids, object id -> position in trees)``."""
-        key = self._key(trees)
-        cached = self._cached
-        if cached is not None and cached[0] == key:
-            return cached[2]
-        reps: List[np.ndarray] = []
-        oids: List[int] = []
-        member_of: Dict[int, int] = {}
-        for member, tree in enumerate(trees):
-            first = len(oids)
-            for entry in tree.leaf_entries():
-                reps.append(entry.summary.representative)
-                oids.append(entry.object_id)
-            member_of.update(dict.fromkeys(oids[first:], member))
-        answer = (
-            cKDTree(np.asarray(reps)) if reps else None,
-            np.asarray(oids, dtype=np.int64),
-            member_of,
-        )
-        self._cached = (key, tuple(trees), answer)
-        return answer
+        return self._covered(trees)[2]
+
+    def bounds(self, trees: Sequence[RTree], alpha: float) -> "BoundTable":
+        """Every object's ``M_A(alpha)*`` box and ``rep(A)``, in ``over`` order.
+
+        Built from the leaves' SoA views (each leaf's Equation-2 box is its
+        own per-alpha cache entry), kept under the KD-tree's key for at most
+        ``_KTH_TABLE_PAIRS`` thresholds, oldest out first.
+        """
+        cached = self._covered(trees)
+        table = cached[3].get(float(alpha))
+        if table is None:
+            leaves = [soa for tree in trees for soa in tree.leaf_views()]
+            boxes = [soa.approx_alpha_bounds(alpha) for soa in leaves]
+            table = BoundTable(
+                cached[2][1],
+                np.concatenate([lower for lower, _ in boxes]),
+                np.concatenate([upper for _, upper in boxes]),
+                np.concatenate([soa.reps for soa in leaves]),
+            )
+            tables = {**cached[3], float(alpha): table}
+            if len(tables) > _KTH_TABLE_PAIRS:
+                del tables[next(iter(tables))]
+            self._cached = cached[:3] + (tables,)
+        return table
 
     def kth_table(
         self,
@@ -193,50 +212,82 @@ class RepresentativeIndex:
         return kth, True
 
 
+class BoundTable:
+    """A partition-set version's stored bound inputs at one ``alpha``: every
+    object's ``M_A(alpha)*`` box and ``rep(A)``, in ``over`` row order."""
+
+    __slots__ = ("lo", "hi", "reps", "_ids", "_order")
+
+    def __init__(self, object_ids, lo, hi, reps) -> None:
+        self.lo, self.hi, self.reps = lo, hi, reps
+        self._order = np.argsort(object_ids, kind="stable")
+        self._ids = object_ids[self._order]
+
+    def rows(self, object_ids: np.ndarray) -> np.ndarray:
+        """The row of each (indexed) object id."""
+        return self._order[np.searchsorted(self._ids, object_ids)]
+
+    def bounds(
+        self, prepared: Sequence[PreparedQuery], rows: np.ndarray, lemma1: bool = True
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(Q, C)`` lower and upper bounds of query ``q`` against ``rows[q]``.
+
+        ``d-_alpha`` and ``MaxDist`` against ``M_A(alpha)*``, the upper one
+        tightened by Lemma 1 (``min_{s in Q'} ||rep(A) - s||``) when
+        ``lemma1``; element for element the single-query search's values.
+        """
+        q_lo = np.stack([p.query_mbr.lower for p in prepared])
+        q_hi = np.stack([p.query_mbr.upper for p in prepared])
+        lo, hi = self.lo[rows], self.hi[rows]
+        upper = max_dist_to_boxes(q_lo, q_hi, lo, hi)
+        if lemma1:
+            # Each Q'_alpha padded with copies of its last point, which
+            # leave every minimum as it is; points are boxes of no extent.
+            samples = [p.query_samples for p in prepared]
+            width = max(sample.shape[0] for sample in samples)
+            padded = np.stack(
+                [s[np.minimum(np.arange(width), s.shape[0] - 1)] for s in samples]
+            )[:, None]
+            reps = self.reps[rows]
+            lemma = min_dist_to_boxes(reps, reps, padded, padded).min(axis=2)
+            np.minimum(upper, lemma, out=upper)
+        return min_dist_to_boxes(q_lo, q_hi, lo, hi), upper
+
+
 def bootstrap_radii(
     index: RepresentativeIndex,
     parts: Sequence,
     prepared: Sequence[PreparedQuery],
     k: int,
     alpha: float,
-    exact: List[Dict[int, float]],
     metrics: MetricsCollector,
-    query_metrics: List[MetricsCollector],
 ) -> np.ndarray:
-    """A valid per-query pruning radius over a partition set.
+    """A valid per-query pruning radius over a partition set, read from bounds alone.
 
-    ``parts`` each expose ``tree`` and ``store``.  For each query the
-    KD-tree over every part's ``rep(A)`` points nominates the objects whose
-    representatives are closest to the centre of the query alpha-cut MBR;
-    probing those exactly — each read from the part the index found it in —
-    makes the k-th smallest probed distance a valid upper bound on the true
+    ``parts`` each expose ``tree``.  For each query the KD-tree over every
+    part's ``rep(A)`` points nominates the objects whose representatives
+    are closest to the centre of the query alpha-cut MBR; each nominee's
+    stored upper bound (:meth:`BoundTable.bounds`) is at least its
+    exact distance, so the k-th smallest is a valid upper bound on the true
     k-th neighbour distance over all parts (where the nominations land only
-    affects how tight the radius is, never correctness).  Returns the radii;
-    ``exact`` gains every distance paid for, so an executor seeded with it
-    never evaluates — nor fetches — a nominee again.  Fewer than ``k``
-    indexed objects leave the radii at ``inf``.  The radii hold only against
-    the snapshot they were probed from.
+    affects how tight the radius is, never correctness).  No object is
+    read.  Fewer than ``k`` indexed objects leave the radii at ``inf``.  The
+    radii hold only against the snapshot their bounds were taken from.
     """
-    n_queries = len(prepared)
-    tau = np.full(n_queries, np.inf)
-    kdtree, object_ids, member_of = index.over([part.tree for part in parts])
+    tau = np.full(len(prepared), np.inf)
+    trees = [part.tree for part in parts]
+    kdtree, object_ids, _ = index.over(trees)
     if object_ids.shape[0] < k:
         return tau
     kk = min(k + _BOOTSTRAP_EXTRA, object_ids.shape[0])
     centers = np.stack(
         [(p.query_mbr.lower + p.query_mbr.upper) / 2.0 for p in prepared]
     )
-    _, rep_idx = kdtree.query(centers, k=kk)
-    if kk == 1:
-        rep_idx = rep_idx[:, None]
-    metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, n_queries * kk)
-    probes = probe_rows(
-        lambda object_id: parts[member_of[object_id]].store.get(object_id),
-        prepared, object_ids[rep_idx].tolist(), alpha, exact, query_metrics,
-    )
-    for qi, dists in enumerate(probes):
-        tau[qi] = float(np.partition(dists, k - 1)[k - 1])
-    return tau
+    _, rows = kdtree.query(centers, k=kk)
+    rows = rows.reshape(len(prepared), kk)
+    metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, rows.size)
+    _, upper = index.bounds(trees, alpha).bounds(prepared, rows)
+    return np.partition(upper, k - 1, axis=1)[:, k - 1]
 
 
 def probe_rows(
@@ -368,54 +419,119 @@ def aknn_bucket_pass(
 
     The AKNN bucket of both engines: a database runs it over itself, a set
     of one, and the sharded database over its live shards.  ``parts`` each
-    expose ``store`` / ``tree`` / ``executor``; ``fan_out(op, fn)`` applies
-    ``fn`` to every part (as for
-    :func:`repro.core.reverse_nn.reverse_bucket_pass`).
+    expose ``store`` / ``tree``; ``fan_out(op, fn)`` applies ``fn`` to every
+    part (as for :func:`repro.core.reverse_nn.reverse_bucket_pass`).
 
     A bucket of one is one best-first search over every part's root
-    (:func:`~repro.core.aknn.searcher_over`).  A bucket of many is one
-    :func:`bootstrap_radii` over all parts (``index`` caches its KD-tree,
-    ``metrics`` counts its nominations), then every part's executor runs
-    under the global radii with the distances already paid for; the radii
-    hold only against the snapshot they were probed from.  Each query is
-    prepared once for the bootstrap and every part; the parts' top-ks merge
-    exactly.  ``batch_queries`` is counted last, after every fan-out, so a
-    pass that a lost part makes the caller rerun counts its bucket once.
+    (:func:`~repro.core.aknn.searcher_over`).  A bucket of many is the lazy
+    probe of Algorithm 2 over the whole bucket: :func:`bootstrap_radii`
+    fixes the radii from stored bounds, every part runs one
+    :func:`shared_traversal` (fan-out op ``"aknn_batch"``), :func:`rank_test`
+    confirms what the bounds decide, and one :func:`probe_rows` pass over
+    the partition set reads the rest; the radii hold only against the
+    snapshot they were taken from.  Probed neighbours are exact, confirmed
+    ones carry ``distance=None`` with their bounds, nearest (best known
+    distance, then id) first.  ``batch_queries`` is counted last, after
+    every fan-out, so a pass that a lost part makes the caller rerun counts
+    its bucket once.
     """
     if deadline is not None:
         deadline.check("aknn")
     if len(queries) == 1:
         return [searcher_over(fan_out, config).search(queries[0], k, alpha, method, rng)]
     prepared = [PreparedQuery(q, alpha, config, rng) for q in queries]
-    initial_exact: List[Dict[int, float]] = [dict() for _ in prepared]
-    bootstrap_evals = [MetricsCollector() for _ in prepared]
-    initial_tau = bootstrap_radii(
-        index, parts, prepared, k, alpha, initial_exact, metrics, bootstrap_evals,
-    )
-    batches = fan_out(
-        "aknn_batch",
-        lambda part: part.executor.aknn_batch(
-            prepared, k, alpha, method=method, rng=rng,
-            initial_tau=initial_tau, initial_exact=initial_exact, deadline=deadline,
-        ),
+    q_lo = np.stack([p.query_mbr.lower for p in prepared])
+    q_hi = np.stack([p.query_mbr.upper for p in prepared])
+    tau = bootstrap_radii(index, parts, prepared, k, alpha, metrics)
+
+    def traverse(part) -> List[np.ndarray]:
+        if deadline is not None:
+            deadline.check("batch")
+        return shared_traversal(
+            part.tree, alpha, method != "basic", q_lo, q_hi, tau,
+            MetricsCollector(), deadline,
+        )
+
+    per_part = fan_out("aknn_batch", traverse)
+    sizes = sum(np.array([hits.shape[0] for hits in part]) for part in per_part)
+    valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    ids = np.zeros(valid.shape, dtype=np.int64)
+    ids[valid] = np.concatenate([hits for row in zip(*per_part) for hits in row])
+    trees = [part.tree for part in parts]
+    confirmed, probe, lower, upper = np.zeros_like(valid), valid, None, None
+    if method in ("lb_lp", "lb_lp_ub") and valid.any():
+        table = index.bounds(trees, alpha)
+        rows = np.zeros(valid.shape, dtype=np.intp)  # padding reads row 0
+        rows[valid] = table.rows(ids[valid])
+        lower, upper = table.bounds(prepared, rows, lemma1=method == "lb_lp_ub")
+        confirmed, probe = rank_test(lower, upper, valid, k, tau)
+
+    _, _, member_of = index.over(trees)
+    owed = [row[mask].tolist() for row, mask in zip(ids, probe)]
+    query_metrics = [MetricsCollector() for _ in prepared]
+    probes = probe_rows(
+        lambda object_id: parts[member_of[object_id]].store.get(object_id),
+        prepared, owed, alpha, [{} for _ in prepared], query_metrics, deadline,
     )
     results = []
-    for qi, evals in enumerate(bootstrap_evals):
-        per_part = [batch.results[qi] for batch in batches]
+    for qi, (row, dists) in enumerate(zip(owed, probes)):
+        sure = np.flatnonzero(confirmed[qi])
+        best = np.lexsort((row, dists))[: k - sure.shape[0]]
+        neighbors = [
+            Neighbor(row[j], float(dists[j]), float(dists[j]), float(dists[j]), True)
+            for j in best.tolist()
+        ] + [
+            Neighbor(int(ids[qi, c]), None, float(lower[qi, c]), float(upper[qi, c]), False)
+            for c in sure.tolist()
+        ]
+        neighbors.sort(key=lambda n: (n.best_known_distance, n.object_id))
         stats = QueryStats(
-            distance_evaluations=sum(r.stats.distance_evaluations for r in per_part)
-            + evals.get(MetricsCollector.DISTANCE_EVALUATIONS),
+            distance_evaluations=query_metrics[qi].get(MetricsCollector.DISTANCE_EVALUATIONS),
             aknn_calls=1,
         )
-        neighbors = merge_topk([r.neighbors for r in per_part], k)
         results.append(AKNNResult(neighbors, k, alpha, method, stats))
     metrics.increment(MetricsCollector.BATCH_QUERIES, len(queries))
     return results
 
 
+def rank_test(
+    lower: np.ndarray, upper: np.ndarray, valid: np.ndarray, k: int, tau: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Which candidates the bounds confirm, and which still need a probe.
+
+    ``lower`` / ``upper``: ``(Q, C)`` bounds of each query's candidates, the
+    columns past a row's ``valid`` ones padding; ``tau``: the radii the
+    traversal pruned at.  ``c`` is confirmed when ``#{j != c : L_j <= U_c}
+    <= k - 1`` and ``U_c <= tau``: an object ranked before ``c`` (ties by
+    id) has ``L_j <= d_j <= d_c <= U_c``, so it is a candidate and counted.
+    The count is ``<=``, not the single search's ``<``, because every
+    confirmation happens at once: a strict count can confirm two exactly
+    tied candidates and crowd out a closer object whose upper bound is
+    loose.  With ``need = k - confirmed`` places left, a remaining candidate
+    whose ``L`` exceeds the need-th smallest remaining ``U`` is dropped.
+    """
+    width = valid.shape[1]
+    both = np.concatenate([np.where(valid, lower, np.inf), upper], axis=1)
+    # A stable sort puts each lower bound before an equal upper bound, so
+    # the running count of lower bounds at an upper bound is #{j : L_j <= U}.
+    order = np.argsort(both, axis=1, kind="stable")
+    seen = np.empty_like(order)
+    np.put_along_axis(seen, order, np.cumsum(order < width, axis=1), axis=1)
+    closer = seen[:, width:] - (lower <= upper)
+    confirmed = valid & (closer <= k - 1) & (upper <= tau[:, None])
+    need = k - confirmed.sum(axis=1)
+    remaining = np.sort(np.where(valid & ~confirmed, upper, np.inf), axis=1)
+    place = np.clip(need - 1, 0, width - 1)[:, None]
+    cutoff = np.take_along_axis(remaining, place, axis=1)[:, 0]
+    cutoff[need > width] = np.inf
+    cutoff[need <= 0] = -np.inf
+    return confirmed, valid & ~confirmed & (lower <= cutoff[:, None])
+
+
 class BatchQueryExecutor:
-    """One part's stage of an AKNN bucket: a shared traversal of its R-tree
-    under radii the caller supplies, then the exact refinement."""
+    """One part's shared traversal of its R-tree under radii the caller
+    supplies, then the exact refinement of every survivor (the reverse-kNN
+    verification's stage)."""
 
     def __init__(
         self,
@@ -459,7 +575,7 @@ class BatchQueryExecutor:
 
         ``initial_tau`` holds one pruning radius per query and is required
         for a non-empty batch: the executor never bootstraps a radius of its
-        own (:func:`aknn_bucket_pass` supplies the bucket's global ones).
+        own.
         The traversal prunes against these radii and the returned neighbour
         lists are complete only *up to the supplied radius*: every object
         whose exact distance is at most a query's radius is considered,
@@ -471,8 +587,9 @@ class BatchQueryExecutor:
         :func:`repro.core.reverse_nn.membership_from_neighbors`) but would
         NOT be a valid top-k answer on its own.  ``initial_exact``
         optionally seeds each query's exact-distance memo (one dict per
-        query) so distances the caller already evaluated — e.g. for the
-        bootstrap nominees — are not recomputed during refinement.
+        query) so distances the caller already evaluated — e.g. the
+        reverse verification's distances to the query — are not recomputed
+        during refinement.
         """
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")

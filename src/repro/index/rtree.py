@@ -45,6 +45,7 @@ from repro.fuzzy.summary import FuzzyObjectSummary
 from repro.geometry.mbr import MBR
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Entry, RTreeNode
+from repro.index.soa import NodeSoA
 from repro.metrics.counters import MetricsCollector
 
 
@@ -396,6 +397,16 @@ class RTree:
             else:
                 stack.extend(entry.child for entry in node.entries)  # type: ignore[union-attr]
 
+    def leaf_views(self) -> Iterator[NodeSoA]:
+        """The SoA view of every non-empty leaf, leaf by leaf as ``leaf_entries`` walks them."""
+        stack = [self.root] if self._size else []
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                stack.extend(entry.child for entry in node.entries)
+            elif node.entries:
+                yield node.soa()
+
     def leaf_alpha_bounds(
         self, alpha: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -403,34 +414,20 @@ class RTree:
 
         Returns ``(object_ids, lower, upper)`` — an ``(N,)`` id array aligned
         with ``(N, d)`` lo/hi matrices of the approximated alpha-cut MBRs,
-        assembled leaf by leaf from the nodes' SoA views so each leaf's
-        Equation-2 reconstruction is computed once per (node, alpha) and
-        shared through its per-alpha cache.  An empty tree yields
-        ``(0,)`` / ``(0, 0)``-shaped arrays.
+        assembled in :meth:`leaf_views` order so each leaf's Equation-2
+        reconstruction is computed once per (node, alpha) and shared through
+        its per-alpha cache.  An empty tree yields ``(0,)`` / ``(0, 0)``-shaped
+        arrays.
         """
-        if self._size == 0:
+        views = list(self.leaf_views())
+        if not views:
             empty = np.empty((0, 0))
             return np.empty(0, dtype=np.int64), empty, empty
-        ids: List[np.ndarray] = []
-        lowers: List[np.ndarray] = []
-        uppers: List[np.ndarray] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                if not node.entries:
-                    continue
-                soa = node.soa()
-                lower, upper = soa.approx_alpha_bounds(alpha)
-                ids.append(soa.object_ids)
-                lowers.append(lower)
-                uppers.append(upper)
-            else:
-                stack.extend(entry.child for entry in node.entries)
+        boxes = [soa.approx_alpha_bounds(alpha) for soa in views]
         return (
-            np.concatenate(ids),
-            np.concatenate(lowers),
-            np.concatenate(uppers),
+            np.concatenate([soa.object_ids for soa in views]),
+            np.concatenate([lower for lower, _ in boxes]),
+            np.concatenate([upper for _, upper in boxes]),
         )
 
     # ------------------------------------------------------------------

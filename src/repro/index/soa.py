@@ -50,10 +50,10 @@ def _box_distances(term, query_lower, query_upper, lower, upper) -> np.ndarray:
     building ``(B, n, d)`` to reduce a trailing axis of length ``d``.
     """
     total = None
-    for dim in range(lower.shape[1]):
+    for dim in range(lower.shape[-1]):
         side = term(
             query_lower[..., dim, None], query_upper[..., dim, None],
-            lower[:, dim], upper[:, dim],
+            lower[..., dim], upper[..., dim],
         )
         np.square(side, out=side)
         total = side if total is None else np.add(total, side, out=total)
@@ -78,7 +78,8 @@ def min_dist_to_boxes(
 
     ``query_lower`` / ``query_upper`` may be ``(d,)`` (one query, result
     ``(n,)``) or ``(B, d)`` (a batch, result ``(B, n)``); ``lower`` / ``upper``
-    are the ``(n, d)`` box arrays.
+    are the ``(n, d)`` box arrays, or ``(B, n, d)`` to pair query ``b`` with
+    its own ``n`` boxes only (result ``(B, n)``).
     """
     return _box_distances(_gap, query_lower, query_upper, lower, upper)
 

@@ -129,8 +129,9 @@ class _Shard:
 class _ShardStore:
     """A shard's object store as the families read it.
 
-    Nothing blames a shard for a read made between fan-outs (a bootstrap
-    nominee, a reverse candidate, a singleton AKNN's or a sweep's probe), so
+    Nothing blames a shard for a read made between fan-outs (an AKNN
+    bucket's probe pass, a reverse candidate, a singleton AKNN's or a
+    sweep's probe), so
     a failing ``get`` is converted here into the :class:`_FanoutFailure` that
     makes :meth:`ShardedDatabase._coupled` rerun the pass on the survivors.
     A read inside the shard's own call (a range bucket's probes) fails that
@@ -225,8 +226,8 @@ class ShardedDatabase:
         # (keyed by query instance + object id, so it stays valid across
         # live sets).
         self._sweep_profiles = DistanceProfileStore(self.config.profile_cache_capacity)
-        # The bucket bootstrap's KD-tree over the live shards' representatives
-        # and the reverse filter's k-th MaxDist table over their boxes.
+        # The AKNN buckets' KD-tree and bound table over the live shards'
+        # leaves and the reverse filter's k-th MaxDist table over their boxes.
         self._rep_index = RepresentativeIndex()
 
     # ------------------------------------------------------------------
@@ -796,8 +797,9 @@ class ShardedDatabase:
 
         Grouping is identical to the unsharded engine
         (:meth:`FuzzyDatabase.execute_batch`); each per-bucket sub-batch runs
-        the sharded fast path (global bootstrap + fan-out + global merge)
-        once for the whole bucket.
+        the sharded fast path once for the whole bucket (an AKNN bucket: a
+        radius from stored bounds, one traversal per shard, one rank test
+        and one probe pass).
         """
         return execute_plan(self, list(requests), rng=rng)
 

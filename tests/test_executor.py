@@ -3,7 +3,8 @@
 The load-bearing property is *parity*: a bucket of ``AknnRequest``s sharing
 ``(k, alpha, method)`` — answered by one shared traversal — must return
 exactly the same neighbour sets as executing each request on its own (the
-single-query searcher), for every AKNN method variant, with exact distances.
+single-query searcher), for every AKNN method variant: exact distances under
+``basic`` / ``lb``, and bounds around the ones a lazy method confirms.
 The executor's own telemetry (:class:`BatchResult` stats) is asserted on
 :class:`BatchQueryExecutor` directly.
 """
@@ -74,14 +75,26 @@ class TestBatchParity:
             assert set(result.object_ids) == set(single.object_ids)
 
     def test_distances_are_exact(self, bundle, queries):
+        """``basic`` / ``lb`` report every distance exact; the lazy methods
+        report a probed neighbour's exactly and bound the ones they confirm."""
         database = bundle.database
-        batch = batch_of(database, queries[:3], k=5, alpha=0.5)
-        for query, result in zip(queries, batch):
-            for neighbor in result.neighbors:
-                assert neighbor.probed
-                obj = database.get_object(neighbor.object_id)
-                expected = alpha_distance(obj, query, 0.5)
-                assert neighbor.distance == pytest.approx(expected, abs=1e-9)
+        for method in AKNN_METHODS:
+            batch = batch_of(database, queries[:3], k=5, alpha=0.5, method=method)
+            confirmed = 0
+            for query, result in zip(queries, batch):
+                for neighbor in result.neighbors:
+                    obj = database.get_object(neighbor.object_id)
+                    expected = alpha_distance(obj, query, 0.5)
+                    if neighbor.probed:
+                        assert neighbor.distance == pytest.approx(expected, abs=1e-9)
+                    else:
+                        confirmed += 1
+                        assert neighbor.distance is None
+                        assert neighbor.lower_bound <= expected <= neighbor.upper_bound
+            if method in ("basic", "lb"):
+                assert confirmed == 0
+            elif method == "lb_lp_ub":
+                assert confirmed > 0
 
     def test_matches_linear_scan_ground_truth(self, bundle, queries):
         database = bundle.database
@@ -151,14 +164,24 @@ class TestBatchStats:
         total_nodes = bundle.database.tree.node_count()
         assert batch.stats.node_accesses <= total_nodes
 
-    def test_objects_fetched_once_per_batch(self, bundle, queries):
+    def test_objects_fetched_once_per_batch(self, bundle, queries, monkeypatch):
+        """One probe pass: no object is read twice, every probed neighbour
+        was read, and a neighbour the bounds confirmed never was."""
         database = bundle.database
-        before = database.store.statistics.snapshot()
+        fetched = []
+        get = database.store.get
+
+        def logged(object_id, *args, **kwargs):
+            fetched.append(object_id)
+            return get(object_id, *args, **kwargs)
+
+        monkeypatch.setattr(database.store, "get", logged)
         batch = batch_of(database, queries, k=5, alpha=0.5)
-        accesses = database.store.statistics.object_accesses - before.object_accesses
-        distinct_neighbors = {oid for result in batch for oid in result.object_ids}
-        assert accesses <= len(database)
-        assert len(distinct_neighbors) <= accesses
+        assert len(fetched) == len(set(fetched)) <= len(database)
+        neighbors = [n for result in batch for n in result.neighbors]
+        assert {n.object_id for n in neighbors if n.probed} <= set(fetched)
+        unread = {n.object_id for n in neighbors if not n.probed} - set(fetched)
+        assert unread
 
     def test_per_query_results_carry_distance_counts(self, bundle, queries):
         batch = batch_of(bundle.database, queries[:3], k=4, alpha=0.5)

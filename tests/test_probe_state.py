@@ -1,18 +1,22 @@
 """One probe state per served AKNN bucket: the count pins and the parity.
 
-A coalesced bucket carries one probe state from the global bootstrap through
-the shard executors to the merge.  These tests pin what that buys and what it
-must not change:
+A coalesced bucket of many is the lazy probe over the whole partition set: a
+bootstrap that reads nothing, one traversal per part, one rank test over the
+bucket and one probe pass.  These tests pin what that buys and what it must
+not change:
 
 * **every object access buys a distance** — the store is read only for
-  objects that enter an exact-distance evaluation in that engine pass;
-* each query is prepared once per bucket, and the bootstrap's evaluations are
-  reported in the merged results;
-* ``batch_candidates`` counts the pairs an executor examined, not its memo;
+  objects that enter an exact-distance evaluation, and an ``lb_lp_ub``
+  bucket reads fewer objects than its traversals let through;
+* each query is prepared once per bucket, and every evaluation is reported
+  in the results;
+* ``batch_candidates`` counts the pairs an executor examined, not its memo,
+  and an AKNN bucket runs no executor at all;
 * the vectorised candidate gather returns exactly what the per-(leaf, query)
   loop it replaced returned (the loop is kept *here* as the reference);
-* answers — ids, order and distances — equal the unsharded engine's and the
-  brute-force reference's, ties at the k-th rank breaking by object id.
+* answers equal the unsharded engine's and the brute-force reference's: the
+  id set (ties at the k-th rank breaking by object id), every probed
+  distance, and bounds around every distance the bounds confirmed.
 """
 
 import functools
@@ -34,7 +38,7 @@ from repro.core.executor import (
     shared_traversal,
 )
 from repro.core.query import PreparedQuery
-from repro.core.requests import AknnRequest
+from repro.core.requests import AknnRequest, ReverseRequest
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
 from repro.exceptions import InvalidQueryError
@@ -100,10 +104,11 @@ def requests_for(queries, k, method="lb_lp_ub"):
 
 
 def one_part_bucket(database, queries, k):
-    """An AKNN bucket through ``aknn_bucket_pass`` over a set of one."""
+    """An AKNN bucket through ``aknn_bucket_pass`` over a set of one, with
+    every distance exact (``lb`` probes each neighbour)."""
     return aknn_bucket_pass(
         RepresentativeIndex(), [database], lambda op, fn: [fn(database)],
-        queries, k, ALPHA, "lb_lp_ub", database.config, MetricsCollector(),
+        queries, k, ALPHA, "lb", database.config, MetricsCollector(),
     )
 
 
@@ -117,18 +122,20 @@ def answers(results):
 
 
 class ProbeLog:
-    """What one bucket's engine passes handed to the exact-distance kernel.
+    """What one bucket's passes handed to the exact-distance kernel.
 
-    A *pass* is the global bootstrap or one shard executor's ``aknn_batch``;
-    within a pass each object has one alpha-cut array, so distinct arrays are
-    distinct objects (the arrays are kept alive here, so ``id`` cannot be
-    reused).
+    A *pass* is the bootstrap or the bucket's one ``probe_rows`` pass;
+    within a pass each object has one alpha-cut array, so distinct arrays
+    are distinct objects (the arrays are kept alive here, so ``id`` cannot
+    be reused).  ``survivors`` collects the distinct objects some query's
+    traversal let through, ``radii`` what each bootstrap returned.
     """
 
     def __init__(self, monkeypatch):
         self.passes = []
         self.handed = 0
-        self.radius_violations = 0
+        self.radii = []
+        self.survivors = set()
         self.prepared = 0
         log = self
 
@@ -145,26 +152,31 @@ class ProbeLog:
 
         def logged_bootstrap(*args, **kwargs):
             log.passes.append({})
-            return bootstrap(*args, **kwargs)
+            tau = bootstrap(*args, **kwargs)
+            log.radii.append(tau)
+            return tau
 
-        # The one bootstrap, as the partition-set bucket pass reaches it.
+        # The one bootstrap and probe pass, as the partition-set bucket
+        # pass reaches them.
         monkeypatch.setattr(executor_module, "bootstrap_radii", logged_bootstrap)
 
-        aknn_batch = BatchQueryExecutor.aknn_batch
+        probe_rows = executor_module.probe_rows
 
-        def logged_batch(self, *args, **kwargs):
+        def logged_probe(*args, **kwargs):
             log.passes.append({})
-            batch = aknn_batch(self, *args, **kwargs)
-            radii = kwargs.get("initial_tau")
-            if radii is not None:
-                log.radius_violations += sum(
-                    neighbor.distance > radius
-                    for result, radius in zip(batch.results, radii)
-                    for neighbor in result.neighbors
-                )
-            return batch
+            return probe_rows(*args, **kwargs)
 
-        monkeypatch.setattr(BatchQueryExecutor, "aknn_batch", logged_batch)
+        monkeypatch.setattr(executor_module, "probe_rows", logged_probe)
+
+        traversal = executor_module.shared_traversal
+
+        def logged_traversal(*args, **kwargs):
+            per_query = traversal(*args, **kwargs)
+            for ids in per_query:
+                log.survivors.update(ids.tolist())
+            return per_query
+
+        monkeypatch.setattr(executor_module, "shared_traversal", logged_traversal)
 
         prepare = PreparedQuery.__init__
 
@@ -206,17 +218,24 @@ class TestEveryAccessBuysADistance:
         got = sharded.execute_batch(requests_for(queries, k=7))
         accesses = store_accesses(sharded) - before
 
-        # one bootstrap pass + one executor pass per shard
-        assert len(log.passes) == 1 + n_shards
+        # a bootstrap that reads nothing, then one probe pass over every shard
+        assert len(log.passes) == 2
+        assert log.passes[0] == {}
         assert accesses == log.objects_probed
         assert accesses > 0
+        # the bounds settle some survivors: fewer reads than candidates
+        assert accesses < len(log.survivors)
         # one PreparedQuery per query for the whole bucket, whatever the fan-out
         assert log.prepared == size
-        assert log.radius_violations == 0
-        # every evaluated distance is reported, the bootstrap's included
-        evaluations = [r.stats.distance_evaluations for r in got]
-        assert sum(evaluations) == log.handed
-        assert min(evaluations) >= 7
+        # nothing answered beyond the radius the bucket pruned at
+        (radii,) = log.radii
+        assert all(
+            neighbor.best_known_distance <= radius
+            for result, radius in zip(got, radii)
+            for neighbor in result.neighbors
+        )
+        # every evaluated distance is reported
+        assert sum(r.stats.distance_evaluations for r in got) == log.handed
         assert answers(got) == want
         sharded.close()
 
@@ -269,36 +288,57 @@ class TestServedAnswersAreExact:
         database.close()
 
     def check(self, sharded, reference, queries, k, method="lb_lp_ub"):
+        """Both engines give one answer, and it is the brute-force one: the
+        id set (ties by id), every probed distance, bounds around every
+        other.  Returns how many neighbours the bounds confirmed."""
         got = sharded.execute_batch(requests_for(queries, k, method))
         want = reference.execute_batch(requests_for(queries, k, method))
         assert answers(got) == answers(want)
+        confirmed = 0
         for query, result in zip(queries, got):
+            exact = dict(brute_force.aknn(stored_objects(reference), query, len(reference), ALPHA))
             ranked = brute_force.aknn(stored_objects(reference), query, k, ALPHA)
-            assert result.object_ids == [object_id for object_id, _ in ranked]
-            assert [n.distance for n in result.neighbors] == pytest.approx(
-                [distance for _, distance in ranked], abs=1e-12
-            )
+            assert sorted(result.object_ids) == sorted(object_id for object_id, _ in ranked)
+            for neighbor in result.neighbors:
+                d_alpha = exact[neighbor.object_id]
+                if neighbor.probed:
+                    assert neighbor.distance == pytest.approx(d_alpha, abs=1e-12)
+                else:
+                    confirmed += 1
+                    assert neighbor.distance is None
+                    assert neighbor.lower_bound <= d_alpha <= neighbor.upper_bound
+            # nearest first by best known distance, then id
+            assert result.neighbors == result.sorted_by_distance()
+        if method in ("basic", "lb"):
+            assert confirmed == 0
+        return confirmed
 
     def test_same_query_object_twice(self, sharded, reference, query_pool):
         queries = [query_pool[0], query_pool[1], query_pool[0], query_pool[0]]
-        self.check(sharded, reference, queries, k=6)
+        assert self.check(sharded, reference, queries, k=6) > 0
 
     def test_ties_at_the_kth_rank_break_by_object_id(self, sharded, reference, objects):
         """Query = a twinned object: ranks 1-2 tie at zero, and so on outward."""
         queries = [objects[i] for i in range(4)]
-        for k in (1, 2, 3):
-            self.check(sharded, reference, queries, k=k)
+        confirmed = [self.check(sharded, reference, queries, k=k) for k in (1, 2, 3)]
+        # bounds cannot split the exact tie at rank 1, so both twins are
+        # probed and the id decides; at k >= 2 both are certainly in
+        assert confirmed[0] == 0 < confirmed[1]
         first = sharded.execute_batch(requests_for(queries[:2], k=1))
         assert [r.object_ids for r in first] == [[0], [1]]  # never the twin 1000+i
 
     def test_k_larger_than_a_shard(self, sharded, reference, query_pool):
         assert max(sharded.shard_sizes()) < 60
-        self.check(sharded, reference, query_pool[:5], k=60)
+        assert self.check(sharded, reference, query_pool[:5], k=60) > 0
 
     @pytest.mark.parametrize("extra", [0, 7])
     def test_k_at_least_n(self, sharded, reference, query_pool, extra):
-        """No usable radius: ``tau = inf``, every object is a candidate."""
-        self.check(sharded, reference, query_pool[:3], k=len(reference) + extra)
+        """No usable radius: ``tau = inf``, every object is a candidate, and
+        the bounds confirm every one of them without a read."""
+        before = store_accesses(sharded)
+        confirmed = self.check(sharded, reference, query_pool[:3], k=len(reference) + extra)
+        assert confirmed == 3 * len(reference)
+        assert store_accesses(sharded) == before
 
     def test_basic_method(self, sharded, reference, query_pool):
         self.check(sharded, reference, query_pool[:9], k=7, method="basic")
@@ -382,13 +422,17 @@ class TestRepresentativeIndexFollowsItsTrees:
 class TestBatchCandidates:
     @pytest.fixture
     def survivors(self, monkeypatch):
-        """Total (query, object) pairs the shared traversals let through."""
+        """Per traversal: the (query, object) pairs it let through, and the
+        distinct objects among them."""
         seen = []
         traversal = executor_module.shared_traversal
 
         def logged(*args, **kwargs):
             per_query = traversal(*args, **kwargs)
-            seen.append(sum(ids.shape[0] for ids in per_query))
+            seen.append((
+                sum(ids.shape[0] for ids in per_query),
+                set(np.concatenate(per_query).tolist()),
+            ))
             return per_query
 
         monkeypatch.setattr(executor_module, "shared_traversal", logged)
@@ -409,19 +453,30 @@ class TestBatchCandidates:
             return batch
 
         monkeypatch.setattr(BatchQueryExecutor, "aknn_batch", logged)
-        sharded.execute_batch(requests_for(query_pool[:8], k=5))
-        assert len(counted) == len(survivors) == 2
-        # objects live in one shard each, so survivors are distinct pairs;
-        # the old count added every shard's copy of the 8 x 9 global nominees
-        assert counted == [float(n) for n in survivors]
-        assert sum(counted) < 2 * 8 * 9
-        sharded.close()
-        # one part: a database's own executor counts its survivors as well
-        counted.clear()
+        # An AKNN bucket runs no executor: one traversal per shard, then one
+        # probe pass that reads every survivor under basic / lb and fewer
+        # under lb_lp_ub, whose other neighbours the bounds confirm.
+        for method in ("basic", "lb", "lb_lp_ub"):
+            survivors.clear()
+            before = store_accesses(sharded)
+            results = sharded.execute_batch(requests_for(query_pool[:8], 5, method))
+            reads = store_accesses(sharded) - before
+            assert counted == [] and len(survivors) == 2
+            distinct = len(set().union(*(ids for _, ids in survivors)))
+            probed = [n.probed for r in results for n in r.neighbors]
+            if method == "lb_lp_ub":
+                assert reads < distinct and not all(probed)
+            else:
+                assert reads == distinct and all(probed)
+        # The reverse verification's executors still count their own
+        # survivors, not whatever the seeded memo held.
         survivors.clear()
-        reference.execute_batch(requests_for(query_pool[:8], k=5))
-        assert len(counted) == len(survivors) == 1
-        assert counted == [float(n) for n in survivors]
+        sharded.execute_batch(
+            [ReverseRequest(q, k=3, alpha=ALPHA) for q in query_pool[:4]]
+        )
+        assert len(counted) == len(survivors) == 2
+        assert counted == [float(pairs) for pairs, _ in survivors]
+        sharded.close()
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ query over it.  The same rules run against one ``FuzzyDatabase``, a one-shard
 hash-placed ``ShardedDatabase`` and a three-shard space-placed one: inserts
 with an automatic id, with an explicit id at or above the id watermark and
 (rejected) below it, deletes of live and of missing ids, AKNN buckets of one
-and of three for every method with ``k`` up to ``n + 2``, range buckets of
-two radii and reverse buckets.  Objects sit on a coarse grid and may be
+and of three for every method and of two to six for a drawn one, with ``k``
+up to ``n + 2``, range buckets of two radii and reverse buckets.  Objects sit on a coarse grid and may be
 exact twins, so distance ties (at the k-th rank too) are common.
 
 After every step: AKNN ids equal the reference up to ties at the k-th
@@ -191,6 +191,23 @@ class EngineMachine(RuleBasedStateMachine):
             )
             for query, result in zip(queries, results):
                 check_aknn(result, self.objects(), query, k, alpha)
+
+    @rule(
+        queries=st.lists(query_objects(), min_size=2, max_size=6),
+        alpha=st.sampled_from(ALPHAS),
+        method=st.sampled_from(AKNN_METHODS),
+        data=st.data(),
+    )
+    def aknn_bucket_of_many(self, queries, alpha, method, data):
+        """The lazy bucket pass: its bound table must follow every write."""
+        k = data.draw(st.integers(1, len(self.model) + 2), label="k")
+        results = self.engine.execute_batch(
+            [AknnRequest(q, k=k, alpha=alpha, method=method) for q in queries]
+        )
+        for query, result in zip(queries, results):
+            check_aknn(result, self.objects(), query, k, alpha)
+            if method in ("basic", "lb"):
+                assert all(neighbor.probed for neighbor in result.neighbors)
 
     @rule(
         queries=st.lists(query_objects(), min_size=2, max_size=2),
