@@ -27,10 +27,10 @@ The contract is per method.  ``basic`` / ``lb`` probe every candidate and
 report every neighbour's distance exact (``probed=True``); ``lb_lp`` /
 ``lb_lp_ub`` report a probed neighbour's distance exact and a confirmed
 one's as ``distance=None`` with its bounds, as a bucket of one
-(:func:`~repro.core.aknn.searcher_over`) does.  On ``serve_aknn`` that cut
-the objects read per request from 17.25 to 7.56 (README, "Lazy AKNN
-buckets").  Every method returns the exact id set, ties at the k-th rank
-broken by object id, nearest (best known distance, then id) first.
+(:func:`~repro.core.aknn.searcher_over`) does; README, "Lazy AKNN
+buckets", has what each reads.  Every method returns the exact id set, ties
+at the k-th rank broken by object id, nearest (best known distance, then
+id) first.
 
 :class:`BatchQueryExecutor` is one part's traversal + exact refinement under
 radii the caller supplies: the reverse-kNN verification's stage.  Everything
@@ -52,7 +52,12 @@ from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import CUT_CACHE_STATS, FuzzyObject
 from repro.geometry.distance import pairwise_sq_blocks
 from repro.index.rtree import RTree
-from repro.index.soa import kth_max_dists, max_dist_to_boxes, min_dist_to_boxes
+from repro.index.soa import (
+    kth_max_dists,
+    max_dist_to_boxes,
+    min_dist_to_boxes,
+    rep_to_samples_distances,
+)
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
@@ -73,6 +78,10 @@ _DEADLINE_CHECK_INTERVAL = 32
 # (alpha, k) pairs whose reverse-filter table a partition set keeps; a bucket
 # of one more pair drops the oldest.
 _KTH_TABLE_PAIRS = 8
+
+# Thresholds whose AKNN bound table a partition set keeps; a bucket at one
+# more alpha drops the oldest.
+_BOUND_TABLE_ALPHAS = 8
 
 
 def _exact_min_distances(
@@ -111,8 +120,8 @@ class RepresentativeIndex:
 
     def __init__(self) -> None:
         # (key, the trees — kept alive so their ids stay unique, the answer,
-        # {alpha: bound table}); one tuple swapped in whole, so concurrent
-        # batches never see a mix.
+        # every row's rep(A), {alpha: bound table}); one tuple swapped in
+        # whole, so concurrent batches never see a mix.
         self._cached: Optional[Tuple] = None
         # The same, with {(alpha, k): {(start, stop): k-th MaxDist rows}} as
         # the answer; a lost race between two builders only costs a rebuild.
@@ -136,12 +145,13 @@ class RepresentativeIndex:
             for object_id in soa.object_ids.tolist()
         }
         reps = [soa.reps for leaves in views for soa in leaves]
+        reps = np.concatenate(reps) if reps else None
         answer = (
-            cKDTree(np.concatenate(reps)) if reps else None,
+            cKDTree(reps) if reps is not None else None,
             np.fromiter(member_of, dtype=np.int64, count=len(member_of)),
             member_of,
         )
-        self._cached = cached = (key, tuple(trees), answer, {})
+        self._cached = cached = (key, tuple(trees), answer, reps, {})
         return cached
 
     def over(
@@ -151,27 +161,30 @@ class RepresentativeIndex:
         return self._covered(trees)[2]
 
     def bounds(self, trees: Sequence[RTree], alpha: float) -> "BoundTable":
-        """Every object's ``M_A(alpha)*`` box and ``rep(A)``, in ``over`` order.
+        """Every object's bound inputs at ``alpha``, in ``over`` row order.
 
-        Built from the leaves' SoA views (each leaf's Equation-2 box is its
-        own per-alpha cache entry), kept under the KD-tree's key for at most
-        ``_KTH_TABLE_PAIRS`` thresholds, oldest out first.
+        The ``M_A(alpha)*`` boxes are each tree's
+        :meth:`~repro.index.rtree.RTree.leaf_alpha_bounds`, member after
+        member; kept under the KD-tree's key for at most
+        ``_BOUND_TABLE_ALPHAS`` thresholds, oldest out first.
         """
         cached = self._covered(trees)
-        table = cached[3].get(float(alpha))
+        table = cached[4].get(float(alpha))
         if table is None:
-            leaves = [soa for tree in trees for soa in tree.leaf_views()]
-            boxes = [soa.approx_alpha_bounds(alpha) for soa in leaves]
+            boxes = [tree.leaf_alpha_bounds(alpha) for tree in trees if len(tree)]
             table = BoundTable(
                 cached[2][1],
-                np.concatenate([lower for lower, _ in boxes]),
-                np.concatenate([upper for _, upper in boxes]),
-                np.concatenate([soa.reps for soa in leaves]),
+                np.concatenate([lower for _, lower, _ in boxes]),
+                np.concatenate([upper for _, _, upper in boxes]),
+                cached[3],
             )
-            tables = {**cached[3], float(alpha): table}
-            if len(tables) > _KTH_TABLE_PAIRS:
+            tables = {**cached[4], float(alpha): table}
+            if len(tables) > _BOUND_TABLE_ALPHAS:
                 del tables[next(iter(tables))]
-            self._cached = cached[:3] + (tables,)
+            # Only onto the version it was built for: a newer one swapped in
+            # meanwhile keeps its KD-tree.
+            if self._cached is cached:
+                self._cached = cached[:4] + (tables,)
         return table
 
     def kth_table(
@@ -241,16 +254,12 @@ class BoundTable:
         lo, hi = self.lo[rows], self.hi[rows]
         upper = max_dist_to_boxes(q_lo, q_hi, lo, hi)
         if lemma1:
-            # Each Q'_alpha padded with copies of its last point, which
-            # leave every minimum as it is; points are boxes of no extent.
-            samples = [p.query_samples for p in prepared]
-            width = max(sample.shape[0] for sample in samples)
-            padded = np.stack(
-                [s[np.minimum(np.arange(width), s.shape[0] - 1)] for s in samples]
-            )[:, None]
-            reps = self.reps[rows]
-            lemma = min_dist_to_boxes(reps, reps, padded, padded).min(axis=2)
-            np.minimum(upper, lemma, out=upper)
+            for qi, p in enumerate(prepared):
+                np.minimum(
+                    upper[qi],
+                    rep_to_samples_distances(self.reps[rows[qi]], p.query_samples),
+                    out=upper[qi],
+                )
         return min_dist_to_boxes(q_lo, q_hi, lo, hi), upper
 
 

@@ -65,11 +65,7 @@ class MBR:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("from_points expects a non-empty (n, d) array")
-        # Reduced over a (d, n) copy: NumPy reduces C-ordered (n, d) along
-        # axis 0 far slower (800 x 2 points: 54 us against 4.6 us for both
-        # reductions on a 2-core x86-64 VM).  Min and max are exact.
-        columns = np.ascontiguousarray(pts.T)
-        return cls(columns.min(axis=1), columns.max(axis=1))
+        return cls(pts.min(axis=0), pts.max(axis=0))
 
     @classmethod
     def from_point(cls, point: Sequence[float]) -> "MBR":

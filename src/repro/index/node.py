@@ -46,11 +46,7 @@ class RTreeNode:
         if not self.entries:
             raise IndexError_("cannot compute the MBR of an empty node")
         view = self.soa()
-        # Reduced over (d, n) copies, as MBR.from_points reduces.
-        return MBR._derived(
-            np.ascontiguousarray(view.lo.T).min(axis=1),
-            np.ascontiguousarray(view.hi.T).max(axis=1),
-        )
+        return MBR._derived(view.lo.min(axis=0), view.hi.max(axis=0))
 
     def add(self, entry: Entry) -> None:
         """Append an entry (caller is responsible for overflow handling)."""

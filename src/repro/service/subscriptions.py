@@ -48,7 +48,6 @@ from ..core.results import resolve_exact
 from ..exceptions import EmptyAlphaCutError, InvalidQueryError
 from ..fuzzy.alpha_distance import alpha_distance_points
 from ..fuzzy.fuzzy_object import FuzzyObject
-from ..geometry.mbr import MBR
 from ..index.soa import min_dist_to_boxes
 from ..metrics.counters import MetricsCollector
 
@@ -95,8 +94,8 @@ class Subscription:
             raise EmptyAlphaCutError(
                 f"query alpha-cut at alpha={self.alpha} is empty"
             )
-        box = MBR.from_points(self.query_cut)
-        self.query_lower, self.query_upper = box.lower, box.upper
+        self.query_lower = self.query_cut.min(axis=0)
+        self.query_upper = self.query_cut.max(axis=0)
         # Current answer: {object_id: exact alpha-distance}.
         self.members: Dict[int, float] = {}
         self.seq = 0

@@ -75,27 +75,6 @@ class TestConstruction:
             MBR.union_of([])
 
 
-class TestPointBounds:
-    """``from_points`` reduces a ``(d, n)`` copy; min and max are exact, so
-    the box must equal the plain axis-0 reduction bit for bit."""
-
-    @pytest.mark.parametrize(
-        "points",
-        [
-            np.random.default_rng(3).normal(size=(800, 2)) * 1e3,
-            np.random.default_rng(4).uniform(-1.0, 1.0, size=(57, 3)),
-            np.array([[1.5, -2.25]]),
-            np.asfortranarray(np.random.default_rng(5).normal(size=(40, 2))),
-            np.random.default_rng(6).normal(size=(30, 4))[::2],
-        ],
-        ids=["random", "random-3d", "one-row", "fortran", "strided"],
-    )
-    def test_equals_the_axis_0_reduction(self, points):
-        box = MBR.from_points(points)
-        assert box.lower.tolist() == points.min(axis=0).tolist()
-        assert box.upper.tolist() == points.max(axis=0).tolist()
-
-
 class TestProperties:
     def test_center_extent_area_margin(self):
         box = MBR([0.0, 0.0], [2.0, 4.0])

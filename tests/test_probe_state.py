@@ -415,6 +415,25 @@ class TestRepresentativeIndexFollowsItsTrees:
         assert set(survivor[2].values()) == {0}
         assert index.over(trees)[0] is not survivor[0]
 
+    def test_a_table_built_for_a_replaced_version_is_not_written_back(
+        self, trees, monkeypatch
+    ):
+        """Another batch swaps in the index of a newer set while this one
+        builds its bound table: the newer KD-tree must stay cached."""
+        index = RepresentativeIndex()
+        index.over(trees)
+        newer = []
+        leaf_views = trees[0].leaf_views
+
+        def meanwhile():
+            newer.append(index.over(trees[1:])[0])
+            return leaf_views()
+
+        monkeypatch.setattr(trees[0], "leaf_views", meanwhile)
+        table = index.bounds(trees, ALPHA)
+        assert table.lo.shape[0] == len(trees[0]) + len(trees[1])
+        assert index.over(trees[1:])[0] is newer[0]
+
 
 # ----------------------------------------------------------------------
 # batch_candidates counts examined pairs
