@@ -5,7 +5,8 @@ the failure-semantics contract held:
 
 1. **Transient chaos** — a seeded :meth:`FaultPlan.random` plan (bounded
    ``count`` per rule, so retries eventually win) under a mixed-type
-   workload.  Every submitted future must complete within its timeout (zero
+   workload whose AKNN requests cycle through all four methods from a
+   seeded start, so every method's bucket probe meets the faults.  Every submitted future must complete within its timeout (zero
    hung futures) and the retry counter must be non-zero — i.e. the injected
    faults actually exercised the retry path rather than being absorbed
    silently.  The same requests then run again as blocking ``execute`` calls
@@ -53,6 +54,7 @@ from repro import reference  # noqa: E402
 from repro.config import RuntimeConfig  # noqa: E402
 from repro.core.database import FuzzyDatabase  # noqa: E402
 from repro.core.requests import (  # noqa: E402
+    AknnMethod,
     AknnRequest,
     RangeRequest,
     ReverseRequest,
@@ -78,13 +80,19 @@ def _check(condition: bool, label: str, failures: list) -> None:
         failures.append(label)
 
 
-def _mixed_requests(queries, n: int):
+def _mixed_requests(queries, n: int, seed=None):
+    """The workload; with ``seed``, AKNN requests cycle through every method
+    from a seeded start, four requests a method."""
     requests = []
     for i in range(n):
         query = queries[i % len(queries)]
         kind = i % 16
         if kind < 8:
-            requests.append(AknnRequest(query, k=2 + i % 3, alpha=0.5))
+            method = AknnMethod.LB_LP_UB
+            if seed is not None:  # two methods per 16 requests, in turn
+                turn = seed + 2 * (i // 16) + kind // 4
+                method = list(AknnMethod)[turn % len(AknnMethod)]
+            requests.append(AknnRequest(query, k=2 + i % 3, alpha=0.5, method=method))
         elif kind < 12:
             requests.append(RangeRequest(query, alpha=0.5, radius=2.0 + i % 2))
         elif kind < 15:
@@ -191,7 +199,7 @@ def phase_transient(objects, queries, seed: int, n_requests: int, failures: list
         )
         database.fault_plan = plan
         print(f"  plan: {plan!r}")
-        results = _run_workload(database, _mixed_requests(queries, n_requests))
+        results = _run_workload(database, _mixed_requests(queries, n_requests, seed))
         counters = database.metrics.as_dict()
         _check(len(results) == n_requests, "every future completed", failures)
         _check(
@@ -209,7 +217,7 @@ def phase_transient(objects, queries, seed: int, n_requests: int, failures: list
             np.random.default_rng(seed), n_shards=database.n_shards, n_rules=6
         )
         database.fault_plan = plan
-        results = _run_blocking(database, _mixed_requests(queries, n_requests))
+        results = _run_blocking(database, _mixed_requests(queries, n_requests, seed))
         _check(
             all(r is not None for r in results),
             "every blocking call (4 threads) returned",

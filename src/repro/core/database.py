@@ -490,7 +490,9 @@ class FuzzyDatabase:
         catalog_path = directory / _CATALOG_FILE
         tmp_path = directory / (_CATALOG_FILE + ".tmp")
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(catalog, handle)
+            # One dumps call: json.dump streams through the pure-Python
+            # encoder, dumps through the C one, and both write these bytes.
+            handle.write(json.dumps(catalog))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, catalog_path)

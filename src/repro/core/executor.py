@@ -17,20 +17,25 @@ database's live shards):
   expanded only for the queries whose radius it can still beat, and its
   entries' lower bounds (``d-_alpha``, or the support-MBR ``MinDist`` for
   ``basic``) against them are one ``(active, n)`` NumPy matrix.
-* **One rank test** (:func:`rank_test`, ``lb_lp`` / ``lb_lp_ub``) over
-  padded ``(queries, candidates)`` bounds confirms every candidate the
-  bounds place in the top-k and drops every one they place outside it.
-* **One probe pass** (:func:`probe_rows`) reads the rest, each distinct
-  object once per bucket however many queries want it.
+* **A rank test** (:func:`rank_test`) over padded ``(queries,
+  candidates)`` bounds confirms every candidate the bounds place in the
+  top-k and drops every one they place outside it.
+* **Two probe passes** (:func:`probe_rows`).  The first makes each
+  query's most promising undecided candidates exact and the rank test runs
+  again on their distances; the second reads what is still undecided.
+  Each distinct object is read once per bucket however many queries, in
+  either pass, want it.
 
-The contract is per method.  ``basic`` / ``lb`` probe every candidate and
-report every neighbour's distance exact (``probed=True``); ``lb_lp`` /
-``lb_lp_ub`` report a probed neighbour's distance exact and a confirmed
-one's as ``distance=None`` with its bounds, as a bucket of one
-(:func:`~repro.core.aknn.searcher_over`) does; README, "Lazy AKNN
-buckets", has what each reads.  Every method returns the exact id set, ties
-at the k-th rank broken by object id, nearest (best known distance, then
-id) first.
+The contract is per method.  ``basic`` probes every candidate (its
+traversal bound, the support-MBR ``MinDist``, is not in the bound table);
+``lb`` knows no upper bound until it probes, so it confirms only probed
+candidates; both report every neighbour's distance exact
+(``probed=True``).  ``lb_lp`` / ``lb_lp_ub`` report a probed neighbour's
+distance exact and a bound-confirmed one's as ``distance=None`` with its
+bounds, as a bucket of one (:func:`~repro.core.aknn.searcher_over`) does;
+README, "Lazy AKNN buckets", has what each reads.  Every method returns
+the exact id set, ties at the k-th rank broken by object id, nearest (best
+known distance, then id) first.
 
 :class:`BatchQueryExecutor` is one part's traversal + exact refinement under
 radii the caller supplies: the reverse-kNN verification's stage.  Everything
@@ -248,18 +253,21 @@ class BoundTable:
         ``d-_alpha`` and ``MaxDist`` against ``M_A(alpha)*``, the upper one
         tightened by Lemma 1 (``min_{s in Q'} ||rep(A) - s||``) when
         ``lemma1``; element for element the single-query search's values.
+        Lemma 1 is one paired call, a short sample set padded with copies
+        of its first point (which leave each minimum as it is).
         """
         q_lo = np.stack([p.query_mbr.lower for p in prepared])
         q_hi = np.stack([p.query_mbr.upper for p in prepared])
         lo, hi = self.lo[rows], self.hi[rows]
         upper = max_dist_to_boxes(q_lo, q_hi, lo, hi)
         if lemma1:
-            for qi, p in enumerate(prepared):
-                np.minimum(
-                    upper[qi],
-                    rep_to_samples_distances(self.reps[rows[qi]], p.query_samples),
-                    out=upper[qi],
-                )
+            samples = [p.query_samples for p in prepared]
+            width = max(s.shape[0] for s in samples)
+            padded = np.stack([
+                np.concatenate([s, np.broadcast_to(s[0], (width - s.shape[0], s.shape[1]))])
+                for s in samples
+            ])
+            np.minimum(upper, rep_to_samples_distances(self.reps[rows], padded), out=upper)
         return min_dist_to_boxes(q_lo, q_hi, lo, hi), upper
 
 
@@ -435,10 +443,17 @@ def aknn_bucket_pass(
     (:func:`~repro.core.aknn.searcher_over`).  A bucket of many is the lazy
     probe of Algorithm 2 over the whole bucket: :func:`bootstrap_radii`
     fixes the radii from stored bounds, every part runs one
-    :func:`shared_traversal` (fan-out op ``"aknn_batch"``), :func:`rank_test`
-    confirms what the bounds decide, and one :func:`probe_rows` pass over
-    the partition set reads the rest; the radii hold only against the
-    snapshot they were taken from.  Probed neighbours are exact, confirmed
+    :func:`shared_traversal` (fan-out op ``"aknn_batch"``) and
+    :func:`rank_test` confirms what the bounds decide (``lb``'s upper
+    bounds are ``inf`` until probed).  Pass 1 probes, per query, the
+    ``k - confirmed`` undecided candidates with the smallest ``(lower,
+    id)`` and sets both their bounds to the exact distance; the rank test
+    runs again, and pass 2 probes what it leaves undecided.  A bucket-wide
+    memo reads each object at most once across both passes; the deadline is
+    checked between them.  ``basic`` skips both rank tests and probes every
+    candidate.  The radii hold only against the snapshot they were taken
+    from.  The answer is the confirmed neighbours plus the best ``(exact,
+    id)`` of the probed rest: probed neighbours are exact, bound-confirmed
     ones carry ``distance=None`` with their bounds, nearest (best known
     distance, then id) first.  ``batch_queries`` is counted last, after
     every fan-out, so a pass that a lost part makes the caller rerun counts
@@ -467,31 +482,57 @@ def aknn_bucket_pass(
     ids = np.zeros(valid.shape, dtype=np.int64)
     ids[valid] = np.concatenate([hits for row in zip(*per_part) for hits in row])
     trees = [part.tree for part in parts]
+    _, _, member_of = index.over(trees)
+    objects: Dict[int, FuzzyObject] = {}
+
+    def fetch(object_id: int) -> FuzzyObject:
+        if object_id not in objects:
+            objects[object_id] = parts[member_of[object_id]].store.get(object_id)
+        return objects[object_id]
+
+    exact: List[Dict[int, float]] = [{} for _ in prepared]
+    query_metrics = [MetricsCollector() for _ in prepared]
+
+    def probe_pass(mask: np.ndarray) -> List[np.ndarray]:
+        owed = [row[m].tolist() for row, m in zip(ids, mask)]
+        return probe_rows(fetch, prepared, owed, alpha, exact, query_metrics, deadline)
+
     confirmed, probe, lower, upper = np.zeros_like(valid), valid, None, None
-    if method in ("lb_lp", "lb_lp_ub") and valid.any():
+    if method != "basic" and valid.any():
         table = index.bounds(trees, alpha)
         rows = np.zeros(valid.shape, dtype=np.intp)  # padding reads row 0
         rows[valid] = table.rows(ids[valid])
         lower, upper = table.bounds(prepared, rows, lemma1=method == "lb_lp_ub")
+        if method == "lb":
+            upper[:] = np.inf  # nothing is known above an object until it is probed
         confirmed, probe = rank_test(lower, upper, valid, k, tau)
-
-    _, _, member_of = index.over(trees)
-    owed = [row[mask].tolist() for row, mask in zip(ids, probe)]
-    query_metrics = [MetricsCollector() for _ in prepared]
-    probes = probe_rows(
-        lambda object_id: parts[member_of[object_id]].store.get(object_id),
-        prepared, owed, alpha, [{} for _ in prepared], query_metrics, deadline,
-    )
+        # Pass 1: each query's need most promising (lower, id), made exact.
+        order = np.lexsort((ids, np.where(probe, lower, np.inf)), axis=1)
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
+        first = probe & (rank < (k - confirmed.sum(axis=1))[:, None])
+        lower[first] = upper[first] = np.concatenate(probe_pass(first))
+        if deadline is not None:
+            deadline.check("batch refinement")
+        confirmed, probe = rank_test(lower, upper, valid, k, tau)
+    # Pass 2 reads what the second rank test left undecided.
+    probe_pass(probe)
     results = []
-    for qi, (row, dists) in enumerate(zip(owed, probes)):
+    for qi, known in enumerate(exact):
         sure = np.flatnonzero(confirmed[qi])
-        best = np.lexsort((row, dists))[: k - sure.shape[0]]
+        sure_ids = ids[qi, sure].tolist()
+        taken = set(sure_ids)
+        # The probed rest; one the second rank test dropped never makes the cut.
+        rest = sorted((d, i) for i, d in known.items() if i not in taken)
         neighbors = [
-            Neighbor(row[j], float(dists[j]), float(dists[j]), float(dists[j]), True)
-            for j in best.tolist()
+            Neighbor(object_id, d, d, d, True) for d, object_id in rest[: k - len(sure_ids)]
         ] + [
-            Neighbor(int(ids[qi, c]), None, float(lower[qi, c]), float(upper[qi, c]), False)
-            for c in sure.tolist()
+            # A pass-1 probe the second rank test confirmed has both bounds exact.
+            Neighbor(
+                object_id, known.get(object_id), float(lower[qi, c]),
+                float(upper[qi, c]), object_id in known,
+            )
+            for c, object_id in zip(sure.tolist(), sure_ids)
         ]
         neighbors.sort(key=lambda n: (n.best_known_distance, n.object_id))
         stats = QueryStats(
@@ -516,8 +557,9 @@ def rank_test(
     The count is ``<=``, not the single search's ``<``, because every
     confirmation happens at once: a strict count can confirm two exactly
     tied candidates and crowd out a closer object whose upper bound is
-    loose.  With ``need = k - confirmed`` places left, a remaining candidate
-    whose ``L`` exceeds the need-th smallest remaining ``U`` is dropped.
+    loose.  An infinite ``U`` (nothing known yet) confirms nothing.  With
+    ``need = k - confirmed`` places left, a remaining candidate whose ``L``
+    exceeds the need-th smallest remaining ``U`` is dropped.
     """
     width = valid.shape[1]
     both = np.concatenate([np.where(valid, lower, np.inf), upper], axis=1)
@@ -527,7 +569,7 @@ def rank_test(
     seen = np.empty_like(order)
     np.put_along_axis(seen, order, np.cumsum(order < width, axis=1), axis=1)
     closer = seen[:, width:] - (lower <= upper)
-    confirmed = valid & (closer <= k - 1) & (upper <= tau[:, None])
+    confirmed = valid & (closer <= k - 1) & (upper <= tau[:, None]) & np.isfinite(upper)
     need = k - confirmed.sum(axis=1)
     remaining = np.sort(np.where(valid & ~confirmed, upper, np.inf), axis=1)
     place = np.clip(need - 1, 0, width - 1)[:, None]

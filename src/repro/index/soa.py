@@ -193,7 +193,18 @@ def rep_to_samples_distances(reps: np.ndarray, samples: np.ndarray) -> np.ndarra
     """Lemma 1 upper bounds: ``min_{q in samples} ||rep_i - q||`` per row.
 
     ``reps`` is ``(n, d)``, ``samples`` is ``(s, d)``; the result is ``(n,)``.
+    The paired form takes ``(B, n, d)`` reps and ``(B, s, d)`` samples and
+    pairs batch ``b``'s reps with its own samples only (result ``(B, n)``).
+    Both square per dimension in :func:`pairwise_sq_blocks`' order, so
+    they agree to the last bit.
     """
+    if reps.ndim == 3:
+        sq = None
+        for dim in range(reps.shape[-1]):
+            term = np.subtract(reps[:, :, dim, None], samples[:, None, :, dim])
+            np.square(term, out=term)
+            sq = term if sq is None else np.add(sq, term, out=sq)
+        return np.sqrt(sq.min(axis=2))
     nearest = np.empty(reps.shape[0])
     for start, sq in pairwise_sq_blocks(reps, samples):
         sq.min(axis=1, out=nearest[start : start + sq.shape[0]])

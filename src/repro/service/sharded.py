@@ -130,7 +130,7 @@ class _ShardStore:
     """A shard's object store as the families read it.
 
     Nothing blames a shard for a read made between fan-outs (an AKNN
-    bucket's probe pass, a reverse candidate, a singleton AKNN's or a
+    bucket's probe passes, a reverse candidate, a singleton AKNN's or a
     sweep's probe), so
     a failing ``get`` is converted here into the :class:`_FanoutFailure` that
     makes :meth:`ShardedDatabase._coupled` rerun the pass on the survivors.
@@ -798,8 +798,8 @@ class ShardedDatabase:
         Grouping is identical to the unsharded engine
         (:meth:`FuzzyDatabase.execute_batch`); each per-bucket sub-batch runs
         the sharded fast path once for the whole bucket (an AKNN bucket: a
-        radius from stored bounds, one traversal per shard, one rank test
-        and one probe pass).
+        radius from stored bounds, one traversal per shard, then two rank
+        tests and two probe passes).
         """
         return execute_plan(self, list(requests), rng=rng)
 

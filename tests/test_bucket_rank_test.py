@@ -10,22 +10,31 @@ nudged by one ulp (near ties), objects whose alpha-cut is one point (so
 under another id, query objects that coincide with stored ones, and ``k``
 up to ``n + 2``.
 
-For every method, on one tree and on three shards, each bucket answer must
-hold the reference's id set (ties at the k-th rank broken by id), every
-probed distance must equal the reference's, and every confirmed neighbour's
-``[lower_bound, upper_bound]`` must contain its exact distance.
+The bucket probes in two passes: the most promising undecided candidates
+first, then, after a second rank test on their exact distances, whatever
+is still undecided.  For every method, on one tree and on three shards,
+each bucket answer must hold the reference's id set (ties at the k-th rank
+broken by id), every probed distance must equal the reference's, and every
+confirmed neighbour's ``[lower_bound, upper_bound]`` must contain its exact
+distance.  The bucket's reads are checked too: no ``store.get`` repeats an
+id, and the distinct objects read are among the one-pass probe set (the
+first rank test's undecided candidates, every survivor under ``basic``).
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro import reference
 from repro.config import RuntimeConfig
+from repro.core import executor as executor_module
 from repro.core.aknn import AKNN_METHODS
 from repro.core.database import FuzzyDatabase
 from repro.core.requests import AknnRequest
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.service import ShardedDatabase
+from repro.storage.object_store import ObjectStore
 
 CONFIG = RuntimeConfig(rtree_max_entries=4, cache_capacity=8)
 
@@ -69,6 +78,60 @@ def databases(draw):
     return objects
 
 
+class BucketLog:
+    """One bucket's ``store.get`` ids, traversal survivors and one-pass
+    probe set (the first rank test's undecided candidates, by id)."""
+
+    def __init__(self):
+        self.reads, self.survivors, self.one_pass, self.rows = [], set(), None, None
+
+    def patches(self):
+        log = self
+        get, traversal = ObjectStore.get, executor_module.shared_traversal
+        rows, rank_test = executor_module.BoundTable.rows, executor_module.rank_test
+
+        def logged_get(store, object_id):
+            log.reads.append(int(object_id))
+            return get(store, object_id)
+
+        def logged_traversal(*args, **kwargs):
+            per_query = traversal(*args, **kwargs)
+            for ids in per_query:
+                log.survivors.update(ids.tolist())
+            return per_query
+
+        def logged_rows(table, object_ids):
+            log.rows = object_ids  # every valid candidate, row-major
+            return rows(table, object_ids)
+
+        def logged_rank_test(lower, upper, valid, k, tau):
+            confirmed, probe = rank_test(lower, upper, valid, k, tau)
+            if log.one_pass is None:
+                log.one_pass = set(log.rows[probe[valid]].tolist())
+            return confirmed, probe
+
+        return (
+            mock.patch.object(ObjectStore, "get", logged_get),
+            mock.patch.object(executor_module, "shared_traversal", logged_traversal),
+            mock.patch.object(executor_module.BoundTable, "rows", logged_rows),
+            mock.patch.object(executor_module, "rank_test", logged_rank_test),
+        )
+
+    def check(self, method):
+        assert len(self.reads) == len(set(self.reads)), sorted(self.reads)
+        one_pass = self.survivors if method == "basic" else self.one_pass or set()
+        assert set(self.reads) <= one_pass, (sorted(self.reads), sorted(one_pass))
+
+
+def run_bucket(engine, requests):
+    log = BucketLog()
+    get, traversal, rows, rank_test = log.patches()
+    with get, traversal, rows, rank_test:
+        results = engine.execute_batch(requests)
+    log.check(requests[0].method)
+    return results
+
+
 def check(result, objects, query, k, alpha):
     exact = dict(reference.aknn(objects, query, len(objects), alpha))
     want = reference.aknn(objects, query, k, alpha)
@@ -108,8 +171,8 @@ def test_bucket_answers_survive_ties(objects, stored_queries, fresh_queries, alp
     try:
         for engine in engines:
             for method in AKNN_METHODS:
-                results = engine.execute_batch(
-                    [AknnRequest(q, k=k, alpha=alpha, method=method) for q in queries]
+                results = run_bucket(
+                    engine, [AknnRequest(q, k=k, alpha=alpha, method=method) for q in queries]
                 )
                 for query, result in zip(queries, results):
                     check(result, objects, query, k, alpha)

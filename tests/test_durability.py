@@ -8,6 +8,7 @@ recovered, and compared — on all four query families — against an
 uninterrupted twin that applied exactly the mutations the log preserved.
 """
 
+import json
 import shutil
 
 import numpy as np
@@ -175,6 +176,17 @@ class TestAtomicSave:
         assert sorted(reopened.object_ids()) == baseline_ids
         assert 500 not in reopened.object_ids()
         reopened.close()
+
+    def test_catalog_bytes_match_the_streaming_encoder(self, tmp_path):
+        """The saved catalogue is byte for byte what ``json.dump`` wrote."""
+        db = FuzzyDatabase.build(_initial_objects(7, 6))
+        target = tmp_path / "saved"
+        path = db.save(target)
+        db.close()
+        written = path.read_text(encoding="utf-8")
+        # iterencode without _one_shot is the pure-Python encoder json.dump uses.
+        streamed = "".join(json.JSONEncoder().iterencode(json.loads(written)))
+        assert written == streamed
 
     def test_no_stray_tmp_catalog_after_success(self, tmp_path):
         db = FuzzyDatabase.build(_initial_objects(7, 6))

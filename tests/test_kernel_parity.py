@@ -320,6 +320,35 @@ class TestPairwiseKernel:
                 dimensions,
             )
 
+    @given(data=st.data(), dimensions=DIMENSIONS, batch=st.integers(1, 4), count=st.integers(1, 6))
+    @settings(**SETTINGS)
+    def test_paired_lemma1_equals_the_per_query_call(self, data, dimensions, batch, count):
+        """``(B, n, d)`` reps x ``(B, s, d)`` samples, and the bound table
+        that pads unequal sample sets into it, == one call per query."""
+        reps = np.stack([data.draw(point_sets(dimensions, count)) for _ in range(batch)])
+        samples = [data.draw(point_sets(dimensions)) for _ in range(batch)]
+        per_query = np.stack([rep_to_samples_distances(r, s) for r, s in zip(reps, samples)])
+        width = max(s.shape[0] for s in samples)
+        padded = np.stack([
+            np.concatenate([s, np.repeat(s[:1], width - s.shape[0], axis=0)]) for s in samples
+        ])
+        np.testing.assert_array_equal(rep_to_samples_distances(reps, padded), per_query)
+
+        # The table's rows are the reps in order; far query boxes keep MaxDist
+        # above every Lemma 1 value, so the upper bound is Lemma 1 alone.
+        rows = np.arange(batch * count).reshape(batch, count)
+        table = executor_module.BoundTable(
+            np.arange(batch * count), reps.reshape(-1, dimensions),
+            reps.reshape(-1, dimensions), reps.reshape(-1, dimensions),
+        )
+        far = np.full(dimensions, 1e12)
+        prepared = [
+            SimpleNamespace(query_mbr=SimpleNamespace(lower=-far, upper=far), query_samples=s)
+            for s in samples
+        ]
+        _, upper = table.bounds(prepared, rows)
+        np.testing.assert_array_equal(upper, per_query)
+
 
 # ----------------------------------------------------------------------
 # Box-pair bounds

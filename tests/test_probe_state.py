@@ -124,10 +124,10 @@ def answers(results):
 class ProbeLog:
     """What one bucket's passes handed to the exact-distance kernel.
 
-    A *pass* is the bootstrap or the bucket's one ``probe_rows`` pass;
-    within a pass each object has one alpha-cut array, so distinct arrays
-    are distinct objects (the arrays are kept alive here, so ``id`` cannot
-    be reused).  ``survivors`` collects the distinct objects some query's
+    A *pass* is the bootstrap or one of the bucket's two ``probe_rows``
+    passes; a bucket reads each object once, so every object has one
+    alpha-cut array across the passes and distinct arrays are distinct
+    objects (the arrays are kept alive here, so ``id`` cannot be reused).  ``survivors`` collects the distinct objects some query's
     traversal let through, ``radii`` what each bootstrap returned.
     """
 
@@ -156,7 +156,7 @@ class ProbeLog:
             log.radii.append(tau)
             return tau
 
-        # The one bootstrap and probe pass, as the partition-set bucket
+        # The bootstrap and the probe passes, as the partition-set bucket
         # pass reaches them.
         monkeypatch.setattr(executor_module, "bootstrap_radii", logged_bootstrap)
 
@@ -188,7 +188,7 @@ class ProbeLog:
 
     @property
     def objects_probed(self):
-        return sum(len(cuts) for cuts in self.passes)
+        return len({key for cuts in self.passes for key in cuts})
 
 
 def store_accesses(sharded):
@@ -218,8 +218,8 @@ class TestEveryAccessBuysADistance:
         got = sharded.execute_batch(requests_for(queries, k=7))
         accesses = store_accesses(sharded) - before
 
-        # a bootstrap that reads nothing, then one probe pass over every shard
-        assert len(log.passes) == 2
+        # a bootstrap that reads nothing, then two probe passes over every shard
+        assert len(log.passes) == 3
         assert log.passes[0] == {}
         assert accesses == log.objects_probed
         assert accesses > 0
@@ -472,9 +472,10 @@ class TestBatchCandidates:
             return batch
 
         monkeypatch.setattr(BatchQueryExecutor, "aknn_batch", logged)
-        # An AKNN bucket runs no executor: one traversal per shard, then one
-        # probe pass that reads every survivor under basic / lb and fewer
-        # under lb_lp_ub, whose other neighbours the bounds confirm.
+        # An AKNN bucket runs no executor: one traversal per shard, then the
+        # probe passes.  basic reads every survivor; lb reads fewer, the
+        # survivors its probed distances drop, and reports every neighbour
+        # probed; lb_lp_ub reads fewer still, its bounds confirming others.
         for method in ("basic", "lb", "lb_lp_ub"):
             survivors.clear()
             before = store_accesses(sharded)
@@ -483,10 +484,10 @@ class TestBatchCandidates:
             assert counted == [] and len(survivors) == 2
             distinct = len(set().union(*(ids for _, ids in survivors)))
             probed = [n.probed for r in results for n in r.neighbors]
-            if method == "lb_lp_ub":
-                assert reads < distinct and not all(probed)
-            else:
+            if method == "basic":
                 assert reads == distinct and all(probed)
+            else:
+                assert reads < distinct and all(probed) == (method == "lb")
         # The reverse verification's executors still count their own
         # survivors, not whatever the seeded memo held.
         survivors.clear()
