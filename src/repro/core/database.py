@@ -485,14 +485,18 @@ class FuzzyDatabase:
             },
             "slots": {str(oid): list(slot) for oid, slot in slots.items()},
             "id_watermark": self.store.id_watermark,
-            "summaries": [summary.to_dict() for summary in self.summaries.values()],
         }
         catalog_path = directory / _CATALOG_FILE
         tmp_path = directory / (_CATALOG_FILE + ".tmp")
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            # One dumps call: json.dump streams through the pure-Python
-            # encoder, dumps through the C one, and both write these bytes.
-            handle.write(json.dumps(catalog))
+            # json.dump's bytes with "summaries" last, but through the C
+            # encoder (json.dump streams through the pure-Python one), one
+            # summary at a time: one dumps of the whole catalogue holds
+            # every encoded float at once.
+            handle.write(json.dumps(catalog)[:-1] + ', "summaries": [')
+            for i, summary in enumerate(self.summaries.values()):
+                handle.write((", " if i else "") + json.dumps(summary.to_dict()))
+            handle.write("]}")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, catalog_path)

@@ -177,9 +177,10 @@ class TestAtomicSave:
         assert 500 not in reopened.object_ids()
         reopened.close()
 
-    def test_catalog_bytes_match_the_streaming_encoder(self, tmp_path):
+    @pytest.mark.parametrize("n_objects", [0, 1, 6])
+    def test_catalog_bytes_match_the_streaming_encoder(self, tmp_path, n_objects):
         """The saved catalogue is byte for byte what ``json.dump`` wrote."""
-        db = FuzzyDatabase.build(_initial_objects(7, 6))
+        db = FuzzyDatabase.build(_initial_objects(7, n_objects))
         target = tmp_path / "saved"
         path = db.save(target)
         db.close()
