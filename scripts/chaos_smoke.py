@@ -6,8 +6,9 @@ the failure-semantics contract held:
 1. **Transient chaos** — a seeded :meth:`FaultPlan.random` plan (bounded
    ``count`` per rule, so retries eventually win) under a mixed-type
    workload whose AKNN requests cycle through all four methods from a
-   seeded start, so every method's bucket probe meets the faults.  Every submitted future must complete within its timeout (zero
-   hung futures) and the retry counter must be non-zero — i.e. the injected
+   seeded start, so every method's bucket probe meets the faults.  Every
+   submitted future must complete within its timeout (zero hung futures)
+   and the retry counter must be non-zero — i.e. the injected
    faults actually exercised the retry path rather than being absorbed
    silently.  The same requests then run again as blocking ``execute`` calls
    from 4 threads under a fresh copy of the same plan, so the path that
