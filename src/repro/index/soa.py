@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import DEFAULT_NODE_ALPHA_CACHE_CAPACITY
-from repro.geometry.distance import pairwise_sq_blocks
 from repro.geometry.mbr import MBR
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.storage.cache import LRUCache
@@ -195,20 +194,18 @@ def rep_to_samples_distances(reps: np.ndarray, samples: np.ndarray) -> np.ndarra
     ``reps`` is ``(n, d)``, ``samples`` is ``(s, d)``; the result is ``(n,)``.
     The paired form takes ``(B, n, d)`` reps and ``(B, s, d)`` samples and
     pairs batch ``b``'s reps with its own samples only (result ``(B, n)``).
-    Both square per dimension in :func:`pairwise_sq_blocks`' order, so
-    they agree to the last bit.
+    Squares per dimension in the order of
+    :func:`repro.geometry.distance.pairwise_sq_blocks`, so the values agree
+    with it to the last bit.  The ``(n, s)`` planes are small (a node's or a
+    bucket's reps against at most ``upper_bound_samples`` points), so they
+    are not blocked.
     """
-    if reps.ndim == 3:
-        sq = None
-        for dim in range(reps.shape[-1]):
-            term = np.subtract(reps[:, :, dim, None], samples[:, None, :, dim])
-            np.square(term, out=term)
-            sq = term if sq is None else np.add(sq, term, out=sq)
-        return np.sqrt(sq.min(axis=2))
-    nearest = np.empty(reps.shape[0])
-    for start, sq in pairwise_sq_blocks(reps, samples):
-        sq.min(axis=1, out=nearest[start : start + sq.shape[0]])
-    return np.sqrt(nearest, out=nearest)
+    sq = None
+    for dim in range(reps.shape[-1]):
+        term = np.subtract(reps[..., :, dim, None], samples[..., None, :, dim])
+        np.square(term, out=term)
+        sq = term if sq is None else np.add(sq, term, out=sq)
+    return np.sqrt(sq.min(axis=-1))
 
 
 class NodeSoA:
