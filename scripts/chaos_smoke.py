@@ -153,10 +153,11 @@ def _run_blocking(database, requests, n_threads: int = 4) -> list:
 def _answers_the_survivors(request, result, survivors) -> bool:
     """An answer equals :mod:`repro.reference`'s over ``survivors``.
 
-    A range or reverse answer by ids and distances.  An AKNN answer, from a
-    bucket of any size, by its id set, each probed neighbour by its
-    distance and each unprobed one by bounds that contain ``d_alpha``.  A
-    sweep by its ``qualifying_at`` at three thresholds inside its range.
+    A reverse answer by ids and distances.  An AKNN or range answer by its
+    id set, each probed member by its distance, each unprobed AKNN
+    neighbour by bounds that contain ``d_alpha`` and each bound-confirmed
+    range match by ``d_alpha <= U <= radius``.  A sweep by its
+    ``qualifying_at`` at three thresholds inside its range.
     """
     if isinstance(request, AknnRequest):
         exact = dict(reference.aknn(survivors, request.query, len(survivors), request.alpha))
@@ -179,13 +180,21 @@ def _answers_the_survivors(request, result, survivors) -> bool:
                 return False
         return True
     if isinstance(request, RangeRequest):
-        want = reference.range_search(
-            survivors, request.query, request.alpha, request.radius
-        )
-        got = result.matches
-    else:
-        want = reference.reverse(survivors, request.query, request.k, request.alpha)
-        got = list(result.distances.items())
+        exact = dict(reference.range_search(survivors, request.query, request.alpha, np.inf))
+        if sorted(result.object_ids) != sorted(
+            i for i, d in exact.items() if d <= request.radius
+        ):
+            return False
+        for object_id, distance in result.matches:
+            d_alpha = exact[object_id]
+            if distance is None:
+                if not d_alpha <= result.upper_bounds[object_id] <= request.radius:
+                    return False
+            elif not np.isclose(distance, d_alpha, rtol=1e-9, atol=1e-12):
+                return False
+        return True
+    want = reference.reverse(survivors, request.query, request.k, request.alpha)
+    got = list(result.distances.items())
     return sorted(i for i, _ in got) == sorted(i for i, _ in want) and np.allclose(
         sorted(d for _, d in got), sorted(d for _, d in want), rtol=1e-9, atol=1e-12
     )

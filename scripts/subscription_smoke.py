@@ -31,9 +31,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.config import RuntimeConfig  # noqa: E402
 from repro.core.requests import AknnRequest, RangeRequest  # noqa: E402
+from repro.core.results import resolve_exact  # noqa: E402
 from repro.datasets.builder import build_dataset  # noqa: E402
 from repro.datasets.queries import generate_query_object  # noqa: E402
-from repro.fuzzy.alpha_distance import alpha_distance  # noqa: E402
 from repro.fuzzy.fuzzy_object import FuzzyObject  # noqa: E402
 from repro.metrics.counters import MetricsCollector  # noqa: E402
 from repro.service import QueryService, ShardedDatabase  # noqa: E402
@@ -58,16 +58,7 @@ def _fold(deltas):
 
 def _reference(database, sub):
     result = database.execute(sub.request)
-    if hasattr(result, "neighbors"):
-        out = {}
-        for neighbor in result.neighbors:
-            d = neighbor.distance
-            if d is None:
-                obj = database.get_object(neighbor.object_id)
-                d = alpha_distance(obj, sub.request.query, sub.alpha)
-            out[int(neighbor.object_id)] = float(d)
-        return out
-    return {int(oid): float(d) for oid, d in result.matches}
+    return resolve_exact(result, sub.request.query, sub.alpha, database.get_object)
 
 
 def main(argv=None) -> int:

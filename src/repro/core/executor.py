@@ -67,9 +67,16 @@ from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
 
-# Relative + absolute slack when comparing a lower bound against a pruning
-# radius, absorbing the tiny float drift between vectorized and scalar paths.
+# Relative + absolute slack when comparing a bound against a radius,
+# absorbing the tiny float drift between vectorized and scalar paths.
 _PRUNE_SLACK = 1e-9
+
+
+def confirm_radius(radius):
+    """The largest upper bound that confirms a range match without a read:
+    the prune test's slack (``shared_traversal``) on the strict side, so a
+    hit within the margin is probed."""
+    return radius * (1.0 - _PRUNE_SLACK) - _PRUNE_SLACK
 
 # Extra bootstrap nominees beyond k; a slightly larger pool gives a tighter
 # starting radius for near-tie configurations at negligible cost.
@@ -250,25 +257,38 @@ class BoundTable:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(Q, C)`` lower and upper bounds of query ``q`` against ``rows[q]``.
 
-        ``d-_alpha`` and ``MaxDist`` against ``M_A(alpha)*``, the upper one
-        tightened by Lemma 1 (``min_{s in Q'} ||rep(A) - s||``) when
-        ``lemma1``; element for element the single-query search's values.
-        Lemma 1 is one paired call, a short sample set padded with copies
-        of its first point (which leave each minimum as it is).
+        ``d-_alpha`` against ``M_A(alpha)*`` and :func:`upper_bounds`, with
+        Lemma 1 when ``lemma1``; element for element the single-query
+        search's values.
         """
         q_lo = np.stack([p.query_mbr.lower for p in prepared])
         q_hi = np.stack([p.query_mbr.upper for p in prepared])
         lo, hi = self.lo[rows], self.hi[rows]
-        upper = max_dist_to_boxes(q_lo, q_hi, lo, hi)
-        if lemma1:
-            samples = [p.query_samples for p in prepared]
-            width = max(s.shape[0] for s in samples)
-            padded = np.stack([
-                np.concatenate([s, np.broadcast_to(s[0], (width - s.shape[0], s.shape[1]))])
-                for s in samples
-            ])
-            np.minimum(upper, rep_to_samples_distances(self.reps[rows], padded), out=upper)
+        samples = [p.query_samples for p in prepared] if lemma1 else None
+        upper = upper_bounds(q_lo, q_hi, lo, hi, self.reps[rows], samples)
         return min_dist_to_boxes(q_lo, q_hi, lo, hi), upper
+
+
+def upper_bounds(
+    q_lo: np.ndarray, q_hi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    reps: Optional[np.ndarray] = None, samples: Optional[List[np.ndarray]] = None,
+    owner: Union[slice, np.ndarray] = slice(None),
+) -> np.ndarray:
+    """``(B, n)`` upper bounds of query ``owner[b]`` against its own ``n`` objects.
+
+    ``MaxDist`` from the query boxes (rows of ``q_lo`` / ``q_hi``) to the
+    ``(B, n, d)`` ``M_A(alpha)*`` boxes, tightened by Lemma 1 (``min_{s in
+    Q'} ||rep(A) - s||``) when the queries' ``samples`` are given: one
+    paired call, a short sample set padded with copies of its first point
+    (which leave each minimum as it is).
+    """
+    upper = max_dist_to_boxes(q_lo[owner], q_hi[owner], lo, hi)
+    if samples is not None:
+        padded = np.empty((len(samples), max(map(len, samples)), samples[0].shape[1]))
+        for row, points in zip(padded, samples):
+            row[: len(points)], row[len(points):] = points, points[0]
+        np.minimum(upper, rep_to_samples_distances(reps, padded[owner]), out=upper)
+    return upper
 
 
 def bootstrap_radii(
@@ -360,6 +380,7 @@ def shared_traversal(
     tau: np.ndarray,
     metrics: MetricsCollector,
     deadline=None,
+    boxes: bool = False,
 ) -> List[np.ndarray]:
     """One descent of ``tree`` for a whole bucket, gathering candidate ids per query.
 
@@ -370,6 +391,9 @@ def shared_traversal(
     (their radius exceeds the node's ``MinDist``), as one ``(active, n)``
     matrix per node.  Returns, per query, the ids of every leaf entry whose
     lower bound survives the query's radius, in leaf-visit then entry order.
+    With ``boxes``, the hits flat in that order instead, grouped by query:
+    ``[query index, id, box lower, box upper, rep(A)]``, the box the
+    traversal bounded (``M_A(alpha)*`` when ``improved``).
     """
     n_queries = q_lo.shape[0]
     threshold = tau * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
@@ -377,6 +401,7 @@ def shared_traversal(
     # (seeded empty, so a traversal that reaches no leaf still concatenates).
     hit_queries = [np.empty(0, dtype=np.int64)]
     hit_ids = [np.empty(0, dtype=np.int64)]
+    hit_boxes = [(np.empty((0, q_lo.shape[1])),) * 3]
     lb_counter = MetricsCollector.LOWER_BOUND_EVALUATIONS
     # Stack of (node, active query indices); the radii are fixed up
     # front, so no best-first ordering is needed.
@@ -403,6 +428,8 @@ def shared_traversal(
             rows, cols = np.nonzero(lb <= threshold[active, None])
             hit_queries.append(active[rows])
             hit_ids.append(soa.object_ids[cols])
+            if boxes:
+                hit_boxes.append((box_lo[cols], box_hi[cols], soa.reps[cols]))
         else:
             child_dists = soa.min_dist(q_lo[active], q_hi[active])
             reachable = child_dists <= threshold[active, None]
@@ -415,6 +442,10 @@ def shared_traversal(
     # One stable sort groups the hits by query without reordering them.
     owners = np.concatenate(hit_queries)
     order = np.argsort(owners, kind="stable")
+    if boxes:
+        return [owners[order]] + [
+            np.concatenate(column)[order] for column in (hit_ids, *zip(*hit_boxes))
+        ]
     splits = np.cumsum(np.bincount(owners, minlength=n_queries))[:-1]
     return np.split(np.concatenate(hit_ids)[order], splits)
 

@@ -10,8 +10,10 @@ Range is answered a *bucket* at a time — queries sharing ``alpha``, each with
 its own radius — over a *partition set* (:func:`range_bucket`).  Per part
 that is one descent of the tree for the whole bucket
 (:func:`~repro.core.executor.shared_traversal`, the AKNN batch descent with
-the radii given instead of bootstrapped) and one
-:func:`~repro.core.executor.probe_rows` pass, which reads each candidate
+the radii given instead of bootstrapped).  With the improved bounds a hit
+whose upper bound (the lazy probe's ``MaxDist``, then Lemma 1) is within the
+radius is a match without a read, and one
+:func:`~repro.core.executor.probe_rows` pass reads the undecided rest, each
 object once however many queries want it; the merge is the union of the
 parts' matches.  A single query (:meth:`AlphaRangeSearcher.search`) and the
 sweep's candidate collection (:func:`collect_over_parts`) are buckets of one.
@@ -25,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.executor import probe_rows, shared_traversal
+from repro.core.executor import confirm_radius, probe_rows, shared_traversal, upper_bounds
 from repro.core.query import PreparedQuery
 from repro.core.results import QueryStats, RangeSearchResult
 from repro.exceptions import InvalidQueryError
@@ -35,7 +37,7 @@ from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
 
-Match = Tuple[int, float]
+Match = Tuple[int, Optional[float]]
 
 
 @dataclass
@@ -43,13 +45,36 @@ class PartMatches:
     """One part's answer to a range bucket."""
 
     matches: List[List[Match]]  # per query, unsorted
+    bounds: List[Dict[int, float]]  # per query: each confirmed match's U
     evaluations: List[int]  # per query: exact distances evaluated
     objects: Dict[int, FuzzyObject]  # every object read
     counts: Dict[str, int]  # the part's totals, by QueryStats field name
 
 
-def _by_distance(match: Match) -> Tuple[float, int]:
-    return match[1], match[0]
+def _confirm(
+    prepared: Sequence[PreparedQuery], q_lo, q_hi, radii, owner, ids, lo, hi, reps
+) -> Tuple[List[Dict[int, float]], List[List[int]]]:
+    """Per query, ``{id: U}`` of the hits their upper bounds confirm and the
+    undecided ids: ``MaxDist`` for every hit, Lemma 1 (sampling only the
+    queries that need it) where ``MaxDist`` is above :func:`confirm_radius`."""
+    settled = confirm_radius(radii[owner])
+    upper = upper_bounds(q_lo, q_hi, lo[:, None], hi[:, None], owner=owner)[:, 0]
+    tight = np.flatnonzero(upper > settled)
+    if tight.size:
+        needed, inverse = np.unique(owner[tight], return_inverse=True)
+        upper[tight] = upper_bounds(
+            q_lo[needed], q_hi[needed], lo[tight, None], hi[tight, None],
+            reps[tight, None], [prepared[qi].query_samples for qi in needed], inverse,
+        )[:, 0]
+    bounds: List[Dict[int, float]] = [{} for _ in prepared]
+    rows: List[List[int]] = [[] for _ in prepared]
+    sure = (upper <= settled).tolist()
+    for qi, object_id, bound, ok in zip(owner.tolist(), ids.tolist(), upper.tolist(), sure):
+        if ok:
+            bounds[qi][object_id] = bound
+        else:
+            rows[qi].append(object_id)
+    return bounds, rows
 
 
 def range_bucket(
@@ -66,10 +91,12 @@ def range_bucket(
 
     ``local(part)`` answers every query against one part (``store`` /
     ``tree``): one :func:`shared_traversal` pruning at the radii (``improved``
-    selects ``d-_alpha`` over the support-MBR ``MinDist``), then one
-    :func:`probe_rows` pass; a query keeps ``(id, d)`` for ``d <= radius``.
-    ``merge(per_part)`` returns one :class:`RangeSearchResult` per query: the
-    union of the parts' matches, sorted by ``(distance, id)``.
+    selects ``d-_alpha`` over the support-MBR ``MinDist`` and confirms a
+    hit ``(id, None)`` from its bounds, :func:`_confirm`), then one
+    :func:`probe_rows` pass over the rest; a query keeps ``(id, d)`` for
+    ``d <= radius``.  ``merge(per_part)`` returns one
+    :class:`RangeSearchResult` per query: the union of the parts' matches,
+    sorted by ``(best known distance, id)``.
 
     Each result counts its own ``distance_evaluations`` and ``range_calls =
     1``; the bucket's shared object, node, lower-bound and distance totals
@@ -94,6 +121,7 @@ def range_bucket(
         metrics = MetricsCollector()
         query_metrics = [MetricsCollector() for _ in prepared]
         matches: List[List[Match]] = [[] for _ in prepared]
+        bounds: List[Dict[int, float]] = [{} for _ in prepared]
         objects: Dict[int, FuzzyObject] = {}
         before = part.store.statistics.object_accesses
         if len(part.tree):
@@ -102,17 +130,22 @@ def range_bucket(
                 obj = objects[object_id] = part.store.get(object_id)
                 return obj
 
-            candidates = shared_traversal(
-                part.tree, alpha, improved, q_lo, q_hi, radii, metrics, deadline
+            hits = shared_traversal(
+                part.tree, alpha, improved, q_lo, q_hi, radii, metrics, deadline,
+                boxes=improved,
             )
-            rows = [ids.tolist() for ids in candidates]
+            if improved:
+                bounds, rows = _confirm(prepared, q_lo, q_hi, radii, *hits)
+            else:
+                rows = [ids.tolist() for ids in hits]
             probes = probe_rows(
                 fetch, prepared, rows, alpha, [{} for _ in prepared],
                 query_metrics, deadline,
             )
-            answers = zip(rows, probes, radii.tolist())
-            for qi, (row, dists, radius) in enumerate(answers):
-                matches[qi] = [m for m in zip(row, dists.tolist()) if m[1] <= radius]
+            answers = zip(rows, probes, radii.tolist(), bounds)
+            for qi, (row, dists, radius, sure) in enumerate(answers):
+                matches[qi] = [(object_id, None) for object_id in sure]
+                matches[qi] += [m for m in zip(row, dists.tolist()) if m[1] <= radius]
         evaluations = [
             qm.get(MetricsCollector.DISTANCE_EVALUATIONS) for qm in query_metrics
         ]
@@ -124,7 +157,7 @@ def range_bucket(
                 MetricsCollector.LOWER_BOUND_EVALUATIONS
             ),
         }
-        return PartMatches(matches, evaluations, objects, counts)
+        return PartMatches(matches, bounds, evaluations, objects, counts)
 
     def merge(per_part: Sequence[PartMatches]) -> List[RangeSearchResult]:
         counted = {
@@ -144,10 +177,14 @@ def range_bucket(
             stats = QueryStats(
                 range_calls=1, elapsed_seconds=elapsed, extra=dict(extra), **own
             )
+            bounds = {i: u for part in per_part for i, u in part.bounds[qi].items()}
             matches = sorted(
-                (m for part in per_part for m in part.matches[qi]), key=_by_distance
+                (m for part in per_part for m in part.matches[qi]),
+                key=lambda m: (bounds[m[0]] if m[1] is None else m[1], m[0]),
             )
-            results.append(RangeSearchResult(matches, radius, alpha, stats))
+            results.append(
+                RangeSearchResult(matches, radius, alpha, stats, upper_bounds=bounds)
+            )
         return results
 
     return local, merge
@@ -210,12 +247,22 @@ def collect_over_parts(
     partition set (``fan_out(op, fn)`` applies ``fn`` to every part).
 
     Also hands back every object it read, so the caller (the RSS / RSS-ICR
-    refinement) computes their distance profiles without a second access.
+    refinement) computes their distance profiles without a second access:
+    a match its bounds confirmed is read too, so every candidate with
+    ``L <= radius`` is read once, as in a probe-all range.
     """
     local, merge = range_bucket(
         [query], alpha, [radius], config, rng, deadline=deadline
     )
-    per_part = fan_out("range", local)
+
+    def collect(part) -> PartMatches:
+        found = local(part)
+        (sure,) = found.bounds
+        found.objects.update((i, part.store.get(i)) for i in sure)
+        found.counts["object_accesses"] += len(sure)
+        return found
+
+    per_part = fan_out("range", collect)
     (result,) = merge(per_part)
     objects: Dict[int, FuzzyObject] = {}
     for part in per_part:

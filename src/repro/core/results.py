@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fuzzy.alpha_distance import alpha_distance
 from repro.fuzzy.fuzzy_object import FuzzyObject
@@ -128,17 +128,21 @@ class Neighbor:
 
 
 def resolve_exact(
-    neighbor: Neighbor,
+    result: Union["AKNNResult", "RangeSearchResult"],
     query: FuzzyObject,
     alpha: float,
     fetch: Callable[[int], FuzzyObject],
-) -> Neighbor:
-    """``neighbor`` with an exact distance: a lazily-confirmed one pays one
+) -> Dict[int, float]:
+    """``{object_id: exact distance}`` of every member of an AKNN or range
+    answer: a bound-confirmed one (``distance=None``) pays one
     ``fetch(object_id)`` and one closest-pair evaluation."""
-    if neighbor.distance is not None:
-        return neighbor
-    distance = alpha_distance(fetch(neighbor.object_id), query, alpha)
-    return Neighbor(neighbor.object_id, distance, distance, distance, probed=True)
+    members = result.matches if isinstance(result, RangeSearchResult) else [
+        (n.object_id, n.distance) for n in result.neighbors
+    ]
+    return {
+        int(i): float(alpha_distance(fetch(i), query, alpha) if d is None else d)
+        for i, d in members
+    }
 
 
 def merge_topk(per_part: Sequence[Sequence[Neighbor]], k: int) -> List[Neighbor]:
@@ -202,13 +206,20 @@ class BatchResult:
 
 @dataclass
 class RangeSearchResult:
-    """Answer of a range-at-alpha search (all objects within ``radius``)."""
+    """Answer of a range-at-alpha search (all objects within ``radius``).
 
-    matches: List[Tuple[int, float]]
+    ``matches`` holds ``(object_id, distance)``, nearest (best known
+    distance, then id) first.  A probed match carries its exact distance; a
+    bound-confirmed one, accepted through its upper bound without a read,
+    carries ``None`` and its upper bound in ``upper_bounds``.
+    """
+
+    matches: List[Tuple[int, Optional[float]]]
     radius: float
     alpha: float
     stats: QueryStats = field(default_factory=QueryStats)
     coverage: Optional[Coverage] = None
+    upper_bounds: Dict[int, float] = field(default_factory=dict)
 
     @property
     def object_ids(self) -> List[int]:

@@ -290,12 +290,9 @@ class RKNNSearcher:
         result_end, ranked_by = aknn(alpha_end)
         # Exact k-th neighbour distance, probing lazily-confirmed neighbours.
         radius = max(
-            (
-                resolve_exact(
-                    neighbor, query, alpha_end, ranked_by[neighbor.object_id].store.get
-                ).distance
-                for neighbor in result_end.neighbors
-            ),
+            resolve_exact(
+                result_end, query, alpha_end, lambda i: ranked_by[i].store.get(i)
+            ).values(),
             default=0.0,
         )
 

@@ -299,8 +299,11 @@ class FuzzyObject:
         if n_samples >= cut.shape[0]:
             return cut.copy()
         if rng is None:
-            # Deterministic spread across the cut.
-            idx = np.linspace(0, cut.shape[0] - 1, n_samples).astype(int)
+            # Deterministic spread across the cut: ``np.linspace(0, last,
+            # n_samples).astype(int)``'s arithmetic without its call overhead.
+            last = cut.shape[0] - 1
+            idx = (np.arange(n_samples) * (last / max(n_samples - 1, 1))).astype(int)
+            idx[-1] = last if n_samples > 1 else 0
         else:
             idx = rng.choice(cut.shape[0], size=n_samples, replace=False)
         return cut[idx]

@@ -307,21 +307,12 @@ class SubscriptionEngine:
     def _execute_members(self, sub: Subscription) -> Dict[int, float]:
         """Run the subscription's request and return exact ``{id: distance}``.
 
-        Lazily-confirmed kNN neighbours (accepted through bounds alone) carry
-        ``distance=None``; the maintained state needs exact distances.
+        Members confirmed through bounds alone (kNN neighbours and range
+        matches) carry ``distance=None``; the maintained state needs exact
+        distances, so each is read once here.
         """
         result = self.engine.execute(sub.request)
-        members: Dict[int, float] = {}
-        if isinstance(sub.request, AknnRequest):
-            for neighbor in result.neighbors:
-                exact = resolve_exact(
-                    neighbor, sub.request.query, sub.alpha, self.engine.get_object
-                )
-                members[int(neighbor.object_id)] = float(exact.distance)
-        else:
-            for object_id, distance in result.matches:
-                members[int(object_id)] = float(distance)
-        return members
+        return resolve_exact(result, sub.request.query, sub.alpha, self.engine.get_object)
 
     def _screen_matrices(self):
         if self._screen_lower is None:

@@ -117,6 +117,22 @@ def sorted_exact_distances(database: FuzzyDatabase, result, query, alpha: float)
     return sorted(distances)
 
 
+def assert_range_answer(result, objects, query, alpha: float, radius: float) -> None:
+    """A range answer against :mod:`repro.reference` over ``objects``: the
+    id set exact, every probed distance ``==`` the reference's, and every
+    bound-confirmed match (``distance=None``) with ``d_alpha <= U <= radius``."""
+    exact = dict(reference.range_search(objects, query, alpha, np.inf))
+    assert sorted(result.object_ids) == sorted(
+        object_id for object_id, d in exact.items() if d <= radius
+    )
+    for object_id, distance in result.matches:
+        if distance is None:
+            bound = result.upper_bounds[object_id]
+            assert exact[object_id] <= bound <= radius, (object_id, bound, radius)
+        else:
+            assert distance == exact[object_id], (object_id, distance)
+
+
 def assert_same_assignments(actual, expected, tol: float = 1e-7) -> None:
     """Assert two RKNN assignment maps describe the same qualifying ranges.
 

@@ -36,7 +36,12 @@ from repro.service.faults import FaultPlan
 from repro.service.sharded import ShardedDatabase
 from repro.service.subscriptions import SubscriptionEngine
 
-from tests.conftest import assert_same_assignments, make_fuzzy_object, sorted_exact_distances
+from tests.conftest import (
+    assert_range_answer,
+    assert_same_assignments,
+    make_fuzzy_object,
+    sorted_exact_distances,
+)
 
 
 def _initial_objects(seed: int, n: int):
@@ -93,10 +98,9 @@ def assert_query_parity(recovered, twin, queries):
 
         r = recovered.execute(RangeRequest(query, alpha=0.5, radius=4.0))
         t = twin.execute(RangeRequest(query, alpha=0.5, radius=4.0))
-        assert sorted(m[0] for m in r.matches) == sorted(m[0] for m in t.matches)
-        np.testing.assert_allclose(
-            sorted(m[1] for m in r.matches), sorted(m[1] for m in t.matches), atol=1e-9
-        )
+        objects = [twin.get_object(object_id) for object_id in twin.object_ids()]
+        assert_range_answer(r, objects, query, 0.5, 4.0)
+        assert_range_answer(t, objects, query, 0.5, 4.0)
 
         r = recovered.execute(SweepRequest(query, k=3, alpha_range=(0.2, 0.9)))
         t = twin.execute(SweepRequest(query, k=3, alpha_range=(0.2, 0.9)))

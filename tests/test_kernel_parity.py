@@ -350,6 +350,16 @@ class TestPairwiseKernel:
         np.testing.assert_array_equal(upper, per_query)
 
 
+    def test_deterministic_lemma1_sample_equals_linspace(self):
+        """Without an rng, ``Q'_alpha`` is the cut at
+        ``np.linspace(0, n - 1, k).astype(int)``, for every cut size and ``k``."""
+        for n in range(1, 150):
+            obj = FuzzyObject(np.arange(2.0 * n).reshape(n, 2), np.ones(n))
+            for k in range(1, n + 2):
+                want = obj.alpha_cut(1.0)[np.linspace(0, n - 1, min(k, n)).astype(int)]
+                np.testing.assert_array_equal(obj.sample_alpha_cut(1.0, k), want)
+
+
 # ----------------------------------------------------------------------
 # Box-pair bounds
 # ----------------------------------------------------------------------

@@ -10,12 +10,21 @@ from repro import reference
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.core.range_search import AlphaRangeSearcher, collect_over_parts
-from repro.core.requests import RangeRequest, execute_plan
+from repro.core.executor import shared_traversal
+from repro.core.query import PreparedQuery
+from repro.core.requests import (
+    AknnRequest,
+    RangeRequest,
+    ReverseRequest,
+    SweepRequest,
+    execute_plan,
+)
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
 from repro.exceptions import DeadlineExceededError, InvalidQueryError
+from repro.metrics.counters import MetricsCollector
 from repro.service import FaultPlan, QueryService, ShardedDatabase
-from tests.conftest import make_fuzzy_object, stored_objects
+from tests.conftest import assert_range_answer, make_fuzzy_object, stored_objects
 
 
 class TestCorrectness:
@@ -23,14 +32,8 @@ class TestCorrectness:
     @pytest.mark.parametrize("radius", [0.0, 0.5, 1.5, 4.0])
     def test_matches_linear_scan(self, dense_database, dense_queries, alpha, radius):
         query = dense_queries[0]
-        expected = reference.range_search(
-            stored_objects(dense_database), query, alpha, radius
-        )
         actual = dense_database.execute(RangeRequest(query, alpha=alpha, radius=radius))
-        expected_distances = dict(expected)
-        assert sorted(actual.object_ids) == sorted(expected_distances)
-        for object_id, distance in actual.matches:
-            assert distance == pytest.approx(expected_distances[object_id])
+        assert_range_answer(actual, stored_objects(dense_database), query, alpha, radius)
 
     def test_simple_bounds_variant_agrees(self, dense_database, dense_queries):
         query = dense_queries[1]
@@ -76,12 +79,37 @@ class TestCollect:
         for object_id in found.object_ids:
             assert objects[object_id].object_id == object_id
 
+    def test_collect_reads_every_candidate(self, dense_database, dense_queries):
+        """The sweep's profiles need every match: its collection reads each
+        candidate whose lower bound survives the radius, a bound-confirmed
+        match too, once."""
+        query, alpha, radius = dense_queries[0], 0.5, 2.0
+        before = dense_database.object_accesses
+        found, objects = collect_over_parts(
+            lambda op, fn: [fn(dense_database)], query, alpha, radius,
+            dense_database.config,
+        )
+        reads = dense_database.object_accesses - before
+        basic = dense_database.range_searcher.search(
+            query, alpha, radius, use_improved_bounds=False
+        )
+        assert sorted(found.object_ids) == sorted(basic.object_ids)
+        assert found.upper_bounds  # confirmed by bounds, read all the same
+        assert set(objects) >= set(found.object_ids)
+        prepared = PreparedQuery(query, alpha, dense_database.config)
+        (candidates,) = shared_traversal(
+            dense_database.tree, alpha, True, prepared.query_mbr.lower[None],
+            prepared.query_mbr.upper[None], np.array([radius]), MetricsCollector(),
+        )
+        assert set(objects) == set(candidates.tolist())
+        assert reads == len(candidates) == found.stats.object_accesses
+
     def test_matches_sorted_by_distance(self, dense_database, dense_queries):
         result = dense_database.execute(
             RangeRequest(dense_queries[0], alpha=0.5, radius=3.0)
         )
-        distances = [d for _, d in result.matches]
-        assert distances == sorted(distances)
+        assert result.upper_bounds  # some matches are bound-confirmed
+        assert result.matches == sorted(result.matches, key=best_known(result))
 
     def test_stats(self, dense_database, dense_queries):
         dense_database.reset_statistics()
@@ -126,6 +154,11 @@ def bucket_queries():
     ]
 
 
+def best_known(result):
+    """The sort key of a range answer: (best known distance, id)."""
+    return lambda m: (result.upper_bounds[m[0]] if m[1] is None else m[1], m[0])
+
+
 def mixed_bucket(queries):
     """One bucket: four radii, a duplicate request, a query nothing is near."""
     far = make_fuzzy_object(np.random.default_rng(3), center=[500.0, 500.0])
@@ -156,13 +189,10 @@ def assert_bucket_answers(engine, requests):
     results = engine.execute_batch(requests)
     assert engine.metrics.get("plan_groups") - groups == 1
     for request, result in zip(requests, results):
-        want = dict(
-            reference.range_search(objects, request.query, request.alpha, request.radius)
+        assert_range_answer(
+            result, objects, request.query, request.alpha, request.radius
         )
-        assert sorted(result.object_ids) == sorted(want)
-        for object_id, distance in result.matches:
-            assert distance == pytest.approx(want[object_id])
-        assert result.matches == sorted(result.matches, key=lambda m: (m[1], m[0]))
+        assert result.matches == sorted(result.matches, key=best_known(result))
         assert result.stats.range_calls == 1
     assert results[-1].matches == [] and results[3].matches
     assert results[4].matches == results[2].matches  # the duplicate
@@ -259,3 +289,43 @@ class TestRangeBucket:
         finally:
             sharded.close()
             single.close()
+
+
+# Reads of one mixed bucket per family on the objects above, as they were
+# before range buckets confirmed matches from their upper bounds: range read
+# 59 then.  Only range may move.
+FAMILY_READS = {"sweep": 17, "reverse": 18, "aknn": 19}
+PROBE_ALL_RANGE_READS = 59
+
+
+@pytest.mark.parametrize("shape", [None, (3, "space")], ids=["single", "3-space"])
+def test_only_range_reads_move_in_a_mixed_batch(bucket_objects, shape):
+    rng = np.random.default_rng(808)
+    queries = [
+        generate_query_object(rng, kind="synthetic", space_size=8.0, points_per_object=20)
+        for _ in range(8)
+    ]
+    requests = [RangeRequest(q, alpha=0.5, radius=r) for q, r in zip(queries, RADII[1:])]
+    requests += [SweepRequest(q, k=3, alpha_range=(0.3, 0.7)) for q in queries[3:5]]
+    requests += [ReverseRequest(q, k=2, alpha=0.5) for q in queries[5:7]]
+    requests += [AknnRequest(q, k=4, alpha=0.5) for q in queries[:3]]
+    engine = build_engine(bucket_objects, shape)
+    reads = {}
+
+    def counted(family, execute):
+        def run(*args, **kwargs):
+            before = engine.object_accesses
+            answers = execute(*args, **kwargs)
+            reads[family] = reads.get(family, 0) + engine.object_accesses - before
+            return answers
+        return run
+
+    try:
+        for family in ("aknn", "range", "sweep", "reverse"):
+            name = f"_execute_{family}_bucket"
+            setattr(engine, name, counted(family, getattr(engine, name)))
+        engine.execute_batch(requests)
+        assert {f: n for f, n in reads.items() if f != "range"} == FAMILY_READS
+        assert reads["range"] < PROBE_ALL_RANGE_READS
+    finally:
+        engine.close()

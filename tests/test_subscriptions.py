@@ -39,17 +39,23 @@ def fold(deltas):
 
 
 def reference_members(engine, sub):
-    """Re-execute the subscription's request from scratch (the oracle)."""
+    """Re-execute the subscription's request from scratch (the oracle).
+
+    A member confirmed by its bounds (an unprobed neighbour, a range match
+    within the radius by its upper bound) carries no distance; it gets its
+    exact one here.
+    """
     result = engine.execute(sub.request)
     if hasattr(result, "neighbors"):
-        out = {}
-        for neighbor in result.neighbors:
-            distance = neighbor.distance
-            if distance is None:
-                distance = sub.distance_of(engine.get_object(neighbor.object_id))
-            out[int(neighbor.object_id)] = float(distance)
-        return out
-    return {int(oid): float(d) for oid, d in result.matches}
+        pairs = [(neighbor.object_id, neighbor.distance) for neighbor in result.neighbors]
+    else:
+        pairs = result.matches
+    out = {}
+    for object_id, distance in pairs:
+        if distance is None:
+            distance = sub.distance_of(engine.get_object(object_id))
+        out[int(object_id)] = float(distance)
+    return out
 
 
 def assert_members_match(actual, expected):
