@@ -21,8 +21,8 @@ the failure-semantics contract held:
    carry partial coverage naming the dead shard, every answer must equal
    :mod:`repro.reference`'s over the surviving shards' objects (an AKNN
    neighbour, coalesced or alone, by its bounds when unprobed and by its
-   distance when probed; a sweep by its ``qualifying_at`` at three
-   thresholds inside its range), every reverse filter must keep exactly the candidates a
+   distance when probed; a sweep by its whole assignment, interval for
+   interval, range ends included), every reverse filter must keep exactly the candidates a
    fresh survivors-only database keeps (its k-th MaxDist table is built over
    all three shards first, so a table that outlives the live set shows), the
    breaker must reach OPEN (non-zero ``breaker_open``), and
@@ -64,6 +64,7 @@ from repro.core.requests import (  # noqa: E402
 )
 from repro.datasets.builder import build_dataset  # noqa: E402
 from repro.datasets.queries import generate_query_object  # noqa: E402
+from repro.fuzzy.intervals import IntervalSet  # noqa: E402
 from repro.metrics.counters import MetricsCollector  # noqa: E402
 from repro.service import (  # noqa: E402
     BreakerState,
@@ -156,8 +157,9 @@ def _answers_the_survivors(request, result, survivors) -> bool:
     A reverse answer by ids and distances.  An AKNN or range answer by its
     id set, each probed member by its distance, each unprobed AKNN
     neighbour by bounds that contain ``d_alpha`` and each bound-confirmed
-    range match by ``d_alpha <= U <= radius``.  A sweep by its
-    ``qualifying_at`` at three thresholds inside its range.
+    range match by ``d_alpha <= U <= radius``.  A sweep by its whole
+    assignment, interval for interval (``IntervalSet.approx_equal``), so an
+    error at either end of its range shows.
     """
     if isinstance(request, AknnRequest):
         exact = dict(reference.aknn(survivors, request.query, len(survivors), request.alpha))
@@ -173,12 +175,11 @@ def _answers_the_survivors(request, result, survivors) -> bool:
                 return False
         return True
     if isinstance(request, SweepRequest):
-        low, high = request.alpha_range
-        for alpha in np.linspace(low, high, 5)[1:-1]:
-            want = reference.aknn(survivors, request.query, request.k, float(alpha))
-            if result.qualifying_at(float(alpha)) != sorted(i for i, _ in want):
-                return False
-        return True
+        want = reference.sweep(survivors, request.query, request.k, request.alpha_range)
+        return set(result.assignments) == set(want) and all(
+            result.assignments[i].approx_equal(IntervalSet.from_pairs(ranges))
+            for i, ranges in want.items()
+        )
     if isinstance(request, RangeRequest):
         exact = dict(reference.range_search(survivors, request.query, request.alpha, np.inf))
         if sorted(result.object_ids) != sorted(

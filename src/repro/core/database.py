@@ -83,16 +83,17 @@ class FuzzyDatabase:
         # engine: overlapping (query, object) evaluations are paid once.
         self.profile_store = DistanceProfileStore(self.config.profile_cache_capacity)
         self.range_searcher = AlphaRangeSearcher(store, tree, self.config)
+        # This database as a part of its own AKNN partition set of one
+        # (``store`` / ``tree`` / ``executor``, as a shard exposes them) and
+        # the KD-tree and bound table over its leaves that AKNN buckets and
+        # the sweep bound from.
+        self.executor = BatchQueryExecutor(store, tree, self.config)
+        self._rep_index = RepresentativeIndex()
         # The sweep runs over this database as a partition set of one.
         self._rknn = RKNNSearcher(
             [self], lambda op, fn: [fn(self)], self.config,
-            profile_store=self.profile_store,
+            profile_store=self.profile_store, index=self._rep_index,
         )
-        # This database as a part of its own AKNN partition set of one
-        # (``store`` / ``tree`` / ``executor``, as a shard exposes them) and
-        # the AKNN buckets' KD-tree and bound table over its leaves.
-        self.executor = BatchQueryExecutor(store, tree, self.config)
-        self._rep_index = RepresentativeIndex()
         self._reverse = ReverseAKNNSearcher(
             store,
             tree,

@@ -537,11 +537,7 @@ def aknn_bucket_pass(
         if method == "lb":
             upper[:] = np.inf  # nothing is known above an object until it is probed
         confirmed, probe = rank_test(lower, upper, valid, k, tau)
-        # Pass 1: each query's need most promising (lower, id), made exact.
-        order = np.lexsort((ids, np.where(probe, lower, np.inf)), axis=1)
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
-        first = probe & (rank < (k - confirmed.sum(axis=1))[:, None])
+        first = first_pass(lower, ids, confirmed, probe, k)
         lower[first] = upper[first] = np.concatenate(probe_pass(first))
         if deadline is not None:
             deadline.check("batch refinement")
@@ -573,6 +569,17 @@ def aknn_bucket_pass(
         results.append(AKNNResult(neighbors, k, alpha, method, stats))
     metrics.increment(MetricsCollector.BATCH_QUERIES, len(queries))
     return results
+
+
+def first_pass(
+    lower: np.ndarray, ids: np.ndarray, confirmed: np.ndarray, probe: np.ndarray, k: int
+) -> np.ndarray:
+    """Pass 1's probes: per row, the ``k - confirmed`` candidates still to
+    probe with the smallest ``(lower, id)``, the most promising ones."""
+    order = np.lexsort((ids, np.where(probe, lower, np.inf)), axis=1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
+    return probe & (rank < (k - confirmed.sum(axis=1))[:, None])
 
 
 def rank_test(

@@ -246,7 +246,7 @@ def collect_over_parts(
     """The sweep's candidate collection: a range bucket of one over a
     partition set (``fan_out(op, fn)`` applies ``fn`` to every part).
 
-    Also hands back every object it read, so the caller (the RSS / RSS-ICR
+    Also hands back every object it read, so the caller (the RSS
     refinement) computes their distance profiles without a second access:
     a match its bounds confirmed is read too, so every candidate with
     ``L <= radius`` is read once, as in a probe-all range.

@@ -15,25 +15,31 @@ one of them; :func:`repro.reference.sweep` is the exhaustive answer):
 ``rss``
     Algorithm 4 (Reducing Search Space, Lemma 3): one AKNN query at
     ``alpha_end`` fixes a radius; one range search at ``alpha_start`` collects
-    the complete candidate set; the sweep of Algorithm 3 then runs entirely
-    in memory over the candidates.
+    the complete candidate set, every candidate read; the sweep of Algorithm
+    3 then runs entirely in memory over the candidates.
 
 ``rss_icr``
-    Algorithm 5 (Improved Candidate Refinement, Lemma 4): same candidate set
-    as ``rss``, but each confirmed neighbour is granted a *safe range* that
-    extends as long as its distance stays below the (k+1)-th neighbour
-    distance, so far fewer critical probabilities have to be checked.
+    The served default.  alpha-cuts nest, so a lower bound at
+    ``alpha_start`` and an upper bound at ``alpha_end`` hold across the
+    range: a rank test on them confirms whole-range members and drops
+    objects that cannot rank, with no read and no AKNN sub-query
+    (:meth:`RKNNSearcher._search_decided`).  Algorithm 5 (Improved
+    Candidate Refinement, Lemma 4) sweeps the undecided rest, granting each
+    neighbour a *safe range* while its distance stays below the (k+1)-th.
 
 All variants return the same qualifying ranges as the brute-force
 :func:`repro.reference.sweep`, which shares no code with them (asserted by
 the test suite); they differ in the number of object accesses and refinement
-steps.
+steps.  ``basic`` and ``rss`` keep the paper's algorithms as they are: they
+are the competitors of Figure 13, whose RSS is flat in the range length.
 
 The sweep is written once, over a *partition set*: each AKNN sub-query is one
 :class:`~repro.core.aknn.AKNNSearcher` search over every part (admitted by
-:func:`~repro.core.aknn.searcher_over`), its candidate collection is
-:func:`~repro.core.range_search.collect_over_parts`, and every object it
-reads between sub-queries comes from the part whose leaf held it.  A
+:func:`~repro.core.aknn.searcher_over`), ``rss``'s candidate collection is
+:func:`~repro.core.range_search.collect_over_parts`, ``rss_icr`` descends
+every part with :func:`~repro.core.executor.shared_traversal` and bounds
+from the set's :class:`~repro.core.executor.RepresentativeIndex`, and every
+object read between fan-outs comes from the part that holds it.  A
 :class:`~repro.core.database.FuzzyDatabase` is a set of one, fanned out by a
 plain call; the sharded database runs :func:`sweep_pass` over its live shards
 through its strict fan-out.
@@ -51,6 +57,14 @@ import numpy as np
 
 from repro.config import RKNN_EPSILON, RuntimeConfig
 from repro.core.aknn import searcher_over
+from repro.core.executor import (
+    RepresentativeIndex,
+    bootstrap_radii,
+    first_pass,
+    rank_test,
+    shared_traversal,
+)
+from repro.core.query import PreparedQuery
 from repro.core.range_search import collect_over_parts
 from repro.core.results import AKNNResult, QueryStats, RKNNResult, resolve_exact
 from repro.exceptions import InvalidQueryError
@@ -61,6 +75,8 @@ from repro.fuzzy.alpha_distance import (
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.intervals import IntervalSet
 from repro.fuzzy.profile import DistanceProfile
+from repro.index.soa import min_dist_to_boxes
+from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 
 RKNN_METHODS: Tuple[str, ...] = ("basic", "rss", "rss_icr")
@@ -98,6 +114,9 @@ class RKNNSearcher:
         Runtime knobs (the candidate collection's prepared query).
     profile_store:
         The d_alpha profile memo, keyed by query instance + object id.
+    index:
+        The partition set's :class:`~repro.core.executor.RepresentativeIndex`
+        (``rss_icr``'s radius and stored bounds).
     """
 
     def __init__(
@@ -106,9 +125,11 @@ class RKNNSearcher:
         fan_out: Callable[[str, Callable], List],
         config: Optional[RuntimeConfig] = None,
         profile_store: Optional[DistanceProfileStore] = None,
+        index: Optional[RepresentativeIndex] = None,
     ):
         self.parts = list(parts)
         self.fan_out = fan_out
+        self.index = index if index is not None else RepresentativeIndex()
         self.config = (config or RuntimeConfig()).validate()
         # The database shares one store between this sweep searcher and the
         # reverse engine, so overlapping d_alpha(A, Q) work is paid once.
@@ -133,7 +154,8 @@ class RKNNSearcher:
         """Return every object qualifying somewhere in ``alpha_range``.
 
         ``deadline`` (a :class:`~repro.service.policy.Deadline`) is checked
-        before every AKNN and range sub-query.
+        before every AKNN and range sub-query, and by ``rss_icr`` before its
+        traversal and between its probe passes.
         """
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
@@ -160,17 +182,14 @@ class RKNNSearcher:
 
         if method == "basic":
             assignments = self._search_basic(aknn, query, alpha_start, alpha_end, stats)
+        elif method == "rss":
+            profiles = self._collect_candidates(
+                aknn, query, alpha_start, alpha_end, rng, stats, deadline
+            )
+            assignments = refine_candidates_basic(profiles, k, alpha_start, alpha_end, stats)
         else:
-            assignments = self._search_rss(
-                aknn,
-                query,
-                k,
-                alpha_start,
-                alpha_end,
-                rng,
-                stats,
-                deadline,
-                improved_refinement=(method == "rss_icr"),
+            assignments = self._search_decided(
+                query, k, alpha_start, alpha_end, aknn_method, rng, stats, deadline
             )
 
         stats.elapsed_seconds = timer.stop()
@@ -253,29 +272,8 @@ class RKNNSearcher:
         return cache[object_id]
 
     # ------------------------------------------------------------------
-    # RSS / RSS-ICR: Algorithms 4 and 5
+    # RSS: Algorithm 4
     # ------------------------------------------------------------------
-    def _search_rss(
-        self,
-        aknn: Callable,
-        query: FuzzyObject,
-        k: int,
-        alpha_start: float,
-        alpha_end: float,
-        rng: Optional[np.random.Generator],
-        stats: QueryStats,
-        deadline,
-        improved_refinement: bool,
-    ) -> Dict[int, IntervalSet]:
-        profiles = self._collect_candidates(
-            aknn, query, alpha_start, alpha_end, rng, stats, deadline
-        )
-        if not profiles:
-            return {}
-        if improved_refinement:
-            return refine_candidates_icr(profiles, k, alpha_start, alpha_end, stats)
-        return refine_candidates_basic(profiles, k, alpha_start, alpha_end, stats)
-
     def _collect_candidates(
         self,
         aknn: Callable,
@@ -316,6 +314,113 @@ class RKNNSearcher:
         return profiles
 
     # ------------------------------------------------------------------
+    # RSS-ICR: Algorithm 5 over what the bounds at the range's ends leave
+    # ------------------------------------------------------------------
+    def _search_decided(
+        self,
+        query: FuzzyObject,
+        k: int,
+        alpha_start: float,
+        alpha_end: float,
+        aknn_method: str,
+        rng: Optional[np.random.Generator],
+        stats: QueryStats,
+        deadline,
+    ) -> Dict[int, IntervalSet]:
+        """Decide the sweep from bounds taken at its two ends; read only the rest.
+
+        alpha-cuts nest, so for every alpha in the range ``L(A) =
+        d-_{alpha_start}(A, Q) <= d_alpha(A, Q) <= U(A) = d+_{alpha_end}(A, Q)``.
+        Three rules follow, each for the whole range at once:
+
+        * **Radius.**  The k-th smallest ``U`` of the read-free bootstrap's
+          nominees (:func:`~repro.core.executor.bootstrap_radii`) bounds the
+          k-th distance at every alpha, so the traversal at ``alpha_start``
+          (fan-out op ``"range"``) drops every object whose ``L`` exceeds it.
+        * **Confirm.**  ``A`` ranks in the top k everywhere when ``#{B != A
+          : L(B) <= U(A)} <= k - 1`` and ``U(A)`` is within the radius: a
+          ``B`` ranked before ``A`` at some alpha has ``L(B) <= d_alpha(B)
+          <= d_alpha(A) <= U(A)``.  The count is ``<=``, not ``<``, because
+          ties go by id: a ``B`` with ``L(B) == U(A)`` may tie ``A`` and
+          rank first.  At most k objects pass.
+        * **Drop.**  With ``need = k - #confirmed`` places left, ``B`` whose
+          ``L`` exceeds the need-th smallest ``U`` of the unconfirmed rest
+          has ``need`` of them strictly closer everywhere.
+
+        :func:`~repro.core.executor.rank_test` applies the last two.  ``U``
+        is the AKNN bucket's per ``aknn_method``: ``MaxDist`` plus Lemma 1
+        (``lb_lp_ub``), ``MaxDist`` (``lb_lp``), unknown until read
+        (``lb``); ``basic`` reads every survivor.  Pass 1 reads the ``need``
+        undecided objects of smallest ``(L, id)`` and sets ``L`` / ``U`` to
+        their ``d_{alpha_start}`` / ``d_{alpha_end}``; after a second rank
+        test pass 2 reads the undecided rest.  A memoised profile costs no
+        read, and no object is read twice.  A confirmed object gets the
+        whole range; Algorithm 5 sweeps the undecided ones for the ``need``
+        places.  The deadline is checked before the traversal and between
+        the passes.
+        """
+        trees = [part.tree for part in self.parts]
+        _, _, member_of = self.index.over(trees)
+        metrics = MetricsCollector()
+        start = PreparedQuery(query, alpha_start, self.config, rng)
+        end = PreparedQuery(query, alpha_end, self.config, rng)
+        tau = bootstrap_radii(self.index, self.parts, [end], k, alpha_end, metrics)
+        q_lo, q_hi = start.query_mbr.lower[None], start.query_mbr.upper[None]
+
+        def traverse(part) -> List[np.ndarray]:
+            if deadline is not None:
+                deadline.check("sweep range")
+            return shared_traversal(
+                part.tree, alpha_start, aknn_method != "basic", q_lo, q_hi, tau,
+                metrics, deadline, boxes=True,
+            )
+
+        columns = zip(*self.fan_out("range", traverse))
+        _, ids, lo, hi, _ = (np.concatenate(column) for column in columns)
+        stats.range_calls += 1
+        stats.extra["candidates"] = stats.extra.get("candidates", 0.0) + len(ids)
+        profiles: Dict[int, DistanceProfile] = {}
+
+        def profile_of(object_id: int) -> DistanceProfile:
+            return self._profile_for(
+                object_id, query, alpha_end, profiles, self.parts[member_of[object_id]]
+            )
+
+        valid = np.ones((1, len(ids)), dtype=bool)
+        confirmed, probe = ~valid, valid
+        if aknn_method != "basic" and len(ids):
+            lower = min_dist_to_boxes(q_lo, q_hi, lo, hi)
+            table = self.index.bounds(trees, alpha_end)
+            _, upper = table.bounds(
+                [end], table.rows(ids)[None], lemma1=aknn_method == "lb_lp_ub"
+            )
+            metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, len(ids))
+            if aknn_method == "lb":
+                upper[:] = np.inf  # nothing is known above an object until it is read
+            confirmed, probe = rank_test(lower, upper, valid, k, tau)
+            for c in np.flatnonzero(first_pass(lower, ids[None], confirmed, probe, k)):
+                profile = profile_of(int(ids[c]))
+                lower[0, c] = profile.value(alpha_start)
+                upper[0, c] = profile.value(alpha_end)
+            if deadline is not None:
+                deadline.check("sweep refinement")
+            confirmed, probe = rank_test(lower, upper, valid, k, tau)
+        # Pass 2 reads what the second rank test left undecided.
+        undecided = {i: profile_of(i) for i in sorted(ids[probe[0]].tolist())}
+        sure = ids[confirmed[0]].tolist()
+        stats.node_accesses += metrics.get(MetricsCollector.NODE_ACCESSES)
+        stats.lower_bound_evaluations += metrics.get(MetricsCollector.LOWER_BOUND_EVALUATIONS)
+        stats.upper_bound_evaluations += metrics.get(MetricsCollector.UPPER_BOUND_EVALUATIONS)
+        assignments = refine_candidates_icr(
+            undecided, k - len(sure), alpha_start, alpha_end, stats
+        )
+        for object_id in sure:
+            assignments.setdefault(object_id, IntervalSet()).add_range(
+                alpha_start, alpha_end
+            )
+        return assignments
+
+    # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
     def _object_accesses(self) -> int:
@@ -349,11 +454,15 @@ class RKNNSearcher:
         return alpha_start, alpha_end
 
 
-def sweep_pass(parts, fan_out, config, profile_store, *args, **kwargs) -> RKNNResult:
+def sweep_pass(
+    index, parts, fan_out, config, profile_store, *args, **kwargs
+) -> RKNNResult:
     """One :meth:`RKNNSearcher.search` (``*args`` / ``**kwargs``) over a
     partition set that holds for this pass only (a sharded database's live
-    shards), so the searcher is built per pass."""
-    return RKNNSearcher(parts, fan_out, config, profile_store).search(*args, **kwargs)
+    shards, ``index`` their :class:`~repro.core.executor.RepresentativeIndex`),
+    so the searcher is built per pass."""
+    searcher = RKNNSearcher(parts, fan_out, config, profile_store, index)
+    return searcher.search(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -859,7 +859,8 @@ class ShardedDatabase:
             return self._coupled(
                 lambda live, fan_out: [
                     sweep_pass(
-                        live, fan_out, self.config, self._sweep_profiles,
+                        self._rep_index, live, fan_out, self.config,
+                        self._sweep_profiles,
                         request.query, request.k, request.alpha_range,
                         method=request.method.value,
                         aknn_method=request.aknn_method.value,

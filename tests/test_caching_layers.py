@@ -119,8 +119,11 @@ class TestProfileStoreInRKNN:
         )
         database = bundle.database
         query = bundle.queries(1)[0]
-        first = database.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.7)))
-        second = database.execute(SweepRequest(query, k=4, alpha_range=(0.3, 0.7)))
+        # RSS computes every candidate's profile; the default RSS-ICR may
+        # decide this sweep from bounds alone and compute none.
+        request = SweepRequest(query, k=4, alpha_range=(0.3, 0.7), method="rss")
+        first = database.execute(request)
+        second = database.execute(request)
         assert first.assignments.keys() == second.assignments.keys()
         for object_id in first.assignments:
             assert first.assignments[object_id] == second.assignments[object_id]

@@ -68,6 +68,13 @@ def assert_icr_refines_less(rows):
     assert all(icr[x] <= rss[x] for x in rss), (icr, rss)
 
 
+def assert_icr_reads_no_more_than_rss(rows):
+    """RSS-ICR decides from the bounds at the range's two ends what RSS
+    reads to find out, so it reads no more objects at any x."""
+    rss, icr = accesses(rows, "rss"), accesses(rows, "rss_icr")
+    assert all(icr[x] <= rss[x] for x in rss), (icr, rss)
+
+
 def assert_rss_prunes_the_sweep(rows):
     """RSS and RSS-ICR read no more objects than the basic sweep at any x."""
     basic = accesses(rows, "basic")
@@ -128,6 +135,7 @@ def test_fig13a_rss_is_3x_cheaper_than_basic_at_the_largest_n(paper):
     largest = max(rows["basic"])
     assert 3 * accesses(rows, "rss")[largest] <= accesses(rows, "basic")[largest]
     assert_icr_refines_less(rows)
+    assert_icr_reads_no_more_than_rss(rows)
 
 
 def test_fig13b_sweep_grows_with_k_and_rss_prunes_it(paper):
@@ -135,6 +143,7 @@ def test_fig13b_sweep_grows_with_k_and_rss_prunes_it(paper):
     assert non_decreasing(accesses(rows, "basic"))
     assert_rss_prunes_the_sweep(rows)
     assert_icr_refines_less(rows)
+    assert_icr_reads_no_more_than_rss(rows)
 
 
 def test_fig13c_basic_grows_with_l_while_rss_stays_flat(paper):
@@ -152,6 +161,7 @@ def test_fig13c_basic_grows_with_l_while_rss_stays_flat(paper):
     assert 3 * rss[longest] <= basic[longest]
     assert_rss_prunes_the_sweep(rows)
     assert_icr_refines_less(rows)
+    assert_icr_reads_no_more_than_rss(rows)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from repro import reference
 from repro.config import RuntimeConfig
+from repro.core import rknn as rknn_module
 from repro.core.aknn import AKNNSearcher
 from repro.core.database import FuzzyDatabase
 from repro.core.rknn import (
@@ -25,6 +26,7 @@ from repro.exceptions import DeadlineExceededError, InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.profile import DistanceProfile
 from repro.service import ShardedDatabase
+from repro.storage.object_store import ObjectStore
 from tests.conftest import assert_same_assignments, make_fuzzy_object, stored_objects
 
 
@@ -208,15 +210,22 @@ class TestCostBehaviour:
             ).stats.refinement_steps
         assert icr_steps <= rss_steps
 
-    def test_rss_and_icr_same_object_accesses(self, dense_database, dense_queries):
-        query = dense_queries[0]
-        rss = dense_database.execute(
-            SweepRequest(query, k=5, alpha_range=(0.3, 0.7), method="rss")
-        )
-        icr = dense_database.execute(
-            SweepRequest(query, k=5, alpha_range=(0.3, 0.7), method="rss_icr")
-        )
-        assert rss.stats.object_accesses == icr.stats.object_accesses
+    def test_rss_icr_reads_fewer_objects_than_rss(self, dense_database, dense_queries):
+        """RSS reads every candidate (and the AKNN's confirmed neighbours);
+        RSS-ICR reads only what the bounds at the range's ends leave
+        undecided.  Each sweep gets its own query instance, so neither
+        reuses the other's distance-profile memo."""
+        for query in dense_queries:
+            reads = {
+                method: dense_database.execute(
+                    SweepRequest(
+                        FuzzyObject(query.points, query.memberships), k=5,
+                        alpha_range=(0.3, 0.7), method=method,
+                    )
+                ).stats.object_accesses
+                for method in ("rss", "rss_icr")
+            }
+            assert reads["rss_icr"] < reads["rss"], reads
 
     def test_candidate_count_recorded(self, dense_database, dense_queries):
         result = dense_database.execute(
@@ -291,22 +300,30 @@ class TestRefinementHelpers:
 class TestDeadline:
     """The sweep checks its deadline before every sub-query, on a single tree
     as on shards: a sweep whose first AKNN overruns stops there.  A sub-query
-    is one search over every part, however many parts there are."""
+    is one search over every part, however many parts there are.  RSS-ICR,
+    which makes no sub-query, checks before its traversal and between its
+    two rank tests."""
 
-    @pytest.mark.parametrize("n_shards", [None, 1, 2])
-    def test_stops_after_the_first_slow_sub_query(self, monkeypatch, n_shards):
+    @staticmethod
+    def _engine(n_shards):
         objects = build_dataset(
             kind="synthetic", n_objects=36, points_per_object=16, seed=5, space_size=6.0
         )
         config = RuntimeConfig(rtree_max_entries=8, cache_capacity=32)
         if n_shards is None:
-            engine = FuzzyDatabase.build(objects, config=config)
-        else:
-            engine = ShardedDatabase.build(objects, n_shards=n_shards, config=config)
-        query = generate_query_object(
+            return FuzzyDatabase.build(objects, config=config)
+        return ShardedDatabase.build(objects, n_shards=n_shards, config=config)
+
+    @staticmethod
+    def _query():
+        return generate_query_object(
             np.random.default_rng(404), kind="synthetic", space_size=6.0,
             points_per_object=24,
         )
+
+    @pytest.mark.parametrize("n_shards", [None, 1, 2])
+    def test_stops_after_the_first_slow_sub_query(self, monkeypatch, n_shards):
+        engine, query = self._engine(n_shards), self._query()
         request = dict(k=3, alpha_range=(0.1, 1.0), method="basic")
         # Unhurried, the sweep takes many sub-queries.
         assert engine.execute(SweepRequest(query, **request)).stats.aknn_calls > 2
@@ -324,4 +341,58 @@ class TestDeadline:
             engine.execute(SweepRequest(query, **request, deadline_ms=20.0))
         # one sub-query: one search over every part
         assert len(searches) == 1
+        engine.close()
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_rss_icr_expired_before_its_traversal_reads_nothing(self, monkeypatch, n_shards):
+        """The radius comes from stored bounds; a deadline that runs out
+        while it is found stops the sweep before any part is traversed."""
+        engine = self._engine(n_shards)
+        bootstrap, reads = rknn_module.bootstrap_radii, []
+        get = ObjectStore.get
+
+        def slow_bootstrap(*args, **kwargs):
+            time.sleep(0.1)
+            return bootstrap(*args, **kwargs)
+
+        def logged_get(store, object_id):
+            reads.append(object_id)
+            return get(store, object_id)
+
+        monkeypatch.setattr(rknn_module, "bootstrap_radii", slow_bootstrap)
+        monkeypatch.setattr(ObjectStore, "get", logged_get)
+        request = SweepRequest(
+            self._query(), k=3, alpha_range=(0.1, 1.0), method="rss_icr",
+            deadline_ms=50.0,
+        )
+        with pytest.raises(DeadlineExceededError):
+            engine.execute(request)
+        assert reads == []
+        engine.close()
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_rss_icr_expired_between_rank_tests_stops_before_pass_2(
+        self, monkeypatch, n_shards
+    ):
+        engine, query, calls = self._engine(n_shards), self._query(), []
+        request = dict(k=3, alpha_range=(0.1, 1.0), method="rss_icr")
+        # Unhurried, this sweep reads in both passes (2 + 11 objects).
+        unhurried = engine.execute(
+            SweepRequest(FuzzyObject(query.points, query.memberships), **request)
+        )
+        assert unhurried.stats.object_accesses > request["k"]
+        rank_test = rknn_module.rank_test
+
+        def slow_rank_test(*args):
+            calls.append(args)
+            time.sleep(0.1)
+            return rank_test(*args)
+
+        monkeypatch.setattr(rknn_module, "rank_test", slow_rank_test)
+        before = engine.object_accesses
+        with pytest.raises(DeadlineExceededError):
+            engine.execute(SweepRequest(query, **request, deadline_ms=50.0))
+        assert len(calls) == 1
+        # Pass 1 reads at most k objects; pass 2 never ran.
+        assert engine.object_accesses - before <= request["k"]
         engine.close()
