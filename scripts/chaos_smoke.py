@@ -154,10 +154,10 @@ def _run_blocking(database, requests, n_threads: int = 4) -> list:
 def _answers_the_survivors(request, result, survivors) -> bool:
     """An answer equals :mod:`repro.reference`'s over ``survivors``.
 
-    A reverse answer by ids and distances.  An AKNN or range answer by its
-    id set, each probed member by its distance, each unprobed AKNN
-    neighbour by bounds that contain ``d_alpha`` and each bound-confirmed
-    range match by ``d_alpha <= U <= radius``.  A sweep by its whole
+    An AKNN, range or reverse answer by its id set, each probed member by
+    its distance, each unprobed AKNN neighbour by bounds that contain
+    ``d_alpha``, each bound-confirmed range match by ``d_alpha <= U <=
+    radius`` and each bound-confirmed reverse member by ``d_alpha <= U``.  A sweep by its whole
     assignment, interval for interval (``IntervalSet.approx_equal``), so an
     error at either end of its range shows.
     """
@@ -194,11 +194,17 @@ def _answers_the_survivors(request, result, survivors) -> bool:
             elif not np.isclose(distance, d_alpha, rtol=1e-9, atol=1e-12):
                 return False
         return True
-    want = reference.reverse(survivors, request.query, request.k, request.alpha)
-    got = list(result.distances.items())
-    return sorted(i for i, _ in got) == sorted(i for i, _ in want) and np.allclose(
-        sorted(d for _, d in got), sorted(d for _, d in want), rtol=1e-9, atol=1e-12
-    )
+    exact = dict(reference.reverse(survivors, request.query, request.k, request.alpha))
+    if sorted(result.object_ids) != sorted(exact) or sorted(result.distances) != sorted(exact):
+        return False
+    for object_id, distance in result.distances.items():
+        d_alpha = exact[object_id]
+        if distance is None:
+            if not d_alpha <= result.upper_bounds[object_id]:
+                return False
+        elif not np.isclose(distance, d_alpha, rtol=1e-9, atol=1e-12):
+            return False
+    return True
 
 
 def phase_transient(objects, queries, seed: int, n_requests: int, failures: list):

@@ -427,7 +427,12 @@ def _command_reverse(args: argparse.Namespace) -> int:
         f"{len(result)} reverse neighbours"
     )
     for object_id in result.object_ids:
-        print(f"  object {object_id:>6}  distance {result.distances[object_id]:.4f}")
+        distance = result.distances[object_id]
+        shown = (
+            f"{distance:.4f}" if distance is not None
+            else f"<= {result.upper_bounds[object_id]:.4f}"
+        )
+        print(f"  object {object_id:>6}  distance {shown}")
     print(
         f"cost: {result.stats.object_accesses} object accesses, "
         f"{result.stats.node_accesses} node accesses, "

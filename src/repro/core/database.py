@@ -15,7 +15,8 @@ request executed through one surface::
 sub-batches (see :mod:`repro.core.requests`); requests sharing a
 ``bucket_key()`` are answered by the corresponding shared engine (one R-tree
 traversal for an AKNN or a range bucket, one filter pass against a cached
-k-th MaxDist table + verification traversal for a reverse bucket).
+k-th MaxDist table + one traversal around the candidates for a reverse
+bucket).
 
 The database owns the object store (point sets on disk or in memory), the
 R-tree over per-object summaries, and one searcher per query type.  A
@@ -84,9 +85,10 @@ class FuzzyDatabase:
         self.profile_store = DistanceProfileStore(self.config.profile_cache_capacity)
         self.range_searcher = AlphaRangeSearcher(store, tree, self.config)
         # This database as a part of its own AKNN partition set of one
-        # (``store`` / ``tree`` / ``executor``, as a shard exposes them) and
-        # the KD-tree and bound table over its leaves that AKNN buckets and
-        # the sweep bound from.
+        # (``store`` / ``tree``, as a shard exposes them) and the KD-tree and
+        # bound table over its leaves that AKNN buckets and the sweep bound
+        # from.  ``executor`` answers AKNN under radii a caller supplies; no
+        # bucket path uses it.
         self.executor = BatchQueryExecutor(store, tree, self.config)
         self._rep_index = RepresentativeIndex()
         # The sweep runs over this database as a partition set of one.
@@ -95,11 +97,7 @@ class FuzzyDatabase:
             profile_store=self.profile_store, index=self._rep_index,
         )
         self._reverse = ReverseAKNNSearcher(
-            store,
-            tree,
-            self.config,
-            executor=self.executor,
-            profile_store=self.profile_store,
+            store, tree, self.config, profile_store=self.profile_store
         )
         # Request-planner telemetry (plan_groups / plan_requests / the shared
         # batch counters), observable per database instance.

@@ -38,8 +38,9 @@ the exact id set, ties at the k-th rank broken by object id, nearest (best
 known distance, then id) first.
 
 :class:`BatchQueryExecutor` is one part's traversal + exact refinement under
-radii the caller supplies: the reverse-kNN verification's stage.  Everything
-runs on the calling thread, so the store and tree need no locking.
+radii the caller supplies; no bucket path calls it any more
+(``FuzzyDatabase.executor`` keeps one).  Everything runs on the calling
+thread, so the store and tree need no locking.
 """
 
 from __future__ import annotations
@@ -619,8 +620,7 @@ def rank_test(
 
 class BatchQueryExecutor:
     """One part's shared traversal of its R-tree under radii the caller
-    supplies, then the exact refinement of every survivor (the reverse-kNN
-    verification's stage)."""
+    supplies, then the exact refinement of every survivor."""
 
     def __init__(
         self,
@@ -670,14 +670,10 @@ class BatchQueryExecutor:
         whose exact distance is at most a query's radius is considered,
         anything beyond it is dropped.  A radius that upper-bounds the
         query's true k-th neighbour distance therefore yields the full exact
-        top-k; a deliberately smaller radius yields a truncated list — the
-        reverse-kNN engine exploits this with ``tau = d_alpha(A, Q)``, whose
-        truncation provably preserves the membership decision (see
-        :func:`repro.core.reverse_nn.membership_from_neighbors`) but would
-        NOT be a valid top-k answer on its own.  ``initial_exact``
+        top-k; a deliberately smaller radius yields a truncated list, which
+        is NOT a valid top-k answer on its own.  ``initial_exact``
         optionally seeds each query's exact-distance memo (one dict per
-        query) so distances the caller already evaluated — e.g. the
-        reverse verification's distances to the query — are not recomputed
+        query) so distances the caller already evaluated are not recomputed
         during refinement.
         """
         if k <= 0:

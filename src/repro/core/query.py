@@ -54,9 +54,9 @@ class PreparedQuery:
 
         self.query_cut = query.alpha_cut(alpha)
         self.query_mbr = MBR.from_points(self.query_cut)
-        # Q'_alpha is only consumed by the Lemma-1 upper bound; the reverse
-        # filter/verify paths never read it, so the sampling (and its rng
-        # draws) is deferred until the first access.
+        # Q'_alpha is only consumed by the Lemma-1 upper bound, which the
+        # reverse filter never reads (nor a reverse query with no candidate),
+        # so the sampling (and its rng draws) is deferred until first access.
         self._rng = rng
         self._query_samples: Optional[np.ndarray] = None
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.fuzzy.alpha_distance import alpha_distance
 from repro.fuzzy.fuzzy_object import FuzzyObject
@@ -143,13 +143,6 @@ def resolve_exact(
         int(i): float(alpha_distance(fetch(i), query, alpha) if d is None else d)
         for i, d in members
     }
-
-
-def merge_topk(per_part: Sequence[Sequence[Neighbor]], k: int) -> List[Neighbor]:
-    """The k nearest across per-partition answers (exact distance, then id)."""
-    merged = [neighbor for neighbors in per_part for neighbor in neighbors]
-    merged.sort(key=lambda n: (n.distance, n.object_id))
-    return merged[:k]
 
 
 @dataclass

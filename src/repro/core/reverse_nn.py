@@ -16,25 +16,30 @@ when ``A``'s k-th smallest MaxDist is at or above it, so that one value per
 row (:func:`~repro.index.soa.kth_max_dists`) is built once per partition-set
 version, ``alpha`` and ``k`` and cached in the
 :class:`~repro.core.executor.RepresentativeIndex`; a query then pays one
-``MinDist`` per row.  Verification then answers every surviving candidate's
-(k+1)-NN through **one** shared
-:meth:`~repro.core.executor.BatchQueryExecutor.aknn_batch` traversal: each candidate's exact distance to ``Q`` doubles as an externally
-bootstrapped pruning radius (any object at or beyond ``d_alpha(A, Q)`` can
-never be strictly closer to ``A`` than ``Q``, so truncating the traversal
-there preserves the membership decision), and every distinct object is
-fetched from the store once for the whole batch.  Results report the method
-``"batch"``.
+``MinDist`` per row.
 
-:func:`reverse_bucket_pass` is that plan for a *bucket* of reverse
-queries sharing ``(k, alpha)``, written once over a *partition set*: the
-bucket reads (or, after a write, rebuilds) the cached k-th MaxDist table, and
-the union of every query's surviving candidates is verified through a single
-shared traversal per partition (per-candidate radii take the maximum over
-the bucket, which keeps each per-query decision exact).
+Verification is the paper's lazy probe (Sections 3.3-3.4, Lemma 1) applied
+to a count.  Every surviving candidate ``A`` has bounds to its query and to
+every other object ``B`` from stored summaries alone (its ``M*`` box and
+its representative kernel point ``rep(A)``), and :func:`count_test` decides
+from them whether fewer than ``k`` objects are strictly closer to ``A``
+than ``Q``.  Only an undecided candidate is read; its distance to ``Q``
+becomes exact, and two passes then read, per undecided pair, first the
+``k - #sure`` most promising undecided neighbours and then the rest.  A
+member the bounds confirm is reported with ``distance=None`` and its upper
+bound in :attr:`ReverseKNNResult.upper_bounds`; README, "What a reverse
+bucket reads", has the numbers.  Results report the method ``"batch"``.
+
+:func:`reverse_bucket_pass` is that plan for a *bucket* of reverse queries
+sharing ``(k, alpha)``, written once over a *partition set*: the bucket
+reads (or, after a write, rebuilds) the cached k-th MaxDist table, one
+traversal per part gathers every candidate's possible neighbours (radii
+maximised over the bucket), and one bucket-wide memo reads each object at
+most once however many queries and candidates need it.
 :meth:`ReverseAKNNSearcher.search_batch` runs it over one tree — a partition
 set of one, fanned out by a plain call — and the sharded database over its
 live shards through its strict fan-out; the gather, the filter, the
-candidate plan, the merge and the cost totals exist only here.
+verification, the merge and the cost totals exist only here.
 """
 
 from __future__ import annotations
@@ -46,119 +51,22 @@ import numpy as np
 
 from repro.config import RuntimeConfig
 from repro.core.executor import (
-    BatchQueryExecutor,
     RepresentativeIndex,
     _exact_min_distances,
+    first_pass,
+    shared_traversal,
+    upper_bounds,
 )
 from repro.core.query import PreparedQuery
-from repro.core.results import Coverage, QueryStats, merge_topk
+from repro.core.results import Coverage, QueryStats
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.index.rtree import RTree
-from repro.index.soa import min_dist_to_boxes
+from repro.index.soa import min_dist_to_boxes, rep_to_samples_distances
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
-
-
-def membership_from_neighbors(
-    neighbors, candidate_id: int, distance_to_query: float, k: int
-) -> bool:
-    """Decide reverse-neighbour membership from a (k+1)-NN answer.
-
-    ``Q`` is among the candidate's k nearest neighbours iff fewer than ``k``
-    dataset objects other than the candidate itself are strictly closer to it
-    than ``Q``.  Any valid top-(k+1) list over a candidate set truncated at
-    ``distance_to_query`` suffices: when fewer than ``k`` objects are closer,
-    all of them (plus the candidate at distance zero) outrank everything at
-    or beyond ``distance_to_query`` and appear in the list; when at least
-    ``k`` are, the list fills with closer objects, of which at most one entry
-    is the candidate itself.
-    """
-    closer = 0
-    for neighbor in neighbors:
-        if neighbor.object_id == candidate_id:
-            continue
-        if neighbor.distance < distance_to_query:
-            closer += 1
-            if closer >= k:
-                return False
-    return True
-
-
-def bucket_candidate_distances(
-    prepared: Sequence[PreparedQuery],
-    masks: np.ndarray,
-    union: np.ndarray,
-    cand_cuts: Sequence[np.ndarray],
-    metrics: Optional[MetricsCollector] = None,
-    cand_ids: Optional[Sequence[int]] = None,
-    profile_store: Optional["DistanceProfileStore"] = None,
-) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
-    """Exact per-query candidate distances plus the bucket's shared radii.
-
-    For each query, the columns (positions within ``union``) of its surviving
-    candidates and their exact ``d_alpha(A, Q)`` values; ``tau`` is the
-    per-candidate maximum over the bucket, the valid truncation radius for
-    the shared verification traversal (see :func:`membership_from_neighbors`).
-
-    When ``profile_store`` (and the aligned ``cand_ids``) are given, each
-    (query, candidate) evaluation is served from the shared
-    :class:`~repro.fuzzy.alpha_distance.DistanceProfileStore` memo when
-    possible — a distance profile materialised by the RKNN sweep searcher for
-    the same query instance answers it for free — and every freshly computed
-    distance is memoised back, so overlapping evaluations between the sweep
-    and reverse engines are paid once per pair.
-    """
-    per_query_cols: List[np.ndarray] = []
-    per_query_dists: List[np.ndarray] = []
-    tau = np.zeros(union.shape[0])
-    memo = profile_store if cand_ids is not None else None
-    for qi, query in enumerate(prepared):
-        cols = np.flatnonzero(masks[qi][union])
-        dists = np.empty(cols.shape[0])
-        # Per-pair lookups only pay off for a query instance the store has
-        # already seen (a sweep or an earlier reverse call); a fresh query
-        # object — the common serving case — can never hit, so it keeps the
-        # one-shot vectorized evaluation path regardless of what other
-        # queries have cached.
-        use_memo = memo is not None and memo.has_query(query.query)
-        if cols.shape[0]:
-            if not use_memo:
-                pending = list(range(cols.shape[0]))
-                pending_cuts = [cand_cuts[j] for j in cols.tolist()]
-            else:
-                pending = []
-                pending_cuts = []
-                for pos, col in enumerate(cols.tolist()):
-                    cached = memo.distance_at(
-                        query.query, cand_ids[col], query.alpha
-                    )
-                    if cached is None:
-                        pending.append(pos)
-                        pending_cuts.append(cand_cuts[col])
-                    else:
-                        dists[pos] = cached
-            if pending:
-                computed = _exact_min_distances(query.query_cut, pending_cuts)
-                if metrics is not None:
-                    metrics.increment(
-                        MetricsCollector.DISTANCE_EVALUATIONS, len(pending)
-                    )
-                dists[np.asarray(pending, dtype=np.intp)] = computed
-                if use_memo:
-                    for pos, value in zip(pending, computed.tolist()):
-                        memo.insert_distance(
-                            query.query,
-                            cand_ids[int(cols[pos])],
-                            query.alpha,
-                            value,
-                        )
-            np.maximum.at(tau, cols, dists)
-        per_query_cols.append(cols)
-        per_query_dists.append(dists)
-    return per_query_cols, per_query_dists, tau
 
 
 def query_filter_thresholds(
@@ -170,7 +78,8 @@ def query_filter_thresholds(
 
     Row ``(q, A)`` is ``MinDist(M_A(alpha)*, M_Q(alpha))`` — the value
     ``A``'s k-th ``MaxDist(M_A*, M_B*)`` is compared against, for every row
-    of the whole (all partitions') box set.
+    of the whole (all partitions') box set.  It is also ``L(A, Q)``, the
+    verification's lower bound.
     """
     return min_dist_to_boxes(
         np.stack([p.query_mbr.lower for p in prepared]),
@@ -180,71 +89,236 @@ def query_filter_thresholds(
     )
 
 
-@dataclass
-class BucketVerificationPlan:
-    """Candidate-side state shared by one bucket's verification traversal.
+def count_test(
+    lower: np.ndarray,
+    upper: np.ndarray,
+    near_lower: np.ndarray,
+    near_upper: np.ndarray,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Which ``(query, candidate)`` pairs the bounds decide.
 
-    Produced by :func:`plan_bucket_verification`; every partition's executor
-    verifies the same plan.
+    ``lower`` / ``upper``: ``(P,)`` bounds ``L(A, Q)`` / ``U(A, Q)`` of each
+    pair; ``near_lower`` / ``near_upper``: ``(P, W)`` bounds ``L(A, B)`` /
+    ``U(A, B)`` of the pair's candidate to each other object ``B`` its
+    traversal found, padded with ``inf``.  ``Q`` is among ``A``'s k nearest
+    exactly when fewer than ``k`` objects are *strictly* closer to ``A``
+    than ``Q`` (``Q`` wins ties, as in :func:`repro.reference.reverse`).
+
+    * ``B`` **may** be closer when ``L(A, B) <= U(A, Q)``: a closer ``B``
+      has ``L(A, B) <= d(A, B) < d(A, Q) <= U(A, Q)``.  ``A`` is **in** when
+      at most ``k - 1`` objects may be closer.  ``<=`` rather than ``<``
+      costs nothing in exact arithmetic and keeps a closer ``B`` counted
+      when its bound and the distance round to the same value.
+    * ``B`` is **surely** closer when ``U(A, B) < L(A, Q)``: then ``d(A, B)
+      <= U(A, B) < L(A, Q) <= d(A, Q)``.  ``A`` is **out** when at least
+      ``k`` are.  This must be strict: at ``U(A, B) == L(A, Q)`` the two
+      distances may tie, and a tie does not push ``Q`` out.
+    * Every other pair is undecided.  A surely-closer ``B`` may also be
+      closer, so the two tests never both hold, and a read only moves a
+      bound towards the distance, so a decided pair stays decided.  Once
+      ``d(A, Q)`` and every open ``B``'s ``d(A, B)`` are exact, an open
+      ``B`` ties ``Q``, and the pair is in exactly when it is not out.
+
+    Returns ``(in, out, sure, open)``: two ``(P,)`` masks, then which
+    neighbours are surely closer and which may be closer but are not sure.
+    """
+    maybe = near_lower <= upper[:, None]
+    sure = near_upper < lower[:, None]
+    return maybe.sum(axis=1) <= k - 1, sure.sum(axis=1) >= k, sure, maybe & ~sure
+
+
+@dataclass
+class VerificationPlan:
+    """One bucket's candidates and their bounds to the queries, read-free.
+
+    Column ``c`` is candidate ``cand_ids[c]`` (global row ``union[c]``,
+    ``M_A(alpha)*`` box ``lo[c]`` / ``hi[c]``, ``rep(A)`` ``reps[c]``).  Pair
+    ``p`` is query ``pair_query[p]`` with candidate ``pair_cand[p]``;
+    ``lower`` / ``upper`` hold ``L(A, Q)`` / ``U(A, Q)`` until ``d(A, Q)``
+    is known (``known``), then ``d(A, Q)`` twice.  ``radius[c]`` is the
+    largest ``U(A, Q)`` over the bucket: no object farther from ``A`` can
+    be counted by any of its pairs.
     """
 
     union: np.ndarray
-    cand_ids: List[int]
-    cand_objs: List[FuzzyObject]
-    per_query_cols: List[np.ndarray]
-    per_query_dists: List[np.ndarray]
-    tau: np.ndarray
-    seeds: List[Dict[int, float]]
-
-    @property
-    def probes(self) -> List[int]:
-        """Exact candidate probes attributable to each query."""
-        return [int(cols.shape[0]) for cols in self.per_query_cols]
+    cand_ids: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    reps: np.ndarray
+    pair_query: np.ndarray
+    pair_cand: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    known: np.ndarray
+    radius: np.ndarray
 
 
 def plan_bucket_verification(
     prepared: Sequence[PreparedQuery],
     masks: np.ndarray,
     ids: np.ndarray,
-    fetch_object,
-    alpha: float,
-    metrics: Optional[MetricsCollector] = None,
-    profile_store: Optional["DistanceProfileStore"] = None,
-) -> Optional[BucketVerificationPlan]:
-    """Candidate prep for a reverse bucket's shared verification traversal.
+    boxes: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    thresholds: np.ndarray,
+    metrics: MetricsCollector,
+    profile_store: Optional[DistanceProfileStore] = None,
+) -> Optional[VerificationPlan]:
+    """Every surviving ``(query, candidate)`` pair's bounds, without a read.
 
-    Materialises the union of every query's surviving candidates (``masks``
-    over the global row array ``ids``; ``fetch_object(row)`` resolves one row
-    to its object, wherever it is stored), evaluates the per-query exact
-    distances, and derives the bucket-wide truncation radii ``tau`` plus the
-    per-candidate self-distance seeds handed to the batch executor.  Returns
-    ``None`` when no candidate survives anywhere in the bucket.
+    ``masks`` are the filter's survivors over the global rows ``ids``, whose
+    ``(lower, upper, rep)`` arrays are ``boxes``; ``thresholds`` are the
+    filter's ``L(A, Q)``.  ``U(A, Q)`` is ``MaxDist(M_A*, M_Q)`` tightened by
+    Lemma 1 of ``rep(A)`` against ``Q'_alpha``.  A distance the shared
+    :class:`~repro.fuzzy.alpha_distance.DistanceProfileStore` already holds
+    for this query instance (a sweep's, or an earlier reverse bucket's) is
+    taken as exact.  Returns ``None`` when no candidate survives anywhere in
+    the bucket.
     """
     union = np.flatnonzero(masks.any(axis=0))
     if union.shape[0] == 0:
         return None
-    cand_ids = [int(ids[j]) for j in union]
-    cand_objs = [fetch_object(int(j)) for j in union]
-    cand_cuts = [obj.alpha_cut(alpha) for obj in cand_objs]
-    per_query_cols, per_query_dists, tau = bucket_candidate_distances(
-        prepared,
-        masks,
-        union,
-        cand_cuts,
-        metrics,
-        cand_ids=cand_ids,
-        profile_store=profile_store,
+    box_lo, box_hi, reps = (axis[union] for axis in boxes)
+    pair_query, pair_cand = np.nonzero(masks[:, union])
+    q_lo = np.stack([p.query_mbr.lower for p in prepared])
+    q_hi = np.stack([p.query_mbr.upper for p in prepared])
+    lower = thresholds[pair_query, union[pair_cand]]
+    needed, owner = np.unique(pair_query, return_inverse=True)
+    upper = upper_bounds(
+        q_lo[needed], q_hi[needed], box_lo[pair_cand, None], box_hi[pair_cand, None],
+        reps[pair_cand, None], [prepared[qi].query_samples for qi in needed], owner,
+    )[:, 0]
+    metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, pair_query.shape[0])
+    cand_ids = ids[union]
+    known = np.zeros(pair_query.shape[0], dtype=bool)
+    if profile_store is not None:
+        for p, (qi, c) in enumerate(zip(pair_query.tolist(), pair_cand.tolist())):
+            query = prepared[qi]
+            if profile_store.has_query(query.query):
+                cached = profile_store.distance_at(
+                    query.query, int(cand_ids[c]), query.alpha
+                )
+                if cached is not None:
+                    lower[p] = upper[p] = cached
+                    known[p] = True
+    radius = np.zeros(union.shape[0])
+    np.maximum.at(radius, pair_cand, upper)
+    return VerificationPlan(
+        union, cand_ids, box_lo, box_hi, reps, pair_query, pair_cand,
+        lower, upper, known, radius,
     )
-    seeds = [{object_id: 0.0} for object_id in cand_ids]
-    return BucketVerificationPlan(
-        union=union,
-        cand_ids=cand_ids,
-        cand_objs=cand_objs,
-        per_query_cols=per_query_cols,
-        per_query_dists=per_query_dists,
-        tau=tau,
-        seeds=seeds,
+
+
+def verify_candidates(
+    plan: VerificationPlan,
+    per_part: Sequence[List[np.ndarray]],
+    prepared: Sequence[PreparedQuery],
+    k: int,
+    config: RuntimeConfig,
+    fetch: Callable[[int, int], FuzzyObject],
+    cand_part: np.ndarray,
+    metrics: MetricsCollector,
+    profile_store: Optional[DistanceProfileStore] = None,
+    deadline=None,
+) -> Tuple[np.ndarray, List[int]]:
+    """Decide every pair of ``plan``, reading only what a count leaves open.
+
+    ``per_part[j]`` is part ``j``'s ``shared_traversal(..., boxes=True)``
+    around the candidates' boxes; ``fetch(object_id, j)`` reads an object of
+    part ``j`` (once per bucket) and ``cand_part[c]`` is candidate ``c``'s
+    part.  After :func:`count_test` on the stored bounds, every undecided
+    pair's candidate is read: its ``d(A, Q)`` is evaluated and each
+    ``U(A, B)`` tightened by Lemma 1 of ``rep(B)`` against ``A``'s sample.
+    Pass 1 then evaluates, per undecided pair, the ``k - #sure`` open
+    neighbours with the smallest ``(L(A, B), id)``; the test runs again and
+    pass 2 evaluates every open neighbour left.  ``d(A, B)`` does not depend
+    on the query, so each pair of objects is evaluated once.  The deadline
+    is checked before each pass.  Returns, per pair, whether it is out, and
+    per query the ``d(A, Q)`` evaluations made for it.
+    """
+    alpha = prepared[0].alpha
+    part = np.repeat(np.arange(len(per_part)), [hits[0].shape[0] for hits in per_part])
+    owner, ids, lo, hi, reps = (np.concatenate(column) for column in zip(*per_part))
+    # A candidate is not its own neighbour; group the rest by candidate.
+    keep = np.flatnonzero(ids != plan.cand_ids[owner])
+    keep = keep[np.argsort(owner[keep], kind="stable")]
+    owner, ids, lo, hi, reps, part = (a[keep] for a in (owner, ids, lo, hi, reps, part))
+    near_lower = min_dist_to_boxes(plan.lo[owner], plan.hi[owner], lo[:, None], hi[:, None])
+    near_upper = upper_bounds(
+        plan.lo, plan.hi, lo[:, None], hi[:, None], reps[:, None],
+        list(plan.reps[:, None]), owner,
     )
+    metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, owner.shape[0])
+    # One inf / unread sentinel past the end pads every candidate's row.
+    hits = owner.shape[0]
+    near_lower = np.append(near_lower[:, 0], np.inf)
+    near_upper = np.append(near_upper[:, 0], np.inf)
+    near_ids = np.append(ids, -1)
+    evaluated = np.zeros(hits + 1, dtype=bool)
+    counts = np.bincount(owner, minlength=plan.union.shape[0])
+    starts = np.cumsum(counts) - counts
+    width = np.arange(counts.max(initial=0))
+    rows = np.where(width < counts[:, None], starts[:, None] + width, hits)[plan.pair_cand]
+
+    def test():
+        return count_test(plan.lower, plan.upper, near_lower[rows], near_upper[rows], k)
+
+    def candidate(c: int) -> FuzzyObject:
+        return fetch(int(plan.cand_ids[c]), int(cand_part[c]))
+
+    probes = [0] * len(prepared)
+    member, out = test()[:2]
+    todo = ~member & ~out & ~plan.known
+    for c in np.unique(plan.pair_cand[todo]).tolist():
+        own = slice(starts[c], starts[c] + counts[c])
+        sample = candidate(c).sample_alpha_cut(alpha, config.upper_bound_samples)
+        np.minimum(near_upper[own], rep_to_samples_distances(reps[own], sample), out=near_upper[own])
+        metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, int(counts[c]))
+    for qi in np.unique(plan.pair_query[todo]).tolist():
+        pairs = np.flatnonzero(todo & (plan.pair_query == qi))
+        cands = plan.pair_cand[pairs].tolist()
+        query = prepared[qi]
+        found = _exact_min_distances(
+            query.query_cut, [candidate(c).alpha_cut(alpha) for c in cands]
+        )
+        plan.lower[pairs] = plan.upper[pairs] = found
+        plan.known[pairs] = True
+        probes[qi] += len(cands)
+        if profile_store is not None and profile_store.has_query(query.query):
+            for c, value in zip(cands, found.tolist()):
+                profile_store.insert_distance(query.query, int(plan.cand_ids[c]), alpha, value)
+    metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS, sum(probes))
+
+    pair_distances: Dict[Tuple[int, int], float] = {}
+
+    def evaluate(wanted: np.ndarray) -> None:
+        """Make ``d(A, B)`` exact at every hit position in ``wanted``."""
+        wanted = np.unique(wanted)
+        for c in np.unique(owner[wanted]).tolist():
+            mine = wanted[owner[wanted] == c].tolist()
+            a = int(plan.cand_ids[c])
+            keys = [(min(a, b), max(a, b)) for b in ids[mine].tolist()]
+            missing = [(h, key) for h, key in zip(mine, keys) if key not in pair_distances]
+            if missing:
+                found = _exact_min_distances(
+                    candidate(c).alpha_cut(alpha),
+                    [fetch(int(ids[h]), int(part[h])).alpha_cut(alpha) for h, _ in missing],
+                )
+                metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS, len(missing))
+                pair_distances.update(zip((key for _, key in missing), found.tolist()))
+            near_lower[mine] = near_upper[mine] = [pair_distances[key] for key in keys]
+            evaluated[mine] = True
+
+    for pass_number in (1, 2):
+        member, out, sure, open_ = test()
+        owed = open_ & ~evaluated[rows] & (~member & ~out)[:, None]
+        if not owed.any():
+            return out, probes
+        if deadline is not None:
+            deadline.check(f"reverse pass {pass_number}")
+        if pass_number == 1:
+            owed = first_pass(near_lower[rows], near_ids[rows], sure, owed, k)
+        evaluate(rows[owed])
+    return test()[1], probes
 
 
 def build_bucket_results(
@@ -254,7 +328,8 @@ def build_bucket_results(
     elapsed: float,
     masks: np.ndarray,
     memberships: Sequence[List[int]],
-    distance_maps: Sequence[Dict[int, float]],
+    distance_maps: Sequence[Dict[int, Optional[float]]],
+    bound_maps: Sequence[Dict[int, float]],
     probes: Sequence[int],
     totals: Dict[str, int],
     extra_common: Dict[str, float],
@@ -287,49 +362,61 @@ def build_bucket_results(
                 alpha=alpha,
                 method=method,
                 stats=stats,
+                upper_bounds=bound_maps[qi],
             )
         )
     return results
 
 
 def collect_memberships(
-    k: int,
-    cand_ids: Sequence[int],
-    neighbor_lists: Sequence[Sequence],
-    per_query_cols: Sequence[np.ndarray],
-    per_query_dists: Sequence[np.ndarray],
-) -> Tuple[List[List[int]], List[Dict[int, float]]]:
-    """Per-query reverse-neighbour sets from the verified (k+1)-NN lists."""
-    memberships: List[List[int]] = []
-    distances: List[Dict[int, float]] = []
-    for cols, dists in zip(per_query_cols, per_query_dists):
-        object_ids: List[int] = []
-        by_id: Dict[int, float] = {}
-        for col, distance_to_query in zip(cols.tolist(), dists.tolist()):
-            if membership_from_neighbors(
-                neighbor_lists[col], cand_ids[col], distance_to_query, k
-            ):
-                object_ids.append(cand_ids[col])
-                by_id[cand_ids[col]] = distance_to_query
-        memberships.append(object_ids)
-        distances.append(by_id)
-    return memberships, distances
+    plan: VerificationPlan, out: np.ndarray, n_queries: int
+) -> Tuple[List[List[int]], List[Dict[int, Optional[float]]], List[Dict[int, float]]]:
+    """Per-query members (every pair not out), their distances (``None``
+    where ``d(A, Q)`` was never evaluated) and those members' ``U(A, Q)``."""
+    memberships: List[List[int]] = [[] for _ in range(n_queries)]
+    distances: List[Dict[int, Optional[float]]] = [{} for _ in range(n_queries)]
+    bounds: List[Dict[int, float]] = [{} for _ in range(n_queries)]
+    members = np.flatnonzero(~out)
+    for qi, c, known, upper in zip(
+        plan.pair_query[members].tolist(), plan.pair_cand[members].tolist(),
+        plan.known[members].tolist(), plan.upper[members].tolist(),
+    ):
+        object_id = int(plan.cand_ids[c])
+        memberships[qi].append(object_id)
+        distances[qi][object_id] = upper if known else None
+        if not known:
+            bounds[qi][object_id] = upper
+    return memberships, distances, bounds
 
 
 @dataclass
 class ReverseKNNResult:
-    """Answer of a reverse AKNN query."""
+    """Answer of a reverse AKNN query.
+
+    ``distances`` maps every member to ``d_alpha(A, Q)``, or to ``None`` when
+    its bounds confirmed it without a read; ``upper_bounds`` then holds its
+    ``U(A, Q) >= d_alpha(A, Q)``.
+    """
 
     object_ids: List[int]
-    distances: Dict[int, float]
+    distances: Dict[int, Optional[float]]
     k: int
     alpha: float
     method: str
     stats: QueryStats = field(default_factory=QueryStats)
     coverage: Optional["Coverage"] = None
+    upper_bounds: Dict[int, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.object_ids)
+
+
+def _gather(part, alpha: float) -> Tuple[np.ndarray, ...]:
+    """A part's rows: ids, ``M_A(alpha)*`` boxes and ``rep(A)``, leaf by leaf
+    (an empty tree's ``(0, 0)`` boxes stand in for its representatives)."""
+    ids, lower, upper = part.tree.leaf_alpha_bounds(alpha)
+    reps = [soa.reps for soa in part.tree.leaf_views()]
+    return ids, lower, upper, np.concatenate(reps) if reps else lower
 
 
 def reverse_bucket_pass(
@@ -346,13 +433,13 @@ def reverse_bucket_pass(
 ) -> List[ReverseKNNResult]:
     """One reverse bucket (shared ``k`` / ``alpha``) over a partition set.
 
-    ``parts`` each expose ``store`` / ``tree`` / ``executor`` and
-    ``fan_out(op, fn)`` applies ``fn`` to every part, returning the values in
-    ``parts`` order — a plain call for a single tree, the sharded database's
-    strict fan-out (fault injection, retries, survivor reruns) for shards:
+    ``parts`` each expose ``store`` / ``tree`` and ``fan_out(op, fn)``
+    applies ``fn`` to every part, returning the values in ``parts`` order —
+    a plain call for a single tree, the sharded database's strict fan-out
+    (fault injection, retries, survivor reruns) for shards:
 
     1. ``reverse_gather`` — every part exports its ``(n_p, d)`` Equation-2
-       box arrays from the leaf SoA views;
+       box arrays and representatives from the leaf SoA views;
     2. ``reverse_filter`` — each part decides the all-pairs
        disqualification test for *its* rows against the **whole** box set, so
        candidate sets are exactly as tight as one tree's: a row survives when
@@ -360,17 +447,19 @@ def reverse_bucket_pass(
        those k-th values per member set (the key covers every part's tree, so
        a write or a survivor rerun rebuilds) and builds a part's slice on a
        miss;
-    3. the union of every query's surviving candidates is fetched through
-       the part that gathered the row and planned once
+    3. every surviving pair's bounds to its query are planned without a read
        (:func:`plan_bucket_verification`);
-    4. ``reverse_verify`` — every part answers the candidates' (k+1)-NN
-       through its batch executor under the shared radii ``d_alpha(A, Q)``
-       (maximised over the bucket), and the per-part lists merge before the
-       membership count.
+    4. ``reverse_verify`` — every part runs one :func:`shared_traversal`
+       around the candidates' boxes at their radii ``max_q U(A, Q)``, which
+       finds every object a count can need; then
+       :func:`verify_candidates` reads, between fan-outs and through the
+       part that holds each object, only what :func:`count_test` leaves
+       undecided.
 
     The bucket totals are assembled here, once: the filter's ``Q·n`` bound
     evaluations, ``n`` more per row whose k-th table this bucket built
-    (``Q·n + n²`` on a cold table), plus every part's verification traversal.
+    (``Q·n + n²`` on a cold table), plus every part's verification traversal
+    and the verification's bounds and distances.
     """
     if k <= 0:
         raise InvalidQueryError(f"k must be positive, got {k}")
@@ -385,12 +474,10 @@ def reverse_bucket_pass(
     if deadline is not None:
         deadline.check("reverse filter")
     prepared = [PreparedQuery(query, alpha, config, rng) for query in queries]
-    gathered = fan_out(
-        "reverse_gather", lambda part: part.tree.leaf_alpha_bounds(alpha)
-    )
+    gathered = fan_out("reverse_gather", lambda part: _gather(part, alpha))
     # Row range of each part within the concatenated arrays (an empty tree
     # exports (0, 0)-shaped boxes, which cannot be concatenated).
-    sizes = [part_ids.shape[0] for part_ids, _, _ in gathered]
+    sizes = [g[0].shape[0] for g in gathered]
     stops = np.cumsum(sizes).tolist()
     spans = {
         id(part): (stop - size, stop)
@@ -399,10 +486,11 @@ def reverse_bucket_pass(
     part_of_row = np.repeat(np.arange(len(parts)), sizes)
     n = stops[-1]
     filled = [g for g in gathered if g[0].shape[0]] or gathered[:1]
-    ids, box_lo, box_hi = (
-        np.concatenate([g[axis] for g in filled]) for axis in range(3)
+    ids, box_lo, box_hi, reps = (
+        np.concatenate([g[axis] for g in filled]) for axis in range(4)
     )
 
+    plan = None
     if n == 0:
         masks = np.ones((len(queries), n), dtype=bool)
     else:
@@ -423,41 +511,45 @@ def reverse_bucket_pass(
             MetricsCollector.LOWER_BOUND_EVALUATIONS,
             len(queries) * n + built_rows * n,
         )
+        plan = plan_bucket_verification(
+            prepared, masks, ids, (box_lo, box_hi, reps), thresholds, metrics,
+            profile_store=profile_store,
+        )
 
-    if deadline is not None:
-        deadline.check("reverse verification")
-    plan = plan_bucket_verification(
-        prepared,
-        masks,
-        ids,
-        lambda row: parts[part_of_row[row]].store.get(int(ids[row])),
-        alpha,
-        metrics,
-        profile_store=profile_store,
-    )
     memberships: List[List[int]] = [[] for _ in queries]
-    distance_maps: List[Dict[int, float]] = [{} for _ in queries]
+    distance_maps: List[Dict[int, Optional[float]]] = [{} for _ in queries]
+    bound_maps: List[Dict[int, float]] = [{} for _ in queries]
     probes = [0] * len(queries)
-    verification = QueryStats()
+    traversal = MetricsCollector()
     if plan is not None:
-        batches = fan_out(
-            "reverse_verify",
-            lambda part: part.executor.aknn_batch(
-                plan.cand_objs, k + 1, alpha, rng=rng,
-                initial_tau=plan.tau, initial_exact=plan.seeds,
-                deadline=deadline,
-            ),
+        if deadline is not None:
+            deadline.check("reverse verification")
+
+        def around_candidates(part) -> Tuple[List[np.ndarray], MetricsCollector]:
+            counted = MetricsCollector()
+            hits = shared_traversal(
+                part.tree, alpha, True, plan.lo, plan.hi, plan.radius, counted,
+                deadline, boxes=True,
+            )
+            return hits, counted
+
+        verified = fan_out("reverse_verify", around_candidates)
+        for _, counted in verified:
+            traversal.merge(counted)
+        objects: Dict[int, FuzzyObject] = {}
+
+        def fetch(object_id: int, part: int) -> FuzzyObject:
+            if object_id not in objects:
+                objects[object_id] = parts[part].store.get(object_id)
+            return objects[object_id]
+
+        out, probes = verify_candidates(
+            plan, [hits for hits, _ in verified], prepared, k, config, fetch,
+            part_of_row[plan.union], metrics, profile_store, deadline,
         )
-        for batch in batches:
-            verification.merge(batch.stats)
-        merged = [
-            merge_topk([batch.results[j].neighbors for batch in batches], k + 1)
-            for j in range(len(plan.cand_ids))
-        ]
-        memberships, distance_maps = collect_memberships(
-            k, plan.cand_ids, merged, plan.per_query_cols, plan.per_query_dists
+        memberships, distance_maps, bound_maps = collect_memberships(
+            plan, out, len(queries)
         )
-        probes = plan.probes
 
     return build_bucket_results(
         k,
@@ -467,26 +559,28 @@ def reverse_bucket_pass(
         masks,
         memberships,
         distance_maps,
+        bound_maps,
         probes,
         totals={
             "object_accesses": sum(
                 part.store.statistics.object_accesses for part in parts
             )
             - accesses_before,
-            "node_accesses": verification.node_accesses,
+            "node_accesses": traversal.get(MetricsCollector.NODE_ACCESSES),
             "distance_evaluations": metrics.get(
                 MetricsCollector.DISTANCE_EVALUATIONS
-            )
-            + verification.distance_evaluations,
+            ),
             "lower_bound_evaluations": metrics.get(
                 MetricsCollector.LOWER_BOUND_EVALUATIONS
             )
-            + verification.lower_bound_evaluations,
-            "upper_bound_evaluations": verification.upper_bound_evaluations,
+            + traversal.get(MetricsCollector.LOWER_BOUND_EVALUATIONS),
+            "upper_bound_evaluations": metrics.get(
+                MetricsCollector.UPPER_BOUND_EVALUATIONS
+            ),
         },
         extra_common={
             "batch_reverse_queries": float(len(queries)),
-            "reverse_candidates": float(len(plan.cand_ids) if plan else 0),
+            "reverse_candidates": float(plan.union.shape[0] if plan else 0),
             "shard_fanouts": float(len(parts)),
         },
     )
@@ -500,15 +594,12 @@ class ReverseAKNNSearcher:
         store: ObjectStore,
         tree: RTree,
         config: Optional[RuntimeConfig] = None,
-        executor: Optional[BatchQueryExecutor] = None,
         profile_store: Optional[DistanceProfileStore] = None,
     ):
         self.store = store
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
-        # Verification runs through a shared executor (the database hands in
-        # its own); the k-th MaxDist table belongs to this partition set of one.
-        self.executor = executor or BatchQueryExecutor(store, tree, self.config)
+        # The k-th MaxDist table belongs to this partition set of one.
         self._rep_index = RepresentativeIndex()
         # d_alpha(A, Q) memo shared with the RKNN sweep searcher (the
         # database hands both the same store): a profile the sweep computed

@@ -24,7 +24,7 @@ this module is how a query meets the shards, not the queries themselves:
   recovery, placement, the owner map, live updates, update listeners.
 
 The families are **not** here.  Each is written once in its own module, over
-a *partition set* — parts exposing ``store`` / ``tree`` / ``executor``, which
+a *partition set* — parts exposing ``store`` / ``tree``, which
 a :class:`_Shard` does — and a single tree is a set of one.  A bucket hook
 picks ``_isolated`` (a per-part search and its merge:
 :func:`~repro.core.range_search.range_bucket` for a whole range bucket) or
@@ -104,8 +104,8 @@ T = TypeVar("T")
 class _Shard:
     """One partition: a FuzzyDatabase, its readers/writer lock, its breaker.
 
-    ``store`` / ``tree`` / ``executor`` are what the families'
-    partition-set functions see of it.
+    ``store`` / ``tree`` are what the families' partition-set functions see
+    of it.
     """
 
     __slots__ = ("index", "db", "lock", "breaker", "store")
@@ -121,17 +121,13 @@ class _Shard:
     def tree(self):
         return self.db.tree
 
-    @property
-    def executor(self):
-        return self.db.executor
-
 
 class _ShardStore:
     """A shard's object store as the families read it.
 
     Nothing blames a shard for a read made between fan-outs (an AKNN
-    bucket's probe passes, a reverse candidate, a singleton AKNN's or a
-    sweep's probe), so
+    bucket's probe passes, a reverse bucket's candidates and neighbours, a
+    singleton AKNN's or a sweep's probe), so
     a failing ``get`` is converted here into the :class:`_FanoutFailure` that
     makes :meth:`ShardedDatabase._coupled` rerun the pass on the survivors.
     A read inside the shard's own call (a range bucket's probes) fails that

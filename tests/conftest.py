@@ -133,6 +133,22 @@ def assert_range_answer(result, objects, query, alpha: float, radius: float) -> 
             assert distance == exact[object_id], (object_id, distance)
 
 
+def assert_reverse_answer(result, objects, query, k: int, alpha: float) -> None:
+    """A reverse answer against :mod:`repro.reference` over ``objects``: the
+    id set exact, every probed distance ``==`` the reference's, and every
+    bound-confirmed member (``distance=None``) with ``d_alpha <= U``."""
+    want = dict(reference.reverse(objects, query, k, alpha))
+    assert result.object_ids == sorted(want)
+    assert sorted(result.distances) == result.object_ids
+    for object_id, distance in result.distances.items():
+        if distance is None:
+            bound = result.upper_bounds[object_id]
+            assert want[object_id] <= bound, (object_id, want[object_id], bound)
+        else:
+            assert object_id not in result.upper_bounds
+            assert distance == want[object_id], (object_id, distance)
+
+
 def assert_same_assignments(actual, expected, tol: float = 1e-7) -> None:
     """Assert two RKNN assignment maps describe the same qualifying ranges.
 

@@ -100,6 +100,18 @@ class TestCommands:
         assert "REVERSE AKNN(k=2, alpha=0.5)" in output
         assert "candidates" in output
 
+    def test_reverse_prints_a_confirmed_members_bound(self, capsys):
+        """This answer's one member is confirmed from its bounds, unread: the
+        line shows its upper bound, as ``aknn`` shows an unprobed neighbour."""
+        exit_code = main(
+            ["reverse", "--n-objects", "25", "--points-per-object", "12", "--k", "2",
+             "--space-size", "5"]
+        )
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "1 reverse neighbours" in output
+        assert "distance <= " in output
+
 
 class TestReverseParser:
     def test_reverse_defaults(self):

@@ -58,7 +58,7 @@ from repro.service import (
     ShardedDatabase,
 )
 from repro.service import query_service as query_service_module
-from tests.conftest import assert_same_assignments
+from tests.conftest import assert_reverse_answer, assert_same_assignments, stored_objects
 
 DEAD = 1  # the shard every permanent-failure scenario kills
 
@@ -380,8 +380,9 @@ class TestPartialParity:
         want = reference.execute(request, rng=np.random.default_rng(3))
         assert_partial_coverage(got)
         assert set(got.object_ids) == set(want.object_ids)
-        for object_id, distance in got.distances.items():
-            assert distance == pytest.approx(want.distances[object_id])
+        survivors = stored_objects(reference)
+        for answer in (got, want):
+            assert_reverse_answer(answer, survivors, request.query, 3, 0.5)
 
     def test_a_store_that_cannot_be_read_degrades_every_coupled_family(
         self, objects, queries

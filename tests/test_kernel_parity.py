@@ -440,6 +440,11 @@ class _BoxTree:
             return np.empty(0, dtype=np.int64), np.empty((0, 0)), np.empty((0, 0))
         return np.arange(len(self)), self.lower, self.upper
 
+    def leaf_views(self):
+        """One leaf holding every box, each box's centre as its ``rep(A)``."""
+        if len(self):
+            yield SimpleNamespace(reps=(self.lower + self.upper) / 2.0)
+
 
 def _box_part(lower, upper):
     return SimpleNamespace(

@@ -37,6 +37,7 @@ from repro.core.executor import (
     aknn_bucket_pass,
     shared_traversal,
 )
+from repro.core import reverse_nn as reverse_module
 from repro.core.query import PreparedQuery
 from repro.core.requests import AknnRequest, ReverseRequest
 from repro.datasets.builder import build_dataset
@@ -488,14 +489,25 @@ class TestBatchCandidates:
                 assert reads == distinct and all(probed)
             else:
                 assert reads < distinct and all(probed) == (method == "lb")
-        # The reverse verification's executors still count their own
-        # survivors, not whatever the seeded memo held.
-        survivors.clear()
+        # A reverse bucket runs no executor either: one traversal per shard
+        # around its candidates, then it reads only what a count leaves
+        # open, fewer objects than the traversals found.
+        found = []
+        around = reverse_module.shared_traversal
+
+        def logged_around(*args, **kwargs):
+            hits = around(*args, **kwargs)
+            found.append(set(hits[1].tolist()))
+            return hits
+
+        monkeypatch.setattr(reverse_module, "shared_traversal", logged_around)
+        before = store_accesses(sharded)
         sharded.execute_batch(
             [ReverseRequest(q, k=3, alpha=ALPHA) for q in query_pool[:4]]
         )
-        assert len(counted) == len(survivors) == 2
-        assert counted == [float(pairs) for pairs, _ in survivors]
+        reads = store_accesses(sharded) - before
+        assert counted == [] and len(found) == 2
+        assert 0 < reads < len(set().union(*found))
         sharded.close()
 
 

@@ -17,7 +17,7 @@ from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.metrics.counters import MetricsCollector
 from repro.service import FaultPlan, ShardedDatabase
-from tests.conftest import make_fuzzy_object
+from tests.conftest import assert_reverse_answer, make_fuzzy_object
 
 
 def reverse_ids(objects, query, k, alpha):
@@ -53,11 +53,9 @@ class TestCorrectness:
 
     def test_distances_reported_for_results(self, reverse_setup):
         database, objects, query = reverse_setup
-        result = database.execute(ReverseRequest(query, k=2, alpha=0.5))
-        expected = dict(reference.reverse(objects, query, 2, 0.5))
-        assert result.object_ids == sorted(expected)
-        for object_id in result.object_ids:
-            assert result.distances[object_id] == pytest.approx(expected[object_id])
+        for k in (1, 2, 4):
+            result = database.execute(ReverseRequest(query, k=k, alpha=0.5))
+            assert_reverse_answer(result, objects, query, k, 0.5)
 
     def test_far_away_query_has_no_reverse_neighbors(self, reverse_setup):
         database, objects, query = reverse_setup
@@ -166,13 +164,10 @@ class TestBatchEngine:
         )
         assert len(results) == len(bucket)
         for query, result in zip(bucket, results):
-            assert result.object_ids == reverse_ids(objects, query, 2, 0.5)
+            assert_reverse_answer(result, objects, query, 2, 0.5)
             single = database.execute(ReverseRequest(query, k=2, alpha=0.5))
+            assert_reverse_answer(single, objects, query, 2, 0.5)
             assert single.object_ids == result.object_ids
-            for object_id in result.object_ids:
-                assert result.distances[object_id] == pytest.approx(
-                    single.distances[object_id]
-                )
 
     def test_empty_bucket(self, reverse_setup):
         database, _, _ = reverse_setup
@@ -186,13 +181,13 @@ class TestBatchEngine:
         assert batch.stats.extra["candidates"] <= len(objects)
 
     def test_batch_reports_exact_distances(self, reverse_setup):
+        """A member read for its count carries its exact distance; one its
+        bounds confirmed carries ``None`` and an upper bound instead."""
         database, objects, query = reverse_setup
         result = database.execute(ReverseRequest(query, k=2, alpha=0.5))
-        expected = dict(reference.reverse(objects, query, 2, 0.5))
-        for object_id in result.object_ids:
-            assert result.distances[object_id] == pytest.approx(
-                expected[object_id], abs=1e-9
-            )
+        assert_reverse_answer(result, objects, query, 2, 0.5)
+        probed = [d for d in result.distances.values() if d is not None]
+        assert len(probed) + len(result.upper_bounds) == len(result)
 
 
 class TestCostAndValidation:
@@ -246,13 +241,7 @@ class TestTableVersion:
         if objects is None:
             objects = [db.get_object(object_id) for object_id in db.object_ids()]
         for query, result in zip(queries, results):
-            want = reference.reverse(objects, query, self.K, self.ALPHA)
-            assert result.object_ids == [object_id for object_id, _ in want]
-            np.testing.assert_allclose(
-                [result.distances[object_id] for object_id in result.object_ids],
-                [distance for _, distance in want],
-                rtol=1e-9, atol=1e-12,
-            )
+            assert_reverse_answer(result, objects, query, self.K, self.ALPHA)
         return results
 
     @staticmethod

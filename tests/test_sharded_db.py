@@ -15,9 +15,9 @@ import pytest
 
 from repro import reference as oracle
 from repro.config import RuntimeConfig
+from repro.core import reverse_nn as reverse_module
 from repro.core.aknn import AKNN_METHODS
 from repro.core.database import FuzzyDatabase
-from repro.core.executor import BatchQueryExecutor
 from repro.core.requests import (
     AknnRequest,
     RangeRequest,
@@ -32,10 +32,13 @@ from repro.exceptions import (
     InvalidQueryError,
     ObjectNotFoundError,
 )
+from repro.metrics.counters import MetricsCollector
 from repro.service import QueryService, ShardedDatabase
 from repro.service.placement import HashPlacement, SpacePlacement, make_placement
 
-from tests.conftest import assert_same_assignments, make_fuzzy_object, stored_objects
+from tests.conftest import (
+    assert_reverse_answer, assert_same_assignments, make_fuzzy_object, stored_objects,
+)
 
 SHARD_COUNTS = (2, 3, 5)
 PLACEMENTS = ("hash", "space")
@@ -161,13 +164,8 @@ class TestQueryParity:
         try:
             for query in queries[:2]:
                 for k in (1, 4):
-                    want = dict(oracle.reverse(objects, query, k, 0.5))
                     got = sharded.execute(ReverseRequest(query, k=k, alpha=0.5))
-                    assert got.object_ids == sorted(want)
-                    for object_id in got.object_ids:
-                        assert got.distances[object_id] == pytest.approx(
-                            want[object_id]
-                        )
+                    assert_reverse_answer(got, objects, query, k, 0.5)
         finally:
             sharded.close()
 
@@ -463,14 +461,15 @@ class TestOneSetOfNumbers:
         single, one_shard, two_shards = engines
         requests = [ReverseRequest(q, k=self.K, alpha=self.ALPHA) for q in queries[:2]]
         verification = []
-        aknn_batch = BatchQueryExecutor.aknn_batch
+        around = reverse_module.shared_traversal
 
-        def logged(self, *args, **kwargs):
-            batch = aknn_batch(self, *args, **kwargs)
-            verification.append(batch.stats.lower_bound_evaluations)
-            return batch
+        def logged(*args, **kwargs):
+            hits = around(*args, **kwargs)
+            counted = args[6]  # the traversal's own collector
+            verification.append(counted.get(MetricsCollector.LOWER_BOUND_EVALUATIONS))
+            return hits
 
-        monkeypatch.setattr(BatchQueryExecutor, "aknn_batch", logged)
+        monkeypatch.setattr(reverse_module, "shared_traversal", logged)
         want = [self.counted(r) for r in single.execute_batch(requests)]
         (traversal,) = verification
         assert [self.counted(r) for r in one_shard.execute_batch(requests)] == want
@@ -486,7 +485,8 @@ class TestOneSetOfNumbers:
             assert got["shard_fanouts"] == 2.0
             for name in (
                 "distance_evaluations", "bucket_distance_evaluations",
-                "bucket_object_accesses", "candidates", "reverse_candidates",
+                "bucket_object_accesses", "bucket_upper_bound_evaluations",
+                "candidates", "reverse_candidates",
             ):
                 assert got[name] == stats[name], name
         # No write since: the k-th MaxDist table is read, not rebuilt, so

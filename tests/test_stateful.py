@@ -6,14 +6,15 @@ hash-placed ``ShardedDatabase`` and a three-shard space-placed one: inserts
 with an automatic id, with an explicit id at or above the id watermark and
 (rejected) below it, deletes of live and of missing ids, AKNN buckets of one
 and of three for every method and of two to six for a drawn one, with ``k``
-up to ``n + 2``, range buckets of two radii and reverse buckets.  Objects sit on a coarse grid and may be
-exact twins, so distance ties (at the k-th rank too) are common.
+up to ``n + 2``, range buckets of two radii and reverse buckets of two to
+six.  Objects sit on a coarse grid and may be exact twins, so distance ties (at the k-th rank too) are common.
 
 After every step: AKNN ids equal the reference up to ties at the k-th
 distance, a probed distance equals ``d_alpha`` and an unprobed neighbour's
-bounds bracket it; range ids and distances and reverse ids equal the
-reference; ``validate()`` passes, the engine holds exactly the model's ids,
-and no id was ever handed out twice.  The budget is fixed in the settings
+bounds bracket it; range ids and distances equal the reference; a reverse
+answer holds the reference's ids and probed distances, and ``d_alpha <= U``
+for every member confirmed without a read; ``validate()`` passes, the
+engine holds exactly the model's ids, and no id was ever handed out twice.  The budget is fixed in the settings
 below.
 """
 
@@ -31,7 +32,7 @@ from repro.exceptions import ObjectNotFoundError, StorageError
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.service import ShardedDatabase
 
-from tests.conftest import make_fuzzy_object
+from tests.conftest import assert_reverse_answer, make_fuzzy_object
 
 CONFIG = RuntimeConfig(rtree_max_entries=4, cache_capacity=8)
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
@@ -226,17 +227,18 @@ class EngineMachine(RuleBasedStateMachine):
             check_range(result, self.objects(), query, alpha, radius)
 
     @rule(
-        queries=st.lists(query_objects(), min_size=1, max_size=3),
+        queries=st.lists(query_objects(), min_size=2, max_size=6),
         k=st.integers(1, 4),
         alpha=st.sampled_from(ALPHAS),
     )
     def reverse_bucket(self, queries, k, alpha):
+        """Counts over bounds: the candidates and neighbours read follow
+        every write through the filter table and the traversal."""
         results = self.engine.execute_batch(
             [ReverseRequest(q, k=k, alpha=alpha) for q in queries]
         )
         for query, result in zip(queries, results):
-            want = reference.reverse(self.objects(), query, k, alpha)
-            assert result.object_ids == [object_id for object_id, _ in want]
+            assert_reverse_answer(result, self.objects(), query, k, alpha)
 
     # ------------------------------------------------------------------
     # After every step
