@@ -97,7 +97,8 @@ class FuzzyDatabase:
             profile_store=self.profile_store, index=self._rep_index,
         )
         self._reverse = ReverseAKNNSearcher(
-            store, tree, self.config, profile_store=self.profile_store
+            store, tree, self.config, profile_store=self.profile_store,
+            index=self._rep_index,
         )
         # Request-planner telemetry (plan_groups / plan_requests / the shared
         # batch counters), observable per database instance.

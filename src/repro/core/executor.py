@@ -17,14 +17,14 @@ database's live shards):
   expanded only for the queries whose radius it can still beat, and its
   entries' lower bounds (``d-_alpha``, or the support-MBR ``MinDist`` for
   ``basic``) against them are one ``(active, n)`` NumPy matrix.
-* **A rank test** (:func:`rank_test`) over padded ``(queries,
-  candidates)`` bounds confirms every candidate the bounds place in the
-  top-k and drops every one they place outside it.
-* **Two probe passes** (:func:`probe_rows`).  The first makes each
-  query's most promising undecided candidates exact and the rank test runs
-  again on their distances; the second reads what is still undecided.
-  Each distinct object is read once per bucket however many queries, in
-  either pass, want it.
+* **One decision record** (:class:`Decisions`), a row per ``(query,
+  candidate)`` pair, owns the lazy probe: a rank test (:func:`rank_test`)
+  confirms every candidate the bounds place in the top-k and drops every
+  one they place outside it, probe pass 1 (:func:`probe_rows`) makes each
+  query's most promising undecided candidates exact, the rank test runs
+  again and pass 2 reads what is still undecided.  Each distinct object is
+  read once per bucket however many queries, in either pass, want it.  The
+  answers, and every count of exact distances, are read from the record.
 
 The contract is per method.  ``basic`` probes every candidate (its
 traversal bound, the support-MBR ``MinDist``, is not in the bound table);
@@ -123,12 +123,12 @@ class RepresentativeIndex:
     ``over(trees)`` indexes every ``rep(A)`` of the given R-trees — one tree
     for a single database, the live shards' trees for a sharded one — and
     records which member holds each object.  ``bounds`` keeps, per
-    ``alpha``, every object's stored bound inputs in the same row order, and
-    ``kth_table`` the reverse filter's k-th ``MaxDist`` per row for a few
-    ``(alpha, k)`` pairs.  The cache key is, per member, its identity, size
-    and ``tree.mutations``, so a mutation (also an insert + delete pair that
-    keeps the size) or a change of the covered set rebuilds all of them;
-    anything else returns the same answer.
+    ``alpha``, every object's stored bound inputs in the same row order (the
+    one box source of every family), and ``kth_table`` the reverse filter's
+    k-th ``MaxDist`` per row for a few ``(alpha, k)`` pairs.  The cache key
+    is, per member, its identity, size and ``tree.mutations``, so a mutation
+    (also an insert + delete pair that keeps the size) or a change of the
+    covered set rebuilds all of them; anything else returns the same answer.
     """
 
     def __init__(self) -> None:
@@ -136,7 +136,7 @@ class RepresentativeIndex:
         # every row's rep(A), {alpha: bound table}); one tuple swapped in
         # whole, so concurrent batches never see a mix.
         self._cached: Optional[Tuple] = None
-        # The same, with {(alpha, k): {(start, stop): k-th MaxDist rows}} as
+        # The same, with {(alpha, k): {member: its rows' k-th MaxDist}} as
         # the answer; a lost race between two builders only costs a rebuild.
         self._tables: Optional[Tuple] = None
 
@@ -184,12 +184,16 @@ class RepresentativeIndex:
         cached = self._covered(trees)
         table = cached[4].get(float(alpha))
         if table is None:
-            boxes = [tree.leaf_alpha_bounds(alpha) for tree in trees if len(tree)]
+            boxes = [tree.leaf_alpha_bounds(alpha) for tree in trees]
+            stops = np.cumsum([ids.shape[0] for ids, _, _ in boxes]).tolist()
+            # An empty tree exports (0, 0)-shaped boxes, which cannot be concatenated.
+            filled = [box for box in boxes if box[0].shape[0]]
             table = BoundTable(
                 cached[2][1],
-                np.concatenate([lower for _, lower, _ in boxes]),
-                np.concatenate([upper for _, _, upper in boxes]),
+                np.concatenate([lower for _, lower, _ in filled]),
+                np.concatenate([upper for _, _, upper in filled]),
                 cached[3],
+                list(zip([0] + stops[:-1], stops)),
             )
             tables = {**cached[4], float(alpha): table}
             if len(tables) > _BOUND_TABLE_ALPHAS:
@@ -201,37 +205,31 @@ class RepresentativeIndex:
         return table
 
     def kth_table(
-        self,
-        trees: Sequence[RTree],
-        alpha: float,
-        k: int,
-        start: int,
-        stop: int,
-        box_lo: np.ndarray,
-        box_hi: np.ndarray,
+        self, trees: Sequence[RTree], alpha: float, k: int, member: int
     ) -> Tuple[np.ndarray, bool]:
-        """Rows ``start:stop``'s k-th ``MaxDist`` to the whole box set, and whether it was built.
+        """Member ``member``'s rows' k-th ``MaxDist`` to every box of
+        :meth:`bounds`, and whether it was built.
 
-        ``box_lo`` / ``box_hi`` are every member's ``M_A(alpha)*`` boxes in
-        ``leaf_alpha_bounds`` order, member after member, so the key of
-        ``trees`` fixes them.  A hit is returned as stored; a miss builds the
-        slice with :func:`~repro.index.soa.kth_max_dists`.  At most
+        A hit is returned as stored; a miss builds the slice with
+        :func:`~repro.index.soa.kth_max_dists`.  At most
         ``_KTH_TABLE_PAIRS`` ``(alpha, k)`` pairs are kept, oldest out first.
         """
         key = self._key(trees)
         cached = self._tables
         if cached is None or cached[0] != key:
             cached = (key, tuple(trees), {})
-        pair, rows = (float(alpha), int(k)), (start, stop)
-        kth = cached[2].get(pair, {}).get(rows)
+        pair = (float(alpha), int(k))
+        kth = cached[2].get(pair, {}).get(member)
         if kth is not None:
             return kth, False
+        table = self.bounds(trees, alpha)
+        start, stop = table.spans[member]
         kth = kth_max_dists(
-            box_lo[start:stop], box_hi[start:stop], box_lo, box_hi, k,
+            table.lo[start:stop], table.hi[start:stop], table.lo, table.hi, k,
             self_index=np.arange(start, stop),
         )
         tables = dict(cached[2])
-        tables[pair] = {**tables.get(pair, {}), rows: kth}
+        tables[pair] = {**tables.get(pair, {}), member: kth}
         if len(tables) > _KTH_TABLE_PAIRS:
             del tables[next(iter(tables))]
         self._tables = (key, cached[1], tables)
@@ -240,12 +238,13 @@ class RepresentativeIndex:
 
 class BoundTable:
     """A partition-set version's stored bound inputs at one ``alpha``: every
-    object's ``M_A(alpha)*`` box and ``rep(A)``, in ``over`` row order."""
+    object's ``M_A(alpha)*`` box and ``rep(A)``, in ``over`` row order, and
+    each member's ``(start, stop)`` rows."""
 
-    __slots__ = ("lo", "hi", "reps", "_ids", "_order")
+    __slots__ = ("lo", "hi", "reps", "spans", "_ids", "_order")
 
-    def __init__(self, object_ids, lo, hi, reps) -> None:
-        self.lo, self.hi, self.reps = lo, hi, reps
+    def __init__(self, object_ids, lo, hi, reps, spans) -> None:
+        self.lo, self.hi, self.reps, self.spans = lo, hi, reps, spans
         self._order = np.argsort(object_ids, kind="stable")
         self._ids = object_ids[self._order]
 
@@ -328,48 +327,201 @@ def bootstrap_radii(
     return np.partition(upper, k - 1, axis=1)[:, k - 1]
 
 
+# What decided a row of a :class:`Decisions` record; 0 while it is undecided,
+# and for a row its bounds dropped.
+CONFIRMED, EVALUATED, MEMO = 1, 2, 3
+
+
+class Decisions:
+    """One bucket pass's decisions: a struct of arrays, one row per
+    ``(query, object)`` pair the pass bounded.
+
+    ``query`` / ``object_id`` name the pair; ``lower`` / ``upper`` are its
+    bounds, NaN where the pass computed none; ``exact`` is its distance, NaN
+    until known, when both bounds become it too (a sweep's row keeps its
+    distances at the range's two ends as ``lower`` / ``upper``).  ``by``
+    says what decided the row: ``CONFIRMED`` (its bounds, without a read),
+    ``EVALUATED`` (an exact distance this bucket paid for) or ``MEMO`` (one
+    a memo held).  ``member`` marks the rows in their query's answer.  Every
+    family's results, and every count of exact distances they report, are
+    read from here; ``shared_evaluations`` are the distances the bucket paid
+    that no row holds (a reverse bucket's candidate-to-neighbour ones).
+    """
+
+    __slots__ = (
+        "n_queries", "query", "object_id", "lower", "upper", "exact", "by", "member",
+        "shared_evaluations",
+    )
+
+    def __init__(self, n_queries: int, query=(), object_id=(), lower=None, upper=None):
+        self.n_queries = n_queries
+        self.query = np.asarray(query, dtype=np.intp)
+        self.object_id = np.asarray(object_id, dtype=np.int64)
+        n = self.query.shape[0]
+        self.lower = np.full(n, np.nan) if lower is None else lower
+        self.upper = np.full(n, np.nan) if upper is None else upper
+        self.exact = np.full(n, np.nan)
+        self.by = np.zeros(n, dtype=np.int8)
+        self.member = np.zeros(n, dtype=bool)
+        self.shared_evaluations = 0
+
+    @classmethod
+    def concat(cls, records: Sequence["Decisions"]) -> "Decisions":
+        """The rows of ``records`` (parts of one bucket), one after another."""
+        joined = cls(records[0].n_queries)
+        for name in ("query", "object_id", "lower", "upper", "exact", "by", "member"):
+            setattr(joined, name, np.concatenate([getattr(r, name) for r in records]))
+        joined.shared_evaluations = sum(r.shared_evaluations for r in records)
+        return joined
+
+    def settle(self, rows, exact, by: int = EVALUATED, upper=None) -> None:
+        """``rows`` are known: their distance is ``exact`` (both bounds too,
+        or ``upper`` above), found as ``by`` says."""
+        self.exact[rows] = self.lower[rows] = exact
+        self.upper[rows] = exact if upper is None else upper
+        self.by[rows] = by
+
+    def evaluations(self) -> np.ndarray:
+        """Per query, the exact distances this bucket paid for."""
+        return np.bincount(self.query[self.by == EVALUATED], minlength=self.n_queries)
+
+    def total_evaluations(self) -> int:
+        """Every exact distance this bucket paid for."""
+        return int(np.count_nonzero(self.by == EVALUATED)) + self.shared_evaluations
+
+    def grid(self, column: np.ndarray, fill=np.inf) -> np.ndarray:
+        """``column`` as a ``(queries, widest row)`` matrix, padded with
+        ``fill``; the rows must be grouped by query."""
+        sizes = np.bincount(self.query, minlength=self.n_queries)
+        valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
+        cells = np.full(valid.shape, fill, dtype=column.dtype)
+        cells[valid] = column
+        return cells
+
+    def bound(self, table: "BoundTable", prepared: Sequence[PreparedQuery], method: str) -> None:
+        """``lower`` / ``upper`` from ``table``'s stored bounds (rows grouped
+        by query), as AKNN ``method`` reads them: ``lb_lp_ub`` tightens U by
+        Lemma 1, ``lb_lp`` keeps ``MaxDist``, ``lb`` knows no U until a read."""
+        valid = self.grid(np.ones(self.query.shape, dtype=bool), False)
+        rows = self.grid(table.rows(self.object_id), 0)  # padding reads row 0
+        lower, upper = table.bounds(prepared, rows, lemma1=method == "lb_lp_ub")
+        self.lower, self.upper = lower[valid], upper[valid]
+        if method == "lb":
+            self.upper[:] = np.inf
+
+    def lazy_probe(
+        self, k: int, tau: np.ndarray, read: Callable[[np.ndarray], None],
+        deadline=None, stage: str = "", bounded: bool = True,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Algorithm 2's lazy probe over this record (rows grouped by query).
+
+        :func:`rank_test` on the bounds, pass 1 (:func:`two_passes`), the
+        rank test again, pass 2; ``read(rows)`` settles the rows it is
+        handed, each unread row once, and ``deadline`` is checked as
+        ``stage`` between the passes.  Unless ``bounded``, every row is read
+        in one pass and none confirmed.  Confirmed rows not read are marked
+        ``CONFIRMED``.  Returns, per row, whether the second rank test
+        confirmed it and whether it left it undecided.
+        """
+        rows = np.arange(self.query.shape[0])
+        if not bounded or not rows.size:
+            read(rows)
+            return np.zeros(rows.shape, dtype=bool), np.ones(rows.shape, dtype=bool)
+        valid = self.grid(np.ones(rows.shape, dtype=bool), False)
+
+        def test():
+            lower = self.grid(self.lower)
+            return (*rank_test(lower, self.grid(self.upper), valid, k, tau), lower)
+
+        def unread(cells: np.ndarray) -> None:
+            read(rows[cells[valid] & (self.by == 0)])
+
+        confirmed, probe = (
+            cells[valid]
+            for cells in two_passes(
+                test, self.grid(self.object_id, 0), k, unread, deadline, stage
+            )
+        )
+        self.by[confirmed & (self.by == 0)] = CONFIRMED
+        return confirmed, probe
+
+    def answers(self) -> List[List[Tuple[int, Optional[float], float, float]]]:
+        """Per query, its members as ``(id, exact distance or None, lower,
+        upper)``, nearest (best known distance, then id) first."""
+        rows = np.flatnonzero(self.member)
+        exact = self.exact[rows]
+        best = np.where(np.isnan(exact), self.upper[rows], exact)
+        rows = rows[np.lexsort((self.object_id[rows], best, self.query[rows]))]
+        per_query: List[list] = [[] for _ in range(self.n_queries)]
+        columns = (self.query, self.object_id, self.exact, self.lower, self.upper)
+        for qi, object_id, d, lower, upper in zip(*(c[rows].tolist() for c in columns)):
+            per_query[qi].append((object_id, None if d != d else d, lower, upper))
+        return per_query
+
+
+def two_passes(
+    test: Callable[[], Tuple[np.ndarray, np.ndarray, np.ndarray]], ids: np.ndarray,
+    k: int, read: Callable[[np.ndarray], None], deadline=None, stage: str = "",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The lazy probe's two passes over a ``(rows, width)`` grid of candidates.
+
+    ``test()`` returns which cells the bounds decide, which still owe a read
+    and the cells' lower bounds.  Pass 1 reads, per row, the ``k -
+    decided`` owed cells with the smallest ``(lower, id)``
+    (:func:`first_pass`), the most promising ones; ``deadline`` is checked
+    (as ``stage``), the test runs again on what they made exact and pass 2
+    reads what it still owes.  Returns the second test's decided and owed
+    cells.
+    """
+    decided, owed, lower = test()
+    read(first_pass(lower, ids, decided, owed, k))
+    if deadline is not None:
+        deadline.check(stage)
+    decided, owed, _ = test()
+    read(owed)
+    return decided, owed
+
+
+def reader(parts: Sequence, member_of: Dict[int, int]) -> Callable[[int], FuzzyObject]:
+    """A bucket's ``fetch(object_id)``: each object read once, from the part
+    (``member_of``, as :meth:`RepresentativeIndex.over` maps it) that holds it."""
+    objects: Dict[int, FuzzyObject] = {}
+
+    def fetch(object_id: int) -> FuzzyObject:
+        if object_id not in objects:
+            objects[object_id] = parts[member_of[object_id]].store.get(object_id)
+        return objects[object_id]
+
+    return fetch
+
+
 def probe_rows(
     fetch: Callable[[int], FuzzyObject],
     prepared: Sequence[PreparedQuery],
-    rows: List[List[int]],
+    record: Decisions,
+    rows: np.ndarray,
     alpha: float,
-    exact: List[Dict[int, float]],
-    query_metrics: List[MetricsCollector],
     deadline=None,
-) -> List[np.ndarray]:
-    """Each query's exact alpha-distances to its row of object ids.
+) -> None:
+    """Settle ``record``'s ``rows`` with their exact alpha-distances.
 
     An object is read through ``fetch`` (once, ascending id order) only
-    when some query still owes it a distance; a row fully covered by its
-    memo (``exact``, which gains every distance paid for) costs no access
-    at all.
+    when one of ``rows`` still owes its distance; a row already known costs
+    no access at all.
     """
-    owed = [
-        [oid for oid in row if oid not in known] if known else row
-        for row, known in zip(rows, exact)
-    ]
+    rows = rows[np.isnan(record.exact[rows])]
     cuts = {
         object_id: fetch(object_id).alpha_cut(alpha)
-        for object_id in sorted(set().union(*owed))
+        for object_id in np.unique(record.object_id[rows]).tolist()
     }
-    distances: List[np.ndarray] = []
-    for qi, (row, missing) in enumerate(zip(rows, owed)):
+    owners = record.query[rows]
+    for qi in np.unique(owners).tolist():
         if deadline is not None:
             deadline.check("batch refinement")
-        known = exact[qi]
-        if missing:
-            fresh = _exact_min_distances(
-                prepared[qi].query_cut, [cuts[oid] for oid in missing]
-            )
-            query_metrics[qi].increment(
-                MetricsCollector.DISTANCE_EVALUATIONS, len(missing)
-            )
-            known.update(zip(missing, fresh.tolist()))
-        if missing and len(missing) == len(row):
-            distances.append(fresh)
-        else:
-            distances.append(np.asarray([known[oid] for oid in row], dtype=float))
-    return distances
+        mine = rows[owners == qi]
+        record.settle(mine, _exact_min_distances(
+            prepared[qi].query_cut, [cuts[oid] for oid in record.object_id[mine].tolist()]
+        ))
 
 
 def shared_traversal(
@@ -475,21 +627,16 @@ def aknn_bucket_pass(
     (:func:`~repro.core.aknn.searcher_over`).  A bucket of many is the lazy
     probe of Algorithm 2 over the whole bucket: :func:`bootstrap_radii`
     fixes the radii from stored bounds, every part runs one
-    :func:`shared_traversal` (fan-out op ``"aknn_batch"``) and
-    :func:`rank_test` confirms what the bounds decide (``lb``'s upper
-    bounds are ``inf`` until probed).  Pass 1 probes, per query, the
-    ``k - confirmed`` undecided candidates with the smallest ``(lower,
-    id)`` and sets both their bounds to the exact distance; the rank test
-    runs again, and pass 2 probes what it leaves undecided.  A bucket-wide
-    memo reads each object at most once across both passes; the deadline is
-    checked between them.  ``basic`` skips both rank tests and probes every
-    candidate.  The radii hold only against the snapshot they were taken
-    from.  The answer is the confirmed neighbours plus the best ``(exact,
-    id)`` of the probed rest: probed neighbours are exact, bound-confirmed
-    ones carry ``distance=None`` with their bounds, nearest (best known
-    distance, then id) first.  ``batch_queries`` is counted last, after
-    every fan-out, so a pass that a lost part makes the caller rerun counts
-    its bucket once.
+    :func:`shared_traversal` (fan-out op ``"aknn_batch"``), and the
+    survivors' record runs :meth:`Decisions.lazy_probe` (``lb``'s upper
+    bounds are ``inf`` until probed; ``basic`` probes every candidate),
+    each object read at most once and the deadline checked between the
+    passes.  The radii hold only against the snapshot they were taken from.
+    The answer is the confirmed neighbours plus the best ``(exact, id)`` of
+    the probed rest: probed neighbours are exact, bound-confirmed ones carry
+    ``distance=None`` with their bounds, nearest (best known distance, then
+    id) first.  ``batch_queries`` is counted last, after every fan-out, so a
+    pass that a lost part makes the caller rerun counts its bucket once.
     """
     if deadline is not None:
         deadline.check("aknn")
@@ -509,67 +656,46 @@ def aknn_bucket_pass(
         )
 
     per_part = fan_out("aknn_batch", traverse)
-    sizes = sum(np.array([hits.shape[0] for hits in part]) for part in per_part)
-    valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    ids = np.zeros(valid.shape, dtype=np.int64)
-    ids[valid] = np.concatenate([hits for row in zip(*per_part) for hits in row])
+    # Each query's survivors, part after part.
+    hits = [np.concatenate(row) for row in zip(*per_part)]
+    record = Decisions(
+        len(queries), np.repeat(np.arange(len(queries)), [h.shape[0] for h in hits]),
+        np.concatenate(hits),
+    )
     trees = [part.tree for part in parts]
-    _, _, member_of = index.over(trees)
-    objects: Dict[int, FuzzyObject] = {}
+    fetch = reader(parts, index.over(trees)[2])
+    bounded = method != "basic"
+    if bounded and record.query.size:
+        record.bound(index.bounds(trees, alpha), prepared, method)
 
-    def fetch(object_id: int) -> FuzzyObject:
-        if object_id not in objects:
-            objects[object_id] = parts[member_of[object_id]].store.get(object_id)
-        return objects[object_id]
-
-    exact: List[Dict[int, float]] = [{} for _ in prepared]
-    query_metrics = [MetricsCollector() for _ in prepared]
-
-    def probe_pass(mask: np.ndarray) -> List[np.ndarray]:
-        owed = [row[m].tolist() for row, m in zip(ids, mask)]
-        return probe_rows(fetch, prepared, owed, alpha, exact, query_metrics, deadline)
-
-    confirmed, probe, lower, upper = np.zeros_like(valid), valid, None, None
-    if method != "basic" and valid.any():
-        table = index.bounds(trees, alpha)
-        rows = np.zeros(valid.shape, dtype=np.intp)  # padding reads row 0
-        rows[valid] = table.rows(ids[valid])
-        lower, upper = table.bounds(prepared, rows, lemma1=method == "lb_lp_ub")
-        if method == "lb":
-            upper[:] = np.inf  # nothing is known above an object until it is probed
-        confirmed, probe = rank_test(lower, upper, valid, k, tau)
-        first = first_pass(lower, ids, confirmed, probe, k)
-        lower[first] = upper[first] = np.concatenate(probe_pass(first))
-        if deadline is not None:
-            deadline.check("batch refinement")
-        confirmed, probe = rank_test(lower, upper, valid, k, tau)
-    # Pass 2 reads what the second rank test left undecided.
-    probe_pass(probe)
-    results = []
-    for qi, known in enumerate(exact):
-        sure = np.flatnonzero(confirmed[qi])
-        sure_ids = ids[qi, sure].tolist()
-        taken = set(sure_ids)
-        # The probed rest; one the second rank test dropped never makes the cut.
-        rest = sorted((d, i) for i, d in known.items() if i not in taken)
-        neighbors = [
-            Neighbor(object_id, d, d, d, True) for d, object_id in rest[: k - len(sure_ids)]
-        ] + [
-            # A pass-1 probe the second rank test confirmed has both bounds exact.
-            Neighbor(
-                object_id, known.get(object_id), float(lower[qi, c]),
-                float(upper[qi, c]), object_id in known,
-            )
-            for c, object_id in zip(sure.tolist(), sure_ids)
-        ]
-        neighbors.sort(key=lambda n: (n.best_known_distance, n.object_id))
-        stats = QueryStats(
-            distance_evaluations=query_metrics[qi].get(MetricsCollector.DISTANCE_EVALUATIONS),
-            aknn_calls=1,
-        )
-        results.append(AKNNResult(neighbors, k, alpha, method, stats))
+    confirmed, _ = record.lazy_probe(
+        k, tau, lambda rows: probe_rows(fetch, prepared, record, rows, alpha, deadline),
+        deadline, "batch refinement", bounded,
+    )
+    # The confirmed, then the best (exact, id) of the probed rest; one the
+    # second rank test dropped never makes the cut.
+    rest = np.flatnonzero(~confirmed & ~np.isnan(record.exact))
+    rest = rest[np.lexsort((record.object_id[rest], record.exact[rest], record.query[rest]))]
+    owner = record.query[rest]
+    place = np.arange(rest.size) - np.searchsorted(owner, owner)
+    places = k - np.bincount(record.query[confirmed], minlength=len(queries))
+    record.member[confirmed] = True
+    record.member[rest[place < places[owner]]] = True
+    results = aknn_results(record, k, alpha, method)
     metrics.increment(MetricsCollector.BATCH_QUERIES, len(queries))
     return results
+
+
+def aknn_results(record: Decisions, k: int, alpha: float, method: str) -> List[AKNNResult]:
+    """One :class:`AKNNResult` per query of ``record``: its members as
+    neighbours, its evaluated rows as its ``distance_evaluations``."""
+    return [
+        AKNNResult(
+            [Neighbor(i, d, lower, upper, d is not None) for i, d, lower, upper in members],
+            k, alpha, method, QueryStats(distance_evaluations=evaluations, aknn_calls=1),
+        )
+        for members, evaluations in zip(record.answers(), record.evaluations().tolist())
+    ]
 
 
 def first_pass(
@@ -632,9 +758,6 @@ class BatchQueryExecutor:
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def aknn_batch(
         self,
         queries: Sequence[Union[FuzzyObject, PreparedQuery]],
@@ -649,32 +772,19 @@ class BatchQueryExecutor:
         """Answer every query's AKNN at one shared ``k`` and ``alpha``.
 
         A query may arrive already prepared (a :class:`PreparedQuery` at this
-        ``alpha``): a caller fanning one batch out to several executors
-        prepares each query once and every executor reuses it.
-
-        ``deadline`` is an optional :class:`~repro.service.policy.Deadline`;
-        the batch checks it between traversal chunks and refinement steps and
-        aborts with :class:`~repro.exceptions.DeadlineExceededError` once it
-        expires, so an already-dead batch never burns a full traversal.
-
-        ``method`` selects the lower bound driving the shared pruning
-        (``"basic"`` uses the support-MBR ``MinDist``; every other variant
-        uses the conservative-line bound ``d-_alpha``); all methods return
-        the same exact neighbour sets.
+        ``alpha``).  ``deadline`` (a :class:`~repro.service.policy.Deadline`)
+        is checked between traversal chunks and refinement steps.  ``method``
+        selects the lower bound driving the shared pruning (``"basic"``: the
+        support-MBR ``MinDist``; every other variant ``d-_alpha``).
 
         ``initial_tau`` holds one pruning radius per query and is required
         for a non-empty batch: the executor never bootstraps a radius of its
-        own.
-        The traversal prunes against these radii and the returned neighbour
-        lists are complete only *up to the supplied radius*: every object
-        whose exact distance is at most a query's radius is considered,
-        anything beyond it is dropped.  A radius that upper-bounds the
-        query's true k-th neighbour distance therefore yields the full exact
-        top-k; a deliberately smaller radius yields a truncated list, which
-        is NOT a valid top-k answer on its own.  ``initial_exact``
-        optionally seeds each query's exact-distance memo (one dict per
-        query) so distances the caller already evaluated are not recomputed
-        during refinement.
+        own.  The answers are complete only *up to the supplied radius*: a
+        radius that upper-bounds the query's true k-th neighbour distance
+        yields the exact top-k, a smaller one a truncated list, which is NOT
+        a valid top-k answer on its own.  ``initial_exact`` optionally seeds
+        each query's exact-distance memo (one dict per query); a distance it
+        holds is not recomputed, nor counted.
         """
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
@@ -685,55 +795,40 @@ class BatchQueryExecutor:
         queries = list(queries)
         metrics = MetricsCollector()
         store_before = self.store.statistics.snapshot()
-        cut_hits_before = CUT_CACHE_STATS["hits"]
-        cut_misses_before = CUT_CACHE_STATS["misses"]
+        cuts_before = dict(CUT_CACHE_STATS)
         timer = Timer().start()
-
-        query_metrics = [MetricsCollector() for _ in queries]
-        if not queries or len(self.tree) == 0:
-            per_query: List[List[Neighbor]] = [[] for _ in queries]
-        else:
+        record = Decisions(len(queries))
+        if queries and len(self.tree):
             if deadline is not None:
                 deadline.check("batch")
-            per_query = self._run_batch(
-                queries, k, alpha, method, rng, metrics, query_metrics,
-                initial_tau=initial_tau, initial_exact=initial_exact,
-                deadline=deadline,
+            record = self._run_batch(
+                queries, k, alpha, method, rng, metrics, initial_tau, initial_exact,
+                deadline,
             )
-
         elapsed = timer.stop()
-        metrics.increment(MetricsCollector.BATCH_QUERIES, len(queries))
-        results = []
-        for query_index, neighbors in enumerate(per_query):
-            qm = query_metrics[query_index]
-            results.append(
-                AKNNResult(
-                    neighbors=neighbors,
-                    k=k,
-                    alpha=alpha,
-                    method=method,
-                    stats=QueryStats(
-                        distance_evaluations=qm.get(
-                            MetricsCollector.DISTANCE_EVALUATIONS
-                        ),
-                        aknn_calls=1,
-                    ),
-                )
-            )
-        stats = self._aggregate_stats(
-            metrics,
-            query_metrics,
-            store_before,
-            elapsed,
-            len(queries),
-            cut_hits_before,
-            cut_misses_before,
+        store = self.store.statistics
+        stats = QueryStats(
+            object_accesses=store.object_accesses - store_before.object_accesses,
+            node_accesses=metrics.get(MetricsCollector.NODE_ACCESSES),
+            distance_evaluations=record.total_evaluations(),
+            lower_bound_evaluations=metrics.get(MetricsCollector.LOWER_BOUND_EVALUATIONS),
+            aknn_calls=len(queries),
+            elapsed_seconds=elapsed,
         )
-        return BatchResult(results=results, k=k, alpha=alpha, method=method, stats=stats)
+        stats.extra.update(
+            batch_queries=float(len(queries)),
+            nodes_pruned=float(metrics.get(MetricsCollector.NODES_PRUNED)),
+            # The (query, object) pairs this executor examined: its traversal
+            # survivors, not whatever else the caller's memo happened to hold.
+            batch_candidates=float(record.query.shape[0]),
+            cache_hits=float(store.cache_hits - store_before.cache_hits),
+            cut_cache_hits=float(CUT_CACHE_STATS["hits"] - cuts_before["hits"]),
+            cut_cache_misses=float(CUT_CACHE_STATS["misses"] - cuts_before["misses"]),
+        )
+        if elapsed > 0.0:
+            stats.extra["throughput_qps"] = len(queries) / elapsed
+        return BatchResult(aknn_results(record, k, alpha, method), k, alpha, method, stats)
 
-    # ------------------------------------------------------------------
-    # Batch pipeline
-    # ------------------------------------------------------------------
     def _run_batch(
         self,
         queries: List[Union[FuzzyObject, PreparedQuery]],
@@ -742,12 +837,12 @@ class BatchQueryExecutor:
         method: str,
         rng: Optional[np.random.Generator],
         metrics: MetricsCollector,
-        query_metrics: List[MetricsCollector],
         initial_tau: Optional[np.ndarray],
         initial_exact: Optional[Sequence[Dict[int, float]]],
         deadline,
-    ) -> List[List[Neighbor]]:
-        improved = method != "basic"
+    ) -> Decisions:
+        """The batch's record: every survivor exact, each query's nearest
+        ``k`` within its radius its members."""
         prepared = [
             q if isinstance(q, PreparedQuery)
             else PreparedQuery(q, alpha, self.config, rng)
@@ -755,89 +850,40 @@ class BatchQueryExecutor:
         ]
         if any(p.alpha != alpha for p in prepared):
             raise InvalidQueryError(f"a prepared query is not at alpha={alpha}")
-        q_lo = np.stack([p.query_mbr.lower for p in prepared])
-        q_hi = np.stack([p.query_mbr.upper for p in prepared])
-
         tau = np.asarray(initial_tau, dtype=float)
         if tau.shape != (len(prepared),):
             raise InvalidQueryError(
                 f"initial_tau needs one radius per query ({len(prepared)}), "
                 f"got shape {tau.shape}"
             )
-        if initial_exact is not None:
-            if len(initial_exact) != len(prepared):
-                raise InvalidQueryError(
-                    f"initial_exact needs one memo per query "
-                    f"({len(prepared)}), got {len(initial_exact)}"
-                )
-            exact: List[Dict[int, float]] = [dict(d) for d in initial_exact]
-        else:
-            exact = [dict() for _ in prepared]
+        if initial_exact is not None and len(initial_exact) != len(prepared):
+            raise InvalidQueryError(
+                f"initial_exact needs one memo per query "
+                f"({len(prepared)}), got {len(initial_exact)}"
+            )
         candidates = shared_traversal(
-            self.tree, alpha, improved, q_lo, q_hi, tau, metrics, deadline=deadline
+            self.tree, alpha, method != "basic",
+            np.stack([p.query_mbr.lower for p in prepared]),
+            np.stack([p.query_mbr.upper for p in prepared]),
+            tau, metrics, deadline=deadline,
         )
         if deadline is not None:
             deadline.check("batch traversal")
-
-        rows = [ids.tolist() for ids in candidates]
-        probes = probe_rows(
-            self.store.get, prepared, rows, alpha, exact, query_metrics, deadline
+        sizes = [ids.shape[0] for ids in candidates]
+        record = Decisions(
+            len(prepared), np.repeat(np.arange(len(prepared)), sizes),
+            np.concatenate(candidates),
         )
-        results: List[List[Neighbor]] = []
-        for ids, radius, dists in zip(candidates, tau, probes):
-            order = np.lexsort((ids, dists))[:k]
-            order = order[dists[order] <= radius]
-            results.append(
-                [
-                    Neighbor(object_id, distance, distance, distance, True)
-                    for object_id, distance in zip(
-                        ids[order].tolist(), dists[order].tolist()
-                    )
-                ]
-            )
-        # The (query, object) pairs this executor examined: its traversal
-        # survivors, not whatever else the caller's memo happened to hold.
-        metrics.increment("batch_candidates", sum(len(row) for row in rows))
-        return results
-
-    def _aggregate_stats(
-        self,
-        metrics: MetricsCollector,
-        query_metrics: List[MetricsCollector],
-        store_before,
-        elapsed: float,
-        n_queries: int,
-        cut_hits_before: int,
-        cut_misses_before: int,
-    ) -> QueryStats:
-        for qm in query_metrics:
-            metrics.merge(qm)
-        store_stats = self.store.statistics
-        stats = QueryStats(
-            object_accesses=store_stats.object_accesses - store_before.object_accesses,
-            node_accesses=metrics.get(MetricsCollector.NODE_ACCESSES),
-            distance_evaluations=metrics.get(MetricsCollector.DISTANCE_EVALUATIONS),
-            lower_bound_evaluations=metrics.get(
-                MetricsCollector.LOWER_BOUND_EVALUATIONS
-            ),
-            upper_bound_evaluations=metrics.get(
-                MetricsCollector.UPPER_BOUND_EVALUATIONS
-            ),
-            aknn_calls=n_queries,
-            elapsed_seconds=elapsed,
-        )
-        stats.extra["batch_queries"] = float(n_queries)
-        stats.extra["nodes_pruned"] = float(metrics.get(MetricsCollector.NODES_PRUNED))
-        stats.extra["batch_candidates"] = float(metrics.get("batch_candidates"))
-        stats.extra["cache_hits"] = float(
-            store_stats.cache_hits - store_before.cache_hits
-        )
-        stats.extra["cut_cache_hits"] = float(
-            CUT_CACHE_STATS["hits"] - cut_hits_before
-        )
-        stats.extra["cut_cache_misses"] = float(
-            CUT_CACHE_STATS["misses"] - cut_misses_before
-        )
-        if elapsed > 0.0:
-            stats.extra["throughput_qps"] = n_queries / elapsed
-        return stats
+        if initial_exact is not None:
+            for row, (qi, object_id) in enumerate(
+                zip(record.query.tolist(), record.object_id.tolist())
+            ):
+                known = initial_exact[qi].get(object_id)
+                if known is not None:
+                    record.settle(row, known, MEMO)
+        every = np.arange(record.query.shape[0])
+        probe_rows(self.store.get, prepared, record, every, alpha, deadline)
+        for rows, radius in zip(np.split(every, np.cumsum(sizes)[:-1]), tau):
+            nearest = rows[np.lexsort((record.object_id[rows], record.exact[rows]))][:k]
+            record.member[nearest[record.exact[nearest] <= radius]] = True
+        return record

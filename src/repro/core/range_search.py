@@ -10,12 +10,13 @@ Range is answered a *bucket* at a time — queries sharing ``alpha``, each with
 its own radius — over a *partition set* (:func:`range_bucket`).  Per part
 that is one descent of the tree for the whole bucket
 (:func:`~repro.core.executor.shared_traversal`, the AKNN batch descent with
-the radii given instead of bootstrapped).  With the improved bounds a hit
-whose upper bound (the lazy probe's ``MaxDist``, then Lemma 1) is within the
-radius is a match without a read, and one
+the radii given instead of bootstrapped).  Every hit is a row of the part's
+:class:`~repro.core.executor.Decisions` record.  With the improved bounds a
+hit whose upper bound (the lazy probe's ``MaxDist``, then Lemma 1) is within
+the radius is a match without a read, and one
 :func:`~repro.core.executor.probe_rows` pass reads the undecided rest, each
-object once however many queries want it; the merge is the union of the
-parts' matches.  A single query (:meth:`AlphaRangeSearcher.search`) and the
+object once however many queries want it; the merge joins the parts'
+records and reads the matches and distance counts from them.  A single query (:meth:`AlphaRangeSearcher.search`) and the
 sweep's candidate collection (:func:`collect_over_parts`) are buckets of one.
 """
 
@@ -27,7 +28,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.executor import confirm_radius, probe_rows, shared_traversal, upper_bounds
+from repro.core.executor import (
+    CONFIRMED,
+    Decisions,
+    confirm_radius,
+    probe_rows,
+    shared_traversal,
+    upper_bounds,
+)
 from repro.core.query import PreparedQuery
 from repro.core.results import QueryStats, RangeSearchResult
 from repro.exceptions import InvalidQueryError
@@ -37,25 +45,20 @@ from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 from repro.storage.object_store import ObjectStore
 
-Match = Tuple[int, Optional[float]]
-
-
 @dataclass
 class PartMatches:
     """One part's answer to a range bucket."""
 
-    matches: List[List[Match]]  # per query, unsorted
-    bounds: List[Dict[int, float]]  # per query: each confirmed match's U
-    evaluations: List[int]  # per query: exact distances evaluated
+    decisions: Decisions  # one row per traversal hit
     objects: Dict[int, FuzzyObject]  # every object read
-    counts: Dict[str, int]  # the part's totals, by QueryStats field name
+    counts: Dict[str, int]  # the part's traversal and read totals, by QueryStats field name
 
 
 def _confirm(
     prepared: Sequence[PreparedQuery], q_lo, q_hi, radii, owner, ids, lo, hi, reps
-) -> Tuple[List[Dict[int, float]], List[List[int]]]:
-    """Per query, ``{id: U}`` of the hits their upper bounds confirm and the
-    undecided ids: ``MaxDist`` for every hit, Lemma 1 (sampling only the
+) -> Decisions:
+    """The hits' record, each hit's upper bound in it and the matches those
+    confirm marked: ``MaxDist`` for every hit, Lemma 1 (sampling only the
     queries that need it) where ``MaxDist`` is above :func:`confirm_radius`."""
     settled = confirm_radius(radii[owner])
     upper = upper_bounds(q_lo, q_hi, lo[:, None], hi[:, None], owner=owner)[:, 0]
@@ -66,15 +69,10 @@ def _confirm(
             q_lo[needed], q_hi[needed], lo[tight, None], hi[tight, None],
             reps[tight, None], [prepared[qi].query_samples for qi in needed], inverse,
         )[:, 0]
-    bounds: List[Dict[int, float]] = [{} for _ in prepared]
-    rows: List[List[int]] = [[] for _ in prepared]
-    sure = (upper <= settled).tolist()
-    for qi, object_id, bound, ok in zip(owner.tolist(), ids.tolist(), upper.tolist(), sure):
-        if ok:
-            bounds[qi][object_id] = bound
-        else:
-            rows[qi].append(object_id)
-    return bounds, rows
+    record = Decisions(len(prepared), owner, ids, upper=upper)
+    record.member = upper <= settled
+    record.by[record.member] = CONFIRMED
+    return record
 
 
 def range_bucket(
@@ -90,19 +88,22 @@ def range_bucket(
     partition set: ``(local, merge)``.
 
     ``local(part)`` answers every query against one part (``store`` /
-    ``tree``): one :func:`shared_traversal` pruning at the radii (``improved``
-    selects ``d-_alpha`` over the support-MBR ``MinDist`` and confirms a
-    hit ``(id, None)`` from its bounds, :func:`_confirm`), then one
-    :func:`probe_rows` pass over the rest; a query keeps ``(id, d)`` for
-    ``d <= radius``.  ``merge(per_part)`` returns one
-    :class:`RangeSearchResult` per query: the union of the parts' matches,
-    sorted by ``(best known distance, id)``.
+    ``tree``) into a :class:`~repro.core.executor.Decisions` record: one
+    :func:`shared_traversal` pruning at the radii (``improved`` selects
+    ``d-_alpha`` over the support-MBR ``MinDist`` and confirms a hit from
+    its bounds, :func:`_confirm`), then one :func:`probe_rows` pass over the
+    rest; a probed hit is a match when ``d <= radius``.  ``merge(per_part)``
+    returns one :class:`RangeSearchResult` per query from the parts'
+    records: the union of their matches, sorted by ``(best known distance,
+    id)``, a confirmed one as ``(id, None)`` with its ``U`` in
+    ``upper_bounds``.
 
-    Each result counts its own ``distance_evaluations`` and ``range_calls =
-    1``; the bucket's shared object, node, lower-bound and distance totals
-    are reported under ``extra["bucket_<name>"]``.  A bucket of one owns
-    every cost, so its scalars carry the totals.  A radius may be ``inf``
-    (the sweep's), never NaN or negative.
+    Each result counts its own ``distance_evaluations`` (the record's
+    evaluated rows) and ``range_calls = 1``; the bucket's shared object,
+    node, lower-bound and distance totals are reported under
+    ``extra["bucket_<name>"]``.  A bucket of one owns every cost, so its
+    scalars carry the totals.  A radius may be ``inf`` (the sweep's), never
+    NaN or negative.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (len(queries),):
@@ -119,9 +120,7 @@ def range_bucket(
         if deadline is not None:
             deadline.check("range")
         metrics = MetricsCollector()
-        query_metrics = [MetricsCollector() for _ in prepared]
-        matches: List[List[Match]] = [[] for _ in prepared]
-        bounds: List[Dict[int, float]] = [{} for _ in prepared]
+        record = Decisions(len(prepared))
         objects: Dict[int, FuzzyObject] = {}
         before = part.store.statistics.object_accesses
         if len(part.tree):
@@ -132,58 +131,47 @@ def range_bucket(
 
             hits = shared_traversal(
                 part.tree, alpha, improved, q_lo, q_hi, radii, metrics, deadline,
-                boxes=improved,
+                boxes=True,
             )
-            if improved:
-                bounds, rows = _confirm(prepared, q_lo, q_hi, radii, *hits)
-            else:
-                rows = [ids.tolist() for ids in hits]
-            probes = probe_rows(
-                fetch, prepared, rows, alpha, [{} for _ in prepared],
-                query_metrics, deadline,
+            record = _confirm(prepared, q_lo, q_hi, radii, *hits) if improved else (
+                Decisions(len(prepared), *hits[:2])
             )
-            answers = zip(rows, probes, radii.tolist(), bounds)
-            for qi, (row, dists, radius, sure) in enumerate(answers):
-                matches[qi] = [(object_id, None) for object_id in sure]
-                matches[qi] += [m for m in zip(row, dists.tolist()) if m[1] <= radius]
-        evaluations = [
-            qm.get(MetricsCollector.DISTANCE_EVALUATIONS) for qm in query_metrics
-        ]
+            undecided = np.flatnonzero(record.by == 0)
+            probe_rows(fetch, prepared, record, undecided, alpha, deadline)
+            record.member[undecided] = record.exact[undecided] <= radii[record.query[undecided]]
         counts = {
             "object_accesses": part.store.statistics.object_accesses - before,
             "node_accesses": metrics.get(MetricsCollector.NODE_ACCESSES),
-            "distance_evaluations": sum(evaluations),
             "lower_bound_evaluations": metrics.get(
                 MetricsCollector.LOWER_BOUND_EVALUATIONS
             ),
         }
-        return PartMatches(matches, bounds, evaluations, objects, counts)
+        return PartMatches(record, objects, counts)
 
     def merge(per_part: Sequence[PartMatches]) -> List[RangeSearchResult]:
+        record = Decisions.concat([part.decisions for part in per_part])
         counted = {
             name: sum(part.counts[name] for part in per_part)
             for name in per_part[0].counts
         }
+        counted["distance_evaluations"] = record.total_evaluations()
         single = len(prepared) == 1
         extra = {} if single else {f"bucket_{k}": float(v) for k, v in counted.items()}
         if len(per_part) > 1:
             extra["shard_fanouts"] = float(len(per_part))
         elapsed = timer.stop()
         results = []
-        for qi, radius in enumerate(radii.tolist()):
-            own = counted if single else {
-                "distance_evaluations": sum(part.evaluations[qi] for part in per_part)
-            }
+        answers = zip(radii.tolist(), record.answers(), record.evaluations().tolist())
+        for radius, members, evaluations in answers:
+            own = counted if single else {"distance_evaluations": evaluations}
             stats = QueryStats(
                 range_calls=1, elapsed_seconds=elapsed, extra=dict(extra), **own
             )
-            bounds = {i: u for part in per_part for i, u in part.bounds[qi].items()}
-            matches = sorted(
-                (m for part in per_part for m in part.matches[qi]),
-                key=lambda m: (bounds[m[0]] if m[1] is None else m[1], m[0]),
-            )
             results.append(
-                RangeSearchResult(matches, radius, alpha, stats, upper_bounds=bounds)
+                RangeSearchResult(
+                    [(object_id, d) for object_id, d, _, _ in members], radius, alpha,
+                    stats, upper_bounds={i: u for i, d, _, u in members if d is None},
+                )
             )
         return results
 
@@ -257,7 +245,7 @@ def collect_over_parts(
 
     def collect(part) -> PartMatches:
         found = local(part)
-        (sure,) = found.bounds
+        sure = found.decisions.object_id[found.decisions.by == CONFIRMED].tolist()
         found.objects.update((i, part.store.get(i)) for i in sure)
         found.counts["object_accesses"] += len(sure)
         return found

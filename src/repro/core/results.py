@@ -17,6 +17,13 @@ class QueryStats:
     ``object_accesses`` is the paper's headline metric (Figures 11, 13, 15a);
     ``elapsed_seconds`` corresponds to the running-time figures (12, 14, 15b).
     The remaining counters expose where each optimisation saves work.
+
+    ``distance_evaluations`` counts exact alpha-distance work actually done:
+    one per ``(query, object)`` distance evaluated, and in a sweep (every
+    method) one per distance profile computed.  A distance or profile a memo
+    already held counts none.  A bucket's families read it from their
+    :class:`~repro.core.executor.Decisions` record (its ``EVALUATED`` rows),
+    never from a counter kept beside the decisions.
     """
 
     object_accesses: int = 0
@@ -134,14 +141,11 @@ def resolve_exact(
     fetch: Callable[[int], FuzzyObject],
 ) -> Dict[int, float]:
     """``{object_id: exact distance}`` of every member of an AKNN or range
-    answer: a bound-confirmed one (``distance=None``) pays one
-    ``fetch(object_id)`` and one closest-pair evaluation."""
-    members = result.matches if isinstance(result, RangeSearchResult) else [
-        (n.object_id, n.distance) for n in result.neighbors
-    ]
+    answer (its ``matches``): a bound-confirmed one (``distance=None``) pays
+    one ``fetch(object_id)`` and one closest-pair evaluation."""
     return {
         int(i): float(alpha_distance(fetch(i), query, alpha) if d is None else d)
-        for i, d in members
+        for i, d in result.matches
     }
 
 
@@ -160,6 +164,12 @@ class AKNNResult:
     def object_ids(self) -> List[int]:
         """Ids of the returned neighbours (order insensitive per the paper)."""
         return [n.object_id for n in self.neighbors]
+
+    @property
+    def matches(self) -> List[Tuple[int, Optional[float]]]:
+        """``(object_id, distance)`` per neighbour, as a range answer's
+        ``matches``: ``None`` for one confirmed from its bounds."""
+        return [(n.object_id, n.distance) for n in self.neighbors]
 
     def sorted_by_distance(self) -> List[Neighbor]:
         """Neighbours ordered by their best known distance."""

@@ -9,12 +9,13 @@ plus ``Q``).
 The plan is filter, then verify.  The filter is the all-pairs
 disqualification test — ``A`` is out once ``k`` objects have
 ``MaxDist(M_A(alpha)*, M_B(alpha)*)`` below ``MinDist(M_A(alpha)*,
-M_Q(alpha))`` — over the ``(N, d)`` Equation-2 box arrays gathered straight
-from the leaf SoA views, without touching the store.  Its MaxDist half does
-not depend on the query: fewer than ``k`` objects beat the threshold exactly
-when ``A``'s k-th smallest MaxDist is at or above it, so that one value per
-row (:func:`~repro.index.soa.kth_max_dists`) is built once per partition-set
-version, ``alpha`` and ``k`` and cached in the
+M_Q(alpha))`` — over the ``(N, d)`` Equation-2 box arrays of the partition
+set's bound table (:meth:`~repro.core.executor.RepresentativeIndex.bounds`,
+the one box source the AKNN buckets read too), without touching the store.
+Its MaxDist half does not depend on the query: fewer than ``k`` objects beat
+the threshold exactly when ``A``'s k-th smallest MaxDist is at or above it,
+so that one value per row (:func:`~repro.index.soa.kth_max_dists`) is built
+once per partition-set version, ``alpha`` and ``k`` and cached in the
 :class:`~repro.core.executor.RepresentativeIndex`; a query then pays one
 ``MinDist`` per row.
 
@@ -25,7 +26,9 @@ its representative kernel point ``rep(A)``), and :func:`count_test` decides
 from them whether fewer than ``k`` objects are strictly closer to ``A``
 than ``Q``.  Only an undecided candidate is read; its distance to ``Q``
 becomes exact, and two passes then read, per undecided pair, first the
-``k - #sure`` most promising undecided neighbours and then the rest.  A
+``k - #sure`` most promising undecided neighbours and then the rest.  Each
+pair is a row of the bucket's :class:`~repro.core.executor.Decisions`
+record, which the results and their distance counts are read from.  A
 member the bounds confirm is reported with ``distance=None`` and its upper
 bound in :attr:`ReverseKNNResult.upper_bounds`; README, "What a reverse
 bucket reads", has the numbers.  Results report the method ``"batch"``.
@@ -38,8 +41,8 @@ maximised over the bucket), and one bucket-wide memo reads each object at
 most once however many queries and candidates need it.
 :meth:`ReverseAKNNSearcher.search_batch` runs it over one tree — a partition
 set of one, fanned out by a plain call — and the sharded database over its
-live shards through its strict fan-out; the gather, the filter, the
-verification, the merge and the cost totals exist only here.
+live shards through its strict fan-out; the filter, the verification, the
+merge and the cost totals exist only here.
 """
 
 from __future__ import annotations
@@ -51,10 +54,15 @@ import numpy as np
 
 from repro.config import RuntimeConfig
 from repro.core.executor import (
+    CONFIRMED,
+    MEMO,
+    Decisions,
     RepresentativeIndex,
     _exact_min_distances,
-    first_pass,
+    probe_rows,
+    reader,
     shared_traversal,
+    two_passes,
     upper_bounds,
 )
 from repro.core.query import PreparedQuery
@@ -132,25 +140,20 @@ def count_test(
 class VerificationPlan:
     """One bucket's candidates and their bounds to the queries, read-free.
 
-    Column ``c`` is candidate ``cand_ids[c]`` (global row ``union[c]``,
-    ``M_A(alpha)*`` box ``lo[c]`` / ``hi[c]``, ``rep(A)`` ``reps[c]``).  Pair
-    ``p`` is query ``pair_query[p]`` with candidate ``pair_cand[p]``;
-    ``lower`` / ``upper`` hold ``L(A, Q)`` / ``U(A, Q)`` until ``d(A, Q)``
-    is known (``known``), then ``d(A, Q)`` twice.  ``radius[c]`` is the
-    largest ``U(A, Q)`` over the bucket: no object farther from ``A`` can
-    be counted by any of its pairs.
+    Column ``c`` is candidate ``cand_ids[c]`` (``M_A(alpha)*`` box ``lo[c]``
+    / ``hi[c]``, ``rep(A)`` ``reps[c]``).
+    Row ``p`` of ``decisions`` is its query with candidate ``pair_cand[p]``,
+    bounded by ``L(A, Q)`` / ``U(A, Q)`` until ``d(A, Q)`` is known.
+    ``radius[c]`` is the largest ``U(A, Q)`` over the bucket: no object
+    farther from ``A`` can be counted by any of its pairs.
     """
 
-    union: np.ndarray
     cand_ids: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     reps: np.ndarray
-    pair_query: np.ndarray
     pair_cand: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    known: np.ndarray
+    decisions: Decisions
     radius: np.ndarray
 
 
@@ -171,8 +174,8 @@ def plan_bucket_verification(
     Lemma 1 of ``rep(A)`` against ``Q'_alpha``.  A distance the shared
     :class:`~repro.fuzzy.alpha_distance.DistanceProfileStore` already holds
     for this query instance (a sweep's, or an earlier reverse bucket's) is
-    taken as exact.  Returns ``None`` when no candidate survives anywhere in
-    the bucket.
+    settled as ``MEMO``.  Returns ``None`` when no candidate survives
+    anywhere in the bucket.
     """
     union = np.flatnonzero(masks.any(axis=0))
     if union.shape[0] == 0:
@@ -181,7 +184,6 @@ def plan_bucket_verification(
     pair_query, pair_cand = np.nonzero(masks[:, union])
     q_lo = np.stack([p.query_mbr.lower for p in prepared])
     q_hi = np.stack([p.query_mbr.upper for p in prepared])
-    lower = thresholds[pair_query, union[pair_cand]]
     needed, owner = np.unique(pair_query, return_inverse=True)
     upper = upper_bounds(
         q_lo[needed], q_hi[needed], box_lo[pair_cand, None], box_hi[pair_cand, None],
@@ -189,23 +191,22 @@ def plan_bucket_verification(
     )[:, 0]
     metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, pair_query.shape[0])
     cand_ids = ids[union]
-    known = np.zeros(pair_query.shape[0], dtype=bool)
+    record = Decisions(
+        len(prepared), pair_query, cand_ids[pair_cand],
+        thresholds[pair_query, union[pair_cand]], upper,
+    )
     if profile_store is not None:
-        for p, (qi, c) in enumerate(zip(pair_query.tolist(), pair_cand.tolist())):
+        for p, (qi, object_id) in enumerate(
+            zip(pair_query.tolist(), record.object_id.tolist())
+        ):
             query = prepared[qi]
             if profile_store.has_query(query.query):
-                cached = profile_store.distance_at(
-                    query.query, int(cand_ids[c]), query.alpha
-                )
+                cached = profile_store.distance_at(query.query, object_id, query.alpha)
                 if cached is not None:
-                    lower[p] = upper[p] = cached
-                    known[p] = True
+                    record.settle(p, cached, MEMO)
     radius = np.zeros(union.shape[0])
-    np.maximum.at(radius, pair_cand, upper)
-    return VerificationPlan(
-        union, cand_ids, box_lo, box_hi, reps, pair_query, pair_cand,
-        lower, upper, known, radius,
-    )
+    np.maximum.at(radius, pair_cand, record.upper)
+    return VerificationPlan(cand_ids, box_lo, box_hi, reps, pair_cand, record, radius)
 
 
 def verify_candidates(
@@ -214,34 +215,34 @@ def verify_candidates(
     prepared: Sequence[PreparedQuery],
     k: int,
     config: RuntimeConfig,
-    fetch: Callable[[int, int], FuzzyObject],
-    cand_part: np.ndarray,
+    fetch: Callable[[int], FuzzyObject],
     metrics: MetricsCollector,
     profile_store: Optional[DistanceProfileStore] = None,
     deadline=None,
-) -> Tuple[np.ndarray, List[int]]:
+) -> np.ndarray:
     """Decide every pair of ``plan``, reading only what a count leaves open.
 
     ``per_part[j]`` is part ``j``'s ``shared_traversal(..., boxes=True)``
-    around the candidates' boxes; ``fetch(object_id, j)`` reads an object of
-    part ``j`` (once per bucket) and ``cand_part[c]`` is candidate ``c``'s
-    part.  After :func:`count_test` on the stored bounds, every undecided
-    pair's candidate is read: its ``d(A, Q)`` is evaluated and each
+    around the candidates' boxes; ``fetch(object_id)`` reads an object once
+    per bucket.  After :func:`count_test` on the stored bounds, every
+    undecided pair's candidate is read: its ``d(A, Q)`` is settled in the
+    plan's record (:func:`~repro.core.executor.probe_rows`) and each
     ``U(A, B)`` tightened by Lemma 1 of ``rep(B)`` against ``A``'s sample.
-    Pass 1 then evaluates, per undecided pair, the ``k - #sure`` open
+    Then :func:`~repro.core.executor.two_passes` over the undecided pairs'
+    neighbours: pass 1 evaluates, per pair, the ``k - #sure`` open
     neighbours with the smallest ``(L(A, B), id)``; the test runs again and
     pass 2 evaluates every open neighbour left.  ``d(A, B)`` does not depend
-    on the query, so each pair of objects is evaluated once.  The deadline
-    is checked before each pass.  Returns, per pair, whether it is out, and
-    per query the ``d(A, Q)`` evaluations made for it.
+    on the query, so each pair of objects is evaluated once (the record's
+    ``shared_evaluations``).  The deadline is checked before each pass that
+    reads.  Returns, per pair, whether it is out.
     """
     alpha = prepared[0].alpha
-    part = np.repeat(np.arange(len(per_part)), [hits[0].shape[0] for hits in per_part])
+    record = plan.decisions
     owner, ids, lo, hi, reps = (np.concatenate(column) for column in zip(*per_part))
     # A candidate is not its own neighbour; group the rest by candidate.
     keep = np.flatnonzero(ids != plan.cand_ids[owner])
     keep = keep[np.argsort(owner[keep], kind="stable")]
-    owner, ids, lo, hi, reps, part = (a[keep] for a in (owner, ids, lo, hi, reps, part))
+    owner, ids, lo, hi, reps = (a[keep] for a in (owner, ids, lo, hi, reps))
     near_lower = min_dist_to_boxes(plan.lo[owner], plan.hi[owner], lo[:, None], hi[:, None])
     near_upper = upper_bounds(
         plan.lo, plan.hi, lo[:, None], hi[:, None], reps[:, None],
@@ -254,45 +255,45 @@ def verify_candidates(
     near_upper = np.append(near_upper[:, 0], np.inf)
     near_ids = np.append(ids, -1)
     evaluated = np.zeros(hits + 1, dtype=bool)
-    counts = np.bincount(owner, minlength=plan.union.shape[0])
+    counts = np.bincount(owner, minlength=plan.cand_ids.shape[0])
     starts = np.cumsum(counts) - counts
     width = np.arange(counts.max(initial=0))
     rows = np.where(width < counts[:, None], starts[:, None] + width, hits)[plan.pair_cand]
 
     def test():
-        return count_test(plan.lower, plan.upper, near_lower[rows], near_upper[rows], k)
+        return count_test(record.lower, record.upper, near_lower[rows], near_upper[rows], k)
 
-    def candidate(c: int) -> FuzzyObject:
-        return fetch(int(plan.cand_ids[c]), int(cand_part[c]))
-
-    probes = [0] * len(prepared)
     member, out = test()[:2]
-    todo = ~member & ~out & ~plan.known
+    todo = np.flatnonzero(~member & ~out & (record.by == 0))
     for c in np.unique(plan.pair_cand[todo]).tolist():
         own = slice(starts[c], starts[c] + counts[c])
-        sample = candidate(c).sample_alpha_cut(alpha, config.upper_bound_samples)
+        sample = fetch(int(plan.cand_ids[c])).sample_alpha_cut(alpha, config.upper_bound_samples)
         np.minimum(near_upper[own], rep_to_samples_distances(reps[own], sample), out=near_upper[own])
         metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, int(counts[c]))
-    for qi in np.unique(plan.pair_query[todo]).tolist():
-        pairs = np.flatnonzero(todo & (plan.pair_query == qi))
-        cands = plan.pair_cand[pairs].tolist()
-        query = prepared[qi]
-        found = _exact_min_distances(
-            query.query_cut, [candidate(c).alpha_cut(alpha) for c in cands]
-        )
-        plan.lower[pairs] = plan.upper[pairs] = found
-        plan.known[pairs] = True
-        probes[qi] += len(cands)
-        if profile_store is not None and profile_store.has_query(query.query):
-            for c, value in zip(cands, found.tolist()):
-                profile_store.insert_distance(query.query, int(plan.cand_ids[c]), alpha, value)
-    metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS, sum(probes))
+    probe_rows(fetch, prepared, record, todo, alpha)
+    if profile_store is not None:
+        for p in todo.tolist():
+            query = prepared[record.query[p]].query
+            if profile_store.has_query(query):
+                profile_store.insert_distance(
+                    query, int(record.object_id[p]), alpha, float(record.exact[p])
+                )
 
     pair_distances: Dict[Tuple[int, int], float] = {}
+    passes = iter((1, 2))
 
-    def evaluate(wanted: np.ndarray) -> None:
-        """Make ``d(A, B)`` exact at every hit position in ``wanted``."""
-        wanted = np.unique(wanted)
+    def owed():
+        member, out, sure, open_ = test()
+        return sure, open_ & ~evaluated[rows] & (~member & ~out)[:, None], near_lower[rows]
+
+    def evaluate(cells: np.ndarray) -> None:
+        """Make ``d(A, B)`` exact at every hit position the cells name."""
+        pass_number = next(passes)
+        if not cells.any():
+            return
+        if deadline is not None:
+            deadline.check(f"reverse pass {pass_number}")
+        wanted = np.unique(rows[cells])
         for c in np.unique(owner[wanted]).tolist():
             mine = wanted[owner[wanted] == c].tolist()
             a = int(plan.cand_ids[c])
@@ -300,25 +301,16 @@ def verify_candidates(
             missing = [(h, key) for h, key in zip(mine, keys) if key not in pair_distances]
             if missing:
                 found = _exact_min_distances(
-                    candidate(c).alpha_cut(alpha),
-                    [fetch(int(ids[h]), int(part[h])).alpha_cut(alpha) for h, _ in missing],
+                    fetch(a).alpha_cut(alpha),
+                    [fetch(int(ids[h])).alpha_cut(alpha) for h, _ in missing],
                 )
-                metrics.increment(MetricsCollector.DISTANCE_EVALUATIONS, len(missing))
                 pair_distances.update(zip((key for _, key in missing), found.tolist()))
             near_lower[mine] = near_upper[mine] = [pair_distances[key] for key in keys]
             evaluated[mine] = True
 
-    for pass_number in (1, 2):
-        member, out, sure, open_ = test()
-        owed = open_ & ~evaluated[rows] & (~member & ~out)[:, None]
-        if not owed.any():
-            return out, probes
-        if deadline is not None:
-            deadline.check(f"reverse pass {pass_number}")
-        if pass_number == 1:
-            owed = first_pass(near_lower[rows], near_ids[rows], sure, owed, k)
-        evaluate(rows[owed])
-    return test()[1], probes
+    two_passes(owed, near_ids[rows], k, evaluate)
+    record.shared_evaluations = len(pair_distances)
+    return test()[1]
 
 
 def build_bucket_results(
@@ -327,66 +319,53 @@ def build_bucket_results(
     method: str,
     elapsed: float,
     masks: np.ndarray,
-    memberships: Sequence[List[int]],
-    distance_maps: Sequence[Dict[int, Optional[float]]],
-    bound_maps: Sequence[Dict[int, float]],
-    probes: Sequence[int],
+    record: Decisions,
     totals: Dict[str, int],
     extra_common: Dict[str, float],
 ) -> List["ReverseKNNResult"]:
-    """Per-query results with per-query-honest cost attribution.
+    """Per-query results from the bucket's decision record, with
+    per-query-honest cost attribution.
 
     Most of a bucket's work (filter table, shared traversal, store fetches)
     is paid once and cannot be attributed to one query, so per-result scalar
-    counters charge each query only its own exact candidate probes
-    (``probes``), with the bucket totals (``totals``, keyed by QueryStats
-    field name) reported under ``extra["bucket_<name>"]``.  A bucket of one
-    query owns every cost, so its scalars carry the full totals.
+    counters charge each query only the ``d(A, Q)`` the record evaluated for
+    it, with the bucket totals (``totals``, keyed by QueryStats field name,
+    plus every distance the record paid for) reported under
+    ``extra["bucket_<name>"]``.  A bucket of one query owns every cost, so
+    its scalars carry the full totals.
     """
-    single = len(memberships) == 1
+    single = record.n_queries == 1
+    totals = {**totals, "distance_evaluations": record.total_evaluations()}
     results: List[ReverseKNNResult] = []
-    for qi in range(len(memberships)):
+    answers = zip(record.answers(), record.evaluations().tolist())
+    for qi, (members, evaluations) in enumerate(answers):
         extra = dict(extra_common)
         extra["candidates"] = float(int(masks[qi].sum()))
         for name, value in totals.items():
             extra[f"bucket_{name}"] = float(value)
         scalars = {name: (value if single else 0) for name, value in totals.items()}
         if not single:
-            scalars["distance_evaluations"] = probes[qi]
+            scalars["distance_evaluations"] = evaluations
         stats = QueryStats(elapsed_seconds=elapsed, extra=extra, **scalars)
         results.append(
             ReverseKNNResult(
-                object_ids=sorted(memberships[qi]),
-                distances=distance_maps[qi],
+                object_ids=sorted(object_id for object_id, _, _, _ in members),
+                distances={object_id: d for object_id, d, _, _ in members},
                 k=k,
                 alpha=alpha,
                 method=method,
                 stats=stats,
-                upper_bounds=bound_maps[qi],
+                upper_bounds={i: upper for i, d, _, upper in members if d is None},
             )
         )
     return results
 
 
-def collect_memberships(
-    plan: VerificationPlan, out: np.ndarray, n_queries: int
-) -> Tuple[List[List[int]], List[Dict[int, Optional[float]]], List[Dict[int, float]]]:
-    """Per-query members (every pair not out), their distances (``None``
-    where ``d(A, Q)`` was never evaluated) and those members' ``U(A, Q)``."""
-    memberships: List[List[int]] = [[] for _ in range(n_queries)]
-    distances: List[Dict[int, Optional[float]]] = [{} for _ in range(n_queries)]
-    bounds: List[Dict[int, float]] = [{} for _ in range(n_queries)]
-    members = np.flatnonzero(~out)
-    for qi, c, known, upper in zip(
-        plan.pair_query[members].tolist(), plan.pair_cand[members].tolist(),
-        plan.known[members].tolist(), plan.upper[members].tolist(),
-    ):
-        object_id = int(plan.cand_ids[c])
-        memberships[qi].append(object_id)
-        distances[qi][object_id] = upper if known else None
-        if not known:
-            bounds[qi][object_id] = upper
-    return memberships, distances, bounds
+def collect_memberships(record: Decisions, out: np.ndarray) -> None:
+    """Every pair not out is a member; one its bounds put in without a
+    read is ``CONFIRMED``."""
+    record.member = ~out
+    record.by[record.member & (record.by == 0)] = CONFIRMED
 
 
 @dataclass
@@ -411,14 +390,6 @@ class ReverseKNNResult:
         return len(self.object_ids)
 
 
-def _gather(part, alpha: float) -> Tuple[np.ndarray, ...]:
-    """A part's rows: ids, ``M_A(alpha)*`` boxes and ``rep(A)``, leaf by leaf
-    (an empty tree's ``(0, 0)`` boxes stand in for its representatives)."""
-    ids, lower, upper = part.tree.leaf_alpha_bounds(alpha)
-    reps = [soa.reps for soa in part.tree.leaf_views()]
-    return ids, lower, upper, np.concatenate(reps) if reps else lower
-
-
 def reverse_bucket_pass(
     index: RepresentativeIndex,
     parts: Sequence,
@@ -438,8 +409,8 @@ def reverse_bucket_pass(
     a plain call for a single tree, the sharded database's strict fan-out
     (fault injection, retries, survivor reruns) for shards:
 
-    1. ``reverse_gather`` — every part exports its ``(n_p, d)`` Equation-2
-       box arrays and representatives from the leaf SoA views;
+    1. the ids, ``M_A(alpha)*`` boxes and ``rep(A)`` of every part's rows
+       come from ``index.bounds`` (the AKNN buckets' bound table);
     2. ``reverse_filter`` — each part decides the all-pairs
        disqualification test for *its* rows against the **whole** box set, so
        candidate sets are exactly as tight as one tree's: a row survives when
@@ -448,18 +419,19 @@ def reverse_bucket_pass(
        a write or a survivor rerun rebuilds) and builds a part's slice on a
        miss;
     3. every surviving pair's bounds to its query are planned without a read
-       (:func:`plan_bucket_verification`);
+       (:func:`plan_bucket_verification`), one row of the bucket's
+       :class:`~repro.core.executor.Decisions` record per pair;
     4. ``reverse_verify`` — every part runs one :func:`shared_traversal`
        around the candidates' boxes at their radii ``max_q U(A, Q)``, which
        finds every object a count can need; then
        :func:`verify_candidates` reads, between fan-outs and through the
        part that holds each object, only what :func:`count_test` leaves
-       undecided.
+       undecided, and writes each pair's decision into the record.
 
     The bucket totals are assembled here, once: the filter's ``Q·n`` bound
     evaluations, ``n`` more per row whose k-th table this bucket built
     (``Q·n + n²`` on a cold table), plus every part's verification traversal
-    and the verification's bounds and distances.
+    and the verification's bounds; the distances are read from the record.
     """
     if k <= 0:
         raise InvalidQueryError(f"k must be positive, got {k}")
@@ -474,34 +446,20 @@ def reverse_bucket_pass(
     if deadline is not None:
         deadline.check("reverse filter")
     prepared = [PreparedQuery(query, alpha, config, rng) for query in queries]
-    gathered = fan_out("reverse_gather", lambda part: _gather(part, alpha))
-    # Row range of each part within the concatenated arrays (an empty tree
-    # exports (0, 0)-shaped boxes, which cannot be concatenated).
-    sizes = [g[0].shape[0] for g in gathered]
-    stops = np.cumsum(sizes).tolist()
-    spans = {
-        id(part): (stop - size, stop)
-        for part, size, stop in zip(parts, sizes, stops)
-    }
-    part_of_row = np.repeat(np.arange(len(parts)), sizes)
-    n = stops[-1]
-    filled = [g for g in gathered if g[0].shape[0]] or gathered[:1]
-    ids, box_lo, box_hi, reps = (
-        np.concatenate([g[axis] for g in filled]) for axis in range(4)
-    )
-
+    trees = [part.tree for part in parts]
+    _, ids, member_of = index.over(trees)
+    n = ids.shape[0]
+    masks = np.zeros((len(queries), n), dtype=bool)
     plan = None
-    if n == 0:
-        masks = np.ones((len(queries), n), dtype=bool)
-    else:
-        thresholds = query_filter_thresholds(prepared, box_lo, box_hi)
-        trees = [part.tree for part in parts]
+    if n:
+        table = index.bounds(trees, alpha)
+        thresholds = query_filter_thresholds(prepared, table.lo, table.hi)
+        position = {id(part): member for member, part in enumerate(parts)}
 
         def filter_rows(part) -> Tuple[np.ndarray, int]:
-            start, stop = spans[id(part)]
-            kth, built = index.kth_table(
-                trees, alpha, k, start, stop, box_lo, box_hi
-            )
+            member = position[id(part)]
+            start, stop = table.spans[member]
+            kth, built = index.kth_table(trees, alpha, k, member)
             return kth >= thresholds[:, start:stop], (stop - start if built else 0)
 
         filtered = fan_out("reverse_filter", filter_rows)
@@ -512,14 +470,11 @@ def reverse_bucket_pass(
             len(queries) * n + built_rows * n,
         )
         plan = plan_bucket_verification(
-            prepared, masks, ids, (box_lo, box_hi, reps), thresholds, metrics,
+            prepared, masks, ids, (table.lo, table.hi, table.reps), thresholds, metrics,
             profile_store=profile_store,
         )
 
-    memberships: List[List[int]] = [[] for _ in queries]
-    distance_maps: List[Dict[int, Optional[float]]] = [{} for _ in queries]
-    bound_maps: List[Dict[int, float]] = [{} for _ in queries]
-    probes = [0] * len(queries)
+    record = Decisions(len(queries))
     traversal = MetricsCollector()
     if plan is not None:
         if deadline is not None:
@@ -536,20 +491,12 @@ def reverse_bucket_pass(
         verified = fan_out("reverse_verify", around_candidates)
         for _, counted in verified:
             traversal.merge(counted)
-        objects: Dict[int, FuzzyObject] = {}
-
-        def fetch(object_id: int, part: int) -> FuzzyObject:
-            if object_id not in objects:
-                objects[object_id] = parts[part].store.get(object_id)
-            return objects[object_id]
-
-        out, probes = verify_candidates(
-            plan, [hits for hits, _ in verified], prepared, k, config, fetch,
-            part_of_row[plan.union], metrics, profile_store, deadline,
+        record = plan.decisions
+        out = verify_candidates(
+            plan, [hits for hits, _ in verified], prepared, k, config,
+            reader(parts, member_of), metrics, profile_store, deadline,
         )
-        memberships, distance_maps, bound_maps = collect_memberships(
-            plan, out, len(queries)
-        )
+        collect_memberships(record, out)
 
     return build_bucket_results(
         k,
@@ -557,19 +504,13 @@ def reverse_bucket_pass(
         "batch",
         timer.stop(),
         masks,
-        memberships,
-        distance_maps,
-        bound_maps,
-        probes,
+        record,
         totals={
             "object_accesses": sum(
                 part.store.statistics.object_accesses for part in parts
             )
             - accesses_before,
             "node_accesses": traversal.get(MetricsCollector.NODE_ACCESSES),
-            "distance_evaluations": metrics.get(
-                MetricsCollector.DISTANCE_EVALUATIONS
-            ),
             "lower_bound_evaluations": metrics.get(
                 MetricsCollector.LOWER_BOUND_EVALUATIONS
             )
@@ -580,7 +521,7 @@ def reverse_bucket_pass(
         },
         extra_common={
             "batch_reverse_queries": float(len(queries)),
-            "reverse_candidates": float(plan.union.shape[0] if plan else 0),
+            "reverse_candidates": float(plan.cand_ids.shape[0] if plan else 0),
             "shard_fanouts": float(len(parts)),
         },
     )
@@ -595,12 +536,14 @@ class ReverseAKNNSearcher:
         tree: RTree,
         config: Optional[RuntimeConfig] = None,
         profile_store: Optional[DistanceProfileStore] = None,
+        index: Optional[RepresentativeIndex] = None,
     ):
         self.store = store
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
-        # The k-th MaxDist table belongs to this partition set of one.
-        self._rep_index = RepresentativeIndex()
+        # The box table and k-th MaxDist tables of this partition set of one
+        # (a database hands in the index its AKNN buckets and sweeps use).
+        self._rep_index = index if index is not None else RepresentativeIndex()
         # d_alpha(A, Q) memo shared with the RKNN sweep searcher (the
         # database hands both the same store): a profile the sweep computed
         # answers a reverse evaluation for free, and vice versa the scalar

@@ -23,14 +23,17 @@ one of them; :func:`repro.reference.sweep` is the exhaustive answer):
     ``alpha_start`` and an upper bound at ``alpha_end`` hold across the
     range: a rank test on them confirms whole-range members and drops
     objects that cannot rank, with no read and no AKNN sub-query
-    (:meth:`RKNNSearcher._search_decided`).  Algorithm 5 (Improved
+    (:meth:`RKNNSearcher._search_decided`, the AKNN bucket's
+    :meth:`~repro.core.executor.Decisions.lazy_probe` over the candidates'
+    record).  Algorithm 5 (Improved
     Candidate Refinement, Lemma 4) sweeps the undecided rest, granting each
     neighbour a *safe range* while its distance stays below the (k+1)-th.
 
 All variants return the same qualifying ranges as the brute-force
 :func:`repro.reference.sweep`, which shares no code with them (asserted by
 the test suite); they differ in the number of object accesses and refinement
-steps.  ``basic`` and ``rss`` keep the paper's algorithms as they are: they
+steps.  Each distance profile a sweep computes is one distance evaluation
+(a memoised one is none), on top of its sub-queries' own.  ``basic`` and ``rss`` keep the paper's algorithms as they are: they
 are the competitors of Figure 13, whose RSS is flat in the range length.
 
 The sweep is written once, over a *partition set*: each AKNN sub-query is one
@@ -58,10 +61,12 @@ import numpy as np
 from repro.config import RKNN_EPSILON, RuntimeConfig
 from repro.core.aknn import searcher_over
 from repro.core.executor import (
+    EVALUATED,
+    MEMO,
+    Decisions,
     RepresentativeIndex,
     bootstrap_radii,
-    first_pass,
-    rank_test,
+    reader,
     shared_traversal,
 )
 from repro.core.query import PreparedQuery
@@ -231,9 +236,10 @@ class RKNNSearcher:
                 break
             ends = []
             for object_id in nn_ids:
-                profile = self._profile_for(
-                    object_id, query, alpha_end, profile_cache, ranked_by[object_id]
+                profile, computed = self._profile_for(
+                    object_id, query, alpha_end, profile_cache, ranked_by[object_id].store.get
                 )
+                stats.distance_evaluations += computed
                 ends.append(profile.next_critical(min(evaluation_point, 1.0)))
             alpha_star = min(ends)
             piece_end = min(alpha_star, alpha_end)
@@ -254,22 +260,24 @@ class RKNNSearcher:
         query: FuzzyObject,
         alpha_end: float,
         cache: Dict[int, DistanceProfile],
-        part,
-    ) -> DistanceProfile:
-        """Distance profile of one object, probing ``part``'s store at most once.
+        fetch: Callable[[int], FuzzyObject],
+    ) -> Tuple[DistanceProfile, bool]:
+        """Distance profile of one object, reading it through ``fetch`` at
+        most once, and whether this call computed it.
 
         Consults the searcher-level :class:`DistanceProfileStore` first, so a
-        hit skips the object probe entirely (and repeated calls with the same
+        hit skips the object read entirely (and repeated calls with the same
         query instance reuse profiles across sweeps).
         """
-        if object_id not in cache:
+        computed = object_id not in cache
+        if computed:
             profile = self.profile_store.lookup(query, object_id, alpha_end)
-            if profile is None:
-                obj = part.store.get(object_id)
-                profile = distance_profile(obj, query, max_level=alpha_end)
+            computed = profile is None
+            if computed:
+                profile = distance_profile(fetch(object_id), query, max_level=alpha_end)
                 self.profile_store.insert(query, object_id, profile, alpha_end)
             cache[object_id] = profile
-        return cache[object_id]
+        return cache[object_id], computed
 
     # ------------------------------------------------------------------
     # RSS: Algorithm 4
@@ -304,13 +312,10 @@ class RKNNSearcher:
 
         profiles: Dict[int, DistanceProfile] = {}
         for object_id, _ in found.matches:
-            profile = self.profile_store.lookup(query, object_id, alpha_end)
-            if profile is None:
-                profile = distance_profile(
-                    objects[object_id], query, max_level=alpha_end
-                )
-                self.profile_store.insert(query, object_id, profile, alpha_end)
-            profiles[object_id] = profile
+            _, computed = self._profile_for(
+                object_id, query, alpha_end, profiles, objects.__getitem__
+            )
+            stats.distance_evaluations += computed
         return profiles
 
     # ------------------------------------------------------------------
@@ -347,70 +352,71 @@ class RKNNSearcher:
           ``L`` exceeds the need-th smallest ``U`` of the unconfirmed rest
           has ``need`` of them strictly closer everywhere.
 
-        :func:`~repro.core.executor.rank_test` applies the last two.  ``U``
-        is the AKNN bucket's per ``aknn_method``: ``MaxDist`` plus Lemma 1
+        :func:`~repro.core.executor.rank_test` applies the last two, in the
+        survivors' :class:`~repro.core.executor.Decisions` record
+        (:meth:`~repro.core.executor.Decisions.lazy_probe`).  ``U`` is the
+        AKNN bucket's per ``aknn_method``: ``MaxDist`` plus Lemma 1
         (``lb_lp_ub``), ``MaxDist`` (``lb_lp``), unknown until read
         (``lb``); ``basic`` reads every survivor.  Pass 1 reads the ``need``
         undecided objects of smallest ``(L, id)`` and sets ``L`` / ``U`` to
         their ``d_{alpha_start}`` / ``d_{alpha_end}``; after a second rank
         test pass 2 reads the undecided rest.  A memoised profile costs no
-        read, and no object is read twice.  A confirmed object gets the
+        read and no distance evaluation (its row is ``MEMO``), and no object
+        is read twice.  A confirmed object gets the
         whole range; Algorithm 5 sweeps the undecided ones for the ``need``
         places.  The deadline is checked before the traversal and between
         the passes.
         """
         trees = [part.tree for part in self.parts]
-        _, _, member_of = self.index.over(trees)
         metrics = MetricsCollector()
         start = PreparedQuery(query, alpha_start, self.config, rng)
         end = PreparedQuery(query, alpha_end, self.config, rng)
         tau = bootstrap_radii(self.index, self.parts, [end], k, alpha_end, metrics)
         q_lo, q_hi = start.query_mbr.lower[None], start.query_mbr.upper[None]
+        bounded = aknn_method != "basic"
 
         def traverse(part) -> List[np.ndarray]:
             if deadline is not None:
                 deadline.check("sweep range")
             return shared_traversal(
-                part.tree, alpha_start, aknn_method != "basic", q_lo, q_hi, tau,
-                metrics, deadline, boxes=True,
+                part.tree, alpha_start, bounded, q_lo, q_hi, tau, metrics, deadline,
+                boxes=True,
             )
 
         columns = zip(*self.fan_out("range", traverse))
-        _, ids, lo, hi, _ = (np.concatenate(column) for column in columns)
+        owner, ids, lo, hi, _ = (np.concatenate(column) for column in columns)
         stats.range_calls += 1
         stats.extra["candidates"] = stats.extra.get("candidates", 0.0) + len(ids)
-        profiles: Dict[int, DistanceProfile] = {}
-
-        def profile_of(object_id: int) -> DistanceProfile:
-            return self._profile_for(
-                object_id, query, alpha_end, profiles, self.parts[member_of[object_id]]
-            )
-
-        valid = np.ones((1, len(ids)), dtype=bool)
-        confirmed, probe = ~valid, valid
-        if aknn_method != "basic" and len(ids):
-            lower = min_dist_to_boxes(q_lo, q_hi, lo, hi)
-            table = self.index.bounds(trees, alpha_end)
-            _, upper = table.bounds(
-                [end], table.rows(ids)[None], lemma1=aknn_method == "lb_lp_ub"
-            )
+        record = Decisions(1, owner, ids)
+        if bounded and len(ids):
+            # U at alpha_end; L at alpha_start, from the traversal's boxes.
+            record.bound(self.index.bounds(trees, alpha_end), [end], aknn_method)
+            record.lower = min_dist_to_boxes(q_lo, q_hi, lo, hi)[0]
             metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, len(ids))
-            if aknn_method == "lb":
-                upper[:] = np.inf  # nothing is known above an object until it is read
-            confirmed, probe = rank_test(lower, upper, valid, k, tau)
-            for c in np.flatnonzero(first_pass(lower, ids[None], confirmed, probe, k)):
-                profile = profile_of(int(ids[c]))
-                lower[0, c] = profile.value(alpha_start)
-                upper[0, c] = profile.value(alpha_end)
-            if deadline is not None:
-                deadline.check("sweep refinement")
-            confirmed, probe = rank_test(lower, upper, valid, k, tau)
-        # Pass 2 reads what the second rank test left undecided.
-        undecided = {i: profile_of(i) for i in sorted(ids[probe[0]].tolist())}
-        sure = ids[confirmed[0]].tolist()
+        profiles: Dict[int, DistanceProfile] = {}
+        fetch = reader(self.parts, self.index.over(trees)[2])
+
+        def read(rows: np.ndarray) -> None:
+            """Each row's profile: its distances at the range's two ends."""
+            for row in rows.tolist():
+                object_id = int(ids[row])
+                profile, computed = self._profile_for(
+                    object_id, query, alpha_end, profiles, fetch
+                )
+                record.settle(
+                    row, profile.value(alpha_start), EVALUATED if computed else MEMO,
+                    upper=profile.value(alpha_end),
+                )
+
+        confirmed, probe = record.lazy_probe(
+            k, tau, read, deadline, "sweep refinement", bounded
+        )
+        undecided = {i: profiles[i] for i in sorted(ids[probe].tolist())}
+        sure = ids[confirmed].tolist()
         stats.node_accesses += metrics.get(MetricsCollector.NODE_ACCESSES)
         stats.lower_bound_evaluations += metrics.get(MetricsCollector.LOWER_BOUND_EVALUATIONS)
         stats.upper_bound_evaluations += metrics.get(MetricsCollector.UPPER_BOUND_EVALUATIONS)
+        stats.distance_evaluations += record.total_evaluations()
         assignments = refine_candidates_icr(
             undecided, k - len(sure), alpha_start, alpha_end, stats
         )

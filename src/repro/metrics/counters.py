@@ -18,22 +18,16 @@ class MetricsCollector:
     """A tiny bag of named integer counters."""
 
     # Counters the query processors use; free-form names are also accepted.
-    # The cost counters (node / object accesses, distance and bound
-    # evaluations) count work done, so a pass rerun on a sharded database's
+    # The cost counters (node accesses, distance and bound evaluations)
+    # count work done, so a pass rerun on a sharded database's
     # survivors pays again; on a database's own ``metrics`` the AKNN bucket
     # bootstrap's nominations are its upper-bound evaluations.
     NODE_ACCESSES = "node_accesses"
-    OBJECT_ACCESSES = "object_accesses"
     DISTANCE_EVALUATIONS = "distance_evaluations"
     LOWER_BOUND_EVALUATIONS = "lower_bound_evaluations"
     UPPER_BOUND_EVALUATIONS = "upper_bound_evaluations"
-    AKNN_CALLS = "aknn_calls"
-    RANGE_CALLS = "range_calls"
-    REFINEMENT_STEPS = "refinement_steps"
-    # Cache and batch-executor accounting; batch_queries counts the queries
-    # of every AKNN bucket of many once per bucket answered.
-    CACHE_HITS = "cache_hits"
-    CACHE_MISSES = "cache_misses"
+    # Batch accounting; batch_queries counts the queries of every AKNN
+    # bucket of many once per bucket answered.
     BATCH_QUERIES = "batch_queries"
     NODES_PRUNED = "nodes_pruned"
     # Sharded query-service accounting: per-shard sub-queries issued by the

@@ -16,8 +16,8 @@ Spec strings (CLI / smoke-script friendly) are ``;``-separated rules of
     kind=raise,count=1                      # first call to any shard fails
 
 ``op`` names the fan-out operation (``aknn``, ``aknn_batch``, ``range``,
-``reverse_gather``, ``reverse_filter``, ``reverse_verify``, ``wal_append``;
-omit to match all).  ``after`` skips the first N matching calls, ``count`` bounds how many
+``reverse_filter``, ``reverse_verify``, ``wal_append``; omit to match all).
+``after`` skips the first N matching calls, ``count`` bounds how many
 times the rule fires (omit for "forever").  ``kind=hang`` sleeps
 ``hang_ms`` (default 30 s) to emulate a stuck worker — pair it with request
 deadlines.  :meth:`FaultPlan.random` builds a seeded randomized plan for the
@@ -41,7 +41,6 @@ FAULT_OPERATIONS = (
     "aknn",
     "aknn_batch",
     "range",
-    "reverse_gather",
     "reverse_filter",
     "reverse_verify",
     "wal_append",

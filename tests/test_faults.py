@@ -798,7 +798,7 @@ class TestChurn:
         sharded = ShardedDatabase.build(
             list(objects), n_shards=2, placement="hash", config=chaos_config()
         )
-        plan = FaultPlan.parse("op=reverse_gather,kind=delay,delay_ms=400,count=2")
+        plan = FaultPlan.parse("op=reverse_filter,kind=delay,delay_ms=400,count=2")
         sharded.fault_plan = plan
         victims = [shard.db.object_ids()[0] for shard in sharded._shards]
         errors = []

@@ -340,6 +340,7 @@ class TestPairwiseKernel:
         table = executor_module.BoundTable(
             np.arange(batch * count), reps.reshape(-1, dimensions),
             reps.reshape(-1, dimensions), reps.reshape(-1, dimensions),
+            [(0, batch * count)],
         )
         far = np.full(dimensions, 1e12)
         prepared = [
@@ -425,12 +426,13 @@ class TestBoxBounds:
 # The reverse filter's k-th MaxDist table
 # ----------------------------------------------------------------------
 class _BoxTree:
-    """Exports fixed Equation-2 boxes the way an R-tree's leaves do."""
+    """Exports fixed Equation-2 boxes the way an R-tree's leaves do, under
+    ids ``first_id`` on."""
 
     mutations = 0
 
-    def __init__(self, lower, upper):
-        self.lower, self.upper = lower, upper
+    def __init__(self, lower, upper, first_id=0):
+        self.lower, self.upper, self.first_id = lower, upper, first_id
 
     def __len__(self):
         return self.lower.shape[0]
@@ -438,17 +440,20 @@ class _BoxTree:
     def leaf_alpha_bounds(self, alpha):
         if not len(self):  # an empty tree exports (0, 0)-shaped boxes
             return np.empty(0, dtype=np.int64), np.empty((0, 0)), np.empty((0, 0))
-        return np.arange(len(self)), self.lower, self.upper
+        return self.first_id + np.arange(len(self)), self.lower, self.upper
 
     def leaf_views(self):
         """One leaf holding every box, each box's centre as its ``rep(A)``."""
         if len(self):
-            yield SimpleNamespace(reps=(self.lower + self.upper) / 2.0)
+            yield SimpleNamespace(
+                object_ids=self.first_id + np.arange(len(self)),
+                reps=(self.lower + self.upper) / 2.0,
+            )
 
 
-def _box_part(lower, upper):
+def _box_part(lower, upper, first_id):
     return SimpleNamespace(
-        tree=_BoxTree(lower, upper),
+        tree=_BoxTree(lower, upper, first_id),
         store=SimpleNamespace(statistics=SimpleNamespace(object_accesses=0)),
     )
 
@@ -498,7 +503,7 @@ class TestReverseFilterTable:
         cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=2)))
         bounds = [0, *cuts, count]
         parts = [
-            _box_part(lower[a:b], upper[a:b]) for a, b in zip(bounds, bounds[1:])
+            _box_part(lower[a:b], upper[a:b], a) for a, b in zip(bounds, bounds[1:])
         ]
         expected = certainly_closer_counts(
             lower, upper, lower, upper, thresholds, self_index=np.arange(count)
@@ -536,7 +541,7 @@ class TestReverseFilterTable:
         index = RepresentativeIndex()
 
         def builds(k):
-            return index.kth_table(trees, 0.5, k, 0, 6, lower, upper)[1]
+            return index.kth_table(trees, 0.5, k, 0)[1]
 
         kept = executor_module._KTH_TABLE_PAIRS
         assert all(builds(k) for k in range(1, kept + 2))

@@ -1,6 +1,6 @@
 """What ``service/sharded.py`` may know, how both engines answer an AKNN
-bucket, what ``reference.py`` may import, what the package may carry, and
-the line-count script, as checks.
+bucket, where a bucket's counts come from, what ``reference.py`` may import,
+what the package may carry, and the line-count script, as checks.
 
 The sharded module is fan-out / failure policy, durability glue and topology.
 Every family lives in its own module and reaches it only through public
@@ -160,6 +160,29 @@ def test_range_search_walks_no_tree_of_its_own():
     assert not attributes & NODE_WALK, sorted(attributes & NODE_WALK)
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not {name for name in names if "stack" in name.lower()}
+
+
+BUCKET_MODULES = [
+    SRC / "repro" / "core" / f"{name}.py"
+    for name in ("executor", "range_search", "reverse_nn", "rknn")
+]
+
+
+def test_bucket_modules_count_from_their_decision_record():
+    """A bucket's per-query counts are read from its decision record, so no
+    bucket module builds a ``MetricsCollector`` per query (one inside a
+    comprehension) and every one of them writes a ``Decisions`` record."""
+    for path in BUCKET_MODULES:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp, ast.SetComp)):
+                called = {
+                    call.func.id
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                }
+                assert "MetricsCollector" not in called, (path.name, node.lineno)
+        assert "Decisions" in referenced_names(tree), f"{path.name} writes no decision record"
 
 
 REFERENCE = SRC / "repro" / "reference.py"

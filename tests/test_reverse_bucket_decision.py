@@ -57,7 +57,7 @@ class BucketLog:
         def logged_plan(*args, **kwargs):
             log.plan = plan(*args, **kwargs)
             if log.plan is not None:
-                log.upper = log.plan.upper.copy()  # U(A, Q) before any read
+                log.upper = log.plan.decisions.upper.copy()  # U(A, Q) before any read
             return log.plan
 
         def logged_traversal(*args, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 
 from repro import reference
 from repro.config import RuntimeConfig
+from repro.core import executor as executor_module
 from repro.core import rknn as rknn_module
 from repro.core.aknn import AKNNSearcher
 from repro.core.database import FuzzyDatabase
@@ -227,6 +228,40 @@ class TestCostBehaviour:
             }
             assert reads["rss_icr"] < reads["rss"], reads
 
+    @pytest.mark.parametrize("method", RKNN_METHODS)
+    def test_every_profile_computed_is_a_distance_evaluation(
+        self, dense_database, dense_queries, monkeypatch, method
+    ):
+        """A sweep reports one distance evaluation per profile it computes,
+        on top of its sub-queries' own; a memoised profile costs none.  A
+        fresh query instance pays a profile per object it reads; run again,
+        the same instance pays no new profile."""
+        profiles, sub_queries = [], []
+        profile, merge = rknn_module.distance_profile, RKNNSearcher._merge_substats
+
+        def counted_profile(*args, **kwargs):
+            profiles.append(args[0].object_id)
+            return profile(*args, **kwargs)
+
+        def counted_merge(stats, sub):
+            sub_queries.append(sub.distance_evaluations)
+            merge(stats, sub)
+
+        monkeypatch.setattr(rknn_module, "distance_profile", counted_profile)
+        monkeypatch.setattr(RKNNSearcher, "_merge_substats", staticmethod(counted_merge))
+        query = FuzzyObject(dense_queries[0].points, dense_queries[0].memberships)
+        for run in ("fresh", "memoised"):
+            profiles.clear()
+            sub_queries.clear()
+            result = dense_database.execute(
+                SweepRequest(query, k=5, alpha_range=(0.3, 0.7), method=method)
+            )
+            assert result.stats.distance_evaluations == len(profiles) + sum(sub_queries)
+            if run == "fresh":
+                assert len(profiles) > 0
+            else:
+                assert profiles == []
+
     def test_candidate_count_recorded(self, dense_database, dense_queries):
         result = dense_database.execute(
             SweepRequest(dense_queries[0], k=5, alpha_range=(0.3, 0.7), method="rss")
@@ -381,14 +416,14 @@ class TestDeadline:
             SweepRequest(FuzzyObject(query.points, query.memberships), **request)
         )
         assert unhurried.stats.object_accesses > request["k"]
-        rank_test = rknn_module.rank_test
+        rank_test = executor_module.rank_test
 
         def slow_rank_test(*args):
             calls.append(args)
             time.sleep(0.1)
             return rank_test(*args)
 
-        monkeypatch.setattr(rknn_module, "rank_test", slow_rank_test)
+        monkeypatch.setattr(executor_module, "rank_test", slow_rank_test)
         before = engine.object_accesses
         with pytest.raises(DeadlineExceededError):
             engine.execute(SweepRequest(query, **request, deadline_ms=50.0))

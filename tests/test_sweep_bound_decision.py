@@ -27,6 +27,7 @@ import numpy as np
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro import reference
+from repro.core import executor as executor_module
 from repro.core import rknn as rknn_module
 from repro.core.database import FuzzyDatabase
 from repro.core.requests import SweepRequest
@@ -62,7 +63,7 @@ class SweepLog:
     def run(self, answer):
         log = self
         get = ObjectStore.get
-        traversal, rank_test = rknn_module.shared_traversal, rknn_module.rank_test
+        traversal, rank_test = rknn_module.shared_traversal, executor_module.rank_test
 
         def logged_get(store, object_id):
             log.reads.append(int(object_id))
@@ -81,7 +82,7 @@ class SweepLog:
 
         with mock.patch.object(ObjectStore, "get", logged_get), mock.patch.object(
             rknn_module, "shared_traversal", logged_traversal
-        ), mock.patch.object(rknn_module, "rank_test", logged_rank_test):
+        ), mock.patch.object(executor_module, "rank_test", logged_rank_test):
             result = answer()
         assert len(self.reads) == len(set(self.reads)), sorted(self.reads)
         assert set(self.reads) <= (self.undecided or set()), (
