@@ -6,14 +6,16 @@ through the service) churns the deployment, then asserts:
 
 * **Delta parity** — folding each subscription's delta stream into an empty
   member map reproduces exactly the result of re-executing its request from
-  scratch, and every stream is gap-free in ``seq``.
+  scratch, equals the subscription's maintained members exactly (``==``, so
+  a member delete keeps each survivor's delivered distance), and every
+  stream is gap-free in ``seq``.
 * **Screening** — the vectorised bound kernel dismissed at least one insert
   without paying an exact distance evaluation (SUB_SCREENED_OUT > 0), and a
   member delete triggered at least one targeted re-query (SUB_REQUERIES).
 * **Shedding** — a depth-1 consumer is shed (stream closed, counter bumped,
   subscription torn down) instead of stalling mutations.
 
-Run locally::
+Run locally (CI runs seeds 7, 1, 2 and 3)::
 
     PYTHONPATH=src python scripts/subscription_smoke.py --seed 7
 """
@@ -109,6 +111,9 @@ def main(argv=None) -> int:
     for index, delivery in enumerate(deliveries):
         members, gap_free = _fold(delivery.drain())
         _check(gap_free, f"subscription {index}: delta stream is gap-free", failures)
+        _check(members == delivery.subscription.members,
+               f"subscription {index}: maintained members == delta fold (exact)",
+               failures)
         reference = _reference(database, delivery.subscription)
         same = sorted(members) == sorted(reference) and all(
             abs(members[oid] - reference[oid]) < 1e-9 for oid in reference

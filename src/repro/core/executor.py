@@ -253,20 +253,21 @@ class BoundTable:
         return self._order[np.searchsorted(self._ids, object_ids)]
 
     def bounds(
-        self, prepared: Sequence[PreparedQuery], rows: np.ndarray, lemma1: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, prepared: Sequence[PreparedQuery], rows: np.ndarray, lemma1: bool = True,
+        lower: bool = True,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """``(Q, C)`` lower and upper bounds of query ``q`` against ``rows[q]``.
 
-        ``d-_alpha`` against ``M_A(alpha)*`` and :func:`upper_bounds`, with
-        Lemma 1 when ``lemma1``; element for element the single-query
-        search's values.
+        ``d-_alpha`` against ``M_A(alpha)*`` (``None`` unless ``lower``) and
+        :func:`upper_bounds`, with Lemma 1 when ``lemma1``; element for
+        element the single-query search's values.
         """
         q_lo = np.stack([p.query_mbr.lower for p in prepared])
         q_hi = np.stack([p.query_mbr.upper for p in prepared])
         lo, hi = self.lo[rows], self.hi[rows]
         samples = [p.query_samples for p in prepared] if lemma1 else None
         upper = upper_bounds(q_lo, q_hi, lo, hi, self.reps[rows], samples)
-        return min_dist_to_boxes(q_lo, q_hi, lo, hi), upper
+        return (min_dist_to_boxes(q_lo, q_hi, lo, hi) if lower else None), upper
 
 
 def upper_bounds(
@@ -323,7 +324,7 @@ def bootstrap_radii(
     _, rows = kdtree.query(centers, k=kk)
     rows = rows.reshape(len(prepared), kk)
     metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, rows.size)
-    _, upper = index.bounds(trees, alpha).bounds(prepared, rows)
+    _, upper = index.bounds(trees, alpha).bounds(prepared, rows, lower=False)
     return np.partition(upper, k - 1, axis=1)[:, k - 1]
 
 
@@ -398,14 +399,18 @@ class Decisions:
         cells[valid] = column
         return cells
 
-    def bound(self, table: "BoundTable", prepared: Sequence[PreparedQuery], method: str) -> None:
-        """``lower`` / ``upper`` from ``table``'s stored bounds (rows grouped
-        by query), as AKNN ``method`` reads them: ``lb_lp_ub`` tightens U by
-        Lemma 1, ``lb_lp`` keeps ``MaxDist``, ``lb`` knows no U until a read."""
+    def bound(
+        self, table: "BoundTable", prepared: Sequence[PreparedQuery], method: str,
+        lower: bool = True,
+    ) -> None:
+        """``lower`` (unless the record keeps its own) / ``upper`` from
+        ``table``'s stored bounds (rows grouped by query), as AKNN ``method``
+        reads them: ``lb_lp_ub`` tightens U by Lemma 1, ``lb_lp`` keeps
+        ``MaxDist``, ``lb`` knows no U until a read."""
         valid = self.grid(np.ones(self.query.shape, dtype=bool), False)
         rows = self.grid(table.rows(self.object_id), 0)  # padding reads row 0
-        lower, upper = table.bounds(prepared, rows, lemma1=method == "lb_lp_ub")
-        self.lower, self.upper = lower[valid], upper[valid]
+        low, upper = table.bounds(prepared, rows, method == "lb_lp_ub", lower)
+        self.lower, self.upper = (low[valid] if lower else self.lower), upper[valid]
         if method == "lb":
             self.upper[:] = np.inf
 
@@ -545,8 +550,9 @@ def shared_traversal(
     matrix per node.  Returns, per query, the ids of every leaf entry whose
     lower bound survives the query's radius, in leaf-visit then entry order.
     With ``boxes``, the hits flat in that order instead, grouped by query:
-    ``[query index, id, box lower, box upper, rep(A)]``, the box the
-    traversal bounded (``M_A(alpha)*`` when ``improved``).
+    ``[query index, id, box lower, box upper, rep(A), lower bound]``, the
+    box the traversal bounded (``M_A(alpha)*`` when ``improved``) and the
+    ``MinDist`` to it that the prune test compared.
     """
     n_queries = q_lo.shape[0]
     threshold = tau * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
@@ -554,7 +560,7 @@ def shared_traversal(
     # (seeded empty, so a traversal that reaches no leaf still concatenates).
     hit_queries = [np.empty(0, dtype=np.int64)]
     hit_ids = [np.empty(0, dtype=np.int64)]
-    hit_boxes = [(np.empty((0, q_lo.shape[1])),) * 3]
+    hit_boxes = [(np.empty((0, q_lo.shape[1])),) * 3 + (np.empty(0),)]
     lb_counter = MetricsCollector.LOWER_BOUND_EVALUATIONS
     # Stack of (node, active query indices); the radii are fixed up
     # front, so no best-first ordering is needed.
@@ -582,7 +588,7 @@ def shared_traversal(
             hit_queries.append(active[rows])
             hit_ids.append(soa.object_ids[cols])
             if boxes:
-                hit_boxes.append((box_lo[cols], box_hi[cols], soa.reps[cols]))
+                hit_boxes.append((box_lo[cols], box_hi[cols], soa.reps[cols], lb[rows, cols]))
         else:
             child_dists = soa.min_dist(q_lo[active], q_hi[active])
             reachable = child_dists <= threshold[active, None]

@@ -55,11 +55,12 @@ class PartMatches:
 
 
 def _confirm(
-    prepared: Sequence[PreparedQuery], q_lo, q_hi, radii, owner, ids, lo, hi, reps
+    prepared: Sequence[PreparedQuery], q_lo, q_hi, radii, owner, ids, lo, hi, reps, lower
 ) -> Decisions:
-    """The hits' record, each hit's upper bound in it and the matches those
-    confirm marked: ``MaxDist`` for every hit, Lemma 1 (sampling only the
-    queries that need it) where ``MaxDist`` is above :func:`confirm_radius`."""
+    """The hits' record, each hit's bounds in it (``lower`` the traversal's)
+    and the matches those confirm marked: ``MaxDist`` for every hit, Lemma 1
+    (sampling only the queries that need it) where ``MaxDist`` is above
+    :func:`confirm_radius`."""
     settled = confirm_radius(radii[owner])
     upper = upper_bounds(q_lo, q_hi, lo[:, None], hi[:, None], owner=owner)[:, 0]
     tight = np.flatnonzero(upper > settled)
@@ -69,7 +70,7 @@ def _confirm(
             q_lo[needed], q_hi[needed], lo[tight, None], hi[tight, None],
             reps[tight, None], [prepared[qi].query_samples for qi in needed], inverse,
         )[:, 0]
-    record = Decisions(len(prepared), owner, ids, upper=upper)
+    record = Decisions(len(prepared), owner, ids, lower, upper)
     record.member = upper <= settled
     record.by[record.member] = CONFIRMED
     return record

@@ -139,12 +139,17 @@ def resolve_exact(
     query: FuzzyObject,
     alpha: float,
     fetch: Callable[[int], FuzzyObject],
+    known: Optional[Dict[int, float]] = None,
 ) -> Dict[int, float]:
     """``{object_id: exact distance}`` of every member of an AKNN or range
-    answer (its ``matches``): a bound-confirmed one (``distance=None``) pays
-    one ``fetch(object_id)`` and one closest-pair evaluation."""
+    answer (its ``matches``).  One in ``known`` keeps that distance unread;
+    any other confirmed from its bounds (``distance=None``) pays one
+    ``fetch(object_id)`` and one closest-pair evaluation."""
+    known = known or {}
     return {
-        int(i): float(alpha_distance(fetch(i), query, alpha) if d is None else d)
+        int(i): known[i] if i in known else float(
+            alpha_distance(fetch(i), query, alpha) if d is None else d
+        )
         for i, d in result.matches
     }
 

@@ -53,12 +53,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import RuntimeConfig
+from repro.core import executor
 from repro.core.executor import (
     CONFIRMED,
     MEMO,
     Decisions,
     RepresentativeIndex,
-    _exact_min_distances,
     probe_rows,
     reader,
     shared_traversal,
@@ -238,12 +238,12 @@ def verify_candidates(
     """
     alpha = prepared[0].alpha
     record = plan.decisions
-    owner, ids, lo, hi, reps = (np.concatenate(column) for column in zip(*per_part))
+    traversed = [np.concatenate(column) for column in zip(*per_part)]
     # A candidate is not its own neighbour; group the rest by candidate.
-    keep = np.flatnonzero(ids != plan.cand_ids[owner])
-    keep = keep[np.argsort(owner[keep], kind="stable")]
-    owner, ids, lo, hi, reps = (a[keep] for a in (owner, ids, lo, hi, reps))
-    near_lower = min_dist_to_boxes(plan.lo[owner], plan.hi[owner], lo[:, None], hi[:, None])
+    keep = np.flatnonzero(traversed[1] != plan.cand_ids[traversed[0]])
+    keep = keep[np.argsort(traversed[0][keep], kind="stable")]
+    # L(A, B) is the traversal's own bound around the candidate's box.
+    owner, ids, lo, hi, reps, near_lower = (column[keep] for column in traversed)
     near_upper = upper_bounds(
         plan.lo, plan.hi, lo[:, None], hi[:, None], reps[:, None],
         list(plan.reps[:, None]), owner,
@@ -251,7 +251,7 @@ def verify_candidates(
     metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, owner.shape[0])
     # One inf / unread sentinel past the end pads every candidate's row.
     hits = owner.shape[0]
-    near_lower = np.append(near_lower[:, 0], np.inf)
+    near_lower = np.append(near_lower, np.inf)
     near_upper = np.append(near_upper[:, 0], np.inf)
     near_ids = np.append(ids, -1)
     evaluated = np.zeros(hits + 1, dtype=bool)
@@ -300,7 +300,8 @@ def verify_candidates(
             keys = [(min(a, b), max(a, b)) for b in ids[mine].tolist()]
             missing = [(h, key) for h, key in zip(mine, keys) if key not in pair_distances]
             if missing:
-                found = _exact_min_distances(
+                # Through the module, so a wrapper around the kernel sees it.
+                found = executor._exact_min_distances(
                     fetch(a).alpha_cut(alpha),
                     [fetch(int(ids[h])).alpha_cut(alpha) for h, _ in missing],
                 )

@@ -80,7 +80,6 @@ from repro.fuzzy.alpha_distance import (
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.intervals import IntervalSet
 from repro.fuzzy.profile import DistanceProfile
-from repro.index.soa import min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
 
@@ -384,14 +383,14 @@ class RKNNSearcher:
             )
 
         columns = zip(*self.fan_out("range", traverse))
-        owner, ids, lo, hi, _ = (np.concatenate(column) for column in columns)
+        owner, ids, _, _, _, lower = (np.concatenate(column) for column in columns)
         stats.range_calls += 1
         stats.extra["candidates"] = stats.extra.get("candidates", 0.0) + len(ids)
         record = Decisions(1, owner, ids)
         if bounded and len(ids):
-            # U at alpha_end; L at alpha_start, from the traversal's boxes.
-            record.bound(self.index.bounds(trees, alpha_end), [end], aknn_method)
-            record.lower = min_dist_to_boxes(q_lo, q_hi, lo, hi)[0]
+            # U at alpha_end; L at alpha_start, the traversal's own bound.
+            record.lower = lower
+            record.bound(self.index.bounds(trees, alpha_end), [end], aknn_method, False)
             metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, len(ids))
         profiles: Dict[int, DistanceProfile] = {}
         fetch = reader(self.parts, self.index.over(trees)[2])

@@ -8,21 +8,24 @@ update is deliberately small:
 
 *Insert.*  A new object can only enter a kNN answer whose current k-th
 distance it beats (or that is not full yet), and a range answer whose radius
-it reaches.  Both conditions are screened *vectorised* across all
-subscriptions at once: ``MinDist`` between each subscription's query
-alpha-cut box and the new object's support box (:func:`min_dist_to_boxes`,
-the Equation-1 kernel the tree traversal already uses) is a valid lower
-bound on the exact alpha-distance, so subscriptions whose threshold lies
-below it are dismissed without touching the object's point set
-(SUB_SCREENED_OUT).  Only survivors pay one exact closest-pair evaluation
-(SUB_EVALUATIONS).
+it reaches.  ``MinDist`` between each subscription's query alpha-cut box
+and the new object's support box (:func:`min_dist_to_boxes`, the Equation-1
+kernel the tree traversal already uses) lower-bounds the exact
+alpha-distance, and each threshold (that k-th distance, ``inf`` while not
+full, or the radius) is kept in an array refreshed when members change, so
+one ``bounds <= thresholds`` comparison screens every subscription without
+touching the object's point set (SUB_SCREENED_OUT).  Only survivors pay one
+exact closest-pair evaluation (SUB_EVALUATIONS).
 
 *Delete.*  A delete can only change answers the object currently belongs
 to.  A range subscription just drops the member (the delta is exact without
 re-execution).  A kNN subscription must back-fill its k-th slot, which
 requires a targeted re-query — routed through the engine's typed ``execute``
 surface (SUB_REQUERIES), so on a sharded database the re-query is the normal
-fan-out + cross-shard merge and the delta is correct across shards.
+fan-out + cross-shard merge and the delta is correct across shards.  A
+delete only improves the survivors' ranks: they keep the distances their
+subscriber was delivered, and only a new member confirmed from its bounds
+is read (:func:`resolve_exact` with the known distances).
 
 Parity invariant (pinned by the tests): after *every* mutation, replaying a
 subscription's delta stream from empty reproduces exactly the result of
@@ -168,11 +171,10 @@ class SubscriptionEngine:
         # may call back into unsubscribe() on the same thread (the delivery
         # queue sheds its subscription on overflow).
         self._lock = threading.RLock()
-        # Stacked (S, d) query boxes for the vectorised insert screen;
-        # rebuilt lazily after subscribe/unsubscribe.
-        self._screen_ids: Optional[List[int]] = None
-        self._screen_lower: Optional[np.ndarray] = None
-        self._screen_upper: Optional[np.ndarray] = None
+        # The insert screen: the subscriptions, their stacked (S, d) query
+        # boxes, (S,) thresholds and each one's row; rebuilt lazily after
+        # subscribe/unsubscribe, a threshold refreshed when members change.
+        self._screen: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -194,7 +196,7 @@ class SubscriptionEngine:
             self._next_id += 1
             sub.members = self._execute_members(sub)
             self._subs[sub.id] = sub
-            self._invalidate_screen()
+            self._screen = None
             self._count(MetricsCollector.SUBSCRIPTIONS)
             delta = sub.emit(
                 [(oid, d) for oid, d in sub.members.items()], [], "initial"
@@ -209,7 +211,7 @@ class SubscriptionEngine:
             sub = self._subs.pop(sub_id, None)
             if sub is not None:
                 sub.active = False
-                self._invalidate_screen()
+                self._screen = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -226,23 +228,21 @@ class SubscriptionEngine:
                 return
             object_id = int(obj.object_id)
             support = obj.support_mbr()
-            lower, upper, ids = self._screen_matrices()
+            subs, lower, upper, thresholds, _ = self._screen_arrays()
             # MinDist(query alpha-cut box, object support box) lower-bounds
             # the exact alpha-distance at every alpha, so one (S, 1) kernel
-            # call screens all subscriptions at once.
+            # call and one comparison screen all subscriptions at once.
             bounds = min_dist_to_boxes(
                 lower,
                 upper,
                 support.lower[None, :],
                 support.upper[None, :],
             )[:, 0]
-            screened = 0
-            for sub_index, sub_id in enumerate(ids):
-                sub = self._subs.get(sub_id)
-                if sub is None:
-                    continue
-                if bounds[sub_index] > sub.threshold:
-                    screened += 1
+            passed = np.flatnonzero(bounds <= thresholds).tolist()
+            if len(subs) > len(passed):
+                self._count(MetricsCollector.SUB_SCREENED_OUT, len(subs) - len(passed))
+            for sub in (subs[row] for row in passed):
+                if not sub.active:  # a listener unsubscribed it meanwhile
                     continue
                 self._count(MetricsCollector.SUB_EVALUATIONS)
                 try:
@@ -252,8 +252,6 @@ class SubscriptionEngine:
                     # belong to any alpha-cut answer.
                     continue
                 self._apply_insert(sub, object_id, distance)
-            if screened:
-                self._count(MetricsCollector.SUB_SCREENED_OUT, screened)
 
     def notify_delete(self, object_id: int) -> None:
         """Maintain every subscription after ``object_id`` was deleted."""
@@ -265,14 +263,16 @@ class SubscriptionEngine:
                 if sub.is_aknn:
                     # The k-th slot must be back-filled: targeted re-query
                     # through the typed surface (fans out + merges across
-                    # shards on a sharded engine), then diff.
+                    # shards on a sharded engine), then diff.  Survivors keep
+                    # their delivered distances; only a new member is read.
                     self._count(MetricsCollector.SUB_REQUERIES)
-                    fresh = self._execute_members(sub)
+                    fresh = self._execute_members(sub, known=sub.members)
                     added = [
                         (oid, d) for oid, d in fresh.items() if oid not in sub.members
                     ]
                     removed = [oid for oid in sub.members if oid not in fresh]
                     sub.members = fresh
+                    self._refresh_threshold(sub)
                     if sub.emit(added, removed, "delete") is not None:
                         self._count(MetricsCollector.SUB_DELTAS)
                 else:
@@ -289,6 +289,7 @@ class SubscriptionEngine:
             k = sub.request.k
             if len(sub.members) < k:
                 sub.members[object_id] = distance
+                self._refresh_threshold(sub)
                 if sub.emit([(object_id, distance)], [], "insert") is not None:
                     self._count(MetricsCollector.SUB_DELTAS)
                 return
@@ -296,6 +297,7 @@ class SubscriptionEngine:
             if (distance, object_id) < (worst_d, worst_id):
                 sub.members.pop(worst_id)
                 sub.members[object_id] = distance
+                self._refresh_threshold(sub)
                 sub.emit([(object_id, distance)], [worst_id], "insert")
                 self._count(MetricsCollector.SUB_DELTAS)
             return
@@ -304,28 +306,33 @@ class SubscriptionEngine:
             sub.emit([(object_id, distance)], [], "insert")
             self._count(MetricsCollector.SUB_DELTAS)
 
-    def _execute_members(self, sub: Subscription) -> Dict[int, float]:
+    def _execute_members(self, sub: Subscription, known=None) -> Dict[int, float]:
         """Run the subscription's request and return exact ``{id: distance}``.
 
-        Members confirmed through bounds alone (kNN neighbours and range
-        matches) carry ``distance=None``; the maintained state needs exact
+        A member in ``known`` keeps that distance.  Any other member
+        confirmed through bounds alone (kNN neighbours and range matches)
+        carries ``distance=None``; the maintained state needs exact
         distances, so each is read once here.
         """
         result = self.engine.execute(sub.request)
-        return resolve_exact(result, sub.request.query, sub.alpha, self.engine.get_object)
+        return resolve_exact(result, sub.request.query, sub.alpha, self.engine.get_object, known)
 
-    def _screen_matrices(self):
-        if self._screen_lower is None:
+    def _screen_arrays(self):
+        if self._screen is None:
             subs = list(self._subs.values())
-            self._screen_ids = [s.id for s in subs]
-            self._screen_lower = np.stack([s.query_lower for s in subs])
-            self._screen_upper = np.stack([s.query_upper for s in subs])
-        return self._screen_lower, self._screen_upper, self._screen_ids
+            self._screen = (
+                subs,
+                np.stack([s.query_lower for s in subs]),
+                np.stack([s.query_upper for s in subs]),
+                np.array([s.threshold for s in subs]),
+                {s.id: row for row, s in enumerate(subs)},
+            )
+        return self._screen
 
-    def _invalidate_screen(self) -> None:
-        self._screen_ids = None
-        self._screen_lower = None
-        self._screen_upper = None
+    def _refresh_threshold(self, sub: Subscription) -> None:
+        if self._screen is not None and sub.active:
+            *_, thresholds, rows = self._screen
+            thresholds[rows[sub.id]] = sub.threshold
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:

@@ -23,7 +23,6 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core import executor as executor_module
-from repro.core import reverse_nn as reverse_module
 from repro.core import rknn as rknn_module
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import EVALUATED, Decisions
@@ -86,10 +85,11 @@ class Trace:
 
             return wrapper
 
-        for module in (executor_module, reverse_module):
-            monkeypatch.setattr(
-                module, "_exact_min_distances", counted(module._exact_min_distances)
-            )
+        monkeypatch.setattr(
+            executor_module,
+            "_exact_min_distances",
+            counted(executor_module._exact_min_distances),
+        )
         profile = rknn_module.distance_profile
 
         def counted_profile(*args, **kwargs):

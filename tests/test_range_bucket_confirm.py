@@ -74,7 +74,7 @@ class BucketLog:
 
         def logged_traversal(*args, **kwargs):
             hits = traversal(*args, **kwargs)
-            if kwargs.get("boxes"):  # flat: query index, id, boxes, reps
+            if kwargs.get("boxes"):  # flat: query index, id, boxes, reps, L
                 for qi, object_id in zip(hits[0].tolist(), hits[1].tolist()):
                     log.survivors[qi].add(object_id)
             else:

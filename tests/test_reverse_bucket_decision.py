@@ -89,7 +89,7 @@ class BucketLog:
         plan = self.plan
         pairs = np.flatnonzero(self.undecided)
         allowed = set(plan.cand_ids[plan.pair_cand[pairs]].tolist())
-        for owner, ids, lo, hi, _ in self.hits:
+        for owner, ids, lo, hi, _, _ in self.hits:
             near = min_dist_to_boxes(plan.lo[owner], plan.hi[owner], lo[:, None], hi[:, None])
             for p in pairs.tolist():
                 c = plan.pair_cand[p]
