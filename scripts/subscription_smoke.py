@@ -13,7 +13,8 @@ through the service) churns the deployment, then asserts:
   without paying an exact distance evaluation (SUB_SCREENED_OUT > 0), and a
   member delete triggered at least one targeted re-query (SUB_REQUERIES).
 * **Shedding** — a depth-1 consumer is shed (stream closed, counter bumped,
-  subscription torn down) instead of stalling mutations.
+  subscription torn down) instead of stalling mutations, and iterating its
+  stream yields the delta it queued and then ends.
 
 Run locally (CI runs seeds 7, 1, 2 and 3)::
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +147,13 @@ def main(argv=None) -> int:
     _check(service.metrics.get(MetricsCollector.SUBSCRIBERS_SHED) >= 1,
            "shed counter bumped", failures)
     _check(service.subscriptions == 3, "shed subscription torn down", failures)
+    read: list = []
+    reader = threading.Thread(target=lambda: read.extend(slow), daemon=True)
+    reader.start()
+    reader.join(timeout=5.0)
+    _check(not reader.is_alive(), "shed stream iteration ends", failures)
+    _check(len(read) == 1, f"shed stream yields its queued delta ({len(read)})",
+           failures)
 
     service.stop()
     database.close()

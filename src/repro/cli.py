@@ -36,8 +36,8 @@ runnable as ``python -m repro.cli``.  Subcommands:
     tail replay + one STR bulk load per shard, then validate.
 
 All query subcommands accept ``--stats`` to additionally dump every collected
-counter, including cache hit/miss telemetry (object-store buffer pool,
-per-object alpha-cut caches, distance-profile store).
+counter, including cache hit/miss telemetry (object-store buffer pool and
+per-object alpha-cut caches).
 """
 
 from __future__ import annotations

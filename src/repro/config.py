@@ -48,10 +48,6 @@ DEFAULT_NODE_ALPHA_CACHE_CAPACITY = 8
 # Number of materialised alpha-cuts each fuzzy object keeps in its LRU cache.
 DEFAULT_ALPHA_CUT_CACHE_CAPACITY = 8
 
-# Number of memoised distance profiles kept per searcher (keyed by object
-# pair); 0 disables the store.
-DEFAULT_PROFILE_CACHE_CAPACITY = 256
-
 # Defaults of the sharded query service (see repro.service).  The shard count
 # is at least 1 (one shard: no partitioning); the coalescer window is the
 # longest a submit_request bucket waits for companions (a blocked caller's
@@ -126,9 +122,6 @@ class RuntimeConfig:
     alpha_cut_cache_capacity:
         Number of materialised alpha-cuts each fuzzy object handed out by the
         store keeps in its per-object LRU cache.  ``0`` disables the cache.
-    profile_cache_capacity:
-        Number of memoised distance profiles (keyed by object pair) the RKNN
-        searcher keeps.  ``0`` disables the store.
     service_shards:
         Default shard count of :class:`~repro.service.ShardedDatabase`.
     shard_placement:
@@ -163,7 +156,6 @@ class RuntimeConfig:
     rtree_min_fill: float = DEFAULT_RTREE_MIN_FILL
     cache_capacity: int = 0
     alpha_cut_cache_capacity: int = DEFAULT_ALPHA_CUT_CACHE_CAPACITY
-    profile_cache_capacity: int = DEFAULT_PROFILE_CACHE_CAPACITY
     service_shards: int = DEFAULT_SERVICE_SHARDS
     shard_placement: str = DEFAULT_SHARD_PLACEMENT
     coalesce_max_batch: int = DEFAULT_COALESCE_MAX_BATCH
@@ -188,8 +180,6 @@ class RuntimeConfig:
             raise ValueError("cache_capacity must be >= 0")
         if self.alpha_cut_cache_capacity < 0:
             raise ValueError("alpha_cut_cache_capacity must be >= 0")
-        if self.profile_cache_capacity < 0:
-            raise ValueError("profile_cache_capacity must be >= 0")
         if self.service_shards < 1:
             raise ValueError("service_shards must be >= 1")
         if self.shard_placement not in ("hash", "space"):

@@ -49,7 +49,6 @@ from repro.core.results import AKNNResult, RangeSearchResult, RKNNResult
 from repro.core.reverse_nn import ReverseAKNNSearcher, ReverseKNNResult
 from repro.core.rknn import RKNNSearcher
 from repro.exceptions import ObjectNotFoundError, StorageError
-from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.summary import FuzzyObjectSummary, build_summary
 from repro.index.bulk import CompactionManager, bulk_load_tree
@@ -80,9 +79,6 @@ class FuzzyDatabase:
         self.tree = tree
         self.summaries = summaries
         self.config = (config or RuntimeConfig()).validate()
-        # One d_alpha memo shared by the sweep searcher and the reverse
-        # engine: overlapping (query, object) evaluations are paid once.
-        self.profile_store = DistanceProfileStore(self.config.profile_cache_capacity)
         self.range_searcher = AlphaRangeSearcher(store, tree, self.config)
         # This database as a part of its own AKNN partition set of one
         # (``store`` / ``tree``, as a shard exposes them) and the KD-tree and
@@ -93,13 +89,9 @@ class FuzzyDatabase:
         self._rep_index = RepresentativeIndex()
         # The sweep runs over this database as a partition set of one.
         self._rknn = RKNNSearcher(
-            [self], lambda op, fn: [fn(self)], self.config,
-            profile_store=self.profile_store, index=self._rep_index,
+            [self], lambda op, fn: [fn(self)], self.config, index=self._rep_index
         )
-        self._reverse = ReverseAKNNSearcher(
-            store, tree, self.config, profile_store=self.profile_store,
-            index=self._rep_index,
-        )
+        self._reverse = ReverseAKNNSearcher(store, tree, self.config, index=self._rep_index)
         # Request-planner telemetry (plan_groups / plan_requests / the shared
         # batch counters), observable per database instance.
         self.metrics = SharedMetricsCollector()

@@ -343,7 +343,8 @@ class Decisions:
     distances at the range's two ends as ``lower`` / ``upper``).  ``by``
     says what decided the row: ``CONFIRMED`` (its bounds, without a read),
     ``EVALUATED`` (an exact distance this bucket paid for) or ``MEMO`` (one
-    a memo held).  ``member`` marks the rows in their query's answer.  Every
+    the caller already held: :meth:`BatchQueryExecutor.aknn_batch`'s
+    ``initial_exact``).  ``member`` marks the rows in their query's answer.  Every
     family's results, and every count of exact distances they report, are
     read from here; ``shared_evaluations`` are the distances the bucket paid
     that no row holds (a reverse bucket's candidate-to-neighbour ones).

@@ -20,8 +20,9 @@ class QueryStats:
 
     ``distance_evaluations`` counts exact alpha-distance work actually done:
     one per ``(query, object)`` distance evaluated, and in a sweep (every
-    method) one per distance profile computed.  A distance or profile a memo
-    already held counts none.  A bucket's families read it from their
+    method) one per distance profile computed.  A profile the same request
+    computed earlier, or a distance the caller already held, counts none.
+    A bucket's families read it from their
     :class:`~repro.core.executor.Decisions` record (its ``EVALUATED`` rows),
     never from a counter kept beside the decisions.
     """

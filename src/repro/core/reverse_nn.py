@@ -56,7 +56,6 @@ from repro.config import RuntimeConfig
 from repro.core import executor
 from repro.core.executor import (
     CONFIRMED,
-    MEMO,
     Decisions,
     RepresentativeIndex,
     probe_rows,
@@ -68,7 +67,6 @@ from repro.core.executor import (
 from repro.core.query import PreparedQuery
 from repro.core.results import Coverage, QueryStats
 from repro.exceptions import InvalidQueryError
-from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.index.rtree import RTree
 from repro.index.soa import min_dist_to_boxes, rep_to_samples_distances
@@ -164,18 +162,14 @@ def plan_bucket_verification(
     boxes: Tuple[np.ndarray, np.ndarray, np.ndarray],
     thresholds: np.ndarray,
     metrics: MetricsCollector,
-    profile_store: Optional[DistanceProfileStore] = None,
 ) -> Optional[VerificationPlan]:
     """Every surviving ``(query, candidate)`` pair's bounds, without a read.
 
     ``masks`` are the filter's survivors over the global rows ``ids``, whose
     ``(lower, upper, rep)`` arrays are ``boxes``; ``thresholds`` are the
     filter's ``L(A, Q)``.  ``U(A, Q)`` is ``MaxDist(M_A*, M_Q)`` tightened by
-    Lemma 1 of ``rep(A)`` against ``Q'_alpha``.  A distance the shared
-    :class:`~repro.fuzzy.alpha_distance.DistanceProfileStore` already holds
-    for this query instance (a sweep's, or an earlier reverse bucket's) is
-    settled as ``MEMO``.  Returns ``None`` when no candidate survives
-    anywhere in the bucket.
+    Lemma 1 of ``rep(A)`` against ``Q'_alpha``.  Returns ``None`` when no
+    candidate survives anywhere in the bucket.
     """
     union = np.flatnonzero(masks.any(axis=0))
     if union.shape[0] == 0:
@@ -195,15 +189,6 @@ def plan_bucket_verification(
         len(prepared), pair_query, cand_ids[pair_cand],
         thresholds[pair_query, union[pair_cand]], upper,
     )
-    if profile_store is not None:
-        for p, (qi, object_id) in enumerate(
-            zip(pair_query.tolist(), record.object_id.tolist())
-        ):
-            query = prepared[qi]
-            if profile_store.has_query(query.query):
-                cached = profile_store.distance_at(query.query, object_id, query.alpha)
-                if cached is not None:
-                    record.settle(p, cached, MEMO)
     radius = np.zeros(union.shape[0])
     np.maximum.at(radius, pair_cand, record.upper)
     return VerificationPlan(cand_ids, box_lo, box_hi, reps, pair_cand, record, radius)
@@ -217,7 +202,6 @@ def verify_candidates(
     config: RuntimeConfig,
     fetch: Callable[[int], FuzzyObject],
     metrics: MetricsCollector,
-    profile_store: Optional[DistanceProfileStore] = None,
     deadline=None,
 ) -> np.ndarray:
     """Decide every pair of ``plan``, reading only what a count leaves open.
@@ -264,20 +248,13 @@ def verify_candidates(
         return count_test(record.lower, record.upper, near_lower[rows], near_upper[rows], k)
 
     member, out = test()[:2]
-    todo = np.flatnonzero(~member & ~out & (record.by == 0))
+    todo = np.flatnonzero(~member & ~out)
     for c in np.unique(plan.pair_cand[todo]).tolist():
         own = slice(starts[c], starts[c] + counts[c])
         sample = fetch(int(plan.cand_ids[c])).sample_alpha_cut(alpha, config.upper_bound_samples)
         np.minimum(near_upper[own], rep_to_samples_distances(reps[own], sample), out=near_upper[own])
         metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, int(counts[c]))
     probe_rows(fetch, prepared, record, todo, alpha)
-    if profile_store is not None:
-        for p in todo.tolist():
-            query = prepared[record.query[p]].query
-            if profile_store.has_query(query):
-                profile_store.insert_distance(
-                    query, int(record.object_id[p]), alpha, float(record.exact[p])
-                )
 
     pair_distances: Dict[Tuple[int, int], float] = {}
     passes = iter((1, 2))
@@ -401,7 +378,6 @@ def reverse_bucket_pass(
     config: RuntimeConfig,
     rng: Optional[np.random.Generator] = None,
     deadline=None,
-    profile_store: Optional[DistanceProfileStore] = None,
 ) -> List[ReverseKNNResult]:
     """One reverse bucket (shared ``k`` / ``alpha``) over a partition set.
 
@@ -471,8 +447,7 @@ def reverse_bucket_pass(
             len(queries) * n + built_rows * n,
         )
         plan = plan_bucket_verification(
-            prepared, masks, ids, (table.lo, table.hi, table.reps), thresholds, metrics,
-            profile_store=profile_store,
+            prepared, masks, ids, (table.lo, table.hi, table.reps), thresholds, metrics
         )
 
     record = Decisions(len(queries))
@@ -495,7 +470,7 @@ def reverse_bucket_pass(
         record = plan.decisions
         out = verify_candidates(
             plan, [hits for hits, _ in verified], prepared, k, config,
-            reader(parts, member_of), metrics, profile_store, deadline,
+            reader(parts, member_of), metrics, deadline,
         )
         collect_memberships(record, out)
 
@@ -536,7 +511,6 @@ class ReverseAKNNSearcher:
         store: ObjectStore,
         tree: RTree,
         config: Optional[RuntimeConfig] = None,
-        profile_store: Optional[DistanceProfileStore] = None,
         index: Optional[RepresentativeIndex] = None,
     ):
         self.store = store
@@ -545,14 +519,6 @@ class ReverseAKNNSearcher:
         # The box table and k-th MaxDist tables of this partition set of one
         # (a database hands in the index its AKNN buckets and sweeps use).
         self._rep_index = index if index is not None else RepresentativeIndex()
-        # d_alpha(A, Q) memo shared with the RKNN sweep searcher (the
-        # database hands both the same store): a profile the sweep computed
-        # answers a reverse evaluation for free, and vice versa the scalar
-        # memo dedupes repeated reverse submissions of one query instance.
-        # (Explicit None check: an empty store is falsy via __len__.)
-        if profile_store is None:
-            profile_store = DistanceProfileStore(self.config.profile_cache_capacity)
-        self.profile_store = profile_store
 
     def search_batch(
         self,
@@ -570,5 +536,4 @@ class ReverseAKNNSearcher:
         return reverse_bucket_pass(
             self._rep_index, [self], lambda op, fn: [fn(self)],
             queries, k, alpha, self.config, rng=rng, deadline=deadline,
-            profile_store=self.profile_store,
         )

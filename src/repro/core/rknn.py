@@ -32,9 +32,11 @@ one of them; :func:`repro.reference.sweep` is the exhaustive answer):
 All variants return the same qualifying ranges as the brute-force
 :func:`repro.reference.sweep`, which shares no code with them (asserted by
 the test suite); they differ in the number of object accesses and refinement
-steps.  Each distance profile a sweep computes is one distance evaluation
-(a memoised one is none), on top of its sub-queries' own.  ``basic`` and ``rss`` keep the paper's algorithms as they are: they
-are the competitors of Figure 13, whose RSS is flat in the range length.
+steps.  A sweep computes each candidate's distance profile at most once
+(a dict that lives for one request) and counts it as one distance
+evaluation, on top of its sub-queries' own.  ``basic`` and ``rss`` keep the
+paper's algorithms as they are: they are the competitors of Figure 13, whose
+RSS is flat in the range length.
 
 The sweep is written once, over a *partition set*: each AKNN sub-query is one
 :class:`~repro.core.aknn.AKNNSearcher` search over every part (admitted by
@@ -62,7 +64,6 @@ from repro.config import RKNN_EPSILON, RuntimeConfig
 from repro.core.aknn import searcher_over
 from repro.core.executor import (
     EVALUATED,
-    MEMO,
     Decisions,
     RepresentativeIndex,
     bootstrap_radii,
@@ -73,10 +74,7 @@ from repro.core.query import PreparedQuery
 from repro.core.range_search import collect_over_parts
 from repro.core.results import AKNNResult, QueryStats, RKNNResult, resolve_exact
 from repro.exceptions import InvalidQueryError
-from repro.fuzzy.alpha_distance import (
-    DistanceProfileStore,
-    distance_profile,
-)
+from repro.fuzzy.alpha_distance import distance_profile
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.intervals import IntervalSet
 from repro.fuzzy.profile import DistanceProfile
@@ -116,8 +114,6 @@ class RKNNSearcher:
         sharded database's strict fan-out for shards.
     config:
         Runtime knobs (the candidate collection's prepared query).
-    profile_store:
-        The d_alpha profile memo, keyed by query instance + object id.
     index:
         The partition set's :class:`~repro.core.executor.RepresentativeIndex`
         (``rss_icr``'s radius and stored bounds).
@@ -128,19 +124,12 @@ class RKNNSearcher:
         parts: Sequence,
         fan_out: Callable[[str, Callable], List],
         config: Optional[RuntimeConfig] = None,
-        profile_store: Optional[DistanceProfileStore] = None,
         index: Optional[RepresentativeIndex] = None,
     ):
         self.parts = list(parts)
         self.fan_out = fan_out
         self.index = index if index is not None else RepresentativeIndex()
         self.config = (config or RuntimeConfig()).validate()
-        # The database shares one store between this sweep searcher and the
-        # reverse engine, so overlapping d_alpha(A, Q) work is paid once.
-        # (Explicit None check: an empty store is falsy via __len__.)
-        if profile_store is None:
-            profile_store = DistanceProfileStore(self.config.profile_cache_capacity)
-        self.profile_store = profile_store
 
     # ------------------------------------------------------------------
     # Public API
@@ -170,8 +159,6 @@ class RKNNSearcher:
         alpha_start, alpha_end = self._validate_range(alpha_range)
         stats = QueryStats()
         accesses_before = self._object_accesses()
-        profile_hits_before = self.profile_store.hits
-        profile_misses_before = self.profile_store.misses
         timer = Timer().start()
 
         def aknn(alpha: float) -> Tuple[AKNNResult, Dict[int, object]]:
@@ -198,12 +185,6 @@ class RKNNSearcher:
 
         stats.elapsed_seconds = timer.stop()
         stats.object_accesses = self._object_accesses() - accesses_before
-        stats.extra["profile_cache_hits"] = float(
-            self.profile_store.hits - profile_hits_before
-        )
-        stats.extra["profile_cache_misses"] = float(
-            self.profile_store.misses - profile_misses_before
-        )
         return RKNNResult(
             assignments=assignments,
             k=k,
@@ -224,7 +205,7 @@ class RKNNSearcher:
         stats: QueryStats,
     ) -> Dict[int, IntervalSet]:
         assignments: Dict[int, IntervalSet] = {}
-        profile_cache: Dict[int, DistanceProfile] = {}
+        profiles: Dict[int, DistanceProfile] = {}
         piece_start = alpha_start
         evaluation_point = alpha_start
 
@@ -236,7 +217,7 @@ class RKNNSearcher:
             ends = []
             for object_id in nn_ids:
                 profile, computed = self._profile_for(
-                    object_id, query, alpha_end, profile_cache, ranked_by[object_id].store.get
+                    object_id, query, alpha_end, profiles, ranked_by[object_id].store.get
                 )
                 stats.distance_evaluations += computed
                 ends.append(profile.next_critical(min(evaluation_point, 1.0)))
@@ -253,29 +234,20 @@ class RKNNSearcher:
             evaluation_point = alpha_star + RKNN_EPSILON
         return assignments
 
+    @staticmethod
     def _profile_for(
-        self,
         object_id: int,
         query: FuzzyObject,
         alpha_end: float,
         cache: Dict[int, DistanceProfile],
         fetch: Callable[[int], FuzzyObject],
     ) -> Tuple[DistanceProfile, bool]:
-        """Distance profile of one object, reading it through ``fetch`` at
-        most once, and whether this call computed it.
-
-        Consults the searcher-level :class:`DistanceProfileStore` first, so a
-        hit skips the object read entirely (and repeated calls with the same
-        query instance reuse profiles across sweeps).
-        """
+        """Distance profile of one object, computed into the request's
+        ``cache`` (its object read through ``fetch``) at most once, and
+        whether this call computed it."""
         computed = object_id not in cache
         if computed:
-            profile = self.profile_store.lookup(query, object_id, alpha_end)
-            computed = profile is None
-            if computed:
-                profile = distance_profile(fetch(object_id), query, max_level=alpha_end)
-                self.profile_store.insert(query, object_id, profile, alpha_end)
-            cache[object_id] = profile
+            cache[object_id] = distance_profile(fetch(object_id), query, max_level=alpha_end)
         return cache[object_id], computed
 
     # ------------------------------------------------------------------
@@ -359,11 +331,10 @@ class RKNNSearcher:
         (``lb``); ``basic`` reads every survivor.  Pass 1 reads the ``need``
         undecided objects of smallest ``(L, id)`` and sets ``L`` / ``U`` to
         their ``d_{alpha_start}`` / ``d_{alpha_end}``; after a second rank
-        test pass 2 reads the undecided rest.  A memoised profile costs no
-        read and no distance evaluation (its row is ``MEMO``), and no object
-        is read twice.  A confirmed object gets the
-        whole range; Algorithm 5 sweeps the undecided ones for the ``need``
-        places.  The deadline is checked before the traversal and between
+        test pass 2 reads the undecided rest.  No object is read twice, and
+        each read row is one distance evaluation (``EVALUATED``).  A
+        confirmed object gets the whole range; Algorithm 5 sweeps the
+        undecided ones for the ``need`` places.  The deadline is checked before the traversal and between
         the passes.
         """
         trees = [part.tree for part in self.parts]
@@ -399,11 +370,11 @@ class RKNNSearcher:
             """Each row's profile: its distances at the range's two ends."""
             for row in rows.tolist():
                 object_id = int(ids[row])
-                profile, computed = self._profile_for(
+                profile, _ = self._profile_for(
                     object_id, query, alpha_end, profiles, fetch
                 )
                 record.settle(
-                    row, profile.value(alpha_start), EVALUATED if computed else MEMO,
+                    row, profile.value(alpha_start), EVALUATED,
                     upper=profile.value(alpha_end),
                 )
 
@@ -459,14 +430,12 @@ class RKNNSearcher:
         return alpha_start, alpha_end
 
 
-def sweep_pass(
-    index, parts, fan_out, config, profile_store, *args, **kwargs
-) -> RKNNResult:
+def sweep_pass(index, parts, fan_out, config, *args, **kwargs) -> RKNNResult:
     """One :meth:`RKNNSearcher.search` (``*args`` / ``**kwargs``) over a
     partition set that holds for this pass only (a sharded database's live
     shards, ``index`` their :class:`~repro.core.executor.RepresentativeIndex`),
     so the searcher is built per pass."""
-    searcher = RKNNSearcher(parts, fan_out, config, profile_store, index)
+    searcher = RKNNSearcher(parts, fan_out, config, index)
     return searcher.search(*args, **kwargs)
 
 

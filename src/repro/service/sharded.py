@@ -89,7 +89,6 @@ from repro.exceptions import (
     ShardUnavailableError,
     StorageError,
 )
-from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.metrics.counters import MetricsCollector, SharedMetricsCollector
 from repro.service.concurrency import EpochCounter, ReadWriteLock
@@ -218,10 +217,6 @@ class ShardedDatabase:
         self._next_id = max(shard.db.store.id_watermark for shard in self._shards)
         self._epoch = EpochCounter()
         self.metrics = SharedMetricsCollector()
-        # One d_alpha profile memo shared by every sweep and reverse bucket
-        # (keyed by query instance + object id, so it stays valid across
-        # live sets).
-        self._sweep_profiles = DistanceProfileStore(self.config.profile_cache_capacity)
         # The AKNN buckets' KD-tree and bound table over the live shards'
         # leaves and the reverse filter's k-th MaxDist table over their boxes.
         self._rep_index = RepresentativeIndex()
@@ -856,7 +851,6 @@ class ShardedDatabase:
                 lambda live, fan_out: [
                     sweep_pass(
                         self._rep_index, live, fan_out, self.config,
-                        self._sweep_profiles,
                         request.query, request.k, request.alpha_range,
                         method=request.method.value,
                         aknn_method=request.aknn_method.value,
@@ -886,7 +880,6 @@ class ShardedDatabase:
                 lambda live, fan_out: reverse_bucket_pass(
                     self._rep_index, live, fan_out, queries, first.k,
                     first.alpha, self.config, rng=rng, deadline=deadline,
-                    profile_store=self._sweep_profiles,
                 ),
                 deadline,
             )

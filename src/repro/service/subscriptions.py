@@ -344,8 +344,10 @@ class DeliverySubscription:
 
     The service layer hands these out: deltas queue up to ``depth``; a
     consumer that falls further behind is *shed* — the subscription is
-    cancelled, the counter bumped, and the queue is terminated with a
-    sentinel so the consumer observes the shed instead of waiting forever.
+    cancelled, the counter bumped, and the stream closed.  A closed stream
+    still yields what it queued, then ends instead of waiting forever (a
+    full queue has no room for the end-of-stream sentinel, so the consumer
+    stops waiting once ``closed`` is set and the queue is empty).
     """
 
     _CLOSE = object()
@@ -377,6 +379,7 @@ class DeliverySubscription:
         if not self.closed:
             self.closed = True
             try:
+                # Wakes a consumer blocked on the empty queue.
                 self._queue.put_nowait(self._CLOSE)
             except queue.Full:
                 # Consumer will still observe `closed` once it drains.
@@ -384,15 +387,22 @@ class DeliverySubscription:
 
     # -- consumer side -------------------------------------------------
 
-    def poll(self, timeout: Optional[float] = None) -> Optional[ResultDelta]:
-        """Next delta, ``None`` when the stream ended (or ``timeout`` hit)."""
+    def _take(self, block: bool, timeout: Optional[float] = None) -> Optional[ResultDelta]:
+        """Next queued delta; ``None`` when the stream ended or none came.
+
+        A closed stream never waits: every delta it will hold is queued.  A
+        consumer that blocked before the close is woken by the sentinel, or,
+        when the queue was full, has a delta to take instead.
+        """
         try:
-            item = self._queue.get(timeout=timeout) if timeout is not None else self._queue.get_nowait()
+            item = self._queue.get(block and not self.closed, timeout)
         except queue.Empty:
             return None
-        if item is self._CLOSE:
-            return None
-        return item
+        return None if item is self._CLOSE else item
+
+    def poll(self, timeout: Optional[float] = None) -> Optional[ResultDelta]:
+        """Next delta, ``None`` when the stream ended (or ``timeout`` hit)."""
+        return self._take(timeout is not None, timeout)
 
     def drain(self) -> List[ResultDelta]:
         """Every currently queued delta, without blocking."""
@@ -405,7 +415,7 @@ class DeliverySubscription:
 
     def __iter__(self) -> Iterator[ResultDelta]:
         while True:
-            item = self._queue.get()
-            if item is self._CLOSE:
+            item = self._take(True)
+            if item is None:
                 return
             yield item

@@ -54,7 +54,7 @@ class TestRuntimeConfig:
     def test_field_count_does_not_grow(self):
         """ROADMAP house rule: a new knob needs two callers that disagree."""
         names = {field.name for field in dataclasses.fields(RuntimeConfig)}
-        assert len(names) == 17
+        assert len(names) == 16
         assert not names & {
             "coalesce_window_ms",
             "batch_workers",
@@ -65,6 +65,7 @@ class TestRuntimeConfig:
             "default_deadline_ms",
             "compaction_debt_ratio",
             "subscription_queue_depth",
+            "profile_cache_capacity",
         }
 
 

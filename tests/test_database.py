@@ -142,7 +142,6 @@ class TestRoundTripUnderCustomConfig:
             rtree_max_entries=8,
             cache_capacity=16,
             alpha_cut_cache_capacity=4,
-            profile_cache_capacity=32,
             upper_bound_samples=4,
         )
         database = FuzzyDatabase.build(objects, path=tmp_path / "db", config=config)

@@ -155,10 +155,12 @@ def test_sweep(engine, monkeypatch):
     request = SweepRequest(query, k=K, alpha_range=(0.3, 0.7), method="rss_icr")
     result = engine.execute(request)
     assert result.stats.distance_evaluations == evaluated(trace.record) == trace.handed > 0
-    # The same query instance again: every profile is in the memo, none is paid.
+    # The same query instance again evaluates exactly what the first run did.
     trace.records.clear()
+    trace.handed = 0
     again = engine.execute(SweepRequest(query, k=K, alpha_range=(0.3, 0.7), method="rss_icr"))
-    assert again.stats.distance_evaluations == evaluated(trace.record) == 0
+    assert again.stats.distance_evaluations == evaluated(trace.record) == trace.handed
+    assert again.stats.distance_evaluations == result.stats.distance_evaluations
 
 
 def test_reverse_bucket(engine, monkeypatch):

@@ -350,15 +350,13 @@ class TestRecoveredIdWatermark:
         return db, query, doomed, fresh, deltas
 
     def test_sharded_recover_does_not_recycle_a_deleted_id(self, tmp_path):
-        sharded, query, doomed, fresh, deltas = self._insert_delete_crash_recover_insert(
+        sharded, _, doomed, fresh, deltas = self._insert_delete_crash_recover_insert(
             ShardedDatabase, tmp_path / "sharded"
         )
         assert len(sharded._shards) == 2 and fresh == doomed + 1
         # What the crashed handle's clients still hold under the retired id —
-        # a standing query's delta history, a memoised sweep profile — cannot
-        # name the object inserted after recovery.
-        assert sharded._sweep_profiles.lookup(query, doomed, 0.9) is not None
-        assert sharded._sweep_profiles.lookup(query, fresh, 0.9) is None
+        # a standing query's delta history — cannot name the object inserted
+        # after recovery.
         delivered = {object_id for delta in deltas for object_id, _ in delta.added}
         assert doomed in delivered and fresh not in delivered
         sharded.close()

@@ -27,7 +27,7 @@ def figures(engine):
 
     Every figure is swept in one fixed order over databases built once, so
     the numbers are what ``scale.py all --scale tiny`` prints whatever order
-    the tests run in (a sweep reuses the profiles an earlier one memoised).
+    the tests run in.
     """
     data = scale.Datasets(scale.SCALES["tiny"], engine)
     try:

@@ -11,8 +11,7 @@ Covers the acceptance criteria of the request-API redesign:
 * the planner registry accepts new request families in one place — on the
   sharded engine as one request dataclass + one per-shard worker + one merge,
   with the whole failure contract supplied by the fan-out combinator;
-* the satellite changes: lazy ``PreparedQuery.query_samples`` and the
-  ``DistanceProfileStore`` memo shared between the sweep and reverse engines.
+* lazy ``PreparedQuery.query_samples``.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ from repro.core.requests import (
 )
 from repro.core.results import Coverage
 from repro.exceptions import InvalidQueryError, ShardUnavailableError
-from repro.fuzzy.alpha_distance import DistanceProfileStore
 from repro.fuzzy.fuzzy_object import FuzzyObject
-from repro.fuzzy.profile import DistanceProfile
 from repro.metrics.counters import MetricsCollector
 from repro.service.faults import FaultPlan
 from repro.service.query_service import QueryService
@@ -516,54 +513,3 @@ class TestLazyQuerySamples:
         assert "unsampled" in repr(prepared)
         _ = prepared.query_samples
         assert "unsampled" not in repr(prepared)
-
-
-# ----------------------------------------------------------------------
-# Satellite: shared distance-profile memo
-# ----------------------------------------------------------------------
-class TestSharedProfileStore:
-    def test_profile_serves_point_evaluations(self):
-        store = DistanceProfileStore(8)
-        query = make_fuzzy_object(np.random.default_rng(30))
-        profile = DistanceProfile([0.5, 1.0], [1.25, 2.5])
-        store.insert(query, 3, profile, max_level=1.0)
-        assert store.distance_at(query, 3, 0.4) == pytest.approx(1.25)
-        assert store.distance_at(query, 3, 0.8) == pytest.approx(2.5)
-        # Unknown pair or a truncated domain miss both fall through.
-        assert store.distance_at(query, 4, 0.5) is None
-        truncated = DistanceProfile([0.6], [1.0])
-        store.insert(query, 5, truncated, max_level=0.6)
-        assert store.distance_at(query, 5, 0.9) is None
-
-    def test_scalar_memo_round_trips(self):
-        store = DistanceProfileStore(8)
-        query = make_fuzzy_object(np.random.default_rng(31))
-        assert store.distance_at(query, 1, 0.5) is None
-        store.insert_distance(query, 1, 0.5, 3.75)
-        assert store.distance_at(query, 1, 0.5) == pytest.approx(3.75)
-        other = make_fuzzy_object(np.random.default_rng(32))
-        assert store.distance_at(other, 1, 0.5) is None
-
-    def test_database_shares_one_store_between_sweep_and_reverse(
-        self, dense_database, dense_queries
-    ):
-        db = dense_database
-        assert db._rknn.profile_store is db.profile_store
-        assert db._reverse.profile_store is db.profile_store
-        query = dense_queries[0]
-        # The sweep materialises profiles for its candidates; a reverse
-        # request with the same query instance at a threshold inside the
-        # sweep range then reuses those evaluations (and stays exact).
-        sweep = db.execute(SweepRequest(query, k=3, alpha_range=(0.4, 0.7)))
-        assert len(sweep) > 0
-        baseline = reference.reverse(stored_objects(db), query, 3, 0.5)
-        shared = db.execute(ReverseRequest(query, k=3, alpha=0.5))
-        assert shared.object_ids == [object_id for object_id, _ in baseline]
-        # Repeating the same reverse request is now served from the memo:
-        # no new exact candidate evaluations are charged.
-        repeat = db.execute(ReverseRequest(query, k=3, alpha=0.5))
-        assert repeat.object_ids == shared.object_ids
-        assert (
-            repeat.stats.extra["bucket_distance_evaluations"]
-            <= shared.stats.extra["bucket_distance_evaluations"]
-        )

@@ -214,8 +214,7 @@ class TestCostBehaviour:
     def test_rss_icr_reads_fewer_objects_than_rss(self, dense_database, dense_queries):
         """RSS reads every candidate (and the AKNN's confirmed neighbours);
         RSS-ICR reads only what the bounds at the range's ends leave
-        undecided.  Each sweep gets its own query instance, so neither
-        reuses the other's distance-profile memo."""
+        undecided."""
         for query in dense_queries:
             reads = {
                 method: dense_database.execute(
@@ -233,9 +232,9 @@ class TestCostBehaviour:
         self, dense_database, dense_queries, monkeypatch, method
     ):
         """A sweep reports one distance evaluation per profile it computes,
-        on top of its sub-queries' own; a memoised profile costs none.  A
-        fresh query instance pays a profile per object it reads; run again,
-        the same instance pays no new profile."""
+        on top of its sub-queries' own.  Profiles live for one request: run
+        again with the same query instance, the sweep computes the same
+        profiles."""
         profiles, sub_queries = [], []
         profile, merge = rknn_module.distance_profile, RKNNSearcher._merge_substats
 
@@ -250,17 +249,17 @@ class TestCostBehaviour:
         monkeypatch.setattr(rknn_module, "distance_profile", counted_profile)
         monkeypatch.setattr(RKNNSearcher, "_merge_substats", staticmethod(counted_merge))
         query = FuzzyObject(dense_queries[0].points, dense_queries[0].memberships)
-        for run in ("fresh", "memoised"):
+        computed = []
+        for _ in range(2):
             profiles.clear()
             sub_queries.clear()
             result = dense_database.execute(
                 SweepRequest(query, k=5, alpha_range=(0.3, 0.7), method=method)
             )
             assert result.stats.distance_evaluations == len(profiles) + sum(sub_queries)
-            if run == "fresh":
-                assert len(profiles) > 0
-            else:
-                assert profiles == []
+            computed.append(sorted(profiles))
+        assert len(computed[0]) > 0
+        assert computed[1] == computed[0]
 
     def test_candidate_count_recorded(self, dense_database, dense_queries):
         result = dense_database.execute(

@@ -9,6 +9,9 @@ deletes of kNN answers re-query) and the service-layer lifecycle (bounded
 delivery queues, slow-consumer shedding, detach on stop).
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,16 @@ def fold(deltas):
             members[object_id] = distance
     assert seqs == list(range(len(seqs))), f"delta stream has gaps: {seqs}"
     return members
+
+
+def read_to_end(delivery, timeout=5.0):
+    """Iterate ``delivery`` in a thread: the deltas read, or ``None`` when
+    the iteration was still waiting after ``timeout`` seconds."""
+    read = []
+    reader = threading.Thread(target=lambda: read.extend(delivery), daemon=True)
+    reader.start()
+    reader.join(timeout)
+    return None if reader.is_alive() else read
 
 
 def reference_members(engine, sub):
@@ -242,6 +255,38 @@ class TestServiceSubscriptions:
         assert service.metrics.get(MetricsCollector.SUBSCRIBERS_SHED) == 1
         # Further mutations are fine — the dead subscription is gone.
         service.insert(make_fuzzy_object(rng, object_id=999))
+        service.stop()
+        db.close()
+
+    def test_shed_stream_ends_after_its_queued_delta(self):
+        """A shed queue is full, so no end-of-stream sentinel fits: the
+        stream still yields what it queued, then ends."""
+        service, db, rng = self._sharded_service(74)
+        query = make_fuzzy_object(rng, center=[5.0, 5.0])
+        delivery = service.subscribe(AknnRequest(query, k=3, alpha=0.4), depth=1)
+        inserted = 400
+        while not delivery.shed and inserted < 420:
+            service.insert(make_fuzzy_object(rng, center=[5.0, 5.0], object_id=inserted))
+            inserted += 1
+        assert delivery.shed
+        read = read_to_end(delivery)
+        assert read is not None, "iterating a shed stream never ended"
+        assert [delta.seq for delta in read] == [0]
+        started = time.monotonic()
+        assert delivery.poll(timeout=5.0) is None
+        assert time.monotonic() - started < 1.0
+        service.stop()
+        db.close()
+
+    def test_unsubscribe_of_a_full_stream_ends_it(self):
+        service, db, rng = self._sharded_service(75)
+        query = make_fuzzy_object(rng, center=[5.0, 5.0])
+        # The initial delta fills the depth-1 queue.
+        delivery = service.subscribe(AknnRequest(query, k=3, alpha=0.4), depth=1)
+        service.unsubscribe(delivery)
+        read = read_to_end(delivery)
+        assert read is not None, "iterating an unsubscribed full stream never ended"
+        assert [delta.seq for delta in read] == [0]
         service.stop()
         db.close()
 
