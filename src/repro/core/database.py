@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.core.reverse_nn import ReverseAKNNSearcher, ReverseKNNResult
 from repro.core.rknn import RKNNSearcher
 from repro.exceptions import ObjectNotFoundError, StorageError
 from repro.fuzzy.fuzzy_object import FuzzyObject
-from repro.fuzzy.summary import FuzzyObjectSummary, build_summary
+from repro.fuzzy.summary import FuzzyObjectSummary, build_summaries, build_summary
 from repro.index.bulk import CompactionManager, bulk_load_tree
 from repro.index.rtree import RTree
 from repro.metrics.counters import MetricsCollector, SharedMetricsCollector
@@ -143,13 +143,12 @@ class FuzzyDatabase:
             cut_cache_capacity=config.alpha_cut_cache_capacity,
         )
 
-        summaries: Dict[int, FuzzyObjectSummary] = {}
-        for obj in objects:
-            object_id = store.put(obj)
-            if obj.object_id is None:
-                obj = obj.with_id(object_id)
-            summaries[object_id] = build_summary(obj, rng=rng)
+        def stored() -> Iterator[FuzzyObject]:
+            for obj in objects:
+                object_id = store.put(obj)
+                yield obj if obj.object_id is not None else obj.with_id(object_id)
 
+        summaries = {s.object_id: s for s in build_summaries(stored(), rng=rng)}
         boot = SharedMetricsCollector()
         tree = bulk_load_tree(summaries.values(), config=config, metrics=boot)
         db = cls(store, tree, summaries, config)
@@ -169,9 +168,10 @@ class FuzzyDatabase:
         query-time access counter (this is an offline build step).
         """
         config = (config or RuntimeConfig()).validate()
-        summaries: Dict[int, FuzzyObjectSummary] = {}
-        for obj in store.iter_objects(count_accesses=False):
-            summaries[int(obj.object_id)] = build_summary(obj, rng=rng)
+        summaries = {
+            s.object_id: s
+            for s in build_summaries(store.iter_objects(count_accesses=False), rng=rng)
+        }
         boot = SharedMetricsCollector()
         tree = bulk_load_tree(summaries.values(), config=config, metrics=boot)
         db = cls(store, tree, summaries, config)
@@ -657,14 +657,13 @@ class FuzzyDatabase:
         wal = WriteAheadLog(
             directory / manifest.wal_file, sync=config.wal_sync, metrics=boot
         )
-        replayed = 0
+        replayed, inserted = 0, []
         for record in wal.replay():
             if record.is_insert:
                 if record.object_id in store:
                     continue
-                obj = decode_object(record.blob)
-                store.put(obj)
-                summaries[record.object_id] = build_summary(obj, rng=rng)
+                inserted.append(decode_object(record.blob))
+                store.put(inserted[-1])
             else:
                 if record.object_id not in store:
                     continue
@@ -672,6 +671,11 @@ class FuzzyDatabase:
                 store.delete(record.object_id)
             replayed += 1
         wal.close()
+        # The tail's inserts in one build; ids never recycle, so an id the
+        # tail deleted stays out.
+        for summary in build_summaries(inserted, rng=rng):
+            if summary.object_id in store:
+                summaries[summary.object_id] = summary
         tree = bulk_load_tree(summaries.values(), config=config, metrics=boot)
         db = cls(store, tree, summaries, config)
         boot.increment(MetricsCollector.WAL_REPLAYED, replayed)

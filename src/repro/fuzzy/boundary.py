@@ -15,23 +15,25 @@ minimising the summed squared error.  Following Achtert et al. the optimum
 interpolates an anchor point of the upper convex hull of the boundary
 function and is located by bisection over the hull vertices.
 
-One object's fit is a few NumPy passes plus a Python loop over a fraction of
-its levels.  :func:`alpha_mbr_table` reads every level's exact box off two
-suffix scans with one ``searchsorted``; :func:`conservative_lines` takes all
-``2 d`` boundary functions from one subtraction and feeds the monotone chain
-only the first level and the last level of each run of equal deltas.  That
-leaves the chain unchanged in floating point, not only in exact arithmetic.
-Deltas are non-increasing in alpha (suffix extremes of nested cuts), so any
-vertex ``o`` under a stack top ``a`` has ``o.y >= a.y``, and for a fixed
+Objects are fitted a stack of one shape at a time (:func:`fit_stack`): one
+sort, one suffix scan and one merge read every cut box, the lower bounds
+negated so every line is an upper side.  Python still runs the monotone
+chain per line, fed only the first level and the last level of each run of
+equal deltas.  That leaves the chain unchanged in floating point, not only
+in exact arithmetic.  Deltas are non-increasing in alpha (suffix extremes of
+nested cuts), so any vertex ``o`` under a stack top ``a`` has
+``o.y >= a.y``, and for a fixed
 ``(o, a)`` the rounded ``cross(o, a, p) = (a.x-o.x)*(p.y-o.y) -
 (a.y-o.y)*(p.x-o.x)`` is non-decreasing in ``p.x`` at fixed ``p.y`` (IEEE
 rounding is monotone and ``a.y - o.y <= 0``).  So the next point ``p`` of a
 run pops every vertex an earlier point ``a`` of the run popped, then ``a``
 itself (``cross = (y-o.y)*((a.x-o.x) - (p.x-o.x)) >= 0``), leaving the stack
 ``a`` never entered.  Only the very first level must stay, as the stack's
-bottom.  :func:`enclose_cuts` then lifts intercepts until the Equation (2)
-box holds every exact cut box in coordinates: the Definition 6 check works
-on deltas, and ``kernel + (coordinate - kernel)`` need not round back.
+bottom.  The anchor bisection, too, moves per line in Python; its sums run
+stacked.  The one-object functions run the same programs on a stack of one.
+:func:`enclose_cuts` lifts intercepts until the Equation (2) box holds every
+exact cut box in coordinates: the Definition 6 check works on deltas, and
+``kernel + (coordinate - kernel)`` need not round back.
 """
 
 from __future__ import annotations
@@ -97,20 +99,33 @@ def alpha_mbr_table(obj: FuzzyObject) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     """Exact per-level alpha-cut bounding boxes.
 
     Returns ``(levels, lower, upper)`` where ``lower[j]`` / ``upper[j]`` are
-    the per-dimension bounds of the alpha-cut at ``levels[j]``.  Computed with
-    one sort, a pair of suffix scans and one ``searchsorted`` over all levels,
-    so the cost is ``O(n log n + n d)``.
+    the per-dimension bounds of the alpha-cut at ``levels[j]``, in
+    ``O(n log n + n d)``.
     """
-    levels = obj.distinct_memberships()
-    order = np.argsort(obj.memberships, kind="stable")
-    mus = obj.memberships[order]
-    # One row per dimension, so every pass runs along a contiguous row.
-    coords = np.ascontiguousarray(obj.points.T[:, order])
-    # Suffix aggregates: suffix_min[:, i] = min over points[i:], ditto for max.
-    suffix_min = np.minimum.accumulate(coords[:, ::-1], axis=1)[:, ::-1]
-    suffix_max = np.maximum.accumulate(coords[:, ::-1], axis=1)[:, ::-1]
-    starts = np.minimum(np.searchsorted(mus, levels - MEMBERSHIP_ATOL, side="left"), mus.size - 1)
-    return levels, suffix_min[:, starts].T, suffix_max[:, starts].T
+    mus, first, cuts, _ = _stack_cuts(obj.points[None], obj.memberships[None])
+    table = cuts[first]
+    return mus[first], -table[:, obj.dimensions :], table[:, : obj.dimensions]
+
+
+def _stack_cuts(points: np.ndarray, memberships: np.ndarray):
+    """For ``R`` objects of one shape (``points`` ``(R, n, d)``): memberships
+    sorted per object, where each level starts in them, and per position the
+    box of its level's cut and of the points from it on, as ``(R, n, 2 d)``
+    line bounds (upper bounds, then negated lower bounds)."""
+    count, size = memberships.shape
+    rows = np.arange(count)[:, None]
+    order = np.argsort(memberships, axis=1, kind="stable")
+    mus, coords = memberships[rows, order], points[rows, order]
+    backwards = np.concatenate((coords, -coords), axis=2)[:, ::-1]
+    bounds = np.maximum.accumulate(backwards, axis=1)[:, ::-1]
+    # A level's cut starts at the first mu >= level - MEMBERSHIP_ATOL: merge
+    # the thresholds into the memberships, each before its equals.
+    keys = np.concatenate((mus - MEMBERSHIP_ATOL, mus), axis=1)
+    merged = np.argsort(keys, axis=1, kind="stable")
+    cuts = bounds[rows, np.nonzero(merged < size)[1].reshape(count, size) - np.arange(size)]
+    first = np.ones(mus.shape, dtype=bool)
+    first[:, 1:] = mus[:, 1:] != mus[:, :-1]
+    return mus, first, cuts, bounds
 
 
 def boundary_function(
@@ -126,69 +141,81 @@ def boundary_function(
 
 
 def _anchor_bisection(
-    alphas: np.ndarray, deltas: np.ndarray, hull: List[Tuple[float, float]]
-) -> Tuple[float, float]:
-    """The anchor-optimal line of Achtert et al.: the least-squares line
-    through one hull vertex, bisecting over the vertices towards the side
-    whose neighbour still lies above it."""
-    lo, hi, slack = 0, len(hull) - 1, CONSERVATIVE_SLACK
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        x0, y0 = hull[mid]
-        dx, dy = alphas - x0, deltas - y0
-        denom = float(np.dot(dx, dx))
-        slope = float(np.dot(dx, dy) / denom) if denom > 0.0 else 0.0
-        icpt = y0 - slope * x0
-        if mid + 1 < len(hull) and hull[mid + 1][1] > slope * hull[mid + 1][0] + icpt + slack:
-            lo = mid + 1
-        elif mid > 0 and hull[mid - 1][1] > slope * hull[mid - 1][0] + icpt + slack:
-            hi = mid - 1
-        else:
-            break
-    return slope, icpt
+    alphas: np.ndarray, deltas: np.ndarray, hulls: List[List[Tuple[float, float]]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The anchor-optimal line of Achtert et al. for every row: the
+    least-squares line through one vertex of the row's hull, bisecting over
+    the vertices towards the side whose neighbour still lies above it.
+    A step fits every unfinished row's vertex at once; the sums are stacked
+    ``matmul``s of ``(R, 1, L) @ (R, L, 1)``, the BLAS ``ddot`` that
+    ``np.dot`` calls on one contiguous row (``test_stacked_matmul_is_ddot``).
+    """
+    slopes, icpts = [0.0] * len(hulls), [0.0] * len(hulls)
+    live = [(row, 0, len(hull) - 1) for row, hull in enumerate(hulls)]
+    while live:
+        mids = [(lo + hi) // 2 for _, lo, hi in live]
+        x0, y0 = np.array([hulls[row][mid] for (row, _, _), mid in zip(live, mids)]).T
+        dx = alphas - x0[:, None]
+        denom = (dx[:, None] @ dx[:, :, None]).ravel()
+        numer = (dx[:, None] @ (deltas - y0[:, None])[:, :, None]).ravel()
+        slope = np.where(denom > 0.0, numer, 0.0) / np.where(denom > 0.0, denom, 1.0)
+        moved, kept, slack = [], [], CONSERVATIVE_SLACK
+        lines = zip(live, mids, slope.tolist(), (y0 - slope * x0).tolist())
+        for at, ((row, lo, hi), mid, m, t) in enumerate(lines):
+            slopes[row], icpts[row], hull = m, t, hulls[row]
+            up = mid + 1 < len(hull) and hull[mid + 1][1] > m * hull[mid + 1][0] + t + slack
+            down = not up and mid > 0 and hull[mid - 1][1] > m * hull[mid - 1][0] + t + slack
+            lo, hi = (mid + 1, hi) if up else (lo, mid - 1) if down else (1, 0)
+            if lo <= hi:
+                moved.append((row, lo, hi))
+                kept.append(at)
+        if len(kept) < len(live):  # only the unfinished rows' levels
+            alphas, deltas = alphas[kept], deltas[kept]
+        live = moved
+    return np.array(slopes), np.array(icpts)
 
 
 def _fit_rows(alphas: np.ndarray, deltas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Definition 6 ``(slopes, intercepts)`` for every row of ``deltas``.
 
-    Each row is one boundary function over the strictly increasing
-    ``alphas``, its deltas non-increasing.
+    Row ``r`` is one boundary function over the strictly increasing levels
+    ``alphas[r]``, its deltas non-increasing.
     """
     slopes = np.zeros(deltas.shape[0])
     # A single level or a flat boundary: the constant line at the largest
     # delta is both conservative and optimal.
     icpts = deltas.max(axis=1, initial=0.0)
-    fit = np.flatnonzero((deltas > CONSERVATIVE_SLACK).any(axis=1))
-    if alphas.size == 1 or fit.size == 0:
+    fit = icpts > CONSERVATIVE_SLACK
+    if deltas.shape[1] == 1 or not fit.any():
         return slopes, icpts
-    fitted = deltas[fit]
+    # C order: the bisection's sums must each run over one contiguous row
+    # (a strided row takes another kernel, with other rounding).
+    alphas, deltas = np.ascontiguousarray(alphas), np.ascontiguousarray(deltas)
     # The hull sees the first level and the last level of each run of equal
     # deltas, nothing else (see the module docstring).
-    ends = np.ones(fitted.shape, dtype=bool)
-    ends[:, 1:-1] = fitted[:, 1:-1] != fitted[:, 2:]
-    xs = alphas[np.nonzero(ends)[1]].tolist()
-    ys = fitted[ends].tolist()
-    stops = np.cumsum(ends.sum(axis=1)).tolist()
-    for row, values, start, stop in zip(fit.tolist(), fitted, [0] + stops, stops):
-        hull = upper_chain(list(zip(xs[start:stop], ys[start:stop])))
-        slope, icpt = _anchor_bisection(alphas, values, hull)
-        # A non-positive slope also bounds delta *between* levels (where the
-        # next level up's delta holds); degenerate inputs fall back to flat.
-        if slope > 0.0:
-            slope, icpt = 0.0, icpts[row]
-        slopes[row], icpts[row] = slope, icpt
+    ends = np.ones(deltas.shape, dtype=bool)
+    ends[:, 1:-1] = deltas[:, 1:-1] != deltas[:, 2:]
+    pairs = list(zip(alphas[ends].tolist(), deltas[ends].tolist()))
+    stops = ends.sum(axis=1).cumsum().tolist()
+    hulls = [upper_chain(pairs[a:b]) for a, b in zip([0] + stops, stops)]
+    slope, icpt = _anchor_bisection(alphas, deltas, hulls)
+    # A non-positive slope also bounds delta *between* levels (where the
+    # next level up's delta holds); degenerate inputs, and the flat rows the
+    # bisection ran on too, take the flat line.
+    keep = fit & (slope <= 0.0)
+    slopes, icpts = np.where(keep, slope, slopes), np.where(keep, icpt, icpts)
     # Guarantee conservativeness on every sampled point regardless of how the
-    # bisection terminated (and regardless of rounding error).
-    violation = (fitted - (slopes[fit, None] * alphas + icpts[fit, None])).max(axis=1)
-    icpts[fit] = np.where(violation > 0.0, icpts[fit] + violation + CONSERVATIVE_SLACK, icpts[fit])
-    return slopes, icpts
+    # bisection terminated (and regardless of rounding error); a flat line
+    # needs no lift.
+    violation = (deltas - (slopes[:, None] * alphas + icpts[:, None])).max(axis=1)
+    return slopes, np.where(violation > 0.0, icpts + violation + CONSERVATIVE_SLACK, icpts)
 
 
 def fit_conservative_line(bf: BoundaryFunction) -> ConservativeLine:
     """The optimal conservative approximation of a boundary function: the
     anchor bisection over its upper convex hull, the intercept then lifted to
     absorb rounding so every sampled ``(alpha, delta)`` lies on or below."""
-    slopes, icpts = _fit_rows(bf.alphas, bf.deltas[None, :])
+    slopes, icpts = _fit_rows(bf.alphas[None, :], bf.deltas[None, :])
     return ConservativeLine(float(slopes[0]), float(icpts[0]))
 
 
@@ -197,8 +224,17 @@ def conservative_lines(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Definition 6 ``(slopes, intercepts)`` from one alpha-MBR table, each of
     length ``2 d``: the upper side's lines by dimension, then the lower's."""
-    up, lo = upper.T, lower.T
-    return _fit_rows(levels, np.concatenate((np.abs(up - up[:, -1:]), np.abs(lo - lo[:, -1:]))))
+    slopes, intercepts = _stack_lines(levels[None], np.concatenate((upper, -lower), 1)[None])
+    return slopes[0], intercepts[0]
+
+
+def _stack_lines(levels: np.ndarray, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`conservative_lines` of ``G`` tables of ``L`` levels given as
+    ``(G, L, 2 d)`` line bounds; a delta is ``|bound - its last level's|``."""
+    count, width, lines = table.shape
+    deltas = np.abs(table - table[:, -1:]).transpose(0, 2, 1).reshape(-1, width)
+    slopes, intercepts = _fit_rows(np.repeat(levels, lines, axis=0), deltas)
+    return slopes.reshape(count, lines), intercepts.reshape(count, lines)
 
 
 def enclose_cuts(
@@ -220,16 +256,21 @@ def enclose_cuts(
     non-positive, rounding monotone); the lower side is the upper side of
     negated coordinates.  A line that already encloses keeps its intercept.
     """
-    base = np.concatenate((kernel.upper, -kernel.lower))
-    # One row per line: (2 d, levels).
-    bounds = np.concatenate((upper.T, -lower.T))
-    products = slopes[:, None] * (levels + 2.0 * MEMBERSHIP_ATOL)
-    short = base[:, None] + np.maximum(0.0, products + intercepts[:, None]) < bounds
+    table, base = np.concatenate((upper, -lower), 1), np.concatenate((kernel.upper, -kernel.lower))
+    return _stack_lift(levels[None], table[None], base[None], slopes[None], intercepts[None])[0]
+
+
+def _stack_lift(levels, table, base, slopes, intercepts) -> np.ndarray:
+    """:func:`enclose_cuts` of ``G`` tables at once, each kernel box given as
+    its ``(2 d,)`` line bounds in ``base`` ``(G, 2 d)``."""
+    products = slopes[:, None, :] * (levels[:, :, None] + 2.0 * MEMBERSHIP_ATOL)
+    short = base[:, None, :] + np.maximum(0.0, products + intercepts[:, None, :]) < table
     if not short.any():
         return intercepts
     intercepts = intercepts.copy()
-    for line, level in zip(*np.nonzero(short)):
-        kernel_side, bound, product = base[line], bounds[line, level], products[line, level]
+    for at in zip(*np.nonzero(short)):
+        line = (at[0], at[2])
+        kernel_side, bound, product = base[line], table[at], products[at]
         # The smallest delta whose sum with the kernel reaches the bound, then
         # an intercept whose line reaches that delta (one ulp at a time).
         need = bound - kernel_side
@@ -240,6 +281,29 @@ def enclose_cuts(
             lifted = math.nextafter(lifted, math.inf)
         intercepts[line] = max(intercepts[line], lifted)
     return intercepts
+
+
+def fit_stack(
+    points: np.ndarray, memberships: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Support box, kernel box (as ``(R, 2 d)`` line bounds) and lifted
+    ``(R, 2 d)`` slopes and intercepts of ``R`` objects of one shape that all
+    have a kernel.  Fitted per level count: the bisection's sums must run
+    over exactly an object's levels (zero padding changes ``ddot``'s bits).
+    """
+    mus, first, cuts, bounds = _stack_cuts(points, memberships)
+    kernel = bounds[np.arange(len(mus)), (mus < 1.0 - MEMBERSHIP_ATOL).sum(axis=1)]
+    widths = first.sum(axis=1)
+    slopes, intercepts = np.empty(kernel.shape), np.empty(kernel.shape)
+    for width in set(widths.tolist()):
+        group = widths == width
+        pick = first & group[:, None]
+        levels = mus[pick].reshape(-1, width)
+        table = cuts[pick].reshape(-1, width, kernel.shape[1])
+        line_slopes, line_intercepts = _stack_lines(levels, table)
+        slopes[group] = line_slopes
+        intercepts[group] = _stack_lift(levels, table, kernel[group], line_slopes, line_intercepts)
+    return bounds[:, 0], kernel, slopes, intercepts
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,7 @@ from repro.exceptions import (
     StorageError,
 )
 from repro.fuzzy.fuzzy_object import FuzzyObject
+from repro.fuzzy.summary import stack_by_shape
 from repro.metrics.counters import MetricsCollector, SharedMetricsCollector
 from repro.service.concurrency import EpochCounter, ReadWriteLock
 from repro.service.faults import FaultPlan
@@ -262,9 +263,10 @@ class ShardedDatabase:
                 obj = obj.with_id(next_free)
             materialised.append(obj)
 
-        centers = np.asarray(
-            [obj.support_mbr().center for obj in materialised], dtype=float
-        ) if materialised else np.empty((0, 1))
+        # Support-box centres from one stacked min / max per shape.
+        centers = np.empty((len(materialised), materialised[0].dimensions if materialised else 1))
+        for positions, points, _ in stack_by_shape(materialised):
+            centers[positions] = (points.min(axis=1) + points.max(axis=1)) / 2.0
         policy = make_placement(policy_name, n_shards, centers)
 
         per_shard: List[List[FuzzyObject]] = [[] for _ in range(n_shards)]

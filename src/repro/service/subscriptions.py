@@ -39,6 +39,7 @@ and sheds consumers that fall behind (SUBSCRIBERS_SHED).
 
 from __future__ import annotations
 
+import bisect
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -99,8 +100,11 @@ class Subscription:
             )
         self.query_lower = self.query_cut.min(axis=0)
         self.query_upper = self.query_cut.max(axis=0)
-        # Current answer: {object_id: exact alpha-distance}.
+        # Current answer: {object_id: exact alpha-distance}; a kNN answer also
+        # keeps its (distance, id) pairs ascending, so the worst member (the
+        # larger id among equal distances) is the last pair.
         self.members: Dict[int, float] = {}
+        self.ranked: List[Tuple[float, int]] = []
         self.seq = 0
         self.active = True
 
@@ -118,10 +122,16 @@ class Subscription:
         full — any insert may enter).  Range: the radius.
         """
         if self.is_aknn:
-            if len(self.members) < self.request.k:
+            if len(self.ranked) < self.request.k:
                 return float("inf")
-            return max(self.members.values())
+            return self.ranked[-1][0]
         return float(self.request.radius)
+
+    def set_members(self, members: Dict[int, float]) -> None:
+        """Replace the whole answer (a fresh or re-executed request)."""
+        self.members = members
+        if self.is_aknn:
+            self.ranked = sorted((d, oid) for oid, d in members.items())
 
     def distance_of(self, obj: FuzzyObject) -> float:
         """Exact alpha-distance between the query and ``obj``."""
@@ -194,7 +204,7 @@ class SubscriptionEngine:
         with self._lock:
             sub = Subscription(self._next_id, request, listener)
             self._next_id += 1
-            sub.members = self._execute_members(sub)
+            sub.set_members(self._execute_members(sub))
             self._subs[sub.id] = sub
             self._screen = None
             self._count(MetricsCollector.SUBSCRIPTIONS)
@@ -271,7 +281,7 @@ class SubscriptionEngine:
                         (oid, d) for oid, d in fresh.items() if oid not in sub.members
                     ]
                     removed = [oid for oid in sub.members if oid not in fresh]
-                    sub.members = fresh
+                    sub.set_members(fresh)
                     self._refresh_threshold(sub)
                     if sub.emit(added, removed, "delete") is not None:
                         self._count(MetricsCollector.SUB_DELTAS)
@@ -286,20 +296,17 @@ class SubscriptionEngine:
 
     def _apply_insert(self, sub: Subscription, object_id: int, distance: float) -> None:
         if sub.is_aknn:
-            k = sub.request.k
-            if len(sub.members) < k:
-                sub.members[object_id] = distance
-                self._refresh_threshold(sub)
-                if sub.emit([(object_id, distance)], [], "insert") is not None:
-                    self._count(MetricsCollector.SUB_DELTAS)
-                return
-            worst_d, worst_id = max((d, oid) for oid, d in sub.members.items())
-            if (distance, object_id) < (worst_d, worst_id):
-                sub.members.pop(worst_id)
-                sub.members[object_id] = distance
-                self._refresh_threshold(sub)
-                sub.emit([(object_id, distance)], [worst_id], "insert")
-                self._count(MetricsCollector.SUB_DELTAS)
+            entry, removed = (distance, object_id), []
+            if len(sub.ranked) >= sub.request.k:
+                if entry >= sub.ranked[-1]:
+                    return
+                removed.append(sub.ranked.pop()[1])
+                sub.members.pop(removed[0])
+            bisect.insort(sub.ranked, entry)
+            sub.members[object_id] = distance
+            self._refresh_threshold(sub)
+            sub.emit([entry[::-1]], removed, "insert")
+            self._count(MetricsCollector.SUB_DELTAS)
             return
         if distance <= sub.request.radius:
             sub.members[object_id] = distance

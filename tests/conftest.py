@@ -38,6 +38,20 @@ def make_fuzzy_object(
     return FuzzyObject(points, memberships, object_id=object_id)
 
 
+def pytest_report_header(config):
+    """Name the NumPy and BLAS a run used: the summary fit's parity with its
+    reference rests on a stacked ``matmul`` calling the same ``ddot`` as
+    ``np.dot`` (``test_summary_fit_parity.py``), which is the library's."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # NumPy < 1.25 only prints its configuration
+        blas = {}
+    return (
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+        f" ({blas.get('openblas configuration', 'no build configuration')})"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for individual tests."""

@@ -188,6 +188,7 @@ operations = st.lists(
         st.tuples(st.just("near"), st.integers(0, 2**16)),
         st.tuples(st.just("far"), st.integers(0, 2**16)),
         st.tuples(st.just("twin"), st.integers(0, 2**16)),
+        st.tuples(st.just("worst_twin"), st.integers(0, 2**16)),
         st.tuples(st.just("delete"), st.integers(0, 2**16)),
     ),
     min_size=1,
@@ -226,7 +227,15 @@ def test_the_vector_screen_counts_as_the_loop(seed, n, ks, radius, ops):
             if live:
                 db.delete(live.pop(draw % len(live)))
         else:
-            if kind == "twin" and live:
+            worst = [
+                max(s.members.items(), key=lambda m: (m[1], m[0])) for s in subs[:-1] if s.members
+            ]
+            if kind == "worst_twin" and worst:
+                # A second member at some subscription's worst distance: a
+                # near-tie the larger id loses.
+                original = db.get_object(worst[draw % len(worst)][0])
+                obj = FuzzyObject(original.points, original.memberships, object_id=next_id)
+            elif kind in ("twin", "worst_twin") and live:
                 original = db.get_object(live[draw % len(live)])
                 obj = FuzzyObject(original.points, original.memberships, object_id=next_id)
             else:
@@ -246,4 +255,8 @@ def test_the_vector_screen_counts_as_the_loop(seed, n, ks, radius, ops):
             members = fold(stream)
             assert members == sub.members
             assert_same_answer(sub, members, db)
+            if sub.is_aknn:
+                # The kept ranking is the members' (distance, id) order, so its
+                # last pair is the worst: the larger id among equal distances.
+                assert sub.ranked == sorted((d, i) for i, d in members.items())
     db.close()

@@ -16,10 +16,12 @@ reference lines with that lift, and the box must enclose the cut with no
 slack at every level, between levels, below the lowest level and just above
 a level (where the cut still holds it).  Every path that writes a summary —
 bulk build, one-by-one insert, a sharded build and WAL replay — must store
-the same one.
+the same one, and a stacked build (``build_summaries``), chunked anywhere,
+must give every object the reference's lines bit for bit.
 """
 
 from typing import List, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,8 @@ from repro.config import CONSERVATIVE_SLACK, RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.fuzzy.boundary import alpha_mbr_table, conservative_lines, enclose_cuts
 from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
-from repro.fuzzy.summary import build_summary
+from repro.fuzzy import summary as summary_module
+from repro.fuzzy.summary import build_summaries, build_summary
 from repro.metrics.counters import MetricsCollector
 from repro.service.sharded import ShardedDatabase
 
@@ -308,3 +311,157 @@ class TestEveryWriterSameSummaries:
         assert _dicts([recovered]) == expected
         for db in (built, inserted, sharded, durable, recovered):
             db.close()
+
+
+# ----------------------------------------------------------------------
+# A stacked build equals the per-object reference
+# ----------------------------------------------------------------------
+def reference_summary(obj, representative) -> dict:
+    """The summary the reference fit gives ``obj``, as ``to_dict()`` does."""
+    levels, lower, upper = reference_alpha_mbr_table(obj)
+    kernel = obj.kernel_mbr()
+    slopes, intercepts = reference_lines(obj)
+    lifted = enclose_cuts(levels, lower, upper, kernel, slopes, intercepts)
+    dims = obj.dimensions
+    return {
+        "object_id": obj.object_id,
+        "n_points": obj.size,
+        "support_mbr": obj.support_mbr().to_array().tolist(),
+        "kernel_mbr": kernel.to_array().tolist(),
+        "upper_lines": list(zip(slopes[:dims].tolist(), lifted[:dims].tolist())),
+        "lower_lines": list(zip(slopes[dims:].tolist(), lifted[dims:].tolist())),
+        "representative": representative.tolist(),
+    }
+
+
+def line_bits(payload: dict) -> List[str]:
+    return [
+        float(value).hex()
+        for side in ("upper_lines", "lower_lines")
+        for line in payload[side]
+        for value in line
+    ]
+
+
+@st.composite
+def object_batches(draw):
+    """1-12 objects of every shape with a kernel.  Some get a sibling of the
+    same shape whose memberships are coarsened to tenths, so one stack
+    holds several objects of different level counts."""
+    batch = []
+    for obj in draw(st.lists(fuzzy_objects(shapes=WITH_KERNEL), min_size=1, max_size=8)):
+        batch.append(obj)
+        if draw(st.booleans()):
+            coarse = np.clip(np.round(obj.memberships, 1), 0.1, 1.0)
+            batch.append(FuzzyObject(obj.points[::-1].copy(), coarse))
+    return [obj.with_id(object_id) for object_id, obj in enumerate(batch[:12])]
+
+
+class TestStackedBuild:
+    @given(
+        batch=object_batches(),
+        chunk=st.integers(1, 3000),
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_object_reference(self, batch, chunk, seed):
+        """Chunked anywhere, ``build_summaries`` gives every object the
+        reference's lines bit for bit, its boxes, and the representative a
+        sequential loop draws (the first kernel point without a generator)."""
+        rng = None if seed is None else np.random.default_rng(seed)
+        with mock.patch.object(summary_module, "_CHUNK_POINTS", chunk):
+            summaries = build_summaries(batch, rng=rng)
+        draws = None if seed is None else np.random.default_rng(seed)
+        assert [s.object_id for s in summaries] == [obj.object_id for obj in batch]
+        for obj, summary in zip(batch, summaries):
+            got = summary.to_dict()
+            expected = reference_summary(obj, obj.representative_point(draws))
+            assert got == expected
+            assert line_bits(got) == line_bits(expected)
+            assert [v.hex() for v in got["representative"]] == [
+                v.hex() for v in expected["representative"]
+            ]
+
+    def test_stacked_matmul_is_ddot(self):
+        """The bisection's two sums are one stacked ``matmul`` of
+        ``(R, 1, L) @ (R, L, 1)``; the reference took ``np.dot`` of each row.
+        Both must be the same BLAS ``ddot``, bit for bit, at every length the
+        fit meets (one level up to a thousand)."""
+        rng = np.random.default_rng(5)
+        mismatched = []
+        for width in range(1, 1001):
+            rows = rng.normal(size=(3, width)) * rng.choice([1e-3, 1.0, 1e8], (3, 1))
+            other = rng.normal(size=(3, width))
+            stacked = (rows[:, None] @ other[:, :, None]).ravel()
+            by_row = [np.dot(row, column) for row, column in zip(rows, other)]
+            if stacked.tolist() != [float(v) for v in by_row]:
+                mismatched.append(width)
+        assert not mismatched, f"stacked matmul != np.dot at L = {mismatched[:10]}"
+
+
+class TestEveryWriterStacked:
+    """A build of several chunks, and WAL replay of a tail of inserts and
+    deletes ending in a torn record, store what one object at a time would."""
+
+    def test_build_larger_than_a_chunk(self):
+        rng = np.random.default_rng(43)
+        objects = _writer_objects() + [
+            make_fuzzy_object(rng, n_points=40, object_id=100 + i) for i in range(440)
+        ]
+        assert sum(obj.size for obj in objects) > summary_module._CHUNK_POINTS
+        expected = {obj.object_id: build_summary(obj).to_dict() for obj in objects}
+        config = RuntimeConfig(snapshot_every=0)
+        db = FuzzyDatabase.build(objects, config=config)
+        assert _dicts([db]) == expected
+        sharded = ShardedDatabase.build(objects, n_shards=3, config=config)
+        assert _dicts(shard.db for shard in sharded._shards) == expected
+        db.close()
+        sharded.close()
+
+    @staticmethod
+    def _churn(db, objects):
+        """Snapshot holds objects[:8]; the tail inserts 8-13, deletes a
+        snapshot object and a tail one, then inserts 14-19."""
+        for obj in objects[8:14]:
+            db.insert(obj)
+        db.delete(objects[2].object_id)
+        db.delete(objects[10].object_id)
+        for obj in objects[14:20]:
+            db.insert(obj)
+        return [obj for obj in objects[:20] if obj.object_id not in (2, 10)]
+
+    def test_replay_one_tree(self, tmp_path):
+        objects = _writer_objects()
+        config = RuntimeConfig(snapshot_every=0)
+        durable = FuzzyDatabase.build(objects[:8], config=config)
+        durable.enable_durability(tmp_path / "one")
+        survivors = self._churn(durable, objects)
+        # Crash with a torn record after the tail.
+        with open(tmp_path / "one" / "wal.log", "ab") as wal:
+            wal.write(b"\xde\xad\xbe")
+        recovered = FuzzyDatabase.recover(tmp_path / "one", config=config, resume=False)
+        counters = recovered.metrics.as_dict()
+        assert counters.get(MetricsCollector.WAL_REPLAYED) == 14
+        assert counters.get(MetricsCollector.WAL_TORN_TAILS, 0) == 1
+        assert _dicts([recovered]) == {o.object_id: build_summary(o).to_dict() for o in survivors}
+        durable.close()
+        recovered.close()
+
+    def test_replay_three_shards(self, tmp_path):
+        objects = _writer_objects()
+        config = RuntimeConfig(snapshot_every=0)
+        durable = ShardedDatabase.build(objects[:8], n_shards=3, config=config)
+        durable.enable_durability(tmp_path / "three")
+        survivors = self._churn(durable, objects)
+        for shard in sorted((tmp_path / "three").glob("shard-*")):
+            with open(shard / "wal.log", "ab") as wal:
+                wal.write(b"\xde\xad\xbe")
+        recovered = ShardedDatabase.recover(tmp_path / "three", config=config, resume=False)
+        counters = recovered.metrics.as_dict()
+        assert counters.get(MetricsCollector.WAL_REPLAYED) == 14
+        assert counters.get(MetricsCollector.WAL_TORN_TAILS, 0) == 3
+        assert _dicts(shard.db for shard in recovered._shards) == {
+            o.object_id: build_summary(o).to_dict() for o in survivors
+        }
+        durable.close()
+        recovered.close()
