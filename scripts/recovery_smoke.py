@@ -17,6 +17,10 @@ Two phases, mirroring the durability test suite at smoke scale:
    only the acknowledged mutations — per-shard WALs isolate the blast
    radius.
 
+Both phases build with a non-default config and also recover each crashed
+directory with no config: it must come back with the config it was written
+with (what ``fuzzy-knn recover`` relies on).
+
 Run locally::
 
     PYTHONPATH=src python scripts/recovery_smoke.py --seed 7
@@ -136,10 +140,23 @@ def _parity(recovered, twin, queries, failures, label):
         )
 
 
+def _check_written_config(engine, crashed: Path, config, failures: list) -> None:
+    """Recovered with no config, ``crashed`` keeps the config it was written with."""
+    recovered = engine.recover(crashed, resume=False)
+    _check(recovered.config == config,
+           f"recovered without a config, {engine.__name__} keeps the written config",
+           failures)
+    recovered.close()
+
+
+# Non-default where recovery used to fall back to a default.
+WRITTEN = dict(snapshot_every=0, rtree_max_entries=8, upper_bound_samples=3, wal_sync="fsync")
+
+
 def phase_single(seed: int, workdir: Path, failures: list) -> None:
     print("phase 1: single node, random WAL cut")
     rng = np.random.default_rng(seed)
-    config = RuntimeConfig(snapshot_every=0)
+    config = RuntimeConfig(**WRITTEN)
     objects = build_dataset(kind="synthetic", n_objects=40, points_per_object=24,
                             seed=seed, space_size=8.0)
     queries = [generate_query_object(rng, kind="synthetic", space_size=8.0,
@@ -157,6 +174,7 @@ def phase_single(seed: int, workdir: Path, failures: list) -> None:
     (crashed / "wal.log").write_bytes(wal_bytes[:cut])
     print(f"  cut WAL at byte {cut}/{len(wal_bytes)}")
 
+    _check_written_config(FuzzyDatabase, crashed, config, failures)
     recovered = FuzzyDatabase.recover(crashed, config=config, resume=False)
     counters = recovered.metrics.as_dict()
     replayed = counters.get(MetricsCollector.WAL_REPLAYED, 0)
@@ -179,7 +197,7 @@ def phase_single(seed: int, workdir: Path, failures: list) -> None:
 def phase_sharded(seed: int, workdir: Path, failures: list) -> None:
     print("phase 2: sharded, one shard crashes mid-append")
     rng = np.random.default_rng(seed + 1)
-    config = RuntimeConfig(snapshot_every=0, service_shards=3)
+    config = RuntimeConfig(service_shards=3, **WRITTEN)
     objects = build_dataset(kind="synthetic", n_objects=45, points_per_object=24,
                             seed=seed + 1, space_size=8.0)
     queries = [generate_query_object(rng, kind="synthetic", space_size=8.0,
@@ -195,6 +213,7 @@ def phase_sharded(seed: int, workdir: Path, failures: list) -> None:
 
     crashed = workdir / "sharded-crashed"
     shutil.copytree(durable, crashed)
+    _check_written_config(ShardedDatabase, crashed, config, failures)
     recovered = ShardedDatabase.recover(crashed, config=config)
     counters = recovered.metrics.as_dict()
     _check(counters.get(MetricsCollector.RECOVERIES) == 3,

@@ -25,7 +25,7 @@ Typical usage::
         print(neighbor.object_id, neighbor.distance)
 
 Every query is a typed request (:mod:`repro.core.requests`) executed through
-the two-method ``QueryEngine`` surface — ``execute`` / ``execute_batch`` —
+the two methods ``execute`` / ``execute_batch``,
 implemented identically by :class:`FuzzyDatabase`, :class:`ShardedDatabase`
 and :class:`QueryService`; a batch may mix request types freely.
 """
@@ -58,13 +58,11 @@ from repro.storage import ObjectStore
 from repro.core import (
     AknnMethod,
     AknnRequest,
-    QueryEngine,
     QueryRequest,
     RangeRequest,
     ReverseRequest,
     SweepMethod,
     SweepRequest,
-    register_planner,
     AKNN_METHODS,
     AKNNResult,
     AKNNSearcher,
@@ -124,16 +122,14 @@ __all__ = [
     # Substrates
     "RTree",
     "ObjectStore",
-    # The query surface (typed requests + QueryEngine protocol)
+    # The query surface (typed requests)
     "AknnMethod",
     "AknnRequest",
-    "QueryEngine",
     "QueryRequest",
     "RangeRequest",
     "ReverseRequest",
     "SweepMethod",
     "SweepRequest",
-    "register_planner",
     # Query processing
     "FuzzyDatabase",
     "AKNNSearcher",

@@ -8,11 +8,9 @@
 from repro.analysis.cost_model import (
     AccessCostModel,
     estimate_knn_radius,
-    expected_knn_distance,
 )
 
 __all__ = [
     "AccessCostModel",
     "estimate_knn_radius",
-    "expected_knn_distance",
 ]

@@ -46,24 +46,6 @@ def estimate_knn_radius(k: int, n_objects: int, dimension: float = 2.0) -> float
     return float(ratio ** (1.0 / dimension) / math.sqrt(math.pi))
 
 
-def expected_knn_distance(
-    k: int,
-    n_objects: int,
-    alpha: float,
-    radius_function: RadiusFunction,
-    space_size: float = 1.0,
-    dimension: float = 2.0,
-) -> float:
-    """Expected alpha-distance to the k-th neighbour: ``eps - 2 R(alpha)``.
-
-    The result is clamped at zero — overlapping ideal objects have
-    alpha-distance zero.
-    """
-    eps_unit = estimate_knn_radius(k, n_objects, dimension)
-    eps = eps_unit * space_size
-    return max(0.0, eps - 2.0 * radius_function(alpha))
-
-
 def gaussian_cut_radius(
     alpha: float, object_radius: float = 0.5, sigma: float = 0.5
 ) -> float:
@@ -171,10 +153,6 @@ class AccessCostModel:
             * (side + 2.0 * d_unit) ** self.correlation_dimension
         )
         return float(max(leaves, 1.0))
-
-    def predict_node_accesses(self, k: int, alpha: float) -> float:
-        """Expected R-tree leaf-node accesses of a basic AKNN query (Eq. 7 + 8)."""
-        return self.range_query_accesses(self.search_range(k, alpha))
 
     def predict_object_accesses(self, k: int, alpha: float) -> float:
         """Equation 8: expected number of objects accessed by a basic AKNN query.

@@ -23,13 +23,11 @@ package, in :mod:`repro.reference`, and share no code with it.
 from repro.core.requests import (
     AknnMethod,
     AknnRequest,
-    QueryEngine,
     QueryRequest,
     RangeRequest,
     ReverseRequest,
     SweepMethod,
     SweepRequest,
-    register_planner,
 )
 from repro.core.results import (
     AKNNResult,
@@ -50,13 +48,11 @@ from repro.core.reverse_nn import ReverseAKNNSearcher, ReverseKNNResult
 __all__ = [
     "AknnMethod",
     "AknnRequest",
-    "QueryEngine",
     "QueryRequest",
     "RangeRequest",
     "ReverseRequest",
     "SweepMethod",
     "SweepRequest",
-    "register_planner",
     "AKNNResult",
     "BatchResult",
     "Neighbor",

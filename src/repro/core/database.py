@@ -1,8 +1,7 @@
 """The top-level facade bundling store, index and searchers.
 
-:class:`FuzzyDatabase` is what most users interact with.  It implements the
-:class:`~repro.core.requests.QueryEngine` protocol — every query is a typed
-request executed through one surface::
+:class:`FuzzyDatabase` is what most users interact with.  Every query is a
+typed request executed through one surface::
 
     from repro import AknnRequest, FuzzyDatabase, SweepRequest
 
@@ -27,6 +26,7 @@ re-fitting conservative lines.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -155,31 +155,8 @@ class FuzzyDatabase:
         db.metrics.merge(boot)
         return db
 
-    @classmethod
-    def from_store(
-        cls,
-        store: ObjectStore,
-        config: Optional[RuntimeConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "FuzzyDatabase":
-        """Index an already-populated object store.
-
-        Summaries are computed by streaming the store without charging the
-        query-time access counter (this is an offline build step).
-        """
-        config = (config or RuntimeConfig()).validate()
-        summaries = {
-            s.object_id: s
-            for s in build_summaries(store.iter_objects(count_accesses=False), rng=rng)
-        }
-        boot = SharedMetricsCollector()
-        tree = bulk_load_tree(summaries.values(), config=config, metrics=boot)
-        db = cls(store, tree, summaries, config)
-        db.metrics.merge(boot)
-        return db
-
     # ------------------------------------------------------------------
-    # The query surface (QueryEngine protocol)
+    # The query surface (execute / execute_batch)
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -469,12 +446,7 @@ class FuzzyDatabase:
             slots = self.store.dump(data_path)
         catalog = {
             "version": _CATALOG_VERSION,
-            "config": {
-                "rtree_max_entries": self.config.rtree_max_entries,
-                "rtree_min_fill": self.config.rtree_min_fill,
-                "upper_bound_samples": self.config.upper_bound_samples,
-                "cache_capacity": self.config.cache_capacity,
-            },
+            "config": dataclasses.asdict(self.config),
             "slots": {str(oid): list(slot) for oid, slot in slots.items()},
             "id_watermark": self.store.id_watermark,
         }
@@ -514,13 +486,11 @@ class FuzzyDatabase:
                 f"unsupported catalogue version {catalog.get('version')!r}"
             )
         if config is None:
+            # The config the directory was written with; a field an older
+            # catalogue does not store keeps its default.
+            known = {field.name for field in dataclasses.fields(RuntimeConfig)}
             stored = catalog.get("config", {})
-            config = RuntimeConfig(
-                upper_bound_samples=int(stored.get("upper_bound_samples", 8)),
-                rtree_max_entries=int(stored.get("rtree_max_entries", 32)),
-                rtree_min_fill=float(stored.get("rtree_min_fill", 0.4)),
-                cache_capacity=int(stored.get("cache_capacity", 0)),
-            )
+            config = RuntimeConfig(**{k: v for k, v in stored.items() if k in known})
         config = config.validate()
         slot_table = {
             int(oid): (int(slot[0]), int(slot[1]))

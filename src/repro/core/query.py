@@ -26,7 +26,7 @@ from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import alpha_distance_points
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.summary import FuzzyObjectSummary
-from repro.geometry.distance import point_to_set_distance
+from repro.geometry.distance import set_to_set_distances
 from repro.geometry.mbr import MBR, max_dist, min_dist
 from repro.metrics.counters import MetricsCollector
 
@@ -99,7 +99,7 @@ class PreparedQuery:
         distance upper-bounds the alpha-distance.
         """
         self.metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS)
-        return point_to_set_distance(summary.representative, self.query_samples)
+        return float(set_to_set_distances(summary.representative[None], self.query_samples).min())
 
     def combined_upper_bound(self, summary: FuzzyObjectSummary) -> float:
         """The tighter of the MaxDist and representative/sample upper bounds."""

@@ -1,11 +1,11 @@
-"""One query surface: typed requests, the ``QueryEngine`` protocol, and plans.
+"""One query surface: typed requests and plans.
 
 Every query the system answers is described by one frozen request dataclass —
 :class:`AknnRequest`, :class:`RangeRequest`, :class:`SweepRequest` (the
 paper's alpha-range kNN) and :class:`ReverseRequest` — carrying its full
 parameterisation: the query fuzzy object, ``k`` / ``radius`` / ``alpha``, and
 (AKNN and sweep) a method *enum* instead of a magic string.  Engines expose exactly two entry
-points (:class:`QueryEngine`)::
+points, ``execute`` and ``execute_batch``::
 
     from repro import AknnRequest, RangeRequest, ReverseRequest
 
@@ -31,10 +31,10 @@ query service's coalescer, so a request type defined once coalesces correctly
 at every layer.
 
 A future query family plugs in at one place: define the request dataclass
-(with ``bucket_key``) and call :func:`register_planner` with a callable
-``(engine, requests, rng, deadline=None) -> results``; every engine's
-``execute`` / ``execute_batch`` and the service coalescer pick it up without
-edits.
+(with ``bucket_key``) and add its planner to the table at the bottom of this
+module, a callable ``(engine, requests, rng, deadline=None) -> results``;
+every engine's ``execute`` / ``execute_batch`` and the service coalescer pick
+it up without edits.
 """
 
 from __future__ import annotations
@@ -47,11 +47,9 @@ from typing import (
     Dict,
     List,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Type,
-    runtime_checkable,
 )
 
 import numpy as np
@@ -265,40 +263,6 @@ class ReverseRequest(QueryRequest):
 
 
 # ----------------------------------------------------------------------
-# The engine protocol
-# ----------------------------------------------------------------------
-@runtime_checkable
-class QueryEngine(Protocol):
-    """What every query-answering layer exposes: two entry points.
-
-    ``execute`` answers one request; ``execute_batch`` answers a submission
-    that may freely mix request types, grouped internally into per-type,
-    per-bucket sub-batches.  Results come back in submission order, one per
-    request, with the same result types the per-type methods used to return
-    (:class:`~repro.core.results.AKNNResult`,
-    :class:`~repro.core.results.RangeSearchResult`,
-    :class:`~repro.core.results.RKNNResult`,
-    :class:`~repro.core.reverse_nn.ReverseKNNResult`).
-    """
-
-    def execute(
-        self,
-        request: QueryRequest,
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Any:
-        ...
-
-    def execute_batch(
-        self,
-        requests: Sequence[QueryRequest],
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[Any]:
-        ...
-
-
-# ----------------------------------------------------------------------
 # Planner registry: request type -> bucket planner
 # ----------------------------------------------------------------------
 #: A planner answers one homogeneous bucket (equal ``bucket_key()``) against
@@ -310,15 +274,6 @@ Planner = Callable[..., List[Any]]
 _PLANNERS: Dict[Type[QueryRequest], Planner] = {}
 
 
-def register_planner(request_type: Type[QueryRequest], planner: Planner) -> None:
-    """Register (or replace) the planner for one request type.
-
-    This is the single extension point for new query families: engines never
-    switch on request types themselves — they look the planner up here.
-    """
-    _PLANNERS[request_type] = planner
-
-
 def planner_for(request_type: Type[QueryRequest]) -> Planner:
     """The registered planner for ``request_type`` (exact type match)."""
     planner = _PLANNERS.get(request_type)
@@ -328,11 +283,6 @@ def planner_for(request_type: Type[QueryRequest]) -> Planner:
             f"known types: {sorted(t.__name__ for t in _PLANNERS)}"
         )
     return planner
-
-
-def registered_request_types() -> List[Type[QueryRequest]]:
-    """Every request type with a registered planner (introspection/tests)."""
-    return list(_PLANNERS)
 
 
 def group_requests(
@@ -483,7 +433,7 @@ def execute_plan(
 # ----------------------------------------------------------------------
 # Each built-in family is answered by a per-engine bucket hook, the narrow
 # capability surface FuzzyDatabase and ShardedDatabase implement (the query
-# service implements QueryEngine by coalescing into buckets and flushing each
+# service implements execute / execute_batch by coalescing into buckets and flushing each
 # through its database's execute_batch, so it never reaches these directly).
 def _bucket_hook(name: str) -> Planner:
     def plan(engine: Any, bucket, rng, deadline: Optional[Any] = None) -> List[Any]:

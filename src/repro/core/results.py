@@ -94,13 +94,6 @@ class Coverage:
         """True when every shard contributed (the answer is exact)."""
         return not self.failed and len(self.answered) == self.total_shards
 
-    def reason_for(self, shard: int) -> Optional[str]:
-        """Last failure description recorded for ``shard`` (None if it answered)."""
-        for index, reason in self.reasons:
-            if index == shard:
-                return reason
-        return None
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "total_shards": self.total_shards,

@@ -9,7 +9,8 @@
   membership masks.
 * :mod:`~repro.datasets.queries` — query-object generators.
 * :mod:`~repro.datasets.builder` — dataset -> store -> index pipeline that
-  yields a ready-to-query :class:`~repro.core.database.FuzzyDatabase`.
+  yields a ready-to-query :class:`~repro.core.database.FuzzyDatabase`
+  (``build_database``, the CLI's on-the-fly dataset).
 """
 
 from repro.datasets.synthetic import (
@@ -23,7 +24,7 @@ from repro.datasets.cells import (
     generate_cell_object,
 )
 from repro.datasets.queries import generate_query_object
-from repro.datasets.builder import DatasetBundle, build_database, build_dataset
+from repro.datasets.builder import build_database, build_dataset
 
 __all__ = [
     "SyntheticDatasetConfig",
@@ -33,7 +34,6 @@ __all__ = [
     "generate_cell_dataset",
     "generate_cell_object",
     "generate_query_object",
-    "DatasetBundle",
     "build_database",
     "build_dataset",
 ]

@@ -2,27 +2,22 @@
 
 ``build_database`` turns a dataset specification (synthetic circles or
 simulated cells, at a chosen scale) into a ready-to-query
-:class:`~repro.core.database.FuzzyDatabase`, and ``DatasetBundle`` keeps the
-pieces an experiment needs together: the database, the generator
-configuration, and a reproducible stream of query objects.
+:class:`~repro.core.database.FuzzyDatabase`; query objects come from
+:func:`~repro.datasets.queries.generate_query_object`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.datasets.cells import CellDatasetConfig, generate_cell_dataset
-from repro.datasets.queries import generate_query_object
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
 from repro.fuzzy.fuzzy_object import FuzzyObject
-
-DatasetConfig = Union[SyntheticDatasetConfig, CellDatasetConfig]
 
 DATASET_KINDS = ("synthetic", "cells")
 
@@ -73,58 +68,3 @@ def build_database(
     )
     rng = np.random.default_rng(seed + 1)
     return FuzzyDatabase.build(objects, path=path, config=config, rng=rng)
-
-
-@dataclass
-class DatasetBundle:
-    """A database plus a reproducible stream of matching query objects."""
-
-    database: FuzzyDatabase
-    kind: str
-    space_size: float
-    points_per_object: int
-    query_seed: int = 1234
-
-    def queries(self, count: int, query_kind: Optional[str] = None) -> List[FuzzyObject]:
-        """``count`` query objects drawn from the dataset's own distribution."""
-        rng = np.random.default_rng(self.query_seed)
-        kind = query_kind or self.kind
-        return [
-            generate_query_object(
-                rng,
-                kind=kind,
-                space_size=self.space_size,
-                points_per_object=self.points_per_object,
-            )
-            for _ in range(count)
-        ]
-
-    @classmethod
-    def create(
-        cls,
-        kind: str = "synthetic",
-        n_objects: int = 1_000,
-        points_per_object: int = 100,
-        seed: int = 7,
-        space_size: float = 100.0,
-        path: Optional[os.PathLike | str] = None,
-        config: Optional[RuntimeConfig] = None,
-        query_seed: int = 1234,
-    ) -> "DatasetBundle":
-        """Build the database and wrap it into a bundle."""
-        database = build_database(
-            kind=kind,
-            n_objects=n_objects,
-            points_per_object=points_per_object,
-            seed=seed,
-            space_size=space_size,
-            path=path,
-            config=config,
-        )
-        return cls(
-            database=database,
-            kind=kind,
-            space_size=space_size,
-            points_per_object=points_per_object,
-            query_seed=query_seed,
-        )

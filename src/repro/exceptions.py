@@ -80,7 +80,7 @@ class BackpressureError(ReproError):
 
     Carries ``retry_after_ms`` — the service's estimate of how long the
     caller should back off before retrying (``None`` when the service cannot
-    estimate one).  :class:`repro.service.client.RetryingClient` honours it.
+    estimate one).
     """
 
     def __init__(self, message: str, retry_after_ms=None):

@@ -9,8 +9,9 @@ Public surface:
 * :class:`~repro.fuzzy.profile.DistanceProfile` — the piecewise-constant map
   from alpha to alpha-distance, including the critical probability set of
   Definition 7.
-* :mod:`~repro.fuzzy.boundary` — boundary functions and the optimal
-  conservative line of Definition 6, used for the improved lower bound.
+* :mod:`~repro.fuzzy.boundary` — the optimal conservative lines of
+  Definition 6, fitted a stack of objects at a time, used for the improved
+  lower bound.
 * :class:`~repro.fuzzy.summary.FuzzyObjectSummary` — the compact per-object
   record stored inside R-tree leaves.
 * :mod:`~repro.fuzzy.intervals` — closed-interval algebra for RKNN
@@ -24,13 +25,7 @@ from repro.fuzzy.alpha_distance import (
     distance_profile,
 )
 from repro.fuzzy.profile import DistanceProfile
-from repro.fuzzy.boundary import (
-    BoundaryFunction,
-    ConservativeLine,
-    boundary_function,
-    fit_conservative_line,
-    fit_object_lines,
-)
+from repro.fuzzy.boundary import ConservativeLine
 from repro.fuzzy.summary import FuzzyObjectSummary, build_summary
 from repro.fuzzy.intervals import Interval, IntervalSet
 
@@ -40,11 +35,7 @@ __all__ = [
     "alpha_distance_points",
     "distance_profile",
     "DistanceProfile",
-    "BoundaryFunction",
     "ConservativeLine",
-    "boundary_function",
-    "fit_conservative_line",
-    "fit_object_lines",
     "FuzzyObjectSummary",
     "build_summary",
     "Interval",

@@ -30,10 +30,9 @@ run pops every vertex an earlier point ``a`` of the run popped, then ``a``
 itself (``cross = (y-o.y)*((a.x-o.x) - (p.x-o.x)) >= 0``), leaving the stack
 ``a`` never entered.  Only the very first level must stay, as the stack's
 bottom.  The anchor bisection, too, moves per line in Python; its sums run
-stacked.  The one-object functions run the same programs on a stack of one.
-:func:`enclose_cuts` lifts intercepts until the Equation (2) box holds every
-exact cut box in coordinates: the Definition 6 check works on deltas, and
-``kernel + (coordinate - kernel)`` need not round back.
+stacked.  :func:`_stack_lift` lifts intercepts until the Equation (2) box
+holds every exact cut box in coordinates: the Definition 6 check works on
+deltas, and ``kernel + (coordinate - kernel)`` need not round back.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.config import CONSERVATIVE_SLACK
-from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
+from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL
 from repro.geometry.convexhull import upper_chain
-from repro.geometry.mbr import MBR
 
 
 @dataclass(frozen=True)
@@ -71,42 +69,6 @@ class ConservativeLine:
         return cls(float(pair[0]), float(pair[1]))
 
 
-@dataclass(frozen=True)
-class BoundaryFunction:
-    """The sampled boundary function of one dimension/side of an object
-    (``alphas`` strictly increasing, ``deltas`` non-increasing)."""
-
-    alphas: np.ndarray
-    deltas: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.alphas.shape != self.deltas.shape or self.alphas.ndim != 1:
-            raise ValueError("alphas and deltas must be aligned 1-d arrays")
-        if np.any(np.diff(self.alphas) <= 0.0) or np.any(np.diff(self.deltas) > 0.0):
-            raise ValueError("alphas must increase strictly and deltas must not increase")
-
-    def pairs(self) -> List[Tuple[float, float]]:
-        """``(alpha, delta)`` tuples sorted by alpha."""
-        return list(zip(self.alphas.tolist(), self.deltas.tolist()))
-
-    @property
-    def is_trivial(self) -> bool:
-        """Whether the boundary never moves (all deltas are zero)."""
-        return bool(np.all(self.deltas <= CONSERVATIVE_SLACK))
-
-
-def alpha_mbr_table(obj: FuzzyObject) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-level alpha-cut bounding boxes.
-
-    Returns ``(levels, lower, upper)`` where ``lower[j]`` / ``upper[j]`` are
-    the per-dimension bounds of the alpha-cut at ``levels[j]``, in
-    ``O(n log n + n d)``.
-    """
-    mus, first, cuts, _ = _stack_cuts(obj.points[None], obj.memberships[None])
-    table = cuts[first]
-    return mus[first], -table[:, obj.dimensions :], table[:, : obj.dimensions]
-
-
 def _stack_cuts(points: np.ndarray, memberships: np.ndarray):
     """For ``R`` objects of one shape (``points`` ``(R, n, d)``): memberships
     sorted per object, where each level starts in them, and per position the
@@ -126,18 +88,6 @@ def _stack_cuts(points: np.ndarray, memberships: np.ndarray):
     first = np.ones(mus.shape, dtype=bool)
     first[:, 1:] = mus[:, 1:] != mus[:, :-1]
     return mus, first, cuts, bounds
-
-
-def boundary_function(
-    obj: FuzzyObject, dimension: int, side: str
-) -> BoundaryFunction:
-    """Boundary function of ``dimension`` of ``obj`` on ``side`` ``"upper"``
-    (``Mi+``) or ``"lower"`` (``Mi-``)."""
-    if side not in ("upper", "lower"):
-        raise ValueError("side must be 'upper' or 'lower'")
-    levels, lower, upper = alpha_mbr_table(obj)
-    column = (upper if side == "upper" else lower)[:, dimension]
-    return BoundaryFunction(levels.copy(), np.abs(column - column[-1]))
 
 
 def _anchor_bisection(
@@ -211,58 +161,31 @@ def _fit_rows(alphas: np.ndarray, deltas: np.ndarray) -> Tuple[np.ndarray, np.nd
     return slopes, np.where(violation > 0.0, icpts + violation + CONSERVATIVE_SLACK, icpts)
 
 
-def fit_conservative_line(bf: BoundaryFunction) -> ConservativeLine:
-    """The optimal conservative approximation of a boundary function: the
-    anchor bisection over its upper convex hull, the intercept then lifted to
-    absorb rounding so every sampled ``(alpha, delta)`` lies on or below."""
-    slopes, icpts = _fit_rows(bf.alphas[None, :], bf.deltas[None, :])
-    return ConservativeLine(float(slopes[0]), float(icpts[0]))
-
-
-def conservative_lines(
-    levels: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Definition 6 ``(slopes, intercepts)`` from one alpha-MBR table, each of
-    length ``2 d``: the upper side's lines by dimension, then the lower's."""
-    slopes, intercepts = _stack_lines(levels[None], np.concatenate((upper, -lower), 1)[None])
-    return slopes[0], intercepts[0]
-
-
 def _stack_lines(levels: np.ndarray, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`conservative_lines` of ``G`` tables of ``L`` levels given as
-    ``(G, L, 2 d)`` line bounds; a delta is ``|bound - its last level's|``."""
+    """Definition 6 ``(G, 2 d)`` slopes and intercepts of ``G`` alpha-MBR
+    tables of ``L`` levels given as ``(G, L, 2 d)`` line bounds (the upper
+    side's lines by dimension, then the lower's); a delta is
+    ``|bound - its last level's|``."""
     count, width, lines = table.shape
     deltas = np.abs(table - table[:, -1:]).transpose(0, 2, 1).reshape(-1, width)
     slopes, intercepts = _fit_rows(np.repeat(levels, lines, axis=0), deltas)
     return slopes.reshape(count, lines), intercepts.reshape(count, lines)
 
 
-def enclose_cuts(
-    levels: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    kernel: MBR,
-    slopes: np.ndarray,
-    intercepts: np.ndarray,
-) -> np.ndarray:
-    """Intercepts lifted until Equation (2) encloses every exact alpha-cut box.
+def _stack_lift(levels, table, base, slopes, intercepts) -> np.ndarray:
+    """Intercepts lifted until Equation (2) encloses every exact alpha-cut box,
+    for ``G`` tables at once, each kernel box given as its ``(2 d,)`` line
+    bounds in ``base`` ``(G, 2 d)``.
 
-    For every level ``j`` of the table the lines were fitted on and every
-    alpha whose cut holds it (``mu >= alpha - MEMBERSHIP_ATOL``), afterwards
+    For every level ``j`` of a table and every alpha whose cut holds it
+    (``mu >= alpha - MEMBERSHIP_ATOL``), afterwards
     ``kernel.upper + max(0, slope*alpha + t) >= upper[j]`` and
     ``kernel.lower - max(0, ...) <= lower[j]`` in float, evaluated as
-    ``approx_alpha_mbr`` / ``NodeSoA.approx_alpha_bounds`` do.  Checking at
+    ``NodeSoA.approx_alpha_bounds`` does.  Checking at
     ``levels + 2*MEMBERSHIP_ATOL`` covers every such alpha (slopes are
     non-positive, rounding monotone); the lower side is the upper side of
     negated coordinates.  A line that already encloses keeps its intercept.
     """
-    table, base = np.concatenate((upper, -lower), 1), np.concatenate((kernel.upper, -kernel.lower))
-    return _stack_lift(levels[None], table[None], base[None], slopes[None], intercepts[None])[0]
-
-
-def _stack_lift(levels, table, base, slopes, intercepts) -> np.ndarray:
-    """:func:`enclose_cuts` of ``G`` tables at once, each kernel box given as
-    its ``(2 d,)`` line bounds in ``base`` ``(G, 2 d)``."""
     products = slopes[:, None, :] * (levels[:, :, None] + 2.0 * MEMBERSHIP_ATOL)
     short = base[:, None, :] + np.maximum(0.0, products + intercepts[:, None, :]) < table
     if not short.any():
@@ -304,26 +227,3 @@ def fit_stack(
         slopes[group] = line_slopes
         intercepts[group] = _stack_lift(levels, table, kernel[group], line_slopes, line_intercepts)
     return bounds[:, 0], kernel, slopes, intercepts
-
-
-@dataclass(frozen=True)
-class ObjectLines:
-    """Per-dimension conservative lines for both sides of an object's MBR."""
-
-    upper: Tuple[ConservativeLine, ...]
-    lower: Tuple[ConservativeLine, ...]
-
-    @property
-    def dimensions(self) -> int:
-        return len(self.upper)
-
-
-def fit_object_lines(obj: FuzzyObject) -> ObjectLines:
-    """Conservative lines for every dimension and side of ``obj``, lifted so
-    Equation (2) around ``obj.kernel_mbr()`` holds every exact cut box.  With
-    the kernel and support MBRs, all the improved lower bound needs."""
-    levels, lower, upper = alpha_mbr_table(obj)
-    slopes, intercepts = conservative_lines(levels, lower, upper)
-    intercepts = enclose_cuts(levels, lower, upper, obj.kernel_mbr(), slopes, intercepts)
-    lines = [ConservativeLine(m, t) for m, t in zip(slopes.tolist(), intercepts.tolist())]
-    return ObjectLines(tuple(lines[: obj.dimensions]), tuple(lines[obj.dimensions :]))

@@ -177,11 +177,6 @@ class FuzzyObject:
         """Spatial dimensionality."""
         return int(self.points.shape[1])
 
-    @property
-    def has_kernel(self) -> bool:
-        """Whether any point has membership exactly 1."""
-        return bool(np.any(_at_least(self.memberships, 1.0)))
-
     def distinct_memberships(self) -> np.ndarray:
         """``U_A``: sorted distinct membership values of the object."""
         if self._levels is None:
@@ -239,11 +234,6 @@ class FuzzyObject:
             raise InvalidFuzzyObjectError("cut cache capacity must be >= 0")
         self._cut_cache_capacity = int(capacity)
         self._cut_cache = None
-
-    def alpha_cut_size(self, alpha: float) -> int:
-        """Number of points with membership >= alpha."""
-        self._check_alpha(alpha)
-        return int(np.count_nonzero(_at_least(self.memberships, alpha)))
 
     # ------------------------------------------------------------------
     # Bounding rectangles
@@ -311,28 +301,6 @@ class FuzzyObject:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def normalize_memberships(self) -> "FuzzyObject":
-        """Rescale memberships so the maximum becomes exactly 1.
-
-        The paper normalises probability values "across 0 to 1" for both
-        datasets, guaranteeing a non-empty kernel.
-        """
-        maximum = float(self.memberships.max())
-        scaled = self.memberships / maximum
-        return FuzzyObject(self.points.copy(), scaled, object_id=self.object_id)
-
-    def translated(self, offset: Sequence[float]) -> "FuzzyObject":
-        """Copy of the object shifted by ``offset``."""
-        off = np.asarray(offset, dtype=float)
-        if off.shape != (self.dimensions,):
-            raise InvalidFuzzyObjectError("offset dimensionality mismatch")
-        return FuzzyObject(
-            self.points + off,
-            self.memberships.copy(),
-            object_id=self.object_id,
-            require_kernel=False,
-        )
-
     def scaled(self, factor: float) -> "FuzzyObject":
         """Copy of the object scaled about the origin by ``factor``."""
         if factor <= 0:

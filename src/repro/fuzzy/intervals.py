@@ -131,16 +131,6 @@ class IntervalSet:
         return tuple(self._intervals)
 
     @property
-    def is_empty(self) -> bool:
-        """Whether the set contains no interval."""
-        return not self._intervals
-
-    @property
-    def total_length(self) -> float:
-        """Sum of interval lengths."""
-        return sum(iv.length for iv in self._intervals)
-
-    @property
     def span(self) -> Interval | None:
         """Smallest single interval covering the whole set (None if empty)."""
         if not self._intervals:

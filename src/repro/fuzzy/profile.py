@@ -60,11 +60,6 @@ class DistanceProfile:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def constant(cls, distance: float) -> "DistanceProfile":
-        """A profile that has the same distance at every threshold."""
-        return cls(np.array([1.0]), np.array([float(distance)]))
-
-    @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[float, float]]) -> "DistanceProfile":
         """Build a profile from ``(level, distance)`` pairs."""
         pairs = sorted(pairs)
@@ -113,14 +108,6 @@ class DistanceProfile:
             return float(crit[-1])
         return float(crit[idx])
 
-    def constant_until(self, alpha: float) -> float:
-        """Largest threshold up to which ``d`` keeps the value ``d_alpha``.
-
-        This is exactly :meth:`next_critical`; provided under the name used by
-        the RKNN algorithms for readability.
-        """
-        return self.next_critical(alpha)
-
     # ------------------------------------------------------------------
     # Safe ranges (Lemma 4)
     # ------------------------------------------------------------------
@@ -164,23 +151,6 @@ class DistanceProfile:
     def min_distance(self) -> float:
         """Distance between the supports (the smallest value of the profile)."""
         return float(self.distances[0])
-
-    def restricted(self, low: float, high: float) -> "DistanceProfile":
-        """Profile truncated to levels relevant for ``alpha`` in ``[low, high]``."""
-        if high < low:
-            raise InvalidQueryError("restricted() expects low <= high")
-        keep = (self.levels >= low - _LEVEL_ATOL) & (self.levels <= high + _LEVEL_ATOL)
-        levels = list(self.levels[keep])
-        distances = list(self.distances[keep])
-        # The first level >= high (if any beyond the range) is needed so that
-        # value(high) still resolves; likewise evaluation below the first kept
-        # level must resolve, so prepend the covering level when necessary.
-        if not levels or levels[-1] < high - _LEVEL_ATOL:
-            idx = int(np.searchsorted(self.levels, high - _LEVEL_ATOL, side="left"))
-            if idx < self.levels.size:
-                levels.append(float(self.levels[idx]))
-                distances.append(float(self.distances[idx]))
-        return DistanceProfile(levels, distances)
 
     def steps(self) -> List[Tuple[float, float, float]]:
         """The constant pieces as ``(interval_start, interval_end, distance)``.

@@ -8,8 +8,9 @@ This package is a small, self-contained computational-geometry substrate:
 * :mod:`~repro.geometry.distance` — point-set distance kernels: the one
   blocked pairwise squared-distance kernel, and the closest pair between two
   point clouds as a brute-force argmin over it or a KD-tree query.
-* :mod:`~repro.geometry.convexhull` — Andrew's monotone chain upper convex
-  hull used when fitting the optimal conservative line of Definition 6.
+* :mod:`~repro.geometry.convexhull` — Andrew's monotone chain (the upper
+  convex hull of sorted points) used when fitting the optimal conservative
+  line of Definition 6.
 """
 
 from repro.geometry.mbr import MBR, min_dist, max_dist
@@ -17,10 +18,8 @@ from repro.geometry.distance import (
     closest_pair_distance,
     closest_pair,
     pairwise_sq_blocks,
-    point_to_set_distance,
     set_to_set_distances,
 )
-from repro.geometry.convexhull import upper_convex_hull
 
 __all__ = [
     "MBR",
@@ -29,7 +28,5 @@ __all__ = [
     "closest_pair_distance",
     "closest_pair",
     "pairwise_sq_blocks",
-    "point_to_set_distance",
     "set_to_set_distances",
-    "upper_convex_hull",
 ]

@@ -30,17 +30,3 @@ def upper_chain(points: Sequence[Point2D]) -> List[Point2D]:
             upper.pop()
         upper.append(p)
     return upper
-
-
-def upper_convex_hull(points: Sequence[Point2D]) -> List[Point2D]:
-    """Upper convex hull ordered by increasing x.
-
-    The returned chain starts at the point with smallest x, ends at the point
-    with largest x, and the slopes of consecutive segments are monotonically
-    non-increasing (every interior vertex is a "right turn").  All input
-    points lie on or below the chain.
-    """
-    pts = sorted({(float(x), float(y)) for x, y in points})
-    if not pts:
-        raise ValueError("convex hull of an empty point set is undefined")
-    return upper_chain(pts)

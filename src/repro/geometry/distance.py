@@ -76,15 +76,6 @@ def pairwise_sq_blocks(
         yield start, sq
 
 
-def point_to_set_distance(point: np.ndarray, points: np.ndarray) -> float:
-    """Smallest Euclidean distance from ``point`` to any point in ``points``."""
-    pts = _as_points(points, "points")
-    pt = np.asarray(point, dtype=float).reshape(1, -1)
-    if pt.shape[1] != pts.shape[1]:
-        raise ValueError("point dimensionality does not match the point set")
-    return _closest_pair_brute(pt, pts)[0]
-
-
 def set_to_set_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
     """Full pairwise distance matrix between two point sets.
 

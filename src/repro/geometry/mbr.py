@@ -68,12 +68,6 @@ class MBR:
         return cls(pts.min(axis=0), pts.max(axis=0))
 
     @classmethod
-    def from_point(cls, point: Sequence[float]) -> "MBR":
-        """Build a degenerate MBR around a single point."""
-        pt = np.asarray(point, dtype=float)
-        return cls(pt, pt.copy())
-
-    @classmethod
     def union_of(cls, mbrs: Iterable["MBR"]) -> "MBR":
         """Return the MBR enclosing every rectangle in ``mbrs``."""
         mbrs = list(mbrs)
@@ -105,28 +99,13 @@ class MBR:
         """Hyper-volume of the rectangle (area in 2-d)."""
         return float(np.prod(self.extent))
 
-    def margin(self) -> float:
-        """Sum of side lengths (the R*-tree 'margin' measure)."""
-        return float(np.sum(self.extent))
-
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
-    def contains_point(self, point: Sequence[float]) -> bool:
-        """Whether ``point`` lies inside (or on the boundary of) the MBR."""
-        pt = np.asarray(point, dtype=float)
-        return bool(np.all(pt >= self.lower) and np.all(pt <= self.upper))
-
     def contains(self, other: "MBR") -> bool:
         """Whether ``other`` is fully enclosed by this MBR."""
         return bool(
             np.all(other.lower >= self.lower) and np.all(other.upper <= self.upper)
-        )
-
-    def intersects(self, other: "MBR") -> bool:
-        """Whether the two rectangles overlap (boundaries touching counts)."""
-        return bool(
-            np.all(self.lower <= other.upper) and np.all(other.lower <= self.upper)
         )
 
     # ------------------------------------------------------------------
@@ -138,24 +117,6 @@ class MBR:
             np.minimum(self.lower, other.lower), np.maximum(self.upper, other.upper)
         )
 
-    def enlargement(self, other: "MBR") -> float:
-        """Area increase needed to also cover ``other`` (R-tree ChooseLeaf metric)."""
-        return self.union(other).area() - self.area()
-
-    def intersection(self, other: "MBR") -> "MBR | None":
-        """Overlapping region, or ``None`` when the rectangles are disjoint."""
-        lower = np.maximum(self.lower, other.lower)
-        upper = np.minimum(self.upper, other.upper)
-        if np.any(lower > upper):
-            return None
-        return MBR(lower, upper)
-
-    def expanded(self, amount: float) -> "MBR":
-        """Rectangle grown by ``amount`` on every side (clamped to be valid)."""
-        if amount < 0 and np.any(self.extent + 2 * amount < 0):
-            raise ValueError("cannot shrink MBR below zero extent")
-        return MBR(self.lower - amount, self.upper + amount)
-
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------
@@ -166,18 +127,6 @@ class MBR:
     def max_dist(self, other: "MBR") -> float:
         """``MaxDist`` between two rectangles (Equation 3 of the paper)."""
         return max_dist(self, other)
-
-    def min_dist_point(self, point: Sequence[float]) -> float:
-        """Smallest distance from ``point`` to any point in the rectangle."""
-        pt = np.asarray(point, dtype=float)
-        gaps = np.maximum(0.0, np.maximum(self.lower - pt, pt - self.upper))
-        return float(math.sqrt(float(np.dot(gaps, gaps))))
-
-    def max_dist_point(self, point: Sequence[float]) -> float:
-        """Largest distance from ``point`` to any point in the rectangle."""
-        pt = np.asarray(point, dtype=float)
-        gaps = np.maximum(np.abs(pt - self.lower), np.abs(pt - self.upper))
-        return float(math.sqrt(float(np.dot(gaps, gaps))))
 
     # ------------------------------------------------------------------
     # Serialisation helpers

@@ -64,11 +64,6 @@ class CompactionManager:
         self.metrics = metrics
         self._debt = 0
 
-    @property
-    def debt(self) -> int:
-        """Lazy deletes since the last compaction (or construction)."""
-        return self._debt
-
     def note_lazy_delete(self) -> None:
         self._debt += 1
         if self.metrics is not None:

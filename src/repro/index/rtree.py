@@ -364,39 +364,6 @@ class RTree:
     # ------------------------------------------------------------------
     # Search primitives
     # ------------------------------------------------------------------
-    def range_query(
-        self, region: MBR, metrics: Optional[MetricsCollector] = None
-    ) -> List[LeafEntry]:
-        """All leaf entries whose support MBR intersects ``region``."""
-        result: List[LeafEntry] = []
-        if self._size == 0:
-            return result
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if metrics is not None:
-                metrics.increment(MetricsCollector.NODE_ACCESSES)
-            for entry in node.entries:
-                if not entry.mbr.intersects(region):
-                    continue
-                if node.is_leaf:
-                    result.append(entry)  # type: ignore[arg-type]
-                else:
-                    stack.append(entry.child)  # type: ignore[union-attr]
-        return result
-
-    def leaf_entries(self) -> Iterator[LeafEntry]:
-        """Every data entry in the tree."""
-        if self._size == 0:
-            return
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield from node.entries  # type: ignore[misc]
-            else:
-                stack.extend(entry.child for entry in node.entries)  # type: ignore[union-attr]
-
     def leaf_views(self) -> Iterator[NodeSoA]:
         """The SoA view of every non-empty leaf, leaf by leaf as ``leaf_entries`` walks them."""
         stack = [self.root] if self._size else []

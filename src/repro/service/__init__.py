@@ -14,9 +14,10 @@ This package layers a serving architecture on top of the query engine:
 * :mod:`repro.service.faults` — the injectable fault plans behind the chaos
   suite and ``serve --fault-plan``;
 * :mod:`repro.service.subscriptions` — :class:`SubscriptionEngine`, standing
-  AKNN/range queries maintained incrementally and pushed as result deltas;
-* :mod:`repro.service.client` — :class:`RetryingClient`, the reference
-  consumer of the retry-after backpressure contract.
+  AKNN/range queries maintained incrementally and pushed as result deltas.
+
+A shed request raises :class:`~repro.exceptions.ServiceOverloadedError`
+carrying ``retry_after_ms``; backing off is the caller's business.
 
 Typical usage::
 
@@ -29,7 +30,6 @@ Typical usage::
         result = future.result()
 """
 
-from repro.service.client import RetryBudgetExhaustedError, RetryingClient
 from repro.service.concurrency import EpochCounter, ReadWriteLock
 from repro.service.faults import FAULT_OPERATIONS, FaultPlan, FaultSpec
 from repro.service.placement import (
@@ -74,6 +74,4 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FAULT_OPERATIONS",
-    "RetryingClient",
-    "RetryBudgetExhaustedError",
 ]

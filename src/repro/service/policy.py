@@ -23,7 +23,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.exceptions import DeadlineExceededError
 
@@ -60,14 +60,6 @@ class Deadline:
             raise DeadlineExceededError(
                 f"{what} deadline exceeded ({overrun_ms:.1f} ms past expiry)"
             )
-
-    @staticmethod
-    def earliest(*deadlines: Optional["Deadline"]) -> Optional["Deadline"]:
-        """The tightest of several optional deadlines (``None`` = unbounded)."""
-        concrete = [d for d in deadlines if d is not None]
-        if not concrete:
-            return None
-        return min(concrete, key=lambda d: d.expires_at)
 
     def __repr__(self) -> str:
         return f"Deadline(remaining_ms={self.remaining_ms():.1f})"

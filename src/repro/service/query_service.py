@@ -29,8 +29,8 @@ edits — the bucket table never switches on request types.  Since
 ``bucket_key()`` carries each request's full method parameterisation, a
 per-request method override simply lands in its own bucket.
 
-The service itself implements the :class:`~repro.core.requests.QueryEngine`
-protocol — ``execute`` / ``execute_batch`` submit and wait — so callers can
+The service itself answers ``execute`` / ``execute_batch`` (submit and
+wait), as the databases do, so callers can
 swap a database for a coalescing service without code changes.
 
 Admission control bounds the number of requests waiting across all buckets
@@ -172,8 +172,7 @@ class QueryService:
     Parameters
     ----------
     database:
-        Any :class:`~repro.core.requests.QueryEngine` (a
-        :class:`ShardedDatabase` or a plain :class:`FuzzyDatabase`);
+        A :class:`ShardedDatabase` or a plain :class:`FuzzyDatabase`;
         ``insert``/``delete`` are forwarded when present.
     window_ms:
         The longest a ``submit_request`` bucket waits for company (default
@@ -307,7 +306,7 @@ class QueryService:
         self.stop(drain=exc_type is None)
 
     # ------------------------------------------------------------------
-    # Request path (QueryEngine protocol + futures)
+    # Request path (execute / execute_batch + futures)
     # ------------------------------------------------------------------
     def submit_request(self, request: QueryRequest) -> "Future":
         """Enqueue one typed request; returns a future for its result.
@@ -400,10 +399,9 @@ class QueryService:
     ):
         """Synchronously answer one request: ``execute_batch`` of one.
 
-        ``rng`` is accepted for :class:`~repro.core.requests.QueryEngine`
-        compatibility but ignored: coalesced execution happens on the flusher
-        thread, where per-caller randomness would race between bucket
-        members.
+        ``rng`` is accepted for the databases' signature but ignored:
+        coalesced execution happens on the flusher thread, where per-caller
+        randomness would race between bucket members.
         """
         return self.execute_batch([request], timeout=timeout)[0]
 

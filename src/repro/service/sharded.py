@@ -358,7 +358,8 @@ class ShardedDatabase:
         policy is rebuilt from the manifest (``space`` boundaries are refit
         to the recovered centres — that only affects where *future* inserts
         land, never query correctness, since queries fan out everywhere and
-        deletes route via the owner map).
+        deletes route via the owner map).  Without ``config`` every shard
+        keeps the config its directory was written with.
         """
         directory = Path(path)
         manifest = read_manifest(directory)
@@ -367,7 +368,6 @@ class ShardedDatabase:
                 f"manifest at {directory} describes a {manifest.kind!r} database; "
                 f"use FuzzyDatabase.recover() for single-node directories"
             )
-        config = (config or RuntimeConfig()).validate()
         shard_dbs = [
             FuzzyDatabase.recover(
                 cls._shard_dir(directory, index), config=config, rng=rng,
@@ -375,6 +375,8 @@ class ShardedDatabase:
             )
             for index in range(int(manifest.n_shards))
         ]
+        # the given config, or the one the shards were written with
+        config = shard_dbs[0].config
         owners: Dict[int, int] = {}
         centers: List[np.ndarray] = []
         for index, db in enumerate(shard_dbs):
@@ -769,7 +771,7 @@ class ShardedDatabase:
         return [self._finalize_slot(r, result) for r, result in zip(bucket, results)]
 
     # ------------------------------------------------------------------
-    # The query surface (QueryEngine protocol)
+    # The query surface (execute / execute_batch)
     # ------------------------------------------------------------------
     def execute(
         self,

@@ -73,10 +73,6 @@ class ResultDelta:
     removed: Tuple[int, ...] = ()
     cause: str = "initial"
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.added and not self.removed
-
 
 class Subscription:
     """One registered standing query and its maintained answer."""

@@ -83,12 +83,6 @@ class LRUCache(Generic[K, V]):
             self.misses = 0
             self.evictions = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __contains__(self, key: K) -> bool:
         with self._lock:
             return key in self._entries

@@ -210,20 +210,6 @@ class ObjectStore:
         self._cache.put(object_id, obj)
         return obj
 
-    def get_many(self, object_ids: Iterable[int]) -> List[FuzzyObject]:
-        """Probe several objects, fetching each distinct id once.
-
-        Duplicate ids in the request are served from the first fetch instead
-        of paying one access (and potentially one physical read) apiece; the
-        returned list still matches the request order element for element.
-        """
-        ids = [int(object_id) for object_id in object_ids]
-        fetched: Dict[int, FuzzyObject] = {}
-        for object_id in ids:
-            if object_id not in fetched:
-                fetched[object_id] = self.get(object_id)
-        return [fetched[object_id] for object_id in ids]
-
     def _read_payload(self, object_id: int) -> bytes:
         # Re-fetch instead of indexing: a delete racing a read must surface
         # as the not-found the caller already handles, never a KeyError.
@@ -277,10 +263,6 @@ class ObjectStore:
         """Zero counters before running a measured query."""
         self.statistics.reset()
         self._cache.reset_statistics()
-
-    def size_on_disk(self) -> int:
-        """Total bytes occupied by stored records."""
-        return sum(slot.length for slot in self._slots.values())
 
     def slot_table(self) -> Dict[int, Tuple[int, int]]:
         """``{object_id: (offset, length)}`` — exposed for catalogue persistence."""

@@ -68,8 +68,3 @@ def decode_object(payload: bytes) -> FuzzyObject:
         object_id=None if object_id == -1 else int(object_id),
         require_kernel=False,
     )
-
-
-def record_size(obj: FuzzyObject) -> int:
-    """Size in bytes of the encoded record for ``obj``."""
-    return HEADER_SIZE + 8 * obj.size * obj.dimensions + 8 * obj.size

@@ -107,7 +107,6 @@ class WriteAheadLog:
             self._file.write(_FILE_HEADER.pack(WAL_MAGIC, WAL_VERSION))
             self._file.flush()
         self._next_seq = 0
-        self._appends = 0
         # Scanning the existing tail both validates the header and positions
         # the sequence counter after the last committed record.
         for record in self.replay():
@@ -141,15 +140,9 @@ class WriteAheadLog:
             self._file.flush()
             os.fsync(self._file.fileno())
         self._next_seq = seq + 1
-        self._appends += 1
         if self.metrics is not None:
             self.metrics.increment(MetricsCollector.WAL_APPENDS)
         return seq
-
-    @property
-    def appends(self) -> int:
-        """Records appended through this handle (not counting replayed ones)."""
-        return self._appends
 
     @property
     def next_seq(self) -> int:

@@ -16,6 +16,7 @@ from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.datasets.builder import build_dataset
 from repro.datasets.queries import generate_query_object
+from repro.fuzzy.boundary import _stack_cuts
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.intervals import IntervalSet
 from repro import reference
@@ -36,6 +37,26 @@ def make_fuzzy_object(
     memberships[int(rng.integers(0, n_points))] = 1.0  # ensure a kernel point
     memberships = np.clip(memberships, 1e-3, 1.0)
     return FuzzyObject(points, memberships, object_id=object_id)
+
+
+def cut_table(obj: FuzzyObject):
+    """``(levels, lower, upper)``: the exact alpha-cut box of every level of
+    ``obj``, as the stacked summary fit reads them (a stack of one)."""
+    mus, first, cuts, _ = _stack_cuts(obj.points[None], obj.memberships[None])
+    table = cuts[0][first[0]]
+    return mus[0][first[0]], -table[:, obj.dimensions :], table[:, : obj.dimensions]
+
+
+def leaf_ids(tree) -> set:
+    """Every object id in ``tree``'s leaves, read by a node walk."""
+    ids, stack = set(), [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            ids.update(entry.object_id for entry in node.entries)
+        else:
+            stack.extend(entry.child for entry in node.entries)
+    return ids
 
 
 def pytest_report_header(config):

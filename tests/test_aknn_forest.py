@@ -163,7 +163,7 @@ def test_a_failed_read_mid_search_reruns_on_the_survivors(placement):
         want = twin.execute(request)
         assert attempts, "shard 2 was never read: the failure was not mid-search"
         assert got.coverage.failed == (FAILING,)
-        assert "disk gone" in got.coverage.reason_for(FAILING)
+        assert "disk gone" in dict(got.coverage.reasons)[FAILING]
         assert sorted(got.object_ids) == sorted(want.object_ids)
         got_distances = dict((n.object_id, n.distance) for n in got.neighbors)
         for neighbor in want.neighbors:

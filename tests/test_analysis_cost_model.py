@@ -11,7 +11,6 @@ import pytest
 from repro.analysis.cost_model import (
     AccessCostModel,
     estimate_knn_radius,
-    expected_knn_distance,
     gaussian_cut_radius,
 )
 from repro.core.requests import AknnRequest
@@ -57,19 +56,14 @@ class TestGaussianCutRadius:
 class TestExpectedKnnDistance:
     def test_clamped_at_zero_when_objects_overlap(self):
         # Huge objects relative to spacing -> expected distance zero.
-        distance = expected_knn_distance(
-            10, 100, 0.1, radius_function=lambda a: 10.0, space_size=1.0
-        )
-        assert distance == 0.0
+        model = AccessCostModel(n_objects=100, radius_function=lambda a: 10.0)
+        assert model.knn_distance(10, 0.1) == 0.0
 
     def test_grows_with_alpha(self):
-        low = expected_knn_distance(
-            20, 2000, 0.2, radius_function=gaussian_cut_radius, space_size=20.0
+        model = AccessCostModel(
+            n_objects=2000, radius_function=gaussian_cut_radius, space_size=20.0
         )
-        high = expected_knn_distance(
-            20, 2000, 0.9, radius_function=gaussian_cut_radius, space_size=20.0
-        )
-        assert high >= low
+        assert model.knn_distance(20, 0.9) >= model.knn_distance(20, 0.2)
 
 
 class TestAccessCostModel:
@@ -133,7 +127,7 @@ class TestAccessCostModel:
 
     def test_node_level_prediction_available(self):
         model = AccessCostModel.for_synthetic_dataset(n_objects=2000, space_size=20.0)
-        nodes = model.predict_node_accesses(20, 0.5)
+        nodes = model.range_query_accesses(model.search_range(20, 0.5))
         objects = model.predict_object_accesses(20, 0.5)
         assert 0 < nodes <= objects
 

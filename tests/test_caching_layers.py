@@ -9,7 +9,8 @@ import numpy as np
 
 from repro.config import RuntimeConfig
 from repro.core.requests import SweepRequest
-from repro.datasets.builder import DatasetBundle
+from repro.datasets.builder import build_database
+from repro.datasets.queries import generate_query_object
 from repro.fuzzy.fuzzy_object import (
     CUT_CACHE_STATS,
     FuzzyObject,
@@ -64,26 +65,25 @@ class TestAlphaCutCache:
             np.testing.assert_array_equal(cut, obj.points[mask])
 
     def test_store_applies_configured_capacity(self):
-        bundle = DatasetBundle.create(
+        database = build_database(
             n_objects=20,
             points_per_object=10,
             seed=5,
             config=RuntimeConfig(alpha_cut_cache_capacity=0, cache_capacity=4),
         )
-        obj = bundle.database.get_object(bundle.database.object_ids()[0])
+        obj = database.get_object(database.object_ids()[0])
         assert obj.alpha_cut(0.5) is not obj.alpha_cut(0.5)
 
 
 class TestProfileStoreInRKNN:
     def test_repeated_rknn_reuses_profiles(self):
-        bundle = DatasetBundle.create(
+        database = build_database(
             n_objects=60,
             points_per_object=12,
             seed=23,
             config=RuntimeConfig(rtree_max_entries=8),
         )
-        database = bundle.database
-        query = bundle.queries(1)[0]
+        query = generate_query_object(np.random.default_rng(1234), points_per_object=12)
         # RSS computes every candidate's profile; the default RSS-ICR may
         # decide this sweep from bounds alone and compute none.
         request = SweepRequest(query, k=4, alpha_range=(0.3, 0.7), method="rss")

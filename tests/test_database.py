@@ -25,6 +25,8 @@ class TestBuild:
         assert len(database) == len(objects)
         database.validate()
         assert database.object_ids() == list(range(len(objects)))
+        # Offline summary construction must not count as query-time accesses.
+        assert database.object_accesses == 0
 
     def test_build_on_disk(self, objects, tmp_path):
         database = FuzzyDatabase.build(objects, path=tmp_path / "db")
@@ -36,15 +38,6 @@ class TestBuild:
         anonymous = [make_fuzzy_object(rng) for _ in range(5)]
         database = FuzzyDatabase.build(anonymous)
         assert database.object_ids() == [0, 1, 2, 3, 4]
-
-    def test_from_store(self, objects):
-        from repro.storage.object_store import ObjectStore
-
-        store = ObjectStore.build(objects)
-        database = FuzzyDatabase.from_store(store)
-        database.validate()
-        # Offline summary construction must not count as query-time accesses.
-        assert database.object_accesses == 0
 
     def test_get_object(self, objects):
         database = FuzzyDatabase.build(objects)

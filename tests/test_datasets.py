@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets.builder import DatasetBundle, build_database, build_dataset
+from repro.datasets.builder import build_database, build_dataset
 from repro.datasets.cells import CellDatasetConfig, generate_cell_dataset, generate_cell_object
 from repro.datasets.queries import generate_query_object
 from repro.datasets.synthetic import (
@@ -37,7 +37,7 @@ class TestSyntheticGenerator:
         obj = generate_synthetic_object(np.array([10.0, 10.0]), rng, points_per_object=200)
         assert obj.size == 200
         assert obj.dimensions == 2
-        assert obj.has_kernel
+        assert obj.kernel().size
         assert obj.memberships.min() > 0
         assert obj.memberships.max() == pytest.approx(1.0)
 
@@ -87,7 +87,7 @@ class TestSyntheticGenerator:
 class TestCellGenerator:
     def test_object_properties(self, rng):
         obj = generate_cell_object(np.array([2.0, 2.0]), rng)
-        assert obj.has_kernel
+        assert obj.kernel().size
         assert obj.memberships.min() > 0
         assert obj.memberships.max() == pytest.approx(1.0)
         assert obj.dimensions == 2
@@ -127,7 +127,7 @@ class TestQueryGenerator:
     def test_kinds(self, rng):
         for kind in ("synthetic", "cells", "point"):
             query = generate_query_object(rng, kind=kind, points_per_object=20)
-            assert query.has_kernel
+            assert query.kernel().size
             if kind == "point":
                 assert query.size == 1
 
@@ -155,17 +155,3 @@ class TestBuilder:
         database.validate()
         assert len(database) == 15
         database.close()
-
-    def test_bundle_queries_reproducible(self):
-        bundle = DatasetBundle.create(kind="synthetic", n_objects=10, points_per_object=10)
-        first = bundle.queries(3)
-        second = bundle.queries(3)
-        for a, b in zip(first, second):
-            np.testing.assert_allclose(a.points, b.points)
-        bundle.database.close()
-
-    def test_bundle_query_kind_override(self):
-        bundle = DatasetBundle.create(kind="synthetic", n_objects=5, points_per_object=10)
-        queries = bundle.queries(2, query_kind="point")
-        assert all(q.size == 1 for q in queries)
-        bundle.database.close()

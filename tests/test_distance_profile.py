@@ -38,7 +38,8 @@ class TestConstruction:
             DistanceProfile([0.2, 0.8], [1.0])
 
     def test_constant_constructor(self):
-        profile = DistanceProfile.constant(4.2)
+        """One level at 1.0: the same distance at every threshold."""
+        profile = DistanceProfile([1.0], [4.2])
         assert profile.value(0.3) == 4.2
         assert profile.value(1.0) == 4.2
 
@@ -90,10 +91,6 @@ class TestCriticalProbabilities:
         assert profile.next_critical(0.95) == pytest.approx(1.0)
         assert profile.next_critical(1.0) == pytest.approx(1.0)
 
-    def test_constant_until_alias(self):
-        profile = step_profile()
-        assert profile.constant_until(0.3) == profile.next_critical(0.3)
-
     def test_flat_profile_single_critical(self):
         profile = DistanceProfile([0.4, 1.0], [2.0, 2.0])
         np.testing.assert_allclose(profile.critical_set(), [1.0])
@@ -117,16 +114,6 @@ class TestSafeRanges:
 
 
 class TestRestrictionAndSteps:
-    def test_restricted_preserves_values(self):
-        profile = step_profile()
-        restricted = profile.restricted(0.3, 0.7)
-        for alpha in (0.3, 0.5, 0.6, 0.7):
-            assert restricted.value(alpha) == profile.value(alpha)
-
-    def test_restricted_invalid_range(self):
-        with pytest.raises(InvalidQueryError):
-            step_profile().restricted(0.8, 0.2)
-
     def test_steps_cover_domain(self):
         profile = step_profile()
         steps = profile.steps()
@@ -138,5 +125,5 @@ class TestRestrictionAndSteps:
 
     def test_equality_and_repr(self):
         assert step_profile() == step_profile()
-        assert step_profile() != DistanceProfile.constant(1.0)
+        assert step_profile() != DistanceProfile([1.0], [1.0])
         assert "DistanceProfile" in repr(step_profile())

@@ -201,6 +201,37 @@ class TestAtomicSave:
         assert not list(target.glob("*.tmp"))
 
 
+class TestRecoveredConfig:
+    """Recovery without a config keeps the one the directory was written with,
+    on both engines, down to ``wal_sync``; an explicit config still wins."""
+
+    WRITTEN = RuntimeConfig(rtree_max_entries=8, upper_bound_samples=3, wal_sync="fsync")
+
+    @pytest.mark.parametrize("engine", [FuzzyDatabase, ShardedDatabase])
+    def test_recover_without_a_config_keeps_the_written_one(self, tmp_path, engine):
+        db = engine.build(_initial_objects(3, 12), config=self.WRITTEN)
+        db.enable_durability(tmp_path / "db")
+        db.close()
+        recovered = engine.recover(tmp_path / "db", resume=False)
+        assert recovered.config == self.WRITTEN
+        recovered.close()
+        explicit = RuntimeConfig(rtree_max_entries=16)
+        recovered = engine.recover(tmp_path / "db", config=explicit, resume=False)
+        assert recovered.config == explicit
+        recovered.close()
+
+    def test_a_catalogue_without_every_field_takes_the_defaults(self, tmp_path):
+        db = FuzzyDatabase.build(_initial_objects(3, 6), config=self.WRITTEN)
+        path = db.save(tmp_path / "saved")
+        db.close()
+        catalog = json.loads(path.read_text(encoding="utf-8"))
+        catalog["config"] = {"rtree_max_entries": 8, "upper_bound_samples": 3}
+        path.write_text(json.dumps(catalog), encoding="utf-8")
+        reopened = FuzzyDatabase.open(tmp_path / "saved")
+        assert reopened.config == RuntimeConfig(rtree_max_entries=8, upper_bound_samples=3)
+        reopened.close()
+
+
 class TestCrashRecoveryParitySingle:
     """Satellite 3 (single node): every random WAL cut recovers a consistent
     prefix, proven by query parity against an uninterrupted twin."""

@@ -17,15 +17,16 @@ from repro.config import RuntimeConfig
 from repro.core.aknn import AKNN_METHODS
 from repro.core.executor import BatchQueryExecutor
 from repro.core.requests import AknnRequest
-from repro.datasets.builder import DatasetBundle
+from repro.datasets.builder import build_database
+from repro.datasets.queries import generate_query_object
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.alpha_distance import alpha_distance
 from tests.conftest import stored_objects
 
 
 @pytest.fixture(scope="module")
-def bundle():
-    return DatasetBundle.create(
+def database():
+    return build_database(
         n_objects=250,
         points_per_object=24,
         seed=17,
@@ -34,13 +35,13 @@ def bundle():
 
 
 @pytest.fixture(scope="module")
-def queries(bundle):
-    return bundle.queries(12)
+def queries():
+    rng = np.random.default_rng(1234)
+    return [generate_query_object(rng, points_per_object=24) for _ in range(12)]
 
 
 @pytest.fixture(scope="module")
-def executor(bundle):
-    database = bundle.database
+def executor(database):
     return BatchQueryExecutor(database.store, database.tree, database.config)
 
 
@@ -57,8 +58,7 @@ def radii_of(database, queries, k, alpha):
 
 class TestBatchParity:
     @pytest.mark.parametrize("method", AKNN_METHODS)
-    def test_neighbor_sets_match_single_query_path(self, bundle, queries, method):
-        database = bundle.database
+    def test_neighbor_sets_match_single_query_path(self, database, queries, method):
         batch = batch_of(database, queries, k=7, alpha=0.5, method=method)
         assert len(batch) == len(queries)
         for query, result in zip(queries, batch):
@@ -67,17 +67,15 @@ class TestBatchParity:
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.85])
     @pytest.mark.parametrize("k", [1, 5, 15])
-    def test_parity_across_k_and_alpha(self, bundle, queries, k, alpha):
-        database = bundle.database
+    def test_parity_across_k_and_alpha(self, database, queries, k, alpha):
         batch = batch_of(database, queries[:6], k=k, alpha=alpha)
         for query, result in zip(queries, batch):
             single = database.execute(AknnRequest(query, k=k, alpha=alpha))
             assert set(result.object_ids) == set(single.object_ids)
 
-    def test_distances_are_exact(self, bundle, queries):
+    def test_distances_are_exact(self, database, queries):
         """``basic`` / ``lb`` report every distance exact; the lazy methods
         report a probed neighbour's exactly and bound the ones they confirm."""
-        database = bundle.database
         for method in AKNN_METHODS:
             batch = batch_of(database, queries[:3], k=5, alpha=0.5, method=method)
             confirmed = 0
@@ -96,16 +94,14 @@ class TestBatchParity:
             elif method == "lb_lp_ub":
                 assert confirmed > 0
 
-    def test_matches_linear_scan_ground_truth(self, bundle, queries):
-        database = bundle.database
+    def test_matches_linear_scan_ground_truth(self, database, queries):
         batch = batch_of(database, queries[:4], k=6, alpha=0.6)
         for query, result in zip(queries, batch):
             truth = reference.aknn(stored_objects(database), query, k=6, alpha=0.6)
             assert set(result.object_ids) == {object_id for object_id, _ in truth}
 
-    def test_repeated_batches_are_stable(self, bundle, queries):
+    def test_repeated_batches_are_stable(self, database, queries):
         """The cached representative index must not drift across calls."""
-        database = bundle.database
         first = batch_of(database, queries[:5], k=4, alpha=0.5)
         second = batch_of(database, queries[:5], k=4, alpha=0.5)
         for a, b in zip(first, second):
@@ -113,14 +109,13 @@ class TestBatchParity:
 
 
 class TestBatchEdgeCases:
-    def test_k_larger_than_database_returns_everything(self, bundle, queries):
-        database = bundle.database
+    def test_k_larger_than_database_returns_everything(self, database, queries):
         batch = batch_of(database, queries[:2], k=len(database) + 10, alpha=0.5)
         for result in batch:
             assert len(result) == len(database)
 
-    def test_empty_batch(self, bundle, executor):
-        assert bundle.database.execute_batch([]) == []
+    def test_empty_batch(self, database, executor):
+        assert database.execute_batch([]) == []
         batch = executor.aknn_batch([], k=3, alpha=0.5)
         assert len(batch) == 0
         assert batch.stats.extra["batch_queries"] == 0.0
@@ -145,8 +140,8 @@ class TestBatchEdgeCases:
 
 
 class TestBatchStats:
-    def test_aggregate_stats_shape(self, bundle, executor, queries):
-        radii = radii_of(bundle.database, queries, k=5, alpha=0.5)
+    def test_aggregate_stats_shape(self, database, executor, queries):
+        radii = radii_of(database, queries, k=5, alpha=0.5)
         batch = executor.aknn_batch(queries, k=5, alpha=0.5, initial_tau=radii)
         stats = batch.stats
         assert stats.aknn_calls == len(queries)
@@ -157,17 +152,16 @@ class TestBatchStats:
         assert batch.throughput_qps > 0
         assert stats.extra["throughput_qps"] == pytest.approx(batch.throughput_qps)
 
-    def test_shared_traversal_visits_nodes_once(self, bundle, executor, queries):
+    def test_shared_traversal_visits_nodes_once(self, database, executor, queries):
         """Batch node accesses must undercut the summed single-query visits."""
-        radii = radii_of(bundle.database, queries, k=5, alpha=0.5)
+        radii = radii_of(database, queries, k=5, alpha=0.5)
         batch = executor.aknn_batch(queries, k=5, alpha=0.5, initial_tau=radii)
-        total_nodes = bundle.database.tree.node_count()
+        total_nodes = database.tree.node_count()
         assert batch.stats.node_accesses <= total_nodes
 
-    def test_objects_fetched_once_per_batch(self, bundle, queries, monkeypatch):
+    def test_objects_fetched_once_per_batch(self, database, queries, monkeypatch):
         """One probe pass: no object is read twice, every probed neighbour
         was read, and a neighbour the bounds confirmed never was."""
-        database = bundle.database
         fetched = []
         get = database.store.get
 
@@ -183,8 +177,8 @@ class TestBatchStats:
         unread = {n.object_id for n in neighbors if not n.probed} - set(fetched)
         assert unread
 
-    def test_per_query_results_carry_distance_counts(self, bundle, queries):
-        batch = batch_of(bundle.database, queries[:3], k=4, alpha=0.5)
+    def test_per_query_results_carry_distance_counts(self, database, queries):
+        batch = batch_of(database, queries[:3], k=4, alpha=0.5)
         for result in batch:
             assert result.stats.aknn_calls == 1
             assert result.stats.distance_evaluations >= 0

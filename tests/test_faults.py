@@ -40,7 +40,6 @@ from repro.exceptions import (
     FaultInjectedError,
     InvalidQueryError,
     ObjectNotFoundError,
-    ServiceOverloadedError,
     ServiceStoppedError,
     ShardUnavailableError,
 )
@@ -52,9 +51,7 @@ from repro.service import (
     FaultPlan,
     FaultSpec,
     QueryService,
-    RetryBudgetExhaustedError,
     RetryPolicy,
-    RetryingClient,
     ShardedDatabase,
 )
 from repro.service import query_service as query_service_module
@@ -119,7 +116,7 @@ def assert_partial_coverage(result):
     assert DEAD in coverage.failed
     assert DEAD not in coverage.answered
     assert coverage.total_shards == 3
-    assert coverage.reason_for(DEAD) is not None
+    assert DEAD in dict(coverage.reasons)
 
 
 class FakeClock:
@@ -149,12 +146,6 @@ class TestDeadline:
         assert deadline.remaining_ms() < 0.0
         with pytest.raises(DeadlineExceededError, match="unit deadline exceeded"):
             deadline.check("unit")
-
-    def test_earliest_picks_tightest_and_ignores_none(self):
-        near = Deadline(time.monotonic() + 0.1)
-        far = Deadline(time.monotonic() + 10.0)
-        assert Deadline.earliest(far, None, near) is near
-        assert Deadline.earliest(None, None) is None
 
 
 class TestRetryPolicy:
@@ -422,7 +413,7 @@ class TestPartialParity:
             assert_same_assignments(got[2].assignments, want[2].assignments)
             assert got[3].object_ids == want[3].object_ids
             assert got[3].distances == pytest.approx(want[3].distances)
-            assert "disk gone" in got[3].coverage.reason_for(1)
+            assert "disk gone" in dict(got[3].coverage.reasons)[1]
             for request in aknn + [sweep, reverse]:
                 with pytest.raises(ShardUnavailableError):
                     sharded.execute(dataclasses.replace(request, require_full=True))
@@ -504,7 +495,7 @@ class TestFailureIsolation:
         # Shed at admission: the dead shard was never invoked, no retry burned.
         assert sharded.fault_plan.total_fired() == fired_before
         assert sharded.metrics.as_dict()[MetricsCollector.BREAKER_SHED] > shed_before
-        assert got.coverage.reason_for(DEAD) == "circuit breaker open"
+        assert dict(got.coverage.reasons)[DEAD] == "circuit breaker open"
         want = reference.execute(AknnRequest(queries[0], k=5, alpha=0.5))
         assert set(got.object_ids) == set(want.object_ids)
 
@@ -913,111 +904,3 @@ class TestChurn:
         (result,) = outcome
         assert 1000 in result.object_ids
         sharded.close()
-
-
-# ---------------------------------------------------------------------------
-# RetryingClient: the backpressure contract's reference consumer
-# ---------------------------------------------------------------------------
-class _ScriptedEngine:
-    """Fails with the scripted errors, then answers "ok" forever."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        self.calls = 0
-
-    def execute(self, request, **kwargs):
-        self.calls += 1
-        if self.errors:
-            raise self.errors.pop(0)
-        return "ok"
-
-    def execute_batch(self, requests, **kwargs):
-        self.calls += 1
-        if self.errors:
-            raise self.errors.pop(0)
-        return ["ok"] * len(requests)
-
-
-class TestRetryingClient:
-    def request(self, queries):
-        return AknnRequest(queries[0], k=2, alpha=0.5)
-
-    def test_honours_retry_after_hint(self, queries):
-        engine = _ScriptedEngine(
-            [
-                ServiceOverloadedError("shed", retry_after_ms=8.0),
-                ShardUnavailableError("cooling", retry_after_ms=4.0, shards=(1,)),
-            ]
-        )
-        sleeps = []
-        client = RetryingClient(
-            engine, max_retries=3, rand=lambda: 0.0, sleep=sleeps.append
-        )
-        assert client.execute(self.request(queries)) == "ok"
-        assert engine.calls == 3
-        # Slept exactly the hinted amount (zero jitter injected).
-        assert sleeps == pytest.approx([0.008, 0.004])
-        assert client.metrics.as_dict()[MetricsCollector.RETRIES] == 2
-
-    def test_jitter_is_applied_after_the_hint(self, queries):
-        engine = _ScriptedEngine(
-            [ServiceOverloadedError("shed", retry_after_ms=10.0)]
-        )
-        sleeps = []
-        client = RetryingClient(
-            engine, jitter=0.5, rand=lambda: 1.0, sleep=sleeps.append
-        )
-        assert client.execute(self.request(queries)) == "ok"
-        assert sleeps == pytest.approx([0.015])  # never earlier than the hint
-
-    def test_budget_exhaustion_chains_the_last_error(self, queries):
-        engine = _ScriptedEngine(
-            [ServiceOverloadedError("shed", retry_after_ms=1000.0)] * 10
-        )
-        client = RetryingClient(
-            engine, max_retries=5, budget_ms=50.0, sleep=lambda _: None
-        )
-        with pytest.raises(RetryBudgetExhaustedError) as excinfo:
-            client.execute(self.request(queries))
-        assert engine.calls == 1  # first hint alone blew the budget
-        assert excinfo.value.retry_after_ms == 1000.0
-        assert isinstance(excinfo.value.__cause__, ServiceOverloadedError)
-
-    def test_max_retries_bounds_attempts(self, queries):
-        engine = _ScriptedEngine(
-            [ServiceOverloadedError("shed", retry_after_ms=0.1)] * 10
-        )
-        client = RetryingClient(engine, max_retries=2, sleep=lambda _: None)
-        with pytest.raises(RetryBudgetExhaustedError):
-            client.execute(self.request(queries))
-        assert engine.calls == 3  # initial + 2 retries
-
-    def test_non_backpressure_errors_are_never_retried(self, queries):
-        engine = _ScriptedEngine([ValueError("malformed")])
-        client = RetryingClient(engine, sleep=lambda _: None)
-        with pytest.raises(ValueError):
-            client.execute(self.request(queries))
-        assert engine.calls == 1
-
-    def test_batch_resubmission_goes_whole_batch(self, queries):
-        engine = _ScriptedEngine(
-            [ServiceOverloadedError("shed", retry_after_ms=0.1)]
-        )
-        client = RetryingClient(engine, sleep=lambda _: None)
-        requests = [self.request(queries)] * 4
-        assert client.execute_batch(requests) == ["ok"] * 4
-        assert engine.calls == 2
-
-    def test_end_to_end_against_a_tiny_service(self, objects, queries):
-        sharded = ShardedDatabase.build(
-            list(objects)[:16], n_shards=2, placement="hash", config=chaos_config()
-        )
-        try:
-            with QueryService(sharded, window_ms=1.0, queue_depth=1) as service:
-                client = RetryingClient(service, max_retries=8, budget_ms=5000.0)
-                results = [
-                    client.execute(AknnRequest(q, k=2, alpha=0.5)) for q in queries
-                ]
-                assert all(r.object_ids for r in results)
-        finally:
-            sharded.close()

@@ -19,7 +19,7 @@ class TestConstruction:
         assert obj.size == 4
         assert obj.dimensions == 2
         assert obj.object_id == 1
-        assert obj.has_kernel
+        assert obj.kernel().size
 
     def test_rejects_empty_points(self):
         with pytest.raises(InvalidFuzzyObjectError):
@@ -56,7 +56,7 @@ class TestConstruction:
 
     def test_kernel_requirement_can_be_waived(self):
         obj = FuzzyObject(np.zeros((2, 2)), np.array([0.5, 0.6]), require_kernel=False)
-        assert not obj.has_kernel
+        assert obj.kernel().size == 0
 
     def test_from_pairs(self):
         obj = FuzzyObject.from_pairs([([0.0, 0.0], 1.0), ([1.0, 1.0], 0.5)])
@@ -106,11 +106,6 @@ class TestFuzzySetOperations:
         obj = simple_object()
         # membership exactly 0.7 must be included in the 0.7-cut
         assert obj.alpha_cut(0.7).shape[0] == 2
-
-    def test_alpha_cut_size(self):
-        obj = simple_object()
-        for alpha in (0.1, 0.4, 0.7, 1.0):
-            assert obj.alpha_cut_size(alpha) == obj.alpha_cut(alpha).shape[0]
 
     def test_alpha_cut_is_nested(self):
         obj = simple_object()
@@ -182,23 +177,7 @@ class TestSamplingAndTransforms:
     def test_sample_returns_all_when_fewer_than_requested(self):
         obj = simple_object()
         sample = obj.sample_alpha_cut(0.9, 10)
-        assert sample.shape[0] == obj.alpha_cut_size(0.9)
-
-    def test_normalize_memberships(self):
-        obj = FuzzyObject(
-            np.zeros((3, 2)), np.array([0.2, 0.4, 0.8]), require_kernel=False
-        )
-        normalized = obj.normalize_memberships()
-        assert normalized.memberships.max() == pytest.approx(1.0)
-        assert normalized.has_kernel
-
-    def test_translated(self):
-        obj = simple_object().translated([1.0, 2.0])
-        assert np.allclose(obj.points[0], [1.0, 2.0])
-
-    def test_translated_bad_offset(self):
-        with pytest.raises(InvalidFuzzyObjectError):
-            simple_object().translated([1.0])
+        assert sample.shape[0] == obj.alpha_cut(0.9).shape[0]
 
     def test_scaled(self):
         obj = simple_object().scaled(2.0)

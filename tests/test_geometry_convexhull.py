@@ -1,11 +1,12 @@
-"""Unit tests for the monotone-chain upper hull, with a full hull as a test helper."""
+"""Unit tests for the monotone-chain upper hull of sorted points, with a full
+hull as a test helper."""
 
 from typing import List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from repro.geometry.convexhull import upper_convex_hull
+from repro.geometry.convexhull import upper_chain
 
 Point2D = Tuple[float, float]
 
@@ -81,7 +82,7 @@ class TestUpperConvexHull:
     def test_simple_decreasing_curve(self):
         # A concave-down decreasing sequence keeps every point.
         points = [(0.0, 1.0), (0.5, 0.9), (1.0, 0.0)]
-        hull = upper_convex_hull(points)
+        hull = upper_chain(points)
         assert hull[0] == (0.0, 1.0)
         assert hull[-1] == (1.0, 0.0)
         assert is_right_turn_chain(hull)
@@ -89,8 +90,8 @@ class TestUpperConvexHull:
     def test_points_below_chain(self, rng):
         xs = np.sort(rng.random(30))
         ys = rng.random(30)
-        pairs = list(zip(xs, ys))
-        hull = upper_convex_hull(pairs)
+        pairs = list(zip(xs.tolist(), ys.tolist()))
+        hull = upper_chain(pairs)
         assert is_right_turn_chain(hull)
         # every input point lies on or below the chain
         hx = np.array([p[0] for p in hull])
@@ -100,8 +101,8 @@ class TestUpperConvexHull:
             assert y <= y_chain + 1e-9
 
     def test_spans_x_extremes(self, rng):
-        pairs = [(float(x), float(y)) for x, y in rng.random((20, 2))]
-        hull = upper_convex_hull(pairs)
+        pairs = sorted((float(x), float(y)) for x, y in rng.random((20, 2)))
+        hull = upper_chain(pairs)
         xs = sorted(p[0] for p in pairs)
         assert hull[0][0] == pytest.approx(xs[0])
         assert hull[-1][0] == pytest.approx(xs[-1])
@@ -111,4 +112,4 @@ class TestUpperConvexHull:
         assert not is_right_turn_chain([(0, 0), (1, -1), (2, 0)])
 
     def test_two_points(self):
-        assert upper_convex_hull([(0, 0), (1, 5)]) == [(0.0, 0.0), (1.0, 5.0)]
+        assert upper_chain([(0.0, 0.0), (1.0, 5.0)]) == [(0.0, 0.0), (1.0, 5.0)]

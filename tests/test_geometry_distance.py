@@ -6,7 +6,6 @@ import pytest
 from repro.geometry.distance import (
     closest_pair,
     closest_pair_distance,
-    point_to_set_distance,
     set_to_set_distances,
 )
 
@@ -19,21 +18,23 @@ def brute_force_closest(a, b):
 
 
 class TestPointToSet:
+    """A point's distance to a set: the closest pair of a one-point set."""
+
     def test_simple(self):
         points = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert point_to_set_distance([0.0, 1.0], points) == pytest.approx(1.0)
+        assert closest_pair_distance(np.array([[0.0, 1.0]]), points) == pytest.approx(1.0)
 
     def test_zero_when_point_in_set(self):
         points = np.array([[1.0, 1.0], [2.0, 2.0]])
-        assert point_to_set_distance([2.0, 2.0], points) == 0.0
+        assert closest_pair_distance(np.array([[2.0, 2.0]]), points) == 0.0
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            point_to_set_distance([0.0, 0.0, 0.0], np.array([[1.0, 1.0]]))
+            closest_pair_distance(np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 1.0]]))
 
     def test_empty_set_raises(self):
         with pytest.raises(ValueError):
-            point_to_set_distance([0.0, 0.0], np.empty((0, 2)))
+            closest_pair_distance(np.array([[0.0, 0.0]]), np.empty((0, 2)))
 
 
 class TestSetToSet:

@@ -32,13 +32,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MBR.from_points(np.array([[0.0, 1.0], [math.nan, 2.0]]))
         with pytest.raises(ValueError):
-            MBR.from_point([0.0, math.nan])
-        with pytest.raises(ValueError):
             MBR.from_array([0.0, math.nan, 1.0, 1.0])
 
     def test_infinite_bounds_are_still_boxes(self):
         box = MBR([-math.inf, 0.0], [math.inf, 1.0])
-        assert box.contains_point([1e300, 0.5])
+        assert box.contains(MBR([1e300, 0.5], [1e300, 0.5]))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -59,9 +57,9 @@ class TestConstruction:
             MBR.from_points(np.empty((0, 2)))
 
     def test_from_point_is_degenerate(self):
-        box = MBR.from_point([3.0, 4.0])
+        box = MBR.from_points(np.array([[3.0, 4.0]]))
         assert box.area() == 0.0
-        assert box.contains_point([3.0, 4.0])
+        assert np.array_equal(box.lower, box.upper)
 
     def test_union_of(self):
         a = MBR([0, 0], [1, 1])
@@ -81,12 +79,11 @@ class TestProperties:
         assert np.allclose(box.center, [1.0, 2.0])
         assert np.allclose(box.extent, [2.0, 4.0])
         assert box.area() == pytest.approx(8.0)
-        assert box.margin() == pytest.approx(6.0)
 
     def test_contains_point_boundary_inclusive(self):
         box = MBR([0.0, 0.0], [1.0, 1.0])
-        assert box.contains_point([0.0, 1.0])
-        assert not box.contains_point([1.0001, 0.5])
+        assert box.contains(MBR([0.0, 1.0], [0.0, 1.0]))
+        assert not box.contains(MBR([1.0001, 0.5], [1.0001, 0.5]))
 
     def test_contains_other_box(self):
         outer = MBR([0, 0], [10, 10])
@@ -95,17 +92,18 @@ class TestProperties:
         assert not inner.contains(outer)
 
     def test_intersects(self):
+        """Boxes overlap exactly when their MinDist is zero."""
         a = MBR([0, 0], [2, 2])
         b = MBR([1, 1], [3, 3])
         c = MBR([5, 5], [6, 6])
-        assert a.intersects(b)
-        assert b.intersects(a)
-        assert not a.intersects(c)
+        assert min_dist(a, b) == 0.0
+        assert min_dist(b, a) == 0.0
+        assert min_dist(a, c) > 0.0
 
     def test_intersects_touching_boundary(self):
         a = MBR([0, 0], [1, 1])
         b = MBR([1, 1], [2, 2])
-        assert a.intersects(b)
+        assert min_dist(a, b) == 0.0
 
 
 class TestCombination:
@@ -115,35 +113,6 @@ class TestCombination:
         union = a.union(b)
         assert np.allclose(union.lower, [0, -1])
         assert np.allclose(union.upper, [3, 1])
-
-    def test_enlargement(self):
-        a = MBR([0, 0], [1, 1])
-        b = MBR([0, 0], [2, 1])
-        assert a.enlargement(b) == pytest.approx(1.0)
-        assert b.enlargement(a) == pytest.approx(0.0)
-
-    def test_intersection(self):
-        a = MBR([0, 0], [2, 2])
-        b = MBR([1, 1], [3, 3])
-        overlap = a.intersection(b)
-        assert overlap is not None
-        assert np.allclose(overlap.lower, [1, 1])
-        assert np.allclose(overlap.upper, [2, 2])
-
-    def test_intersection_disjoint_returns_none(self):
-        a = MBR([0, 0], [1, 1])
-        b = MBR([5, 5], [6, 6])
-        assert a.intersection(b) is None
-
-    def test_expanded(self):
-        box = MBR([0, 0], [1, 1]).expanded(0.5)
-        assert np.allclose(box.lower, [-0.5, -0.5])
-        assert np.allclose(box.upper, [1.5, 1.5])
-
-    def test_expanded_negative_too_far_raises(self):
-        with pytest.raises(ValueError):
-            MBR([0, 0], [1, 1]).expanded(-1.0)
-
 
 class TestDistances:
     def test_min_dist_overlapping_is_zero(self):
@@ -177,11 +146,16 @@ class TestDistances:
             assert min_dist(a, b) <= max_dist(a, b) + 1e-12
 
     def test_point_distances(self):
+        """A point's distances to a box are those of its degenerate box."""
         box = MBR([0, 0], [2, 2])
-        assert box.min_dist_point([1, 1]) == 0.0
-        assert box.min_dist_point([4, 1]) == pytest.approx(2.0)
-        assert box.max_dist_point([1, 1]) == pytest.approx(math.sqrt(2.0))
-        assert box.max_dist_point([3, 3]) == pytest.approx(math.sqrt(18.0))
+
+        def point(x, y):
+            return MBR([x, y], [x, y])
+
+        assert min_dist(box, point(1, 1)) == 0.0
+        assert min_dist(box, point(4, 1)) == pytest.approx(2.0)
+        assert max_dist(box, point(1, 1)) == pytest.approx(math.sqrt(2.0))
+        assert max_dist(box, point(3, 3)) == pytest.approx(math.sqrt(18.0))
 
     def test_method_wrappers_match_functions(self):
         a = MBR([0, 0], [1, 1])

@@ -33,7 +33,6 @@ from repro.geometry.distance import (
     _closest_pair_brute,
     closest_pair,
     pairwise_sq_blocks,
-    point_to_set_distance,
     set_to_set_distances,
 )
 from repro.index import soa as soa_module
@@ -228,7 +227,6 @@ class TestPairwiseKernel:
         with small_planes(plane):
             assert _closest_pair_brute(a, b)[0] == 0.0
             assert closest_pair(a, b)[0] == 0.0
-            assert point_to_set_distance(b[0], b) == 0.0
             assert np.all(np.diag(set_to_set_distances(a, a)) == 0.0)
             assert _exact_min_distances(a, [b, a])[1] == 0.0
 
@@ -312,7 +310,6 @@ class TestPairwiseKernel:
         sq_ab, sq_ac = reference_pairwise(a, b), reference_pairwise(a, c)
         with small_planes(plane):
             assert_parity(set_to_set_distances(a, b), np.sqrt(sq_ab), dimensions)
-            assert_parity(point_to_set_distance(a[0], b), np.sqrt(sq_ab[0].min()), dimensions)
             assert_parity(rep_to_samples_distances(a, b), np.sqrt(sq_ab.min(axis=1)), dimensions)
             assert_parity(
                 _exact_min_distances(a, [b, c, b]),

@@ -8,13 +8,17 @@ names, so the index kernels, the geometry, scipy and the pieces a family is
 built from are none of its business, and it defines no class of its own
 beyond the shard and its failures.  The brute-force reference imports none
 of the engine it is the specification for.  Every module under
-``src/repro`` is reached from an entry point and every ``RuntimeConfig``
-field is set by someone, so nothing ships that only its own tests use.  Read
-from the syntax tree: nothing is imported or executed.
+``src/repro`` is reached from an entry point, every function, method and
+class is reached from the package's own code, a script, a benchmark or an
+example (the few references tests compare against are listed, each with its
+reason), and every ``RuntimeConfig`` field is set by someone, so nothing
+ships that only its own tests use.  Read from the syntax tree: nothing is
+imported or executed.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -216,7 +220,6 @@ def test_reference_shares_no_code_with_the_engine():
 # ``tests/test_paper.py`` asserts).
 ENTRY_POINTS = (
     "repro.cli",
-    "repro.service.client",
     "repro.service.query_service",
     "repro.service.sharded",
     "repro.reference",
@@ -251,6 +254,183 @@ def test_every_module_is_imported_outside_a_package_init():
         and not any(within(name, entry) for entry in ENTRY_POINTS)
     ]
     assert not unreachable, unreachable
+
+
+# Where the package is used from: its own module-level code, and every script,
+# benchmark and example.  The tests are not a root.
+ROOT_DIRECTORIES = ("benchmarks", "scripts", "examples")
+# A string that can name a definition: ``"insert"``, ``"repro.index.soa"``,
+# ``"repro.core.requests:execute_plan"`` (what ``getattr`` and patchers take).
+NAME_LIKE = re.compile(r"[A-Za-z_][\w.:]*")
+DEFINING = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# The only definitions nothing reaches: what tests compare the engine
+# against.  At most ten entries; a tuple is one class's methods.
+UNREACHED_ALLOWED = {
+    (
+        "repro.core.query.PreparedQuery.node_lower_bound",
+        "repro.core.query.PreparedQuery.simple_lower_bound",
+        "repro.core.query.PreparedQuery.improved_lower_bound",
+        "repro.core.query.PreparedQuery.maxdist_upper_bound",
+        "repro.core.query.PreparedQuery.representative_upper_bound",
+        "repro.core.query.PreparedQuery.combined_upper_bound",
+    ): "the scalar bounds the NodeSoA kernels are checked against, entry by entry",
+    "repro.fuzzy.fuzzy_object.FuzzyObject.alpha_mbr": (
+        "the exact alpha-cut box the Equation (2) box must enclose"
+    ),
+    "repro.fuzzy.summary.FuzzyObjectSummary.approx_alpha_mbr": (
+        "the one-box Equation (2) that NodeSoA.approx_alpha_bounds is checked against"
+    ),
+    "repro.fuzzy.boundary.ConservativeLine.delta_at": (
+        "the one-line Definition 6 value approx_alpha_mbr evaluates"
+    ),
+    "repro.fuzzy.fuzzy_object.FuzzyObject.representative_point": (
+        "the per-object draw the stacked summary build is checked against"
+    ),
+    "repro.geometry.distance.set_to_set_distances": (
+        "the full distance matrix the closest-pair kernels are checked against"
+    ),
+    "repro.fuzzy.fuzzy_object.reset_cut_cache_statistics": (
+        "tests zero CUT_CACHE_STATS between cases; it goes with the cut cache"
+    ),
+}
+
+
+def is_docstring(node):
+    return (
+        isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+
+
+class References:
+    """The names some code refers to: identifiers, attributes, import aliases,
+    name-like strings, and the names an f-string can spell
+    (``f"_execute_{family}_bucket"``) as patterns.  Docstrings refer to
+    nothing."""
+
+    def __init__(self):
+        self.names = set()
+        self.patterns = []
+
+    def add(self, tree, aliases=True):
+        docs = {id(node.value) for node in ast.walk(tree) if is_docstring(node)}
+        # ``f"{x:.3f}"``'s format spec is an f-string too, not a name
+        specs = {
+            id(node.format_spec)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FormattedValue) and node.format_spec
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                self.names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                self.names.add(node.attr)
+            elif isinstance(node, ast.alias) and aliases:
+                self.names.update(node.name.split("."))
+                self.names.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in docs and NAME_LIKE.fullmatch(node.value):
+                    self.names.update(re.split("[.:]", node.value))
+            elif isinstance(node, ast.JoinedStr) and id(node) not in specs:
+                # a name assembled at run time joins its words with ``_``
+                parts = [v.value for v in node.values if isinstance(v, ast.Constant)]
+                if any("_" in part for part in parts) and all(
+                    re.fullmatch(r"\w*", part) for part in parts
+                ):
+                    self.patterns.append(re.compile("".join(
+                        re.escape(v.value) if isinstance(v, ast.Constant) else r"\w*"
+                        for v in node.values
+                    )))
+
+    def refer_to(self, name):
+        return name in self.names or any(p.fullmatch(name) for p in self.patterns)
+
+
+def package_definitions():
+    """``{qualified name: (name, enclosing class or None, nodes)}`` of every
+    function, class and method under ``src/repro``, and the package's own
+    module-level code (imports and ``__all__`` are not a use) as references."""
+    definitions, module_code = {}, References()
+    for module, path in package_modules().items():
+        for statement in ast.parse(path.read_text()).body:
+            if isinstance(statement, DEFINING):
+                qualified = f"{module}.{statement.name}"
+                definitions.setdefault(qualified, (statement.name, None, []))[2].append(statement)
+                if isinstance(statement, ast.ClassDef):
+                    for member in statement.body:
+                        if isinstance(member, DEFINING):
+                            definitions.setdefault(
+                                f"{qualified}.{member.name}", (member.name, qualified, [])
+                            )[2].append(member)
+            elif is_docstring(statement) or isinstance(statement, (ast.Import, ast.ImportFrom)):
+                continue
+            elif not (
+                isinstance(statement, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in statement.targets)
+            ):
+                module_code.add(statement, aliases=False)
+    return definitions, module_code
+
+
+def own_code(node):
+    """What a definition runs or names by itself: a class's decorators, bases
+    and non-method body, a function's signature, decorators and body."""
+    body = [s for s in node.body if not is_docstring(s)]
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords] + [
+            s for s in body if not isinstance(s, DEFINING)
+        ]
+    return [*node.decorator_list, node.args, *([node.returns] if node.returns else []), *body]
+
+
+def unreached_definitions():
+    """Qualified names no root reaches, transitively: a definition counts as
+    reached when a root or a reached definition refers to its name (a method
+    only once its class is reached; a dunder method with its class).  A
+    method of an unreached class is reported as the class."""
+    definitions, references = package_definitions()
+    for directory in ROOT_DIRECTORIES:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            references.add(ast.parse(path.read_text()))
+    reached, grew = set(), True
+    while grew:
+        grew = False
+        for qualified, (name, owner, nodes) in definitions.items():
+            if qualified in reached or (owner is not None and owner not in reached):
+                continue
+            dunder = owner is not None and name.startswith("__") and name.endswith("__")
+            if dunder or references.refer_to(name):
+                reached.add(qualified)
+                grew = True
+                for node in nodes:
+                    for code in own_code(node):
+                        references.add(code, aliases=False)
+    return sorted(
+        qualified
+        for qualified, (_, owner, _) in definitions.items()
+        if qualified not in reached and (owner is None or owner in reached)
+    ), set(definitions)
+
+
+def test_everything_in_the_package_is_reached_from_a_root():
+    """A request, a write, the CLI or a paper figure reaches every function,
+    method and class under ``src/repro`` (a private one too), or it is on
+    ``UNREACHED_ALLOWED``.  Matching is by name, so a collision can only
+    hide dead code, never fail live code."""
+    unreached, defined = unreached_definitions()
+    assert len(defined) > 500, "the walk is not looking at the package"
+    allowed = {
+        name: reason
+        for key, reason in UNREACHED_ALLOWED.items()
+        for name in (key if isinstance(key, tuple) else (key,))
+    }
+    assert len(UNREACHED_ALLOWED) <= 10, "the allow-list is a list of exceptions"
+    assert all(reason.strip() for reason in allowed.values())
+    only_tests_reach = [name for name in unreached if name not in allowed]
+    assert not only_tests_reach, only_tests_reach
+    stale = sorted(set(allowed) - set(unreached))
+    assert not stale, f"reached or gone, take off the allow-list: {stale}"
 
 
 def test_every_runtime_config_field_is_set_by_someone():

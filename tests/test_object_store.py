@@ -42,12 +42,6 @@ class TestPutGet:
         with pytest.raises(ObjectNotFoundError):
             store.get(123)
 
-    def test_get_many(self, store, rng):
-        for i in range(4):
-            store.put(make_fuzzy_object(rng, object_id=i))
-        objects = store.get_many([3, 1])
-        assert [o.object_id for o in objects] == [3, 1]
-
     def test_contains_len_ids(self, store, rng):
         store.put(make_fuzzy_object(rng, object_id=2))
         store.put(make_fuzzy_object(rng, object_id=9))
@@ -125,11 +119,6 @@ class TestPersistence:
             np.testing.assert_allclose(loaded.points, obj.points)
         reopened.close()
 
-    def test_size_on_disk(self, store, rng):
-        store.put(make_fuzzy_object(rng, object_id=0, n_points=10))
-        store.put(make_fuzzy_object(rng, object_id=1, n_points=20))
-        assert store.size_on_disk() == store.statistics.bytes_written
-
     def test_closed_store_rejects_operations(self, rng, tmp_path):
         store = ObjectStore(path=tmp_path / "x.dat")
         store.put(make_fuzzy_object(rng, object_id=0))
@@ -144,23 +133,6 @@ class TestPersistence:
             store.put(make_fuzzy_object(rng, object_id=0))
         with pytest.raises(StorageError):
             store.get(0)
-
-
-class TestGetManyDeduplication:
-    def test_duplicate_ids_fetch_once(self, store, rng):
-        for i in range(4):
-            store.put(make_fuzzy_object(rng, object_id=i))
-        objects = store.get_many([2, 0, 2, 1, 0, 2])
-        assert [o.object_id for o in objects] == [2, 0, 2, 1, 0, 2]
-        # Three distinct ids -> three accesses and three physical reads,
-        # regardless of how often each id repeats in the request.
-        assert store.access_count == 3
-        assert store.statistics.physical_reads == 3
-
-    def test_duplicates_share_the_same_instance(self, store, rng):
-        store.put(make_fuzzy_object(rng, object_id=0))
-        first, second = store.get_many([0, 0])
-        assert first is second
 
 
 class TestDeletion:

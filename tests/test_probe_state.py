@@ -50,7 +50,7 @@ from repro.index.soa import min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
 from repro.service import ShardedDatabase
 
-from tests.conftest import make_fuzzy_object, stored_objects
+from tests.conftest import leaf_ids, make_fuzzy_object, stored_objects
 
 ALPHA = 0.5
 N_TWINS = 12
@@ -387,9 +387,9 @@ class TestRepresentativeIndexFollowsItsTrees:
             kdtree, object_ids, member_of = index.over(trees)
             assert kdtree.n == object_ids.shape[0] == sum(len(t) for t in trees)
             assert member_of == {
-                entry.object_id: member
+                object_id: member
                 for member, tree in enumerate(trees)
-                for entry in tree.leaf_entries()
+                for object_id in leaf_ids(tree)
             }
             return kdtree
 
@@ -401,7 +401,7 @@ class TestRepresentativeIndexFollowsItsTrees:
         trees[-1].delete(spare.object_id)  # the size is back where it was
         after_pair = covered()
         assert after_pair is not after_insert
-        trees[0].delete(next(trees[0].leaf_entries()).object_id)
+        trees[0].delete(min(leaf_ids(trees[0])))
         after_delete = covered()
         assert after_delete is not after_pair
         assert covered() is after_delete

@@ -39,7 +39,7 @@ class TestValidation:
     def test_query_cut_and_samples(self, rng):
         query = make_fuzzy_object(rng, n_points=50)
         prepared = PreparedQuery(query, 0.5, RuntimeConfig(upper_bound_samples=4))
-        assert prepared.query_cut.shape[0] == query.alpha_cut_size(0.5)
+        assert prepared.query_cut.shape[0] == query.alpha_cut(0.5).shape[0]
         assert prepared.query_samples.shape[0] <= 4
         cut = {tuple(p) for p in prepared.query_cut}
         assert all(tuple(p) in cut for p in prepared.query_samples)

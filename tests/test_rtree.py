@@ -9,8 +9,7 @@ from repro.geometry.mbr import MBR
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import RTreeNode
 from repro.index.rtree import RTree
-from repro.metrics.counters import MetricsCollector
-from tests.conftest import make_fuzzy_object
+from tests.conftest import leaf_ids, make_fuzzy_object
 
 
 def make_summaries(rng, count, spread=20.0):
@@ -19,10 +18,6 @@ def make_summaries(rng, count, spread=20.0):
         obj = make_fuzzy_object(rng, n_points=10, center=rng.random(2) * spread, object_id=i)
         summaries.append(build_summary(obj))
     return summaries
-
-
-def brute_force_range(summaries, region):
-    return sorted(s.object_id for s in summaries if s.support_mbr.intersects(region))
 
 
 class TestNodeAndEntries:
@@ -67,8 +62,8 @@ class TestConstruction:
     def test_empty_tree(self):
         tree = RTree()
         assert len(tree) == 0
-        assert list(tree.leaf_entries()) == []
-        assert tree.range_query(MBR([0, 0], [1, 1])) == []
+        assert leaf_ids(tree) == set()
+        tree.validate()
 
     def test_bulk_load_small(self, rng):
         summaries = make_summaries(rng, 3)
@@ -82,7 +77,7 @@ class TestConstruction:
         assert len(tree) == 120
         assert tree.height >= 2
         tree.validate()
-        assert {e.object_id for e in tree.leaf_entries()} == set(range(120))
+        assert leaf_ids(tree) == set(range(120))
 
     def test_bulk_load_empty(self):
         tree = RTree.bulk_load([])
@@ -96,42 +91,11 @@ class TestConstruction:
         assert len(tree) == 60
         assert tree.height >= 2
         tree.validate()
-        assert {e.object_id for e in tree.leaf_entries()} == set(range(60))
+        assert leaf_ids(tree) == set(range(60))
 
     def test_node_count_positive(self, rng):
         tree = RTree.bulk_load(make_summaries(rng, 40), max_entries=6)
         assert tree.node_count() >= len(tree) / 6
-
-
-class TestRangeQuery:
-    @pytest.mark.parametrize("builder", ["bulk", "insert"])
-    def test_matches_brute_force(self, rng, builder):
-        summaries = make_summaries(rng, 80)
-        if builder == "bulk":
-            tree = RTree.bulk_load(summaries, max_entries=8)
-        else:
-            tree = RTree(max_entries=8)
-            for summary in summaries:
-                tree.insert(summary)
-        for _ in range(15):
-            low = rng.random(2) * 15
-            high = low + rng.random(2) * 6
-            region = MBR(low, high)
-            found = sorted(e.object_id for e in tree.range_query(region))
-            assert found == brute_force_range(summaries, region)
-
-    def test_counts_node_accesses(self, rng):
-        summaries = make_summaries(rng, 50)
-        tree = RTree.bulk_load(summaries, max_entries=8)
-        metrics = MetricsCollector()
-        tree.range_query(MBR([0, 0], [30, 30]), metrics)
-        assert metrics.get(MetricsCollector.NODE_ACCESSES) >= 1
-
-    def test_whole_space_returns_everything(self, rng):
-        summaries = make_summaries(rng, 30)
-        tree = RTree.bulk_load(summaries, max_entries=8)
-        found = tree.range_query(MBR([-100, -100], [100, 100]))
-        assert len(found) == 30
 
 
 class TestValidation:

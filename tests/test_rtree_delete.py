@@ -6,7 +6,6 @@ any mixed insert/delete workload match the exhaustive linear scan over the
 surviving objects.
 """
 
-import numpy as np
 import pytest
 
 from repro import reference
@@ -15,10 +14,9 @@ from repro.core.database import FuzzyDatabase
 from repro.core.requests import AknnRequest
 from repro.exceptions import IndexError_, ObjectNotFoundError
 from repro.fuzzy.summary import build_summary
-from repro.geometry.mbr import MBR
 from repro.index.rtree import RTree
 
-from tests.conftest import make_fuzzy_object, stored_objects
+from tests.conftest import leaf_ids, make_fuzzy_object, stored_objects
 
 
 def _summaries(rng, count, **kwargs):
@@ -38,14 +36,14 @@ class TestTreeDeletion:
             remaining.discard(object_id)
             assert len(tree) == len(remaining)
             tree.validate()
-            assert {e.object_id for e in tree.leaf_entries()} == remaining
+            assert leaf_ids(tree) == remaining
 
     def test_delete_without_mbr_hint(self, rng):
         summaries = _summaries(rng, 12)
         tree = RTree.bulk_load(summaries, max_entries=4)
         tree.delete(7)
         tree.validate()
-        assert 7 not in {e.object_id for e in tree.leaf_entries()}
+        assert 7 not in leaf_ids(tree)
 
     def test_delete_unknown_id_raises(self, rng):
         tree = RTree.bulk_load(_summaries(rng, 6), max_entries=4)
@@ -87,7 +85,7 @@ class TestTreeDeletion:
             tree.delete(victim, mbr=summaries[victim].support_mbr)
             alive.discard(victim)
             tree.validate()
-        assert {e.object_id for e in tree.leaf_entries()} == alive
+        assert leaf_ids(tree) == alive
 
     def test_mutation_counter_advances(self, rng):
         summaries = _summaries(rng, 8)
@@ -96,20 +94,6 @@ class TestTreeDeletion:
         tree.delete(0)
         tree.insert(summaries[0])
         assert tree.mutations == before + 2
-
-    def test_range_query_correct_after_deletes(self, rng):
-        summaries = _summaries(rng, 50)
-        tree = RTree.bulk_load(summaries, max_entries=5)
-        for object_id in range(0, 50, 2):
-            tree.delete(object_id, mbr=summaries[object_id].support_mbr)
-        region = MBR(np.array([2.0, 2.0]), np.array([9.0, 9.0]))
-        got = {e.object_id for e in tree.range_query(region)}
-        want = {
-            s.object_id
-            for s in summaries
-            if s.object_id % 2 == 1 and s.support_mbr.intersects(region)
-        }
-        assert got == want
 
 
 class TestDatabaseLiveUpdates:

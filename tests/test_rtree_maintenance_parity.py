@@ -36,6 +36,11 @@ SETTINGS = dict(max_examples=40, deadline=None)
 # ----------------------------------------------------------------------
 # The parent's maintenance (commit 20208b0), kept verbatim as the reference
 # ----------------------------------------------------------------------
+def enlargement(box, other):
+    """Area ``box`` grows by to also cover ``other`` (the scalar ChooseLeaf metric)."""
+    return box.union(other).area() - box.area()
+
+
 def tight_box(node):
     return MBR.union_of(entry.mbr for entry in node.entries)
 
@@ -108,8 +113,7 @@ class ScalarRTree(RTree):
         best = None
         best_key = None
         for entry in node.entries:
-            enlargement = entry.mbr.enlargement(mbr)
-            key = (enlargement, entry.mbr.area())
+            key = (enlargement(entry.mbr, mbr), entry.mbr.area())
             if best_key is None or key < best_key:
                 best = entry
                 best_key = key
@@ -132,8 +136,8 @@ class ScalarRTree(RTree):
                 break
             index = self._pick_next(remaining, mbr_a, mbr_b)
             entry = remaining.pop(index)
-            cost_a = mbr_a.enlargement(entry.mbr)
-            cost_b = mbr_b.enlargement(entry.mbr)
+            cost_a = enlargement(mbr_a, entry.mbr)
+            cost_b = enlargement(mbr_b, entry.mbr)
             if (cost_a, mbr_a.area(), len(group_a)) <= (cost_b, mbr_b.area(), len(group_b)):
                 group_a.append(entry)
                 mbr_a = mbr_a.union(entry.mbr)
@@ -161,7 +165,7 @@ class ScalarRTree(RTree):
         best_index = 0
         best_diff = -1.0
         for i, entry in enumerate(remaining):
-            diff = abs(mbr_a.enlargement(entry.mbr) - mbr_b.enlargement(entry.mbr))
+            diff = abs(enlargement(mbr_a, entry.mbr) - enlargement(mbr_b, entry.mbr))
             if diff > best_diff:
                 best_diff = diff
                 best_index = i
@@ -492,7 +496,7 @@ class TestValidateChecksWhatMaintenanceReads:
     def test_a_loose_directory_box(self, tree):
         """Covering its child is not enough any more: the box must be the tight one."""
         entry = tree.root.entries[0]
-        entry.mbr = entry.mbr.expanded(0.5)
+        entry.mbr = MBR(entry.mbr.lower - 0.5, entry.mbr.upper + 0.5)
         tree.root.invalidate_soa()
         with pytest.raises(IndexError_, match="tight"):
             tree.validate()

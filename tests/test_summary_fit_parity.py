@@ -10,11 +10,11 @@ levels, duplicate points, memberships 1e-13 apart around ``MEMBERSHIP_ATOL``,
 a single level, kernel-only objects, exactly collinear staircases and
 coordinates offset by 1e8.
 
-The lines are then lifted (``enclose_cuts``) so the Equation (2) box encloses
-every exact alpha-cut box in coordinates.  ``build_summary`` must equal the
-reference lines with that lift, and the box must enclose the cut with no
-slack at every level, between levels, below the lowest level and just above
-a level (where the cut still holds it).  Every path that writes a summary —
+The lines are then lifted (``boundary._stack_lift``) so the Equation (2)
+box encloses every exact alpha-cut box in coordinates.  ``build_summary``
+must equal the reference lines with that lift, and the box must enclose the
+cut with no slack at every level, between levels, below the lowest level and
+just above a level (where the cut still holds it).  Every path that writes a summary —
 bulk build, one-by-one insert, a sharded build and WAL replay — must store
 the same one, and a stacked build (``build_summaries``), chunked anywhere,
 must give every object the reference's lines bit for bit.
@@ -28,14 +28,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CONSERVATIVE_SLACK, RuntimeConfig
 from repro.core.database import FuzzyDatabase
-from repro.fuzzy.boundary import alpha_mbr_table, conservative_lines, enclose_cuts
+from repro.fuzzy.boundary import _stack_lift, _stack_lines
 from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
 from repro.fuzzy import summary as summary_module
 from repro.fuzzy.summary import build_summaries, build_summary
 from repro.metrics.counters import MetricsCollector
 from repro.service.sharded import ShardedDatabase
 
-from tests.conftest import make_fuzzy_object
+from tests.conftest import cut_table, make_fuzzy_object
 
 SETTINGS = dict(max_examples=80, deadline=None)
 
@@ -124,6 +124,18 @@ def reference_fit_line(levels, deltas) -> Tuple[float, float]:
     return best
 
 
+def line_bounds(lower, upper):
+    """A table's ``2 d`` line bounds: the upper side, then the negated lower."""
+    return np.concatenate((upper, -lower), axis=-1)
+
+
+def lift(levels, lower, upper, kernel, slopes, intercepts):
+    """The summary fit's Equation (2) lift of one object's lines."""
+    base = line_bounds(kernel.lower, kernel.upper)
+    table = line_bounds(lower, upper)
+    return _stack_lift(levels[None], table[None], base[None], slopes[None], intercepts[None])[0]
+
+
 def reference_lines(obj) -> Tuple[np.ndarray, np.ndarray]:
     """``(slopes, intercepts)``: the upper side by dimension, then the lower side."""
     levels, lower, upper = reference_alpha_mbr_table(obj)
@@ -197,16 +209,17 @@ class TestFitParity:
     @given(obj=fuzzy_objects())
     @settings(**SETTINGS)
     def test_table_equals_reference(self, obj):
-        for new, old in zip(alpha_mbr_table(obj), reference_alpha_mbr_table(obj)):
+        for new, old in zip(cut_table(obj), reference_alpha_mbr_table(obj)):
             assert np.array_equal(new, old)
 
     @given(obj=fuzzy_objects())
     @settings(**SETTINGS)
     def test_lines_before_the_lift_equal_reference(self, obj):
-        slopes, intercepts = conservative_lines(*alpha_mbr_table(obj))
+        levels, lower, upper = cut_table(obj)
+        slopes, intercepts = _stack_lines(levels[None], line_bounds(lower, upper)[None])
         ref_slopes, ref_intercepts = reference_lines(obj)
-        assert slopes.tolist() == ref_slopes.tolist()
-        assert intercepts.tolist() == ref_intercepts.tolist()
+        assert slopes[0].tolist() == ref_slopes.tolist()
+        assert intercepts[0].tolist() == ref_intercepts.tolist()
 
     @given(obj=fuzzy_objects(shapes=WITH_KERNEL))
     @settings(**SETTINGS)
@@ -214,7 +227,7 @@ class TestFitParity:
         levels, lower, upper = reference_alpha_mbr_table(obj)
         kernel = obj.kernel_mbr()
         slopes, intercepts = reference_lines(obj)
-        lifted = enclose_cuts(levels, lower, upper, kernel, slopes, intercepts)
+        lifted = lift(levels, lower, upper, kernel, slopes, intercepts)
         dims = obj.dimensions
         expected = {
             "object_id": 7,
@@ -321,7 +334,7 @@ def reference_summary(obj, representative) -> dict:
     levels, lower, upper = reference_alpha_mbr_table(obj)
     kernel = obj.kernel_mbr()
     slopes, intercepts = reference_lines(obj)
-    lifted = enclose_cuts(levels, lower, upper, kernel, slopes, intercepts)
+    lifted = lift(levels, lower, upper, kernel, slopes, intercepts)
     dims = obj.dimensions
     return {
         "object_id": obj.object_id,
