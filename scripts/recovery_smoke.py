@@ -141,8 +141,13 @@ def _parity(recovered, twin, queries, failures, label):
 
 
 def _check_written_config(engine, crashed: Path, config, failures: list) -> None:
-    """Recovered with no config, ``crashed`` keeps the config it was written with."""
-    recovered = engine.recover(crashed, resume=False)
+    """Recovered with no config, ``crashed`` keeps the config it was written with.
+
+    Recovery repairs a torn WAL tail in place, so this recovers a copy and the
+    checked recovery still starts from the untouched cut directory."""
+    probe = crashed.with_name(crashed.name + "-config-probe")
+    shutil.copytree(crashed, probe)
+    recovered = engine.recover(probe, resume=False)
     _check(recovered.config == config,
            f"recovered without a config, {engine.__name__} keeps the written config",
            failures)

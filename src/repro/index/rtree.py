@@ -365,7 +365,7 @@ class RTree:
     # Search primitives
     # ------------------------------------------------------------------
     def leaf_views(self) -> Iterator[NodeSoA]:
-        """The SoA view of every non-empty leaf, leaf by leaf as ``leaf_entries`` walks them."""
+        """The SoA view of every non-empty leaf, in depth-first order."""
         stack = [self.root] if self._size else []
         while stack:
             node = stack.pop()

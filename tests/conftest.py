@@ -47,18 +47,6 @@ def cut_table(obj: FuzzyObject):
     return mus[0][first[0]], -table[:, obj.dimensions :], table[:, : obj.dimensions]
 
 
-def leaf_ids(tree) -> set:
-    """Every object id in ``tree``'s leaves, read by a node walk."""
-    ids, stack = set(), [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            ids.update(entry.object_id for entry in node.entries)
-        else:
-            stack.extend(entry.child for entry in node.entries)
-    return ids
-
-
 def pytest_report_header(config):
     """Name the NumPy and BLAS a run used: the summary fit's parity with its
     reference rests on a stacked ``matmul`` calling the same ``ddot`` as

@@ -14,8 +14,7 @@ Covers the failure-semantics contract end to end:
 * deadline propagation (expired before execution, expired in queue, expired
   mid-execution under a delay fault);
 * the ``stop()`` audit — no submitted future may ever hang;
-* delete-vs-query churn (races report ObjectNotFoundError, never KeyError);
-* RetryingClient honouring the retry-after backpressure contract.
+* delete-vs-query churn (races report ObjectNotFoundError, never KeyError).
 """
 
 import dataclasses

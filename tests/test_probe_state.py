@@ -50,7 +50,7 @@ from repro.index.soa import min_dist_to_boxes
 from repro.metrics.counters import MetricsCollector
 from repro.service import ShardedDatabase
 
-from tests.conftest import leaf_ids, make_fuzzy_object, stored_objects
+from tests.conftest import make_fuzzy_object, stored_objects
 
 ALPHA = 0.5
 N_TWINS = 12
@@ -389,7 +389,8 @@ class TestRepresentativeIndexFollowsItsTrees:
             assert member_of == {
                 object_id: member
                 for member, tree in enumerate(trees)
-                for object_id in leaf_ids(tree)
+                for view in tree.leaf_views()
+                for object_id in view.object_ids.tolist()
             }
             return kdtree
 
@@ -401,7 +402,7 @@ class TestRepresentativeIndexFollowsItsTrees:
         trees[-1].delete(spare.object_id)  # the size is back where it was
         after_pair = covered()
         assert after_pair is not after_insert
-        trees[0].delete(min(leaf_ids(trees[0])))
+        trees[0].delete(min(min(v.object_ids.tolist()) for v in trees[0].leaf_views()))
         after_delete = covered()
         assert after_delete is not after_pair
         assert covered() is after_delete

@@ -9,7 +9,7 @@ from repro.geometry.mbr import MBR
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import RTreeNode
 from repro.index.rtree import RTree
-from tests.conftest import leaf_ids, make_fuzzy_object
+from tests.conftest import make_fuzzy_object
 
 
 def make_summaries(rng, count, spread=20.0):
@@ -62,7 +62,7 @@ class TestConstruction:
     def test_empty_tree(self):
         tree = RTree()
         assert len(tree) == 0
-        assert leaf_ids(tree) == set()
+        assert {int(i) for view in tree.leaf_views() for i in view.object_ids} == set()
         tree.validate()
 
     def test_bulk_load_small(self, rng):
@@ -77,7 +77,8 @@ class TestConstruction:
         assert len(tree) == 120
         assert tree.height >= 2
         tree.validate()
-        assert leaf_ids(tree) == set(range(120))
+        ids = {int(i) for view in tree.leaf_views() for i in view.object_ids}
+        assert ids == set(range(120))
 
     def test_bulk_load_empty(self):
         tree = RTree.bulk_load([])
@@ -91,7 +92,8 @@ class TestConstruction:
         assert len(tree) == 60
         assert tree.height >= 2
         tree.validate()
-        assert leaf_ids(tree) == set(range(60))
+        ids = {int(i) for view in tree.leaf_views() for i in view.object_ids}
+        assert ids == set(range(60))
 
     def test_node_count_positive(self, rng):
         tree = RTree.bulk_load(make_summaries(rng, 40), max_entries=6)

@@ -16,7 +16,7 @@ from repro.exceptions import IndexError_, ObjectNotFoundError
 from repro.fuzzy.summary import build_summary
 from repro.index.rtree import RTree
 
-from tests.conftest import leaf_ids, make_fuzzy_object, stored_objects
+from tests.conftest import make_fuzzy_object, stored_objects
 
 
 def _summaries(rng, count, **kwargs):
@@ -36,14 +36,15 @@ class TestTreeDeletion:
             remaining.discard(object_id)
             assert len(tree) == len(remaining)
             tree.validate()
-            assert leaf_ids(tree) == remaining
+            ids = {int(i) for view in tree.leaf_views() for i in view.object_ids}
+            assert ids == remaining
 
     def test_delete_without_mbr_hint(self, rng):
         summaries = _summaries(rng, 12)
         tree = RTree.bulk_load(summaries, max_entries=4)
         tree.delete(7)
         tree.validate()
-        assert 7 not in leaf_ids(tree)
+        assert 7 not in {int(i) for view in tree.leaf_views() for i in view.object_ids}
 
     def test_delete_unknown_id_raises(self, rng):
         tree = RTree.bulk_load(_summaries(rng, 6), max_entries=4)
@@ -85,7 +86,7 @@ class TestTreeDeletion:
             tree.delete(victim, mbr=summaries[victim].support_mbr)
             alive.discard(victim)
             tree.validate()
-        assert leaf_ids(tree) == alive
+        assert {int(i) for view in tree.leaf_views() for i in view.object_ids} == alive
 
     def test_mutation_counter_advances(self, rng):
         summaries = _summaries(rng, 8)

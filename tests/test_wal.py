@@ -31,7 +31,7 @@ from repro.storage.wal import (
     WriteAheadLog,
 )
 
-from tests.conftest import leaf_ids, make_fuzzy_object
+from tests.conftest import make_fuzzy_object
 
 
 HEADER_SIZE = struct.calcsize("<4sI")
@@ -231,7 +231,7 @@ class TestBulkLoadAndCompaction:
             tree.delete_lazy(object_id, mbr=summaries[object_id].support_mbr)
             tree.validate()
             assert len(tree) == 60 - count
-        remaining = leaf_ids(tree)
+        remaining = {int(i) for view in tree.leaf_views() for i in view.object_ids}
         assert remaining == set(order[45:])
 
     def test_compaction_triggers_at_debt_ratio(self, rng):
