@@ -47,6 +47,14 @@ def cut_table(obj: FuzzyObject):
     return mus[0][first[0]], -table[:, obj.dimensions :], table[:, : obj.dimensions]
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regenerate-counts",
+        action="store_true",
+        help="rewrite tests/data/counts.json from this tree (test_counts_fingerprint.py)",
+    )
+
+
 def pytest_report_header(config):
     """Name the NumPy and BLAS a run used: the summary fit's parity with its
     reference rests on a stacked ``matmul`` calling the same ``ddot`` as
