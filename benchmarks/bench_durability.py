@@ -18,7 +18,9 @@
    same history is replayed against the naive alternative: re-executing
    every registered request after every mutation.  Maintenance must win.
 
-Results land in ``BENCH_durability.json`` next to this file.
+Results land in ``BENCH_durability.json`` next to this file; a ``--quick``
+run writes a file only when ``--output`` names one, so a smoke never
+overwrites the committed full-scale numbers.
 
 Run directly::
 
@@ -75,11 +77,13 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="tiny configuration for smoke-testing the harness",
     )
     parser.add_argument(
-        "--output", type=Path, default=BASELINE_PATH,
-        help="where to write the JSON baseline "
-             "(default: benchmarks/BENCH_durability.json)",
+        "--output", type=Path, default=None,
+        help="where to write the JSON baseline (default: "
+             "benchmarks/BENCH_durability.json; with --quick, nowhere)",
     )
     args = parser.parse_args(argv)
+    if args.output is None and not args.quick:
+        args.output = BASELINE_PATH
     if args.quick:
         args.n_objects = 2_000
         args.wal_inserts = 200
@@ -258,8 +262,11 @@ def main(argv=None) -> int:
         "wal": wal,
         "subscriptions": subscriptions,
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.output}")
+    if args.output is None:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.output}")
 
     if args.min_speedup and bulk["speedup"] < args.min_speedup:
         print(f"FAIL: STR speedup {bulk['speedup']}x is below the "

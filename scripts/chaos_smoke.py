@@ -158,8 +158,9 @@ def _answers_the_survivors(request, result, survivors) -> bool:
     its distance, each unprobed AKNN neighbour by bounds that contain
     ``d_alpha``, each bound-confirmed range match by ``d_alpha <= U <=
     radius`` and each bound-confirmed reverse member by ``d_alpha <= U``.  A sweep by its whole
-    assignment, interval for interval (``IntervalSet.approx_equal``), so an
-    error at either end of its range shows.
+    assignment, interval for interval, so an error at either end of its
+    range shows.  Probed distances and interval ends are exact, so each is
+    compared with ``==``.
     """
     if isinstance(request, AknnRequest):
         exact = dict(reference.aknn(survivors, request.query, len(survivors), request.alpha))
@@ -169,7 +170,7 @@ def _answers_the_survivors(request, result, survivors) -> bool:
         for neighbor in result.neighbors:
             d_alpha = exact[neighbor.object_id]
             if neighbor.probed:
-                if not np.isclose(neighbor.distance, d_alpha, rtol=1e-9, atol=1e-12):
+                if neighbor.distance != d_alpha:
                     return False
             elif not neighbor.lower_bound <= d_alpha <= neighbor.upper_bound:
                 return False
@@ -177,7 +178,7 @@ def _answers_the_survivors(request, result, survivors) -> bool:
     if isinstance(request, SweepRequest):
         want = reference.sweep(survivors, request.query, request.k, request.alpha_range)
         return set(result.assignments) == set(want) and all(
-            result.assignments[i].approx_equal(IntervalSet.from_pairs(ranges))
+            result.assignments[i] == IntervalSet.from_pairs(ranges)
             for i, ranges in want.items()
         )
     if isinstance(request, RangeRequest):
@@ -191,7 +192,7 @@ def _answers_the_survivors(request, result, survivors) -> bool:
             if distance is None:
                 if not d_alpha <= result.upper_bounds[object_id] <= request.radius:
                     return False
-            elif not np.isclose(distance, d_alpha, rtol=1e-9, atol=1e-12):
+            elif distance != d_alpha:
                 return False
         return True
     exact = dict(reference.reverse(survivors, request.query, request.k, request.alpha))
@@ -202,7 +203,7 @@ def _answers_the_survivors(request, result, survivors) -> bool:
         if distance is None:
             if not d_alpha <= result.upper_bounds[object_id]:
                 return False
-        elif not np.isclose(distance, d_alpha, rtol=1e-9, atol=1e-12):
+        elif distance != d_alpha:
             return False
     return True
 

@@ -127,7 +127,7 @@ def _parity(recovered, twin, queries, failures, label):
         r = recovered.execute(SweepRequest(query, k=3, alpha_range=(0.2, 0.9)))
         t = twin.execute(SweepRequest(query, k=3, alpha_range=(0.2, 0.9)))
         same = set(r.assignments) == set(t.assignments) and all(
-            r.assignments[oid].approx_equal(t.assignments[oid], tol=1e-7)
+            r.assignments[oid] == t.assignments[oid]
             for oid in r.assignments
         )
         _check(same, f"{label}: sweep parity (query {i})", failures)

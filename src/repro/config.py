@@ -79,16 +79,6 @@ DEFAULT_BREAKER_RESET_TIMEOUT_MS = 1000.0
 DEFAULT_WAL_SYNC = "flush"
 DEFAULT_SNAPSHOT_EVERY = 0
 
-# The small epsilon used by the basic RKNN sweep (Algorithm 3) to step just
-# beyond a critical probability.  The exact sweep used in this implementation
-# steps to the next membership level instead, but the value is retained for
-# the paper-faithful epsilon-stepping code path.
-RKNN_EPSILON = 1e-9
-
-# Floating point slack used when asserting conservativeness of the optimal
-# conservative line (Definition 6) under accumulated rounding error.
-CONSERVATIVE_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class PaperDefaults:

@@ -66,18 +66,8 @@ from repro.index.soa import (
 )
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
+from repro.predicates import confirms, may_reach
 from repro.storage.object_store import ObjectStore
-
-# Relative + absolute slack when comparing a bound against a radius,
-# absorbing the tiny float drift between vectorized and scalar paths.
-_PRUNE_SLACK = 1e-9
-
-
-def confirm_radius(radius):
-    """The largest upper bound that confirms a range match without a read:
-    the prune test's slack (``shared_traversal``) on the strict side, so a
-    hit within the margin is probed."""
-    return radius * (1.0 - _PRUNE_SLACK) - _PRUNE_SLACK
 
 # Extra bootstrap nominees beyond k; a slightly larger pool gives a tighter
 # starting radius for near-tie configurations at negligible cost.
@@ -556,7 +546,6 @@ def shared_traversal(
     ``MinDist`` to it that the prune test compared.
     """
     n_queries = q_lo.shape[0]
-    threshold = tau * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
     # (query index, object id) of every surviving leaf entry, leaf by leaf
     # (seeded empty, so a traversal that reaches no leaf still concatenates).
     hit_queries = [np.empty(0, dtype=np.int64)]
@@ -585,14 +574,14 @@ def shared_traversal(
                 box_lo, box_hi = soa.lo, soa.hi
             lb = min_dist_to_boxes(q_lo[active], q_hi[active], box_lo, box_hi)
             metrics.increment(lb_counter, int(active.shape[0]) * soa.n)
-            rows, cols = np.nonzero(lb <= threshold[active, None])
+            rows, cols = np.nonzero(may_reach(lb, tau[active, None]))
             hit_queries.append(active[rows])
             hit_ids.append(soa.object_ids[cols])
             if boxes:
                 hit_boxes.append((box_lo[cols], box_hi[cols], soa.reps[cols], lb[rows, cols]))
         else:
             child_dists = soa.min_dist(q_lo[active], q_hi[active])
-            reachable = child_dists <= threshold[active, None]
+            reachable = may_reach(child_dists, tau[active, None])
             keep = reachable.any(axis=0)
             for j, entry in enumerate(node.entries):
                 if keep[j]:
@@ -741,7 +730,7 @@ def rank_test(
     seen = np.empty_like(order)
     np.put_along_axis(seen, order, np.cumsum(order < width, axis=1), axis=1)
     closer = seen[:, width:] - (lower <= upper)
-    confirmed = valid & (closer <= k - 1) & (upper <= tau[:, None]) & np.isfinite(upper)
+    confirmed = valid & (closer <= k - 1) & confirms(upper, tau[:, None]) & np.isfinite(upper)
     need = k - confirmed.sum(axis=1)
     remaining = np.sort(np.where(valid & ~confirmed, upper, np.inf), axis=1)
     place = np.clip(need - 1, 0, width - 1)[:, None]

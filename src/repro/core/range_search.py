@@ -31,7 +31,6 @@ from repro.config import RuntimeConfig
 from repro.core.executor import (
     CONFIRMED,
     Decisions,
-    confirm_radius,
     probe_rows,
     shared_traversal,
     upper_bounds,
@@ -43,6 +42,7 @@ from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.index.rtree import RTree
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
+from repro.predicates import confirms
 from repro.storage.object_store import ObjectStore
 
 @dataclass
@@ -59,11 +59,10 @@ def _confirm(
 ) -> Decisions:
     """The hits' record, each hit's bounds in it (``lower`` the traversal's)
     and the matches those confirm marked: ``MaxDist`` for every hit, Lemma 1
-    (sampling only the queries that need it) where ``MaxDist`` is above
-    :func:`confirm_radius`."""
-    settled = confirm_radius(radii[owner])
+    (sampling only the queries that need it) where ``MaxDist`` does not
+    :func:`~repro.predicates.confirms` the radius."""
     upper = upper_bounds(q_lo, q_hi, lo[:, None], hi[:, None], owner=owner)[:, 0]
-    tight = np.flatnonzero(upper > settled)
+    tight = np.flatnonzero(~confirms(upper, radii[owner]))
     if tight.size:
         needed, inverse = np.unique(owner[tight], return_inverse=True)
         upper[tight] = upper_bounds(
@@ -71,7 +70,7 @@ def _confirm(
             reps[tight, None], [prepared[qi].query_samples for qi in needed], inverse,
         )[:, 0]
     record = Decisions(len(prepared), owner, ids, lower, upper)
-    record.member = upper <= settled
+    record.member = confirms(upper, radii[owner])
     record.by[record.member] = CONFIRMED
     return record
 

@@ -60,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import RKNN_EPSILON, RuntimeConfig
+from repro.config import RuntimeConfig
 from repro.core.aknn import searcher_over
 from repro.core.executor import (
     EVALUATED,
@@ -80,11 +80,9 @@ from repro.fuzzy.intervals import IntervalSet
 from repro.fuzzy.profile import DistanceProfile
 from repro.metrics.counters import MetricsCollector
 from repro.metrics.timer import Timer
+from repro.predicates import RKNN_EPSILON, at_least, first_above, first_at_least
 
 RKNN_METHODS: Tuple[str, ...] = ("basic", "rss", "rss_icr")
-
-# Numerical slack when comparing probability thresholds.
-_ALPHA_TOL = 1e-12
 
 
 def rank_objects(distances: Dict[int, float], k: int) -> Tuple[List[int], float]:
@@ -221,14 +219,14 @@ class RKNNSearcher:
                 )
                 stats.distance_evaluations += computed
                 ends.append(profile.next_critical(min(evaluation_point, 1.0)))
-            alpha_star = min(ends)
+            alpha_star = max(min(ends), piece_start)  # see refine_candidates_basic
             piece_end = min(alpha_star, alpha_end)
             for object_id in nn_ids:
                 assignments.setdefault(object_id, IntervalSet()).add_range(
                     piece_start, piece_end
                 )
             stats.refinement_steps += 1
-            if alpha_star >= alpha_end - _ALPHA_TOL:
+            if at_least(alpha_star, alpha_end):
                 break
             piece_start = alpha_star
             evaluation_point = alpha_star + RKNN_EPSILON
@@ -456,7 +454,7 @@ def refine_candidates_basic(
     jumps to the next membership level beyond it.
     """
     assignments: Dict[int, IntervalSet] = {}
-    combined_levels = _combined_levels(profiles)
+    levels = _combined_levels(profiles)
     piece_start = alpha_start
     evaluation_point = alpha_start
 
@@ -472,7 +470,9 @@ def refine_candidates_basic(
             profiles[object_id].next_critical(min(evaluation_point, 1.0))
             for object_id in top
         ]
-        alpha_star = min(ends)
+        # A critical level may be the same level as piece_start, a hair below
+        # it (at_least): the piece then ends where it starts.
+        alpha_star = max(min(ends), piece_start)
         piece_end = min(alpha_star, alpha_end)
         for object_id in top:
             assignments.setdefault(object_id, IntervalSet()).add_range(
@@ -480,10 +480,10 @@ def refine_candidates_basic(
             )
         if stats is not None:
             stats.refinement_steps += 1
-        if alpha_star >= alpha_end - _ALPHA_TOL:
+        if at_least(alpha_star, alpha_end):
             break
         piece_start = alpha_star
-        evaluation_point = _next_evaluation_point(combined_levels, alpha_star, alpha_end)
+        evaluation_point = _level_or_end(levels, first_above(levels, alpha_star), alpha_end)
     return assignments
 
 
@@ -502,7 +502,7 @@ def refine_candidates_icr(
     than the Lemma 2 step, so far fewer critical probabilities are visited.
     """
     assignments: Dict[int, IntervalSet] = {}
-    combined_levels = _combined_levels(profiles)
+    levels = _combined_levels(profiles)
     piece_start = alpha_start
     evaluation_point = alpha_start
 
@@ -527,7 +527,8 @@ def refine_candidates_icr(
                 if beta is None:
                     # Distance ties the (k+1)-th: only the current piece is
                     # certain, which is exactly what Lemma 2 already grants.
-                    beta = _current_piece_end(combined_levels, evaluation_point, alpha_end)
+                    at = first_at_least(levels, evaluation_point)
+                    beta = _level_or_end(levels, at, alpha_end)
             beta = min(beta, alpha_end)
             beta = max(beta, min(evaluation_point, alpha_end))
             safe_ends.append(beta)
@@ -535,10 +536,10 @@ def refine_candidates_icr(
         if stats is not None:
             stats.refinement_steps += 1
         barrier = min(safe_ends)
-        if barrier >= alpha_end - _ALPHA_TOL:
+        if at_least(barrier, alpha_end):
             break
         piece_start = barrier
-        evaluation_point = _next_evaluation_point(combined_levels, barrier, alpha_end)
+        evaluation_point = _level_or_end(levels, first_above(levels, barrier), alpha_end)
     return assignments
 
 
@@ -549,21 +550,8 @@ def _combined_levels(profiles: Dict[int, DistanceProfile]) -> np.ndarray:
     return np.unique(np.concatenate([p.levels for p in profiles.values()]))
 
 
-def _next_evaluation_point(
-    combined_levels: np.ndarray, barrier: float, alpha_end: float
-) -> float:
-    """First membership level strictly above ``barrier`` (clamped at the range end)."""
-    idx = int(np.searchsorted(combined_levels, barrier + _ALPHA_TOL, side="left"))
-    if idx >= combined_levels.size:
-        return alpha_end
-    return min(float(combined_levels[idx]), alpha_end)
-
-
-def _current_piece_end(
-    combined_levels: np.ndarray, evaluation_point: float, alpha_end: float
-) -> float:
-    """Right endpoint of the elementary piece containing ``evaluation_point``."""
-    idx = int(np.searchsorted(combined_levels, evaluation_point - _ALPHA_TOL, side="left"))
-    if idx >= combined_levels.size:
-        return alpha_end
-    return min(float(combined_levels[idx]), alpha_end)
+def _level_or_end(levels: np.ndarray, idx: int, alpha_end: float) -> float:
+    """``levels[idx]`` clamped at the range end (the end if there is none):
+    at :func:`first_above` a barrier, the next evaluation point; at
+    :func:`first_at_least` a point, the end of its elementary piece."""
+    return alpha_end if idx >= levels.size else min(float(levels[idx]), alpha_end)

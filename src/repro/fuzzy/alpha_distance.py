@@ -17,9 +17,10 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import EmptyAlphaCutError, InvalidFuzzyObjectError
-from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
+from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.profile import DistanceProfile
 from repro.geometry.distance import closest_pair_distance, pairwise_sq_blocks
+from repro.predicates import at_least, first_above, first_at_least
 
 
 def alpha_distance_points(cut_a: np.ndarray, cut_b: np.ndarray) -> float:
@@ -67,15 +68,11 @@ def distance_profile(
     levels = np.union1d(obj_a.distinct_memberships(), obj_b.distinct_memberships())
     # Membership values are in (0, 1]; make sure 1.0 is always present so the
     # profile covers the full domain up to the kernel-vs-kernel distance.
-    if levels[-1] < 1.0 - MEMBERSHIP_ATOL:
+    if not at_least(levels[-1], 1.0):
         levels = np.append(levels, 1.0)
     if max_level is not None:
-        keep = levels <= max_level + MEMBERSHIP_ATOL
-        # Retain the first level >= max_level so evaluation at max_level works.
-        above = levels[levels > max_level + MEMBERSHIP_ATOL]
-        levels = levels[keep]
-        if above.size:
-            levels = np.append(levels, above[0])
+        # Up to the first level above max_level, so evaluation at max_level works.
+        levels = levels[: first_above(levels, max_level) + 1]
 
     # Sort both objects by decreasing membership once; every alpha-cut is then
     # a prefix of the sorted arrays, so d(level) is the minimum of the leading
@@ -83,9 +80,8 @@ def distance_profile(
     # minimum of D read at (count_a - 1, count_b - 1).
     pts_a = obj_a.points[np.argsort(-obj_a.memberships, kind="stable")]
     pts_b = obj_b.points[np.argsort(-obj_b.memberships, kind="stable")]
-    thresholds = levels - MEMBERSHIP_ATOL
-    count_a = pts_a.shape[0] - np.searchsorted(np.sort(obj_a.memberships), thresholds)
-    count_b = pts_b.shape[0] - np.searchsorted(np.sort(obj_b.memberships), thresholds)
+    count_a = pts_a.shape[0] - first_at_least(np.sort(obj_a.memberships), levels)
+    count_b = pts_b.shape[0] - first_at_least(np.sort(obj_b.memberships), levels)
     # An empty cut on either side puts the level's row at -1: never read, so inf.
     rows = np.where(count_b > 0, count_a, 0) - 1
     cols = count_b - 1

@@ -43,9 +43,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CONSERVATIVE_SLACK
-from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL
 from repro.geometry.convexhull import upper_chain
+from repro.predicates import CONSERVATIVE_SLACK, LEVEL_ATOL, at_least
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,9 @@ def _stack_cuts(points: np.ndarray, memberships: np.ndarray):
     mus, coords = memberships[rows, order], points[rows, order]
     backwards = np.concatenate((coords, -coords), axis=2)[:, ::-1]
     bounds = np.maximum.accumulate(backwards, axis=1)[:, ::-1]
-    # A level's cut starts at the first mu >= level - MEMBERSHIP_ATOL: merge
-    # the thresholds into the memberships, each before its equals.
-    keys = np.concatenate((mus - MEMBERSHIP_ATOL, mus), axis=1)
+    # A level's cut starts at the first mu at_least the level: merge the
+    # thresholds level - LEVEL_ATOL into the memberships, each before its equals.
+    keys = np.concatenate((mus - LEVEL_ATOL, mus), axis=1)
     merged = np.argsort(keys, axis=1, kind="stable")
     cuts = bounds[rows, np.nonzero(merged < size)[1].reshape(count, size) - np.arange(size)]
     first = np.ones(mus.shape, dtype=bool)
@@ -178,15 +177,15 @@ def _stack_lift(levels, table, base, slopes, intercepts) -> np.ndarray:
     bounds in ``base`` ``(G, 2 d)``.
 
     For every level ``j`` of a table and every alpha whose cut holds it
-    (``mu >= alpha - MEMBERSHIP_ATOL``), afterwards
+    (``at_least(mu, alpha)``), afterwards
     ``kernel.upper + max(0, slope*alpha + t) >= upper[j]`` and
     ``kernel.lower - max(0, ...) <= lower[j]`` in float, evaluated as
     ``NodeSoA.approx_alpha_bounds`` does.  Checking at
-    ``levels + 2*MEMBERSHIP_ATOL`` covers every such alpha (slopes are
+    ``levels + 2*LEVEL_ATOL`` covers every such alpha (slopes are
     non-positive, rounding monotone); the lower side is the upper side of
     negated coordinates.  A line that already encloses keeps its intercept.
     """
-    products = slopes[:, None, :] * (levels[:, :, None] + 2.0 * MEMBERSHIP_ATOL)
+    products = slopes[:, None, :] * (levels[:, :, None] + 2.0 * LEVEL_ATOL)
     short = base[:, None, :] + np.maximum(0.0, products + intercepts[:, None, :]) < table
     if not short.any():
         return intercepts
@@ -215,7 +214,7 @@ def fit_stack(
     over exactly an object's levels (zero padding changes ``ddot``'s bits).
     """
     mus, first, cuts, bounds = _stack_cuts(points, memberships)
-    kernel = bounds[np.arange(len(mus)), (mus < 1.0 - MEMBERSHIP_ATOL).sum(axis=1)]
+    kernel = bounds[np.arange(len(mus)), (~at_least(mus, 1.0)).sum(axis=1)]
     widths = first.sum(axis=1)
     slopes, intercepts = np.empty(kernel.shape), np.empty(kernel.shape)
     for width in set(widths.tolist()):

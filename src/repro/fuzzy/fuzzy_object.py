@@ -15,19 +15,7 @@ import numpy as np
 from repro.config import DEFAULT_ALPHA_CUT_CACHE_CAPACITY
 from repro.exceptions import EmptyAlphaCutError, InvalidFuzzyObjectError
 from repro.geometry.mbr import MBR
-
-# Tolerance used when comparing membership values against a threshold so that
-# values like 0.7000000000000001 produced by normalisation still count as 0.7.
-MEMBERSHIP_ATOL = 1e-12
-
-
-def _at_least(memberships: np.ndarray, alpha: float) -> np.ndarray:
-    """The one membership predicate: ``mu >= alpha`` up to MEMBERSHIP_ATOL.
-
-    The kernel is the cut at ``alpha = 1`` — a second, looser test for it
-    would let ``rep(A)`` fall outside ``alpha_cut(1.0)`` and break Lemma 1.
-    """
-    return memberships >= alpha - MEMBERSHIP_ATOL
+from repro.predicates import above, at_least
 
 #: Library-wide alpha-cut cache counters (aggregated over every object, since
 #: the per-object caches are short-lived); surfaced by the CLI ``--stats``
@@ -86,10 +74,10 @@ class FuzzyObject:
         # NaN fails both range comparisons below, so it needs its own test.
         if not np.all(np.isfinite(mus)):
             raise InvalidFuzzyObjectError("memberships must be finite")
-        if np.any(mus <= 0.0) or np.any(mus > 1.0 + MEMBERSHIP_ATOL):
+        if np.any(mus <= 0.0) or np.any(above(mus, 1.0)):
             raise InvalidFuzzyObjectError("memberships must lie in (0, 1]")
         mus = np.minimum(mus, 1.0)
-        if require_kernel and not np.any(_at_least(mus, 1.0)):
+        if require_kernel and not np.any(at_least(mus, 1.0)):
             raise InvalidFuzzyObjectError(
                 "fuzzy object has an empty kernel; the paper assumes at least "
                 "one point with membership 1 (use normalize_memberships or "
@@ -192,7 +180,7 @@ class FuzzyObject:
 
     def kernel(self) -> np.ndarray:
         """The kernel set ``A_k`` (points with membership 1)."""
-        return self.points[_at_least(self.memberships, 1.0)]
+        return self.points[at_least(self.memberships, 1.0)]
 
     def alpha_cut(self, alpha: float) -> np.ndarray:
         """The alpha-cut ``A_alpha`` (points with membership >= alpha).
@@ -210,7 +198,7 @@ class FuzzyObject:
                 CUT_CACHE_STATS["hits"] += 1
                 return cached
             CUT_CACHE_STATS["misses"] += 1
-        cut = self.points[_at_least(self.memberships, alpha)]
+        cut = self.points[at_least(self.memberships, alpha)]
         if cut.shape[0] == 0:
             raise EmptyAlphaCutError(
                 f"alpha-cut at alpha={alpha} is empty for object {self.object_id}"
@@ -362,7 +350,7 @@ class FuzzyObject:
     # ------------------------------------------------------------------
     @staticmethod
     def _check_alpha(alpha: float) -> None:
-        if not 0.0 < alpha <= 1.0 + MEMBERSHIP_ATOL:
+        if not 0.0 < alpha or above(alpha, 1.0):
             raise InvalidFuzzyObjectError(
                 f"probability threshold must be in (0, 1], got {alpha}"
             )

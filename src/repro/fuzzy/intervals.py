@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-# Two endpoints closer than this are considered equal when merging intervals.
-_MERGE_EPS = 1e-12
+from repro.predicates import at_least
 
 
 @dataclass(frozen=True)
@@ -26,24 +25,22 @@ class Interval:
     end: float
 
     def __post_init__(self) -> None:
-        if self.end < self.start - _MERGE_EPS:
+        if self.end < self.start:
             raise ValueError(f"interval end {self.end} precedes start {self.start}")
 
     @property
     def length(self) -> float:
         """Length of the interval (zero for degenerate single points)."""
-        return max(0.0, self.end - self.start)
+        return self.end - self.start
 
     def contains(self, value: float) -> bool:
-        """Whether ``value`` lies inside the closed interval."""
-        return self.start - _MERGE_EPS <= value <= self.end + _MERGE_EPS
+        """Whether the threshold ``value`` lies inside the closed interval,
+        an endpoint being the same level as a threshold within ``LEVEL_ATOL``."""
+        return bool(at_least(value, self.start) and at_least(self.end, value))
 
     def overlaps(self, other: "Interval") -> bool:
         """Whether the two closed intervals share at least one point."""
-        return (
-            self.start <= other.end + _MERGE_EPS
-            and other.start <= self.end + _MERGE_EPS
-        )
+        return self.start <= other.end and other.start <= self.end
 
     def merge(self, other: "Interval") -> "Interval":
         """Smallest interval covering both (assumes overlap or adjacency)."""
@@ -53,9 +50,9 @@ class Interval:
         """Overlapping part of the two intervals, or ``None`` if disjoint."""
         lo = max(self.start, other.start)
         hi = min(self.end, other.end)
-        if hi < lo - _MERGE_EPS:
+        if hi < lo:
             return None
-        return Interval(lo, max(lo, hi))
+        return Interval(lo, hi)
 
     def __repr__(self) -> str:
         return f"[{self.start:.6g}, {self.end:.6g}]"
@@ -100,11 +97,12 @@ class IntervalSet:
     # Mutation
     # ------------------------------------------------------------------
     def add(self, interval: Interval) -> None:
-        """Insert an interval, merging it with overlapping/adjacent ones."""
+        """Insert an interval, merging it with the ones it overlaps or
+        touches (a piece's end is exactly the next piece's start)."""
         merged = interval
         remaining: List[Interval] = []
         for existing in self._intervals:
-            if existing.overlaps(merged) or self._adjacent(existing, merged):
+            if existing.overlaps(merged):
                 merged = merged.merge(existing)
             else:
                 remaining.append(existing)
@@ -115,12 +113,6 @@ class IntervalSet:
     def add_range(self, start: float, end: float) -> None:
         """Convenience wrapper around :meth:`add`."""
         self.add(Interval(start, end))
-
-    @staticmethod
-    def _adjacent(a: Interval, b: Interval) -> bool:
-        return (
-            abs(a.end - b.start) <= _MERGE_EPS or abs(b.end - a.start) <= _MERGE_EPS
-        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -161,15 +153,6 @@ class IntervalSet:
     def clipped(self, start: float, end: float) -> "IntervalSet":
         """The part of this set falling inside ``[start, end]``."""
         return self.intersect(IntervalSet.single(start, end))
-
-    def approx_equal(self, other: "IntervalSet", tol: float = 1e-9) -> bool:
-        """Structural equality up to endpoint tolerance ``tol``."""
-        if len(self._intervals) != len(other._intervals):
-            return False
-        for a, b in zip(self._intervals, other._intervals):
-            if abs(a.start - b.start) > tol or abs(a.end - b.end) > tol:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # Dunder methods

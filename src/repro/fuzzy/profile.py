@@ -21,9 +21,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidQueryError
-
-# Tolerance when locating a threshold among the stored levels.
-_LEVEL_ATOL = 1e-12
+from repro.predicates import above, first_at_least
 
 
 class DistanceProfile:
@@ -48,10 +46,12 @@ class DistanceProfile:
             raise ValueError("levels and distances must be aligned non-empty arrays")
         if np.any(np.diff(lv) <= 0):
             raise ValueError("levels must be strictly increasing")
-        if lv[0] <= 0 or lv[-1] > 1.0 + _LEVEL_ATOL:
+        if lv[0] <= 0 or above(lv[-1], 1.0):
             raise ValueError("levels must lie in (0, 1]")
+        # Exactly: distance_profile's distances are prefix minima of one
+        # matrix, so a decrease of any size is a bug, not rounding.
         finite = ds[np.isfinite(ds)]
-        if finite.size and np.any(np.diff(finite) < -1e-9):
+        if finite.size and np.any(np.diff(finite) < 0.0):
             raise ValueError("distances must be non-decreasing in alpha")
         self.levels = lv
         self.distances = ds
@@ -70,13 +70,12 @@ class DistanceProfile:
     # ------------------------------------------------------------------
     def value(self, alpha: float) -> float:
         """``d_alpha`` for an arbitrary threshold ``alpha`` in ``(0, levels[-1]]``."""
-        if not 0.0 < alpha <= self.levels[-1] + _LEVEL_ATOL:
+        if not 0.0 < alpha or above(alpha, self.levels[-1]):
             raise InvalidQueryError(
                 f"alpha={alpha} outside the profile domain (0, {self.levels[-1]}]"
             )
         # The distance for alpha is the one of the first level >= alpha.
-        idx = int(np.searchsorted(self.levels, alpha - _LEVEL_ATOL, side="left"))
-        idx = min(idx, self.levels.size - 1)
+        idx = min(int(first_at_least(self.levels, alpha)), self.levels.size - 1)
         return float(self.distances[idx])
 
     def values(self, alphas: Sequence[float]) -> np.ndarray:
@@ -92,18 +91,16 @@ class DistanceProfile:
         A level ``u_i`` is critical when no larger threshold has the same
         distance — i.e. the distance strictly increases after ``u_i`` — plus
         the last level, whose distance trivially has no larger threshold.
+        Any rise counts, however small: the distances are exact, and a rise
+        of one ulp can change the kNN set (``TestCriticalSet``).
         """
-        critical: List[float] = []
-        for i in range(self.levels.size - 1):
-            if self.distances[i + 1] > self.distances[i] + 1e-15:
-                critical.append(float(self.levels[i]))
-        critical.append(float(self.levels[-1]))
-        return np.asarray(critical, dtype=float)
+        rises = np.append(self.distances[1:] > self.distances[:-1], True)
+        return self.levels[rises]
 
     def next_critical(self, alpha: float) -> float:
         """Smallest critical probability ``>= alpha`` (Lemma 2's ``alpha'``)."""
         crit = self.critical_set()
-        idx = int(np.searchsorted(crit, alpha - _LEVEL_ATOL, side="left"))
+        idx = int(first_at_least(crit, alpha))
         if idx >= crit.size:
             return float(crit[-1])
         return float(crit[idx])
@@ -123,14 +120,9 @@ class DistanceProfile:
         """
         if self.value(start) >= threshold:
             return None
-        # Scan the stored levels directly instead of hopping to
-        # next_critical(start) first: the critical set's increase tolerance
-        # can classify a genuine (tiny) distance increase as "constant", and
-        # the hop would then land on a level whose distance already meets the
-        # threshold — returning an unsafe range.  The scan only ever extends
+        # Scan the stored levels directly: the scan only ever extends
         # through levels whose distance is verifiably below the threshold.
-        idx = int(np.searchsorted(self.levels, start - _LEVEL_ATOL, side="left"))
-        idx = min(idx, self.levels.size - 1)
+        idx = min(int(first_at_least(self.levels, start)), self.levels.size - 1)
         result = float(start)
         for j in range(idx, self.levels.size):
             if self.distances[j] < threshold:
@@ -168,7 +160,7 @@ class DistanceProfile:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistanceProfile):
             return NotImplemented
-        return np.array_equal(self.levels, other.levels) and np.allclose(
+        return np.array_equal(self.levels, other.levels) and np.array_equal(
             self.distances, other.distances, equal_nan=True
         )
 

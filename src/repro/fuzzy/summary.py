@@ -27,8 +27,9 @@ import numpy as np
 
 from repro.exceptions import EmptyAlphaCutError
 from repro.fuzzy.boundary import ConservativeLine, fit_stack
-from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
+from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.geometry.mbr import MBR
+from repro.predicates import at_least
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def _summarise(
 ) -> List[FuzzyObjectSummary]:
     if any(obj.object_id is None for obj in objects):
         raise ValueError("cannot summarise a fuzzy object without an object_id")
-    stacks = [(*stack, stack[2] >= 1.0 - MEMBERSHIP_ATOL) for stack in stack_by_shape(objects)]
+    stacks = [(*stack, at_least(stack[2], 1.0)) for stack in stack_by_shape(objects)]
     if not all(kernel.any(axis=1).all() for *_, kernel in stacks):
         missing = objects[min(
             positions[row]

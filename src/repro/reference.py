@@ -10,7 +10,7 @@ with itself.
 
 Everything follows from the pair matrix of two objects.  A pair ``(a, b)``
 lies in both alpha-cuts iff its *level* ``min(mu_A(a), mu_B(b))`` is at least
-``alpha`` (up to :data:`MEMBERSHIP_ATOL`, the tolerance that defines a cut),
+``alpha`` (:func:`repro.predicates.at_least`, the test that defines a cut),
 and ``d_alpha(A, B)`` is the smallest distance among those pairs.  Sorting the
 pairs by level and keeping a running minimum of the distance from the top
 level down gives the whole step function ``alpha -> d_alpha(A, B)`` at once.
@@ -31,7 +31,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
+from repro.fuzzy.fuzzy_object import FuzzyObject
+from repro.predicates import at_least
 
 #: ``(object id, distance)`` pairs.
 Ranked = List[Tuple[int, float]]
@@ -49,7 +50,7 @@ def _check(k: int = 1, alpha: float = 1.0) -> None:
 
 
 def _cut(obj: FuzzyObject, alpha: float) -> np.ndarray:
-    cut = obj.points[obj.memberships >= alpha - MEMBERSHIP_ATOL]
+    cut = obj.points[at_least(obj.memberships, alpha)]
     if cut.shape[0] == 0:
         raise ValueError(f"object {obj.object_id} has an empty cut at alpha={alpha}")
     return cut
@@ -147,7 +148,7 @@ def piecewise(
     values = np.empty((len(ids), boundaries.size))
     for row, object_id in enumerate(ids):
         levels, distances = profiles[object_id]
-        at = np.searchsorted(levels, boundaries - MEMBERSHIP_ATOL, side="left")
+        at = np.count_nonzero(~at_least(levels, boundaries[:, None]), axis=1)  # levels rise
         values[row] = np.append(distances, np.inf)[at]  # above the top level: no cut
     # rows are in id order and the sort is stable: ties break by id
     top = np.argsort(values, axis=0, kind="stable")[:k]

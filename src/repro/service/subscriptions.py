@@ -13,8 +13,8 @@ and the new object's support box (:func:`min_dist_to_boxes`, the Equation-1
 kernel the tree traversal already uses) lower-bounds the exact
 alpha-distance, and each threshold (that k-th distance, ``inf`` while not
 full, or the radius) is kept in an array refreshed when members change, so
-one ``bounds <= thresholds`` comparison screens every subscription without
-touching the object's point set (SUB_SCREENED_OUT).  Only survivors pay one
+one ``may_reach(bounds, thresholds)`` (the descent's prune) screens every
+subscription without touching the object's point set (SUB_SCREENED_OUT).  Only survivors pay one
 exact closest-pair evaluation (SUB_EVALUATIONS).
 
 *Delete.*  A delete can only change answers the object currently belongs
@@ -54,6 +54,7 @@ from ..fuzzy.alpha_distance import alpha_distance_points
 from ..fuzzy.fuzzy_object import FuzzyObject
 from ..index.soa import min_dist_to_boxes
 from ..metrics.counters import MetricsCollector
+from ..predicates import may_reach
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ class SubscriptionEngine:
                 support.lower[None, :],
                 support.upper[None, :],
             )[:, 0]
-            passed = np.flatnonzero(bounds <= thresholds).tolist()
+            passed = np.flatnonzero(may_reach(bounds, thresholds)).tolist()
             if len(subs) > len(passed):
                 self._count(MetricsCollector.SUB_SCREENED_OUT, len(subs) - len(passed))
             for sub in (subs[row] for row in passed):

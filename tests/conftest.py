@@ -180,7 +180,7 @@ def assert_reverse_answer(result, objects, query, k: int, alpha: float) -> None:
             assert distance == want[object_id], (object_id, distance)
 
 
-def assert_same_assignments(actual, expected, tol: float = 1e-7) -> None:
+def assert_same_assignments(actual, expected) -> None:
     """Assert two RKNN assignment maps describe the same qualifying ranges.
 
     ``expected`` maps ids to an :class:`IntervalSet` or, as
@@ -192,6 +192,6 @@ def assert_same_assignments(actual, expected, tol: float = 1e-7) -> None:
     for object_id, expected_ranges in expected.items():
         if not isinstance(expected_ranges, IntervalSet):
             expected_ranges = IntervalSet.from_pairs(expected_ranges)
-        assert actual[object_id].approx_equal(expected_ranges, tol=tol), (
+        assert actual[object_id] == expected_ranges, (
             f"object {object_id}: {actual[object_id]} != {expected_ranges}"
         )

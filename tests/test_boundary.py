@@ -6,7 +6,7 @@ reference fit, bit for bit, is ``test_summary_fit_parity.py``."""
 import numpy as np
 import pytest
 
-from repro.config import CONSERVATIVE_SLACK
+from repro.predicates import CONSERVATIVE_SLACK
 from repro.fuzzy.boundary import ConservativeLine
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.summary import build_summary

@@ -109,14 +109,6 @@ class TestIntervalSet:
         assert len(a) == 1
         assert len(b) == 2
 
-    def test_approx_equal(self):
-        a = IntervalSet.from_pairs([(0.1, 0.2)])
-        b = IntervalSet.from_pairs([(0.1 + 1e-12, 0.2 - 1e-12)])
-        c = IntervalSet.from_pairs([(0.1, 0.3)])
-        assert a.approx_equal(b)
-        assert not a.approx_equal(c)
-        assert not a.approx_equal(IntervalSet.empty())
-
     def test_iteration_sorted(self):
         ranges = IntervalSet.from_pairs([(0.7, 0.8), (0.1, 0.2), (0.4, 0.5)])
         starts = [interval.start for interval in ranges]

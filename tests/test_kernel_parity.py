@@ -10,7 +10,7 @@ that kernel's blocks, and the box-pair bounds (``(..., n, d)`` + trailing-axis
 for bit at d = 2 (and d = 1) and within 2 ulp at d = 3, on generated inputs
 that aim at what the old code needed special handling for — coincident and
 duplicated points, ties, coordinates offset by 1e8, zero-extent boxes,
-membership levels closer than ``MEMBERSHIP_ATOL``, empty cuts, and inputs
+membership levels closer than ``LEVEL_ATOL``, empty cuts, and inputs
 that span several kernel blocks.
 """
 
@@ -27,7 +27,7 @@ from repro.core import executor as executor_module, reverse_nn as reverse_module
 from repro.core.executor import RepresentativeIndex, _exact_min_distances
 from repro.exceptions import EmptyAlphaCutError
 from repro.fuzzy.alpha_distance import alpha_distance, distance_profile
-from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
+from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.geometry import distance as distance_module
 from repro.geometry.distance import (
     _closest_pair_brute,
@@ -42,6 +42,7 @@ from repro.index.soa import (
     min_dist_to_boxes,
     rep_to_samples_distances,
 )
+from repro.predicates import LEVEL_ATOL
 
 SETTINGS = dict(max_examples=60, deadline=None)
 DIMENSIONS = st.sampled_from([1, 2, 3])
@@ -83,18 +84,18 @@ def reference_closest_pair(points_a, points_b, chunk_rows=2048):
 def reference_profile(obj_a, obj_b, max_level=None):
     """One fresh closest-pair solve per membership level."""
     levels = np.union1d(obj_a.distinct_memberships(), obj_b.distinct_memberships())
-    if levels[-1] < 1.0 - MEMBERSHIP_ATOL:
+    if levels[-1] < 1.0 - LEVEL_ATOL:
         levels = np.append(levels, 1.0)
     if max_level is not None:
-        keep = levels <= max_level + MEMBERSHIP_ATOL
-        above = levels[levels > max_level + MEMBERSHIP_ATOL]
+        keep = levels <= max_level + LEVEL_ATOL
+        above = levels[levels > max_level + LEVEL_ATOL]
         levels = levels[keep]
         if above.size:
             levels = np.append(levels, above[0])
     distances = np.empty(levels.size)
     for i, level in enumerate(levels):
-        cut_a = obj_a.points[obj_a.memberships >= level - MEMBERSHIP_ATOL]
-        cut_b = obj_b.points[obj_b.memberships >= level - MEMBERSHIP_ATOL]
+        cut_a = obj_a.points[obj_a.memberships >= level - LEVEL_ATOL]
+        cut_b = obj_b.points[obj_b.memberships >= level - LEVEL_ATOL]
         if cut_a.shape[0] == 0 or cut_b.shape[0] == 0:
             distances[i] = np.inf
         else:
@@ -161,7 +162,7 @@ def point_sets(draw, dimensions, count=None):
     return points + draw(OFFSET)
 
 
-# Shared levels, pairs of levels 1e-13 apart (inside MEMBERSHIP_ATOL) and
+# Shared levels, pairs of levels 1e-13 apart (inside LEVEL_ATOL) and
 # arbitrary values.
 MEMBERSHIP = st.one_of(
     st.sampled_from([0.2, 0.2 + 1e-13, 0.5, 0.5 - 1e-13, 0.8, 1.0, 1.0 - 1e-13]),
@@ -573,8 +574,8 @@ class TestDistanceProfile:
         # An empty cut (no kernel on one side) reads inf, never a wrapped cell.
         empty = np.array(
             [
-                not (a.memberships >= level - MEMBERSHIP_ATOL).any()
-                or not (b.memberships >= level - MEMBERSHIP_ATOL).any()
+                not (a.memberships >= level - LEVEL_ATOL).any()
+                or not (b.memberships >= level - LEVEL_ATOL).any()
                 for level in levels
             ]
         )
@@ -644,6 +645,6 @@ class TestDistanceProfile:
         assert profile.levels.size == 2999
         for index in np.linspace(0, profile.levels.size - 1, 16).astype(int):
             level = float(profile.levels[index])
-            cut_a = a.points[a.memberships >= level - MEMBERSHIP_ATOL]
-            cut_b = b.points[b.memberships >= level - MEMBERSHIP_ATOL]
+            cut_a = a.points[a.memberships >= level - LEVEL_ATOL]
+            cut_b = b.points[b.memberships >= level - LEVEL_ATOL]
             assert profile.distances[index] == reference_closest_pair(cut_a, cut_b)[0]

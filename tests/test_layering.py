@@ -1,6 +1,7 @@
 """What ``service/sharded.py`` may know, how both engines answer an AKNN
 bucket, where a bucket's counts come from, what ``reference.py`` may import,
-what the package may carry, and the line-count script, as checks.
+where a tolerance may be spelled, what the package may carry, and the
+line-count script, as checks.
 
 The sharded module is fan-out / failure policy, durability glue and topology.
 Every family lives in its own module and reaches it only through public
@@ -204,6 +205,9 @@ ENGINE = (
 
 
 def test_reference_shares_no_code_with_the_engine():
+    """Of the predicates, the reference takes only the alpha-cut test, which
+    is the problem's own definition of a cut; nothing that prunes, confirms
+    or steps."""
     imported = imports_of(REFERENCE, "repro.reference")
     assert ("repro.fuzzy.fuzzy_object", "FuzzyObject") in imported, (
         "the check is not looking at the module"
@@ -212,6 +216,28 @@ def test_reference_shares_no_code_with_the_engine():
         spelled = [module] + ([f"{module}.{name}"] if name else [])
         for package in ENGINE:
             assert not any(within(m, package) for m in spelled), (module, name)
+        if within(module, "repro.predicates"):
+            assert name == "at_least", (module, name)
+
+
+PREDICATES = SRC / "repro" / "predicates.py"
+# A tolerance is a float below this; 1e-6 and above are knobs and guards
+# (``query_service.py``'s rate floor).
+TOLERANCE_BELOW = 1e-6
+
+
+def test_no_tolerance_outside_the_predicates():
+    """Every float literal below ``TOLERANCE_BELOW`` in ``src/`` is in
+    ``repro/predicates.py``, named and argued there."""
+    found, kept = [], []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                if 0.0 < abs(node.value) < TOLERANCE_BELOW:
+                    spot = (path.relative_to(SRC).as_posix(), node.lineno, node.value)
+                    (kept if path == PREDICATES else found).append(spot)
+    assert kept, "the check is not looking at the predicates"
+    assert not found, found
 
 
 # What people run or import directly (the console script, the served surface),

@@ -31,7 +31,6 @@ import repro.reference as brute_force
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import (
-    _PRUNE_SLACK,
     BatchQueryExecutor,
     RepresentativeIndex,
     aknn_bucket_pass,
@@ -554,14 +553,13 @@ class TestPreparedQueriesAreReused:
 # ----------------------------------------------------------------------
 def gather_by_loop(tree, alpha, improved, q_lo, q_hi, tau):
     """``shared_traversal`` as it was before its gather was vectorised,
-    verbatim but for the names.
+    verbatim but for the names (and the prune slack, gone from both).
 
     One Python iteration per (leaf, active query), ``mask.any()`` + a copy
     each; kept as the reference the vectorised gather must reproduce.
     """
     metrics = MetricsCollector()
     n_queries = q_lo.shape[0]
-    threshold = tau * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
     candidates = [[] for _ in range(n_queries)]
     stack = [(tree.root, np.arange(n_queries))]
     while stack:
@@ -579,7 +577,7 @@ def gather_by_loop(tree, alpha, improved, q_lo, q_hi, tau):
             metrics.increment(
                 MetricsCollector.LOWER_BOUND_EVALUATIONS, int(active.shape[0]) * soa.n
             )
-            survivors = lb <= threshold[active, None]
+            survivors = lb <= tau[active, None]
             object_ids = soa.object_ids
             for row, qi in enumerate(active.tolist()):
                 mask = survivors[row]
@@ -587,7 +585,7 @@ def gather_by_loop(tree, alpha, improved, q_lo, q_hi, tau):
                     candidates[qi].append(object_ids[mask].copy())
         else:
             child_dists = soa.min_dist(q_lo[active], q_hi[active])
-            reachable = child_dists <= threshold[active, None]
+            reachable = child_dists <= tau[active, None]
             keep = reachable.any(axis=0)
             for j, entry in enumerate(node.entries):
                 if keep[j]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fuzzy.intervals import Interval, IntervalSet
 from repro.fuzzy.profile import DistanceProfile
+from repro.predicates import at_least
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -29,7 +30,7 @@ class TestIntervalSetProperties:
     @settings(**SETTINGS)
     def test_contains_matches_membership_in_some_input(self, pairs, value):
         ranges = IntervalSet.from_pairs(pairs)
-        expected = any(lo - 1e-12 <= value <= hi + 1e-12 for lo, hi in pairs)
+        expected = any(at_least(value, lo) and at_least(hi, value) for lo, hi in pairs)
         assert ranges.contains(value) == expected
 
     @given(pairs=st.lists(interval_pairs, min_size=1, max_size=10))
@@ -56,7 +57,6 @@ class TestIntervalSetProperties:
         if in_a and in_b:
             assert intersection.contains(value)
         # intersection never contains a value missing from either operand
-        # (allow boundary tolerance used by the implementation)
         if not in_a and not in_b:
             assert not intersection.contains(value)
 
@@ -65,7 +65,7 @@ class TestIntervalSetProperties:
     def test_adding_in_any_order_is_equivalent(self, pairs):
         forward = IntervalSet.from_pairs(pairs)
         backward = IntervalSet.from_pairs(list(reversed(pairs)))
-        assert forward.approx_equal(backward)
+        assert forward == backward
 
 
 @st.composite

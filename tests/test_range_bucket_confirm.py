@@ -2,9 +2,9 @@
 
 After the shared descent every range hit gets an upper bound ``U``
 (``MaxDist`` against ``M_A(alpha)*``, tightened by Lemma 1 where
-``MaxDist`` leaves it open); a hit with ``U`` within the radius, less the
-margin of :func:`repro.core.executor.confirm_radius`, is a match without a
-read, and only the undecided hits are probed.  The data reuses the AKNN
+``MaxDist`` leaves it open); a hit with ``U`` within the radius
+(:func:`repro.predicates.confirms`, no slack) is a match without a read, and
+only the undecided hits are probed.  The data reuses the AKNN
 rank-test property's objects (half-unit grid points, some one ulp off,
 one-point cuts, exact twins) and puts radii where a confirm test can slip:
 0, every reference distance and every hit's ``U`` (``MaxDist`` alone and

@@ -6,7 +6,7 @@ each boundary function.  Those loops live on *here*, as references: the
 vectorised table and the fit from the ends of the runs of equal deltas must
 equal them bit for bit on generated objects that aim at what the shortcut
 depends on — long runs of equal deltas (a handful of levels), all-distinct
-levels, duplicate points, memberships 1e-13 apart around ``MEMBERSHIP_ATOL``,
+levels, duplicate points, memberships 1e-13 apart around ``LEVEL_ATOL``,
 a single level, kernel-only objects, exactly collinear staircases and
 coordinates offset by 1e8.
 
@@ -26,18 +26,22 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CONSERVATIVE_SLACK, RuntimeConfig
+from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.fuzzy.boundary import _stack_lift, _stack_lines
-from repro.fuzzy.fuzzy_object import MEMBERSHIP_ATOL, FuzzyObject
+from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy import summary as summary_module
 from repro.fuzzy.summary import build_summaries, build_summary
 from repro.metrics.counters import MetricsCollector
+from repro.predicates import LEVEL_ATOL
 from repro.service.sharded import ShardedDatabase
 
 from tests.conftest import cut_table, make_fuzzy_object
 
 SETTINGS = dict(max_examples=80, deadline=None)
+# The reference fit's own copy of ``repro.predicates.CONSERVATIVE_SLACK``, so
+# a change to the library's value shows as a line that is no longer equal.
+CONSERVATIVE_SLACK = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +57,7 @@ def reference_alpha_mbr_table(obj):
     lower = np.empty((levels.size, obj.dimensions))
     upper = np.empty((levels.size, obj.dimensions))
     for j, level in enumerate(levels):
-        start = int(np.searchsorted(mus, level - MEMBERSHIP_ATOL, side="left"))
+        start = int(np.searchsorted(mus, level - LEVEL_ATOL, side="left"))
         start = min(start, pts.shape[0] - 1)
         lower[j] = suffix_min[start]
         upper[j] = suffix_max[start]
@@ -189,7 +193,7 @@ def fuzzy_objects(draw, shapes=SHAPES):
 def _summary_alphas(obj) -> np.ndarray:
     """Every level, just above each level, every midpoint, and below the lowest."""
     levels = obj.distinct_memberships()
-    above = np.minimum(levels + MEMBERSHIP_ATOL, 1.0 + MEMBERSHIP_ATOL)
+    above = np.minimum(levels + LEVEL_ATOL, 1.0 + LEVEL_ATOL)
     return np.concatenate((levels, above, (levels[1:] + levels[:-1]) / 2.0, levels[:1] / 2.0))
 
 
