@@ -118,8 +118,7 @@ def bench_bulk_load(args, rng):
     bulk_tree.validate()
 
     t0 = time.perf_counter()
-    incremental = RTree(max_entries=config.rtree_max_entries,
-                        min_fill=config.rtree_min_fill)
+    incremental = RTree(max_entries=config.rtree_max_entries)
     for summary in summaries:
         incremental.insert(summary)
     t_incremental = time.perf_counter() - t0

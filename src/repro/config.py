@@ -15,7 +15,8 @@ from dataclasses import dataclass
 # improved upper bound (Lemma 1).  The paper only requires n << |Q_alpha|.
 DEFAULT_UPPER_BOUND_SAMPLES = 8
 
-# Maximum number of leaf entries / child entries per R-tree node.
+# Maximum number of leaf entries / child entries per R-tree node, and the
+# quadratic split's minimum fill factor.
 DEFAULT_RTREE_MAX_ENTRIES = 32
 DEFAULT_RTREE_MIN_FILL = 0.4
 
@@ -104,8 +105,6 @@ class RuntimeConfig:
         Number of query points sampled for the Lemma 1 upper bound.
     rtree_max_entries:
         Fan-out of R-tree nodes.
-    rtree_min_fill:
-        Minimum fill factor used by the quadratic split.
     cache_capacity:
         Number of fuzzy objects the object-store buffer pool keeps in memory.
         ``0`` disables caching so every probe touches the backing file.
@@ -143,7 +142,6 @@ class RuntimeConfig:
 
     upper_bound_samples: int = DEFAULT_UPPER_BOUND_SAMPLES
     rtree_max_entries: int = DEFAULT_RTREE_MAX_ENTRIES
-    rtree_min_fill: float = DEFAULT_RTREE_MIN_FILL
     cache_capacity: int = 0
     alpha_cut_cache_capacity: int = DEFAULT_ALPHA_CUT_CACHE_CAPACITY
     service_shards: int = DEFAULT_SERVICE_SHARDS
@@ -164,8 +162,6 @@ class RuntimeConfig:
             raise ValueError("upper_bound_samples must be >= 1")
         if self.rtree_max_entries < 4:
             raise ValueError("rtree_max_entries must be >= 4")
-        if not 0.0 < self.rtree_min_fill <= 0.5:
-            raise ValueError("rtree_min_fill must be in (0, 0.5]")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be >= 0")
         if self.alpha_cut_cache_capacity < 0:

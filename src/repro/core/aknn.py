@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,8 +192,6 @@ class AKNNSearcher:
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
         self.parts: Sequence = (self,)
-        # Neighbour id -> the part whose leaf held it (searcher_over's only).
-        self.owners: Optional[Dict[int, object]] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -236,7 +234,6 @@ class AKNNSearcher:
         self, prepared: PreparedQuery, k: int, improved: bool
     ) -> List[Neighbor]:
         metrics = prepared.metrics
-        owners = self.owners
         frontier = _Frontier(self.parts)
         result: List[Neighbor] = []
 
@@ -251,12 +248,9 @@ class AKNNSearcher:
                 frontier.push(prepared.distance_to(obj), _OBJECT, payload)
             else:
                 cursor, index = payload
-                object_id = int(cursor.entries[index].object_id)
-                if owners is not None:
-                    owners[object_id] = cursor.part
                 result.append(
                     Neighbor(
-                        object_id=object_id,
+                        object_id=int(cursor.entries[index].object_id),
                         distance=key,
                         lower_bound=key,
                         upper_bound=key,
@@ -272,15 +266,12 @@ class AKNNSearcher:
         self, prepared: PreparedQuery, k: int, use_representative_ub: bool
     ) -> List[Neighbor]:
         metrics = prepared.metrics
-        owners = self.owners
         frontier = _Frontier(self.parts)
         buffer: List[_Candidate] = []
         result: List[Neighbor] = []
 
         def emit(candidate: _Candidate) -> None:
             buffer.remove(candidate)
-            if owners is not None:
-                owners[candidate.entry.object_id] = candidate.part
             result.append(
                 Neighbor(
                     object_id=candidate.entry.object_id,
@@ -392,9 +383,8 @@ def searcher_over(
 
     The fan-out reads nothing (it is where a sharded database's fault plan,
     retries and breakers meet each shard); the search's reads go through
-    each part's ``store``.  ``owners`` records where each neighbour lives.
+    each part's ``store``.
     """
     searcher = AKNNSearcher(None, None, config)
     searcher.parts = fan_out("aknn", lambda part: part)
-    searcher.owners = {}
     return searcher

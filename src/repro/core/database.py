@@ -12,16 +12,17 @@ typed request executed through one surface::
 
 ``execute_batch`` groups a mixed submission into per-type, per-bucket
 sub-batches (see :mod:`repro.core.requests`); requests sharing a
-``bucket_key()`` are answered by the corresponding shared engine (one R-tree
-traversal for an AKNN or a range bucket, one filter pass against a cached
-k-th MaxDist table + one traversal around the candidates for a reverse
-bucket).
+``bucket_key()`` are answered by their family's one pass over this database,
+a partition set of one (one R-tree traversal for an AKNN or a range bucket,
+one filter pass against a cached k-th MaxDist table + one traversal around
+the candidates for a reverse bucket).
 
 The database owns the object store (point sets on disk or in memory), the
-R-tree over per-object summaries, and one searcher per query type.  A
-database built on disk can be persisted (:meth:`FuzzyDatabase.save`) and
-re-opened later (:meth:`FuzzyDatabase.open`) without rebuilding summaries or
-re-fitting conservative lines.
+R-tree over per-object summaries, and the KD-tree and bound tables over its
+leaves that the passes bound from.  A database built on disk can be
+persisted (:meth:`FuzzyDatabase.save`) and re-opened later
+(:meth:`FuzzyDatabase.open`) without rebuilding summaries or re-fitting
+conservative lines.
 """
 
 from __future__ import annotations
@@ -35,19 +36,18 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import RuntimeConfig
-from repro.core.executor import BatchQueryExecutor, RepresentativeIndex, aknn_bucket_pass
-from repro.core.range_search import AlphaRangeSearcher
+from repro.core.executor import RepresentativeIndex, aknn_bucket_pass
+from repro.core.range_search import range_pass
 from repro.core.requests import (
     AknnRequest,
-    QueryRequest,
+    Engine,
     RangeRequest,
     ReverseRequest,
     SweepRequest,
-    execute_plan,
 )
 from repro.core.results import AKNNResult, RangeSearchResult, RKNNResult
-from repro.core.reverse_nn import ReverseAKNNSearcher, ReverseKNNResult
-from repro.core.rknn import RKNNSearcher
+from repro.core.reverse_nn import ReverseKNNResult, reverse_bucket_pass
+from repro.core.rknn import sweep_pass
 from repro.exceptions import ObjectNotFoundError, StorageError
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.fuzzy.summary import FuzzyObjectSummary, build_summaries, build_summary
@@ -65,7 +65,7 @@ _CATALOG_FILE = "catalog.json"
 _CATALOG_VERSION = 1
 
 
-class FuzzyDatabase:
+class FuzzyDatabase(Engine):
     """A searchable collection of fuzzy objects."""
 
     def __init__(
@@ -79,19 +79,9 @@ class FuzzyDatabase:
         self.tree = tree
         self.summaries = summaries
         self.config = (config or RuntimeConfig()).validate()
-        self.range_searcher = AlphaRangeSearcher(store, tree, self.config)
-        # This database as a part of its own AKNN partition set of one
-        # (``store`` / ``tree``, as a shard exposes them) and the KD-tree and
-        # bound table over its leaves that AKNN buckets and the sweep bound
-        # from.  ``executor`` answers AKNN under radii a caller supplies; no
-        # bucket path uses it.
-        self.executor = BatchQueryExecutor(store, tree, self.config)
+        # The KD-tree and bound tables over this database's leaves, which the
+        # AKNN, sweep and reverse passes bound from.
         self._rep_index = RepresentativeIndex()
-        # The sweep runs over this database as a partition set of one.
-        self._rknn = RKNNSearcher(
-            [self], lambda op, fn: [fn(self)], self.config, index=self._rep_index
-        )
-        self._reverse = ReverseAKNNSearcher(store, tree, self.config, index=self._rep_index)
         # Request-planner telemetry (plan_groups / plan_requests / the shared
         # batch counters), observable per database instance.
         self.metrics = SharedMetricsCollector()
@@ -156,52 +146,26 @@ class FuzzyDatabase:
         return db
 
     # ------------------------------------------------------------------
-    # The query surface (execute / execute_batch)
+    # Bucket hooks (see repro.core.requests)
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        request: QueryRequest,
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        """Answer one typed request (see :mod:`repro.core.requests`)."""
-        return execute_plan(self, [request], rng=rng)[0]
+    # Each family's pass runs over this database as a partition set of one
+    # (``store`` / ``tree``, as a shard exposes them), fanned out by a plain
+    # call, exactly as the sharded database runs it over its live shards.
+    # The ``deadline`` keyword is the bucket's abort point (latest member
+    # expiry), which the passes check between their stages.
+    def _fan_out(self, op: str, fn):
+        return [fn(self)]
 
-    def execute_batch(
-        self,
-        requests: Iterable[QueryRequest],
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List:
-        """Answer a submission that may mix request types freely.
-
-        The planner groups the submission into per-type, per-``bucket_key()``
-        sub-batches; requests sharing a key are answered through the shared
-        engines (one R-tree traversal per AKNN or range bucket, one filter
-        pass against a cached k-th MaxDist table + one verification traversal
-        per reverse bucket).  Results come back in submission order.
-        """
-        return execute_plan(self, list(requests), rng=rng)
-
-    # Bucket hooks consumed by the planners in repro.core.requests.  Each
-    # family runs its partition-set function over this database, a set of
-    # one fanned out by a plain call, exactly as the sharded database runs it
-    # over its live shards: an AKNN bucket of any size is aknn_bucket_pass
-    # (a bucket of one is the single-query search), every range / reverse
-    # bucket a shared batch engine.  The ``deadline`` keyword is the bucket's
-    # abort point (latest member expiry); the sweep loop checks it between
-    # queries, the batch engines between traversal chunks.
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List[AKNNResult]:
-        first = bucket[0]
         return aknn_bucket_pass(
-            self._rep_index, [self], lambda op, fn: [fn(self)],
-            [request.query for request in bucket], first.k, first.alpha,
-            first.method.value, self.config, self.metrics, rng=rng, deadline=deadline,
+            self._rep_index, [self], self._fan_out, [request.query for request in bucket],
+            bucket[0].k, bucket[0].alpha, bucket[0].method.value, self.config,
+            self.metrics, rng=rng, deadline=deadline,
         )
 
     def _execute_range_bucket(
@@ -210,14 +174,9 @@ class FuzzyDatabase:
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List[RangeSearchResult]:
-        # One descent and one probe pass for the whole bucket, whatever the
-        # members' radii.
-        return self.range_searcher.search_batch(
-            [request.query for request in bucket],
-            bucket[0].alpha,
-            [request.radius for request in bucket],
-            rng=rng,
-            deadline=deadline,
+        return range_pass(
+            [self], self._fan_out, [request.query for request in bucket], bucket[0].alpha,
+            [request.radius for request in bucket], self.config, rng, deadline=deadline,
         )
 
     def _execute_sweep_bucket(
@@ -226,22 +185,15 @@ class FuzzyDatabase:
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List[RKNNResult]:
-        results = []
-        for request in bucket:
-            if deadline is not None:
-                deadline.check("sweep")
-            results.append(
-                self._rknn.search(
-                    request.query,
-                    request.k,
-                    request.alpha_range,
-                    method=request.method.value,
-                    aknn_method=request.aknn_method.value,
-                    rng=rng,
-                    deadline=deadline,
-                )
+        return [
+            sweep_pass(
+                self._rep_index, [self], self._fan_out, self.config,
+                request.query, request.k, request.alpha_range,
+                method=request.method.value, aknn_method=request.aknn_method.value,
+                rng=rng, deadline=deadline,
             )
-        return results
+            for request in bucket
+        ]
 
     def _execute_reverse_bucket(
         self,
@@ -249,45 +201,15 @@ class FuzzyDatabase:
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List[ReverseKNNResult]:
-        first = bucket[0]
-        results = self._reverse.search_batch(
-            [request.query for request in bucket], first.k, first.alpha, rng=rng,
+        return reverse_bucket_pass(
+            self._rep_index, [self], self._fan_out, [request.query for request in bucket],
+            bucket[0].k, bucket[0].alpha, self.config, self.metrics, rng=rng,
             deadline=deadline,
         )
-        self.metrics.increment(MetricsCollector.REVERSE_QUERIES, len(bucket))
-        self.metrics.increment(
-            MetricsCollector.REVERSE_CANDIDATES,
-            int(results[0].stats.extra["reverse_candidates"]),
-        )
-        return results
 
     # ------------------------------------------------------------------
     # Live updates
     # ------------------------------------------------------------------
-    def add_update_listener(self, listener) -> None:
-        """Register ``listener`` for post-apply mutation notifications.
-
-        The listener must expose ``notify_insert(obj)`` and
-        ``notify_delete(object_id)`` (see
-        :class:`~repro.service.subscriptions.SubscriptionEngine`); both are
-        called synchronously after the mutation is fully applied.
-        """
-        self._update_listeners.append(listener)
-
-    def remove_update_listener(self, listener) -> None:
-        try:
-            self._update_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_insert(self, obj: FuzzyObject) -> None:
-        for listener in list(self._update_listeners):
-            listener.notify_insert(obj)
-
-    def _notify_delete(self, object_id: int) -> None:
-        for listener in list(self._update_listeners):
-            listener.notify_delete(object_id)
-
     def insert(
         self,
         obj: FuzzyObject,
@@ -413,12 +335,6 @@ class FuzzyDatabase:
         if self._wal is not None:
             self._wal.close()
         self.store.close()
-
-    def __enter__(self) -> "FuzzyDatabase":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Persistence

@@ -38,9 +38,8 @@ the exact id set, ties at the k-th rank broken by object id, nearest (best
 known distance, then id) first.
 
 :class:`BatchQueryExecutor` is one part's traversal + exact refinement under
-radii the caller supplies; no bucket path calls it any more
-(``FuzzyDatabase.executor`` keeps one).  Everything runs on the calling
-thread, so the store and tree need no locking.
+radii the caller supplies; no request reaches it.  Everything runs on the
+calling thread, so the store and tree need no locking.
 """
 
 from __future__ import annotations
@@ -111,8 +110,8 @@ class RepresentativeIndex:
     """Per-partition-set state that outlives a batch (cached).
 
     ``over(trees)`` indexes every ``rep(A)`` of the given R-trees — one tree
-    for a single database, the live shards' trees for a sharded one — and
-    records which member holds each object.  ``bounds`` keeps, per
+    for a single database, the live shards' trees for a sharded one — in
+    leaf-view order, member after member.  ``bounds`` keeps, per
     ``alpha``, every object's stored bound inputs in the same row order (the
     one box source of every family), and ``kth_table`` the reverse filter's
     k-th ``MaxDist`` per row for a few ``(alpha, k)`` pairs.  The cache key
@@ -139,28 +138,17 @@ class RepresentativeIndex:
         cached = self._cached
         if cached is not None and cached[0] == key:
             return cached
-        views = [list(tree.leaf_views()) for tree in trees]
-        # Filled leaf by leaf, so its keys are the rows' object ids in order.
-        member_of = {
-            object_id: member
-            for member, leaves in enumerate(views)
-            for soa in leaves
-            for object_id in soa.object_ids.tolist()
-        }
-        reps = [soa.reps for leaves in views for soa in leaves]
-        reps = np.concatenate(reps) if reps else None
+        leaves = [soa for tree in trees for soa in tree.leaf_views()]
+        reps = np.concatenate([soa.reps for soa in leaves]) if leaves else None
         answer = (
             cKDTree(reps) if reps is not None else None,
-            np.fromiter(member_of, dtype=np.int64, count=len(member_of)),
-            member_of,
+            np.concatenate([np.empty(0, dtype=np.int64)] + [soa.object_ids for soa in leaves]),
         )
         self._cached = cached = (key, tuple(trees), answer, reps, {})
         return cached
 
-    def over(
-        self, trees: Sequence[RTree]
-    ) -> Tuple[Optional[cKDTree], np.ndarray, Dict[int, int]]:
-        """``(KD-tree, aligned object ids, object id -> position in trees)``."""
+    def over(self, trees: Sequence[RTree]) -> Tuple[Optional[cKDTree], np.ndarray]:
+        """``(KD-tree, aligned object ids)``."""
         return self._covered(trees)[2]
 
     def bounds(self, trees: Sequence[RTree], alpha: float) -> "BoundTable":
@@ -304,7 +292,7 @@ def bootstrap_radii(
     """
     tau = np.full(len(prepared), np.inf)
     trees = [part.tree for part in parts]
-    kdtree, object_ids, _ = index.over(trees)
+    kdtree, object_ids = index.over(trees)
     if object_ids.shape[0] < k:
         return tau
     kk = min(k + _BOOTSTRAP_EXTRA, object_ids.shape[0])
@@ -380,6 +368,28 @@ class Decisions:
     def total_evaluations(self) -> int:
         """Every exact distance this bucket paid for."""
         return int(np.count_nonzero(self.by == EVALUATED)) + self.shared_evaluations
+
+    def bucket_stats(self, totals: Dict[str, int], **common) -> List[QueryStats]:
+        """Per query, its :class:`QueryStats` under the one rule every
+        bucket reports its costs by.
+
+        ``totals`` are the bucket's shared costs by ``QueryStats`` field
+        name; the record adds every distance it paid for.  Every query
+        reports the totals under ``extra["bucket_<name>"]``.  In its
+        scalars, the query of a bucket of one owns every total, and a query
+        of a bucket of many only the distances its own rows paid for.
+        ``common`` are the scalars every query carries (``aknn_calls``,
+        ``elapsed_seconds``, ...).
+        """
+        totals = {**totals, "distance_evaluations": self.total_evaluations()}
+        shared = {f"bucket_{name}": float(value) for name, value in totals.items()}
+        return [
+            QueryStats(
+                extra=dict(shared), **common,
+                **(totals if self.n_queries == 1 else {"distance_evaluations": evaluations}),
+            )
+            for evaluations in self.evaluations().tolist()
+        ]
 
     def grid(self, column: np.ndarray, fill=np.inf) -> np.ndarray:
         """``column`` as a ``(queries, widest row)`` matrix, padded with
@@ -478,14 +488,17 @@ def two_passes(
     return decided, owed
 
 
-def reader(parts: Sequence, member_of: Dict[int, int]) -> Callable[[int], FuzzyObject]:
-    """A bucket's ``fetch(object_id)``: each object read once, from the part
-    (``member_of``, as :meth:`RepresentativeIndex.over` maps it) that holds it."""
+def reader(parts: Sequence) -> Callable[[int], FuzzyObject]:
+    """A pass's ``fetch(object_id)``: each object read once, from the part
+    whose store holds it (the last part's, which raises, when none does)."""
     objects: Dict[int, FuzzyObject] = {}
 
     def fetch(object_id: int) -> FuzzyObject:
         if object_id not in objects:
-            objects[object_id] = parts[member_of[object_id]].store.get(object_id)
+            for part in parts:
+                if object_id in part.store:
+                    break
+            objects[object_id] = part.store.get(object_id)
         return objects[object_id]
 
     return fetch
@@ -631,8 +644,11 @@ def aknn_bucket_pass(
     The answer is the confirmed neighbours plus the best ``(exact, id)`` of
     the probed rest: probed neighbours are exact, bound-confirmed ones carry
     ``distance=None`` with their bounds, nearest (best known distance, then
-    id) first.  ``batch_queries`` is counted last, after every fan-out, so a
-    pass that a lost part makes the caller rerun counts its bucket once.
+    id) first.  Each result counts as :meth:`Decisions.bucket_stats` says:
+    its own distances, and the bucket's reads, traversal and distances under
+    ``extra["bucket_<name>"]``.  ``batch_queries`` is counted last, after
+    every fan-out, so a pass that a lost part makes the caller rerun counts
+    its bucket once.
     """
     if deadline is not None:
         deadline.check("aknn")
@@ -641,25 +657,30 @@ def aknn_bucket_pass(
     prepared = [PreparedQuery(q, alpha, config, rng) for q in queries]
     q_lo = np.stack([p.query_mbr.lower for p in prepared])
     q_hi = np.stack([p.query_mbr.upper for p in prepared])
+    accesses_before = sum(part.store.statistics.object_accesses for part in parts)
     tau = bootstrap_radii(index, parts, prepared, k, alpha, metrics)
 
-    def traverse(part) -> List[np.ndarray]:
+    def traverse(part) -> Tuple[List[np.ndarray], MetricsCollector]:
         if deadline is not None:
             deadline.check("batch")
-        return shared_traversal(
-            part.tree, alpha, method != "basic", q_lo, q_hi, tau,
-            MetricsCollector(), deadline,
+        counted = MetricsCollector()
+        hits = shared_traversal(
+            part.tree, alpha, method != "basic", q_lo, q_hi, tau, counted, deadline,
         )
+        return hits, counted
 
     per_part = fan_out("aknn_batch", traverse)
+    traversal = MetricsCollector()
+    for _, counted in per_part:
+        traversal.merge(counted)
     # Each query's survivors, part after part.
-    hits = [np.concatenate(row) for row in zip(*per_part)]
+    hits = [np.concatenate(row) for row in zip(*(hits for hits, _ in per_part))]
     record = Decisions(
         len(queries), np.repeat(np.arange(len(queries)), [h.shape[0] for h in hits]),
         np.concatenate(hits),
     )
     trees = [part.tree for part in parts]
-    fetch = reader(parts, index.over(trees)[2])
+    fetch = reader(parts)
     bounded = method != "basic"
     if bounded and record.query.size:
         record.bound(index.bounds(trees, alpha), prepared, method)
@@ -677,20 +698,27 @@ def aknn_bucket_pass(
     places = k - np.bincount(record.query[confirmed], minlength=len(queries))
     record.member[confirmed] = True
     record.member[rest[place < places[owner]]] = True
-    results = aknn_results(record, k, alpha, method)
+    accesses = sum(part.store.statistics.object_accesses for part in parts) - accesses_before
+    results = aknn_results(record, k, alpha, method, record.bucket_stats({
+        "object_accesses": accesses,
+        "node_accesses": traversal.get(MetricsCollector.NODE_ACCESSES),
+        "lower_bound_evaluations": traversal.get(MetricsCollector.LOWER_BOUND_EVALUATIONS),
+    }, aknn_calls=1))
     metrics.increment(MetricsCollector.BATCH_QUERIES, len(queries))
     return results
 
 
-def aknn_results(record: Decisions, k: int, alpha: float, method: str) -> List[AKNNResult]:
+def aknn_results(
+    record: Decisions, k: int, alpha: float, method: str, stats: Sequence[QueryStats]
+) -> List[AKNNResult]:
     """One :class:`AKNNResult` per query of ``record``: its members as
-    neighbours, its evaluated rows as its ``distance_evaluations``."""
+    neighbours, ``stats`` its counts."""
     return [
         AKNNResult(
             [Neighbor(i, d, lower, upper, d is not None) for i, d, lower, upper in members],
-            k, alpha, method, QueryStats(distance_evaluations=evaluations, aknn_calls=1),
+            k, alpha, method, one,
         )
-        for members, evaluations in zip(record.answers(), record.evaluations().tolist())
+        for members, one in zip(record.answers(), stats)
     ]
 
 
@@ -823,7 +851,11 @@ class BatchQueryExecutor:
         )
         if elapsed > 0.0:
             stats.extra["throughput_qps"] = len(queries) / elapsed
-        return BatchResult(aknn_results(record, k, alpha, method), k, alpha, method, stats)
+        per_query = [
+            QueryStats(distance_evaluations=evaluations, aknn_calls=1)
+            for evaluations in record.evaluations().tolist()
+        ]
+        return BatchResult(aknn_results(record, k, alpha, method, per_query), k, alpha, method, stats)
 
     def _run_batch(
         self,

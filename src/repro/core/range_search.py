@@ -7,17 +7,17 @@ probability range fixes the radius, a single range search at the start of the
 range collects the complete candidate set.
 
 Range is answered a *bucket* at a time — queries sharing ``alpha``, each with
-its own radius — over a *partition set* (:func:`range_bucket`).  Per part
-that is one descent of the tree for the whole bucket
-(:func:`~repro.core.executor.shared_traversal`, the AKNN batch descent with
-the radii given instead of bootstrapped).  Every hit is a row of the part's
-:class:`~repro.core.executor.Decisions` record.  With the improved bounds a
-hit whose upper bound (the lazy probe's ``MaxDist``, then Lemma 1) is within
-the radius is a match without a read, and one
-:func:`~repro.core.executor.probe_rows` pass reads the undecided rest, each
-object once however many queries want it; the merge joins the parts'
-records and reads the matches and distance counts from them.  A single query (:meth:`AlphaRangeSearcher.search`) and the
-sweep's candidate collection (:func:`collect_over_parts`) are buckets of one.
+its own radius — by one pass over a *partition set* (:func:`range_pass`,
+which both engines' range hooks call).  Per part that is one descent of the
+tree for the whole bucket (:func:`~repro.core.executor.shared_traversal`,
+the AKNN batch descent with the radii given instead of bootstrapped).  Every
+hit is a row of the part's :class:`~repro.core.executor.Decisions` record.
+With the improved bounds a hit whose upper bound (the lazy probe's
+``MaxDist``, then Lemma 1) is within the radius is a match without a read,
+and one :func:`~repro.core.executor.probe_rows` pass reads the undecided
+rest, each object once however many queries want it; the merge joins the
+parts' records and reads the matches and distance counts from them.  The
+sweep's candidate collection (:func:`collect_over_parts`) is a bucket of one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.core.executor import (
     upper_bounds,
 )
 from repro.core.query import PreparedQuery
-from repro.core.results import QueryStats, RangeSearchResult
+from repro.core.results import RangeSearchResult
 from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
 from repro.index.rtree import RTree
@@ -98,12 +98,10 @@ def range_bucket(
     id)``, a confirmed one as ``(id, None)`` with its ``U`` in
     ``upper_bounds``.
 
-    Each result counts its own ``distance_evaluations`` (the record's
-    evaluated rows) and ``range_calls = 1``; the bucket's shared object,
-    node, lower-bound and distance totals are reported under
-    ``extra["bucket_<name>"]``.  A bucket of one owns every cost, so its
-    scalars carry the totals.  A radius may be ``inf`` (the sweep's), never
-    NaN or negative.
+    Each result counts ``range_calls = 1`` and, as
+    :meth:`~repro.core.executor.Decisions.bucket_stats` says, its own
+    distances and the bucket's object, node, lower-bound and distance totals.
+    A radius may be ``inf`` (the sweep's), never NaN or negative.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (len(queries),):
@@ -154,28 +152,39 @@ def range_bucket(
             name: sum(part.counts[name] for part in per_part)
             for name in per_part[0].counts
         }
-        counted["distance_evaluations"] = record.total_evaluations()
-        single = len(prepared) == 1
-        extra = {} if single else {f"bucket_{k}": float(v) for k, v in counted.items()}
-        if len(per_part) > 1:
-            extra["shard_fanouts"] = float(len(per_part))
-        elapsed = timer.stop()
+        stats = record.bucket_stats(counted, range_calls=1, elapsed_seconds=timer.stop())
         results = []
-        answers = zip(radii.tolist(), record.answers(), record.evaluations().tolist())
-        for radius, members, evaluations in answers:
-            own = counted if single else {"distance_evaluations": evaluations}
-            stats = QueryStats(
-                range_calls=1, elapsed_seconds=elapsed, extra=dict(extra), **own
-            )
+        for radius, members, one in zip(radii.tolist(), record.answers(), stats):
+            if len(per_part) > 1:
+                one.extra["shard_fanouts"] = float(len(per_part))
             results.append(
                 RangeSearchResult(
                     [(object_id, d) for object_id, d, _, _ in members], radius, alpha,
-                    stats, upper_bounds={i: u for i, d, _, u in members if d is None},
+                    one, upper_bounds={i: u for i, d, _, u in members if d is None},
                 )
             )
         return results
 
     return local, merge
+
+
+def range_pass(
+    parts: Sequence,
+    fan_out: Callable[[str, Callable], List],
+    queries: Sequence[FuzzyObject],
+    alpha: float,
+    radii: Sequence[float],
+    config: RuntimeConfig,
+    rng: Optional[np.random.Generator] = None,
+    improved: bool = True,
+    deadline=None,
+) -> List[RangeSearchResult]:
+    """One range bucket over a partition set: every part answers the whole
+    bucket (fan-out op ``"range"``) and :func:`range_bucket`'s merge joins
+    them.  ``parts`` is the set ``fan_out(op, fn)`` applies ``fn`` to, as
+    for every family's pass."""
+    local, merge = range_bucket(queries, alpha, radii, config, rng, improved, deadline)
+    return merge(fan_out("range", local))
 
 
 class AlphaRangeSearcher:
@@ -215,11 +224,11 @@ class AlphaRangeSearcher:
         rng: Optional[np.random.Generator] = None,
         deadline=None,
     ) -> List[RangeSearchResult]:
-        """Answer a range bucket (:func:`range_bucket`) over this searcher."""
-        local, merge = range_bucket(
-            queries, alpha, radii, self.config, rng, improved, deadline
+        """Answer a range bucket (:func:`range_pass`) over this searcher."""
+        return range_pass(
+            [self], lambda op, fn: [fn(self)], queries, alpha, radii, self.config,
+            rng, improved, deadline,
         )
-        return merge([local(self)])
 
 
 def collect_over_parts(

@@ -18,23 +18,19 @@ points, ``execute`` and ``execute_batch``::
     ])
 
 A batch may mix request types freely.  :func:`execute_plan` — the shared
-``execute_batch`` implementation behind :class:`~repro.core.database.FuzzyDatabase`,
-:class:`~repro.service.sharded.ShardedDatabase` and
+``execute_batch`` implementation behind both engines (:class:`Engine`, the
+base of :class:`~repro.core.database.FuzzyDatabase` and
+:class:`~repro.service.sharded.ShardedDatabase`) and
 :class:`~repro.service.query_service.QueryService` — groups the submission
 into per-type, per-:meth:`~QueryRequest.bucket_key` sub-batches, hands each
-group to the planner registered for its request type, and scatters the
-results back into submission order.  Requests sharing a bucket key are
-answered through the corresponding shared engine (one R-tree traversal for an
-AKNN or a range bucket, one filter pass against a cached k-th MaxDist table +
-one verification traversal for a reverse bucket); the same keys drive the
-query service's coalescer, so a request type defined once coalesces correctly
-at every layer.
-
-A future query family plugs in at one place: define the request dataclass
-(with ``bucket_key``) and add its planner to the table at the bottom of this
-module, a callable ``(engine, requests, rng, deadline=None) -> results``;
-every engine's ``execute`` / ``execute_batch`` and the service coalescer pick
-it up without edits.
+group to the engine's bucket hook for its request type (``_HOOKS``), and
+scatters the results back into submission order.  Requests sharing a bucket
+key are answered through the corresponding shared pass (one R-tree traversal
+for an AKNN or a range bucket, one filter pass against a cached k-th MaxDist
+table + one verification traversal for a reverse bucket); the same keys
+drive the query service's coalescer, so a request type defined once
+coalesces correctly at every layer.  The four families are the paper's; the
+table is closed.
 """
 
 from __future__ import annotations
@@ -43,8 +39,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
     Any,
-    Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -263,26 +259,18 @@ class ReverseRequest(QueryRequest):
 
 
 # ----------------------------------------------------------------------
-# Planner registry: request type -> bucket planner
+# Request type -> the engine's bucket hook
 # ----------------------------------------------------------------------
-#: A planner answers one homogeneous bucket (equal ``bucket_key()``) against
-#: one engine and returns one result per request, in bucket order.  The
-#: calling convention is ``planner(engine, bucket, rng, deadline=...)`` where
-#: ``deadline`` is a :class:`~repro.service.policy.Deadline` or ``None``.
-Planner = Callable[..., List[Any]]
-
-_PLANNERS: Dict[Type[QueryRequest], Planner] = {}
-
-
-def planner_for(request_type: Type[QueryRequest]) -> Planner:
-    """The registered planner for ``request_type`` (exact type match)."""
-    planner = _PLANNERS.get(request_type)
-    if planner is None:
-        raise InvalidQueryError(
-            f"no planner registered for request type {request_type.__name__}; "
-            f"known types: {sorted(t.__name__ for t in _PLANNERS)}"
-        )
-    return planner
+#: Each hook answers one homogeneous bucket (equal ``bucket_key()``) as
+#: ``engine.<hook>(bucket, rng, deadline=...)`` and returns one result per
+#: request, in bucket order; ``deadline`` is a
+#: :class:`~repro.service.policy.Deadline` or ``None``.
+_HOOKS = {
+    AknnRequest: "_execute_aknn_bucket",
+    RangeRequest: "_execute_range_bucket",
+    SweepRequest: "_execute_sweep_bucket",
+    ReverseRequest: "_execute_reverse_bucket",
+}
 
 
 def group_requests(
@@ -329,8 +317,8 @@ def execute_plan(
 ) -> List[Any]:
     """The shared ``execute_batch`` implementation.
 
-    Groups the submission with :func:`group_requests`, runs the registered
-    planner per group, and scatters the per-group answers back into
+    Groups the submission with :func:`group_requests`, runs the engine's
+    bucket hook per group, and scatters the per-group answers back into
     submission order.  When the engine carries a ``metrics`` collector, the
     plan shape is recorded under the ``plan_groups`` / ``plan_requests``
     counters — the observable evidence that requests sharing a bucket key
@@ -343,7 +331,7 @@ def execute_plan(
     with :class:`~repro.exceptions.DeadlineExceededError` without running;
     each group's shared execution is bounded by its *latest* member deadline
     (the point past which nobody in the bucket wants the answer), and
-    planners receive it as the ``deadline`` keyword.
+    hooks receive it as the ``deadline`` keyword.
 
     A result slot may come back as an :class:`Exception` instance (deadline
     expiry, or a failed shard under ``require_full``).  With
@@ -374,7 +362,12 @@ def execute_plan(
         metrics.increment(MetricsCollector.PLAN_REQUESTS, len(requests))
     results: List[Any] = [None] * len(requests)
     for request_type, _key, indices in grouped:
-        planner = planner_for(request_type)
+        hook = _HOOKS.get(request_type)
+        if hook is None:
+            raise InvalidQueryError(
+                f"no bucket hook for request type {request_type.__name__}; "
+                f"known types: {sorted(t.__name__ for t in _HOOKS)}"
+            )
         live: List[int] = []
         for index in indices:
             deadline = deadlines[index]
@@ -398,14 +391,14 @@ def execute_plan(
             bucket_deadline = max(member_deadlines, key=lambda d: d.expires_at)
         bucket = [requests[i] for i in live]
         try:
-            answers = planner(engine, bucket, rng, deadline=bucket_deadline)
+            answers = getattr(engine, hook)(bucket, rng, deadline=bucket_deadline)
         except DeadlineExceededError as error:
             answers = [error] * len(bucket)
             if metrics is not None:
                 metrics.increment(MetricsCollector.DEADLINE_EXPIRED, len(bucket))
         if len(answers) != len(bucket):
             raise InvalidQueryError(
-                f"planner for {request_type.__name__} returned {len(answers)} "
+                f"{hook} for {request_type.__name__} returned {len(answers)} "
                 f"results for {len(bucket)} requests"
             )
         for index, answer in zip(live, answers):
@@ -429,24 +422,74 @@ def execute_plan(
 
 
 # ----------------------------------------------------------------------
-# Built-in planners
+# What both engines share
 # ----------------------------------------------------------------------
-# Each built-in family is answered by a per-engine bucket hook, the narrow
-# capability surface FuzzyDatabase and ShardedDatabase implement (the query
-# service implements execute / execute_batch by coalescing into buckets and flushing each
-# through its database's execute_batch, so it never reaches these directly).
-def _bucket_hook(name: str) -> Planner:
-    def plan(engine: Any, bucket, rng, deadline: Optional[Any] = None) -> List[Any]:
-        return getattr(engine, name)(bucket, rng, deadline=deadline)
+class Engine:
+    """The request surface and update listeners of both engines.
 
-    return plan
+    A subclass defines, in its own body, the four bucket hooks ``_HOOKS``
+    names, ``insert`` / ``delete`` (which call :meth:`_notify_insert` /
+    :meth:`_notify_delete` once a mutation is applied) and ``close``, and
+    sets ``self._update_listeners = []``.
+    """
 
+    def execute(
+        self,
+        request: QueryRequest,
+        *,
+        rng: Optional[np.random.Generator] = None,
+    ):
+        """Answer one typed request."""
+        return execute_plan(self, [request], rng=rng)[0]
 
-_PLANNERS.update(
-    {
-        AknnRequest: _bucket_hook("_execute_aknn_bucket"),
-        RangeRequest: _bucket_hook("_execute_range_bucket"),
-        SweepRequest: _bucket_hook("_execute_sweep_bucket"),
-        ReverseRequest: _bucket_hook("_execute_reverse_bucket"),
-    }
-)
+    def execute_batch(
+        self,
+        requests: Iterable[QueryRequest],
+        *,
+        rng: Optional[np.random.Generator] = None,
+    ) -> List:
+        """Answer a submission that may mix request types freely.
+
+        The planner groups the submission into per-type, per-``bucket_key()``
+        sub-batches; requests sharing a key are answered through one shared
+        pass (an AKNN bucket: a radius from stored bounds, one traversal per
+        part, then two rank tests and two probe passes; a range bucket: one
+        descent and one probe pass per part; a reverse bucket: one filter
+        pass against a cached k-th MaxDist table + one verification traversal
+        per part).  Results come back in submission order.
+        """
+        return execute_plan(self, list(requests), rng=rng)
+
+    def add_update_listener(self, listener) -> None:
+        """Register ``listener`` for post-apply mutation notifications.
+
+        The listener must expose ``notify_insert(obj)`` and
+        ``notify_delete(object_id)`` (see
+        :class:`~repro.service.subscriptions.SubscriptionEngine`).  Both are
+        called synchronously once the mutation is fully applied; on the
+        sharded engine, after the owning shard's write lock is released and
+        the epoch has advanced, so a listener that re-queries (the
+        subscription engine's delete path) sees the post-mutation state and
+        cannot deadlock against the mutation's lock.
+        """
+        self._update_listeners.append(listener)
+
+    def remove_update_listener(self, listener) -> None:
+        try:
+            self._update_listeners.remove(listener)
+        except ValueError:
+            pass
+
+    def _notify_insert(self, obj: FuzzyObject) -> None:
+        for listener in list(self._update_listeners):
+            listener.notify_insert(obj)
+
+    def _notify_delete(self, object_id: int) -> None:
+        for listener in list(self._update_listeners):
+            listener.notify_delete(object_id)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

@@ -39,10 +39,10 @@ reads (or, after a write, rebuilds) the cached k-th MaxDist table, one
 traversal per part gathers every candidate's possible neighbours (radii
 maximised over the bucket), and one bucket-wide memo reads each object at
 most once however many queries and candidates need it.
-:meth:`ReverseAKNNSearcher.search_batch` runs it over one tree — a partition
-set of one, fanned out by a plain call — and the sharded database over its
-live shards through its strict fan-out; the filter, the verification, the
-merge and the cost totals exist only here.
+A database runs it over itself — a partition set of one, fanned out by a
+plain call — and the sharded database over its live shards through its
+strict fan-out; the filter, the verification, the merge and the cost totals
+exist only here.
 """
 
 from __future__ import annotations
@@ -301,30 +301,18 @@ def build_bucket_results(
     totals: Dict[str, int],
     extra_common: Dict[str, float],
 ) -> List["ReverseKNNResult"]:
-    """Per-query results from the bucket's decision record, with
-    per-query-honest cost attribution.
+    """Per-query results from the bucket's decision record.
 
     Most of a bucket's work (filter table, shared traversal, store fetches)
-    is paid once and cannot be attributed to one query, so per-result scalar
-    counters charge each query only the ``d(A, Q)`` the record evaluated for
-    it, with the bucket totals (``totals``, keyed by QueryStats field name,
-    plus every distance the record paid for) reported under
-    ``extra["bucket_<name>"]``.  A bucket of one query owns every cost, so
-    its scalars carry the full totals.
+    is paid once and cannot be attributed to one query, so each result
+    counts as :meth:`~repro.core.executor.Decisions.bucket_stats` says: its
+    own ``d(A, Q)`` evaluations, and the bucket's ``totals`` (keyed by
+    QueryStats field name) under ``extra["bucket_<name>"]``.
     """
-    single = record.n_queries == 1
-    totals = {**totals, "distance_evaluations": record.total_evaluations()}
     results: List[ReverseKNNResult] = []
-    answers = zip(record.answers(), record.evaluations().tolist())
-    for qi, (members, evaluations) in enumerate(answers):
-        extra = dict(extra_common)
-        extra["candidates"] = float(int(masks[qi].sum()))
-        for name, value in totals.items():
-            extra[f"bucket_{name}"] = float(value)
-        scalars = {name: (value if single else 0) for name, value in totals.items()}
-        if not single:
-            scalars["distance_evaluations"] = evaluations
-        stats = QueryStats(elapsed_seconds=elapsed, extra=extra, **scalars)
+    stats = record.bucket_stats(totals, elapsed_seconds=elapsed)
+    for qi, (members, one) in enumerate(zip(record.answers(), stats)):
+        one.extra.update(extra_common, candidates=float(int(masks[qi].sum())))
         results.append(
             ReverseKNNResult(
                 object_ids=sorted(object_id for object_id, _, _, _ in members),
@@ -332,7 +320,7 @@ def build_bucket_results(
                 k=k,
                 alpha=alpha,
                 method=method,
-                stats=stats,
+                stats=one,
                 upper_bounds={i: upper for i, d, _, upper in members if d is None},
             )
         )
@@ -376,6 +364,7 @@ def reverse_bucket_pass(
     k: int,
     alpha: float,
     config: RuntimeConfig,
+    metrics: MetricsCollector,
     rng: Optional[np.random.Generator] = None,
     deadline=None,
 ) -> List[ReverseKNNResult]:
@@ -409,6 +398,9 @@ def reverse_bucket_pass(
     evaluations, ``n`` more per row whose k-th table this bucket built
     (``Q·n + n²`` on a cold table), plus every part's verification traversal
     and the verification's bounds; the distances are read from the record.
+    The engine's ``reverse_queries`` / ``reverse_candidates`` counters
+    (``metrics``) are counted last, after every fan-out, so a pass that a
+    lost part makes the caller rerun counts its bucket once.
     """
     if k <= 0:
         raise InvalidQueryError(f"k must be positive, got {k}")
@@ -418,13 +410,13 @@ def reverse_bucket_pass(
     if not queries:
         return []
     timer = Timer().start()
-    metrics = MetricsCollector()
+    bounded = MetricsCollector()
     accesses_before = sum(part.store.statistics.object_accesses for part in parts)
     if deadline is not None:
         deadline.check("reverse filter")
     prepared = [PreparedQuery(query, alpha, config, rng) for query in queries]
     trees = [part.tree for part in parts]
-    _, ids, member_of = index.over(trees)
+    _, ids = index.over(trees)
     n = ids.shape[0]
     masks = np.zeros((len(queries), n), dtype=bool)
     plan = None
@@ -442,12 +434,12 @@ def reverse_bucket_pass(
         filtered = fan_out("reverse_filter", filter_rows)
         masks = np.concatenate([mask for mask, _ in filtered], axis=1)
         built_rows = sum(rows for _, rows in filtered)
-        metrics.increment(
+        bounded.increment(
             MetricsCollector.LOWER_BOUND_EVALUATIONS,
             len(queries) * n + built_rows * n,
         )
         plan = plan_bucket_verification(
-            prepared, masks, ids, (table.lo, table.hi, table.reps), thresholds, metrics
+            prepared, masks, ids, (table.lo, table.hi, table.reps), thresholds, bounded
         )
 
     record = Decisions(len(queries))
@@ -470,11 +462,12 @@ def reverse_bucket_pass(
         record = plan.decisions
         out = verify_candidates(
             plan, [hits for hits, _ in verified], prepared, k, config,
-            reader(parts, member_of), metrics, deadline,
+            reader(parts), bounded, deadline,
         )
         collect_memberships(record, out)
 
-    return build_bucket_results(
+    candidates = plan.cand_ids.shape[0] if plan else 0
+    results = build_bucket_results(
         k,
         alpha,
         "batch",
@@ -487,20 +480,23 @@ def reverse_bucket_pass(
             )
             - accesses_before,
             "node_accesses": traversal.get(MetricsCollector.NODE_ACCESSES),
-            "lower_bound_evaluations": metrics.get(
+            "lower_bound_evaluations": bounded.get(
                 MetricsCollector.LOWER_BOUND_EVALUATIONS
             )
             + traversal.get(MetricsCollector.LOWER_BOUND_EVALUATIONS),
-            "upper_bound_evaluations": metrics.get(
+            "upper_bound_evaluations": bounded.get(
                 MetricsCollector.UPPER_BOUND_EVALUATIONS
             ),
         },
         extra_common={
             "batch_reverse_queries": float(len(queries)),
-            "reverse_candidates": float(plan.cand_ids.shape[0] if plan else 0),
+            "reverse_candidates": float(candidates),
             "shard_fanouts": float(len(parts)),
         },
     )
+    metrics.increment(MetricsCollector.REVERSE_QUERIES, len(queries))
+    metrics.increment(MetricsCollector.REVERSE_CANDIDATES, candidates)
+    return results
 
 
 class ReverseAKNNSearcher:
@@ -511,14 +507,12 @@ class ReverseAKNNSearcher:
         store: ObjectStore,
         tree: RTree,
         config: Optional[RuntimeConfig] = None,
-        index: Optional[RepresentativeIndex] = None,
     ):
         self.store = store
         self.tree = tree
         self.config = (config or RuntimeConfig()).validate()
-        # The box table and k-th MaxDist tables of this partition set of one
-        # (a database hands in the index its AKNN buckets and sweeps use).
-        self._rep_index = index if index is not None else RepresentativeIndex()
+        # The box table and k-th MaxDist tables of this partition set of one.
+        self._rep_index = RepresentativeIndex()
 
     def search_batch(
         self,
@@ -535,5 +529,5 @@ class ReverseAKNNSearcher:
         """
         return reverse_bucket_pass(
             self._rep_index, [self], lambda op, fn: [fn(self)],
-            queries, k, alpha, self.config, rng=rng, deadline=deadline,
+            queries, k, alpha, self.config, MetricsCollector(), rng=rng, deadline=deadline,
         )

@@ -46,8 +46,8 @@ every part with :func:`~repro.core.executor.shared_traversal` and bounds
 from the set's :class:`~repro.core.executor.RepresentativeIndex`, and every
 object read between fan-outs comes from the part that holds it.  A
 :class:`~repro.core.database.FuzzyDatabase` is a set of one, fanned out by a
-plain call; the sharded database runs :func:`sweep_pass` over its live shards
-through its strict fan-out.
+plain call, and the sharded database over its live shards through its strict
+fan-out; both engines' sweep hooks call :func:`sweep_pass`.
 
 Interval convention: the elementary piece ``(a, b]`` of the piecewise-constant
 distance functions is reported as the closed interval ``[a, b]``.
@@ -159,15 +159,15 @@ class RKNNSearcher:
         accesses_before = self._object_accesses()
         timer = Timer().start()
 
-        def aknn(alpha: float) -> Tuple[AKNNResult, Dict[int, object]]:
-            """One AKNN sub-query over the parts, and the part that ranked
-            each neighbour (where a later read of that object goes)."""
+        def aknn(alpha: float) -> AKNNResult:
+            """One AKNN sub-query over the parts."""
             if deadline is not None:
                 deadline.check("sweep aknn")
-            searcher = searcher_over(self.fan_out, self.config)
-            result = searcher.search(query, k, alpha, aknn_method, rng)
+            result = searcher_over(self.fan_out, self.config).search(
+                query, k, alpha, aknn_method, rng
+            )
             self._merge_substats(stats, result.stats)
-            return result, searcher.owners
+            return result
 
         if method == "basic":
             assignments = self._search_basic(aknn, query, alpha_start, alpha_end, stats)
@@ -204,18 +204,18 @@ class RKNNSearcher:
     ) -> Dict[int, IntervalSet]:
         assignments: Dict[int, IntervalSet] = {}
         profiles: Dict[int, DistanceProfile] = {}
+        fetch = reader(self.parts)
         piece_start = alpha_start
         evaluation_point = alpha_start
 
         while True:
-            result, ranked_by = aknn(min(evaluation_point, 1.0))
-            nn_ids = result.object_ids
+            nn_ids = aknn(min(evaluation_point, 1.0)).object_ids
             if not nn_ids:
                 break
             ends = []
             for object_id in nn_ids:
                 profile, computed = self._profile_for(
-                    object_id, query, alpha_end, profiles, ranked_by[object_id].store.get
+                    object_id, query, alpha_end, profiles, fetch
                 )
                 stats.distance_evaluations += computed
                 ends.append(profile.next_critical(min(evaluation_point, 1.0)))
@@ -262,12 +262,9 @@ class RKNNSearcher:
         deadline,
     ) -> Dict[int, DistanceProfile]:
         """Lemma 3 pruning: one AKNN at the range end, one range search at the start."""
-        result_end, ranked_by = aknn(alpha_end)
         # Exact k-th neighbour distance, probing lazily-confirmed neighbours.
         radius = max(
-            resolve_exact(
-                result_end, query, alpha_end, lambda i: ranked_by[i].store.get(i)
-            ).values(),
+            resolve_exact(aknn(alpha_end), query, alpha_end, reader(self.parts)).values(),
             default=0.0,
         )
 
@@ -362,7 +359,7 @@ class RKNNSearcher:
             record.bound(self.index.bounds(trees, alpha_end), [end], aknn_method, False)
             metrics.increment(MetricsCollector.UPPER_BOUND_EVALUATIONS, len(ids))
         profiles: Dict[int, DistanceProfile] = {}
-        fetch = reader(self.parts, self.index.over(trees)[2])
+        fetch = reader(self.parts)
 
         def read(rows: np.ndarray) -> None:
             """Each row's profile: its distances at the range's two ends."""

@@ -33,11 +33,7 @@ def bulk_load_tree(
 ) -> RTree:
     """STR-pack ``summaries`` into a fresh tree, counting the bulk load."""
     config = config or RuntimeConfig()
-    tree = RTree.bulk_load(
-        list(summaries),
-        max_entries=config.rtree_max_entries,
-        min_fill=config.rtree_min_fill,
-    )
+    tree = RTree.bulk_load(list(summaries), max_entries=config.rtree_max_entries)
     if metrics is not None:
         metrics.increment(MetricsCollector.BULK_LOADS)
     return tree

@@ -2,7 +2,7 @@
 
 :class:`ShardedDatabase` splits a dataset across ``N`` independent
 :class:`~repro.core.database.FuzzyDatabase` shards, each owning its own
-object store, R-tree, SoA views and batch executor.  Placement is pluggable
+object store, R-tree and SoA views.  Placement is pluggable
 (:mod:`repro.service.placement`): hash placement balances shards uniformly,
 space placement stripes the first spatial axis so nearby objects share a
 shard.
@@ -12,26 +12,26 @@ the index (per-partition pruning), isolate failures and own their durability;
 they are not a parallelism device under one interpreter lock.  What lives in
 this module is how a query meets the shards, not the queries themselves:
 
-* **Fan-out and failure policy** — decided in one place: two combinators
-  (``_isolated``: independent per-shard answers merge; ``_coupled``: a pass
-  whose shards depend on each other reruns on the survivors) plus one bucket
-  wrapper (``_answer_bucket``) carry admission through the breakers, read
-  locking (calling thread only, see ``_read_locked``), retries, partial
-  ``Coverage`` and the fail-closed contract.  A store read a coupled pass
-  makes *between* fan-outs goes through :class:`_ShardStore`, which blames
-  the shard, so it degrades like any other shard failure.
+* **Fan-out and failure policy** — decided in one place: one combinator
+  (``_coupled``: a pass over the live shards, rerun on the survivors when it
+  loses one) and one bucket wrapper (``_answer_bucket``) carry admission
+  through the breakers, read locking (calling thread only, see
+  ``_read_locked``), retries, partial ``Coverage`` and the fail-closed
+  contract.  A store read a pass makes *between* fan-outs goes through
+  :class:`_ShardStore`, which blames the shard, so it degrades like any
+  other shard failure.
 * **Durability glue and topology** — per-shard WAL / snapshot directories,
-  recovery, placement, the owner map, live updates, update listeners.
+  recovery, placement, the owner map, live updates.
 
-The families are **not** here.  Each is written once in its own module, over
-a *partition set* — parts exposing ``store`` / ``tree``, which
-a :class:`_Shard` does — and a single tree is a set of one.  A bucket hook
-picks ``_isolated`` (a per-part search and its merge:
-:func:`~repro.core.range_search.range_bucket` for a whole range bucket) or
-``_coupled`` (a pass over the live shards with ``_map_strict`` as its fan-out:
-:func:`~repro.core.executor.aknn_bucket_pass` for an AKNN bucket of any size,
-:func:`~repro.core.rknn.sweep_pass`,
-:func:`~repro.core.reverse_nn.reverse_bucket_pass`) and calls it.
+The families are **not** here.  Each is written once in its own module, as
+one pass over a *partition set* — parts exposing ``store`` / ``tree``, which
+a :class:`_Shard` does — and a single tree is a set of one.  Every bucket
+hook runs its family's pass through ``_coupled`` with ``_map_strict`` as its
+fan-out: :func:`~repro.core.executor.aknn_bucket_pass`,
+:func:`~repro.core.range_search.range_pass`,
+:func:`~repro.core.rknn.sweep_pass` and
+:func:`~repro.core.reverse_nn.reverse_bucket_pass`.  A partial answer is
+the answer over the surviving shards, for every family.
 
 Live updates (:meth:`insert` / :meth:`delete`) route through the placement
 policy to the owning shard and take that shard's write lock, so in-flight
@@ -42,8 +42,8 @@ With :meth:`ShardedDatabase.enable_durability` each shard additionally logs
 its mutations to its own WAL inside a per-shard subdirectory and snapshots
 independently; :meth:`ShardedDatabase.recover` heals a crashed directory
 shard by shard (snapshot + WAL tail replay + STR bulk load).  Registered
-update listeners (:meth:`add_update_listener` — the subscription engine)
-are notified after each mutation commits and its shard lock is released.
+update listeners (``add_update_listener`` — the subscription engine) are
+notified after each mutation commits and its shard lock is released.
 """
 
 from __future__ import annotations
@@ -71,14 +71,14 @@ import numpy as np
 from repro.config import RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import RepresentativeIndex, aknn_bucket_pass
-from repro.core.range_search import range_bucket
+from repro.core.range_search import range_pass
 from repro.core.requests import (
     AknnRequest,
+    Engine,
     QueryRequest,
     RangeRequest,
     ReverseRequest,
     SweepRequest,
-    execute_plan,
 )
 from repro.core.results import Coverage
 from repro.core.reverse_nn import reverse_bucket_pass
@@ -131,7 +131,8 @@ class _ShardStore:
     a failing ``get`` is converted here into the :class:`_FanoutFailure` that
     makes :meth:`ShardedDatabase._coupled` rerun the pass on the survivors.
     A read inside the shard's own call (a range bucket's probes) fails that
-    call, with the same reason.
+    call, with the same reason.  ``in`` says whether the shard holds an
+    object, which is where a pass's reader reads it.
     """
 
     __slots__ = ("_index", "_store")
@@ -139,6 +140,9 @@ class _ShardStore:
     def __init__(self, index: int, store):
         self._index = index
         self._store = store
+
+    def __contains__(self, object_id: int) -> bool:
+        return object_id in self._store
 
     def get(self, object_id: int) -> FuzzyObject:
         try:
@@ -185,7 +189,7 @@ class _FanoutFailure(Exception):
         self.failures = dict(failures)
 
 
-class ShardedDatabase:
+class ShardedDatabase(Engine):
     """A collection of fuzzy objects partitioned across independent shards."""
 
     def __init__(
@@ -400,33 +404,6 @@ class ShardedDatabase:
         return instance
 
     # ------------------------------------------------------------------
-    # Standing-query listeners
-    # ------------------------------------------------------------------
-    def add_update_listener(self, listener) -> None:
-        """Register an object with ``notify_insert`` / ``notify_delete``.
-
-        Listeners fire *after* the owning shard's write lock is released and
-        the epoch has advanced, so a listener that re-queries (the
-        subscription engine's delete path) sees the post-mutation state and
-        cannot deadlock against the mutation's lock.
-        """
-        self._update_listeners.append(listener)
-
-    def remove_update_listener(self, listener) -> None:
-        try:
-            self._update_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_insert(self, obj: FuzzyObject) -> None:
-        for listener in list(self._update_listeners):
-            listener.notify_insert(obj)
-
-    def _notify_delete(self, object_id: int) -> None:
-        for listener in list(self._update_listeners):
-            listener.notify_delete(object_id)
-
-    # ------------------------------------------------------------------
     # Shard plumbing
     # ------------------------------------------------------------------
     @property
@@ -552,20 +529,19 @@ class ShardedDatabase:
             raise
         return stack
 
-    def _map_outcomes(
+    def _map_strict(
         self,
         shards: Sequence[_Shard],
         op: str,
         fn: Callable[[_Shard], T],
         deadline=None,
-    ) -> Tuple[List[_Shard], List[T], Dict[int, str]]:
-        """One fan-out under the caller's read locks; failures become outcomes.
-
-        Returns ``(answered shards, their values, {lost shard: reason})``: a
-        lost shard is recorded and the remaining shards still run; a deadline
-        hit on any shard propagates at once.
-        """
-        answered: List[_Shard] = []
+    ) -> List[T]:
+        """One fan-out under the caller's read locks: every shard's value, or
+        a :class:`_FanoutFailure` naming every shard lost in it (for
+        :meth:`_coupled`'s survivor loop).  A lost shard does not stop the
+        rest of the fan-out; a deadline hit on any shard propagates at once."""
+        if deadline is not None:
+            deadline.check(f"{op} fan-out")
         values: List[T] = []
         lost: Dict[int, str] = {}
 
@@ -574,24 +550,8 @@ class ShardedDatabase:
                 values.append(self._invoke_shard(shard, op, fn, deadline=deadline))
             except _ShardFailure as error:
                 lost[shard.index] = error.reason
-            else:
-                answered.append(shard)
 
         self._map_pool(shards, attempt)
-        return answered, values, lost
-
-    def _map_strict(
-        self,
-        shards: Sequence[_Shard],
-        op: str,
-        fn: Callable[[_Shard], T],
-        deadline=None,
-    ) -> List[T]:
-        """Coupled fan-out: all results, or a :class:`_FanoutFailure` naming
-        every shard lost in this pass (for :meth:`_coupled`'s survivor loop)."""
-        if deadline is not None:
-            deadline.check(f"{op} fan-out")
-        _, values, lost = self._map_outcomes(shards, op, fn, deadline=deadline)
         if lost:
             raise _FanoutFailure(lost)
         return values
@@ -671,61 +631,27 @@ class ShardedDatabase:
         return result
 
     # ------------------------------------------------------------------
-    # How a query meets N shards: two combinators and one bucket wrapper
+    # How a query meets N shards: one combinator and one bucket wrapper
     # ------------------------------------------------------------------
-    def _isolated(
-        self,
-        op: str,
-        worker: Callable[[_Shard], T],
-        merge: Callable[[List[T]], object],
-        deadline=None,
-    ):
-        """Isolated fan-out: independent per-shard answers, merged.
-
-        ``worker`` answers one shard (lock-free — see :meth:`_read_locked`)
-        and ``merge`` folds the answering shards' values into one result, or
-        into a list of them (one per request of a bucket), each of which
-        carries the coverage.
-        Shard failures are isolated: the survivors' values merge into a
-        partial result whose coverage names the shards that failed.  Raises
-        :class:`~repro.exceptions.ShardUnavailableError` only when no shard
-        answered at all.
-        """
-        if deadline is not None:
-            deadline.check(f"{op} fan-out")
-        with self._admit_shards() as (live, failed):
-            if not live:
-                raise self._unavailable(failed)
-            with self._read_locked(live):
-                answered, values, lost = self._map_outcomes(
-                    live, op, worker, deadline=deadline
-                )
-                failed.update(lost)
-                coverage = self._coverage(answered, failed)
-        if not answered:
-            raise self._unavailable(failed)
-        result = merge(values)
-        for one in result if isinstance(result, list) else [result]:
-            one.coverage = coverage
-        return result
-
     def _coupled(
         self,
         run_pass: Callable[[List[_Shard], Callable[[str, Callable], List]], List],
         deadline=None,
     ) -> List:
-        """Coupled pass: shards' answers depend on each other; rerun on survivors.
+        """A family's pass over the live shards; rerun on the survivors.
 
         ``run_pass(live, fan_out)`` answers against exactly the shards in
         ``live``, whose ``fan_out(op, fn)`` is the strict map
         (:meth:`_map_strict`), under their read locks for the whole pass —
         globally bootstrapped radii, a global box set or a sweep's chained
         sub-queries are only valid against the one snapshot they were
-        derived from.  A mid-pass shard failure cannot simply drop that
-        shard's slice (a dead shard's nominee may have set a radius that
+        derived from.  A shard lost mid-pass cannot simply be dropped from
+        the answer (a dead shard's nominee may have set a radius that
         over-prunes a survivor), so the whole pass reruns against the
         survivors: the partial answer is exactly what a fresh query against
         only those shards would return, with coverage naming the lost ones.
+        A range pass, whose shards answer independently, reruns too, and
+        reads the survivors' objects again.
         """
         with self._admit_shards() as (live, failed):
             while live:
@@ -747,17 +673,18 @@ class ShardedDatabase:
         self,
         bucket: Sequence[QueryRequest],
         units: Sequence[Sequence[QueryRequest]],
-        answer: Callable[[Sequence[QueryRequest]], List],
+        run_pass: Callable[..., List],
+        deadline=None,
     ) -> List:
         """The failure contract every bucket hook shares.
 
-        ``units`` splits the bucket into the request groups one execution
-        answers (the whole bucket for a shared engine, one request each for a
-        looped family) and ``answer(unit)`` runs one of them through a
-        combinator.  Sheds a fail-closed bucket while breakers are open,
-        turns total shard loss into per-slot errors, and finalizes every slot
-        against its request's partial-tolerance contract (count a partial /
-        swap in a ShardUnavailableError for ``require_full``).
+        ``units`` splits the bucket into the request groups one pass answers
+        (the whole bucket for a shared pass, one request each for the
+        sweep), and ``run_pass(unit, live, fan_out)`` is that pass, run
+        through :meth:`_coupled`.  Sheds a fail-closed bucket while breakers
+        are open, turns total shard loss into per-slot errors, and finalizes
+        every slot against its request's partial-tolerance contract (count a
+        partial / swap in a ShardUnavailableError for ``require_full``).
         """
         shed = self._shed_fail_closed(bucket)
         if shed is not None:
@@ -765,43 +692,13 @@ class ShardedDatabase:
         results: List = []
         for unit in units:
             try:
-                results.extend(answer(unit))
+                results.extend(self._coupled(partial(run_pass, unit), deadline))
             except ShardUnavailableError as error:
                 results.extend([error] * len(unit))
         return [self._finalize_slot(r, result) for r, result in zip(bucket, results)]
 
-    # ------------------------------------------------------------------
-    # The query surface (execute / execute_batch)
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        request: QueryRequest,
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        """Answer one typed request over the whole sharded database."""
-        return execute_plan(self, [request], rng=rng)[0]
-
-    def execute_batch(
-        self,
-        requests: Iterable[QueryRequest],
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List:
-        """Answer a submission that may mix request types freely.
-
-        Grouping is identical to the unsharded engine
-        (:meth:`FuzzyDatabase.execute_batch`); each per-bucket sub-batch runs
-        the sharded fast path once for the whole bucket (an AKNN bucket: a
-        radius from stored bounds, one traversal per shard, then two rank
-        tests and two probe passes).
-        """
-        return execute_plan(self, list(requests), rng=rng)
-
-    # Bucket hooks consumed by the planners in repro.core.requests.  How work
-    # meets the shards (admission, locks, retries, survivors, coverage) is
-    # _isolated / _coupled, and the per-slot failure contract _answer_bucket;
-    # what runs on the shards is each family's partition-set function.
+    # Bucket hooks (see repro.core.requests): each runs its family's pass
+    # over the live shards through _answer_bucket.
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
@@ -809,19 +706,15 @@ class ShardedDatabase:
         deadline=None,
     ) -> List:
         first = bucket[0]
-        k, alpha, method = first.k, first.alpha, first.method.value
-
-        def answer(unit: Sequence[AknnRequest]) -> List:
-            queries = [request.query for request in unit]
-            return self._coupled(
-                lambda live, fan_out: aknn_bucket_pass(
-                    self._rep_index, live, fan_out, queries, k, alpha, method,
-                    self.config, self.metrics, rng=rng, deadline=deadline,
-                ),
-                deadline,
-            )
-
-        return self._answer_bucket(bucket, [bucket], answer)
+        return self._answer_bucket(
+            bucket, [bucket],
+            lambda unit, live, fan_out: aknn_bucket_pass(
+                self._rep_index, live, fan_out, [request.query for request in unit],
+                first.k, first.alpha, first.method.value, self.config, self.metrics,
+                rng=rng, deadline=deadline,
+            ),
+            deadline,
+        )
 
     def _execute_range_bucket(
         self,
@@ -829,17 +722,15 @@ class ShardedDatabase:
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
-        def answer(unit: Sequence[RangeRequest]) -> List:
-            # Isolated: each shard answers the whole bucket on its own (one
-            # descent, one probe pass); a lost shard leaves every member partial.
-            local, merge = range_bucket(
-                [request.query for request in unit], unit[0].alpha,
+        return self._answer_bucket(
+            bucket, [bucket],
+            lambda unit, live, fan_out: range_pass(
+                live, fan_out, [request.query for request in unit], unit[0].alpha,
                 [request.radius for request in unit], self.config, rng,
                 deadline=deadline,
-            )
-            return self._isolated("range", local, merge, deadline=deadline)
-
-        return self._answer_bucket(bucket, [bucket], answer)
+            ),
+            deadline,
+        )
 
     def _execute_sweep_bucket(
         self,
@@ -847,24 +738,18 @@ class ShardedDatabase:
         rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
-        def answer(unit: Sequence[SweepRequest]) -> List:
-            (request,) = unit
-            # Coupled: the sweep's chained sub-queries must all answer against
-            # the same live set and snapshot.
-            return self._coupled(
-                lambda live, fan_out: [
-                    sweep_pass(
-                        self._rep_index, live, fan_out, self.config,
-                        request.query, request.k, request.alpha_range,
-                        method=request.method.value,
-                        aknn_method=request.aknn_method.value,
-                        rng=rng, deadline=deadline,
-                    )
-                ],
-                deadline,
-            )
-
-        return self._answer_bucket(bucket, [[r] for r in bucket], answer)
+        return self._answer_bucket(
+            bucket, [[request] for request in bucket],
+            lambda unit, live, fan_out: [
+                sweep_pass(
+                    self._rep_index, live, fan_out, self.config,
+                    unit[0].query, unit[0].k, unit[0].alpha_range,
+                    method=unit[0].method.value, aknn_method=unit[0].aknn_method.value,
+                    rng=rng, deadline=deadline,
+                )
+            ],
+            deadline,
+        )
 
     def _execute_reverse_bucket(
         self,
@@ -873,28 +758,15 @@ class ShardedDatabase:
         deadline=None,
     ) -> List:
         first = bucket[0]
-
-        def answer(unit: Sequence[ReverseRequest]) -> List:
-            queries = [request.query for request in unit]
-            # Gather, filter and verification are three strict fan-outs of
-            # the family's one pass; coupled because the filter compares each
-            # shard's rows against the global box set and the verification
-            # radii fold all shards' candidates together.
-            results = self._coupled(
-                lambda live, fan_out: reverse_bucket_pass(
-                    self._rep_index, live, fan_out, queries, first.k,
-                    first.alpha, self.config, rng=rng, deadline=deadline,
-                ),
-                deadline,
-            )
-            self.metrics.increment(MetricsCollector.REVERSE_QUERIES, len(unit))
-            self.metrics.increment(
-                MetricsCollector.REVERSE_CANDIDATES,
-                int(results[0].stats.extra["reverse_candidates"]),
-            )
-            return results
-
-        return self._answer_bucket(bucket, [bucket], answer)
+        return self._answer_bucket(
+            bucket, [bucket],
+            lambda unit, live, fan_out: reverse_bucket_pass(
+                self._rep_index, live, fan_out, [request.query for request in unit],
+                first.k, first.alpha, self.config, self.metrics, rng=rng,
+                deadline=deadline,
+            ),
+            deadline,
+        )
 
     # ------------------------------------------------------------------
     # Live updates
@@ -1003,9 +875,3 @@ class ShardedDatabase:
         """Close every shard store."""
         for shard in self._shards:
             shard.db.close()
-
-    def __enter__(self) -> "ShardedDatabase":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

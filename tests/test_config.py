@@ -1,10 +1,19 @@
 """Unit tests for configuration objects."""
 
 import dataclasses
+import math
 
 import pytest
 
-from repro.config import DEFAULTS, PaperDefaults, RuntimeConfig
+from repro.config import (
+    DEFAULT_RTREE_MAX_ENTRIES,
+    DEFAULT_RTREE_MIN_FILL,
+    DEFAULTS,
+    PaperDefaults,
+    RuntimeConfig,
+)
+from repro.exceptions import IndexError_
+from repro.index.rtree import RTree
 
 
 class TestPaperDefaults:
@@ -38,10 +47,13 @@ class TestRuntimeConfig:
             RuntimeConfig(rtree_max_entries=2).validate()
 
     def test_invalid_min_fill(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(rtree_min_fill=0.9).validate()
-        with pytest.raises(ValueError):
-            RuntimeConfig(rtree_min_fill=0.0).validate()
+        """The split's fill factor is a constant; a tree still rejects a bad one."""
+        with pytest.raises(TypeError):
+            RuntimeConfig(rtree_min_fill=0.4)
+        for min_fill in (0.9, 0.0):
+            with pytest.raises(IndexError_):
+                RTree(min_fill=min_fill)
+        assert RTree().min_entries == math.ceil(DEFAULT_RTREE_MAX_ENTRIES * DEFAULT_RTREE_MIN_FILL)
 
     def test_invalid_cache_capacity(self):
         with pytest.raises(ValueError):
@@ -54,7 +66,7 @@ class TestRuntimeConfig:
     def test_field_count_does_not_grow(self):
         """ROADMAP house rule: a new knob needs two callers that disagree."""
         names = {field.name for field in dataclasses.fields(RuntimeConfig)}
-        assert len(names) == 16
+        assert len(names) == 15
         assert not names & {
             "coalesce_window_ms",
             "batch_workers",
@@ -66,6 +78,7 @@ class TestRuntimeConfig:
             "compaction_debt_ratio",
             "subscription_queue_depth",
             "profile_cache_capacity",
+            "rtree_min_fill",
         }
 
 

@@ -16,7 +16,10 @@ moves fails here, naming the request, the engine and the field.
 Before a record is compared, its ``distance_evaluations`` is re-derived from
 the :class:`~repro.core.executor.Decisions` rows the results were read from
 (the ``EVALUATED`` rows, as ``tests/test_decision_record.py`` derives them),
-and ``object_accesses`` from the store's own counter.
+and ``object_accesses`` from the store's own counter.  A batch's store reads
+are re-derived from what its buckets report: a shared bucket's
+``bucket_object_accesses`` once, a request answered on its own (each sweep)
+its ``object_accesses``.
 
 A change that moves a count on purpose regenerates the record::
 
@@ -137,6 +140,18 @@ def store_reads(engine):
     return int(engine.object_accesses)
 
 
+def reported_reads(named, results):
+    """The store reads a batch's results account for, bucket by bucket."""
+    buckets = {}
+    for (_, request), result in zip(named, results):
+        buckets.setdefault((type(request), request.bucket_key()), []).append(result.stats)
+    total = 0
+    for stats in buckets.values():
+        shared = stats[0].extra.get("bucket_object_accesses")
+        total += int(shared) if shared is not None else sum(s.object_accesses for s in stats)
+    return total
+
+
 def run(engine, named, trace):
     """``{name: record}`` for every request alone, then inside one batch."""
     out = {}
@@ -153,10 +168,11 @@ def run(engine, named, trace):
     before = store_reads(engine)
     results = engine.execute_batch([request for _, request in named])
     trace.take()
-    # A range or reverse bucket reports its reads once, as the bucket's;
-    # an AKNN bucket of many reports none per request (FOUND in CHANGES.md),
-    # so the batch's reads are taken from the store's counter as a whole.
     out["batch store reads"] = store_reads(engine) - before
+    # The engines plan the batch bucket by bucket; the service's coalescer
+    # may flush one key's requests in more than one bucket.
+    if not isinstance(engine, ServiceEngine):
+        assert reported_reads(named, results) == out["batch store reads"], "batch store reads"
     for (name, _), result in zip(named, results):
         stats = result.stats
         out[f"batch {name}"] = [getattr(stats, f) for f in FIELDS] + [answer(result)]

@@ -231,6 +231,24 @@ class TestRecoveredConfig:
         assert reopened.config == RuntimeConfig(rtree_max_entries=8, upper_bound_samples=3)
         reopened.close()
 
+    @pytest.mark.parametrize("engine", [FuzzyDatabase, ShardedDatabase])
+    def test_a_catalogue_with_a_retired_field_still_recovers(self, tmp_path, engine):
+        """``rtree_min_fill`` was a field; a directory written with it in
+        every catalogue recovers with the fields that remain."""
+        db = engine.build(_initial_objects(3, 6), config=self.WRITTEN)
+        db.enable_durability(tmp_path / "db")
+        db.close()
+        catalogs = sorted((tmp_path / "db").rglob("catalog.json"))
+        assert catalogs, "the check is not looking at the written catalogues"
+        for path in catalogs:
+            catalog = json.loads(path.read_text(encoding="utf-8"))
+            catalog["config"]["rtree_min_fill"] = 0.4
+            path.write_text(json.dumps(catalog), encoding="utf-8")
+        recovered = engine.recover(tmp_path / "db", resume=False)
+        assert recovered.config == self.WRITTEN
+        assert len(recovered) == 6
+        recovered.close()
+
 
 class TestCrashRecoveryParitySingle:
     """Satellite 3 (single node): every random WAL cut recovers a consistent

@@ -354,6 +354,35 @@ class TestPartialParity:
             assert got_one.matches == want_one.matches
         assert any(result.matches for result in got)
 
+    def test_a_range_bucket_that_loses_a_shard_mid_pass_reruns_on_the_survivors(
+        self, objects, queries
+    ):
+        """Range meets the shards like every other family: a shard lost inside
+        the pass (shard 0 has answered) makes the whole pass rerun on the
+        survivors.  The answer is the survivors-only database's, the coverage
+        names the lost shard, and the engine counts the rerun's fan-outs."""
+        sharded, reference = build_dead_shard_pair(
+            objects, plan=f"shard={DEAD},op=range,kind=raise"
+        )
+        try:
+            requests = [
+                RangeRequest(query, alpha=0.5, radius=radius)
+                for query, radius in zip(queries, (1.0, 2.5, 4.0))
+            ]
+            before = sharded.metrics.get(MetricsCollector.SHARD_FANOUTS)
+            got = sharded.execute_batch(requests)
+            # the first pass meets all three shards, the rerun the two survivors
+            assert sharded.metrics.get(MetricsCollector.SHARD_FANOUTS) - before == 3 + 2
+            for got_one, want_one in zip(got, reference.execute_batch(requests)):
+                assert_partial_coverage(got_one)
+                assert got_one.coverage.answered == (0, 2)
+                assert "FaultInjectedError" in dict(got_one.coverage.reasons)[DEAD]
+                assert got_one.matches == want_one.matches
+            assert any(result.matches for result in got)
+        finally:
+            sharded.close()
+            reference.close()
+
     def test_sweep(self, dead_pair, queries):
         sharded, reference = dead_pair
         request = SweepRequest(queries[0], k=3, alpha_range=(0.45, 0.6))

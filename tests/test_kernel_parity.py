@@ -42,6 +42,7 @@ from repro.index.soa import (
     min_dist_to_boxes,
     rep_to_samples_distances,
 )
+from repro.metrics.counters import MetricsCollector
 from repro.predicates import LEVEL_ATOL
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -522,7 +523,7 @@ class TestReverseFilterTable:
             for _ in range(2):  # builds the table, then reads it
                 results = reverse_module.reverse_bucket_pass(
                     index, parts, lambda op, fn: [fn(part) for part in parts],
-                    [query] * n_queries, k, 0.5, RuntimeConfig(),
+                    [query] * n_queries, k, 0.5, RuntimeConfig(), MetricsCollector(),
                 )
                 seen[-1] = (seen[-1], results[0].stats.extra)
         (cold, cold_stats), (warm, warm_stats) = seen

@@ -1,5 +1,5 @@
 """What ``service/sharded.py`` may know, how both engines answer an AKNN
-bucket, where a bucket's counts come from, what ``reference.py`` may import,
+bucket, what each engine defines itself, where a bucket's counts come from, what ``reference.py`` may import,
 where a tolerance may be spelled, what the package may carry, and the
 line-count script, as checks.
 
@@ -100,8 +100,8 @@ def test_sharded_writes_no_family():
     imported = {name or module.rsplit(".", 1)[-1] for module, name in imports_of(SHARDED)}
     assert "FuzzyDatabase" in imported, "the check is not looking at the module"
     assert not imported.intersection(FAMILY_PIECES), sorted(imported.intersection(FAMILY_PIECES))
-    # range is answered a bucket at a time, never by a per-request worker
-    assert "range_bucket" in imported and "range_fanout" not in imported
+    # range is answered by its family's one pass, like every other family
+    assert "range_pass" in imported and "range_bucket" not in imported
     classes = {
         node.name
         for node in ast.walk(ast.parse(SHARDED.read_text()))
@@ -150,6 +150,51 @@ def test_the_batch_executor_keeps_no_representative_index():
     assert "aknn_batch" in names, "the check is not looking at the class"
     assert not {name for name in names if "rep_index" in name}, sorted(names)
     assert "RepresentativeIndex" not in names and "bootstrap_radii" not in names
+
+
+# The per-family searcher objects a database no longer holds: it runs each
+# family's pass over itself, as the sharded database runs it over its shards.
+SEARCHERS = {"AlphaRangeSearcher", "ReverseAKNNSearcher", "RKNNSearcher", "BatchQueryExecutor"}
+# What both engines inherit from ``repro.core.requests.Engine``.
+SHARED_SURFACE = {
+    "execute", "execute_batch", "add_update_listener", "remove_update_listener",
+    "_notify_insert", "_notify_delete", "__enter__", "__exit__",
+}
+
+
+def class_methods(path, name):
+    """The names a class defines in its own body, and its bases."""
+    node = next(
+        node
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+    methods = {m.name for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return methods, {ast.unparse(base) for base in node.bases}
+
+
+def test_the_database_imports_no_per_family_searcher():
+    imported = {name for _, name in imports_of(DATABASE)}
+    assert "aknn_bucket_pass" in imported, "the check is not looking at the module"
+    assert not imported & SEARCHERS, sorted(imported & SEARCHERS)
+
+
+def test_the_sharded_database_has_one_combinator():
+    methods, _ = class_methods(SHARDED, "ShardedDatabase")
+    assert "_coupled" in methods, "the check is not looking at the class"
+    assert not {"_isolated", "_map_outcomes"} & methods
+
+
+def test_the_engine_surface_is_written_once():
+    for path, name in ((DATABASE, "FuzzyDatabase"), (SHARDED, "ShardedDatabase")):
+        methods, bases = class_methods(path, name)
+        assert bases == {"Engine"}, (name, bases)
+        assert not methods & SHARED_SURFACE, (name, sorted(methods & SHARED_SURFACE))
+        # a profiler patches these in the class's own __dict__
+        hooks = {f"_execute_{family}_bucket" for family in ("aknn", "range", "sweep", "reverse")}
+        assert hooks | {"insert", "delete", "recover"} <= methods, name
+    engine, _ = class_methods(SRC / "repro" / "core" / "requests.py", "Engine")
+    assert engine == SHARED_SURFACE
 
 
 RANGE = SRC / "repro" / "core" / "range_search.py"

@@ -242,7 +242,7 @@ class TestEveryAccessBuysADistance:
     def test_fully_seeded_executor_never_reads_the_store(self, reference, query_pool):
         """Seeds covering every candidate: zero ``store.get``, same answer."""
         queries = query_pool[:6]
-        executor = reference.executor
+        executor = BatchQueryExecutor(reference.store, reference.tree, reference.config)
         plain = one_part_bucket(reference, queries, k=5)
         seeds = []
         for query in queries:
@@ -264,7 +264,7 @@ class TestEveryAccessBuysADistance:
     def test_results_under_a_radius_lie_within_it(self, reference, query_pool):
         """A deliberately small radius truncates the list — at the radius."""
         queries = query_pool[:6]
-        executor = reference.executor
+        executor = BatchQueryExecutor(reference.store, reference.tree, reference.config)
         full = one_part_bucket(reference, queries, k=9)
         # the 3rd neighbour's distance: the top-9 must shrink to the ties at it
         radii = np.array([r.neighbors[2].distance for r in full])
@@ -383,14 +383,15 @@ class TestRepresentativeIndexFollowsItsTrees:
         index = RepresentativeIndex()
 
         def covered():
-            kdtree, object_ids, member_of = index.over(trees)
+            kdtree, object_ids = index.over(trees)
             assert kdtree.n == object_ids.shape[0] == sum(len(t) for t in trees)
-            assert member_of == {
-                object_id: member
-                for member, tree in enumerate(trees)
+            # the leaf views' ids, member after member, in the same order
+            assert object_ids.tolist() == [
+                object_id
+                for tree in trees
                 for view in tree.leaf_views()
                 for object_id in view.object_ids.tolist()
-            }
+            ]
             return kdtree
 
         first = covered()
@@ -413,7 +414,9 @@ class TestRepresentativeIndexFollowsItsTrees:
         survivor = index.over(trees[1:])
         assert survivor[0] is not both[0]
         assert survivor[0].n == len(trees[1])
-        assert set(survivor[2].values()) == {0}
+        assert set(survivor[1].tolist()) == {
+            object_id for view in trees[1].leaf_views() for object_id in view.object_ids.tolist()
+        }
         assert index.over(trees)[0] is not survivor[0]
 
     def test_a_table_built_for_a_replaced_version_is_not_written_back(
@@ -516,7 +519,7 @@ class TestBatchCandidates:
 # ----------------------------------------------------------------------
 class TestPreparedQueriesAreReused:
     def test_executor_accepts_prepared_and_raw_queries_alike(self, reference, query_pool):
-        executor = reference.executor
+        executor = BatchQueryExecutor(reference.store, reference.tree, reference.config)
         queries = query_pool[:5]
         radii = kth_distances(one_part_bucket(reference, queries, k=4))
         raw = executor.aknn_batch(queries, k=4, alpha=ALPHA, initial_tau=radii)
@@ -537,7 +540,7 @@ class TestPreparedQueriesAreReused:
     def test_prepared_query_at_another_alpha_is_rejected(self, reference, query_pool):
         prepared = [PreparedQuery(query_pool[0], 0.8, reference.config)]
         with pytest.raises(InvalidQueryError):
-            reference.executor.aknn_batch(
+            BatchQueryExecutor(reference.store, reference.tree, reference.config).aknn_batch(
                 prepared, k=3, alpha=ALPHA, initial_tau=np.array([np.inf])
             )
 

@@ -57,7 +57,9 @@ class TestCorrectness:
     def test_nan_radius_rejected_at_the_searcher(self, dense_database, dense_queries):
         query, nan = dense_queries[0], float("nan")
         with pytest.raises(InvalidQueryError):
-            dense_database.range_searcher.search(query, 0.5, nan)
+            AlphaRangeSearcher(dense_database.store, dense_database.tree).search(
+                query, 0.5, nan
+            )
         one_part = lambda op, fn: [fn(dense_database)]  # noqa: E731
         with pytest.raises(InvalidQueryError):
             collect_over_parts(one_part, query, 0.5, nan, dense_database.config)
@@ -90,7 +92,7 @@ class TestCollect:
             dense_database.config,
         )
         reads = dense_database.object_accesses - before
-        basic = dense_database.range_searcher.search(
+        basic = AlphaRangeSearcher(dense_database.store, dense_database.tree).search(
             query, alpha, radius, use_improved_bounds=False
         )
         assert sorted(found.object_ids) == sorted(basic.object_ids)

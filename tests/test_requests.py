@@ -8,16 +8,14 @@ Covers the acceptance criteria of the request-API redesign:
 * a mixed-type submission shares traversals within each ``bucket_key()``
   group (verified through the ``plan_groups`` / ``plan_requests`` /
   ``batch_queries`` counters);
-* the planner registry accepts new request families in one place — on the
-  sharded engine as one request dataclass + one per-shard worker + one merge,
-  with the whole failure contract supplied by the fan-out combinator;
+* the planner's table of bucket hooks is closed: an unknown request type
+  and a hook that answers the wrong number of slots are rejected;
 * lazy ``PreparedQuery.query_samples``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -35,14 +33,10 @@ from repro.core.requests import (
     ReverseRequest,
     SweepMethod,
     SweepRequest,
-    _PLANNERS,
     execute_plan,
 )
-from repro.core.results import Coverage
-from repro.exceptions import InvalidQueryError, ShardUnavailableError
+from repro.exceptions import InvalidQueryError
 from repro.fuzzy.fuzzy_object import FuzzyObject
-from repro.metrics.counters import MetricsCollector
-from repro.service.faults import FaultPlan
 from repro.service.query_service import QueryService
 from repro.service.sharded import ShardedDatabase
 from tests.conftest import (
@@ -199,106 +193,12 @@ class TestMixedBatchSingleDatabase:
 
 
 # ----------------------------------------------------------------------
-# Planner registry
+# Planner table
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CountRequest(QueryRequest):
-    """The toy family: how many objects does the engine hold?"""
-
-    def bucket_key(self):
-        return ("count",)
-
-
-@dataclass
-class CountResult:
-    count: int
-    coverage: Optional[Coverage] = None
-
-
 class TestPlannerRegistry:
-    def test_new_request_family_registers_in_one_place(self, dense_database, monkeypatch):
-        calls = []
-
-        def plan_count(engine, bucket, rng, deadline=None):
-            calls.append(len(bucket))
-            return [len(engine.store) for _ in bucket]
-
-        monkeypatch.setitem(_PLANNERS, CountRequest, plan_count)
-        query = make_fuzzy_object(np.random.default_rng(1))
-        results = dense_database.execute_batch([CountRequest(query), CountRequest(query)])
-        assert results == [len(dense_database), len(dense_database)]
-        assert calls == [2]  # one shared bucket, not two
-
-    def test_fifth_family_over_shards_inherits_the_failure_contract(self, monkeypatch):
-        """One request dataclass + one per-shard worker + one merge.
-
-        Everything else — retries, breaker shedding, partial ``Coverage``,
-        ``require_full`` — comes from the isolated fan-out combinator and the
-        bucket wrapper, shown here against a permanently dead shard.
-        """
-
-        def plan_count(engine, bucket, rng, deadline=None):
-            return engine._answer_bucket(
-                bucket,
-                [[request] for request in bucket],
-                lambda unit: [
-                    engine._isolated(
-                        "count",
-                        lambda shard: len(shard.db),               # the worker
-                        lambda counts: CountResult(sum(counts)),   # the merge
-                        deadline=deadline,
-                    )
-                ],
-            )
-
-        rng = np.random.default_rng(41)
-        objects = [make_fuzzy_object(rng, object_id=i) for i in range(30)]
-        config = RuntimeConfig(
-            shard_retry_attempts=2,
-            shard_retry_base_ms=0.1,
-            shard_retry_max_ms=0.5,
-            breaker_failure_threshold=2,
-            breaker_reset_timeout_ms=60_000.0,
-        )
-        sharded = ShardedDatabase.build(objects, n_shards=3, config=config)
-        sizes = sharded.shard_sizes()
-        query = make_fuzzy_object(rng)
-        monkeypatch.setitem(_PLANNERS, CountRequest, plan_count)
-        try:
-            whole = sharded.execute(CountRequest(query))
-            assert whole.count == len(objects) and whole.coverage.complete
-
-            sharded.fault_plan = FaultPlan.parse("shard=1,kind=raise")
-            # Retries, then a partial answer naming the dead shard — twice,
-            # which exhausts the breaker's failure threshold.
-            for _ in range(2):
-                partial = sharded.execute(CountRequest(query))
-                assert partial.count == sizes[0] + sizes[2]
-                assert partial.coverage.answered == (0, 2)
-                assert partial.coverage.failed == (1,)
-                assert "FaultInjectedError" in dict(partial.coverage.reasons)[1]
-            counters = sharded.metrics.as_dict()
-            assert counters[MetricsCollector.RETRIES] == 2
-            assert counters[MetricsCollector.BREAKER_OPEN] == 1
-
-            # The open breaker now sheds the shard without invoking it.
-            fired = sharded.fault_plan.total_fired()
-            shed = sharded.execute_batch([CountRequest(query), CountRequest(query)])
-            assert sharded.fault_plan.total_fired() == fired
-            for result in shed:
-                assert result.count == sizes[0] + sizes[2]
-                assert dict(result.coverage.reasons)[1] == "circuit breaker open"
-            counters = sharded.metrics.as_dict()
-            assert counters[MetricsCollector.BREAKER_SHED] == 2  # shards shed
-            assert counters[MetricsCollector.PARTIAL_RESULTS] == 4
-
-            # require_full opts back into fail-closed, with a retry-after hint.
-            with pytest.raises(ShardUnavailableError) as excinfo:
-                sharded.execute(CountRequest(query, require_full=True))
-            assert tuple(excinfo.value.shards) == (1,)
-            assert excinfo.value.retry_after_ms > 0.0
-        finally:
-            sharded.close()
+    """The four families' hooks are the whole table; the failure contract
+    every one of them inherits on shards (retries, breaker shedding, partial
+    ``Coverage``, ``require_full``) is checked per family in test_faults.py."""
 
     def test_unregistered_request_type_raises(self, dense_database):
         @dataclass(frozen=True)
@@ -307,20 +207,16 @@ class TestPlannerRegistry:
                 return ("orphan",)
 
         query = make_fuzzy_object(np.random.default_rng(2))
-        assert OrphanRequest not in _PLANNERS
-        with pytest.raises(InvalidQueryError):
+        with pytest.raises(InvalidQueryError, match="no bucket hook for request type OrphanRequest"):
             execute_plan(dense_database, [OrphanRequest(query)])
 
     def test_planner_result_arity_is_checked(self, dense_database, monkeypatch):
-        @dataclass(frozen=True)
-        class ShortRequest(QueryRequest):
-            def bucket_key(self):
-                return ("short",)
-
-        monkeypatch.setitem(_PLANNERS, ShortRequest, lambda engine, bucket, rng, deadline=None: [])
+        monkeypatch.setattr(
+            dense_database, "_execute_range_bucket", lambda bucket, rng, deadline=None: []
+        )
         query = make_fuzzy_object(np.random.default_rng(3))
-        with pytest.raises(InvalidQueryError):
-            dense_database.execute(ShortRequest(query))
+        with pytest.raises(InvalidQueryError, match="returned 0 results for 1 requests"):
+            dense_database.execute(RangeRequest(query, alpha=0.5, radius=1.0))
 
 
 # ----------------------------------------------------------------------
