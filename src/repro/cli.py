@@ -469,13 +469,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
     config = RuntimeConfig(
         service_shards=args.shards,
-        shard_placement=args.placement,
-        coalesce_max_batch=args.max_batch,
-        service_queue_depth=args.queue_depth,
         snapshot_every=args.snapshot_every,
         cache_capacity=4096,
     )
-    database = ShardedDatabase.build(objects, config=config)
+    database = ShardedDatabase.build(objects, placement=args.placement, config=config)
     print(
         f"serving {len(database)} objects over {database.n_shards} shards "
         f"({args.placement} placement, sizes {database.shard_sizes()})"
@@ -547,7 +544,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             object_id = service.insert(obj)
             service.delete(object_id)
 
-    with QueryService(database) as service:
+    with QueryService(
+        database, max_batch=args.max_batch, queue_depth=args.queue_depth
+    ) as service:
         # Warm caches before the measured phase.
         for index in range(min(8, len(queries))):
             try:

@@ -50,9 +50,11 @@ DEFAULT_NODE_ALPHA_CACHE_CAPACITY = 8
 DEFAULT_ALPHA_CUT_CACHE_CAPACITY = 8
 
 # Defaults of the sharded query service (see repro.service).  The shard count
-# is at least 1 (one shard: no partitioning); the coalescer window is the
-# longest a submit_request bucket waits for companions (a blocked caller's
-# bucket flushes as soon as the flusher is free).
+# is at least 1 (one shard: no partitioning); the placement is
+# ShardedDatabase.build's, and a recovery's when the manifest names none; the
+# coalescer window is the longest a submit_request bucket waits for
+# companions (a blocked caller's bucket flushes as soon as the flusher is
+# free); the batch size and queue depth are QueryService's.
 DEFAULT_SERVICE_SHARDS = 4
 DEFAULT_SHARD_PLACEMENT = "hash"
 DEFAULT_COALESCE_WINDOW_MS = 2.0
@@ -108,18 +110,8 @@ class RuntimeConfig:
     cache_capacity:
         Number of fuzzy objects the object-store buffer pool keeps in memory.
         ``0`` disables caching so every probe touches the backing file.
-    alpha_cut_cache_capacity:
-        Number of materialised alpha-cuts each fuzzy object handed out by the
-        store keeps in its per-object LRU cache.  ``0`` disables the cache.
     service_shards:
         Default shard count of :class:`~repro.service.ShardedDatabase`.
-    shard_placement:
-        Default placement policy name (``"hash"`` or ``"space"``).
-    coalesce_max_batch:
-        Bucket size that triggers an immediate flush.
-    service_queue_depth:
-        Maximum requests pending across all buckets; submissions beyond it
-        are shed with :class:`~repro.exceptions.ServiceOverloadedError`.
     shard_retry_attempts:
         Total attempts (initial call included) for a failed per-shard read
         before the shard is counted as failed for this query.  ``1``
@@ -143,11 +135,7 @@ class RuntimeConfig:
     upper_bound_samples: int = DEFAULT_UPPER_BOUND_SAMPLES
     rtree_max_entries: int = DEFAULT_RTREE_MAX_ENTRIES
     cache_capacity: int = 0
-    alpha_cut_cache_capacity: int = DEFAULT_ALPHA_CUT_CACHE_CAPACITY
     service_shards: int = DEFAULT_SERVICE_SHARDS
-    shard_placement: str = DEFAULT_SHARD_PLACEMENT
-    coalesce_max_batch: int = DEFAULT_COALESCE_MAX_BATCH
-    service_queue_depth: int = DEFAULT_SERVICE_QUEUE_DEPTH
     shard_retry_attempts: int = DEFAULT_SHARD_RETRY_ATTEMPTS
     shard_retry_base_ms: float = DEFAULT_SHARD_RETRY_BASE_MS
     shard_retry_max_ms: float = DEFAULT_SHARD_RETRY_MAX_MS
@@ -164,18 +152,8 @@ class RuntimeConfig:
             raise ValueError("rtree_max_entries must be >= 4")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be >= 0")
-        if self.alpha_cut_cache_capacity < 0:
-            raise ValueError("alpha_cut_cache_capacity must be >= 0")
         if self.service_shards < 1:
             raise ValueError("service_shards must be >= 1")
-        if self.shard_placement not in ("hash", "space"):
-            raise ValueError(
-                f"shard_placement must be 'hash' or 'space', got {self.shard_placement!r}"
-            )
-        if self.coalesce_max_batch < 1:
-            raise ValueError("coalesce_max_batch must be >= 1")
-        if self.service_queue_depth < 1:
-            raise ValueError("service_queue_depth must be >= 1")
         if self.shard_retry_attempts < 1:
             raise ValueError("shard_retry_attempts must be >= 1")
         if self.shard_retry_base_ms < 0.0 or self.shard_retry_max_ms < 0.0:

@@ -49,8 +49,6 @@ import bisect
 import heapq
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.config import RuntimeConfig
 from repro.core.query import PreparedQuery
 from repro.core.results import AKNNResult, Neighbor, QueryStats
@@ -202,7 +200,6 @@ class AKNNSearcher:
         k: int,
         alpha: float,
         method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
     ) -> AKNNResult:
         """Return the ``k`` objects with smallest alpha-distance to ``query``."""
         if k <= 0:
@@ -212,7 +209,7 @@ class AKNNSearcher:
                 f"unknown AKNN method {method!r}; expected one of {AKNN_METHODS}"
             )
         metrics = MetricsCollector()
-        prepared = PreparedQuery(query, alpha, self.config, rng, metrics)
+        prepared = PreparedQuery(query, alpha, self.config, metrics)
         accesses_before = self._object_accesses()
         timer = Timer().start()
 
@@ -371,8 +368,7 @@ class AKNNSearcher:
             aknn_calls=1,
             elapsed_seconds=elapsed,
         )
-        if len(self.parts) > 1:
-            stats.extra["shard_fanouts"] = float(len(self.parts))
+        stats.extra["shard_fanouts"] = float(len(self.parts))
         return stats
 
 

@@ -119,7 +119,9 @@ class FuzzyDatabase(Engine):
         config:
             Runtime configuration (R-tree fan-out, cache capacity, ...).
         rng:
-            Randomness source for representative-point selection.
+            Randomness source for ``rep(A)``, drawn here once per object
+            (the first kernel point without one).  Nothing else draws: an
+            insert, and its replay on recovery, take the first kernel point.
         """
         config = (config or RuntimeConfig()).validate()
         data_path = None
@@ -127,11 +129,7 @@ class FuzzyDatabase(Engine):
             directory = Path(path)
             directory.mkdir(parents=True, exist_ok=True)
             data_path = directory / _DATA_FILE
-        store = ObjectStore(
-            path=data_path,
-            cache_capacity=config.cache_capacity,
-            cut_cache_capacity=config.alpha_cut_cache_capacity,
-        )
+        store = ObjectStore(path=data_path, cache_capacity=config.cache_capacity)
 
         def stored() -> Iterator[FuzzyObject]:
             for obj in objects:
@@ -159,30 +157,27 @@ class FuzzyDatabase(Engine):
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
-        rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List[AKNNResult]:
         return aknn_bucket_pass(
             self._rep_index, [self], self._fan_out, [request.query for request in bucket],
             bucket[0].k, bucket[0].alpha, bucket[0].method.value, self.config,
-            self.metrics, rng=rng, deadline=deadline,
+            self.metrics, deadline=deadline,
         )
 
     def _execute_range_bucket(
         self,
         bucket: Sequence[RangeRequest],
-        rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List[RangeSearchResult]:
         return range_pass(
             [self], self._fan_out, [request.query for request in bucket], bucket[0].alpha,
-            [request.radius for request in bucket], self.config, rng, deadline=deadline,
+            [request.radius for request in bucket], self.config, deadline=deadline,
         )
 
     def _execute_sweep_bucket(
         self,
         bucket: Sequence[SweepRequest],
-        rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List[RKNNResult]:
         return [
@@ -190,7 +185,7 @@ class FuzzyDatabase(Engine):
                 self._rep_index, [self], self._fan_out, self.config,
                 request.query, request.k, request.alpha_range,
                 method=request.method.value, aknn_method=request.aknn_method.value,
-                rng=rng, deadline=deadline,
+                deadline=deadline,
             )
             for request in bucket
         ]
@@ -198,23 +193,17 @@ class FuzzyDatabase(Engine):
     def _execute_reverse_bucket(
         self,
         bucket: Sequence[ReverseRequest],
-        rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List[ReverseKNNResult]:
         return reverse_bucket_pass(
             self._rep_index, [self], self._fan_out, [request.query for request in bucket],
-            bucket[0].k, bucket[0].alpha, self.config, self.metrics, rng=rng,
-            deadline=deadline,
+            bucket[0].k, bucket[0].alpha, self.config, self.metrics, deadline=deadline,
         )
 
     # ------------------------------------------------------------------
     # Live updates
     # ------------------------------------------------------------------
-    def insert(
-        self,
-        obj: FuzzyObject,
-        rng: Optional[np.random.Generator] = None,
-    ) -> int:
+    def insert(self, obj: FuzzyObject) -> int:
         """Add one object to the running database; returns its object id.
 
         The object is appended to the store, summarised, and inserted into
@@ -248,7 +237,7 @@ class FuzzyDatabase(Engine):
         object_id = self.store.put(obj)
         if obj.object_id is None:
             obj = obj.with_id(object_id)
-        summary = build_summary(obj, rng=rng)
+        summary = build_summary(obj)
         self.summaries[object_id] = summary
         self.tree.insert(summary)
         if self._snapshots is not None:
@@ -416,7 +405,6 @@ class FuzzyDatabase(Engine):
             data_path,
             slot_table,
             cache_capacity=config.cache_capacity,
-            cut_cache_capacity=config.alpha_cut_cache_capacity,
             id_watermark=int(catalog.get("id_watermark", 0)),
         )
         summaries = {
@@ -466,7 +454,6 @@ class FuzzyDatabase(Engine):
         directory: os.PathLike | str,
         *,
         fault_hook=None,
-        snapshot: bool = True,
     ) -> "FuzzyDatabase":
         """Attach a WAL + snapshot cycle rooted at ``directory``.
 
@@ -502,8 +489,7 @@ class FuzzyDatabase(Engine):
             manifest=Manifest(kind="single"),
             metrics=self.metrics,
         )
-        if snapshot:
-            self._snapshots.snapshot()
+        self._snapshots.snapshot()
         return self
 
     @classmethod
@@ -511,10 +497,8 @@ class FuzzyDatabase(Engine):
         cls,
         path: os.PathLike | str,
         config: Optional[RuntimeConfig] = None,
-        rng: Optional[np.random.Generator] = None,
         *,
         resume: bool = True,
-        fault_hook=None,
     ) -> "FuzzyDatabase":
         """Recover a durable database directory after a crash.
 
@@ -559,7 +543,7 @@ class FuzzyDatabase(Engine):
         wal.close()
         # The tail's inserts in one build; ids never recycle, so an id the
         # tail deleted stays out.
-        for summary in build_summaries(inserted, rng=rng):
+        for summary in build_summaries(inserted):
             if summary.object_id in store:
                 summaries[summary.object_id] = summary
         tree = bulk_load_tree(summaries.values(), config=config, metrics=boot)
@@ -568,5 +552,5 @@ class FuzzyDatabase(Engine):
         boot.increment(MetricsCollector.RECOVERIES)
         db.metrics.merge(boot)
         if resume:
-            db.enable_durability(directory, fault_hook=fault_hook)
+            db.enable_durability(directory)
         return db

@@ -369,20 +369,24 @@ class Decisions:
         """Every exact distance this bucket paid for."""
         return int(np.count_nonzero(self.by == EVALUATED)) + self.shared_evaluations
 
-    def bucket_stats(self, totals: Dict[str, int], **common) -> List[QueryStats]:
+    def bucket_stats(
+        self, totals: Dict[str, int], parts: int, **common
+    ) -> List[QueryStats]:
         """Per query, its :class:`QueryStats` under the one rule every
         bucket reports its costs by.
 
         ``totals`` are the bucket's shared costs by ``QueryStats`` field
         name; the record adds every distance it paid for.  Every query
-        reports the totals under ``extra["bucket_<name>"]``.  In its
-        scalars, the query of a bucket of one owns every total, and a query
-        of a bucket of many only the distances its own rows paid for.
-        ``common`` are the scalars every query carries (``aknn_calls``,
-        ``elapsed_seconds``, ...).
+        reports the totals under ``extra["bucket_<name>"]``, and the number
+        of parts the pass ran over under ``extra["shard_fanouts"]`` (1.0 on
+        one tree).  In its scalars, the query of a bucket of one owns every
+        total, and a query of a bucket of many only the distances its own
+        rows paid for.  ``common`` are the scalars every query carries
+        (``aknn_calls``, ``elapsed_seconds``, ...).
         """
         totals = {**totals, "distance_evaluations": self.total_evaluations()}
         shared = {f"bucket_{name}": float(value) for name, value in totals.items()}
+        shared["shard_fanouts"] = float(parts)
         return [
             QueryStats(
                 extra=dict(shared), **common,
@@ -622,7 +626,6 @@ def aknn_bucket_pass(
     method: str,
     config: RuntimeConfig,
     metrics: MetricsCollector,
-    rng: Optional[np.random.Generator] = None,
     deadline=None,
 ) -> List[AKNNResult]:
     """One AKNN bucket (shared ``k`` / ``alpha``) over a partition set.
@@ -653,8 +656,8 @@ def aknn_bucket_pass(
     if deadline is not None:
         deadline.check("aknn")
     if len(queries) == 1:
-        return [searcher_over(fan_out, config).search(queries[0], k, alpha, method, rng)]
-    prepared = [PreparedQuery(q, alpha, config, rng) for q in queries]
+        return [searcher_over(fan_out, config).search(queries[0], k, alpha, method)]
+    prepared = [PreparedQuery(q, alpha, config) for q in queries]
     q_lo = np.stack([p.query_mbr.lower for p in prepared])
     q_hi = np.stack([p.query_mbr.upper for p in prepared])
     accesses_before = sum(part.store.statistics.object_accesses for part in parts)
@@ -703,7 +706,7 @@ def aknn_bucket_pass(
         "object_accesses": accesses,
         "node_accesses": traversal.get(MetricsCollector.NODE_ACCESSES),
         "lower_bound_evaluations": traversal.get(MetricsCollector.LOWER_BOUND_EVALUATIONS),
-    }, aknn_calls=1))
+    }, len(parts), aknn_calls=1))
     metrics.increment(MetricsCollector.BATCH_QUERIES, len(queries))
     return results
 
@@ -788,7 +791,6 @@ class BatchQueryExecutor:
         k: int,
         alpha: float,
         method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
         initial_tau: Optional[np.ndarray] = None,
         initial_exact: Optional[Sequence[Dict[int, float]]] = None,
         deadline=None,
@@ -826,7 +828,7 @@ class BatchQueryExecutor:
             if deadline is not None:
                 deadline.check("batch")
             record = self._run_batch(
-                queries, k, alpha, method, rng, metrics, initial_tau, initial_exact,
+                queries, k, alpha, method, metrics, initial_tau, initial_exact,
                 deadline,
             )
         elapsed = timer.stop()
@@ -863,7 +865,6 @@ class BatchQueryExecutor:
         k: int,
         alpha: float,
         method: str,
-        rng: Optional[np.random.Generator],
         metrics: MetricsCollector,
         initial_tau: Optional[np.ndarray],
         initial_exact: Optional[Sequence[Dict[int, float]]],
@@ -873,7 +874,7 @@ class BatchQueryExecutor:
         ``k`` within its radius its members."""
         prepared = [
             q if isinstance(q, PreparedQuery)
-            else PreparedQuery(q, alpha, self.config, rng)
+            else PreparedQuery(q, alpha, self.config)
             for q in queries
         ]
         if any(p.alpha != alpha for p in prepared):

@@ -5,7 +5,9 @@ threshold ``alpha`` and precomputes everything the bounds of Section 3 need:
 
 * ``Q_alpha`` — the query alpha-cut and its MBR ``M_Q(alpha)``,
 * ``Q'_alpha`` — the small sample of the alpha-cut used by the improved upper
-  bound (Lemma 1),
+  bound (Lemma 1): evenly spaced points of the cut
+  (:meth:`~repro.fuzzy.fuzzy_object.FuzzyObject.sample_alpha_cut`), so a
+  request's bounds are the same on every run,
 * cheap accessors for the three bounds evaluated against a leaf summary:
   the *simple* lower bound (``MinDist`` of support MBRs, Algorithm 1), the
   *improved* lower bound ``d-_alpha`` (Equation 2 + ``MinDist``) and the two
@@ -42,7 +44,6 @@ class PreparedQuery:
         query: FuzzyObject,
         alpha: float,
         config: Optional[RuntimeConfig] = None,
-        rng: Optional[np.random.Generator] = None,
         metrics: Optional[MetricsCollector] = None,
     ):
         if not 0.0 < alpha <= 1.0:
@@ -56,8 +57,7 @@ class PreparedQuery:
         self.query_mbr = MBR.from_points(self.query_cut)
         # Q'_alpha is only consumed by the Lemma-1 upper bound, which the
         # reverse filter never reads (nor a reverse query with no candidate),
-        # so the sampling (and its rng draws) is deferred until first access.
-        self._rng = rng
+        # so the sampling is deferred until first access.
         self._query_samples: Optional[np.ndarray] = None
 
     @property
@@ -65,7 +65,7 @@ class PreparedQuery:
         """``Q'_alpha`` — the Lemma-1 sample of the alpha-cut (lazily drawn)."""
         if self._query_samples is None:
             self._query_samples = self.query.sample_alpha_cut(
-                self.alpha, self.config.upper_bound_samples, self._rng
+                self.alpha, self.config.upper_bound_samples
             )
         return self._query_samples
 

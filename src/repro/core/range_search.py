@@ -80,7 +80,6 @@ def range_bucket(
     alpha: float,
     radii: Sequence[float],
     config: RuntimeConfig,
-    rng: Optional[np.random.Generator] = None,
     improved: bool = True,
     deadline=None,
 ) -> Tuple[Callable, Callable]:
@@ -109,7 +108,7 @@ def range_bucket(
     bad = radii[~(radii >= 0.0)]  # NaN fails the comparison too
     if bad.size:
         raise InvalidQueryError(f"radius must be non-negative, got {bad[0]}")
-    prepared = [PreparedQuery(query, alpha, config, rng) for query in queries]
+    prepared = [PreparedQuery(query, alpha, config) for query in queries]
     q_lo = np.stack([p.query_mbr.lower for p in prepared])
     q_hi = np.stack([p.query_mbr.upper for p in prepared])
     timer = Timer().start()
@@ -152,18 +151,16 @@ def range_bucket(
             name: sum(part.counts[name] for part in per_part)
             for name in per_part[0].counts
         }
-        stats = record.bucket_stats(counted, range_calls=1, elapsed_seconds=timer.stop())
-        results = []
-        for radius, members, one in zip(radii.tolist(), record.answers(), stats):
-            if len(per_part) > 1:
-                one.extra["shard_fanouts"] = float(len(per_part))
-            results.append(
-                RangeSearchResult(
-                    [(object_id, d) for object_id, d, _, _ in members], radius, alpha,
-                    one, upper_bounds={i: u for i, d, _, u in members if d is None},
-                )
+        stats = record.bucket_stats(
+            counted, len(per_part), range_calls=1, elapsed_seconds=timer.stop()
+        )
+        return [
+            RangeSearchResult(
+                [(object_id, d) for object_id, d, _, _ in members], radius, alpha,
+                one, upper_bounds={i: u for i, d, _, u in members if d is None},
             )
-        return results
+            for radius, members, one in zip(radii.tolist(), record.answers(), stats)
+        ]
 
     return local, merge
 
@@ -175,7 +172,6 @@ def range_pass(
     alpha: float,
     radii: Sequence[float],
     config: RuntimeConfig,
-    rng: Optional[np.random.Generator] = None,
     improved: bool = True,
     deadline=None,
 ) -> List[RangeSearchResult]:
@@ -183,7 +179,7 @@ def range_pass(
     bucket (fan-out op ``"range"``) and :func:`range_bucket`'s merge joins
     them.  ``parts`` is the set ``fan_out(op, fn)`` applies ``fn`` to, as
     for every family's pass."""
-    local, merge = range_bucket(queries, alpha, radii, config, rng, improved, deadline)
+    local, merge = range_bucket(queries, alpha, radii, config, improved, deadline)
     return merge(fan_out("range", local))
 
 
@@ -207,12 +203,9 @@ class AlphaRangeSearcher:
         alpha: float,
         radius: float,
         use_improved_bounds: bool = True,
-        rng: Optional[np.random.Generator] = None,
     ) -> RangeSearchResult:
         """Return ``(object_id, distance)`` for every object within ``radius``."""
-        (result,) = self.search_batch(
-            [query], alpha, [radius], improved=use_improved_bounds, rng=rng
-        )
+        (result,) = self.search_batch([query], alpha, [radius], improved=use_improved_bounds)
         return result
 
     def search_batch(
@@ -221,13 +214,12 @@ class AlphaRangeSearcher:
         alpha: float,
         radii: Sequence[float],
         improved: bool = True,
-        rng: Optional[np.random.Generator] = None,
         deadline=None,
     ) -> List[RangeSearchResult]:
         """Answer a range bucket (:func:`range_pass`) over this searcher."""
         return range_pass(
             [self], lambda op, fn: [fn(self)], queries, alpha, radii, self.config,
-            rng, improved, deadline,
+            improved, deadline,
         )
 
 
@@ -237,7 +229,6 @@ def collect_over_parts(
     alpha: float,
     radius: float,
     config: RuntimeConfig,
-    rng: Optional[np.random.Generator] = None,
     deadline=None,
 ) -> Tuple[RangeSearchResult, Dict[int, FuzzyObject]]:
     """The sweep's candidate collection: a range bucket of one over a
@@ -248,9 +239,7 @@ def collect_over_parts(
     a match its bounds confirmed is read too, so every candidate with
     ``L <= radius`` is read once, as in a probe-all range.
     """
-    local, merge = range_bucket(
-        [query], alpha, [radius], config, rng, deadline=deadline
-    )
+    local, merge = range_bucket([query], alpha, [radius], config, deadline=deadline)
 
     def collect(part) -> PartMatches:
         found = local(part)

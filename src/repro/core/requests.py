@@ -31,6 +31,10 @@ table + one verification traversal for a reverse bucket); the same keys
 drive the query service's coalescer, so a request type defined once
 coalesces correctly at every layer.  The four families are the paper's; the
 table is closed.
+
+Nothing on this path is drawn at random: Lemma 1's query sample is evenly
+spaced over the cut, and ``rep(A)`` was fixed when the index was built, so
+a request's answer and counts depend only on the request and the data.
 """
 
 from __future__ import annotations
@@ -262,7 +266,7 @@ class ReverseRequest(QueryRequest):
 # Request type -> the engine's bucket hook
 # ----------------------------------------------------------------------
 #: Each hook answers one homogeneous bucket (equal ``bucket_key()``) as
-#: ``engine.<hook>(bucket, rng, deadline=...)`` and returns one result per
+#: ``engine.<hook>(bucket, deadline=...)`` and returns one result per
 #: request, in bucket order; ``deadline`` is a
 #: :class:`~repro.service.policy.Deadline` or ``None``.
 _HOOKS = {
@@ -311,7 +315,6 @@ def request_deadlines(requests: Sequence[QueryRequest]) -> List[Optional[Any]]:
 def execute_plan(
     engine: Any,
     requests: Sequence[QueryRequest],
-    rng: Optional[np.random.Generator] = None,
     deadlines: Optional[Sequence[Optional[Any]]] = None,
     on_error: str = "raise",
 ) -> List[Any]:
@@ -391,7 +394,7 @@ def execute_plan(
             bucket_deadline = max(member_deadlines, key=lambda d: d.expires_at)
         bucket = [requests[i] for i in live]
         try:
-            answers = getattr(engine, hook)(bucket, rng, deadline=bucket_deadline)
+            answers = getattr(engine, hook)(bucket, deadline=bucket_deadline)
         except DeadlineExceededError as error:
             answers = [error] * len(bucket)
             if metrics is not None:
@@ -433,21 +436,11 @@ class Engine:
     sets ``self._update_listeners = []``.
     """
 
-    def execute(
-        self,
-        request: QueryRequest,
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def execute(self, request: QueryRequest):
         """Answer one typed request."""
-        return execute_plan(self, [request], rng=rng)[0]
+        return execute_plan(self, [request])[0]
 
-    def execute_batch(
-        self,
-        requests: Iterable[QueryRequest],
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List:
+    def execute_batch(self, requests: Iterable[QueryRequest]) -> List:
         """Answer a submission that may mix request types freely.
 
         The planner groups the submission into per-type, per-``bucket_key()``
@@ -458,7 +451,7 @@ class Engine:
         pass against a cached k-th MaxDist table + one verification traversal
         per part).  Results come back in submission order.
         """
-        return execute_plan(self, list(requests), rng=rng)
+        return execute_plan(self, list(requests))
 
     def add_update_listener(self, listener) -> None:
         """Register ``listener`` for post-apply mutation notifications.

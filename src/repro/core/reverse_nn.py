@@ -299,6 +299,7 @@ def build_bucket_results(
     masks: np.ndarray,
     record: Decisions,
     totals: Dict[str, int],
+    parts: int,
     extra_common: Dict[str, float],
 ) -> List["ReverseKNNResult"]:
     """Per-query results from the bucket's decision record.
@@ -306,11 +307,12 @@ def build_bucket_results(
     Most of a bucket's work (filter table, shared traversal, store fetches)
     is paid once and cannot be attributed to one query, so each result
     counts as :meth:`~repro.core.executor.Decisions.bucket_stats` says: its
-    own ``d(A, Q)`` evaluations, and the bucket's ``totals`` (keyed by
-    QueryStats field name) under ``extra["bucket_<name>"]``.
+    own ``d(A, Q)`` evaluations, the bucket's ``totals`` (keyed by
+    QueryStats field name) under ``extra["bucket_<name>"]`` and the ``parts``
+    it ran over.
     """
     results: List[ReverseKNNResult] = []
-    stats = record.bucket_stats(totals, elapsed_seconds=elapsed)
+    stats = record.bucket_stats(totals, parts, elapsed_seconds=elapsed)
     for qi, (members, one) in enumerate(zip(record.answers(), stats)):
         one.extra.update(extra_common, candidates=float(int(masks[qi].sum())))
         results.append(
@@ -365,7 +367,6 @@ def reverse_bucket_pass(
     alpha: float,
     config: RuntimeConfig,
     metrics: MetricsCollector,
-    rng: Optional[np.random.Generator] = None,
     deadline=None,
 ) -> List[ReverseKNNResult]:
     """One reverse bucket (shared ``k`` / ``alpha``) over a partition set.
@@ -414,7 +415,7 @@ def reverse_bucket_pass(
     accesses_before = sum(part.store.statistics.object_accesses for part in parts)
     if deadline is not None:
         deadline.check("reverse filter")
-    prepared = [PreparedQuery(query, alpha, config, rng) for query in queries]
+    prepared = [PreparedQuery(query, alpha, config) for query in queries]
     trees = [part.tree for part in parts]
     _, ids = index.over(trees)
     n = ids.shape[0]
@@ -488,10 +489,10 @@ def reverse_bucket_pass(
                 MetricsCollector.UPPER_BOUND_EVALUATIONS
             ),
         },
+        parts=len(parts),
         extra_common={
             "batch_reverse_queries": float(len(queries)),
             "reverse_candidates": float(candidates),
-            "shard_fanouts": float(len(parts)),
         },
     )
     metrics.increment(MetricsCollector.REVERSE_QUERIES, len(queries))
@@ -519,7 +520,6 @@ class ReverseAKNNSearcher:
         queries: Sequence[FuzzyObject],
         k: int,
         alpha: float,
-        rng: Optional[np.random.Generator] = None,
         deadline=None,
     ) -> List["ReverseKNNResult"]:
         """Answer a bucket of reverse AKNN queries sharing ``(k, alpha)``.
@@ -529,5 +529,5 @@ class ReverseAKNNSearcher:
         """
         return reverse_bucket_pass(
             self._rep_index, [self], lambda op, fn: [fn(self)],
-            queries, k, alpha, self.config, MetricsCollector(), rng=rng, deadline=deadline,
+            queries, k, alpha, self.config, MetricsCollector(), deadline=deadline,
         )

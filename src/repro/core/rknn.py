@@ -139,7 +139,6 @@ class RKNNSearcher:
         alpha_range: Tuple[float, float],
         method: str = "rss_icr",
         aknn_method: str = "lb_lp_ub",
-        rng: Optional[np.random.Generator] = None,
         deadline=None,
     ) -> RKNNResult:
         """Return every object qualifying somewhere in ``alpha_range``.
@@ -164,7 +163,7 @@ class RKNNSearcher:
             if deadline is not None:
                 deadline.check("sweep aknn")
             result = searcher_over(self.fan_out, self.config).search(
-                query, k, alpha, aknn_method, rng
+                query, k, alpha, aknn_method
             )
             self._merge_substats(stats, result.stats)
             return result
@@ -173,16 +172,17 @@ class RKNNSearcher:
             assignments = self._search_basic(aknn, query, alpha_start, alpha_end, stats)
         elif method == "rss":
             profiles = self._collect_candidates(
-                aknn, query, alpha_start, alpha_end, rng, stats, deadline
+                aknn, query, alpha_start, alpha_end, stats, deadline
             )
             assignments = refine_candidates_basic(profiles, k, alpha_start, alpha_end, stats)
         else:
             assignments = self._search_decided(
-                query, k, alpha_start, alpha_end, aknn_method, rng, stats, deadline
+                query, k, alpha_start, alpha_end, aknn_method, stats, deadline
             )
 
         stats.elapsed_seconds = timer.stop()
         stats.object_accesses = self._object_accesses() - accesses_before
+        stats.extra["shard_fanouts"] = float(len(self.parts))
         return RKNNResult(
             assignments=assignments,
             k=k,
@@ -257,7 +257,6 @@ class RKNNSearcher:
         query: FuzzyObject,
         alpha_start: float,
         alpha_end: float,
-        rng: Optional[np.random.Generator],
         stats: QueryStats,
         deadline,
     ) -> Dict[int, DistanceProfile]:
@@ -271,7 +270,7 @@ class RKNNSearcher:
         if deadline is not None:
             deadline.check("sweep range")
         found, objects = collect_over_parts(
-            self.fan_out, query, alpha_start, radius, self.config, rng, deadline
+            self.fan_out, query, alpha_start, radius, self.config, deadline
         )
         self._merge_substats(stats, found.stats)
         stats.extra["candidates"] = stats.extra.get("candidates", 0.0) + len(found)
@@ -294,7 +293,6 @@ class RKNNSearcher:
         alpha_start: float,
         alpha_end: float,
         aknn_method: str,
-        rng: Optional[np.random.Generator],
         stats: QueryStats,
         deadline,
     ) -> Dict[int, IntervalSet]:
@@ -334,8 +332,8 @@ class RKNNSearcher:
         """
         trees = [part.tree for part in self.parts]
         metrics = MetricsCollector()
-        start = PreparedQuery(query, alpha_start, self.config, rng)
-        end = PreparedQuery(query, alpha_end, self.config, rng)
+        start = PreparedQuery(query, alpha_start, self.config)
+        end = PreparedQuery(query, alpha_end, self.config)
         tau = bootstrap_radii(self.index, self.parts, [end], k, alpha_end, metrics)
         q_lo, q_hi = start.query_mbr.lower[None], start.query_mbr.upper[None]
         bounded = aknn_method != "basic"

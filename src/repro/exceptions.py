@@ -92,7 +92,7 @@ class ServiceOverloadedError(BackpressureError):
     """Raised when the query service sheds a request.
 
     The coalescer's admission control bounds the number of requests that may
-    wait in its buckets (``RuntimeConfig.service_queue_depth``); submissions
+    wait in its buckets (``QueryService(queue_depth=)``); submissions
     beyond the bound fail fast with this error instead of growing the queue
     without limit.  ``retry_after_ms`` is computed from the current queue
     depth and the coalescer's drain-rate EWMA, so callers back off for

@@ -8,7 +8,7 @@ enforce) a non-empty kernel: at least one point has membership exactly 1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class FuzzyObject:
         "object_id",
         "_levels",
         "_cut_cache",
-        "_cut_cache_capacity",
     )
 
     def __init__(
@@ -87,29 +86,13 @@ class FuzzyObject:
         self.memberships = mus
         self.object_id = object_id
         self._levels: Optional[np.ndarray] = None
-        # Materialised alpha-cuts keyed by threshold (built lazily; see
-        # set_cut_cache_capacity).
+        # Materialised alpha-cuts keyed by threshold (an LRU cache of
+        # DEFAULT_ALPHA_CUT_CACHE_CAPACITY cuts, built on first use).
         self._cut_cache = None
-        self._cut_cache_capacity = DEFAULT_ALPHA_CUT_CACHE_CAPACITY
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[Tuple[Sequence[float], float]],
-        object_id: Optional[int] = None,
-        require_kernel: bool = True,
-    ) -> "FuzzyObject":
-        """Build an object from ``(point, membership)`` pairs."""
-        pairs = list(pairs)
-        if not pairs:
-            raise InvalidFuzzyObjectError("cannot build a fuzzy object from no pairs")
-        points = np.asarray([p for p, _ in pairs], dtype=float)
-        memberships = np.asarray([m for _, m in pairs], dtype=float)
-        return cls(points, memberships, object_id=object_id, require_kernel=require_kernel)
-
     @classmethod
     def crisp(
         cls, points: np.ndarray, object_id: Optional[int] = None
@@ -185,43 +168,29 @@ class FuzzyObject:
     def alpha_cut(self, alpha: float) -> np.ndarray:
         """The alpha-cut ``A_alpha`` (points with membership >= alpha).
 
-        Materialised cuts are memoised in a small per-object LRU cache (see
-        :meth:`set_cut_cache_capacity`); callers treat the returned array as
-        read-only.
+        Materialised cuts are memoised in a small per-object LRU cache of
+        ``DEFAULT_ALPHA_CUT_CACHE_CAPACITY`` cuts; callers treat the returned
+        array as read-only.
         """
         self._check_alpha(alpha)
         key = float(alpha)
-        cache = self._ensure_cut_cache()
-        if cache is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                CUT_CACHE_STATS["hits"] += 1
-                return cached
-            CUT_CACHE_STATS["misses"] += 1
+        if self._cut_cache is None:
+            # Imported lazily: the storage package depends on this module.
+            from repro.storage.cache import LRUCache
+
+            self._cut_cache = LRUCache(DEFAULT_ALPHA_CUT_CACHE_CAPACITY)
+        cached = self._cut_cache.get(key)
+        if cached is not None:
+            CUT_CACHE_STATS["hits"] += 1
+            return cached
+        CUT_CACHE_STATS["misses"] += 1
         cut = self.points[at_least(self.memberships, alpha)]
         if cut.shape[0] == 0:
             raise EmptyAlphaCutError(
                 f"alpha-cut at alpha={alpha} is empty for object {self.object_id}"
             )
-        if cache is not None:
-            cache.put(key, cut)
+        self._cut_cache.put(key, cut)
         return cut
-
-    def _ensure_cut_cache(self):
-        """The per-object LRU cut cache, or ``None`` when disabled."""
-        if self._cut_cache is None and self._cut_cache_capacity > 0:
-            # Imported lazily: the storage package depends on this module.
-            from repro.storage.cache import LRUCache
-
-            self._cut_cache = LRUCache(self._cut_cache_capacity)
-        return self._cut_cache
-
-    def set_cut_cache_capacity(self, capacity: int) -> None:
-        """Resize (or, with 0, disable) the per-object alpha-cut cache."""
-        if capacity < 0:
-            raise InvalidFuzzyObjectError("cut cache capacity must be >= 0")
-        self._cut_cache_capacity = int(capacity)
-        self._cut_cache = None
 
     # ------------------------------------------------------------------
     # Bounding rectangles
@@ -261,29 +230,23 @@ class FuzzyObject:
             return kernel[0].copy()
         return kernel[int(rng.integers(0, kernel.shape[0]))].copy()
 
-    def sample_alpha_cut(
-        self,
-        alpha: float,
-        n_samples: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Sample ``n_samples`` points (without replacement) from the alpha-cut.
+    def sample_alpha_cut(self, alpha: float, n_samples: int) -> np.ndarray:
+        """``n_samples`` points of the alpha-cut, evenly spaced in point order
+        from its first point to its last.
 
-        Used to form ``Q'_alpha`` for the improved upper bound (Lemma 1).
-        When the cut has fewer points than requested, all of them are
-        returned.
+        Used to form ``Q'_alpha`` for the improved upper bound (Lemma 1),
+        which needs only ``n << |Q_alpha|`` points of the cut; the paper's
+        random draw is not offered.  When the cut has fewer points than
+        requested, all of them are returned.
         """
         cut = self.alpha_cut(alpha)
         if n_samples >= cut.shape[0]:
             return cut.copy()
-        if rng is None:
-            # Deterministic spread across the cut: ``np.linspace(0, last,
-            # n_samples).astype(int)``'s arithmetic without its call overhead.
-            last = cut.shape[0] - 1
-            idx = (np.arange(n_samples) * (last / max(n_samples - 1, 1))).astype(int)
-            idx[-1] = last if n_samples > 1 else 0
-        else:
-            idx = rng.choice(cut.shape[0], size=n_samples, replace=False)
+        # ``np.linspace(0, last, n_samples).astype(int)``'s arithmetic
+        # without its call overhead.
+        last = cut.shape[0] - 1
+        idx = (np.arange(n_samples) * (last / max(n_samples - 1, 1))).astype(int)
+        idx[-1] = last if n_samples > 1 else 0
         return cut[idx]
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ story: concurrent callers submit typed requests
 Behind the scenes one generic coalescer groups requests by their
 ``bucket_key()`` — the same key every request type defines for execution
 sharing — and flushes each bucket through the database's ``execute_batch``
-on the first of four triggers: **size** (``coalesce_max_batch`` requests),
+on the first of four triggers: **size** (``max_batch`` requests),
 **window** (its oldest request waited ``window_ms``), **deadline** (its
 earliest member deadline leaves one window to execute) and **blocked caller**
 (Nagle's rule, RFC 896: a bucket holding a request of a caller blocked in
@@ -34,7 +34,7 @@ wait), as the databases do, so callers can
 swap a database for a coalescing service without code changes.
 
 Admission control bounds the number of requests waiting across all buckets
-(``service_queue_depth``); submissions beyond the bound fail fast with
+(``queue_depth``); submissions beyond the bound fail fast with
 :class:`~repro.exceptions.ServiceOverloadedError` instead of queueing
 without limit.  Every completed request records its end-to-end latency
 (submit to future resolution), from which the service reports p50/p99.
@@ -63,7 +63,11 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import DEFAULT_COALESCE_WINDOW_MS, RuntimeConfig
+from repro.config import (
+    DEFAULT_COALESCE_MAX_BATCH,
+    DEFAULT_COALESCE_WINDOW_MS,
+    DEFAULT_SERVICE_QUEUE_DEPTH,
+)
 from repro.core.requests import QueryRequest, execute_plan
 from repro.exceptions import (
     DeadlineExceededError,
@@ -79,6 +83,9 @@ from repro.service.subscriptions import DeliverySubscription, SubscriptionEngine
 # Buckets are keyed by QueryRequest.bucket_key(): a hashable tuple carrying
 # the request type tag and its full sharing-relevant parameterisation.
 _BucketKey = Tuple
+
+# Number of recent per-request latencies kept for the percentile telemetry.
+LATENCY_WINDOW = 8192
 
 
 class _Pending:
@@ -177,33 +184,26 @@ class QueryService:
     window_ms:
         The longest a ``submit_request`` bucket waits for company (default
         ``DEFAULT_COALESCE_WINDOW_MS``); a blocked caller's bucket does not.
-    max_batch / queue_depth:
-        Coalescer knobs; default to the database config's
-        ``coalesce_max_batch`` / ``service_queue_depth``.
-    latency_window:
-        Number of recent per-request latencies kept for the percentile
-        telemetry.
+    max_batch:
+        Bucket size that triggers an immediate flush.
+    queue_depth:
+        Maximum requests pending across all buckets; submissions beyond it
+        are shed with :class:`~repro.exceptions.ServiceOverloadedError`.
     """
 
     def __init__(
         self,
         database,
         window_ms: Optional[float] = None,
-        max_batch: Optional[int] = None,
-        queue_depth: Optional[int] = None,
-        latency_window: int = 8192,
+        max_batch: int = DEFAULT_COALESCE_MAX_BATCH,
+        queue_depth: int = DEFAULT_SERVICE_QUEUE_DEPTH,
     ):
-        config = getattr(database, "config", None) or RuntimeConfig()
         self.database = database
         self.window_seconds = (
             DEFAULT_COALESCE_WINDOW_MS if window_ms is None else float(window_ms)
         ) / 1000.0
-        self.max_batch = (
-            config.coalesce_max_batch if max_batch is None else int(max_batch)
-        )
-        self.queue_depth = (
-            config.service_queue_depth if queue_depth is None else int(queue_depth)
-        )
+        self.max_batch = int(max_batch)
+        self.queue_depth = int(queue_depth)
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.queue_depth < 1:
@@ -217,7 +217,7 @@ class QueryService:
         self._pending = 0
         self._running = False
         self._flusher: Optional[threading.Thread] = None
-        self._latencies: Deque[float] = deque(maxlen=latency_window)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._submitted = 0
         self._completed = 0
         self._shed = 0
@@ -390,28 +390,11 @@ class QueryService:
                 self.metrics.increment(MetricsCollector.SHED_REQUESTS)
                 pending.future.cancel()
 
-    def execute(
-        self,
-        request: QueryRequest,
-        *,
-        rng=None,
-        timeout: Optional[float] = None,
-    ):
-        """Synchronously answer one request: ``execute_batch`` of one.
-
-        ``rng`` is accepted for the databases' signature but ignored:
-        coalesced execution happens on the flusher thread, where per-caller
-        randomness would race between bucket members.
-        """
+    def execute(self, request: QueryRequest, *, timeout: Optional[float] = None):
+        """Synchronously answer one request: ``execute_batch`` of one."""
         return self.execute_batch([request], timeout=timeout)[0]
 
-    def execute_batch(
-        self,
-        requests,
-        *,
-        rng=None,
-        timeout: Optional[float] = None,
-    ) -> List:
+    def execute_batch(self, requests, *, timeout: Optional[float] = None) -> List:
         """Submit a mixed-type batch and wait for every result.
 
         Each request lands in its ``bucket_key()`` bucket, so a mixed
@@ -458,9 +441,9 @@ class QueryService:
     # ------------------------------------------------------------------
     # Live updates (forwarded to the database)
     # ------------------------------------------------------------------
-    def insert(self, obj: FuzzyObject, rng=None) -> int:
+    def insert(self, obj: FuzzyObject) -> int:
         """Insert into the underlying database (shard write locks apply)."""
-        object_id = self.database.insert(obj, rng=rng)
+        object_id = self.database.insert(obj)
         self.metrics.increment(MetricsCollector.LIVE_INSERTS)
         return object_id
 

@@ -68,7 +68,7 @@ from typing import (
 
 import numpy as np
 
-from repro.config import RuntimeConfig
+from repro.config import DEFAULT_SHARD_PLACEMENT, RuntimeConfig
 from repro.core.database import FuzzyDatabase
 from repro.core.executor import RepresentativeIndex, aknn_bucket_pass
 from repro.core.range_search import range_pass
@@ -241,13 +241,14 @@ class ShardedDatabase(Engine):
         """Partition ``objects`` and build one index per shard.
 
         Objects without an id receive globally-sequential ids; explicit ids
-        must be unique across the whole database.  ``n_shards`` and
-        ``placement`` default to the config's ``service_shards`` /
-        ``shard_placement``.
+        must be unique across the whole database.  ``n_shards`` defaults to
+        the config's ``service_shards``, ``placement`` (``"hash"`` or
+        ``"space"``) to ``DEFAULT_SHARD_PLACEMENT``.  ``rng`` draws every
+        shard's ``rep(A)``, as :meth:`FuzzyDatabase.build` does.
         """
         config = (config or RuntimeConfig()).validate()
         n_shards = config.service_shards if n_shards is None else int(n_shards)
-        policy_name = placement or config.shard_placement
+        policy_name = placement or DEFAULT_SHARD_PLACEMENT
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
 
@@ -348,7 +349,6 @@ class ShardedDatabase(Engine):
         cls,
         path: os.PathLike | str,
         config: Optional[RuntimeConfig] = None,
-        rng: Optional[np.random.Generator] = None,
         *,
         resume: bool = True,
     ) -> "ShardedDatabase":
@@ -359,7 +359,8 @@ class ShardedDatabase(Engine):
         exactly those shards; the owner map is rebuilt from actual shard
         membership and the id watermark from the recovered stores, so no
         recycled id can ever collide with a logged one.  The placement
-        policy is rebuilt from the manifest (``space`` boundaries are refit
+        policy is rebuilt from the manifest's (``DEFAULT_SHARD_PLACEMENT``
+        when it names none; ``space`` boundaries are refit
         to the recovered centres — that only affects where *future* inserts
         land, never query correctness, since queries fan out everywhere and
         deletes route via the owner map).  Without ``config`` every shard
@@ -373,10 +374,7 @@ class ShardedDatabase(Engine):
                 f"use FuzzyDatabase.recover() for single-node directories"
             )
         shard_dbs = [
-            FuzzyDatabase.recover(
-                cls._shard_dir(directory, index), config=config, rng=rng,
-                resume=resume,
-            )
+            FuzzyDatabase.recover(cls._shard_dir(directory, index), config=config, resume=resume)
             for index in range(int(manifest.n_shards))
         ]
         # the given config, or the one the shards were written with
@@ -388,7 +386,7 @@ class ShardedDatabase(Engine):
                 owners[int(object_id)] = index
                 centers.append(summary.support_mbr.center)
         policy = make_placement(
-            str(manifest.extra.get("placement", config.shard_placement)),
+            str(manifest.extra.get("placement", DEFAULT_SHARD_PLACEMENT)),
             int(manifest.n_shards),
             np.asarray(centers, dtype=float) if centers else None,
         )
@@ -702,7 +700,6 @@ class ShardedDatabase(Engine):
     def _execute_aknn_bucket(
         self,
         bucket: Sequence[AknnRequest],
-        rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
         first = bucket[0]
@@ -711,7 +708,7 @@ class ShardedDatabase(Engine):
             lambda unit, live, fan_out: aknn_bucket_pass(
                 self._rep_index, live, fan_out, [request.query for request in unit],
                 first.k, first.alpha, first.method.value, self.config, self.metrics,
-                rng=rng, deadline=deadline,
+                deadline=deadline,
             ),
             deadline,
         )
@@ -719,15 +716,13 @@ class ShardedDatabase(Engine):
     def _execute_range_bucket(
         self,
         bucket: Sequence[RangeRequest],
-        rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
         return self._answer_bucket(
             bucket, [bucket],
             lambda unit, live, fan_out: range_pass(
                 live, fan_out, [request.query for request in unit], unit[0].alpha,
-                [request.radius for request in unit], self.config, rng,
-                deadline=deadline,
+                [request.radius for request in unit], self.config, deadline=deadline,
             ),
             deadline,
         )
@@ -735,7 +730,6 @@ class ShardedDatabase(Engine):
     def _execute_sweep_bucket(
         self,
         bucket: Sequence[SweepRequest],
-        rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
         return self._answer_bucket(
@@ -745,7 +739,7 @@ class ShardedDatabase(Engine):
                     self._rep_index, live, fan_out, self.config,
                     unit[0].query, unit[0].k, unit[0].alpha_range,
                     method=unit[0].method.value, aknn_method=unit[0].aknn_method.value,
-                    rng=rng, deadline=deadline,
+                    deadline=deadline,
                 )
             ],
             deadline,
@@ -754,7 +748,6 @@ class ShardedDatabase(Engine):
     def _execute_reverse_bucket(
         self,
         bucket: Sequence[ReverseRequest],
-        rng: Optional[np.random.Generator],
         deadline=None,
     ) -> List:
         first = bucket[0]
@@ -762,8 +755,7 @@ class ShardedDatabase(Engine):
             bucket, [bucket],
             lambda unit, live, fan_out: reverse_bucket_pass(
                 self._rep_index, live, fan_out, [request.query for request in unit],
-                first.k, first.alpha, self.config, self.metrics, rng=rng,
-                deadline=deadline,
+                first.k, first.alpha, self.config, self.metrics, deadline=deadline,
             ),
             deadline,
         )
@@ -771,11 +763,7 @@ class ShardedDatabase(Engine):
     # ------------------------------------------------------------------
     # Live updates
     # ------------------------------------------------------------------
-    def insert(
-        self,
-        obj: FuzzyObject,
-        rng: Optional[np.random.Generator] = None,
-    ) -> int:
+    def insert(self, obj: FuzzyObject) -> int:
         """Add one object to the running database; returns its id.
 
         The owning shard is chosen by the placement policy; the insert holds
@@ -806,7 +794,7 @@ class ShardedDatabase(Engine):
             shard_index = self.placement.shard_for(object_id, center)
             shard = self._shards[shard_index]
             with shard.lock.write():
-                shard.db.insert(obj, rng=rng)
+                shard.db.insert(obj)
                 # Published before readers are let back in: a caller that saw
                 # the object in an answer can always get_object / delete it
                 # (lock order: insert, shard write, then admin; nothing takes

@@ -16,9 +16,9 @@ Two usage modes are supported:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import ObjectNotFoundError, StorageCorruptionError, StorageError
 from repro.fuzzy.fuzzy_object import FuzzyObject
@@ -77,19 +77,14 @@ class ObjectStore:
         Number of decoded objects kept in an LRU buffer pool.  ``0`` (the
         default) disables the pool so every access is a physical read, which
         matches the paper's accounting.
-    cut_cache_capacity:
-        When given, every decoded object's per-object alpha-cut LRU cache is
-        resized to this capacity (``None`` keeps the library default).
     """
 
     def __init__(
         self,
         path: Optional[os.PathLike | str] = None,
         cache_capacity: int = 0,
-        cut_cache_capacity: Optional[int] = None,
     ):
         self._path = Path(path) if path is not None else None
-        self._cut_cache_capacity = cut_cache_capacity
         # Ids are never recycled: deleting the highest id must not let a later
         # ``put`` hand the same id out again, or stale per-id caches (alpha
         # cuts, distance profiles) would silently apply to the new object.
@@ -108,19 +103,6 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        objects: Iterable[FuzzyObject],
-        path: Optional[os.PathLike | str] = None,
-        cache_capacity: int = 0,
-    ) -> "ObjectStore":
-        """Create a store and bulk-load ``objects`` into it."""
-        store = cls(path=path, cache_capacity=cache_capacity)
-        for obj in objects:
-            store.put(obj)
-        return store
-
     def flush(self) -> None:
         """Push buffered appends to stable storage (no-op in memory mode)."""
         if self._file is not None and not self._closed:
@@ -205,8 +187,6 @@ class ObjectStore:
         obj = decode_object(payload)
         if obj.object_id is None:
             obj = obj.with_id(object_id)
-        if self._cut_cache_capacity is not None:
-            obj.set_cut_cache_capacity(self._cut_cache_capacity)
         self._cache.put(object_id, obj)
         return obj
 
@@ -319,7 +299,6 @@ class ObjectStore:
         path: os.PathLike | str,
         slot_table: Dict[int, Tuple[int, int]],
         cache_capacity: int = 0,
-        cut_cache_capacity: Optional[int] = None,
         id_watermark: Optional[int] = None,
     ) -> "ObjectStore":
         """Attach to a previously written data file using its slot table.
@@ -378,11 +357,7 @@ class ObjectStore:
                             path=path,
                             offset=slot.offset,
                         )
-        store = cls(
-            path=path,
-            cache_capacity=cache_capacity,
-            cut_cache_capacity=cut_cache_capacity,
-        )
+        store = cls(path=path, cache_capacity=cache_capacity)
         store._slots = slots
         floor = max(store._slots.keys(), default=-1) + 1
         store._id_watermark = max(floor, int(id_watermark or 0))

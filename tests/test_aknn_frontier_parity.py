@@ -211,7 +211,7 @@ def tie_case():
 
 def _run(searcher_cls, database, query, k, alpha, method):
     searcher = searcher_cls(database.store, database.tree, database.config)
-    return searcher.search(query, k, alpha, method=method, rng=np.random.default_rng(5))
+    return searcher.search(query, k, alpha, method=method)
 
 
 def _counters(stats):

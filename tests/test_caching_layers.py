@@ -7,7 +7,7 @@ live for one request, so nothing a request computed serves the next one.
 
 import numpy as np
 
-from repro.config import RuntimeConfig
+from repro.config import DEFAULT_ALPHA_CUT_CACHE_CAPACITY, RuntimeConfig
 from repro.core.requests import SweepRequest
 from repro.datasets.builder import build_database
 from repro.datasets.queries import generate_query_object
@@ -46,16 +46,11 @@ class TestAlphaCutCache:
 
     def test_lru_eviction_respects_capacity(self):
         obj = make_object(3)
-        obj.set_cut_cache_capacity(2)
-        first = obj.alpha_cut(0.2)
-        obj.alpha_cut(0.4)
-        obj.alpha_cut(0.6)  # evicts 0.2
-        assert obj.alpha_cut(0.2) is not first
-
-    def test_capacity_zero_disables_caching(self):
-        obj = make_object(4)
-        obj.set_cut_cache_capacity(0)
-        assert obj.alpha_cut(0.5) is not obj.alpha_cut(0.5)
+        alphas = np.linspace(0.1, 0.9, DEFAULT_ALPHA_CUT_CACHE_CAPACITY + 1)
+        cuts = [obj.alpha_cut(alpha) for alpha in alphas[:-1]]  # fills the cache
+        obj.alpha_cut(alphas[-1])  # evicts the least recent, alphas[0]
+        assert obj.alpha_cut(alphas[0]) is not cuts[0]
+        assert obj.alpha_cut(alphas[-2]) is cuts[-1]
 
     def test_cached_cut_values_are_correct(self):
         obj = make_object(5)
@@ -63,16 +58,6 @@ class TestAlphaCutCache:
             cut = obj.alpha_cut(alpha)
             mask = obj.memberships >= alpha - 1e-12
             np.testing.assert_array_equal(cut, obj.points[mask])
-
-    def test_store_applies_configured_capacity(self):
-        database = build_database(
-            n_objects=20,
-            points_per_object=10,
-            seed=5,
-            config=RuntimeConfig(alpha_cut_cache_capacity=0, cache_capacity=4),
-        )
-        obj = database.get_object(database.object_ids()[0])
-        assert obj.alpha_cut(0.5) is not obj.alpha_cut(0.5)
 
 
 class TestProfileStoreInRKNN:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import QueryService
 
 
 class TestParser:
@@ -189,3 +190,26 @@ class TestServeCommand:
         )
         assert exit_code == 0
         capsys.readouterr()
+
+    def test_coalescer_and_placement_flags_reach_their_one_spelling(self, monkeypatch, capsys):
+        """``--max-batch`` / ``--queue-depth`` are ``QueryService``'s,
+        ``--placement`` is ``ShardedDatabase.build``'s."""
+        services = []
+        original_init = QueryService.__init__
+
+        def recording_init(service, *args, **kwargs):
+            original_init(service, *args, **kwargs)
+            services.append(service)
+
+        monkeypatch.setattr(QueryService, "__init__", recording_init)
+        exit_code = main(
+            ["serve", "--n-objects", "24", "--points-per-object", "10",
+             "--k", "2", "--space-size", "5", "--shards", "2",
+             "--n-requests", "6", "--clients", "2", "--query-pool", "4",
+             "--mix", "aknn,range", "--max-batch", "8", "--queue-depth", "64",
+             "--placement", "space"]
+        )
+        assert exit_code == 0
+        assert "(space placement" in capsys.readouterr().out
+        assert [(s.max_batch, s.queue_depth) for s in services] == [(8, 64)]
+        assert services[0].database.placement.name == "space"

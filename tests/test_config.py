@@ -66,7 +66,7 @@ class TestRuntimeConfig:
     def test_field_count_does_not_grow(self):
         """ROADMAP house rule: a new knob needs two callers that disagree."""
         names = {field.name for field in dataclasses.fields(RuntimeConfig)}
-        assert len(names) == 15
+        assert len(names) == 11
         assert not names & {
             "coalesce_window_ms",
             "batch_workers",
@@ -79,6 +79,10 @@ class TestRuntimeConfig:
             "subscription_queue_depth",
             "profile_cache_capacity",
             "rtree_min_fill",
+            "coalesce_max_batch",
+            "service_queue_depth",
+            "shard_placement",
+            "alpha_cut_cache_capacity",
         }
 
 

@@ -130,11 +130,10 @@ class TestRoundTripUnderCustomConfig:
         self, objects, rng, tmp_path
     ):
         """Queries must agree before save and after reopen when the runtime
-        config is non-default (cache capacities, fan-out, bound samples)."""
+        config is non-default (buffer pool, fan-out, bound samples)."""
         config = RuntimeConfig(
             rtree_max_entries=8,
             cache_capacity=16,
-            alpha_cut_cache_capacity=4,
             upper_bound_samples=4,
         )
         database = FuzzyDatabase.build(objects, path=tmp_path / "db", config=config)
@@ -150,7 +149,6 @@ class TestRoundTripUnderCustomConfig:
 
         reopened = FuzzyDatabase.open(tmp_path / "db", config=config)
         assert reopened.config.cache_capacity == 16
-        assert reopened.config.alpha_cut_cache_capacity == 4
         assert reopened.config.upper_bound_samples == 4
         reopened.validate()
 

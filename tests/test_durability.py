@@ -8,6 +8,7 @@ recovered, and compared — on all four query families — against an
 uninterrupted twin that applied exactly the mutations the log preserved.
 """
 
+import dataclasses
 import json
 import shutil
 
@@ -231,23 +232,102 @@ class TestRecoveredConfig:
         assert reopened.config == RuntimeConfig(rtree_max_entries=8, upper_bound_samples=3)
         reopened.close()
 
+    #: Fields a directory may have been written with, and a value of each.
+    RETIRED = {
+        "rtree_min_fill": 0.4,
+        "coalesce_max_batch": 16,
+        "service_queue_depth": 128,
+        "shard_placement": "space",
+        "alpha_cut_cache_capacity": 0,
+    }
+
     @pytest.mark.parametrize("engine", [FuzzyDatabase, ShardedDatabase])
     def test_a_catalogue_with_a_retired_field_still_recovers(self, tmp_path, engine):
-        """``rtree_min_fill`` was a field; a directory written with it in
-        every catalogue recovers with the fields that remain."""
-        db = engine.build(_initial_objects(3, 6), config=self.WRITTEN)
+        """A directory written while each of ``RETIRED`` was a field, so with
+        it in every catalogue, recovers with the fields that remain."""
+        assert not set(self.RETIRED) & {f.name for f in dataclasses.fields(RuntimeConfig)}
+        for name, value in self.RETIRED.items():
+            directory = tmp_path / name
+            db = engine.build(_initial_objects(3, 6), config=self.WRITTEN)
+            db.enable_durability(directory)
+            db.close()
+            catalogs = sorted(directory.rglob("catalog.json"))
+            assert catalogs, "the check is not looking at the written catalogues"
+            for path in catalogs:
+                catalog = json.loads(path.read_text(encoding="utf-8"))
+                catalog["config"][name] = value
+                path.write_text(json.dumps(catalog), encoding="utf-8")
+            recovered = engine.recover(directory, resume=False)
+            assert recovered.config == self.WRITTEN, name
+            assert len(recovered) == 6
+            recovered.close()
+
+
+def _hex(value):
+    """``value`` with every float, in lists too, as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hex(item) for item in value]
+    return value
+
+
+def _leaf_summary_bits(engine):
+    """Every leaf summary of ``engine``'s trees by object id, bit for bit:
+    boxes, conservative lines and ``rep(A)``."""
+    if isinstance(engine, ShardedDatabase):
+        parts = [shard.db for shard in engine._shards]
+    else:
+        parts = [engine]
+    found = {}
+    for part in parts:
+        stack = [part.tree.root]
+        while stack:
+            node = stack.pop()
+            for entry in node.entries:
+                if node.is_leaf:
+                    found[entry.object_id] = {
+                        name: _hex(value) for name, value in entry.summary.to_dict().items()
+                    }
+                else:
+                    stack.append(entry.child)
+    return found
+
+
+class TestRecoveredSummaries:
+    """Recovery restores the pre-crash leaf summaries bit for bit: the
+    snapshot's, whose ``rep(A)`` the build drew at random, and the WAL
+    tail's, which replay summarises as the live inserts did."""
+
+    @pytest.mark.parametrize("engine", [FuzzyDatabase, ShardedDatabase])
+    def test_every_leaf_summary_comes_back_bit_for_bit(self, tmp_path, engine):
+        def wide_kernel(o):
+            """``o`` with half its points in the kernel, so a drawn rep(A)
+            can differ from the first kernel point."""
+            memberships = np.where(np.arange(o.size) < o.size // 2, 1.0, o.memberships)
+            return FuzzyObject(o.points, memberships, object_id=o.object_id)
+
+        config = RuntimeConfig(snapshot_every=0, service_shards=3)
+        initial = [wide_kernel(o) for o in _initial_objects(61, 18)]
+        db = engine.build(initial, config=config, rng=np.random.default_rng(62))
         db.enable_durability(tmp_path / "db")
-        db.close()
-        catalogs = sorted((tmp_path / "db").rglob("catalog.json"))
-        assert catalogs, "the check is not looking at the written catalogues"
-        for path in catalogs:
-            catalog = json.loads(path.read_text(encoding="utf-8"))
-            catalog["config"]["rtree_min_fill"] = 0.4
-            path.write_text(json.dumps(catalog), encoding="utf-8")
-        recovered = engine.recover(tmp_path / "db", resume=False)
-        assert recovered.config == self.WRITTEN
-        assert len(recovered) == 6
+        ops = [
+            (op, wide_kernel(payload) if op == "insert" else payload)
+            for op, payload in _scripted_ops(63, [o.object_id for o in initial], 16)
+        ]
+        assert {op for op, _ in ops} == {"insert", "delete"}
+        _apply(db, ops)
+        live = _leaf_summary_bits(db)
+        assert any(
+            live[o.object_id]["representative"] != _hex(o.kernel()[0].tolist())
+            for o in initial if o.object_id in live
+        ), "every rep(A) is the first kernel point: the build drew nothing"
+        shutil.copytree(tmp_path / "db", tmp_path / "copy")
+        recovered = engine.recover(tmp_path / "copy", resume=False)
+        assert recovered.metrics.get(MetricsCollector.WAL_REPLAYED) == len(ops)
+        assert _leaf_summary_bits(recovered) == live
         recovered.close()
+        db.close()
 
 
 class TestCrashRecoveryParitySingle:

@@ -59,13 +59,15 @@ class TestConstruction:
         assert obj.kernel().size == 0
 
     def test_from_pairs(self):
-        obj = FuzzyObject.from_pairs([([0.0, 0.0], 1.0), ([1.0, 1.0], 0.5)])
+        """Points and memberships given as lists, one pair per point."""
+        obj = FuzzyObject([[0.0, 0.0], [1.0, 1.0]], [1.0, 0.5])
         assert obj.size == 2
+        assert obj.points.dtype == float
         assert obj.memberships[0] == 1.0
 
     def test_from_pairs_empty_raises(self):
         with pytest.raises(InvalidFuzzyObjectError):
-            FuzzyObject.from_pairs([])
+            FuzzyObject([], [])
 
     def test_crisp_and_single_point(self):
         crisp = FuzzyObject.crisp(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -167,12 +169,16 @@ class TestSamplingAndTransforms:
         obj = simple_object()
         assert np.allclose(obj.representative_point(), obj.kernel()[0])
 
-    def test_sample_alpha_cut_subset(self, rng):
+    def test_sample_alpha_cut_subset(self):
+        """Evenly spaced in point order, from the cut's first point to its last."""
         obj = simple_object()
-        sample = obj.sample_alpha_cut(0.1, 2, rng)
+        sample = obj.sample_alpha_cut(0.1, 2)
         assert sample.shape == (2, 2)
-        cut = {tuple(p) for p in obj.alpha_cut(0.1)}
-        assert all(tuple(p) in cut for p in sample)
+        np.testing.assert_array_equal(sample, obj.alpha_cut(0.1)[[0, 3]])
+        np.testing.assert_array_equal(
+            obj.sample_alpha_cut(0.1, 3), obj.alpha_cut(0.1)[[0, 1, 3]]
+        )
+        np.testing.assert_array_equal(obj.sample_alpha_cut(0.1, 1), obj.alpha_cut(0.1)[[0]])
 
     def test_sample_returns_all_when_fewer_than_requested(self):
         obj = simple_object()

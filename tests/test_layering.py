@@ -12,9 +12,9 @@ of the engine it is the specification for.  Every module under
 ``src/repro`` is reached from an entry point, every function, method and
 class is reached from the package's own code, a script, a benchmark or an
 example (the few references tests compare against are listed, each with its
-reason), and every ``RuntimeConfig`` field is set by someone, so nothing
-ships that only its own tests use.  Read from the syntax tree: nothing is
-imported or executed.
+reason), and every ``RuntimeConfig`` field is set by one of those roots, so
+nothing ships that only its own tests use.  No request or write takes an
+``rng``.  Read from the syntax tree: nothing is imported or executed.
 """
 
 import ast
@@ -488,7 +488,10 @@ def test_everything_in_the_package_is_reached_from_a_root():
     """A request, a write, the CLI or a paper figure reaches every function,
     method and class under ``src/repro`` (a private one too), or it is on
     ``UNREACHED_ALLOWED``.  Matching is by name, so a collision can only
-    hide dead code, never fail live code."""
+    hide dead code, never fail live code.  That is a blind spot: a method
+    that only tests call stays unseen while a reached definition shares its
+    name (``FuzzyObject.from_pairs`` hid behind ``IntervalSet.from_pairs``,
+    ``ObjectStore.build`` behind ``FuzzyDatabase.build``)."""
     unreached, defined = unreached_definitions()
     assert len(defined) > 500, "the walk is not looking at the package"
     allowed = {
@@ -505,6 +508,9 @@ def test_everything_in_the_package_is_reached_from_a_root():
 
 
 def test_every_runtime_config_field_is_set_by_someone():
+    """Some root (the package outside ``config.py``, a benchmark, a script or
+    an example) sets every field, as a keyword or an attribute; a field that
+    only tests set is an option no caller uses."""
     config_class = next(
         node
         for node in ast.parse(CONFIG.read_text()).body
@@ -515,7 +521,7 @@ def test_every_runtime_config_field_is_set_by_someone():
     }
     assert len(fields) >= 10, "no fields found: the check is not looking at the class"
     assigned = set()
-    for directory in ("src", "tests", "benchmarks", "scripts", "examples"):
+    for directory in ("src",) + ROOT_DIRECTORIES:
         for path in (REPO / directory).rglob("*.py"):
             if path == CONFIG:
                 continue
@@ -528,6 +534,42 @@ def test_every_runtime_config_field_is_set_by_someone():
                         target.attr for target in targets if isinstance(target, ast.Attribute)
                     )
     assert not fields - assigned, sorted(fields - assigned)
+
+
+RNG_ALLOWED = {
+    ("core/database.py", "FuzzyDatabase.build"),
+    ("service/sharded.py", "ShardedDatabase.build"),
+    ("service/faults.py", "FaultPlan.random"),
+}
+
+
+def test_requests_and_writes_take_no_rng():
+    """Nothing on the request or write path draws at random: Lemma 1's query
+    sample is evenly spaced and ``rep(A)`` is drawn when an index is built.
+    So no function under ``core/`` or ``service/`` takes an ``rng`` but the
+    two builds and the fault plan's generator."""
+    found = set()
+    for package in ("core", "service"):
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            relative = path.relative_to(SRC / "repro").as_posix()
+            tree = ast.parse(path.read_text())
+            owners = {
+                child: node.name
+                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                for child in node.body
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                arguments = node.args
+                names = {
+                    argument.arg
+                    for argument in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                }
+                if "rng" in names:
+                    qualified = f"{owners[node]}.{node.name}" if node in owners else node.name
+                    found.add((relative, qualified))
+    assert found == RNG_ALLOWED, sorted(found ^ RNG_ALLOWED)
 
 
 def test_net_lines_reports_moved_files_and_directory_totals():

@@ -50,8 +50,10 @@ class TestPutGet:
         assert store.object_ids() == [2, 9]
 
     def test_build_classmethod(self, rng):
+        """A store is filled by ``put``: the constructor plus one put per object."""
         objects = [make_fuzzy_object(rng, object_id=i) for i in range(5)]
-        store = ObjectStore.build(objects)
+        store = ObjectStore()
+        assert [store.put(obj) for obj in objects] == list(range(5))
         assert len(store) == 5
         store.close()
 

@@ -546,7 +546,7 @@ class TestPreparedQueriesAreReused:
 
     def test_aknn_batch_signature_is_the_parents(self):
         assert list(inspect.signature(BatchQueryExecutor.aknn_batch).parameters) == [
-            "self", "queries", "k", "alpha", "method", "rng",
+            "self", "queries", "k", "alpha", "method",
             "initial_tau", "initial_exact", "deadline",
         ]
 

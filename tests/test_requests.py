@@ -212,7 +212,7 @@ class TestPlannerRegistry:
 
     def test_planner_result_arity_is_checked(self, dense_database, monkeypatch):
         monkeypatch.setattr(
-            dense_database, "_execute_range_bucket", lambda bucket, rng, deadline=None: []
+            dense_database, "_execute_range_bucket", lambda bucket, deadline=None: []
         )
         query = make_fuzzy_object(np.random.default_rng(3))
         with pytest.raises(InvalidQueryError, match="returned 0 results for 1 requests"):
@@ -379,12 +379,12 @@ class TestLazyQuerySamples:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(FuzzyObject, "sample_alpha_cut", counting)
-        prepared = PreparedQuery(query, 0.5, rng=rng)
-        assert calls == []  # construction draws nothing
+        prepared = PreparedQuery(query, 0.5)
+        assert calls == []  # construction samples nothing
         first = prepared.query_samples
         assert calls == [1]
         again = prepared.query_samples
-        assert calls == [1]  # cached after the first draw
+        assert calls == [1]  # cached after the first access
         assert np.array_equal(first, again)
 
     def test_repr_does_not_force_sampling(self):

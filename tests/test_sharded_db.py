@@ -386,6 +386,35 @@ class TestTelemetry:
         sharded.close()
 
 
+class TestShardFanouts:
+    """``extra["shard_fanouts"]`` is the number of parts a request's pass ran
+    over, whatever its family or bucket size: 1.0 on one tree."""
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_a_mixed_batch_names_its_parts_in_every_family(
+        self, objects, config, reference, queries, parts
+    ):
+        """``parts`` 1 is the one tree, 3 are space-placed shards."""
+        engine = reference if parts == 1 else build_sharded(objects, config, parts, "space")
+        requests = [
+            AknnRequest(queries[0], k=3, alpha=0.5),  # a bucket of many
+            AknnRequest(queries[1], k=3, alpha=0.5),
+            AknnRequest(queries[2], k=4, alpha=0.5),  # a bucket of one
+            RangeRequest(queries[0], alpha=0.5, radius=1.0),
+            RangeRequest(queries[1], alpha=0.5, radius=2.0),
+            *(
+                SweepRequest(queries[3], k=3, alpha_range=(0.3, 0.6), method=method)
+                for method in ("basic", "rss", "rss_icr")
+            ),
+            ReverseRequest(queries[0], k=3, alpha=0.5),
+            ReverseRequest(queries[2], k=3, alpha=0.5),
+        ]
+        results = engine.execute_batch(requests)
+        assert [r.stats.extra.get("shard_fanouts") for r in results] == [float(parts)] * 10
+        if engine is not reference:
+            engine.close()
+
+
 class TestOneSetOfNumbers:
     """Each batched pass is written once, so its counters cannot drift apart:
     a single tree and a one-shard database report the same ``QueryStats``."""
@@ -418,11 +447,13 @@ class TestOneSetOfNumbers:
         before = [e.metrics.get("upper_bound_evaluations") for e in (single, one_shard)]
         want = [self.counted(r) for r in single.execute_batch(requests)]
         assert [self.counted(r) for r in one_shard.execute_batch(requests)] == want
-        # two trees are not one: only the traversal's node and box counts differ
-        shape = ("bucket_node_accesses", "bucket_lower_bound_evaluations")
+        # two trees are not one: only the traversal's node and box counts
+        # and the number of parts the pass ran over differ
+        shape = ("bucket_node_accesses", "bucket_lower_bound_evaluations", "shard_fanouts")
         for got, stats in zip(two_shards.execute_batch(requests), want):
             got = self.counted(got)
             assert got[shape[0]] > stats[shape[0]]
+            assert (got["shard_fanouts"], stats["shard_fanouts"]) == (2.0, 1.0)
             assert {n: v for n, v in got.items() if n not in shape} == {
                 n: v for n, v in stats.items() if n not in shape
             }

@@ -36,8 +36,7 @@ def tree(summaries):
 
 @pytest.fixture()
 def prepared(objects):
-    rng = np.random.default_rng(5)
-    return PreparedQuery(objects[0], 0.5, RuntimeConfig(), rng)
+    return PreparedQuery(objects[0], 0.5, RuntimeConfig())
 
 
 def iter_nodes(tree):
@@ -147,8 +146,7 @@ class TestIncrementalMaintenance:
         incremental = RTree(max_entries=4)
         for summary in summaries[:40]:
             incremental.insert(summary)
-        rng = np.random.default_rng(9)
-        prepared = PreparedQuery(objects[-1], 0.5, RuntimeConfig(), rng)
+        prepared = PreparedQuery(objects[-1], 0.5, RuntimeConfig())
 
         def all_leaf_bounds(tree):
             bounds = {}
@@ -168,8 +166,7 @@ class TestIncrementalMaintenance:
 
 class TestKernelsAgainstMBR:
     def test_min_and_max_dist_match_pairwise(self, summaries, objects):
-        rng = np.random.default_rng(3)
-        prepared = PreparedQuery(objects[1], 0.4, RuntimeConfig(), rng)
+        prepared = PreparedQuery(objects[1], 0.4, RuntimeConfig())
         tree = RTree.bulk_load(summaries[:30], max_entries=8)
         for node in iter_nodes(tree):
             soa = node.soa()
